@@ -17,7 +17,7 @@ import numpy as np
 from . import nogo as nogo_mod
 from .blockenc import assemble_block_encoding
 from .errors import QvarError
-from .market import payoff_vector
+from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
 from .pde import assemble_operator, price_american, price_european
 from .pipeline import emit_report, load_run_config, run_pipeline
@@ -39,8 +39,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _overridden_config(args) -> dict:
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = read_config_doc(args.config)
     for key in ("L", "m", "q", "seed", "s0"):
         val = getattr(args, key.lower(), None)
         if val is not None:
@@ -114,28 +113,13 @@ def cmd_assemble(args) -> int:
     return 0
 
 
-def _run_and_report(args, force_mode: str | None = None) -> int:
+def cmd_report(args) -> int:
     doc = _overridden_config(args)
-    if force_mode is not None:
-        doc["mode"] = force_mode
-    elif getattr(args, "mode", None) is not None:
-        doc["mode"] = {"classical": "classical", "quantum-exact": "quantum_exact",
-                       "quantum-sampled": "quantum_sampled"}.get(args.mode, args.mode)
+    if args.mode is not None:
+        doc["mode"] = args.mode.replace("-", "_")  # quantum-exact -> quantum_exact
     result = run_pipeline(load_run_config(doc))
     _write(emit_report(result, "json") + "\n", args.output)
     return 0
-
-
-def cmd_var(args) -> int:
-    return _run_and_report(args)
-
-
-def cmd_cvar(args) -> int:
-    return _run_and_report(args)
-
-
-def cmd_run(args) -> int:
-    return _run_and_report(args)
 
 
 def cmd_nogo(args) -> int:
@@ -181,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_assemble)
 
-    for name, fn in (("var", cmd_var), ("cvar", cmd_cvar), ("run", cmd_run)):
+    for name in ("var", "cvar", "run"):
         p = sub.add_parser(name, help=f"{name} pipeline report as JSON")
         p.add_argument("--level", type=float, dest="q", default=None)
         p.add_argument("--bits", type=int, dest="m", default=None)
@@ -190,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
         p.add_argument("--seed", type=int, default=None)
         _add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("nogo", help="copy-count lower-bound curve as CSV")
     p.add_argument("--max-d", type=int, default=256)

@@ -162,17 +162,25 @@ _CONFIG_KEYS = {
 }
 
 
+def read_config_doc(path_or_dict) -> dict:
+    """The config document as a new dict, read from JSON given a path; an
+    unreadable file or a document that is not an object is a ConfigError."""
+    if isinstance(path_or_dict, dict):
+        return dict(path_or_dict)
+    try:
+        with open(path_or_dict) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path_or_dict}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path_or_dict} is not a JSON object")
+    return doc
+
+
 def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGrid]:
     """Read the JSON config (keys r, mu, alpha, T, t_bar, dtau, kind, strike,
     s_min, s_max, n, spacing) into validated domain objects."""
-    if isinstance(path_or_dict, dict):
-        doc = dict(path_or_dict)
-    else:
-        try:
-            with open(path_or_dict) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path_or_dict}: {exc}") from exc
+    doc = read_config_doc(path_or_dict)
     missing = _CONFIG_KEYS - doc.keys()
     if missing:
         raise ConfigError(f"config missing keys: {sorted(missing)}")

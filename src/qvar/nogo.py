@@ -9,6 +9,7 @@ linear-in-d copy growth holds under either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -75,22 +76,28 @@ def trace_norm_gap(d: int, m: int, mode: GapMode = "analytic") -> float:
 
 def min_copies(d: int, threshold: float = 0.8,
                convention: CopyConvention = "paper_analytic") -> int:
-    """Smallest copy count m whose gap reaches the threshold."""
+    """Smallest copy count m whose gap reaches the threshold: the closed form
+    m = ceil(ln(1 - theta^2) / ln(1 - 1/d)) for the analytic gap theta,
+    checked against the gap itself at m - 1 and m to absorb rounding."""
     if convention == "paper_analytic":
         if not 0 < threshold < 1:
             raise ConfigError("analytic threshold must lie in (0, 1)")
         gap = lambda m: trace_norm_gap(d, m, "analytic")
+        theta = threshold
     elif convention == "explicit":
         if not 0 < threshold < 2:
             raise ConfigError("explicit-convention threshold must lie in (0, 2)")
         gap = lambda m: 2.0 * trace_norm_gap(d, m, "analytic")
+        theta = threshold / 2.0
     else:
         raise ConfigError(f"unknown convention {convention!r}")
-    m = 1
+    if d < 2:
+        raise ConfigError(f"need d >= 2, got {d}")
+    m = max(1, math.ceil(math.log1p(-theta * theta) / math.log1p(-1.0 / d)))
+    while m > 1 and gap(m - 1) >= threshold:
+        m -= 1
     while gap(m) < threshold:
         m += 1
-        if m > 10**7:
-            raise ConfigError("threshold unreachable")
     return m
 
 

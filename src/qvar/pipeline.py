@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, QubitBudgetError
 from .market import (MarketParams, PayoffSpec, PriceGrid,
-                     load_market_config, payoff_vector, qubit_cap)
+                     load_market_config, payoff_vector, qubit_cap,
+                     read_config_doc)
 from .mc import simulate_paths
 from .pde import price_european
 from .qcore import RegisterLayout, StateVector
@@ -77,14 +78,7 @@ class RunConfig:
 
 def load_run_config(path_or_dict) -> RunConfig:
     """Config document: market keys plus s0, L, m, q, mode, seed, eps1."""
-    if isinstance(path_or_dict, dict):
-        doc = dict(path_or_dict)
-    else:
-        try:
-            with open(path_or_dict) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path_or_dict}: {exc}") from exc
+    doc = read_config_doc(path_or_dict)
     market, payoff, grid = load_market_config(doc)
     try:
         return RunConfig(

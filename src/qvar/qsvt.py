@@ -8,7 +8,10 @@ feasible ``scale`` recorded on the result; the rescale cancels under state
 normalization and only lowers the post-selection probability.  The fit is
 a minimax linear program over odd Chebyshev coefficients with a global
 amplitude cap, so the polynomial stays quiet in the spectral gap around
-zero without any explicit parity surgery.
+zero without any explicit parity surgery.  A cheap screen LP on a subset
+of the rows comes first at each degree: dropping constraints from a
+minimization can only lower its optimum, so a screen that misses the
+acceptance threshold proves the full LP would miss it too.
 
 Phase factors are solved in the symmetric Wx convention by the standard
 coefficient fixed-point iteration and converted to projector phases for
@@ -39,6 +42,12 @@ DEGREE_CAP = 512
 PHASE_ITER_CAP = 10_000
 PHASE_RESIDUAL_TOL = 1e-8
 GLOBAL_BOUND = 0.98  # amplitude cap used inside the fit; leaves QSP headroom
+FIT_ACCEPT = 0.85  # a fit is accepted when its LP error is <= FIT_ACCEPT * eps
+SCREEN_STRIDE = 8  # the screen LP keeps every 8th window and cap node
+# a screen rules a degree out only when its error exceeds the acceptance
+# threshold times SCREEN_REL plus SCREEN_ABS: slack for HiGHS's 1e-7 tolerances
+SCREEN_REL = 1.01
+SCREEN_ABS = 1e-7
 SUCCESS_PROB_FLOOR = 1e-6
 
 
@@ -129,6 +138,13 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
     ``eps`` bounds the rescaled comparison sup |P/scale - g|; the degree
     respects d <= C * t_tilde * norm * log(1/eps) with the constant C
     checked by the acceptance suite.
+
+    Each degree first solves a screen LP with the full LP's columns and
+    objective and every SCREEN_STRIDE-th row.  Its optimum is a lower bound
+    on the full optimum, so a screen error above the acceptance threshold
+    (plus solver slack) rules the degree out without the full LP.  The full
+    LPs that do run see unchanged inputs, so the result is bit-identical to
+    the unscreened walk's.
     """
     if not 0 < eps <= 0.5:
         raise ConfigError(f"eps must lie in (0, 1/2], got {eps}")
@@ -145,30 +161,29 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
     g_max = target_g(lo, t_tilde, norm)
     scale = min(1.0, 0.45 / g_max)
 
-    def try_degree(degree: int):
+    accept = eps * FIT_ACCEPT
+
+    def accepted_fit(degree: int):
         grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
         y_w = scale * target_g(grid_w, t_tilde, norm)
         # cap grid covers the gap below the window and the window itself;
         # dense enough that a degree-d polynomial cannot slip between nodes
         grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
                                  _cheb_nodes(lo, hi, max(400, 2 * degree))])
-        return _fit_minimax(grid_w, y_w, grid_c, degree, parity=1)
+        rows = slice(None, None, SCREEN_STRIDE)
+        screen = _fit_minimax(grid_w[rows], y_w[rows], grid_c[rows], degree, parity=1)
+        if screen is not None and screen[1] > accept * SCREEN_REL + SCREEN_ABS:
+            return None
+        fit = _fit_minimax(grid_w, y_w, grid_c, degree, parity=1)
+        return fit[0] if fit is not None and fit[1] <= accept else None
 
     degree = max(1, int(0.25 * t_tilde * norm) | 1)
-    best = None
-    while True:
-        fit = try_degree(degree)
-        if fit is not None and fit[1] <= eps * 0.85:
-            best = fit
-            break
+    while (coeffs := accepted_fit(degree)) is None:
         if degree >= degree_cap:
-            break
+            raise NumericalError(
+                f"degree cap {degree_cap} exceeded for t_tilde={t_tilde}, "
+                f"norm={norm:.4g}, eps={eps:.3g}")
         degree = min(degree_cap, max(degree + 2, int(degree * 1.4) | 1))
-    if best is None:
-        raise NumericalError(
-            f"degree cap {degree_cap} exceeded for t_tilde={t_tilde}, "
-            f"norm={norm:.4g}, eps={eps:.3g}")
-    coeffs, _ = best
 
     dense = np.linspace(lo, hi, 10_000)
     sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
@@ -213,20 +228,15 @@ class PhaseFactorSequence:
 
 def _wx_eval(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Re <0| e^{i phi_0 Z} prod_k W(x) e^{i phi_k Z} |0> vectorized over x."""
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    # right multiplication never mixes rows, so only the top row is carried
+    i_s = 1j * np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     m00 = np.full_like(x, np.exp(1j * phases[0]), dtype=complex)
     m01 = np.zeros_like(x, dtype=complex)
-    m10 = np.zeros_like(x, dtype=complex)
-    m11 = np.full_like(x, np.exp(-1j * phases[0]), dtype=complex)
     for phi in phases[1:]:
         # right-multiply by W(x), then by e^{i phi Z}
-        n00 = m00 * x + m01 * (1j * s)
-        n01 = m00 * (1j * s) + m01 * x
-        n10 = m10 * x + m11 * (1j * s)
-        n11 = m10 * (1j * s) + m11 * x
-        ep, em = np.exp(1j * phi), np.exp(-1j * phi)
-        m00, m01 = n00 * ep, n01 * em
-        m10, m11 = n10 * ep, n11 * em
+        n00 = m00 * x + m01 * i_s
+        n01 = m00 * i_s + m01 * x
+        m00, m01 = n00 * np.exp(1j * phi), n01 * np.exp(-1j * phi)
     return m00.real
 
 
@@ -240,18 +250,14 @@ def qsp_reflection_eval(x, phases: np.ndarray, degree: int | None = None) -> np.
     if degree == 0:
         return np.full_like(x, math.cos(phases[0]))
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    # only the top row of the product is carried, as in _wx_eval
     m00 = np.ones_like(x, dtype=complex)
     m01 = np.zeros_like(x, dtype=complex)
-    m10 = np.zeros_like(x, dtype=complex)
-    m11 = np.ones_like(x, dtype=complex)
     for phi in phases:
-        ep, em = np.exp(1j * phi), np.exp(-1j * phi)
         # accumulated * e^{i phi Z} scales columns, then right-multiply R(x)
-        a00, a01, a10, a11 = m00 * ep, m01 * em, m10 * ep, m11 * em
+        a00, a01 = m00 * np.exp(1j * phi), m01 * np.exp(-1j * phi)
         m00 = a00 * x + a01 * s
         m01 = a00 * s - a01 * x
-        m10 = a10 * x + a11 * s
-        m11 = a10 * s - a11 * x
     return m00.real
 
 
@@ -296,20 +302,20 @@ def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
         full[degree + 1 - half:] = z[::-1]
         return full
 
-    def coeff_map(z):
-        vals = _wx_eval(nodes, full_from_reduced(z))
-        return _cheb_coeffs_from_values(vals, count, cos_table)[ridx]
-
     def value_residual(z):
         return _wx_eval(nodes, full_from_reduced(z)) - target_vals
 
     def run_fixed_point(step_sign: float):
+        # one evaluation per iterate feeds both its residual and the next step
         z = np.zeros(half)
         z[0] = np.pi / 4
-        best, best_res = z.copy(), np.abs(value_residual(z)).max()
+        vals = _wx_eval(nodes, full_from_reduced(z))
+        best, best_res = z.copy(), np.abs(vals - target_vals).max()
         for it in range(PHASE_ITER_CAP):
-            z = z + step_sign * 0.5 * (coeff_map(z) - target_red)
-            res = np.abs(value_residual(z)).max()
+            coeffs = _cheb_coeffs_from_values(vals, count, cos_table)[ridx]
+            z = z + step_sign * 0.5 * (coeffs - target_red)
+            vals = _wx_eval(nodes, full_from_reduced(z))
+            res = np.abs(vals - target_vals).max()
             if not np.isfinite(res):
                 break
             if res < best_res:
@@ -327,9 +333,9 @@ def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
             z, res = z_alt, res_alt
     if res > PHASE_RESIDUAL_TOL * 0.1:
         sol = least_squares(value_residual, z, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if np.abs(value_residual(sol.x)).max() < res:
-            z = sol.x
-            res = np.abs(value_residual(z)).max()
+        res_ls = np.abs(value_residual(sol.x)).max()
+        if res_ls < res:
+            z, res = sol.x, res_ls
         if res > PHASE_RESIDUAL_TOL:
             raise NumericalError(
                 f"phase-factor solver did not converge: residual {res:.3e} "

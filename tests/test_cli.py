@@ -80,10 +80,11 @@ def test_assemble_branch_rows(config_path, capsys):
 
 
 def test_run_deterministic_reports(config_path, tmp_path):
+    # var, cvar and run share one handler: the same config gives the same bytes
     outs = []
-    for i in range(3):
-        out = tmp_path / f"report{i}.json"
-        assert run_cli(["run", "--config", config_path, "--output", str(out)]) == 0
+    for command in ("var", "cvar", "run"):
+        out = tmp_path / f"{command}.json"
+        assert run_cli([command, "--config", config_path, "--output", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -114,6 +115,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"r": 0.02}))
     assert run_cli(["price", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("contents", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "malformed", "not_an_object"])
+def test_unreadable_config_exit_code(tmp_path, capsys, contents):
+    path = tmp_path / "cfg.json"
+    if contents is not None:
+        path.write_text(contents)
+    assert run_cli(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("qvar: error: ")
 
 
 def test_budget_error_exit_code(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qvar.errors import ConfigError
 from qvar.nogo import (am_reference_max, copy_curve, fit_linear_slope,
@@ -51,6 +52,29 @@ def test_min_copies_examples():
     assert min_copies(2, 0.8, "paper_analytic") == 2
     for d in (2, 8, 64):
         assert min_copies(d, 1e-9, "paper_analytic") == 1
+
+
+def _brute_force_min_copies(d, threshold, factor):
+    m = 1
+    while factor * trace_norm_gap(d, m, "analytic") < threshold:
+        m += 1
+    return m
+
+
+@given(d=st.integers(2, 64), frac=st.floats(1e-6, 1 - 1e-6),
+       convention=st.sampled_from(["paper_analytic", "explicit"]))
+def test_min_copies_matches_brute_force(d, frac, convention):
+    factor = 1.0 if convention == "paper_analytic" else 2.0
+    threshold = factor * frac
+    assert (min_copies(d, threshold, convention)
+            == _brute_force_min_copies(d, threshold, factor))
+
+
+def test_min_copies_large_dimension():
+    m = min_copies(2**24, 0.8)
+    assert m == 17_140_464
+    assert trace_norm_gap(2**24, m, "analytic") >= 0.8 > trace_norm_gap(2**24, m - 1)
+    assert min_copies(2**24, 1.6, "explicit") == m
 
 
 def test_min_copies_monotone():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as np_cheb
 
 from conftest import random_tridiagonal
@@ -7,7 +8,8 @@ from qvar.blockenc import assemble_block_encoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
 from qvar.pde import TridiagonalOperator, price_european
-from qvar.qsvt import (PolynomialTarget, apply_qsvt, approximate_target,
+from qvar.qsvt import (FIT_ACCEPT, PolynomialTarget, _cheb_nodes, _fit_minimax,
+                       _wx_eval, apply_qsvt, approximate_target,
                        prepare_value_state, qsp_reflection_eval,
                        solve_phase_factors, svd_transform_oracle, target_g)
 
@@ -56,6 +58,83 @@ def test_monotone_error_in_eps():
 def test_degree_cap_enforced():
     with pytest.raises(NumericalError, match="degree cap"):
         approximate_target(32, 8.0, 1e-6, degree_cap=64)
+
+
+def _unscreened_walk(t_tilde, norm, eps):
+    """approximate_target's degree walk with the full LP run at every degree;
+    returns (degree, sup_error, coeffs) of the accepted fit."""
+    lo = 1.0 / norm
+    scale = min(1.0, 0.45 / target_g(lo, t_tilde, norm))
+    degree = max(1, int(0.25 * t_tilde * norm) | 1)
+    while True:
+        grid_w = _cheb_nodes(lo, 1.0, max(1200, 3 * degree))
+        grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
+                                 _cheb_nodes(lo, 1.0, max(400, 2 * degree))])
+        fit = _fit_minimax(grid_w, scale * target_g(grid_w, t_tilde, norm),
+                           grid_c, degree, parity=1)
+        if fit is not None and fit[1] <= eps * FIT_ACCEPT:
+            break
+        degree = max(degree + 2, int(degree * 1.4) | 1)
+    coeffs = fit[0]
+    dense = np.linspace(lo, 1.0, 10_000)
+    sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
+                           - scale * target_g(dense, t_tilde, norm)).max())
+    return int(np.flatnonzero(np.abs(coeffs) > 1e-300)[-1]), sup_err, coeffs
+
+
+@settings(max_examples=15, deadline=None)
+@given(t_tilde=st.integers(1, 4), norm=st.floats(1.2, 3.0),
+       eps=st.floats(1e-3, 2e-2))
+def test_screened_fit_equals_unscreened_walk(t_tilde, norm, eps):
+    poly = approximate_target(t_tilde, norm, eps)
+    degree, sup_err, coeffs = _unscreened_walk(t_tilde, norm, eps)
+    assert poly.degree == degree
+    assert poly.sup_error == sup_err
+    assert np.array_equal(poly.coeffs, coeffs)
+
+
+def _wx_eval_full_product(x, phases):
+    """Reference: the full 2x2 product e^{i phi_0 Z} prod_k W(x) e^{i phi_k Z}."""
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    m00 = np.full_like(x, np.exp(1j * phases[0]), dtype=complex)
+    m01 = np.zeros_like(x, dtype=complex)
+    m10 = np.zeros_like(x, dtype=complex)
+    m11 = np.full_like(x, np.exp(-1j * phases[0]), dtype=complex)
+    for phi in phases[1:]:
+        n00 = m00 * x + m01 * (1j * s)
+        n01 = m00 * (1j * s) + m01 * x
+        n10 = m10 * x + m11 * (1j * s)
+        n11 = m10 * (1j * s) + m11 * x
+        ep, em = np.exp(1j * phi), np.exp(-1j * phi)
+        m00, m01 = n00 * ep, n01 * em
+        m10, m11 = n10 * ep, n11 * em
+    return m00.real
+
+
+def _reflection_full_product(x, phases):
+    """Reference: the full 2x2 product prod_j e^{i phi_j Z} R(x)."""
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    m00 = np.ones_like(x, dtype=complex)
+    m01 = np.zeros_like(x, dtype=complex)
+    m10 = np.zeros_like(x, dtype=complex)
+    m11 = np.ones_like(x, dtype=complex)
+    for phi in phases:
+        ep, em = np.exp(1j * phi), np.exp(-1j * phi)
+        a00, a01, a10, a11 = m00 * ep, m01 * em, m10 * ep, m11 * em
+        m00 = a00 * x + a01 * s
+        m01 = a00 * s - a01 * x
+        m10 = a10 * x + a11 * s
+        m11 = a10 * s - a11 * x
+    return m00.real
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 18, 196])
+def test_row_only_evaluation_matches_full_product(rng, length):
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 64), [-1.0, 0.0, 1.0]])
+    phases = rng.uniform(-np.pi, np.pi, length)
+    assert np.array_equal(_wx_eval(x, phases), _wx_eval_full_product(x, phases))
+    assert np.array_equal(qsp_reflection_eval(x, phases),
+                          _reflection_full_product(x, phases))
 
 
 def test_phase_factors_identity_polynomial():
