@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nogo as nogo_mod
 from .blockenc import assemble_block_encoding
-from .errors import QvarError
+from .errors import ConfigError, QvarError
 from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
 from .pde import assemble_operator, price_american, price_european
@@ -28,9 +28,13 @@ from .qsvt import apply_qsvt, prepare_value_state, svd_transform_oracle
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {path}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

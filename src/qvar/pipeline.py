@@ -160,9 +160,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     tally.rho_copies += 1
     phi = assembled.state
     layout = RegisterLayout(phi.layout.items() + [("flag", 1)])
-    amps = np.zeros(2**layout.total_qubits, dtype=complex)
-    amps[np.arange(phi.amplitudes.size) << 1] = phi.amplitudes
-    phi_flagged_base = StateVector(amps, layout)
+    phi_flagged_base = StateVector(phi.amplitudes, layout, phi.index << 1)
 
     sampled = config.mode == "quantum_sampled"
     measure_mode = "sampled" if sampled else "exact"

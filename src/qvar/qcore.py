@@ -5,6 +5,23 @@ layout) is most significant.  A register at qubit offset ``o`` with width
 ``w`` in a ``q``-qubit layout reads value ``(i >> (q - o - w)) & (2^w - 1)``
 from basis index ``i``.  This convention is fixed here and used everywhere.
 
+A ``StateVector`` takes one of two forms.  The dense form stores all 2^q
+amplitudes in basis order.  The sparse form also carries ``index``, the
+strictly increasing basis indices of the stored amplitudes; every other
+basis state has amplitude zero.  A dense state behaves as if its index were
+``arange(2^q)``, so the permutations and diagonal readouts
+(``xor_write``, ``flag_write``, ``exact_distribution``,
+``measure_register``, ``StateVector.copy``) run one code path on (basis
+index, amplitude) pairs and keep the form they are given.  They cost
+O(stored amplitudes), which for the scenario stages is O(L), not O(2^q).
+Operations that mix amplitudes across basis states (``apply_unitary``,
+``qft``, ``inverse_qft``, ``partial_trace``, ``StateVector.tensor``) need
+the dense form and refuse a sparse state with ``ConfigError``.
+
+The qubit cap (``QVAR_QUBIT_CAP``, default 24) bounds the width of the
+simulated device, whatever the form; it is not a memory limit.  A sparse
+state on a wide layout holds only its stored amplitudes.
+
 Two readout modes exist for every measurement: ``exact_distribution``
 returns squared marginal amplitudes, ``measure_register`` draws seeded
 i.i.d. samples from them.  Acceptance-style checks use the exact mode so
@@ -71,11 +88,13 @@ class RegisterLayout:
         offset, width = self._offsets[name]
         return list(range(offset, offset + width))
 
-    def values(self, name: str) -> np.ndarray:
-        """Register value for every basis index, vectorized."""
+    def values(self, name: str, index=None) -> np.ndarray:
+        """Register value at each basis index in ``index`` (default: every
+        basis index, in order), vectorized."""
         _, width = self._offsets[name]
-        idx = np.arange(2**self.total_qubits, dtype=np.int64)
-        return (idx >> self.shift_of(name)) & ((1 << width) - 1)
+        if index is None:
+            index = np.arange(2**self.total_qubits, dtype=np.int64)
+        return (index >> self.shift_of(name)) & ((1 << width) - 1)
 
     def __contains__(self, name: str) -> bool:
         return name in self._offsets
@@ -93,17 +112,36 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
-    """Complex amplitudes over 2^q basis states with a named layout."""
+    """Complex amplitudes over 2^q basis states with a named layout.
+
+    Dense when ``index`` is None (``amplitudes[i]`` belongs to basis state
+    i); sparse otherwise (``amplitudes[j]`` belongs to basis state
+    ``index[j]``, all others are zero).
+    """
 
     amplitudes: np.ndarray
     layout: RegisterLayout
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         self.amplitudes = amps
-        if amps.ndim != 1 or amps.size != 2**self.layout.total_qubits:
-            raise ConfigError(
-                f"amplitude vector must have length 2^{self.layout.total_qubits}")
+        q = self.layout.total_qubits
+        if amps.ndim != 1:
+            raise ConfigError("amplitudes must be a 1-d vector")
+        if self.index is None:
+            if amps.size != 2**q:
+                raise ConfigError(f"amplitude vector must have length 2^{q}")
+        else:
+            idx = np.asarray(self.index)
+            if idx.dtype != np.int64 or idx.shape != amps.shape:
+                raise ConfigError("index must be an int64 vector as long as "
+                                  "the amplitudes")
+            if idx.size and (idx[0] < 0 or idx[-1] >= 2**q
+                             or np.any(idx[1:] <= idx[:-1])):
+                raise ConfigError(f"index must be strictly increasing basis "
+                                  f"indices below 2^{q}")
+            self.index = idx
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise NumericalError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
@@ -112,10 +150,21 @@ class StateVector:
     def num_qubits(self) -> int:
         return self.layout.total_qubits
 
+    @property
+    def support(self) -> np.ndarray:
+        """Basis index of each stored amplitude."""
+        if self.index is None:
+            return np.arange(self.amplitudes.size, dtype=np.int64)
+        return self.index
+
     def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.layout)
+        index = None if self.index is None else self.index.copy()
+        return StateVector(self.amplitudes.copy(), self.layout, index)
 
     def tensor(self) -> np.ndarray:
+        if self.index is not None:
+            raise ConfigError("a sparse state has no dense tensor form; gates, "
+                              "QFTs and partial traces need a dense state")
         return self.amplitudes.reshape([2] * self.num_qubits)
 
 
@@ -135,7 +184,14 @@ class DensityMatrix:
             raise NumericalError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise NumericalError("density matrix trace deviates from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(rho).min() < -1e-8:
+        diag = np.diagonal(rho)
+        if np.count_nonzero(rho) == np.count_nonzero(diag):
+            # off-diagonal entries are exactly zero: the eigenvalues are
+            # the diagonal itself
+            lowest = diag.real.min()
+        else:
+            lowest = np.linalg.eigvalsh(rho).min()
+        if lowest < -1e-8:
             raise NumericalError("density matrix has eigenvalue below -1e-8")
 
     @property
@@ -238,7 +294,7 @@ def grover_rudolph_prepare(v, layout: RegisterLayout | None = None) -> StateVect
 def exact_distribution(state: StateVector, register: str) -> np.ndarray:
     """Squared marginal amplitudes of one register (exact readout mode)."""
     width = state.layout.width_of(register)
-    values = state.layout.values(register)
+    values = state.layout.values(register, state.index)
     probs = np.abs(state.amplitudes) ** 2
     return np.bincount(values, weights=probs, minlength=2**width)
 
@@ -255,6 +311,19 @@ def measure_register(state: StateVector, register: str, shots: int,
     return {int(v): int(c) for v, c in enumerate(counts) if c > 0}
 
 
+def _permuted(state: StateVector, moved: np.ndarray) -> StateVector:
+    """The state with stored amplitude j moved to basis index moved[j],
+    for a basis permutation; the result keeps the input's form."""
+    if state.index is None:
+        out = np.empty_like(state.amplitudes)
+        out[moved] = state.amplitudes
+        return StateVector(out, state.layout)
+    # stable sort is timsort here: linear when the permutation keeps the
+    # order, as the scenario stages' writes into low registers do
+    order = np.argsort(moved, kind="stable")
+    return StateVector(state.amplitudes[order], state.layout, moved[order])
+
+
 def xor_write(state: StateVector, source: str, target: str, table) -> StateVector:
     """|a>_src |z>_tgt -> |a>_src |z XOR f(a)>_tgt for a code table f.
 
@@ -262,7 +331,7 @@ def xor_write(state: StateVector, source: str, target: str, table) -> StateVecto
     standard reversible-lookup construction used by all register loads.
     """
     layout = state.layout
-    src_vals = layout.values(source)
+    src_vals = layout.values(source, state.index)
     table = np.asarray(table, dtype=np.int64)
     if table.size != 2**layout.width_of(source):
         raise ConfigError("lookup table must cover the source register")
@@ -270,10 +339,7 @@ def xor_write(state: StateVector, source: str, target: str, table) -> StateVecto
     if np.any(table < 0) or np.any(table >= 2**tgt_width):
         raise NumericalError("lookup value exceeds the target register range")
     shift = layout.shift_of(target)
-    perm = np.arange(state.amplitudes.size, dtype=np.int64) ^ (table[src_vals] << shift)
-    out = np.empty_like(state.amplitudes)
-    out[perm] = state.amplitudes
-    return StateVector(out, layout)
+    return _permuted(state, state.support ^ (table[src_vals] << shift))
 
 
 def flag_write(state: StateVector, source: str, flag: str, predicate) -> StateVector:
@@ -282,13 +348,10 @@ def flag_write(state: StateVector, source: str, flag: str, predicate) -> StateVe
     layout = state.layout
     if layout.width_of(flag) != 1:
         raise ConfigError(f"flag register {flag!r} must be one qubit")
-    src_vals = layout.values(source)
+    src_vals = layout.values(source, state.index)
     bits = np.asarray(predicate(src_vals), dtype=np.int64)
     shift = layout.shift_of(flag)
-    perm = np.arange(state.amplitudes.size, dtype=np.int64) ^ (bits << shift)
-    out = np.empty_like(state.amplitudes)
-    out[perm] = state.amplitudes
-    return StateVector(out, layout)
+    return _permuted(state, state.support ^ (bits << shift))
 
 
 _MAGIC = b"QVSV"
@@ -296,7 +359,9 @@ _MAGIC = b"QVSV"
 
 def save_statevector(state: StateVector, path: str) -> None:
     """Flat binary format: header (q, layout), body of interleaved
-    real/imag float64 amplitudes, little-endian."""
+    real/imag float64 amplitudes, little-endian; dense states only."""
+    if state.index is not None:
+        raise ConfigError("only dense states can be saved")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", state.num_qubits, len(state.layout.names)))

@@ -114,15 +114,14 @@ def path_state_layout(paths: PathSet, grid: PriceGrid, m: int,
 def prepare_path_state(paths: PathSet, grid: PriceGrid, m: int,
                        extra=()) -> StateVector:
     """Circuit twin of the scenario generator: the uniform path-index state
-    with snapped price codes loaded, value register zeroed."""
+    with snapped price codes loaded, value register zeroed.  Sparse, with
+    one stored amplitude per path."""
     layout = path_state_layout(paths, grid, m, extra)
     codes = grid_codes(grid, m)[snap_paths(paths, grid)]
-    amps = np.zeros(2**layout.total_qubits, dtype=complex)
-    path_shift = layout.shift_of("path")
-    price_shift = layout.shift_of("price")
-    for k in range(paths.L):
-        amps[(k << path_shift) | (int(codes[k]) << price_shift)] = 1.0 / np.sqrt(paths.L)
-    return StateVector(amps, layout)
+    index = ((np.arange(paths.L, dtype=np.int64) << layout.shift_of("path"))
+             | (codes << layout.shift_of("price")))
+    amps = np.full(paths.L, 1.0 / np.sqrt(paths.L), dtype=complex)
+    return StateVector(amps, layout, index)
 
 
 def load_grid_register(state: StateVector, grid: PriceGrid, m: int,
@@ -207,7 +206,9 @@ def qpe_write_eigenvalues(state: StateVector, rho: DensityMatrix, job: PcaJob,
     Price-register basis states are rho eigenstates (diagonal rho), so the
     controlled evolution is a pure phase load followed by the inverse QFT.
     Only the exact-exponential mode yields a statevector; the trotterized
-    channel is analyzed through ``qpe_branch_distributions``.
+    channel is analyzed through ``qpe_branch_distributions``.  The QFTs
+    entangle the phase register with the branches, so a sparse input is
+    expanded and the result is dense.
     """
     if job.mode != "exact_exponential":
         raise ConfigError("coherent QPE requires exact_exponential mode; "
@@ -216,6 +217,10 @@ def qpe_write_eigenvalues(state: StateVector, rho: DensityMatrix, job: PcaJob,
     m = layout.width_of(phase)
     if job.m != m:
         raise ConfigError("job.m does not match the phase register width")
+    if state.index is not None:
+        amps = np.zeros(2**layout.total_qubits, dtype=complex)
+        amps[state.index] = state.amplitudes
+        state = StateVector(amps, layout)
     p = _diagonal_probabilities(rho)
     price_vals = layout.values(price)
     populated = np.unique(price_vals[np.abs(state.amplitudes) > 1e-14])

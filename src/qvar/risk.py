@@ -16,6 +16,7 @@ and the monetary figures via ``scale``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -90,6 +91,28 @@ class AmplitudeEstimate:
     shots: int
 
 
+@functools.cache
+def _theta_grid() -> np.ndarray:
+    """The maximum-likelihood search grid over theta in [0, pi/2]."""
+    grid = np.linspace(0.0, np.pi / 2, 200_001)
+    grid.setflags(write=False)
+    return grid
+
+
+@functools.cache
+def _log_likelihood_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """log p_k and log(1 - p_k) on the theta grid for Grover power k, with
+    p_k = sin^2((2k+1) theta) clipped away from 0 and 1.  They do not
+    depend on the data, so each power's pair is computed once per process;
+    the powers in use are 0 and 2^j below 1/eps, a handful of pairs."""
+    pk = np.sin((2 * k + 1) * _theta_grid()) ** 2
+    pk = np.clip(pk, 1e-12, 1.0 - 1e-12)
+    tables = (np.log(pk), np.log1p(-pk))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     """Amplitude-estimation-style measurement of a flag probability.
 
@@ -112,12 +135,11 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
         p_k = math.sin((2 * k + 1) * theta) ** 2
         hits.append(rng.binomial(shots, p_k))
         queries += shots * (2 * k + 1)
-    grid = np.linspace(0.0, np.pi / 2, 200_001)
+    grid = _theta_grid()
     loglik = np.zeros_like(grid)
     for k, h in zip(powers, hits):
-        pk = np.sin((2 * k + 1) * grid) ** 2
-        pk = np.clip(pk, 1e-12, 1.0 - 1e-12)
-        loglik += h * np.log(pk) + (shots - h) * np.log1p(-pk)
+        log_hit, log_miss = _log_likelihood_tables(k)
+        loglik += h * log_hit + (shots - h) * log_miss
     best = grid[int(np.argmax(loglik))]
     return AmplitudeEstimate(value=float(np.sin(best) ** 2), queries=queries,
                              shots=shots * len(powers))
@@ -176,7 +198,9 @@ def swap_test_overlap(state_a: StateVector, state_b: StateVector,
     fed through amplitude estimation (sampled), budget O(1/eps)."""
     if state_a.layout.items() != state_b.layout.items():
         raise ConfigError("swap test requires identical register shapes")
-    overlap = abs(np.vdot(state_a.amplitudes, state_b.amplitudes))
+    _, in_a, in_b = np.intersect1d(state_a.support, state_b.support,
+                                   assume_unique=True, return_indices=True)
+    overlap = abs(np.vdot(state_a.amplitudes[in_a], state_b.amplitudes[in_b]))
     if mode == "exact":
         return float(overlap), 1
     if rng is None:
@@ -258,16 +282,13 @@ def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
 def make_reference_state(phi_layout, node_index, grid_code_list, value_table,
                          m: int) -> tuple[StateVector, float]:
     """Value-weighted reference over (path, price) with zeroed value and
-    flag registers; returns the state and the weight norm W needed by the
-    reconstruction."""
+    flag registers, sparse with one stored amplitude per path; returns the
+    state and the weight norm W needed by the reconstruction."""
     codes = np.asarray(grid_code_list, dtype=np.int64)[np.asarray(node_index)]
     weights = decode_value(np.asarray(value_table)[codes], m)
     w_norm = float(np.linalg.norm(weights))
     if w_norm == 0.0:
         raise NumericalError("all branch values are zero; reference undefined")
-    amps = np.zeros(2**phi_layout.total_qubits, dtype=complex)
-    path_shift = phi_layout.shift_of("path")
-    price_shift = phi_layout.shift_of("price")
-    for k, (c, w) in enumerate(zip(codes, weights)):
-        amps[(k << path_shift) | (int(c) << price_shift)] = w / w_norm
-    return StateVector(amps, phi_layout), w_norm
+    index = ((np.arange(codes.size, dtype=np.int64) << phi_layout.shift_of("path"))
+             | (codes << phi_layout.shift_of("price")))
+    return StateVector(weights / w_norm, phi_layout, index), w_norm

@@ -185,10 +185,8 @@ def _risk_instance(rng, L, m=6):
 def _flagged(assembled):
     phi = assembled.state
     layout = RegisterLayout(phi.layout.items() + [("flag", 1)])
-    amps = np.zeros(2**layout.total_qubits, dtype=complex)
-    amps[np.arange(phi.amplitudes.size) << 1] = phi.amplitudes
     from qvar.qcore import StateVector
-    return StateVector(amps, layout), layout
+    return StateVector(phi.amplitudes, layout, phi.index << 1), layout
 
 
 def test_criterion_6_and_7_var_equality_cvar_identity(rng):

@@ -142,3 +142,12 @@ def test_numerical_error_exit_code(tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
     assert run_cli(["run", "--config", str(path)]) == 3
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "curve.csv"
+    assert run_cli(["nogo", "--max-d", "4", "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvar: error: ")
+    assert str(target) in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,3 +89,20 @@ def test_quantum_sampled_var_close_to_classical():
     # sampled estimates move the code by at most a few steps
     assert abs(res.report.var_normalized - res.classical.var) <= 0.25
     assert res.tally.amplitude_estimation_queries > 0
+
+
+def test_scenario_stages_scale_with_branches_not_qubits(monkeypatch):
+    # 12 path + 9 price + 6 value + 1 flag = 28 qubits: 4 GiB as a dense
+    # statevector, 4096 stored amplitudes in the branch-sparse form
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "28")
+    cfg = make_config(L=4096, q=0.5)  # VaR code 7, a nonzero tail mean
+    tracemalloc.start()
+    try:
+        res = run_pipeline(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    assert res.deviations["var_code_matches_classical"]
+    assert res.report.var_normalized == res.classical.var
+    assert res.report.cvar_normalized == pytest.approx(res.classical.cvar, abs=1e-10)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvar.errors import ConfigError, NumericalError, QubitBudgetError
 from qvar.qcore import (DensityMatrix, RegisterLayout, StateVector, apply_unitary,
@@ -236,3 +237,87 @@ def test_density_matrix_validation(rng):
         DensityMatrix(np.diag([0.7, 0.7]))
     with pytest.raises(NumericalError):
         DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))
+
+
+def sparse_part(state, rng):
+    """A random subset of the state's basis indices with its amplitudes
+    renormalised, as a sparse state."""
+    size = state.amplitudes.size
+    keep = np.sort(rng.choice(size, size=int(rng.integers(1, size + 1)),
+                              replace=False)).astype(np.int64)
+    amps = state.amplitudes[keep] / np.linalg.norm(state.amplitudes[keep])
+    return StateVector(amps, state.layout, keep)
+
+
+@st.composite
+def layouts_and_states(draw):
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    layout = RegisterLayout([(f"r{i}", w) for i, w in enumerate(widths)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = random_state(rng, layout)
+    return layout, rng, dense, sparse_part(dense, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=layouts_and_states(), data=st.data())
+def test_xor_write_involution_dense_and_sparse(case, data):
+    layout, rng, dense, sparse = case
+    source, target = data.draw(st.permutations(layout.names))[:2]
+    table = rng.integers(0, 2**layout.width_of(target),
+                         size=2**layout.width_of(source))
+    for state in (dense, sparse):
+        twice = xor_write(xor_write(state, source, target, table),
+                          source, target, table)
+        assert np.array_equal(twice.amplitudes, state.amplitudes)
+        assert np.array_equal(twice.support, state.support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=layouts_and_states(), data=st.data())
+def test_sparse_flag_write_distribution_matches_dense(case, data):
+    layout, _, _, sparse = case
+    flagged = RegisterLayout(layout.items() + [("flag", 1)])
+    index = sparse.index << 1  # flag qubit zeroed
+    dense_amps = np.zeros(2**flagged.total_qubits, dtype=complex)
+    dense_amps[index] = sparse.amplitudes
+    source = data.draw(st.sampled_from(layout.names))
+    threshold = data.draw(st.integers(0, 2**layout.width_of(source) - 1))
+    readout = data.draw(st.sampled_from(flagged.names))
+    outs = [exact_distribution(
+        flag_write(state, source, "flag", lambda v: (v > threshold).astype(np.int64)),
+        readout) for state in (StateVector(sparse.amplitudes, flagged, index),
+                               StateVector(dense_amps, flagged))]
+    assert np.array_equal(outs[0], outs[1])
+
+
+def test_sparse_state_validated():
+    layout = RegisterLayout([("a", 2)])
+    half = np.full(2, 1 / np.sqrt(2))
+    assert StateVector(half, layout, np.array([0, 3])).support.tolist() == [0, 3]
+    for bad in ([3, 0], [1, 1], [0, 4], [-1, 2]):
+        with pytest.raises(ConfigError, match="index"):
+            StateVector(half, layout, np.array(bad, dtype=np.int64))
+    with pytest.raises(ConfigError, match="index"):
+        StateVector(half, layout, np.array([0, 1, 2]))
+
+
+def test_sparse_state_refuses_dense_operations():
+    layout = RegisterLayout([("a", 1), ("b", 1)])
+    sparse = StateVector(np.array([1.0]), layout, np.array([2]))
+    with pytest.raises(ConfigError, match="sparse"):
+        apply_unitary(sparse, np.eye(2), "a")
+    with pytest.raises(ConfigError, match="sparse"):
+        qft(sparse, "b")
+    with pytest.raises(ConfigError, match="sparse"):
+        partial_trace(sparse, "a")
+    with pytest.raises(ConfigError, match="sparse"):
+        sparse.tensor()
+
+
+def test_diagonal_density_matrix_checked_through_its_diagonal():
+    with pytest.raises(NumericalError, match="eigenvalue"):
+        DensityMatrix(np.diag([1.1, -0.1]))
+    # the same bound as the dense eigvalsh check: -1e-8 passes, below fails
+    DensityMatrix(np.diag([1.0 + 1e-8, -1e-8]))
+    with pytest.raises(NumericalError, match="eigenvalue"):
+        DensityMatrix(np.diag([1.0 + 2e-8, -2e-8]))

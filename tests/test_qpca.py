@@ -196,9 +196,10 @@ def test_qpe_requires_zeroed_phase_register(grid4):
     vstate = make_value_state(values, 4)
     rho = reduced_rho(vstate, grid4, 6)
     state = prepare_path_state(paths, grid4, 6)
-    amps = np.roll(state.amplitudes, 1)  # value register no longer zeroed
+    shifted = state.index + 1  # value register no longer zeroed
     with pytest.raises(ConfigError, match="zeroed"):
-        qpe_write_eigenvalues(StateVector(amps, state.layout), rho, PcaJob(m=6))
+        qpe_write_eigenvalues(StateVector(state.amplitudes, state.layout, shifted),
+                              rho, PcaJob(m=6))
 
 
 def test_sqrt_code_examples():
@@ -251,8 +252,8 @@ def test_assemble_full_pipeline_lookup(grid4, rng):
     # value register content in the state matches the table
     layout = res.state.layout
     probs = np.abs(res.state.amplitudes) ** 2
-    vvals = layout.values("value")
-    pvals = layout.values("price")
+    vvals = layout.values("value", res.state.index)
+    pvals = layout.values("price", res.state.index)
     table = res.value_table
     populated = probs > 1e-14
     assert np.all(vvals[populated] == table[pvals[populated]])

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qvar.errors import ConfigError, NumericalError
-from qvar.qcore import RegisterLayout, StateVector, exact_distribution
+from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
 from qvar.qpca import decode_value, encode_value
 from qvar.risk import (bisection_var, classical_var_cvar, comparator_ucc,
                        cvar, estimate_amplitude, make_reference_state,
@@ -220,3 +223,82 @@ def test_reference_state_rejects_all_zero():
     with pytest.raises(NumericalError):
         make_reference_state(layout, np.arange(8), np.arange(8),
                              np.zeros(2**6, dtype=np.int64), M_BITS)
+
+
+def sparse_branch_state(value_codes, price_codes=None, with_flag=True):
+    """branch_state in the sparse form: one stored amplitude per branch."""
+    dense = branch_state(value_codes, price_codes, with_flag)
+    index = np.flatnonzero(dense.amplitudes).astype(np.int64)
+    return StateVector(dense.amplitudes[index], dense.layout, index)
+
+
+@st.composite
+def value_code_lists(draw):
+    L = 2 ** draw(st.integers(1, 6))
+    return draw(st.lists(st.integers(0, 2**M_BITS - 1), min_size=L, max_size=L))
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes=value_code_lists(), q=st.floats(0.01, 0.99))
+def test_sparse_bisection_matches_classical_quantile(codes, q):
+    state = sparse_branch_state(codes)
+    var, iters, _ = bisection_var(state.copy, q, M_BITS)
+    classical = classical_var_cvar(decode_value(codes, M_BITS), q)
+    assert decode_value(var, M_BITS) == classical.var
+    assert iters <= M_BITS
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes=value_code_lists(), seed=st.integers(0, 2**32 - 1))
+def test_sparse_swap_test_within_4_ulp_of_dense(codes, seed):
+    assume(any(codes))  # otherwise the reference state is undefined
+    rng = np.random.default_rng(seed)
+    L = len(codes)
+    prices = rng.choice(2**6, size=L, replace=False)
+    table = np.zeros(2**6, dtype=np.int64)
+    table[prices] = codes
+    ref_args = (np.arange(L), prices, table, M_BITS)
+    state = sparse_branch_state(codes, prices)
+    ref, _ = make_reference_state(state.layout, *ref_args)
+    for phi in (state, xor_write(state, "price", "value", table)):
+        dense_ref = np.zeros(2**ref.layout.total_qubits, dtype=complex)
+        dense_ref[ref.index] = ref.amplitudes
+        dense_phi = np.zeros_like(dense_ref)
+        dense_phi[phi.index] = phi.amplitudes
+        sparse_overlap, _ = swap_test_overlap(ref, phi)
+        dense_overlap, _ = swap_test_overlap(StateVector(dense_ref, ref.layout),
+                                             StateVector(dense_phi, phi.layout))
+        assert abs(sparse_overlap - dense_overlap) <= 4 * np.spacing(dense_overlap)
+
+
+def uncached_estimate_amplitude(prob, eps, rng):
+    """estimate_amplitude with its likelihood tables recomputed on every
+    call, as the reference for the cached tables."""
+    prob = min(1.0, max(0.0, prob))
+    theta = math.asin(math.sqrt(prob))
+    levels = max(1, math.ceil(math.log2(1.0 / eps)))
+    powers = [0] + [2**j for j in range(levels)]
+    shots = 96
+    hits = []
+    queries = 0
+    for k in powers:
+        p_k = math.sin((2 * k + 1) * theta) ** 2
+        hits.append(rng.binomial(shots, p_k))
+        queries += shots * (2 * k + 1)
+    grid = np.linspace(0.0, np.pi / 2, 200_001)
+    loglik = np.zeros_like(grid)
+    for k, h in zip(powers, hits):
+        pk = np.sin((2 * k + 1) * grid) ** 2
+        pk = np.clip(pk, 1e-12, 1.0 - 1e-12)
+        loglik += h * np.log(pk) + (shots - h) * np.log1p(-pk)
+    best = grid[int(np.argmax(loglik))]
+    return float(np.sin(best) ** 2), queries, shots * len(powers)
+
+
+@settings(max_examples=15, deadline=None)
+@given(prob=st.floats(0.0, 1.0), eps=st.sampled_from([0.1, 0.02, 0.01]),
+       seed=st.integers(0, 2**32 - 1))
+def test_estimate_amplitude_matches_uncached_reference(prob, eps, seed):
+    got = estimate_amplitude(prob, eps, np.random.default_rng(seed))
+    want = uncached_estimate_amplitude(prob, eps, np.random.default_rng(seed))
+    assert (got.value, got.queries, got.shots) == want
