@@ -115,6 +115,9 @@ class PriceGrid:
 
     def nearest_index(self, price: float) -> int:
         """Index of the node closest to ``price``; ties round down."""
+        # clamped first: far beyond the grid every |node - price| rounds to
+        # the same float, and that tie would pick node 0
+        price = min(max(price, self.nodes[0]), self.nodes[-1])
         d = np.abs(self.nodes - price)
         # argmin returns the first (lower) index on exact ties
         return int(np.argmin(d))

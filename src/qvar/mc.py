@@ -37,8 +37,12 @@ class FixedPointCode:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.range_max <= 0:
+        if not self.range_max > 0:
             raise ConfigError(f"range_max must be positive, got {self.range_max}")
+        # codes are int64; this also rejects an infinite range_max
+        if not math.log2(self.range_max) + self.m < 63:
+            raise ConfigError(f"range_max {self.range_max} at m={self.m} bits "
+                              f"overflows the int64 code range")
 
     @property
     def max_code(self) -> int:
@@ -139,7 +143,11 @@ def simulate_paths(params: MarketParams, s0: float, L: int, m: int,
         for _ in range(params.horizon_steps):
             probe = np.maximum(a * probe + b * np.sqrt(np.maximum(probe, 0.0)), 0.0)
             peak = max(peak, float(probe.max()))
-        range_max = float(2 ** math.ceil(math.log2(max(2.0 * peak + 1.0, 4.0))))
+        bound = max(2.0 * peak + 1.0, 4.0)
+        if not bound <= 2.0**62:  # beyond every int64 code range, or not finite
+            raise ConfigError(f"s0={s0} drives the price register to {bound:.3g}, "
+                              f"past the int64 code range")
+        range_max = float(2 ** math.ceil(math.log2(bound)))
     code = FixedPointCode(m=m, range_max=range_max)
     prices = code.quantize(np.full(L, float(s0)))
     for _ in range(params.horizon_steps):

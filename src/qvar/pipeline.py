@@ -4,6 +4,7 @@ classical twin, with per-quantity deviations and resource accounting."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -63,8 +64,12 @@ class RunConfig:
             raise ConfigError(f"L must be a power of two >= 2, got {self.L}")
         if self.m < 2:
             raise ConfigError(f"m must be >= 2, got {self.m}")
-        if self.s0 < 0:
-            raise ConfigError(f"s0 must be non-negative, got {self.s0}")
+        if not (math.isfinite(self.s0) and self.s0 >= 0):
+            raise ConfigError(f"s0 must be finite and non-negative, got {self.s0}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not (math.isfinite(self.eps1) and self.eps1 > 0):
+            raise ConfigError(f"eps1 must be finite and positive, got {self.eps1}")
 
     def check_budget(self) -> None:
         need = (self.L.bit_length() - 1 + price_register_width(self.grid, self.m)

@@ -21,10 +21,30 @@ uses one extra signal qubit to take the real part of the realized
 polynomial (an LCU over the phase-negated sequence), for a = 4 ancillas
 in total.  The realized top-left block of U_Phi equals the polynomial
 applied to the singular values, sum_k P(sigma_k / gamma) |w_k><v_k|.
+
+Only the input state depends on the payoff, so the circuit is compiled
+once per stepping operator and horizon and kept in bounded in-process
+memos (``functools.lru_cache``), each keyed on values, never on object
+identity, and holding read-only arrays:
+
+- the degree ladder's screen and full LP results, on (t_tilde, norm,
+  degree, screen): neither eps nor the payoff enters an LP;
+- the phase factors, on the fit (its degree and coefficient bytes);
+- the block encoding, on the bytes of the encoded operator's bands, and
+  the realized top-left 2^n block of U_Phi, on those bytes and the fit.
+  The 2^(n+4)-square circuit matrix itself is never kept.
+
+Every request still derives its fit tolerance from the payoff, walks the
+degree ladder with the same screen and acceptance tests, re-verifies the
+accepted fit's sup error and |P| <= 1 on [-1, 1], applies the block to the
+payoff and checks the post-selection floor.  The first request on a market
+and horizon does all the work it did before; the results are the same bits
+cold or warm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +55,7 @@ from scipy.optimize import least_squares, linprog
 from .blockenc import BlockEncoding, assemble_block_encoding
 from .errors import ConfigError, NumericalError
 from .market import MarketParams, PriceGrid
-from .pde import assemble_operator
+from .pde import TridiagonalOperator, assemble_operator
 from .qcore import RegisterLayout, StateVector
 
 DEGREE_CAP = 512
@@ -49,6 +69,8 @@ SCREEN_STRIDE = 8  # the screen LP keeps every 8th window and cap node
 SCREEN_REL = 1.01
 SCREEN_ABS = 1e-7
 SUCCESS_PROB_FLOOR = 1e-6
+LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
+PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
 
 
 def target_g(x, t_tilde: int, norm: float):
@@ -131,6 +153,34 @@ def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
 
 
+def _fit_scale(t_tilde: int, norm: float) -> float:
+    """Rescale keeping scale * g within 0.45 on the window."""
+    return min(1.0, 0.45 / target_g(1.0 / norm, t_tilde, norm))
+
+
+@functools.lru_cache(maxsize=LADDER_CACHE)
+def _ladder_fit(t_tilde: int, norm: float, degree: int, screen: bool):
+    """One rung of the degree ladder: the full minimax LP, or its screen on
+    every SCREEN_STRIDE-th window and cap row.
+
+    Returns (read-only coeffs, achieved_error) or None when infeasible.
+    The grids and the rescaled target are fixed by (t_tilde, norm, degree);
+    eps only sets the acceptance threshold the caller applies.
+    """
+    lo, hi = 1.0 / norm, 1.0
+    grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
+    y_w = _fit_scale(t_tilde, norm) * target_g(grid_w, t_tilde, norm)
+    # cap grid covers the gap below the window and the window itself;
+    # dense enough that a degree-d polynomial cannot slip between nodes
+    grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
+                             _cheb_nodes(lo, hi, max(400, 2 * degree))])
+    rows = slice(None, None, SCREEN_STRIDE if screen else 1)
+    fit = _fit_minimax(grid_w[rows], y_w[rows], grid_c[rows], degree, parity=1)
+    if fit is not None:
+        fit[0].setflags(write=False)
+    return fit
+
+
 def approximate_target(t_tilde: int, norm: float, eps: float,
                        degree_cap: int = DEGREE_CAP) -> PolynomialTarget:
     """Bounded-degree polynomial realizing scale * g on [1/norm, 1].
@@ -144,7 +194,8 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
     on the full optimum, so a screen error above the acceptance threshold
     (plus solver slack) rules the degree out without the full LP.  The full
     LPs that do run see unchanged inputs, so the result is bit-identical to
-    the unscreened walk's.
+    the unscreened walk's.  The LP results are memoised; the walk, its
+    acceptance tests and the verification below run on every call.
     """
     if not 0 < eps <= 0.5:
         raise ConfigError(f"eps must lie in (0, 1/2], got {eps}")
@@ -158,23 +209,14 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
         coeffs = np.array([0.5])
         return PolynomialTarget(t_tilde, norm, eps, coeffs, 0, 1.0, (lo, hi), 0.0)
 
-    g_max = target_g(lo, t_tilde, norm)
-    scale = min(1.0, 0.45 / g_max)
-
+    scale = _fit_scale(t_tilde, norm)
     accept = eps * FIT_ACCEPT
 
     def accepted_fit(degree: int):
-        grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
-        y_w = scale * target_g(grid_w, t_tilde, norm)
-        # cap grid covers the gap below the window and the window itself;
-        # dense enough that a degree-d polynomial cannot slip between nodes
-        grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
-                                 _cheb_nodes(lo, hi, max(400, 2 * degree))])
-        rows = slice(None, None, SCREEN_STRIDE)
-        screen = _fit_minimax(grid_w[rows], y_w[rows], grid_c[rows], degree, parity=1)
+        screen = _ladder_fit(t_tilde, norm, degree, True)
         if screen is not None and screen[1] > accept * SCREEN_REL + SCREEN_ABS:
             return None
-        fit = _fit_minimax(grid_w, y_w, grid_c, degree, parity=1)
+        fit = _ladder_fit(t_tilde, norm, degree, False)
         return fit[0] if fit is not None and fit[1] <= accept else None
 
     degree = max(1, int(0.25 * t_tilde * norm) | 1)
@@ -217,6 +259,10 @@ class PhaseFactorSequence:
     def __post_init__(self):
         object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
         self.phases.setflags(write=False)
+        if self.wx_phases is not None:
+            object.__setattr__(self, "wx_phases",
+                               np.asarray(self.wx_phases, dtype=float))
+            self.wx_phases.setflags(write=False)
 
     @property
     def degree(self) -> int:
@@ -274,10 +320,17 @@ def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
     Runs the symmetric-phase coefficient fixed-point iteration with a
     least-squares fallback, then converts to projector phases.  Fails with
     the residual report if neither reaches the tolerance within the caps.
+    The solve is memoised on the polynomial's degree and coefficient bytes,
+    the only parts of it the solve reads.
     """
-    degree = poly.degree
+    return _phase_factors(poly.degree, poly.coeffs.tobytes())
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE)
+def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
+    coeffs = np.frombuffer(coeffs_key)
     if degree == 0:
-        c = float(poly.coeffs[0])
+        c = float(coeffs[0])
         if abs(c) > 1.0:
             raise ConfigError("constant target must have magnitude <= 1")
         phases = np.array([math.acos(c)])
@@ -286,7 +339,7 @@ def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
     count = degree + 1
     theta = (np.arange(count) + 0.5) * np.pi / count
     nodes = np.cos(theta)
-    target_vals = np_cheb.chebval(nodes, poly.coeffs)
+    target_vals = np_cheb.chebval(nodes, coeffs)
     # descending order pairs the outermost phases with the leading
     # coefficients, making the coefficient-map Jacobian -2 I at the init
     ridx = np.arange(degree % 2, degree + 1, 2)[::-1]
@@ -350,10 +403,10 @@ def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
 
     check_nodes = np.cos((np.arange(64) + 0.5) * np.pi / 64)
     realized = qsp_reflection_eval(check_nodes, proj, degree)
-    residual = float(np.abs(realized - np_cheb.chebval(check_nodes, poly.coeffs)).max())
+    residual = float(np.abs(realized - np_cheb.chebval(check_nodes, coeffs)).max())
     if residual > PHASE_RESIDUAL_TOL:
         raise NumericalError(f"projector-phase conversion check failed: {residual:.3e}")
-    return PhaseFactorSequence(proj, poly.parity, residual, wx)
+    return PhaseFactorSequence(proj, degree % 2, residual, wx)
 
 
 @dataclass(frozen=True)
@@ -423,6 +476,31 @@ def svd_transform_oracle(dense: np.ndarray, poly: PolynomialTarget,
     return (w * poly.evaluate(sig / gamma)) @ vt
 
 
+def _operator_key(op: TridiagonalOperator) -> tuple:
+    """The values an encoding of ``op`` reads: its width and band bytes."""
+    return (op.n, op.sub.tobytes(), op.diag.tobytes(), op.super_.tobytes())
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE)
+def _encoding(op_key: tuple) -> BlockEncoding:
+    """Certified block encoding of the operator with these bands."""
+    n, *bands = op_key
+    be = assemble_block_encoding(
+        TridiagonalOperator(*(np.frombuffer(b) for b in bands), n))
+    be.U.setflags(write=False)
+    return be
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE)
+def _value_block(op_key: tuple, degree: int, coeffs_key: bytes) -> np.ndarray:
+    """Read-only top-left 2^n block of U_Phi for the encoded operator and
+    the fit: the map from payoff amplitudes to the post-selected branch."""
+    circuit = apply_qsvt(_encoding(op_key), _phase_factors(degree, coeffs_key))
+    block = circuit.block.copy()
+    block.setflags(write=False)
+    return block
+
+
 @dataclass(frozen=True)
 class PreparedValueState:
     """Post-selected output of the backward-stepping stage."""
@@ -451,10 +529,10 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
         raise NumericalError("payoff vector has zero norm")
     t_tilde = params.pricing_steps
 
-    m_op = assemble_operator(params, grid)
-    mtilde = m_op.plus_identity()
+    mtilde = assemble_operator(params, grid).plus_identity()
     dense = mtilde.to_dense()
-    be = assemble_block_encoding(mtilde.transpose())
+    op_key = _operator_key(mtilde.transpose())
+    be = _encoding(op_key)
     gamma = be.gamma
 
     sig = np.linalg.svd(dense, compute_uv=False)
@@ -468,8 +546,7 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
     else:
         # allocate most of eps1 to the polynomial fit (the phase residual is
         # held near 1e-8); the fit tolerance is absolute in polynomial units
-        g_lo = target_g(1.0 / norm_param, t_tilde, norm_param)
-        scale = min(1.0, 0.45 / g_lo)
+        scale = _fit_scale(t_tilde, norm_param)
         w, s, vt = np.linalg.svd(dense)
         # predicted post-selected vector under the exact scaled target
         f_vals = scale * target_g(s / gamma, t_tilde, norm_param)
@@ -481,12 +558,10 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
         poly = approximate_target(t_tilde, norm_param, eps_fit, degree_cap)
 
     phases = solve_phase_factors(poly)
-    circuit = apply_qsvt(be, phases)
-
-    amps = np.zeros(2 ** (be.n + 4), dtype=complex)
-    amps[:2**be.n] = payoff / norm_payoff
-    out = circuit.matrix @ amps
-    sub = out[:2**be.n]
+    # the post-selected branch of U_Phi |0>|payoff>: its zero ancilla
+    # columns contribute nothing, so only the top-left block is applied
+    block = _value_block(op_key, poly.degree, poly.coeffs.tobytes())
+    sub = block @ (payoff / norm_payoff).astype(complex)
     prob = float(np.linalg.norm(sub) ** 2)
     if prob < prob_floor:
         raise NumericalError(
@@ -498,4 +573,4 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
     layout = RegisterLayout([("grid", be.n)])
     state = StateVector(vec, layout)
     return PreparedValueState(state=state, success_probability=prob, target=poly,
-                              phases=phases, gamma=gamma, invocations=circuit.invocations)
+                              phases=phases, gamma=gamma, invocations=phases.degree)

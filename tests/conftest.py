@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
+from qvar import qsvt
 from qvar.market import MarketParams, PayoffSpec, build_grid
+
+# the in-process Stage-1 memos, emptied before every test
+STAGE1_CACHES = (qsvt._ladder_fit, qsvt._phase_factors, qsvt._encoding,
+                 qsvt._value_block)
+
+
+@pytest.fixture(autouse=True)
+def clear_stage1_caches():
+    """No test sees another test's compiled Stage 1, so none depends on order."""
+    for cache in STAGE1_CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture

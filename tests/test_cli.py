@@ -127,6 +127,18 @@ def test_unreadable_config_exit_code(tmp_path, capsys, contents):
     assert capsys.readouterr().err.startswith("qvar: error: ")
 
 
+@pytest.mark.parametrize("override", [
+    {"s0": 1e308}, {"s0": "nan"}, {"s0": "inf"}, {"seed": -1}, {"eps1": 0},
+    {"eps1": -1}, {"eps1": "nan"}],
+    ids=["s0_huge", "s0_nan", "s0_inf", "seed_negative", "eps1_zero",
+         "eps1_negative", "eps1_nan"])
+def test_bad_run_value_exit_code(tmp_path, capsys, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **override}))
+    assert run_cli(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("qvar: error: ")
+
+
 def test_budget_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("QVAR_QUBIT_CAP", "10")
     doc = dict(BASE_CONFIG)

@@ -85,6 +85,11 @@ def test_nearest_index_ties_round_down():
     assert grid.nearest_index(0.51) == 1
 
 
+@pytest.mark.parametrize("price", [5.0, 1e15, 1e16, 1e300])
+def test_nearest_index_beyond_the_grid_is_the_top_node(price):
+    assert build_grid(0.0, 4.0, 4, "uniform").nearest_index(price) == 15
+
+
 def test_config_roundtrip(tmp_path):
     doc = {"r": 0.02, "mu": 0.05, "alpha": 0.2, "T": 1.0, "t_bar": 0.5,
            "dtau": 0.25, "kind": "put", "strike": 1.5, "s_min": 0.0,

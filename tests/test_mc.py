@@ -108,6 +108,19 @@ def test_simulate_paths_overflow():
         simulate_paths(params, 3.0, 4, 6, range_max=8.0)
 
 
+@pytest.mark.parametrize("s0", [1e308, 5e307, math.nan])
+def test_simulate_paths_rejects_unrepresentable_register(s0):
+    # the sized register would be infinite or beyond int64 codes
+    with pytest.raises(ConfigError, match="int64 code range"):
+        simulate_paths(make_params(), s0, 4, 6)
+
+
+@pytest.mark.parametrize("range_max", [math.inf, math.nan, 0.0, 2.0**57])
+def test_fixed_point_code_rejects_unrepresentable_range(range_max):
+    with pytest.raises(ConfigError, match="range_max"):
+        FixedPointCode(m=6, range_max=range_max)
+
+
 def test_fixed_point_code_properties():
     code = FixedPointCode(m=6, range_max=4.0)
     assert code.max_code == 256

@@ -46,6 +46,24 @@ def test_tally_counters_match_pipeline():
     assert res.tally.state_preparation_repetitions >= 1
 
 
+def test_tally_identical_on_cold_and_warm_stage1():
+    # the compiled Stage 1 is a simulator memo: the device still spends
+    # degree encoding queries on every request
+    cfg = make_config()
+    cold = run_pipeline(cfg).tally.to_dict()
+    warm = run_pipeline(cfg).tally.to_dict()
+    assert warm == cold
+    assert warm["block_encoding_queries"] == warm["qsvt_degree"] >= 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("s0", float("nan")), ("s0", float("inf")), ("seed", -1), ("eps1", 0.0),
+    ("eps1", -1.0), ("eps1", float("inf"))])
+def test_run_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        make_config(**{field: value})
+
+
 def test_report_json_round_trip():
     res = run_pipeline(make_config())
     doc = json.loads(emit_report(res, "json"))

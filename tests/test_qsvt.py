@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as np_cheb
 
-from conftest import random_tridiagonal
+from conftest import STAGE1_CACHES, random_tridiagonal
+from qvar import qsvt
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
-from qvar.pde import TridiagonalOperator, price_european
+from qvar.pde import TridiagonalOperator, assemble_operator, price_european
 from qvar.qsvt import (FIT_ACCEPT, PolynomialTarget, _cheb_nodes, _fit_minimax,
                        _wx_eval, apply_qsvt, approximate_target,
                        prepare_value_state, qsp_reflection_eval,
@@ -257,3 +258,124 @@ def test_prepare_value_state_probability_floor(unit_grid, call_spec):
     payoff = payoff_vector(call_spec, unit_grid)
     with pytest.raises(NumericalError, match="floor"):
         prepare_value_state(payoff, params, unit_grid, eps1=1e-3, prob_floor=0.9)
+
+
+def _call_state(params, grid, strike, eps1=1e-3, **kwargs):
+    payoff = payoff_vector(PayoffSpec("call", strike), grid)
+    return prepare_value_state(payoff, params, grid, eps1=eps1, **kwargs)
+
+
+def _stage1_bits(res):
+    return (res.state.amplitudes.tobytes(), res.phases.phases.tobytes(),
+            res.success_probability, res.target.degree, res.target.sup_error,
+            res.invocations)
+
+
+def _dense_circuit(params, grid, phases):
+    mtilde_t = assemble_operator(params, grid).plus_identity().transpose()
+    return apply_qsvt(assemble_block_encoding(mtilde_t), phases).matrix
+
+
+def _dense_post_selection(matrix, payoff):
+    """Post-selected branch of the full U_Phi matrix applied to the padded
+    payoff state: Stage 1 as computed before the circuit was memoised."""
+    size = payoff.size
+    amps = np.zeros(16 * size, dtype=complex)
+    amps[:size] = payoff / np.linalg.norm(payoff)
+    return (matrix @ amps)[:size]
+
+
+def _misses():
+    return [cache.cache_info().misses for cache in STAGE1_CACHES]
+
+
+def test_warm_stage1_equals_cold_bit_for_bit():
+    grid = build_grid(0.0, 4.0, 4, "uniform")
+    params = _market(4, 4)
+    # two strikes share a fit; the tighter eps1 needs a higher degree, so
+    # one operator carries two compiled blocks
+    cases = [(0.95, 1e-3), (1.05, 1e-3), (1.0, 1e-4)]
+    cold = {}
+    for case in cases:
+        for cache in STAGE1_CACHES:
+            cache.cache_clear()
+        cold[case] = _stage1_bits(_call_state(params, grid, *case))
+    assert len({bits[3] for bits in cold.values()}) == 2
+    for case in cases:
+        # the memo's block is the one the dense circuit of these phases has
+        res = _call_state(params, grid, *case)
+        payoff = payoff_vector(PayoffSpec("call", case[0]), grid)
+        sub = _dense_post_selection(_dense_circuit(params, grid, res.phases), payoff)
+        assert res.success_probability == float(np.linalg.norm(sub) ** 2)
+    for case in cases:
+        assert _stage1_bits(_call_state(params, grid, *case)) == cold[case]
+    misses = _misses()
+    # every memo now holds all three cases: this round is warm throughout
+    for case in cases:
+        assert _stage1_bits(_call_state(params, grid, *case)) == cold[case]
+    assert _misses() == misses
+
+
+def _stage1_operator_key(params, grid):
+    return qsvt._operator_key(assemble_operator(params, grid).plus_identity().transpose())
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_value_block_applies_like_the_dense_circuit(n):
+    grid = build_grid(0.0, 4.0, n, "uniform")
+    params = _market(n, 4)
+    res = _call_state(params, grid, 1.0)
+    op_key = _stage1_operator_key(params, grid)
+    block = qsvt._value_block(op_key, res.target.degree, res.target.coeffs.tobytes())
+    matrix = _dense_circuit(params, grid, res.phases)
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        payoff = rng.normal(size=2**n)
+        applied = block @ (payoff / np.linalg.norm(payoff)).astype(complex)
+        assert applied.tobytes() == _dense_post_selection(matrix, payoff).tobytes()
+
+
+def test_per_request_checks_fire_on_warm_cache(unit_grid):
+    params = _market(4, 4)
+    res = _call_state(params, unit_grid, 1.0)
+    misses = _misses()
+    with pytest.raises(NumericalError, match="floor"):
+        _call_state(params, unit_grid, 1.0, prob_floor=0.9)
+    # the ladder rung just below the accepted degree failed its fit, so a
+    # cap there stops the walk on compiled entries alone
+    t_tilde, norm = res.target.t_tilde, res.target.norm
+    rungs = [max(1, int(0.25 * t_tilde * norm) | 1)]
+    while rungs[-1] < res.target.degree:
+        rungs.append(max(rungs[-1] + 2, int(rungs[-1] * 1.4) | 1))
+    with pytest.raises(NumericalError, match="degree cap"):
+        _call_state(params, unit_grid, 1.0, degree_cap=rungs[-2])
+    assert _misses() == misses
+
+
+def test_compiled_stage1_arrays_are_read_only(unit_grid):
+    params = _market(4, 4)
+    res = _call_state(params, unit_grid, 1.0)
+    op_key = _stage1_operator_key(params, unit_grid)
+    block = qsvt._value_block(op_key, res.target.degree, res.target.coeffs.tobytes())
+    # the memo keeps the 2^n block itself, not a view of the dense circuit
+    assert block.shape == (16, 16) and block.base is None
+    arrays = [res.target.coeffs, res.phases.phases, res.phases.wx_phases,
+              qsvt._encoding(op_key).U, block]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_stage1_caches_stay_within_maxsize(rng):
+    assert qsvt._ladder_fit.cache_info().maxsize == qsvt.LADDER_CACHE
+    extra = qsvt.PROGRAM_CACHE + 3
+    for k in range(extra):
+        # a distinct operator and a distinct degree-1 fit each time
+        op = TridiagonalOperator(*random_tridiagonal(rng, 2), 2)
+        coeffs = np.array([0.0, 0.5 + 0.01 * k])
+        qsvt._value_block(qsvt._operator_key(op), 1, coeffs.tobytes())
+    for cache in (qsvt._phase_factors, qsvt._encoding, qsvt._value_block):
+        info = cache.cache_info()
+        assert info.maxsize == qsvt.PROGRAM_CACHE
+        assert info.misses == extra
+        assert info.currsize == info.maxsize
