@@ -6,19 +6,16 @@ a desk-scale statevector pipeline and the early-exercise no-go arithmetic.
 from .errors import ConfigError, NumericalError, QubitBudgetError, QvarError
 from .market import (MarketParams, PayoffSpec, PriceGrid, build_grid,
                      default_grid, load_market_config, payoff_vector)
-from .mc import (FixedPointCode, PathSet, euler_forward, euler_inverse,
-                 logistic_increment, simulate_paths)
+from .mc import (FixedPointCode, PathSet, euler_forward, logistic_increment,
+                 simulate_paths)
 from .pde import (TridiagonalOperator, ValueSurface, assemble_operator,
                   implicit_step, price_american, price_european)
 from .pipeline import (PipelineResult, ResourceTally, RunConfig, emit_report,
                        load_run_config, run_pipeline)
 from .qcore import (DensityMatrix, RegisterLayout, StateVector, apply_unitary,
-                    exact_distribution, grover_rudolph_prepare, inverse_qft,
-                    load_statevector, measure_register, partial_trace, qft,
-                    save_statevector)
+                    exact_distribution, grover_rudolph_prepare, inverse_qft, qft)
 from .qpca import (PcaJob, assemble_portfolio_state, evolve_exp_rho,
-                   load_grid_register, qpe_write_eigenvalues, reduced_rho,
-                   sqrt_register)
+                   qpe_write_eigenvalues, reduced_rho, sqrt_register)
 from .qsvt import (BlockEncoding, PhaseFactorSequence, PolynomialTarget,
                    apply_qsvt, approximate_target, prepare_value_state,
                    solve_phase_factors, target_g)

@@ -16,7 +16,7 @@ therefore sits in the top-left 2^n x 2^n corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,8 +129,3 @@ def verify_block_encoding(be: BlockEncoding, mtilde: TridiagonalOperator) -> flo
     if dense.shape[0] != 2**be.n:
         raise ConfigError("matrix dimension does not match the encoding")
     return float(np.linalg.norm(dense - be.gamma * be.block, 2))
-
-
-def with_gamma(be: BlockEncoding, gamma: float) -> BlockEncoding:
-    """Same unitary with a different claimed subnormalization (diagnostics)."""
-    return replace(be, gamma=gamma)

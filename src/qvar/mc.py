@@ -116,18 +116,6 @@ def euler_forward(j: int, x: float, params: MarketParams, L: int) -> float:
     return a * x + b * math.sqrt(x)
 
 
-def euler_inverse(j: int, y: float, params: MarketParams, L: int) -> float:
-    """Inverse of the Euler map: requires 1 + mu dtau > 0."""
-    a = 1.0 + params.mu * params.dtau
-    if a <= 0:
-        raise NumericalError(f"inverse undefined: 1 + mu*dtau = {a} <= 0")
-    if y < 0:
-        raise NumericalError(f"price must be non-negative, got {y}")
-    b = params.alpha * logistic_increment(j, L)
-    root = math.sqrt((y + b * b / (4.0 * a)) / a) - b / (2.0 * a)
-    return root * root
-
-
 def simulate_paths(params: MarketParams, s0: float, L: int, m: int,
                    range_max: float | None = None) -> PathSet:
     """Evolve L paths from s0 to t_bar, quantizing to m bits each step."""

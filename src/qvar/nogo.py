@@ -118,18 +118,3 @@ def fit_linear_slope(curve) -> float:
     m = np.array([row[1] for row in curve], dtype=float)
     slope = float(((d - d.mean()) * (m - m.mean())).sum() / ((d - d.mean()) ** 2).sum())
     return slope
-
-
-def am_reference_max(x, y) -> np.ndarray:
-    """Classical statement of the amplitude-maximum target: the normalized
-    elementwise maximum of two amplitude vectors.  Documentation only; the
-    copy bound above rules out an efficient quantum routine for it."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ConfigError("amplitude vectors must share a shape")
-    z = np.maximum(x, y)
-    norm = np.linalg.norm(z)
-    if norm == 0:
-        raise ConfigError("maximum vector is zero; state undefined")
-    return z / norm

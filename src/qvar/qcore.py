@@ -11,26 +11,26 @@ strictly increasing basis indices of the stored amplitudes; every other
 basis state has amplitude zero.  A dense state behaves as if its index were
 ``arange(2^q)``, so the permutations and diagonal readouts
 (``xor_write``, ``flag_write``, ``exact_distribution``,
-``measure_register``, ``StateVector.copy``) run one code path on (basis
-index, amplitude) pairs and keep the form they are given.  They cost
-O(stored amplitudes), which for the scenario stages is O(L), not O(2^q).
+``StateVector.copy``) run one code path on (basis index, amplitude) pairs
+and keep the form they are given.  They cost O(stored amplitudes), which
+for the scenario stages is O(L), not O(2^q).
 Operations that mix amplitudes across basis states (``apply_unitary``,
-``qft``, ``inverse_qft``, ``partial_trace``, ``StateVector.tensor``) need
-the dense form and refuse a sparse state with ``ConfigError``.
+``qft``, ``inverse_qft``, ``StateVector.tensor``) need the dense form and
+refuse a sparse state with ``ConfigError``.
 
 The qubit cap (``QVAR_QUBIT_CAP``, default 24) bounds the width of the
 simulated device, whatever the form; it is not a memory limit.  A sparse
 state on a wide layout holds only its stored amplitudes.
 
-Two readout modes exist for every measurement: ``exact_distribution``
-returns squared marginal amplitudes, ``measure_register`` draws seeded
-i.i.d. samples from them.  Acceptance-style checks use the exact mode so
-algorithmic error is never confounded with shot noise.
+Readout is exact: ``exact_distribution`` returns the squared marginal
+amplitudes of a register, so algorithmic error is never confounded with
+shot noise.  The sampled mode of the risk stage
+(``risk.estimate_amplitude``) draws its amplitude-estimation shots from
+such an exact flag probability.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +163,8 @@ class StateVector:
 
     def tensor(self) -> np.ndarray:
         if self.index is not None:
-            raise ConfigError("a sparse state has no dense tensor form; gates, "
-                              "QFTs and partial traces need a dense state")
+            raise ConfigError("a sparse state has no dense tensor form; gates "
+                              "and QFTs need a dense state")
         return self.amplitudes.reshape([2] * self.num_qubits)
 
 
@@ -184,22 +184,12 @@ class DensityMatrix:
             raise NumericalError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise NumericalError("density matrix trace deviates from 1 beyond 1e-10")
-        diag = np.diagonal(rho)
-        if np.count_nonzero(rho) == np.count_nonzero(diag):
-            # off-diagonal entries are exactly zero: the eigenvalues are
-            # the diagonal itself
-            lowest = diag.real.min()
-        else:
-            lowest = np.linalg.eigvalsh(rho).min()
-        if lowest < -1e-8:
+        if np.linalg.eigvalsh(rho).min() < -1e-8:
             raise NumericalError("density matrix has eigenvalue below -1e-8")
 
     @property
     def num_qubits(self) -> int:
         return int(np.log2(self.entries.shape[0]))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
 
 
 def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
@@ -259,17 +249,6 @@ def inverse_qft(state: StateVector, register: str) -> StateVector:
                          register, check=False)
 
 
-def partial_trace(state: StateVector, keep) -> DensityMatrix:
-    """Reduced density matrix over the kept registers (in layout order)."""
-    names = _resolve_registers(state.layout, keep)
-    keep_axes = [ax for name in names for ax in state.layout.axes_of(name)]
-    drop_axes = [ax for ax in range(state.num_qubits) if ax not in keep_axes]
-    tensor = state.tensor()
-    moved = np.transpose(tensor, keep_axes + drop_axes)
-    mat = moved.reshape(2 ** len(keep_axes), -1)
-    return DensityMatrix(mat @ mat.conj().T)
-
-
 def grover_rudolph_prepare(v, layout: RegisterLayout | None = None) -> StateVector:
     """State with amplitudes v / ||v||_2 for a non-negative vector v.
 
@@ -297,18 +276,6 @@ def exact_distribution(state: StateVector, register: str) -> np.ndarray:
     values = state.layout.values(register, state.index)
     probs = np.abs(state.amplitudes) ** 2
     return np.bincount(values, weights=probs, minlength=2**width)
-
-
-def measure_register(state: StateVector, register: str, shots: int,
-                     seed: int | None = None) -> dict[int, int]:
-    """Seeded sampling readout: histogram of i.i.d. outcomes."""
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
-    probs = exact_distribution(state, register)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {int(v): int(c) for v, c in enumerate(counts) if c > 0}
 
 
 def _permuted(state: StateVector, moved: np.ndarray) -> StateVector:
@@ -352,42 +319,3 @@ def flag_write(state: StateVector, source: str, flag: str, predicate) -> StateVe
     bits = np.asarray(predicate(src_vals), dtype=np.int64)
     shift = layout.shift_of(flag)
     return _permuted(state, state.support ^ (bits << shift))
-
-
-_MAGIC = b"QVSV"
-
-
-def save_statevector(state: StateVector, path: str) -> None:
-    """Flat binary format: header (q, layout), body of interleaved
-    real/imag float64 amplitudes, little-endian; dense states only."""
-    if state.index is not None:
-        raise ConfigError("only dense states can be saved")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", state.num_qubits, len(state.layout.names)))
-        for name, width in state.layout.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<HI", len(raw), width))
-            fh.write(raw)
-        body = np.empty(2 * state.amplitudes.size)
-        body[0::2] = state.amplitudes.real
-        body[1::2] = state.amplitudes.imag
-        fh.write(body.astype("<f8").tobytes())
-
-
-def load_statevector(path: str) -> StateVector:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ConfigError(f"{path} is not a statevector file")
-        q, nregs = struct.unpack("<II", fh.read(8))
-        regs = []
-        for _ in range(nregs):
-            nlen, width = struct.unpack("<HI", fh.read(6))
-            regs.append((fh.read(nlen).decode("utf-8"), width))
-        layout = RegisterLayout(regs)
-        if layout.total_qubits != q:
-            raise ConfigError("header qubit count does not match layout")
-        body = np.frombuffer(fh.read(), dtype="<f8")
-        if body.size != 2 ** (q + 1):
-            raise ConfigError("amplitude body has the wrong length")
-        return StateVector(body[0::2] + 1j * body[1::2], layout)

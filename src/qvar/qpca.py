@@ -1,5 +1,14 @@
-"""Portfolio-distribution stage: grid loads, the reduced density matrix,
-density-matrix exponentiation, phase estimation and the square-root map.
+"""Portfolio-distribution stage: the reduced density matrix, density-matrix
+exponentiation, phase estimation and the square-root map.
+
+The reduced density matrix.  Step 3 runs QPCA on rho = Tr_grid |psi2><psi2|
+for the grid-information state psi2 = sum_j v_j |j> |code(S_j)>.  The grid
+codes are distinct (``grid_codes`` rejects collisions), so rho is diagonal
+in the price-code basis with |v_j|^2 at code(S_j).  ``reduced_rho`` returns
+that spectrum as a float vector over the 2^p price codes, and phase
+estimation and the value lookup read it directly; neither psi2 nor the
+2^p-square matrix is built.  ``DensityMatrix`` remains for the general
+swap-slice channel (``trotter_slice``, ``evolve_exp_rho``).
 
 Fixed-point conventions.  Price registers carry plain m-fractional-bit
 codes (code c means c / 2^m).  Eigenvalue and value registers carry a
@@ -19,10 +28,11 @@ Mode semantics.  ``exact_exponential`` evolves with the dense matrix
 exponential (QPE stays a pure statevector circuit); ``trotterized``
 composes swap-interaction slices with fresh copies of rho, which is a
 channel, so trotterized phase estimation is reported as per-branch outcome
-distributions rather than a statevector.  The per-slice deviation from the
-exact exponential is second order in the slice length; the accumulated
-deviation over a fixed total time is first order (slice count times
-slice-length squared), and both are measured by the tests.
+distributions rather than a statevector.  Each controlled e^{i rho dt} is
+``n_trotter`` slices of length dt / n_trotter.  The per-slice deviation
+from the exact exponential is second order in the slice length; the
+accumulated deviation over a fixed total time is first order (slice count
+times slice-length squared), and both are measured by the tests.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from .errors import ConfigError, NumericalError
 from .market import PriceGrid
 from .mc import PathSet
 from .qcore import (DensityMatrix, RegisterLayout, StateVector, apply_unitary,
-                    exact_distribution, inverse_qft, partial_trace, xor_write)
+                    exact_distribution, inverse_qft, xor_write)
 
 PcaMode = Literal["exact_exponential", "trotterized"]
 
@@ -124,44 +134,20 @@ def prepare_path_state(paths: PathSet, grid: PriceGrid, m: int,
     return StateVector(amps, layout, index)
 
 
-def load_grid_register(state: StateVector, grid: PriceGrid, m: int,
-                       source: str = "grid", target: str = "price") -> StateVector:
-    """|j>|z> -> |j>|z XOR code(S_j)>: self-inverse XOR-style load."""
-    codes = grid_codes(grid, m)
-    width = state.layout.width_of(source)
-    if codes.size != 2**width:
-        raise ConfigError("source register does not index the grid")
-    if int(codes.max()).bit_length() > state.layout.width_of(target):
-        raise NumericalError("grid price exceeds the target register range")
-    return xor_write(state, source, target, codes)
+def reduced_rho(value_state: StateVector, grid: PriceGrid, m: int) -> np.ndarray:
+    """The spectrum of rho = Tr_grid |psi2><psi2| over price codes, for the
+    grid-information state psi2 = sum_j v_j |j> |code(S_j)>.
 
-
-def make_psi2(value_state: StateVector, grid: PriceGrid, m: int) -> StateVector:
-    """Grid-information state: sum_j v_j |j> |code(S_j)>."""
-    n = grid.n
-    if value_state.num_qubits != n:
+    The grid codes are distinct, so the grid index is a function of the
+    price code and rho is diagonal in the code basis: the result holds
+    |v_j|^2 at code(S_j) and zero at every other code of the price register.
+    """
+    if value_state.num_qubits != grid.n:
         raise ConfigError("value state must live on the grid register")
-    layout = RegisterLayout([("grid", n), ("price", price_register_width(grid, m))])
-    amps = np.zeros(2**layout.total_qubits, dtype=complex)
-    shift = layout.shift_of("grid")
-    amps[np.arange(2**n) << shift] = value_state.amplitudes
-    state = StateVector(amps, layout)
-    return load_grid_register(state, grid, m)
-
-
-def reduced_rho(value_state: StateVector, grid: PriceGrid, m: int) -> DensityMatrix:
-    """Discard the grid index register of psi2: diagonal when codes are
-    distinct, with eigenvalue v_j^2 on node j's price code."""
-    return partial_trace(make_psi2(value_state, grid, m), "price")
-
-
-def _diagonal_probabilities(rho: DensityMatrix) -> np.ndarray:
-    off = rho.entries - np.diag(np.diag(rho.entries))
-    if np.abs(off).max() > 1e-10:
-        raise NumericalError("rho is not diagonal in the code basis; "
-                             "grid codes must be distinct")
-    p = np.diag(rho.entries).real
-    return np.clip(p, 0.0, None)
+    v = value_state.amplitudes
+    p = np.zeros(2 ** price_register_width(grid, m))
+    p[grid_codes(grid, m)[value_state.support]] = v.real**2 + v.imag**2
+    return p
 
 
 def trotter_slice(rho: DensityMatrix, sigma: DensityMatrix, dt: float) -> DensityMatrix:
@@ -199,9 +185,10 @@ def _hadamard_all(width: int) -> np.ndarray:
     return out
 
 
-def qpe_write_eigenvalues(state: StateVector, rho: DensityMatrix, job: PcaJob,
+def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray, job: PcaJob,
                           price: str = "price", phase: str = "value") -> StateVector:
-    """Coherent phase estimation writing eigenvalue codes of rho.
+    """Coherent phase estimation writing eigenvalue codes of rho, given as
+    its spectrum over price codes (``reduced_rho``).
 
     Price-register basis states are rho eigenstates (diagonal rho), so the
     controlled evolution is a pure phase load followed by the inverse QFT.
@@ -221,18 +208,17 @@ def qpe_write_eigenvalues(state: StateVector, rho: DensityMatrix, job: PcaJob,
         amps = np.zeros(2**layout.total_qubits, dtype=complex)
         amps[state.index] = state.amplitudes
         state = StateVector(amps, layout)
-    p = _diagonal_probabilities(rho)
     price_vals = layout.values(price)
     populated = np.unique(price_vals[np.abs(state.amplitudes) > 1e-14])
-    if populated.size and populated.max() >= p.size:
-        bad = [int(c) for c in populated if c >= p.size]
+    if populated.size and populated.max() >= rho.size:
+        bad = [int(c) for c in populated if c >= rho.size]
         raise NumericalError(f"price codes {bad} lie outside rho's register")
     if exact_distribution(state, phase)[0] < 1.0 - 1e-10:
         raise ConfigError("phase register must be zeroed before QPE")
 
     out = apply_unitary(state, _hadamard_all(m), phase, check=False)
     l_vals = layout.values(phase)
-    phases = p[price_vals] * l_vals * job.delta_t
+    phases = rho[price_vals] * l_vals * job.delta_t
     out = StateVector(out.amplitudes * np.exp(1j * phases), layout)
     return inverse_qft(out, phase)
 
@@ -253,18 +239,20 @@ def qpe_modal_estimates(state: StateVector, price: str = "price",
     return estimates
 
 
-def qpe_branch_distributions(branch_codes, rho: DensityMatrix,
+def qpe_branch_distributions(branch_codes, rho: np.ndarray,
                              job: PcaJob) -> dict[int, np.ndarray]:
-    """Phase-register outcome distribution per branch price code.
+    """Phase-register outcome distribution per branch price code, for rho
+    given as its spectrum p over price codes (``reduced_rho``).
 
     Works in the diagonal operator basis, where the swap-interaction
-    channel acts in closed form: l two-sided slices mix the branch
-    projector toward rho at rate cos^2(dt), and one-sided slice imbalances
-    multiply code b's coefficient by (cos dt + i sin dt p_b).  The exact
-    mode reproduces the textbook QPE kernel.
+    channel acts in closed form.  Each controlled power of e^{i rho dt} is
+    ``n_trotter`` slices of length dt / n_trotter.  Between phase-register
+    branches l <= l', the l * n_trotter shared slices act two-sided and mix
+    the branch projector toward rho at rate cos^2 per slice; the
+    (l' - l) * n_trotter excess slices act one-sided and multiply code b's
+    coefficient by (cos + i sin p_b) per slice.  The exact mode reproduces
+    the textbook QPE kernel.
     """
-    p = _diagonal_probabilities(rho)
-    m = job.m
     n = job.n_qpe
     dt = job.delta_t
     ls = np.arange(n)
@@ -272,17 +260,17 @@ def qpe_branch_distributions(branch_codes, rho: DensityMatrix,
     out: dict[int, np.ndarray] = {}
     if job.mode == "exact_exponential":
         for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
-            kernel = np.exp(1j * p[b] * dt * ls) / np.sqrt(n)
+            kernel = np.exp(1j * rho[b] * dt * ls) / np.sqrt(n)
             amp = fourier.conj() @ kernel  # inverse QFT of the phase load
             out[int(b)] = np.abs(amp) ** 2
         return out
 
-    c, s = np.cos(dt), np.sin(dt)
-    one_sided = c + 1j * s * p  # per-code factor for a left-only slice
-    js = np.arange(n)
-    pow_one = one_sided[None, :] ** js[:, None]  # [j, code]
-    phi = pow_one @ p  # sum_b p_b (c + i s p_b)^j
-    c2l = (c * c) ** ls
+    slices = ls * job.n_trotter  # slice count of each controlled power
+    c, s = np.cos(dt / job.n_trotter), np.sin(dt / job.n_trotter)
+    one_sided = c + 1j * s * rho  # per-code factor for a left-only slice
+    pow_one = one_sided[None, :] ** slices[:, None]  # [j, code]
+    phi = pow_one @ rho  # sum_b p_b (c + i s p_b)^(j n_trotter)
+    c2l = (c * c) ** slices
     for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
         mat = np.empty((n, n), dtype=complex)
         for l in range(n):
@@ -315,11 +303,11 @@ def sqrt_register(state: StateVector, source: str, target: str) -> StateVector:
     return xor_write(state, source, target, sqrt_code_table(m))
 
 
-def value_code_table(rho: DensityMatrix, m: int) -> np.ndarray:
+def value_code_table(rho: np.ndarray, m: int) -> np.ndarray:
     """Price code -> value code sqrt(eigenvalue), the infinite-precision
-    limit of phase estimation followed by the square root."""
-    p = _diagonal_probabilities(rho)
-    return encode_value(np.sqrt(p), m)
+    limit of phase estimation followed by the square root, for rho given
+    as its spectrum over price codes (``reduced_rho``)."""
+    return encode_value(np.sqrt(rho), m)
 
 
 @dataclass(frozen=True)
@@ -338,7 +326,7 @@ class AssembleResult:
     state: StateVector | None
     branches: list[BranchRow]
     value_table: np.ndarray  # price code -> value code
-    rho: DensityMatrix
+    rho: np.ndarray  # rho's spectrum over price codes
     node_index: np.ndarray  # path -> snapped grid node
     mode: PcaMode
     trotter_distance: float | None = None

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qvar.errors import ConfigError
-from qvar.nogo import (am_reference_max, copy_curve, fit_linear_slope,
-                       min_copies, overlap_power, trace_norm_gap)
+from qvar.nogo import (copy_curve, fit_linear_slope, min_copies, overlap_power,
+                       trace_norm_gap)
 
 
 def test_overlap_power_examples():
@@ -91,9 +91,3 @@ def test_copy_curve_slope_linear():
     assert [d for d, _ in curve] == [2, 4, 8, 16, 32, 64, 128, 256]
     slope = fit_linear_slope(curve)
     assert 0.3 <= slope <= 3.0
-
-
-def test_am_reference_max():
-    z = am_reference_max([0.6, 0.0, 0.8], [0.0, 1.0, 0.5])
-    expected = np.array([0.6, 1.0, 0.8])
-    assert np.allclose(z, expected / np.linalg.norm(expected), atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_tridiagonal
 from qvar.errors import NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
 from qvar.pde import (TridiagonalOperator, ValueSurface, assemble_operator,
@@ -69,13 +69,27 @@ def test_implicit_step_scalar_diagonal():
     assert np.allclose(out.values, surface.values / (1 + r * dtau), atol=1e-14)
 
 
-def test_implicit_step_matches_dense_lu(rng):
-    sub, diag, sup = random_tridiagonal(rng, 4)
-    op = TridiagonalOperator(sub, diag, sup, 4)
-    v = rng.normal(size=16)
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3), margin=st.floats(0.1, 10.0))
+def test_implicit_step_matches_dense_lu(n, seed, scale, margin):
+    # the Thomas solve of (I + M) x = v against LAPACK's pivoted dense solve,
+    # for strictly diagonally dominant I + M: every row's diagonal exceeds
+    # its off-diagonal sum by at least margin * scale, which bounds the
+    # condition number and so fixes the tolerance in advance
+    rng = np.random.default_rng(seed)
+    size = 2**n
+    sub = np.zeros(size)
+    sup = np.zeros(size)
+    sub[1:] = rng.normal(scale=scale, size=size - 1)
+    sup[:-1] = rng.normal(scale=scale, size=size - 1)
+    sign = rng.choice([-1.0, 1.0], size=size)
+    dominant = sign * ((np.abs(sub) + np.abs(sup)) * (1.0 + margin) + margin * scale)
+    op = TridiagonalOperator(sub, dominant - 1.0, sup, n)
+    v = rng.normal(size=size)
     out = implicit_step(op, ValueSurface(t=1.0, values=v), 0.5)
-    dense = np.eye(16) + op.to_dense()
-    assert np.abs(out.values - np.linalg.solve(dense, v)).max() < 1e-12
+    ref = np.linalg.solve(np.eye(size) + op.to_dense(), v)
+    assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_implicit_step_rejects_singular():

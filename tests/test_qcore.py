@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from qvar.errors import ConfigError, NumericalError, QubitBudgetError
 from qvar.qcore import (DensityMatrix, RegisterLayout, StateVector, apply_unitary,
                         basis_state, exact_distribution, flag_write,
-                        grover_rudolph_prepare, inverse_qft, load_statevector,
-                        measure_register, partial_trace, qft, qft_matrix,
-                        save_statevector, xor_write)
+                        grover_rudolph_prepare, inverse_qft, qft, qft_matrix,
+                        xor_write)
 
 
 def haar_unitary(rng, dim):
@@ -105,57 +104,6 @@ def test_qft_matrix_unitary(width):
     assert np.abs(f @ f.conj().T - np.eye(2**width)).max() < 1e-12
 
 
-def test_partial_trace_product_state(rng):
-    layout = RegisterLayout([("a", 1), ("b", 2)])
-    a = rng.normal(size=2) + 1j * rng.normal(size=2)
-    b = rng.normal(size=4) + 1j * rng.normal(size=4)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    state = StateVector(np.kron(a, b), layout)
-    rho = partial_trace(state, "b")
-    assert np.abs(rho.entries - np.outer(b, b.conj())).max() < 1e-12
-
-
-def test_partial_trace_bell_state():
-    layout = RegisterLayout([("a", 1), ("b", 1)])
-    bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), layout)
-    rho = partial_trace(bell, "a")
-    assert np.abs(rho.entries - np.eye(2) / 2).max() < 1e-12
-
-
-def contraction_oracle(amps, keep_axes, q):
-    """Explicit double-sum index contraction, independent of partial_trace."""
-    dim_keep = 2 ** len(keep_axes)
-    rho = np.zeros((dim_keep, dim_keep), dtype=complex)
-    drop_axes = [ax for ax in range(q) if ax not in keep_axes]
-    for i in range(2**q):
-        for ip in range(2**q):
-            bits_i = [(i >> (q - 1 - ax)) & 1 for ax in range(q)]
-            bits_ip = [(ip >> (q - 1 - ax)) & 1 for ax in range(q)]
-            if any(bits_i[ax] != bits_ip[ax] for ax in drop_axes):
-                continue
-            ki = int("".join(str(bits_i[ax]) for ax in keep_axes) or "0", 2)
-            kip = int("".join(str(bits_ip[ax]) for ax in keep_axes) or "0", 2)
-            rho[ki, kip] += amps[i] * np.conj(amps[ip])
-    return rho
-
-
-def test_partial_trace_matches_contraction_oracle(rng):
-    layout = RegisterLayout([("a", 1), ("b", 1), ("c", 1)])
-    state = random_state(rng, layout)
-    rho = partial_trace(state, ["a", "c"])
-    oracle = contraction_oracle(state.amplitudes, [0, 2], 3)
-    assert np.abs(rho.entries - oracle).max() < 1e-12
-
-
-def test_partial_trace_full_keep_is_projector(rng):
-    layout = RegisterLayout([("a", 2), ("b", 1)])
-    state = random_state(rng, layout)
-    rho = partial_trace(state, ["a", "b"])
-    proj = np.outer(state.amplitudes, state.amplitudes.conj())
-    assert np.abs(rho.entries - proj).max() < 1e-12
-
-
 def test_grover_rudolph_examples():
     uniform = grover_rudolph_prepare(np.ones(4))
     assert np.allclose(uniform.amplitudes, 0.5, atol=1e-14)
@@ -180,21 +128,6 @@ def test_exact_distribution_examples():
     assert np.allclose(exact_distribution(uniform, "q"), 0.25, atol=1e-15)
 
 
-def test_measure_register_binomial_bound():
-    layout = RegisterLayout([("q", 1)])
-    state = StateVector(np.array([np.sqrt(0.3), np.sqrt(0.7)]), layout)
-    counts = measure_register(state, "q", shots=10**5, seed=99)
-    freq = counts[0] / 10**5
-    assert abs(freq - 0.3) < 0.01
-
-
-def test_measure_register_is_seed_deterministic():
-    layout = RegisterLayout([("q", 2)])
-    state = StateVector(np.full(4, 0.5), layout)
-    assert measure_register(state, "q", 1000, seed=5) == \
-        measure_register(state, "q", 1000, seed=5)
-
-
 def test_xor_write_is_self_inverse(rng):
     layout = RegisterLayout([("src", 2), ("dst", 3)])
     state = random_state(rng, layout)
@@ -212,16 +145,6 @@ def test_flag_write_marks_predicate():
     out = flag_write(state, "v", "flag", lambda v: (v >= 2).astype(np.int64))
     probs = exact_distribution(out, "flag")
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_serialization_round_trip(tmp_path, rng):
-    layout = RegisterLayout([("a", 2), ("b", 1)])
-    state = random_state(rng, layout)
-    path = tmp_path / "state.qvsv"
-    save_statevector(state, str(path))
-    loaded = load_statevector(str(path))
-    assert loaded.layout == state.layout
-    assert np.array_equal(loaded.amplitudes, state.amplitudes)
 
 
 def test_state_norm_validated():
@@ -309,15 +232,14 @@ def test_sparse_state_refuses_dense_operations():
     with pytest.raises(ConfigError, match="sparse"):
         qft(sparse, "b")
     with pytest.raises(ConfigError, match="sparse"):
-        partial_trace(sparse, "a")
-    with pytest.raises(ConfigError, match="sparse"):
         sparse.tensor()
 
 
 def test_diagonal_density_matrix_checked_through_its_diagonal():
     with pytest.raises(NumericalError, match="eigenvalue"):
         DensityMatrix(np.diag([1.1, -0.1]))
-    # the same bound as the dense eigvalsh check: -1e-8 passes, below fails
+    # the eigenvalues of a diagonal matrix are its diagonal: -1e-8 passes,
+    # below fails
     DensityMatrix(np.diag([1.0 + 1e-8, -1e-8]))
     with pytest.raises(NumericalError, match="eigenvalue"):
         DensityMatrix(np.diag([1.0 + 2e-8, -2e-8]))

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qvar.errors import ConfigError
 from qvar.market import build_grid, payoff_vector
 from qvar.mc import FixedPointCode, PathSet
 from qvar.qcore import (DensityMatrix, RegisterLayout, StateVector, basis_state,
-                        exact_distribution, grover_rudolph_prepare, partial_trace)
+                        exact_distribution, grover_rudolph_prepare)
 from qvar.qpca import (PcaJob, assemble_portfolio_state, decode_value,
                        encode_value, evolve_exp_rho, grid_codes,
-                       load_grid_register, perturb_state, prepare_path_state,
+                       perturb_state, prepare_path_state,
                        price_register_width, qpe_branch_distributions,
                        qpe_modal_estimates, qpe_write_eigenvalues, reduced_rho,
                        snap_paths, sqrt_code_table, sqrt_register,
@@ -43,47 +44,19 @@ def test_grid_codes_collision_rejected():
         grid_codes(grid, 2)
 
 
-def test_load_grid_register_zero_node(grid4):
-    layout = RegisterLayout([("grid", 4), ("price", 9)])
-    state = load_grid_register(basis_state(layout, 0), grid4, 6)
-    # node 0 sits at S = 0: price register reads the zero code
-    probs = exact_distribution(state, "price")
-    assert probs[0] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_load_grid_register_schmidt_rank(grid4):
-    layout = RegisterLayout([("grid", 4), ("price", 9)])
-    amps = np.zeros(2**13, dtype=complex)
-    amps[np.arange(16) << 9] = 0.25  # uniform over grid indices
-    state = load_grid_register(StateVector(amps, layout), grid4, 6)
-    rho = partial_trace(state, "grid")
-    rank = int(np.sum(rho.eigenvalues() > 1e-12))
-    assert rank == len(set(grid_codes(grid4, 6).tolist()))
-
-
-def test_load_grid_register_round_trip(grid4, rng):
-    layout = RegisterLayout([("grid", 4), ("price", 9)])
-    amps = np.zeros(2**13, dtype=complex)
-    amps[np.arange(16) << 9] = rng.normal(size=16) + 1j * rng.normal(size=16)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(amps, layout)
-    twice = load_grid_register(load_grid_register(state, grid4, 6), grid4, 6)
-    assert np.abs(twice.amplitudes - state.amplitudes).max() < 1e-12
-
-
 def test_reduced_rho_pure_case(grid4):
     values = np.zeros(16)
     values[3] = 2.5
     rho = reduced_rho(make_value_state(values, 4), grid4, 6)
     code = grid_codes(grid4, 6)[3]
-    assert rho.entries[code, code].real == pytest.approx(1.0, abs=1e-12)
+    assert rho[code] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reduced_rho_two_equal_values(grid4):
     values = np.zeros(16)
     values[[2, 9]] = 1.0
     rho = reduced_rho(make_value_state(values, 4), grid4, 6)
-    eigs = np.sort(rho.eigenvalues())[::-1]
+    eigs = np.sort(rho)[::-1]
     assert eigs[0] == pytest.approx(0.5, abs=1e-12)
     assert eigs[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -92,7 +65,7 @@ def test_reduced_rho_matches_normalization_oracle(grid4, rng):
     values = rng.uniform(0.0, 1.0, size=16)
     rho = reduced_rho(make_value_state(values, 4), grid4, 6)
     expected = np.sort(values**2 / np.sum(values**2))[::-1]
-    got = np.sort(rho.eigenvalues())[::-1]
+    got = np.sort(rho)[::-1]
     assert np.abs(got[:16] - expected).max() < 1e-12
 
 
@@ -103,6 +76,39 @@ def random_density(rng, dim, diagonal=False):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = z @ z.conj().T
     return DensityMatrix(h / np.trace(h).real)
+
+
+@st.composite
+def value_states_on_grids(draw):
+    """A random complex value state on a 2^n-node grid whose m-bit price
+    codes are distinct."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 7))
+    spacing = draw(st.sampled_from(["uniform", "geometric"]))
+    grid = build_grid(0.25 if spacing == "geometric" else 0.0, 4.0, n, spacing)
+    try:
+        grid_codes(grid, m)
+    except ConfigError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return grid, m, StateVector(amps / np.linalg.norm(amps),
+                                RegisterLayout([("grid", n)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=value_states_on_grids())
+def test_reduced_rho_is_the_diagonal_of_the_contracted_psi2(case):
+    grid, m, vstate = case
+    # psi2 = sum_j v_j |j>|code(S_j)> as a (grid, price) array, contracted
+    # over the grid index: rho[c, d] = sum_j psi2[j, c] conj(psi2[j, d])
+    psi2 = np.zeros((2**grid.n, 2**price_register_width(grid, m)), dtype=complex)
+    psi2[np.arange(2**grid.n), grid_codes(grid, m)] = vstate.amplitudes
+    dense = np.einsum("jc,jd->cd", psi2, psi2.conj())
+    diag = np.diagonal(dense)
+    assert np.count_nonzero(dense - np.diag(diag)) == 0
+    assert np.count_nonzero(diag.imag) == 0
+    assert np.array_equal(reduced_rho(vstate, grid, m), diag.real)
 
 
 def test_evolve_zero_time_is_identity(rng):
@@ -184,10 +190,9 @@ def test_qpe_generic_instance_within_resolution(grid4, rng):
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
     out, rho = qpe_state(grid4, values, paths, 6)
     codes = grid_codes(grid4, 6)
-    p = np.diag(rho.entries).real
     estimates = qpe_modal_estimates(out)
     for code, lam_hat in estimates.items():
-        assert abs(lam_hat - p[code]) <= 2**-6
+        assert abs(lam_hat - rho[code]) <= 2**-6
 
 
 def test_qpe_requires_zeroed_phase_register(grid4):
@@ -271,6 +276,29 @@ def test_assemble_trotter_mode_matches_exact_modal_codes(grid4, rng):
         assert abs(row.value - row.oracle) <= 2**-4 + res.trotter_distance
 
 
+def test_trotter_branch_distributions_converge_in_the_slice_count(grid4, rng):
+    values = rng.uniform(0.2, 1.0, size=16)
+    m = 4
+    paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)], m=m)
+    vstate = make_value_state(values, 4)
+    rho = reduced_rho(vstate, grid4, m)
+    codes = grid_codes(grid4, m)[snap_paths(paths, grid4)]
+    exact = qpe_branch_distributions(codes, rho, PcaJob(m=m))
+    distances = []
+    for n_trotter in (16, 64, 256, 1024):
+        job = PcaJob(m=m, n_trotter=n_trotter, mode="trotterized")
+        distances.append(assemble_portfolio_state(paths, vstate, grid4,
+                                                  job).trotter_distance)
+    assert all(a > b for a, b in zip(distances, distances[1:]))
+    dists = qpe_branch_distributions(codes, rho, job)
+    for code in np.unique(codes):
+        assert np.argmax(dists[int(code)]) == np.argmax(exact[int(code)])
+    # one slice of length delta_t = pi is -I, so every branch reads 1.0
+    one = assemble_portfolio_state(paths, vstate, grid4,
+                                   PcaJob(m=m, n_trotter=1, mode="trotterized"))
+    assert [row.value for row in one.branches] == [1.0] * paths.L
+
+
 def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
     values = rng.uniform(0.1, 1.0, size=16)
     m = 4
@@ -300,8 +328,7 @@ def test_error_propagation_bound(grid4, rng):
             rho = reduced_rho(vstate, grid4, 6)
             perturbed = perturb_state(vstate, eps, rng)
             rho_p = reduced_rho(perturbed, grid4, 6)
-            spectral = np.abs(np.sort(rho_p.eigenvalues())
-                              - np.sort(rho.eigenvalues())).max()
+            spectral = np.abs(np.sort(rho_p) - np.sort(rho)).max()
             assert spectral <= 4.0 * eps
 
 
