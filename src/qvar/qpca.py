@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, NumericalError
 from .market import PriceGrid
@@ -168,6 +167,7 @@ def evolve_exp_rho(sigma: DensityMatrix, rho: DensityMatrix, tau: float,
     if sigma.entries.shape != rho.entries.shape:
         raise ConfigError("sigma and rho must act on the same register")
     if job.mode == "exact_exponential":
+        from scipy.linalg import expm
         u = expm(-1j * tau * rho.entries)
         return DensityMatrix(u @ sigma.entries @ u.conj().T)
     dt = tau / job.n_trotter

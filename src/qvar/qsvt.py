@@ -40,6 +40,10 @@ accepted fit's sup error and |P| <= 1 on [-1, 1], applies the block to the
 payoff and checks the post-selection floor.  The first request on a market
 and horizon does all the work it did before; the results are the same bits
 cold or warm.
+
+SciPy is bound lazily: the module-level ``linprog`` and ``least_squares``
+import ``scipy.optimize`` on their first call, so only a cold fit or a
+phase-solve fallback loads it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as np_cheb
-from scipy.optimize import least_squares, linprog
 
 from .blockenc import BlockEncoding, assemble_block_encoding
 from .errors import ConfigError, NumericalError
@@ -71,6 +74,18 @@ SCREEN_ABS = 1e-7
 SUCCESS_PROB_FLOOR = 1e-6
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def target_g(x, t_tilde: int, norm: float):
