@@ -9,6 +9,7 @@ single JSON document.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,13 +17,18 @@ import numpy as np
 
 from . import nogo as nogo_mod
 from .blockenc import assemble_block_encoding
-from .errors import ConfigError, QvarError
+from .errors import ConfigError, NumericalError, QvarError
 from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
 from .pde import assemble_operator, price_american, price_european
 from .pipeline import emit_report, load_run_config, run_pipeline
 from .qpca import PcaJob, assemble_portfolio_state
 from .qsvt import apply_qsvt, prepare_value_state, svd_transform_oracle
+
+# `assemble --mode trotter` doubles the slice count until the worst branch's
+# total-variation distance to exact mode is at most TROTTER_DISTANCE_TOL
+TROTTER_DISTANCE_TOL = 0.1
+TROTTER_SLICE_CAP = 2**16
 
 
 def _write(text: str, path: str | None) -> None:
@@ -109,6 +115,14 @@ def cmd_assemble(args) -> int:
     mode = "trotterized" if args.mode == "trotter" else "exact_exponential"
     job = PcaJob(m=cfg.m, mode=mode)
     assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, job)
+    while mode == "trotterized" and assembled.trotter_distance > TROTTER_DISTANCE_TOL:
+        if job.n_trotter >= TROTTER_SLICE_CAP:
+            raise NumericalError(
+                f"trotter distance {assembled.trotter_distance:.3g} exceeds "
+                f"{TROTTER_DISTANCE_TOL} at {job.n_trotter} slices "
+                f"(cap {TROTTER_SLICE_CAP})")
+        job = dataclasses.replace(job, n_trotter=2 * job.n_trotter)
+        assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, job)
     lines = ["k,price,value,error_vs_oracle"]
     for row in assembled.branches:
         lines.append(f"{row.k},{float(row.snapped_price)!r},"

@@ -195,12 +195,17 @@ def swap_test_overlap(state_a: StateVector, state_b: StateVector,
                       mode: str = "exact", eps: float = 0.01,
                       rng=None) -> tuple[float, int]:
     """|<a|b>| via direct contraction (exact) or the swap-test statistics
-    fed through amplitude estimation (sampled), budget O(1/eps)."""
+    fed through amplitude estimation (sampled), budget O(1/eps).
+
+    The contraction sums the products with ``math.fsum``, which rounds the
+    exact sum once: stored zeros, the sparse or dense form and the BLAS
+    thread count cannot change its bits."""
     if state_a.layout.items() != state_b.layout.items():
         raise ConfigError("swap test requires identical register shapes")
     _, in_a, in_b = np.intersect1d(state_a.support, state_b.support,
                                    assume_unique=True, return_indices=True)
-    overlap = abs(np.vdot(state_a.amplitudes[in_a], state_b.amplitudes[in_b]))
+    terms = np.conj(state_a.amplitudes[in_a]) * state_b.amplitudes[in_b]
+    overlap = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
     if mode == "exact":
         return float(overlap), 1
     if rng is None:

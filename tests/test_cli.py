@@ -1,8 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
+from qvar import cli
 from qvar.cli import main
+from qvar.market import payoff_vector
+from qvar.mc import simulate_paths
+from qvar.pipeline import load_run_config
+from qvar.qpca import (PcaJob, decode_value, grid_codes, qpe_branch_distributions,
+                       reduced_rho, snap_paths, sqrt_code_table)
+from qvar.qsvt import prepare_value_state
 
 BASE_CONFIG = {
     "r": 0.02, "mu": 0.05, "alpha": 0.2, "T": 16 / 4096, "t_bar": 8 / 4096,
@@ -77,6 +85,40 @@ def test_assemble_branch_rows(config_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k,price,value,error_vs_oracle"
     assert len(lines) == 1 + BASE_CONFIG["L"]
+
+
+def exact_qpe_modal_values(doc):
+    """Each branch's value read from the modal code of exact-mode QPE."""
+    cfg = load_run_config(doc)
+    prepared = prepare_value_state(payoff_vector(cfg.payoff, cfg.grid),
+                                   cfg.market, cfg.grid, cfg.eps1)
+    paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
+    rho = reduced_rho(prepared.state, cfg.grid, cfg.m)
+    codes = grid_codes(cfg.grid, cfg.m)[snap_paths(paths, cfg.grid)]
+    dists = qpe_branch_distributions(codes, rho, PcaJob(m=cfg.m))
+    sqrt_map = sqrt_code_table(cfg.m)
+    return [float(decode_value(sqrt_map[int(np.argmax(dists[int(c)]))], cfg.m))
+            for c in codes]
+
+
+def test_assemble_trotter_doubles_slices_until_certified(config_path, capsys):
+    # the default 16 slices read one code on every branch at distance 0.96;
+    # the certified slice count reads exact-mode QPE's modal codes
+    assert run_cli(["assemble", "--mode", "trotter", "--config", config_path]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "k,price,value,error_vs_oracle"
+    values = [float(line.split(",")[2]) for line in lines[1:]]
+    assert values == exact_qpe_modal_values(BASE_CONFIG)
+    assert len(set(values)) > 1
+
+
+def test_assemble_trotter_slice_cap_exit_code(config_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "TROTTER_SLICE_CAP", 256)  # 4096 are needed
+    assert run_cli(["assemble", "--mode", "trotter", "--config", config_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qvar: error: trotter distance ")
+    assert "at 256 slices" in err
+    assert "Traceback" not in err
 
 
 def test_run_deterministic_reports(config_path, tmp_path):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qvar
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
 from qvar.qpca import decode_value, encode_value
@@ -250,7 +255,7 @@ def test_sparse_bisection_matches_classical_quantile(codes, q):
 
 @settings(max_examples=80, deadline=None)
 @given(codes=value_code_lists(), seed=st.integers(0, 2**32 - 1))
-def test_sparse_swap_test_within_4_ulp_of_dense(codes, seed):
+def test_sparse_swap_test_equals_dense_bitwise(codes, seed):
     assume(any(codes))  # otherwise the reference state is undefined
     rng = np.random.default_rng(seed)
     L = len(codes)
@@ -268,7 +273,39 @@ def test_sparse_swap_test_within_4_ulp_of_dense(codes, seed):
         sparse_overlap, _ = swap_test_overlap(ref, phi)
         dense_overlap, _ = swap_test_overlap(StateVector(dense_ref, ref.layout),
                                              StateVector(dense_phi, phi.layout))
-        assert abs(sparse_overlap - dense_overlap) <= 4 * np.spacing(dense_overlap)
+        assert sparse_overlap == dense_overlap
+
+
+# two fixed sparse states with 2^16 stored entries each, normalized with an
+# exactly rounded sum so that only the overlap could depend on BLAS
+OVERLAP_2_16 = """
+import math
+import numpy as np
+from qvar.qcore import RegisterLayout, StateVector
+from qvar.risk import swap_test_overlap
+rng = np.random.default_rng(20240811)
+layout = RegisterLayout([("a", 17)])
+index = np.arange(0, 2**17, 2, dtype=np.int64)
+states = []
+for _ in range(2):
+    amps = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+    norm = math.sqrt(math.fsum(np.abs(amps) ** 2))
+    states.append(StateVector(amps / norm, layout, index))
+print(repr(swap_test_overlap(*states)[0]))
+"""
+
+
+def test_swap_test_overlap_bits_independent_of_blas_threads():
+    src = str(Path(qvar.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", OVERLAP_2_16], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def uncached_estimate_amplitude(prob, eps, rng):

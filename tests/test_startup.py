@@ -1,0 +1,71 @@
+"""SciPy is loaded on first use only.
+
+Importing qvar, budget-checking a config, a classical run and the CLI
+commands that never fit a polynomial must leave ``scipy`` unimported; the
+first cold Stage-1 fit loads ``scipy.optimize``.  Each check runs in a
+fresh interpreter, because the test process itself has loaded SciPy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qvar
+
+README_CONFIG = {
+    "r": 0.02, "mu": 0.05, "alpha": 0.2,
+    "T": 0.00390625, "t_bar": 0.001953125, "dtau": 0.000244140625,
+    "kind": "call", "strike": 1.0,
+    "s_min": 0.0, "s_max": 4.0, "n": 4, "spacing": "uniform",
+    "s0": 1.0, "L": 8, "m": 6, "q": 0.05,
+    "mode": "quantum_exact", "seed": 11,
+}
+
+# prints one JSON line per step: the step and the scipy modules loaded after it
+STEPS = """
+import json, sys
+
+def loaded(step):
+    mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps([step, mods]), flush=True)
+
+import qvar
+loaded("import qvar")
+from qvar import cli, load_run_config, run_pipeline
+path, out = sys.argv[1], sys.argv[2]
+with open(path) as fh:
+    doc = json.load(fh)
+load_run_config(doc).check_budget()
+loaded("check_budget")
+run_pipeline(load_run_config({**doc, "mode": "classical"}))
+loaded("classical run_pipeline")
+for argv in (["price"], ["simulate"], ["verify-be"], ["run", "--mode", "classical"],
+             ["var", "--mode", "classical"], ["cvar", "--mode", "classical"]):
+    assert cli.main(argv + ["--config", path, "--output", out]) == 0, argv
+    loaded(" ".join(argv))
+assert cli.main(["nogo", "--max-d", "8", "--output", out]) == 0
+loaded("nogo")
+run_pipeline(load_run_config(doc))
+loaded("quantum_exact run_pipeline")
+"""
+
+
+def test_scipy_loaded_only_by_a_cold_stage1_fit(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(README_CONFIG))
+    src = str(Path(qvar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", STEPS, str(config), str(tmp_path / "out.txt")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [step for step, _ in steps] == [
+        "import qvar", "check_budget", "classical run_pipeline", "price",
+        "simulate", "verify-be", "run --mode classical", "var --mode classical",
+        "cvar --mode classical", "nogo", "quantum_exact run_pipeline"]
+    for step, mods in steps[:-1]:
+        assert mods == [], step
+    assert "scipy.optimize" in steps[-1][1]

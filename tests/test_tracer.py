@@ -84,3 +84,22 @@ def test_tracer_wraps_every_target_and_restores_every_binding(monkeypatch):
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+def test_tracer_counts_lazy_solver_calls_on_a_cold_request(monkeypatch):
+    # the autouse fixture has emptied the Stage-1 caches, so this request fits
+    tracer_mod = load_tracer(monkeypatch)
+    lazy = {name: getattr(qvar.qsvt, name) for name in ("linprog", "least_squares")}
+    config = load_run_config(dict(README_CONFIG, mode="quantum_exact"))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(qvar.qsvt, name) is not fn for name, fn in lazy.items())
+        tracer.begin_request(0)
+        qvar.pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+
+    names = [span.name for span in tracer.spans]
+    assert names.count("qsvt.linprog") >= 1
+    assert all(getattr(qvar.qsvt, name) is fn for name, fn in lazy.items())
