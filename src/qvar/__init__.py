@@ -5,21 +5,18 @@ a desk-scale statevector pipeline and the early-exercise no-go arithmetic.
 
 from .errors import ConfigError, NumericalError, QubitBudgetError, QvarError
 from .market import (MarketParams, PayoffSpec, PriceGrid, build_grid,
-                     default_grid, load_market_config, payoff_vector)
-from .mc import (FixedPointCode, PathSet, euler_forward, logistic_increment,
-                 simulate_paths)
+                     load_market_config, payoff_vector)
+from .mc import FixedPointCode, PathSet, simulate_paths
 from .pde import (TridiagonalOperator, ValueSurface, assemble_operator,
                   implicit_step, price_american, price_european)
 from .pipeline import (PipelineResult, ResourceTally, RunConfig, emit_report,
                        load_run_config, run_pipeline)
-from .qcore import (DensityMatrix, RegisterLayout, StateVector, apply_unitary,
-                    exact_distribution, grover_rudolph_prepare, inverse_qft, qft)
-from .qpca import (PcaJob, assemble_portfolio_state, evolve_exp_rho,
-                   qpe_write_eigenvalues, reduced_rho, sqrt_register)
+from .qcore import RegisterLayout, StateVector, exact_distribution
+from .qpca import PcaJob, assemble_portfolio_state, reduced_rho
 from .qsvt import (BlockEncoding, PhaseFactorSequence, PolynomialTarget,
                    apply_qsvt, approximate_target, prepare_value_state,
                    solve_phase_factors, target_g)
-from .blockenc import assemble_block_encoding, column_index, verify_block_encoding
+from .blockenc import assemble_block_encoding
 from .risk import (RiskReport, bisection_var, classical_var_cvar, comparator_ucc,
                    cvar, swap_test_overlap, tail_probability)
 from .nogo import min_copies, overlap_power, trace_norm_gap

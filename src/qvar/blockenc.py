@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .pde import TridiagonalOperator
 
 CERTIFY_TOL = 1e-10
@@ -36,28 +36,6 @@ class BlockEncoding:
     a: int
     eps: float
     n: int
-
-    @property
-    def block(self) -> np.ndarray:
-        size = 2**self.n
-        return self.U[:size, :size]
-
-
-def column_index(j: int, l: int, n: int) -> int:
-    """Row index of branch l's entry in column j.
-
-    Branches 0..2 address the sub-, main and super-diagonal neighbours,
-    clamped at the matrix edge (clamped branches carry zero amplitude);
-    the padding branch 3 reuses the diagonal with zero amplitude.
-    """
-    size = 2**n
-    if not 0 <= j < size:
-        raise ConfigError(f"column {j} out of range for n={n}")
-    if not 0 <= l < BRANCHES:
-        raise ConfigError(f"branch {l} out of range")
-    if l == 3:
-        return j
-    return min(max(j - 1 + l, 0), size - 1)
 
 
 def _branch_amplitude(dense: np.ndarray, j: int, l: int, kappa: float) -> float:
@@ -121,11 +99,3 @@ def assemble_block_encoding(mtilde: TridiagonalOperator) -> BlockEncoding:
     if cert > CERTIFY_TOL:
         raise NumericalError(f"block-encoding certification failed: error {cert:.3e}")
     return BlockEncoding(U=u, gamma=gamma, a=3, eps=cert, n=n)
-
-
-def verify_block_encoding(be: BlockEncoding, mtilde: TridiagonalOperator) -> float:
-    """Spectral-norm error ||M - gamma * block(U)|| of a claimed encoding."""
-    dense = mtilde.to_dense()
-    if dense.shape[0] != 2**be.n:
-        raise ConfigError("matrix dimension does not match the encoding")
-    return float(np.linalg.norm(dense - be.gamma * be.block, 2))

@@ -22,7 +22,7 @@ from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
 from .pde import assemble_operator, price_american, price_european
 from .pipeline import emit_report, load_run_config, run_pipeline
-from .qpca import PcaJob, assemble_portfolio_state
+from .qpca import PcaJob, assemble_portfolio_state, snap_paths
 from .qsvt import apply_qsvt, prepare_value_state, svd_transform_oracle
 
 # `assemble --mode trotter` doubles the slice count until the worst branch's
@@ -114,7 +114,9 @@ def cmd_assemble(args) -> int:
     paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
     mode = "trotterized" if args.mode == "trotter" else "exact_exponential"
     job = PcaJob(m=cfg.m, mode=mode)
-    assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, job)
+    node_index = snap_paths(paths, cfg.grid)
+    assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, job,
+                                         node_index)
     while mode == "trotterized" and assembled.trotter_distance > TROTTER_DISTANCE_TOL:
         if job.n_trotter >= TROTTER_SLICE_CAP:
             raise NumericalError(
@@ -122,11 +124,12 @@ def cmd_assemble(args) -> int:
                 f"{TROTTER_DISTANCE_TOL} at {job.n_trotter} slices "
                 f"(cap {TROTTER_SLICE_CAP})")
         job = dataclasses.replace(job, n_trotter=2 * job.n_trotter)
-        assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, job)
+        assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid,
+                                             job, node_index)
     lines = ["k,price,value,error_vs_oracle"]
-    for row in assembled.branches:
-        lines.append(f"{row.k},{float(row.snapped_price)!r},"
-                     f"{float(row.value)!r},{float(row.error)!r}")
+    columns = zip(cfg.grid.nodes[node_index], assembled.value, assembled.error)
+    for k, (price, value, error) in enumerate(columns):
+        lines.append(f"{k},{float(price)!r},{float(value)!r},{float(error)!r}")
     _write("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -136,7 +139,7 @@ def cmd_report(args) -> int:
     if args.mode is not None:
         doc["mode"] = args.mode.replace("-", "_")  # quantum-exact -> quantum_exact
     result = run_pipeline(load_run_config(doc))
-    _write(emit_report(result, "json") + "\n", args.output)
+    _write(emit_report(result) + "\n", args.output)
     return 0
 
 

@@ -1,6 +1,5 @@
 """Exception hierarchy shared by all engines, mapped to CLI exit codes."""
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_QUBIT_BUDGET = 4

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Literal
@@ -32,6 +33,8 @@ def qubit_cap() -> int:
 
 def _check_integer_multiple(num: float, den: float, what: str) -> int:
     k = num / den
+    if not math.isfinite(k):
+        raise ConfigError(f"{what} = {num}/{den} is not a finite number of steps")
     k_round = round(k)
     if abs(k - k_round) > 1e-9 * max(1.0, abs(k)):
         raise ConfigError(f"{what} = {num}/{den} is not an integer number of steps")
@@ -107,12 +110,6 @@ class PriceGrid:
         self.nodes.setflags(write=False)
         self.n = n
 
-    def __len__(self) -> int:
-        return self.nodes.size
-
-    def __repr__(self) -> str:
-        return f"PriceGrid(n={self.n}, [{self.nodes[0]}, ..., {self.nodes[-1]}])"
-
     def nearest_index(self, price: float) -> int:
         """Index of the node closest to ``price``; ties round down."""
         # clamped first: far beyond the grid every |node - price| rounds to
@@ -152,17 +149,9 @@ def build_grid(s_min: float, s_max: float, n: int, spacing: str = "uniform") -> 
     return PriceGrid(nodes, n)
 
 
-def default_grid(spec: PayoffSpec, n: int) -> PriceGrid:
-    """Uniform grid on [0, 4K]: covers the payoff kink and the far field."""
-    if spec.strike <= 0:
-        raise ConfigError("default grid needs a positive strike")
-    return build_grid(0.0, 4.0 * spec.strike, n, "uniform")
-
-
-_CONFIG_KEYS = {
-    "r", "mu", "alpha", "T", "t_bar", "dtau",
-    "kind", "strike", "s_min", "s_max", "n", "spacing",
-}
+_NUMBER_KEYS = ("r", "mu", "alpha", "T", "t_bar", "dtau", "strike", "s_min",
+                "s_max")
+_CONFIG_KEYS = {*_NUMBER_KEYS, "kind", "n", "spacing"}
 
 
 def read_config_doc(path_or_dict) -> dict:
@@ -188,13 +177,16 @@ def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGri
     if missing:
         raise ConfigError(f"config missing keys: {sorted(missing)}")
     try:
-        params = MarketParams(
-            r=float(doc["r"]), mu=float(doc["mu"]), alpha=float(doc["alpha"]),
-            T=float(doc["T"]), t_bar=float(doc["t_bar"]), dtau=float(doc["dtau"]),
-        )
-        spec = PayoffSpec(kind=doc["kind"], strike=float(doc["strike"]))
-        grid = build_grid(float(doc["s_min"]), float(doc["s_max"]),
-                          int(doc["n"]), doc["spacing"])
-    except (TypeError, ValueError) as exc:
+        num = {key: float(doc[key]) for key in _NUMBER_KEYS}
+        bad = [f"{key}={value}" for key, value in num.items()
+               if not math.isfinite(value)]
+        if bad:
+            raise ConfigError(f"config values must be finite: {', '.join(bad)}")
+        params = MarketParams(r=num["r"], mu=num["mu"], alpha=num["alpha"],
+                              T=num["T"], t_bar=num["t_bar"], dtau=num["dtau"])
+        spec = PayoffSpec(kind=doc["kind"], strike=num["strike"])
+        grid = build_grid(num["s_min"], num["s_max"], int(doc["n"]),
+                          doc["spacing"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return params, spec, grid

@@ -48,11 +48,6 @@ class FixedPointCode:
     def max_code(self) -> int:
         return int(math.floor(self.range_max * 2**self.m + 0.5))
 
-    @property
-    def width(self) -> int:
-        """Register width in bits needed to hold any representable code."""
-        return max(1, self.max_code.bit_length())
-
     def encode(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
@@ -97,23 +92,6 @@ class PathSet:
     @property
     def index_qubits(self) -> int:
         return self.L.bit_length() - 1
-
-
-def logistic_increment(j: int, L: int) -> float:
-    """dZ_j = 4 (j/L)(1 - j/L) for path index j in 1..L."""
-    if not 1 <= j <= L:
-        raise ConfigError(f"path index must satisfy 1 <= j <= L, got j={j}, L={L}")
-    u = j / L
-    return 4.0 * u * (1.0 - u)
-
-
-def euler_forward(j: int, x: float, params: MarketParams, L: int) -> float:
-    """F(j, x) = (1 + mu dtau) x + alpha dZ_j sqrt(x)."""
-    if x < 0:
-        raise NumericalError(f"price must be non-negative, got {x}")
-    a = 1.0 + params.mu * params.dtau
-    b = params.alpha * logistic_increment(j, L)
-    return a * x + b * math.sqrt(x)
 
 
 def simulate_paths(params: MarketParams, s0: float, L: int, m: int,

@@ -10,7 +10,6 @@ linear-in-d copy growth holds under either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -21,22 +20,6 @@ EXPLICIT_DIM_CAP = 2**12
 
 GapMode = Literal["analytic", "explicit"]
 CopyConvention = Literal["paper_analytic", "explicit"]
-
-
-@dataclass(frozen=True)
-class DistinguishInstance:
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"need n >= 1, got {self.n}")
-        if self.m < 1:
-            raise ConfigError(f"need m >= 1 copies, got {self.m}")
-
-    @property
-    def d(self) -> int:
-        return 2**self.n
 
 
 def overlap_power(d: int, m: int) -> float:
@@ -82,21 +65,19 @@ def min_copies(d: int, threshold: float = 0.8,
     if convention == "paper_analytic":
         if not 0 < threshold < 1:
             raise ConfigError("analytic threshold must lie in (0, 1)")
-        gap = lambda m: trace_norm_gap(d, m, "analytic")
         theta = threshold
     elif convention == "explicit":
         if not 0 < threshold < 2:
             raise ConfigError("explicit-convention threshold must lie in (0, 2)")
-        gap = lambda m: 2.0 * trace_norm_gap(d, m, "analytic")
-        theta = threshold / 2.0
+        theta = threshold / 2.0  # the explicit gap is twice the analytic one
     else:
         raise ConfigError(f"unknown convention {convention!r}")
     if d < 2:
         raise ConfigError(f"need d >= 2, got {d}")
     m = max(1, math.ceil(math.log1p(-theta * theta) / math.log1p(-1.0 / d)))
-    while m > 1 and gap(m - 1) >= threshold:
+    while m > 1 and trace_norm_gap(d, m - 1) >= theta:
         m -= 1
-    while gap(m) < threshold:
+    while trace_norm_gap(d, m) < theta:
         m += 1
     return m
 
@@ -110,11 +91,3 @@ def copy_curve(max_d: int = 256, threshold: float = 0.8,
         ds.append((d, min_copies(d, threshold, convention)))
         d *= 2
     return ds
-
-
-def fit_linear_slope(curve) -> float:
-    """Least-squares slope of min_copies against d."""
-    d = np.array([row[0] for row in curve], dtype=float)
-    m = np.array([row[1] for row in curve], dtype=float)
-    slope = float(((d - d.mean()) * (m - m.mean())).sum() / ((d - d.mean()) ** 2).sum())
-    return slope

@@ -69,12 +69,6 @@ class TridiagonalOperator:
         out[idx[:-1], idx[:-1] + 1] = self.super_[:-1]
         return out
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[1:] += self.sub[1:] * v[:-1]
-        out[:-1] += self.super_[:-1] * v[1:]
-        return out
-
     def plus_identity(self) -> "TridiagonalOperator":
         return TridiagonalOperator(self.sub.copy(), self.diag + 1.0, self.super_.copy(), self.n)
 

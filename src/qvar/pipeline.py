@@ -92,7 +92,7 @@ def load_run_config(path_or_dict) -> RunConfig:
             L=int(doc.get("L", 8)), m=int(doc.get("m", 6)),
             q=float(doc.get("q", 0.05)), mode=doc.get("mode", "quantum_exact"),
             seed=int(doc.get("seed", 7)), eps1=float(doc.get("eps1", 1e-3)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
@@ -102,7 +102,6 @@ class PipelineResult:
     classical: ClassicalRisk
     tally: ResourceTally
     deviations: dict = field(default_factory=dict)
-    branches: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -161,7 +160,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     # Steps 2 + 3: scenario state and the value lookup
     job = PcaJob(m=config.m)
-    assembled = assemble_portfolio_state(paths, prepared.state, grid, job)
+    assembled = assemble_portfolio_state(paths, prepared.state, grid, job,
+                                         node_idx)
     tally.rho_copies += 1
     phi = assembled.state
     layout = RegisterLayout(phi.layout.items() + [("flag", 1)])
@@ -182,8 +182,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if sampled:
         tally.amplitude_estimation_queries += queries
 
-    quantum_values = decode_value(assembled.value_table[codes[node_idx]], config.m)
-    if np.all(quantum_values == 0.0):
+    if np.all(assembled.value == 0.0):
         # every branch value rounds to zero: the tail mean is exactly zero
         # and the value-weighted reference state degenerates
         flagged = comparator_ucc(phi_flagged_base.copy(), "value", var_code, "flag")
@@ -218,17 +217,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "step1_success_probability": prepared.success_probability,
     }
     return PipelineResult(report=report, classical=classical, tally=tally,
-                          deviations=deviations, branches=assembled.branches)
+                          deviations=deviations)
 
 
-def emit_report(result: PipelineResult, fmt: str = "json") -> str:
-    """Serialize with a deterministic field order."""
-    if fmt == "json":
-        return json.dumps(result.to_dict(), sort_keys=True, indent=2)
-    if fmt == "csv":
-        lines = ["k,price,value,oracle,error"]
-        for row in result.branches:
-            lines.append(f"{row.k},{float(row.snapped_price)!r},{float(row.value)!r},"
-                         f"{float(row.oracle)!r},{float(row.error)!r}")
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"format must be json or csv, got {fmt!r}")
+def emit_report(result: PipelineResult) -> str:
+    """Serialize as JSON with a deterministic field order."""
+    return json.dumps(result.to_dict(), sort_keys=True, indent=2)

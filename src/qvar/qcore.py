@@ -14,9 +14,10 @@ basis state has amplitude zero.  A dense state behaves as if its index were
 ``StateVector.copy``) run one code path on (basis index, amplitude) pairs
 and keep the form they are given.  They cost O(stored amplitudes), which
 for the scenario stages is O(L), not O(2^q).
-Operations that mix amplitudes across basis states (``apply_unitary``,
-``qft``, ``inverse_qft``, ``StateVector.tensor``) need the dense form and
-refuse a sparse state with ``ConfigError``.
+The module has no gates or QFTs: no production stage mixes amplitudes
+across basis states on a ``StateVector`` (Stage 1 applies its circuit as
+a dense matrix in ``qsvt``, and Step 3's phase estimation is evaluated in
+closed form in ``qpca``).
 
 The qubit cap (``QVAR_QUBIT_CAP``, default 24) bounds the width of the
 simulated device, whatever the form; it is not a memory limit.  A sparse
@@ -39,7 +40,6 @@ from .errors import ConfigError, NumericalError, QubitBudgetError
 from .market import qubit_cap
 
 NORM_TOL = 1e-10
-UNITARY_TOL = 1e-10
 
 
 class RegisterLayout:
@@ -68,10 +68,6 @@ class RegisterLayout:
             raise QubitBudgetError(
                 f"layout needs {self.total_qubits} qubits, budget is {cap}")
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._offsets)
-
     def width_of(self, name: str) -> int:
         return self._offsets[name][1]
 
@@ -80,13 +76,7 @@ class RegisterLayout:
 
     def shift_of(self, name: str) -> int:
         """Bit position of the register's least significant qubit."""
-        offset, width = self._offsets[name]
-        return self.total_qubits - offset - width
-
-    def axes_of(self, name: str) -> list[int]:
-        """Tensor axes of the register when amplitudes are reshaped to [2]*q."""
-        offset, width = self._offsets[name]
-        return list(range(offset, offset + width))
+        return self.total_qubits - self.offset_of(name) - self.width_of(name)
 
     def values(self, name: str, index=None) -> np.ndarray:
         """Register value at each basis index in ``index`` (default: every
@@ -95,16 +85,6 @@ class RegisterLayout:
         if index is None:
             index = np.arange(2**self.total_qubits, dtype=np.int64)
         return (index >> self.shift_of(name)) & ((1 << width) - 1)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._offsets
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RegisterLayout) and self._offsets == other._offsets
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{n}:{w}" for n, (_, w) in self._offsets.items())
-        return f"RegisterLayout({parts})"
 
     def items(self):
         return [(n, w) for n, (_, w) in self._offsets.items()]
@@ -160,114 +140,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         index = None if self.index is None else self.index.copy()
         return StateVector(self.amplitudes.copy(), self.layout, index)
-
-    def tensor(self) -> np.ndarray:
-        if self.index is not None:
-            raise ConfigError("a sparse state has no dense tensor form; gates "
-                              "and QFTs need a dense state")
-        return self.amplitudes.reshape([2] * self.num_qubits)
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix over 2^p basis states."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=complex)
-        self.entries = rho
-        dim = rho.shape[0]
-        if rho.ndim != 2 or rho.shape != (dim, dim) or dim & (dim - 1):
-            raise ConfigError("density matrix must be square with power-of-two dim")
-        if np.abs(rho - rho.conj().T).max() > 1e-10:
-            raise NumericalError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(rho).real - 1.0) > 1e-10:
-            raise NumericalError("density matrix trace deviates from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(rho).min() < -1e-8:
-            raise NumericalError("density matrix has eigenvalue below -1e-8")
-
-    @property
-    def num_qubits(self) -> int:
-        return int(np.log2(self.entries.shape[0]))
-
-
-def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
-    amps = np.zeros(2**layout.total_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, layout)
-
-
-def _resolve_registers(layout: RegisterLayout, registers) -> list[str]:
-    if isinstance(registers, str):
-        registers = [registers]
-    names = list(registers)
-    for name in names:
-        if name not in layout:
-            raise ConfigError(f"unknown register {name!r}")
-    if len(set(names)) != len(names):
-        raise ConfigError("register subset contains duplicates")
-    return names
-
-
-def apply_unitary(state: StateVector, u: np.ndarray, registers,
-                  check: bool = True) -> StateVector:
-    """Apply a dense unitary to the named registers (first name = most
-    significant factor of u's index)."""
-    names = _resolve_registers(state.layout, registers)
-    axes = [ax for name in names for ax in state.layout.axes_of(name)]
-    k = len(axes)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2**k, 2**k):
-        raise ConfigError(f"unitary must be {2**k} x {2**k} for {k} qubits")
-    if check:
-        err = np.abs(u @ u.conj().T - np.eye(2**k)).max()
-        if err > UNITARY_TOL:
-            raise NumericalError(f"matrix is not unitary: deviation {err:.3e}")
-    tensor = state.tensor()
-    moved = np.moveaxis(tensor, axes, range(k))
-    shape = moved.shape
-    out = (u @ moved.reshape(2**k, -1)).reshape(shape)
-    out = np.moveaxis(out, range(k), axes)
-    return StateVector(out.reshape(-1), state.layout)
-
-
-def qft_matrix(width: int) -> np.ndarray:
-    size = 2**width
-    j = np.arange(size)
-    return np.exp(2j * np.pi * np.outer(j, j) / size) / np.sqrt(size)
-
-
-def qft(state: StateVector, register: str) -> StateVector:
-    """Discrete Fourier transform of the amplitudes on one register."""
-    return apply_unitary(state, qft_matrix(state.layout.width_of(register)),
-                         register, check=False)
-
-
-def inverse_qft(state: StateVector, register: str) -> StateVector:
-    return apply_unitary(state, qft_matrix(state.layout.width_of(register)).conj().T,
-                         register, check=False)
-
-
-def grover_rudolph_prepare(v, layout: RegisterLayout | None = None) -> StateVector:
-    """State with amplitudes v / ||v||_2 for a non-negative vector v.
-
-    Stands in for amplitude-encoding state preparation; the simulator
-    constructs the resulting state directly.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size & (v.size - 1):
-        raise ConfigError("input must be a 1-d vector of power-of-two length")
-    if np.any(v < 0):
-        raise ConfigError("amplitude-encoded vector must be non-negative")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ConfigError("cannot prepare the zero vector")
-    if layout is None:
-        layout = RegisterLayout([("data", int(np.log2(v.size)))])
-    if 2**layout.total_qubits != v.size:
-        raise ConfigError("layout size does not match vector length")
-    return StateVector(v / norm + 0j, layout)
 
 
 def exact_distribution(state: StateVector, register: str) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Portfolio-distribution stage: the reduced density matrix, density-matrix
-exponentiation, phase estimation and the square-root map.
+"""Portfolio-distribution stage (Step 3): rho's spectrum, phase estimation
+and the square-root map, in closed form.
 
 The reduced density matrix.  Step 3 runs QPCA on rho = Tr_grid |psi2><psi2|
 for the grid-information state psi2 = sum_j v_j |j> |code(S_j)>.  The grid
@@ -7,8 +7,16 @@ codes are distinct (``grid_codes`` rejects collisions), so rho is diagonal
 in the price-code basis with |v_j|^2 at code(S_j).  ``reduced_rho`` returns
 that spectrum as a float vector over the 2^p price codes, and phase
 estimation and the value lookup read it directly; neither psi2 nor the
-2^p-square matrix is built.  ``DensityMatrix`` remains for the general
-swap-slice channel (``trotter_slice``, ``evolve_exp_rho``).
+2^p-square matrix is built.
+
+One Step-3 path.  Production Step 3 is the infinite-precision limit of
+QPCA followed by the square root: the lookup table ``value_code_table``,
+applied to the scenario state as one reversible XOR write.  The
+finite-precision circuit is evaluated in closed form per branch by
+``qpe_branch_distributions``, which ``assemble --mode trotter`` certifies
+against.  The coherent circuits these closed forms stand for (dense QPE,
+the swap-slice channel, the reversible square root) are test references
+and live with the tests.
 
 Fixed-point conventions.  Price registers carry plain m-fractional-bit
 codes (code c means c / 2^m).  Eigenvalue and value registers carry a
@@ -24,31 +32,30 @@ default dt = pi the code is exactly the half-scale eigenvalue code and the
 total evolution time N_qpe * dt = pi 2^m grows as O(2^m) with the target
 precision.
 
-Mode semantics.  ``exact_exponential`` evolves with the dense matrix
-exponential (QPE stays a pure statevector circuit); ``trotterized``
-composes swap-interaction slices with fresh copies of rho, which is a
-channel, so trotterized phase estimation is reported as per-branch outcome
-distributions rather than a statevector.  Each controlled e^{i rho dt} is
-``n_trotter`` slices of length dt / n_trotter.  The per-slice deviation
-from the exact exponential is second order in the slice length; the
-accumulated deviation over a fixed total time is first order (slice count
-times slice-length squared), and both are measured by the tests.
+Mode semantics.  ``exact_exponential`` evolves with the exact matrix
+exponential; ``trotterized`` composes swap-interaction slices with fresh
+copies of rho, which is a channel, so trotterized phase estimation is
+reported as per-branch outcome distributions.  Each controlled e^{i rho dt}
+is ``n_trotter`` slices of length dt / n_trotter.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .market import PriceGrid
 from .mc import PathSet
-from .qcore import (DensityMatrix, RegisterLayout, StateVector, apply_unitary,
-                    exact_distribution, inverse_qft, xor_write)
+from .qcore import RegisterLayout, StateVector, xor_write
 
 PcaMode = Literal["exact_exponential", "trotterized"]
+
+# snap_paths holds at most this many path-node distances at once
+SNAP_BLOCK = 2**20
 
 
 def price_code(values, m: int) -> np.ndarray:
@@ -101,32 +108,30 @@ class PcaJob:
         if self.n_qpe is None:
             object.__setattr__(self, "n_qpe", 2**self.m)
 
-    @property
-    def tau(self) -> float:
-        """Total QPE evolution time N_qpe * delta_t = O(2^m)."""
-        return self.n_qpe * self.delta_t
-
 
 def snap_paths(paths: PathSet, grid: PriceGrid) -> np.ndarray:
-    """Nearest grid node index for every path (ties round down)."""
-    return np.array([grid.nearest_index(s) for s in paths.prices], dtype=np.int64)
-
-
-def path_state_layout(paths: PathSet, grid: PriceGrid, m: int,
-                      extra=()) -> RegisterLayout:
-    regs = [("path", paths.index_qubits), ("price", price_register_width(grid, m)),
-            ("value", m)]
-    regs.extend(extra)
-    return RegisterLayout(regs)
+    """Nearest grid node index for every path, as ``PriceGrid.nearest_index``
+    gives it: prices clamped to the grid first, ties to the lower node
+    (``argmin`` returns the first minimum)."""
+    nodes = grid.nodes
+    prices = np.clip(paths.prices, nodes[0], nodes[-1])
+    out = np.empty(prices.size, dtype=np.int64)
+    rows = max(1, SNAP_BLOCK // nodes.size)
+    for lo in range(0, prices.size, rows):
+        block = prices[lo:lo + rows, None]
+        out[lo:lo + rows] = np.argmin(np.abs(nodes - block), axis=1)
+    return out
 
 
 def prepare_path_state(paths: PathSet, grid: PriceGrid, m: int,
-                       extra=()) -> StateVector:
+                       node_index: np.ndarray) -> StateVector:
     """Circuit twin of the scenario generator: the uniform path-index state
-    with snapped price codes loaded, value register zeroed.  Sparse, with
-    one stored amplitude per path."""
-    layout = path_state_layout(paths, grid, m, extra)
-    codes = grid_codes(grid, m)[snap_paths(paths, grid)]
+    with the price codes of the snapped nodes ``node_index`` loaded, value
+    register zeroed.  Sparse, with one stored amplitude per path."""
+    layout = RegisterLayout([("path", paths.index_qubits),
+                             ("price", price_register_width(grid, m)),
+                             ("value", m)])
+    codes = grid_codes(grid, m)[node_index]
     index = ((np.arange(paths.L, dtype=np.int64) << layout.shift_of("path"))
              | (codes << layout.shift_of("price")))
     amps = np.full(paths.L, 1.0 / np.sqrt(paths.L), dtype=complex)
@@ -147,96 +152,6 @@ def reduced_rho(value_state: StateVector, grid: PriceGrid, m: int) -> np.ndarray
     p = np.zeros(2 ** price_register_width(grid, m))
     p[grid_codes(grid, m)[value_state.support]] = v.real**2 + v.imag**2
     return p
-
-
-def trotter_slice(rho: DensityMatrix, sigma: DensityMatrix, dt: float) -> DensityMatrix:
-    """One swap-interaction slice Tr_A[e^{-i w dt} (rho x sigma) e^{i w dt}].
-
-    Uses e^{-i w dt} = cos(dt) I - i sin(dt) w for the swap w, giving the
-    closed form c^2 sigma + s^2 rho - i c s [rho, sigma].
-    """
-    c, s = np.cos(dt), np.sin(dt)
-    r, g = rho.entries, sigma.entries
-    out = c * c * g + s * s * r - 1j * c * s * (r @ g - g @ r)
-    return DensityMatrix(out)
-
-
-def evolve_exp_rho(sigma: DensityMatrix, rho: DensityMatrix, tau: float,
-                   job: PcaJob) -> DensityMatrix:
-    """Evolve sigma under e^{-i rho tau}, exactly or by swap slices."""
-    if sigma.entries.shape != rho.entries.shape:
-        raise ConfigError("sigma and rho must act on the same register")
-    if job.mode == "exact_exponential":
-        from scipy.linalg import expm
-        u = expm(-1j * tau * rho.entries)
-        return DensityMatrix(u @ sigma.entries @ u.conj().T)
-    dt = tau / job.n_trotter
-    out = sigma
-    for _ in range(job.n_trotter):
-        out = trotter_slice(rho, out, dt)
-    return out
-
-
-def _hadamard_all(width: int) -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    out = np.array([[1.0]])
-    for _ in range(width):
-        out = np.kron(out, h)
-    return out
-
-
-def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray, job: PcaJob,
-                          price: str = "price", phase: str = "value") -> StateVector:
-    """Coherent phase estimation writing eigenvalue codes of rho, given as
-    its spectrum over price codes (``reduced_rho``).
-
-    Price-register basis states are rho eigenstates (diagonal rho), so the
-    controlled evolution is a pure phase load followed by the inverse QFT.
-    Only the exact-exponential mode yields a statevector; the trotterized
-    channel is analyzed through ``qpe_branch_distributions``.  The QFTs
-    entangle the phase register with the branches, so a sparse input is
-    expanded and the result is dense.
-    """
-    if job.mode != "exact_exponential":
-        raise ConfigError("coherent QPE requires exact_exponential mode; "
-                          "use qpe_branch_distributions for the trotterized channel")
-    layout = state.layout
-    m = layout.width_of(phase)
-    if job.m != m:
-        raise ConfigError("job.m does not match the phase register width")
-    if state.index is not None:
-        amps = np.zeros(2**layout.total_qubits, dtype=complex)
-        amps[state.index] = state.amplitudes
-        state = StateVector(amps, layout)
-    price_vals = layout.values(price)
-    populated = np.unique(price_vals[np.abs(state.amplitudes) > 1e-14])
-    if populated.size and populated.max() >= rho.size:
-        bad = [int(c) for c in populated if c >= rho.size]
-        raise NumericalError(f"price codes {bad} lie outside rho's register")
-    if exact_distribution(state, phase)[0] < 1.0 - 1e-10:
-        raise ConfigError("phase register must be zeroed before QPE")
-
-    out = apply_unitary(state, _hadamard_all(m), phase, check=False)
-    l_vals = layout.values(phase)
-    phases = rho[price_vals] * l_vals * job.delta_t
-    out = StateVector(out.amplitudes * np.exp(1j * phases), layout)
-    return inverse_qft(out, phase)
-
-
-def qpe_modal_estimates(state: StateVector, price: str = "price",
-                        phase: str = "value") -> dict[int, float]:
-    """Most likely eigenvalue estimate per populated price code."""
-    layout = state.layout
-    m = layout.width_of(phase)
-    probs = np.abs(state.amplitudes) ** 2
-    price_vals = layout.values(price)
-    phase_vals = layout.values(phase)
-    estimates: dict[int, float] = {}
-    for code in np.unique(price_vals[probs > 1e-14]):
-        mask = price_vals == code
-        hist = np.bincount(phase_vals[mask], weights=probs[mask], minlength=2**m)
-        estimates[int(code)] = float(decode_value(int(np.argmax(hist)), m))
-    return estimates
 
 
 def qpe_branch_distributions(branch_codes, rho: np.ndarray,
@@ -290,19 +205,6 @@ def sqrt_code_table(m: int) -> np.ndarray:
     return encode_value(np.sqrt(lam), m)
 
 
-def sqrt_register(state: StateVector, source: str, target: str) -> StateVector:
-    """|lam>|z> -> |lam>|z XOR code(sqrt(lam))>.
-
-    The bare code map is not injective, so the reversible form writes into
-    an auxiliary register; callers clear the source afterwards by undoing
-    the phase estimation that produced it.
-    """
-    m = state.layout.width_of(source)
-    if state.layout.width_of(target) != m:
-        raise ConfigError("source and target registers must share the width")
-    return xor_write(state, source, target, sqrt_code_table(m))
-
-
 def value_code_table(rho: np.ndarray, m: int) -> np.ndarray:
     """Price code -> value code sqrt(eigenvalue), the infinite-precision
     limit of phase estimation followed by the square root, for rho given
@@ -310,87 +212,60 @@ def value_code_table(rho: np.ndarray, m: int) -> np.ndarray:
     return encode_value(np.sqrt(rho), m)
 
 
-@dataclass(frozen=True)
-class BranchRow:
-    """Per-branch summary of the assembled portfolio state."""
-
-    k: int
-    snapped_price: float
-    value: float  # decoded value-register content
-    oracle: float  # classical normalized lookup
-    error: float
-
-
 @dataclass
 class AssembleResult:
+    """The assembled portfolio state and its per-branch columns: path k
+    snaps to grid node ``node_index[k]`` and reads ``value[k]`` from its
+    value register, against the classical normalized lookup ``oracle[k]``."""
+
     state: StateVector | None
-    branches: list[BranchRow]
     value_table: np.ndarray  # price code -> value code
-    rho: np.ndarray  # rho's spectrum over price codes
     node_index: np.ndarray  # path -> snapped grid node
-    mode: PcaMode
+    value: np.ndarray  # path -> decoded value-register content
+    oracle: np.ndarray  # path -> classical normalized lookup
     trotter_distance: float | None = None
+
+    @property
+    def error(self) -> np.ndarray:
+        return np.abs(self.value - self.oracle)
 
 
 def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
-                             grid: PriceGrid, job: PcaJob) -> AssembleResult:
+                             grid: PriceGrid, job: PcaJob,
+                             node_index: np.ndarray | None = None) -> AssembleResult:
     """Attach option-value codes to every scenario branch.
 
-    Exact mode applies the spectral value lookup (the infinite-time limit
-    of QPCA phase estimation and the square root) as a reversible XOR
-    write, leaving a pure statevector.  Trotterized mode reports the
-    per-branch modal codes of the finite-slice channel instead.
+    ``node_index`` is the paths' ``snap_paths`` result, computed here when
+    the caller has not.  Exact mode applies the spectral value lookup (the
+    infinite-time limit of QPCA phase estimation and the square root) as a
+    reversible XOR write, leaving a pure statevector.  Trotterized mode
+    reports the per-branch modal codes of the finite-slice channel instead.
     """
     m = job.m
-    codes = grid_codes(grid, m)
-    node_idx = snap_paths(paths, grid)
+    if node_index is None:
+        node_index = snap_paths(paths, grid)
+    branch_codes = grid_codes(grid, m)[node_index]
     rho = reduced_rho(value_state, grid, m)
     table = value_code_table(rho, m)
 
     v = np.abs(value_state.amplitudes)
-    oracle = v / np.linalg.norm(v)
+    oracle = (v / np.linalg.norm(v))[node_index]
 
-    rows = []
     state = None
     trotter_distance = None
     if job.mode == "exact_exponential":
-        state = prepare_path_state(paths, grid, m)
-        state = xor_write(state, "price", "value", table)
-        for k in range(paths.L):
-            j = int(node_idx[k])
-            val = float(decode_value(table[codes[j]], m))
-            rows.append(BranchRow(k, float(grid.nodes[j]), val, float(oracle[j]),
-                                  abs(val - float(oracle[j]))))
+        state = xor_write(prepare_path_state(paths, grid, m, node_index),
+                          "price", "value", table)
+        value = decode_value(table[branch_codes], m)
     else:
-        branch_codes = codes[node_idx]
         dists = qpe_branch_distributions(branch_codes, rho, job)
         exact = qpe_branch_distributions(
-            branch_codes, rho,
-            PcaJob(m=m, n_trotter=job.n_trotter, delta_t=job.delta_t,
-                   n_qpe=job.n_qpe, mode="exact_exponential"))
-        sqrt_map = sqrt_code_table(m)
-        worst = 0.0
-        for k in range(paths.L):
-            j = int(node_idx[k])
-            dist = dists[int(codes[j])]
-            modal = int(np.argmax(dist))
-            val = float(decode_value(sqrt_map[modal], m))
-            rows.append(BranchRow(k, float(grid.nodes[j]), val, float(oracle[j]),
-                                  abs(val - float(oracle[j]))))
-            worst = max(worst, float(np.abs(dist - exact[int(codes[j])]).sum()) / 2)
-        trotter_distance = worst
-    return AssembleResult(state=state, branches=rows, value_table=table, rho=rho,
-                          node_index=node_idx, mode=job.mode,
+            branch_codes, rho, dataclasses.replace(job, mode="exact_exponential"))
+        modal = {b: int(np.argmax(dist)) for b, dist in dists.items()}
+        value = decode_value(
+            sqrt_code_table(m)[[modal[b] for b in branch_codes.tolist()]], m)
+        trotter_distance = max(float(np.abs(dist - exact[b]).sum()) / 2
+                               for b, dist in dists.items())
+    return AssembleResult(state=state, value_table=table, node_index=node_index,
+                          value=value, oracle=oracle,
                           trotter_distance=trotter_distance)
-
-
-def perturb_state(state: StateVector, eps: float, rng) -> StateVector:
-    """A state at exact l2 distance eps from the input (eps <= sqrt(2))."""
-    dim = state.amplitudes.size
-    direction = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    direction -= np.vdot(state.amplitudes, direction) * state.amplitudes
-    direction /= np.linalg.norm(direction)
-    # chord length eps on the unit sphere
-    theta = 2.0 * np.arcsin(min(1.0, eps / 2.0))
-    amps = np.cos(theta) * state.amplitudes + np.sin(theta) * direction
-    return StateVector(amps, state.layout)

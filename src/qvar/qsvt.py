@@ -120,10 +120,6 @@ class PolynomialTarget:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         self.coeffs.setflags(write=False)
 
-    @property
-    def parity(self) -> int:
-        return self.degree % 2
-
     def evaluate(self, x):
         return np_cheb.chebval(np.asarray(x, dtype=float), self.coeffs)
 

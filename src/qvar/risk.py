@@ -17,7 +17,6 @@ and the monetary figures via ``scale``.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
@@ -67,9 +66,6 @@ class RiskReport:
             "cvar_normalized": self.cvar_normalized,
             "var_code": self.var_code,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def comparator_ucc(state: StateVector, value_reg: str, threshold_code: int,

@@ -1,0 +1,336 @@
+"""Reference implementations the tests check the production code against.
+
+The production pipeline runs Step 3 in closed form: the limit table
+``qpca.value_code_table`` and the per-branch kernel
+``qpca.qpe_branch_distributions``.  This module holds the circuits those
+closed forms stand for, written out densely so that small instances can be
+compared entry by entry:
+
+* a dense gate and QFT toolkit on ``qcore.StateVector`` (dense form only);
+* ``DensityMatrix`` and the swap-interaction channel of density-matrix
+  exponentiation (``trotter_slice``, ``evolve_exp_rho``);
+* coherent phase estimation (``qpe_write_eigenvalues``) and the reversible
+  square root (``sqrt_register``) of Lloyd, Mohseni and Rebentrost,
+  arXiv 1307.0401;
+* the scalar forms of the scenario map (``logistic_increment``,
+  ``euler_forward``), the sparse-access column map of the block encoding
+  (``column_index``), its top-left block (``encoded_block``) and its
+  certificate (``verify_block_encoding``);
+* small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
+  ``fit_linear_slope``.
+
+None of it is imported by ``src/qvar``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import expm
+
+from qvar.blockenc import BRANCHES, BlockEncoding
+from qvar.errors import ConfigError, NumericalError
+from qvar.market import MarketParams
+from qvar.pde import TridiagonalOperator
+from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
+from qvar.qpca import PcaJob, decode_value, sqrt_code_table
+
+UNITARY_TOL = 1e-10
+
+
+# --- dense statevector toolkit ------------------------------------------
+
+def axes_of(layout: RegisterLayout, name: str) -> list[int]:
+    """Tensor axes of the register when amplitudes are reshaped to [2]*q."""
+    offset, width = layout.offset_of(name), layout.width_of(name)
+    return list(range(offset, offset + width))
+
+
+def names(layout: RegisterLayout) -> list[str]:
+    return [name for name, _ in layout.items()]
+
+
+def tensor(state: StateVector) -> np.ndarray:
+    if state.index is not None:
+        raise ConfigError("a sparse state has no dense tensor form; gates "
+                          "and QFTs need a dense state")
+    return state.amplitudes.reshape([2] * state.num_qubits)
+
+
+def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
+    amps = np.zeros(2**layout.total_qubits, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps, layout)
+
+
+def _resolve_registers(layout: RegisterLayout, registers) -> list[str]:
+    if isinstance(registers, str):
+        registers = [registers]
+    regs = list(registers)
+    for name in regs:
+        if name not in names(layout):
+            raise ConfigError(f"unknown register {name!r}")
+    if len(set(regs)) != len(regs):
+        raise ConfigError("register subset contains duplicates")
+    return regs
+
+
+def apply_unitary(state: StateVector, u: np.ndarray, registers,
+                  check: bool = True) -> StateVector:
+    """Apply a dense unitary to the named registers (first name = most
+    significant factor of u's index)."""
+    regs = _resolve_registers(state.layout, registers)
+    axes = [ax for name in regs for ax in axes_of(state.layout, name)]
+    k = len(axes)
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2**k, 2**k):
+        raise ConfigError(f"unitary must be {2**k} x {2**k} for {k} qubits")
+    if check:
+        err = np.abs(u @ u.conj().T - np.eye(2**k)).max()
+        if err > UNITARY_TOL:
+            raise NumericalError(f"matrix is not unitary: deviation {err:.3e}")
+    moved = np.moveaxis(tensor(state), axes, range(k))
+    shape = moved.shape
+    out = (u @ moved.reshape(2**k, -1)).reshape(shape)
+    out = np.moveaxis(out, range(k), axes)
+    return StateVector(out.reshape(-1), state.layout)
+
+
+def qft_matrix(width: int) -> np.ndarray:
+    size = 2**width
+    j = np.arange(size)
+    return np.exp(2j * np.pi * np.outer(j, j) / size) / np.sqrt(size)
+
+
+def qft(state: StateVector, register: str) -> StateVector:
+    """Discrete Fourier transform of the amplitudes on one register."""
+    return apply_unitary(state, qft_matrix(state.layout.width_of(register)),
+                         register, check=False)
+
+
+def inverse_qft(state: StateVector, register: str) -> StateVector:
+    return apply_unitary(state, qft_matrix(state.layout.width_of(register)).conj().T,
+                         register, check=False)
+
+
+def grover_rudolph_prepare(v, layout: RegisterLayout | None = None) -> StateVector:
+    """State with amplitudes v / ||v||_2 for a non-negative vector v.
+
+    Stands in for amplitude-encoding state preparation; the simulator
+    constructs the resulting state directly.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size & (v.size - 1):
+        raise ConfigError("input must be a 1-d vector of power-of-two length")
+    if np.any(v < 0):
+        raise ConfigError("amplitude-encoded vector must be non-negative")
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ConfigError("cannot prepare the zero vector")
+    if layout is None:
+        layout = RegisterLayout([("data", int(np.log2(v.size)))])
+    if 2**layout.total_qubits != v.size:
+        raise ConfigError("layout size does not match vector length")
+    return StateVector(v / norm + 0j, layout)
+
+
+def perturb_state(state: StateVector, eps: float, rng) -> StateVector:
+    """A state at exact l2 distance eps from the input (eps <= sqrt(2))."""
+    dim = state.amplitudes.size
+    direction = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    direction -= np.vdot(state.amplitudes, direction) * state.amplitudes
+    direction /= np.linalg.norm(direction)
+    # chord length eps on the unit sphere
+    theta = 2.0 * np.arcsin(min(1.0, eps / 2.0))
+    amps = np.cos(theta) * state.amplitudes + np.sin(theta) * direction
+    return StateVector(amps, state.layout)
+
+
+# --- density-matrix exponentiation --------------------------------------
+
+@dataclass
+class DensityMatrix:
+    """Hermitian, unit-trace, PSD matrix over 2^p basis states."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        rho = np.asarray(self.entries, dtype=complex)
+        self.entries = rho
+        dim = rho.shape[0]
+        if rho.ndim != 2 or rho.shape != (dim, dim) or dim & (dim - 1):
+            raise ConfigError("density matrix must be square with power-of-two dim")
+        if np.abs(rho - rho.conj().T).max() > 1e-10:
+            raise NumericalError("density matrix is not Hermitian within 1e-10")
+        if abs(np.trace(rho).real - 1.0) > 1e-10:
+            raise NumericalError("density matrix trace deviates from 1 beyond 1e-10")
+        if np.linalg.eigvalsh(rho).min() < -1e-8:
+            raise NumericalError("density matrix has eigenvalue below -1e-8")
+
+    @property
+    def num_qubits(self) -> int:
+        return int(np.log2(self.entries.shape[0]))
+
+
+def trotter_slice(rho: DensityMatrix, sigma: DensityMatrix, dt: float) -> DensityMatrix:
+    """One swap-interaction slice Tr_A[e^{-i w dt} (rho x sigma) e^{i w dt}].
+
+    Uses e^{-i w dt} = cos(dt) I - i sin(dt) w for the swap w, giving the
+    closed form c^2 sigma + s^2 rho - i c s [rho, sigma].
+    """
+    c, s = np.cos(dt), np.sin(dt)
+    r, g = rho.entries, sigma.entries
+    out = c * c * g + s * s * r - 1j * c * s * (r @ g - g @ r)
+    return DensityMatrix(out)
+
+
+def evolve_exp_rho(sigma: DensityMatrix, rho: DensityMatrix, tau: float,
+                   job: PcaJob) -> DensityMatrix:
+    """Evolve sigma under e^{-i rho tau}, exactly or by swap slices."""
+    if sigma.entries.shape != rho.entries.shape:
+        raise ConfigError("sigma and rho must act on the same register")
+    if job.mode == "exact_exponential":
+        u = expm(-1j * tau * rho.entries)
+        return DensityMatrix(u @ sigma.entries @ u.conj().T)
+    dt = tau / job.n_trotter
+    out = sigma
+    for _ in range(job.n_trotter):
+        out = trotter_slice(rho, out, dt)
+    return out
+
+
+# --- coherent phase estimation and the square root ----------------------
+
+def _hadamard_all(width: int) -> np.ndarray:
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    out = np.array([[1.0]])
+    for _ in range(width):
+        out = np.kron(out, h)
+    return out
+
+
+def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray, job: PcaJob,
+                          price: str = "price", phase: str = "value") -> StateVector:
+    """Coherent phase estimation writing eigenvalue codes of rho, given as
+    its spectrum over price codes (``qpca.reduced_rho``).
+
+    Price-register basis states are rho eigenstates (diagonal rho), so the
+    controlled evolution is a pure phase load followed by the inverse QFT.
+    Only the exact-exponential mode yields a statevector; the trotterized
+    channel is analyzed through ``qpca.qpe_branch_distributions``.  The
+    QFTs entangle the phase register with the branches, so a sparse input
+    is expanded and the result is dense.
+    """
+    if job.mode != "exact_exponential":
+        raise ConfigError("coherent QPE requires exact_exponential mode; "
+                          "use qpe_branch_distributions for the trotterized channel")
+    layout = state.layout
+    m = layout.width_of(phase)
+    if job.m != m:
+        raise ConfigError("job.m does not match the phase register width")
+    if state.index is not None:
+        amps = np.zeros(2**layout.total_qubits, dtype=complex)
+        amps[state.index] = state.amplitudes
+        state = StateVector(amps, layout)
+    price_vals = layout.values(price)
+    populated = np.unique(price_vals[np.abs(state.amplitudes) > 1e-14])
+    if populated.size and populated.max() >= rho.size:
+        bad = [int(c) for c in populated if c >= rho.size]
+        raise NumericalError(f"price codes {bad} lie outside rho's register")
+    if exact_distribution(state, phase)[0] < 1.0 - 1e-10:
+        raise ConfigError("phase register must be zeroed before QPE")
+
+    out = apply_unitary(state, _hadamard_all(m), phase, check=False)
+    l_vals = layout.values(phase)
+    phases = rho[price_vals] * l_vals * job.delta_t
+    out = StateVector(out.amplitudes * np.exp(1j * phases), layout)
+    return inverse_qft(out, phase)
+
+
+def qpe_modal_estimates(state: StateVector, price: str = "price",
+                        phase: str = "value") -> dict[int, float]:
+    """Most likely eigenvalue estimate per populated price code."""
+    layout = state.layout
+    m = layout.width_of(phase)
+    probs = np.abs(state.amplitudes) ** 2
+    price_vals = layout.values(price)
+    phase_vals = layout.values(phase)
+    estimates: dict[int, float] = {}
+    for code in np.unique(price_vals[probs > 1e-14]):
+        mask = price_vals == code
+        hist = np.bincount(phase_vals[mask], weights=probs[mask], minlength=2**m)
+        estimates[int(code)] = float(decode_value(int(np.argmax(hist)), m))
+    return estimates
+
+
+def sqrt_register(state: StateVector, source: str, target: str) -> StateVector:
+    """|lam>|z> -> |lam>|z XOR code(sqrt(lam))>.
+
+    The bare code map is not injective, so the reversible form writes into
+    an auxiliary register; callers clear the source afterwards by undoing
+    the phase estimation that produced it.
+    """
+    m = state.layout.width_of(source)
+    if state.layout.width_of(target) != m:
+        raise ConfigError("source and target registers must share the width")
+    return xor_write(state, source, target, sqrt_code_table(m))
+
+
+# --- scalar and structural references -----------------------------------
+
+def logistic_increment(j: int, L: int) -> float:
+    """dZ_j = 4 (j/L)(1 - j/L) for path index j in 1..L."""
+    if not 1 <= j <= L:
+        raise ConfigError(f"path index must satisfy 1 <= j <= L, got j={j}, L={L}")
+    u = j / L
+    return 4.0 * u * (1.0 - u)
+
+
+def euler_forward(j: int, x: float, params: MarketParams, L: int) -> float:
+    """F(j, x) = (1 + mu dtau) x + alpha dZ_j sqrt(x)."""
+    if x < 0:
+        raise NumericalError(f"price must be non-negative, got {x}")
+    a = 1.0 + params.mu * params.dtau
+    b = params.alpha * logistic_increment(j, L)
+    return a * x + b * math.sqrt(x)
+
+
+def column_index(j: int, l: int, n: int) -> int:
+    """Row index of branch l's entry in column j.
+
+    Branches 0..2 address the sub-, main and super-diagonal neighbours,
+    clamped at the matrix edge (clamped branches carry zero amplitude);
+    the padding branch 3 reuses the diagonal with zero amplitude.
+    """
+    size = 2**n
+    if not 0 <= j < size:
+        raise ConfigError(f"column {j} out of range for n={n}")
+    if not 0 <= l < BRANCHES:
+        raise ConfigError(f"branch {l} out of range")
+    if l == 3:
+        return j
+    return min(max(j - 1 + l, 0), size - 1)
+
+
+def encoded_block(be: BlockEncoding) -> np.ndarray:
+    """The top-left 2^n x 2^n block of the encoding unitary."""
+    size = 2**be.n
+    return be.U[:size, :size]
+
+
+def verify_block_encoding(be: BlockEncoding, mtilde: TridiagonalOperator) -> float:
+    """Spectral-norm error ||M - gamma * block(U)|| of a claimed encoding."""
+    dense = mtilde.to_dense()
+    if dense.shape[0] != 2**be.n:
+        raise ConfigError("matrix dimension does not match the encoding")
+    return float(np.linalg.norm(dense - be.gamma * encoded_block(be), 2))
+
+
+def fit_linear_slope(curve) -> float:
+    """Least-squares slope of min_copies against d."""
+    d = np.array([row[0] for row in curve], dtype=float)
+    m = np.array([row[1] for row in curve], dtype=float)
+    slope = float(((d - d.mean()) * (m - m.mean())).sum() / ((d - d.mean()) ** 2).sum())
+    return slope

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qvar.errors import ConfigError, QubitBudgetError
-from qvar.market import (MarketParams, PayoffSpec, build_grid, default_grid,
+from qvar.market import (MarketParams, PayoffSpec, build_grid,
                          load_market_config, payoff_vector)
 
 
@@ -107,8 +107,3 @@ def test_config_missing_key(tmp_path):
     path.write_text(json.dumps({"r": 0.1}))
     with pytest.raises(ConfigError):
         load_market_config(str(path))
-
-
-def test_default_grid_covers_four_strikes():
-    grid = default_grid(PayoffSpec("call", 2.0), 4)
-    assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 8.0

@@ -162,7 +162,7 @@ def test_k_step_composition_equals_dense_power(rng):
 
 def dense_projection_oracle(params, grid, spec):
     """Dense-solver re-implementation of the projected stepping scheme."""
-    dense = np.eye(len(grid)) + assemble_operator(params, grid).to_dense()
+    dense = np.eye(grid.nodes.size) + assemble_operator(params, grid).to_dense()
     payoff = payoff_vector(spec, grid)
     v = payoff.copy()
     for _ in range(params.pricing_steps):

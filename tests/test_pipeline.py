@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
 from qvar.pipeline import (RunConfig, emit_report, load_run_config,
                            run_pipeline)
 from qvar.errors import ConfigError
+from qvar.qpca import snap_paths
 
 
 def make_config(**overrides):
@@ -66,22 +68,10 @@ def test_run_config_rejects_bad_values(field, value):
 
 def test_report_json_round_trip():
     res = run_pipeline(make_config())
-    doc = json.loads(emit_report(res, "json"))
+    doc = json.loads(emit_report(res))
     assert doc["report"]["var"] == res.report.var
     assert doc["report"]["cvar"] == res.report.cvar
     assert doc["tally"]["qsvt_degree"] == res.tally.qsvt_degree
-
-
-def test_report_csv_row_count():
-    res = run_pipeline(make_config())
-    lines = emit_report(res, "csv").strip().splitlines()
-    assert len(lines) == 1 + 8  # header + one row per branch
-
-
-def test_emit_report_rejects_unknown_format():
-    res = run_pipeline(make_config(mode="classical"))
-    with pytest.raises(ConfigError):
-        emit_report(res, "yaml")
 
 
 def test_classical_mode_skips_quantum_counters():
@@ -124,3 +114,20 @@ def test_scenario_stages_scale_with_branches_not_qubits(monkeypatch):
     assert res.deviations["var_code_matches_classical"]
     assert res.report.var_normalized == res.classical.var
     assert res.report.cvar_normalized == pytest.approx(res.classical.cvar, abs=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["quantum_exact", "quantum_sampled"])
+def test_one_snap_per_quantum_request(monkeypatch, mode):
+    # the scenario stages share one path -> node snap: wrap it at every
+    # qvar module that binds it
+    calls = []
+
+    def counting(paths, grid):
+        calls.append(paths.L)
+        return snap_paths(paths, grid)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qvar") and getattr(module, "snap_paths", None) is snap_paths:
+            monkeypatch.setattr(module, "snap_paths", counting)
+    run_pipeline(make_config(mode=mode))
+    assert calls == [8]

@@ -5,15 +5,15 @@ from hypothesis import assume, given, settings, strategies as st
 from qvar.errors import ConfigError
 from qvar.market import build_grid, payoff_vector
 from qvar.mc import FixedPointCode, PathSet
-from qvar.qcore import (DensityMatrix, RegisterLayout, StateVector, basis_state,
-                        exact_distribution, grover_rudolph_prepare)
+from qvar.qcore import RegisterLayout, StateVector, exact_distribution
 from qvar.qpca import (PcaJob, assemble_portfolio_state, decode_value,
-                       encode_value, evolve_exp_rho, grid_codes,
-                       perturb_state, prepare_path_state,
+                       encode_value, grid_codes, prepare_path_state,
                        price_register_width, qpe_branch_distributions,
-                       qpe_modal_estimates, qpe_write_eigenvalues, reduced_rho,
-                       snap_paths, sqrt_code_table, sqrt_register,
-                       trotter_slice)
+                       reduced_rho, snap_paths, sqrt_code_table)
+from reference import (DensityMatrix, basis_state, evolve_exp_rho,
+                       grover_rudolph_prepare, perturb_state,
+                       qpe_modal_estimates, qpe_write_eigenvalues, qft_matrix,
+                       sqrt_register, trotter_slice)
 
 
 def make_value_state(values, n):
@@ -159,7 +159,7 @@ def test_trotter_accumulated_error_bounded(rng):
 def qpe_state(grid, values, paths, m):
     vstate = make_value_state(values, grid.n)
     rho = reduced_rho(vstate, grid, m)
-    state = prepare_path_state(paths, grid, m)
+    state = prepare_path_state(paths, grid, m, snap_paths(paths, grid))
     return qpe_write_eigenvalues(state, rho, PcaJob(m=m)), rho
 
 
@@ -200,7 +200,7 @@ def test_qpe_requires_zeroed_phase_register(grid4):
     paths = make_paths(grid4.nodes[:8])
     vstate = make_value_state(values, 4)
     rho = reduced_rho(vstate, grid4, 6)
-    state = prepare_path_state(paths, grid4, 6)
+    state = prepare_path_state(paths, grid4, 6, snap_paths(paths, grid4))
     shifted = state.index + 1  # value register no longer zeroed
     with pytest.raises(ConfigError, match="zeroed"):
         qpe_write_eigenvalues(StateVector(state.amplitudes, state.layout, shifted),
@@ -228,9 +228,9 @@ def test_assemble_constant_surface(grid4):
     paths = make_paths(grid4.nodes[[1, 3, 5, 7, 9, 11, 13, 15]])
     res = assemble_portfolio_state(paths, make_value_state(values, 4), grid4,
                                    PcaJob(m=6))
-    vals = {row.value for row in res.branches}
+    vals = set(res.value.tolist())
     assert len(vals) == 1
-    assert res.branches[0].value == pytest.approx(0.25, abs=2**-6)
+    assert res.value[0] == pytest.approx(0.25, abs=2**-6)
 
 
 def test_assemble_payoff_at_expiry(grid4, call_spec):
@@ -240,8 +240,8 @@ def test_assemble_payoff_at_expiry(grid4, call_spec):
                                    PcaJob(m=6))
     normalized = payoff / np.linalg.norm(payoff)
     idx = snap_paths(paths, grid4)
-    for row, j in zip(res.branches, idx):
-        assert abs(row.value - normalized[j]) <= 2**-6
+    for value, j in zip(res.value, idx):
+        assert abs(value - normalized[j]) <= 2**-6
 
 
 def test_assemble_full_pipeline_lookup(grid4, rng):
@@ -251,9 +251,9 @@ def test_assemble_full_pipeline_lookup(grid4, rng):
                                    PcaJob(m=6))
     assert res.state is not None
     normalized = values / np.linalg.norm(values)
-    for row, j in zip(res.branches, res.node_index):
-        assert abs(row.value - normalized[j]) <= 2**-6
-        assert row.error <= 2**-6
+    for value, error, j in zip(res.value, res.error, res.node_index):
+        assert abs(value - normalized[j]) <= 2**-6
+        assert error <= 2**-6
     # value register content in the state matches the table
     layout = res.state.layout
     probs = np.abs(res.state.amplitudes) ** 2
@@ -272,8 +272,8 @@ def test_assemble_trotter_mode_matches_exact_modal_codes(grid4, rng):
     res = assemble_portfolio_state(paths, vstate, grid4, job)
     assert res.state is None
     assert res.trotter_distance is not None
-    for row in res.branches:
-        assert abs(row.value - row.oracle) <= 2**-4 + res.trotter_distance
+    for value, oracle in zip(res.value, res.oracle):
+        assert abs(value - oracle) <= 2**-4 + res.trotter_distance
 
 
 def test_trotter_branch_distributions_converge_in_the_slice_count(grid4, rng):
@@ -296,7 +296,7 @@ def test_trotter_branch_distributions_converge_in_the_slice_count(grid4, rng):
     # one slice of length delta_t = pi is -I, so every branch reads 1.0
     one = assemble_portfolio_state(paths, vstate, grid4,
                                    PcaJob(m=m, n_trotter=1, mode="trotterized"))
-    assert [row.value for row in one.branches] == [1.0] * paths.L
+    assert one.value.tolist() == [1.0] * paths.L
 
 
 def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
@@ -305,7 +305,7 @@ def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
     paths = make_paths(grid4.nodes[[0, 2, 4, 6, 8, 10, 12, 14]], m=m)
     vstate = make_value_state(values, 4)
     rho = reduced_rho(vstate, grid4, m)
-    state = prepare_path_state(paths, grid4, m)
+    state = prepare_path_state(paths, grid4, m, snap_paths(paths, grid4))
     out = qpe_write_eigenvalues(state, rho, PcaJob(m=m))
     codes = grid_codes(grid4, m)[snap_paths(paths, grid4)]
     dists = qpe_branch_distributions(codes, rho, PcaJob(m=m))
@@ -319,6 +319,85 @@ def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
         branch_mass = hist.sum()
         assert np.abs(hist / branch_mass - dists[int(code)]).max() < 1e-10
 
+
+
+def one_sided_slice(rho, x, h):
+    """Tr_A[e^{i h W} (rho x X)] for the swap W of two copies, as dense
+    matrices: one swap slice acting on the ket side only."""
+    d = rho.shape[0]
+    eye = np.eye(d)
+    swap = np.einsum("il,jk->ijkl", eye, eye).reshape(d * d, d * d)
+    u = np.cos(h) * np.eye(d * d) + 1j * np.sin(h) * swap
+    joint = (u @ np.kron(rho, x)).reshape(d, d, d, d)
+    return np.einsum("abac->bc", joint)
+
+
+def dense_trotter_branch_distribution(rho, b, job):
+    """Phase-register distribution of trotterized QPE on branch code b,
+    composed slice by slice.  The phase register's coherence |l'><l|,
+    l' >= l, carries l * n_trotter slices acting on both sides of |b><b|
+    (``trotter_slice``) and (l' - l) * n_trotter more acting on the ket
+    side only; the inverse QFT follows."""
+    n, h = job.n_qpe, job.delta_t / job.n_trotter
+    rho_dm = DensityMatrix(np.diag(rho))
+    two_sided = DensityMatrix(np.diag(np.eye(rho.size)[b]))
+    coherences = np.empty((n, n), dtype=complex)
+    for l in range(n):
+        x = two_sided.entries
+        for lp in range(l, n):
+            coherences[lp, l] = np.trace(x) / n
+            coherences[l, lp] = np.conj(coherences[lp, l])
+            for _ in range(job.n_trotter):
+                x = one_sided_slice(rho_dm.entries, x, h)
+        for _ in range(job.n_trotter):
+            two_sided = trotter_slice(rho_dm, two_sided, h)
+    fourier = qft_matrix(int(np.log2(n)))
+    return np.diag(fourier.conj().T @ coherences @ fourier).real
+
+
+@pytest.mark.parametrize("n_trotter", [1, 2, 4])
+def test_trotter_closed_form_matches_dense_slice_composition(rng, n_trotter):
+    m = 3
+    grid = build_grid(0.0, 0.75, 2, "uniform")  # codes 0, 2, 4, 6 at m = 3
+    rho = reduced_rho(make_value_state(rng.uniform(0.2, 1.0, size=4), 2), grid, m)
+    codes = grid_codes(grid, m)
+    job = PcaJob(m=m, n_trotter=n_trotter, mode="trotterized")
+    closed = qpe_branch_distributions(codes, rho, job)
+    for b in codes.tolist():
+        dense = dense_trotter_branch_distribution(rho, b, job)
+        assert np.abs(closed[b] - dense).max() <= 1e-12
+
+
+@st.composite
+def grids_and_paths(draw):
+    """A uniform grid on integer nodes (so midpoints are exact ties) or a
+    geometric grid, and a power-of-two batch of lattice prices drawn from
+    the nodes, the midpoints, the span and far beyond the grid."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        lo, step = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+        grid = build_grid(float(lo), float(lo + step * (2**n - 1)), n, "uniform")
+    else:
+        lo = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        grid = build_grid(lo, lo * draw(st.floats(2.0, 1e3)), n, "geometric")
+    m = draw(st.sampled_from([2, 20]))
+    code = FixedPointCode(m=m, range_max=2.0 ** (60 - m))
+    nodes = grid.nodes.tolist()
+    mids = [(a + b) / 2 for a, b in zip(nodes, nodes[1:])]
+    price = st.one_of(st.sampled_from(nodes), st.sampled_from(mids),
+                      st.floats(0.0, 2 * nodes[-1]),
+                      st.floats(0.0, code.range_max))
+    count = 2 ** draw(st.integers(0, 6))
+    prices = draw(st.lists(price, min_size=count, max_size=count))
+    return grid, PathSet(L=count, t=0.0, prices=code.quantize(prices), code=code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=grids_and_paths())
+def test_snap_paths_equals_nearest_index(case):
+    grid, paths = case
+    expected = [grid.nearest_index(p) for p in paths.prices]
+    assert snap_paths(paths, grid).tolist() == expected
 
 def test_error_propagation_bound(grid4, rng):
     for eps in (1e-3, 1e-2, 1e-1):

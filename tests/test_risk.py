@@ -308,6 +308,15 @@ def test_swap_test_overlap_bits_independent_of_blas_threads():
     assert outs[0] == outs[1]
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(prob=st.floats(0.0, 1.0), eps=st.floats(0.01, 0.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_estimate_amplitude_within_eps(prob, eps, seed):
+    # the documented budget: additive error eps at O(1/eps) queries
+    est = estimate_amplitude(prob, eps, np.random.default_rng(seed))
+    assert abs(est.value - prob) <= eps
+
 def uncached_estimate_amplitude(prob, eps, rng):
     """estimate_amplitude with its likelihood tables recomputed on every
     call, as the reference for the cached tables."""
