@@ -191,7 +191,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                                   overlap_raw=0.0, p0=p0)
     else:
         psi_ref, ref_norm = make_reference_state(layout, node_idx, codes,
-                                                 assembled.value_table, config.m)
+                                                 assembled.value)
         breakdown = cvar(phi_flagged_base.copy(), psi_ref, ref_norm, var_code,
                          config.q, config.L, scale, assembled.value_table,
                          mode=measure_mode, eps=eps_est, rng=rng)

@@ -186,14 +186,15 @@ def qpe_branch_distributions(branch_codes, rho: np.ndarray,
     pow_one = one_sided[None, :] ** slices[:, None]  # [j, code]
     phi = pow_one @ rho  # sum_b p_b (c + i s p_b)^(j n_trotter)
     c2l = (c * c) ** slices
+    # pairs l <= l' of phase-register branches: k = l shared slices
+    # (two-sided), j = l' - l excess slices (one-sided)
+    l, lp = np.triu_indices(n)
+    k, j = l, lp - l
     for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
+        val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
         mat = np.empty((n, n), dtype=complex)
-        for l in range(n):
-            for lp in range(l, n):
-                k, j = l, lp - l  # two-sided count, one-sided excess
-                val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
-                mat[lp, l] = val
-                mat[l, lp] = np.conj(val)
+        mat[lp, l] = val
+        mat[l, lp] = np.conj(val)  # on the diagonal the conjugate is kept
         red = fourier.conj().T @ mat @ fourier
         out[int(b)] = np.abs(np.diag(red).real)
     return out

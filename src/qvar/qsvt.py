@@ -29,17 +29,19 @@ identity, and holding read-only arrays:
 
 - the degree ladder's screen and full LP results, on (t_tilde, norm,
   degree, screen): neither eps nor the payoff enters an LP;
+- the accepted fit's certificate (sup error on the window, |P| peak on
+  [-1, 1], effective degree), on (t_tilde, norm, degree);
 - the phase factors, on the fit (its degree and coefficient bytes);
 - the block encoding, on the bytes of the encoded operator's bands, and
   the realized top-left 2^n block of U_Phi, on those bytes and the fit.
   The 2^(n+4)-square circuit matrix itself is never kept.
 
 Every request still derives its fit tolerance from the payoff, walks the
-degree ladder with the same screen and acceptance tests, re-verifies the
-accepted fit's sup error and |P| <= 1 on [-1, 1], applies the block to the
-payoff and checks the post-selection floor.  The first request on a market
-and horizon does all the work it did before; the results are the same bits
-cold or warm.
+degree ladder with the same screen and acceptance tests, checks the
+accepted fit's certificate against its own eps and |P| <= 1 on [-1, 1],
+applies the block to the payoff and checks the post-selection floor.  The
+first request on a market and horizon does all the work it did before;
+the results are the same bits cold or warm.
 
 SciPy is bound lazily: the module-level ``linprog`` and ``least_squares``
 import ``scipy.optimize`` on their first call, so only a cold fit or a
@@ -192,6 +194,26 @@ def _ladder_fit(t_tilde: int, norm: float, degree: int, screen: bool):
     return fit
 
 
+@functools.lru_cache(maxsize=LADDER_CACHE)
+def _fit_certificate(t_tilde: int, norm: float,
+                     degree: int) -> tuple[float, float, int]:
+    """The full LP fit's certificate at one rung of the ladder: its sup
+    error against scale * g on 10,000 window points, its |P| peak on
+    20,001 points of [-1, 1] and its effective degree.  Like the fit it
+    depends on (t_tilde, norm, degree) alone; callers compare it with their
+    own eps and with 1."""
+    coeffs = _ladder_fit(t_tilde, norm, degree, False)[0]
+    dense = np.linspace(1.0 / norm, 1.0, 10_000)
+    sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
+                           - _fit_scale(t_tilde, norm)
+                           * target_g(dense, t_tilde, norm)).max())
+    full = np.linspace(-1.0, 1.0, 20_001)
+    peak = float(np.abs(np_cheb.chebval(full, coeffs)).max())
+    nz = np.flatnonzero(np.abs(coeffs) > 1e-300)
+    eff_degree = int(nz[-1]) if nz.size else degree
+    return sup_err, peak, eff_degree
+
+
 def approximate_target(t_tilde: int, norm: float, eps: float,
                        degree_cap: int = DEGREE_CAP) -> PolynomialTarget:
     """Bounded-degree polynomial realizing scale * g on [1/norm, 1].
@@ -205,8 +227,9 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
     on the full optimum, so a screen error above the acceptance threshold
     (plus solver slack) rules the degree out without the full LP.  The full
     LPs that do run see unchanged inputs, so the result is bit-identical to
-    the unscreened walk's.  The LP results are memoised; the walk, its
-    acceptance tests and the verification below run on every call.
+    the unscreened walk's.  The LP results and the accepted fit's
+    certificate are memoised; the walk, its acceptance tests and the
+    checks of the certificate against eps and 1 run on every call.
     """
     if not 0 < eps <= 0.5:
         raise ConfigError(f"eps must lie in (0, 1/2], got {eps}")
@@ -238,17 +261,11 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
                 f"norm={norm:.4g}, eps={eps:.3g}")
         degree = min(degree_cap, max(degree + 2, int(degree * 1.4) | 1))
 
-    dense = np.linspace(lo, hi, 10_000)
-    sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
-                           - scale * target_g(dense, t_tilde, norm)).max())
+    sup_err, peak, eff_degree = _fit_certificate(t_tilde, norm, degree)
     if sup_err > eps:
         raise NumericalError(f"fit verification failed: sup error {sup_err:.3e}")
-    full = np.linspace(-1.0, 1.0, 20_001)
-    peak = float(np.abs(np_cheb.chebval(full, coeffs)).max())
     if peak > 1.0:
         raise NumericalError(f"polynomial exceeds 1 on [-1, 1]: {peak:.6f}")
-    nz = np.flatnonzero(np.abs(coeffs) > 1e-300)
-    eff_degree = int(nz[-1]) if nz.size else degree
     return PolynomialTarget(t_tilde, norm, eps, coeffs, eff_degree,
                             scale, (lo, hi), sup_err)
 

@@ -12,6 +12,16 @@ Value convention: values are portfolio values and the loss tail is the
 lowest q-fraction, Pr(V <= VaR) >= q.  Registers carry values normalized
 by the grid norm sqrt(sum V(S_j)^2); reports carry both the normalized
 and the monetary figures via ``scale``.
+
+Amplitude estimation (sampled mode) returns the first argmax of a float
+log-likelihood over a fixed 200,001-point theta grid, the index
+``np.argmax`` gives on the full grid, without evaluating the full grid.
+Each block of BLOCK grid points is bounded by the log-likelihood fold of
+its per-table maxima.  The multipliers (hit and miss counts) are
+non-negative and IEEE rounding is monotone, so the bound is at least the
+float log-likelihood of every point in the block, with no slack constant,
+and a block whose bound falls below an attained value cannot hold the
+argmax (``_likelihood_argmax``).
 """
 
 from __future__ import annotations
@@ -25,9 +35,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .qcore import StateVector, exact_distribution, flag_write, xor_write
-from .qpca import decode_value
 
 CDF_TOL = 1e-9
+# grid points per block of the bound-pruned likelihood search
+BLOCK = 128
 
 RiskMethod = Literal["classical", "quantum_exact", "quantum_sampled"]
 
@@ -98,15 +109,68 @@ def _theta_grid() -> np.ndarray:
 @functools.cache
 def _log_likelihood_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """log p_k and log(1 - p_k) on the theta grid for Grover power k, with
-    p_k = sin^2((2k+1) theta) clipped away from 0 and 1.  They do not
+    p_k = sin^2((2k+1) theta) clipped away from 0 and 1, as (blocks, BLOCK)
+    arrays.  The last block is padded by repeating the last grid point's
+    entry: a padded entry ties the real one before it and so never wins a
+    first argmax, and it stays finite, where a -inf pad would give NaN at
+    0 * -inf when a power has no hits or no misses.  The tables do not
     depend on the data, so each power's pair is computed once per process;
     the powers in use are 0 and 2^j below 1/eps, a handful of pairs."""
     pk = np.sin((2 * k + 1) * _theta_grid()) ** 2
     pk = np.clip(pk, 1e-12, 1.0 - 1e-12)
-    tables = (np.log(pk), np.log1p(-pk))
+    pad = -pk.size % BLOCK
+    tables = tuple(np.pad(table, (0, pad), mode="edge").reshape(-1, BLOCK)
+                   for table in (np.log(pk), np.log1p(-pk)))
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+@functools.cache
+def _block_maxima(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block maxima of power k's log p_k and log(1 - p_k) tables; the
+    padding repeats a real entry, so each is the maximum over the block's
+    real grid points."""
+    maxima = tuple(table.max(axis=1) for table in _log_likelihood_tables(k))
+    for table in maxima:
+        table.setflags(write=False)
+    return maxima
+
+
+def _log_likelihood(pairs, hits, shots: int) -> np.ndarray:
+    """sum_k h_k log_hit_k + (shots - h_k) log_miss_k, folded in power order
+    over whatever entries the (log_hit, log_miss) pairs hold."""
+    total = np.zeros_like(pairs[0][0])
+    for (log_hit, log_miss), h in zip(pairs, hits):
+        total += h * log_hit + (shots - h) * log_miss
+    return total
+
+
+def _likelihood_argmax(powers, hits, shots: int) -> int:
+    """First argmax over the theta grid of the float log-likelihood of
+    ``hits`` out of ``shots`` at each Grover power, equal to ``np.argmax``
+    of the full-grid sum.
+
+    The bound UB[b] of block b is the same fold as the log-likelihood with
+    each table replaced by its block maximum.  The multipliers h and
+    shots - h are non-negative and IEEE rounding is monotone, so UB[b] is
+    at least the float log-likelihood of every point in block b, with no
+    slack.  The block of largest UB is evaluated exactly; its maximum
+    ``best`` is attained on the grid.  Every block with UB < best holds
+    only points strictly below best, so the blocks with UB >= best,
+    evaluated exactly in index order, hold every point of the global
+    maximum, and their first argmax is the full grid's.
+    """
+    tables = [_log_likelihood_tables(k) for k in powers]
+    bound = _log_likelihood([_block_maxima(k) for k in powers], hits, shots)
+    top = int(np.argmax(bound))
+    best = _log_likelihood([(a[top], b[top]) for a, b in tables], hits,
+                           shots).max()
+    kept = np.flatnonzero(bound >= best)
+    exact = _log_likelihood([(a[kept], b[kept]) for a, b in tables], hits,
+                            shots)
+    block, offset = divmod(int(np.argmax(exact)), BLOCK)
+    return int(kept[block]) * BLOCK + offset
 
 
 def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
@@ -117,6 +181,13 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     theta = arcsin(sqrt(p)).  The maximum-likelihood estimate over the
     doubling power schedule reaches additive error eps at a total query
     count sum_k shots (2k+1) = O(1/eps), which is the documented budget.
+
+    The estimate is the theta grid's first log-likelihood argmax, found by
+    ``_likelihood_argmax``: a block's bound folds its per-table maxima with
+    the non-negative hit and miss counts, so monotone IEEE rounding keeps
+    it above every float log-likelihood in the block.  Only blocks whose
+    bound reaches an attained value are evaluated, and the index is the
+    full grid's ``np.argmax``, bit for bit.
     """
     if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
@@ -131,12 +202,7 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
         p_k = math.sin((2 * k + 1) * theta) ** 2
         hits.append(rng.binomial(shots, p_k))
         queries += shots * (2 * k + 1)
-    grid = _theta_grid()
-    loglik = np.zeros_like(grid)
-    for k, h in zip(powers, hits):
-        log_hit, log_miss = _log_likelihood_tables(k)
-        loglik += h * log_hit + (shots - h) * log_miss
-    best = grid[int(np.argmax(loglik))]
+    best = _theta_grid()[_likelihood_argmax(powers, hits, shots)]
     return AmplitudeEstimate(value=float(np.sin(best) ** 2), queries=queries,
                              shots=shots * len(powers))
 
@@ -280,13 +346,15 @@ def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
                          level=q, queries=q_used + q_overlap)
 
 
-def make_reference_state(phi_layout, node_index, grid_code_list, value_table,
-                         m: int) -> tuple[StateVector, float]:
+def make_reference_state(phi_layout, node_index, grid_code_list,
+                         value) -> tuple[StateVector, float]:
     """Value-weighted reference over (path, price) with zeroed value and
-    flag registers, sparse with one stored amplitude per path; returns the
-    state and the weight norm W needed by the reconstruction."""
+    flag registers, sparse with one stored amplitude per path.  Path k sits
+    at price code ``grid_code_list[node_index[k]]`` with weight ``value[k]``,
+    the decoded content of its value register (``AssembleResult.value``);
+    returns the state and the weight norm W needed by the reconstruction."""
     codes = np.asarray(grid_code_list, dtype=np.int64)[np.asarray(node_index)]
-    weights = decode_value(np.asarray(value_table)[codes], m)
+    weights = np.asarray(value, dtype=float)
     w_norm = float(np.linalg.norm(weights))
     if w_norm == 0.0:
         raise NumericalError("all branch values are zero; reference undefined")

@@ -210,7 +210,7 @@ def test_criterion_6_and_7_var_equality_cvar_identity(rng):
         assert iters <= m
 
         ref, ref_norm = make_reference_state(layout, node_idx, codes,
-                                             assembled.value_table, m)
+                                             assembled.value)
         breakdown = cvar(state.copy(), ref, ref_norm, var_code, q, L, 1.0,
                          assembled.value_table)
         # identity against the coded twin

@@ -368,6 +368,45 @@ def test_trotter_closed_form_matches_dense_slice_composition(rng, n_trotter):
         assert np.abs(closed[b] - dense).max() <= 1e-12
 
 
+def looped_trotter_branch_distributions(branch_codes, rho, job):
+    """The trotterized kernel with each coherence matrix filled entry by
+    entry, as the reference for the index-array fill."""
+    n, dt = job.n_qpe, job.delta_t
+    ls = np.arange(n)
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), ls) / n) / np.sqrt(n)
+    slices = ls * job.n_trotter
+    c, s = np.cos(dt / job.n_trotter), np.sin(dt / job.n_trotter)
+    pow_one = (c + 1j * s * rho)[None, :] ** slices[:, None]
+    phi = pow_one @ rho
+    c2l = (c * c) ** slices
+    out = {}
+    for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
+        mat = np.empty((n, n), dtype=complex)
+        for l in range(n):
+            for lp in range(l, n):
+                k, j = l, lp - l
+                val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
+                mat[lp, l] = val
+                mat[l, lp] = np.conj(val)
+        red = fourier.conj().T @ mat @ fourier
+        out[int(b)] = np.abs(np.diag(red).real)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("n_trotter", [1, 16, 256])
+def test_trotter_kernel_equals_looped_fill_bit_for_bit(rng, m, n_trotter):
+    rho = rng.uniform(0.0, 1.0, size=2**m)
+    rho /= rho.sum()
+    job = PcaJob(m=m, n_trotter=n_trotter, mode="trotterized")
+    codes = np.arange(2**m)
+    got = qpe_branch_distributions(codes, rho, job)
+    want = looped_trotter_branch_distributions(codes, rho, job)
+    assert got.keys() == want.keys()
+    for b in want:
+        assert got[b].tobytes() == want[b].tobytes()
+
+
 @st.composite
 def grids_and_paths(draw):
     """A uniform grid on integer nodes (so midpoints are exact ties) or a

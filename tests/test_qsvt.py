@@ -57,6 +57,32 @@ def test_monotone_error_in_eps():
         prev_degree, prev_err = poly.degree, poly.sup_error
 
 
+def test_fit_certificate_is_per_rung():
+    # two tolerances on one (t_tilde, norm) accept different rungs; each
+    # request reads its own rung's certificate, cold or warm
+    cold = {}
+    for eps in (1e-2, 1e-4):
+        for cache in STAGE1_CACHES:
+            cache.cache_clear()
+        poly = approximate_target(2, 2.0, eps)
+        cold[eps] = (poly.degree, poly.sup_error)
+    assert cold[1e-2][0] < cold[1e-4][0]
+    for eps in (1e-2, 1e-4, 1e-2, 1e-4):
+        poly = approximate_target(2, 2.0, eps)
+        assert (poly.degree, poly.sup_error) == cold[eps]
+    assert qsvt._fit_certificate.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("certificate, match", [((2e-3, 0.5, 5), "sup error"),
+                                                ((0.0, 1.5, 5), "exceeds 1")])
+def test_cached_certificate_checked_on_every_request(monkeypatch, certificate,
+                                                     match):
+    approximate_target(2, 2.0, 1e-3)
+    monkeypatch.setattr(qsvt, "_fit_certificate", lambda *key: certificate)
+    with pytest.raises(NumericalError, match=match):
+        approximate_target(2, 2.0, 1e-3)
+
+
 def test_degree_cap_enforced():
     with pytest.raises(NumericalError, match="degree cap"):
         approximate_target(32, 8.0, 1e-6, degree_cap=64)

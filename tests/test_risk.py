@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -6,14 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qvar
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (bisection_var, classical_var_cvar, comparator_ucc,
-                       cvar, estimate_amplitude, make_reference_state,
+from qvar.risk import (BLOCK, _block_maxima, _likelihood_argmax,
+                       _log_likelihood, _log_likelihood_tables, bisection_var,
+                       classical_var_cvar, comparator_ucc, cvar,
+                       estimate_amplitude, make_reference_state,
                        swap_test_overlap, tail_probability)
 
 M_BITS = 5
@@ -180,7 +183,8 @@ def cvar_setup(value_codes, q, L=8):
     codes = np.arange(L)
     table = np.zeros(2**6, dtype=np.int64)
     table[codes] = value_codes  # price code k carries branch k's value code
-    ref, ref_norm = make_reference_state(layout, np.arange(L), codes, table, M_BITS)
+    ref, ref_norm = make_reference_state(layout, np.arange(L), codes,
+                                         decode_value(table[codes], M_BITS))
     return state, ref, ref_norm, table
 
 
@@ -226,8 +230,7 @@ def test_reference_state_rejects_all_zero():
     layout = RegisterLayout([("path", 3), ("price", 6), ("value", M_BITS),
                              ("flag", 1)])
     with pytest.raises(NumericalError):
-        make_reference_state(layout, np.arange(8), np.arange(8),
-                             np.zeros(2**6, dtype=np.int64), M_BITS)
+        make_reference_state(layout, np.arange(8), np.arange(8), np.zeros(8))
 
 
 def sparse_branch_state(value_codes, price_codes=None, with_flag=True):
@@ -262,7 +265,7 @@ def test_sparse_swap_test_equals_dense_bitwise(codes, seed):
     prices = rng.choice(2**6, size=L, replace=False)
     table = np.zeros(2**6, dtype=np.int64)
     table[prices] = codes
-    ref_args = (np.arange(L), prices, table, M_BITS)
+    ref_args = (np.arange(L), prices, decode_value(table[prices], M_BITS))
     state = sparse_branch_state(codes, prices)
     ref, _ = make_reference_state(state.layout, *ref_args)
     for phi in (state, xor_write(state, "price", "value", table)):
@@ -348,3 +351,69 @@ def test_estimate_amplitude_matches_uncached_reference(prob, eps, seed):
     got = estimate_amplitude(prob, eps, np.random.default_rng(seed))
     want = uncached_estimate_amplitude(prob, eps, np.random.default_rng(seed))
     assert (got.value, got.queries, got.shots) == want
+
+
+SHOTS = 96
+THETA = np.linspace(0.0, np.pi / 2, 200_001)
+
+
+@functools.cache
+def full_tables(k):
+    """Power k's unpadded log p_k and log(1 - p_k) over the whole grid."""
+    pk = np.clip(np.sin((2 * k + 1) * THETA) ** 2, 1e-12, 1.0 - 1e-12)
+    return np.log(pk), np.log1p(-pk)
+
+
+def powers_for(eps):
+    return [0] + [2**j for j in range(max(1, math.ceil(math.log2(1.0 / eps))))]
+
+
+def full_grid_argmax(powers, hits):
+    """The log-likelihood summed over all 200,001 grid points, then argmax."""
+    loglik = np.zeros_like(THETA)
+    for k, h in zip(powers, hits):
+        log_hit, log_miss = full_tables(k)
+        loglik += h * log_hit + (SHOTS - h) * log_miss
+    return int(np.argmax(loglik))
+
+
+@st.composite
+def hit_vectors(draw):
+    eps = draw(st.sampled_from([0.1, 0.02, 0.01]))
+    size = len(powers_for(eps))
+    hits = draw(st.lists(st.integers(0, SHOTS), min_size=size, max_size=size))
+    return eps, hits
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=hit_vectors())
+@example(case=(0.1, [0] * 5)).via("all misses")
+@example(case=(0.02, [0] * 7)).via("all misses")
+@example(case=(0.01, [0] * 8)).via("all misses")
+@example(case=(0.1, [SHOTS] * 5)).via("all hits")
+@example(case=(0.02, [SHOTS] * 7)).via("all hits")
+@example(case=(0.01, [SHOTS] * 8)).via("all hits")
+def test_pruned_search_returns_full_grid_argmax(case):
+    eps, hits = case
+    powers = powers_for(eps)
+    hits = [np.int64(h) for h in hits]  # as rng.binomial returns them
+    assert _likelihood_argmax(powers, hits, SHOTS) == full_grid_argmax(powers, hits)
+
+
+@pytest.mark.parametrize("h", [0, SHOTS])
+def test_block_bounds_finite_and_tight(h):
+    powers = powers_for(0.01)
+    points = THETA.size
+    blocks = -(-points // BLOCK)
+    for k in powers:
+        for padded, real in zip(_log_likelihood_tables(k), full_tables(k)):
+            # the padding repeats the last real entry
+            assert padded.shape == (blocks, BLOCK)
+            assert np.array_equal(padded.ravel()[:points], real)
+            assert np.all(padded.ravel()[points:] == real[-1])
+        for maxima, real in zip(_block_maxima(k), full_tables(k)):
+            want = [real[lo:lo + BLOCK].max() for lo in range(0, points, BLOCK)]
+            assert np.array_equal(maxima, want)
+    hits = [np.int64(h)] * len(powers)
+    bound = _log_likelihood([_block_maxima(k) for k in powers], hits, SHOTS)
+    assert bound.shape == (blocks,) and np.all(np.isfinite(bound))

@@ -1,9 +1,13 @@
-"""SciPy is loaded on first use only.
+"""SciPy is loaded on first use only, and the process-wide tables are
+built on first use only.
 
 Importing qvar, budget-checking a config, a classical run and the CLI
 commands that never fit a polynomial must leave ``scipy`` unimported; the
-first cold Stage-1 fit loads ``scipy.optimize``.  Each check runs in a
-fresh interpreter, because the test process itself has loaded SciPy.
+first cold Stage-1 fit loads ``scipy.optimize``.  Importing qvar and
+budget-checking a config must also leave the amplitude-estimation tables
+and the fit memos empty, so that start-up does none of a request's work.
+Each check runs in a fresh interpreter, because the test process itself
+has loaded SciPy and filled the tables.
 """
 
 import json
@@ -69,3 +73,33 @@ def test_scipy_loaded_only_by_a_cold_stage1_fit(tmp_path):
     for step, mods in steps[:-1]:
         assert mods == [], step
     assert "scipy.optimize" in steps[-1][1]
+
+
+# prints the size of every process-wide table after import and budget check
+CACHES_AFTER_BUDGET = """
+import json, sys
+from qvar import load_run_config, qsvt, risk
+with open(sys.argv[1]) as fh:
+    load_run_config(json.load(fh)).check_budget()
+caches = {"risk._theta_grid": risk._theta_grid,
+          "risk._log_likelihood_tables": risk._log_likelihood_tables,
+          "risk._block_maxima": risk._block_maxima,
+          "qsvt._ladder_fit": qsvt._ladder_fit,
+          "qsvt._fit_certificate": qsvt._fit_certificate}
+print(json.dumps({name: cache.cache_info().currsize
+                  for name, cache in caches.items()}))
+"""
+
+
+def test_import_and_budget_check_build_no_tables(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**README_CONFIG, "mode": "quantum_sampled"}))
+    src = str(Path(qvar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CACHES_AFTER_BUDGET, str(config)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    assert len(sizes) == 5
+    assert all(size == 0 for size in sizes.values()), sizes
