@@ -153,7 +153,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     prepared = prepare_value_state(payoff_vector(payoff, grid), market, grid,
                                    config.eps1)
     tally.qsvt_degree = prepared.target.degree
-    tally.block_encoding_queries = prepared.invocations
+    tally.block_encoding_queries = prepared.phases.degree
     tally.state_preparation_repetitions += 1
     fidelity = float(abs(np.vdot(prepared.state.amplitudes,
                                  classical_state.amplitudes)))

@@ -15,9 +15,9 @@ basis state has amplitude zero.  A dense state behaves as if its index were
 and keep the form they are given.  They cost O(stored amplitudes), which
 for the scenario stages is O(L), not O(2^q).
 The module has no gates or QFTs: no production stage mixes amplitudes
-across basis states on a ``StateVector`` (Stage 1 applies its circuit as
-a dense matrix in ``qsvt``, and Step 3's phase estimation is evaluated in
-closed form in ``qpca``).
+across basis states on a ``StateVector`` (Stage 1 applies the 2^n-square
+post-selected block of its circuit as a dense matrix in ``qsvt``, and
+Step 3's phase estimation is evaluated in closed form in ``qpca``).
 
 The qubit cap (``QVAR_QUBIT_CAP``, default 24) bounds the width of the
 simulated device, whatever the form; it is not a memory limit.  A sparse

@@ -123,14 +123,20 @@ def snap_paths(paths: PathSet, grid: PriceGrid) -> np.ndarray:
     return out
 
 
+def scenario_layout(paths: PathSet, grid: PriceGrid, m: int) -> RegisterLayout:
+    """The path, price and value registers of the scenario state; building
+    the layout checks their width against the qubit budget."""
+    return RegisterLayout([("path", paths.index_qubits),
+                           ("price", price_register_width(grid, m)),
+                           ("value", m)])
+
+
 def prepare_path_state(paths: PathSet, grid: PriceGrid, m: int,
                        node_index: np.ndarray) -> StateVector:
     """Circuit twin of the scenario generator: the uniform path-index state
     with the price codes of the snapped nodes ``node_index`` loaded, value
     register zeroed.  Sparse, with one stored amplitude per path."""
-    layout = RegisterLayout([("path", paths.index_qubits),
-                             ("price", price_register_width(grid, m)),
-                             ("value", m)])
+    layout = scenario_layout(paths, grid, m)
     codes = grid_codes(grid, m)[node_index]
     index = ((np.arange(paths.L, dtype=np.int64) << layout.shift_of("path"))
              | (codes << layout.shift_of("price")))
@@ -243,6 +249,9 @@ def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
     reports the per-branch modal codes of the finite-slice channel instead.
     """
     m = job.m
+    # both modes stand for a circuit on these registers, so both check the
+    # budget before any phase-estimation array is allocated
+    scenario_layout(paths, grid, m)
     if node_index is None:
         node_index = snap_paths(paths, grid)
     branch_codes = grid_codes(grid, m)[node_index]

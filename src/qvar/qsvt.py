@@ -18,9 +18,11 @@ coefficient fixed-point iteration and converted to projector phases for
 the alternating circuit.  The circuit applies the encoding unitary and its
 adjoint d times, interleaved with e^{i phi (2 Pi - I)} reflections, and
 uses one extra signal qubit to take the real part of the realized
-polynomial (an LCU over the phase-negated sequence), for a = 4 ancillas
-in total.  The realized top-left block of U_Phi equals the polynomial
-applied to the singular values, sum_k P(sigma_k / gamma) |w_k><v_k|.
+polynomial, for a = 4 ancillas in total.  Stage 1 keeps only the branch
+where every ancilla reads zero: the top-left 2^n block of U_Phi, which
+equals the polynomial applied to the singular values,
+sum_k P(sigma_k / gamma) |w_k><v_k|.  ``apply_qsvt`` computes that block
+alone, carrying the first 2^n rows of the product through the d factors.
 
 Only the input state depends on the payoff, so the circuit is compiled
 once per stepping operator and horizon and kept in bounded in-process
@@ -34,7 +36,7 @@ identity, and holding read-only arrays:
 - the phase factors, on the fit (its degree and coefficient bytes);
 - the block encoding, on the bytes of the encoded operator's bands, and
   the realized top-left 2^n block of U_Phi, on those bytes and the fit.
-  The 2^(n+4)-square circuit matrix itself is never kept.
+  No 2^(n+4)-square circuit matrix is ever built.
 
 Every request still derives its fit tolerance from the payoff, walks the
 degree ladder with the same screen and acceptance tests, checks the
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as np_cheb
@@ -274,23 +276,17 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
 class PhaseFactorSequence:
     """Projector phases phi_1..phi_d for the alternating circuit.
 
-    ``wx_phases`` records the symmetric Wx-convention solution the
-    projector phases were derived from; ``residual`` is the sup deviation
-    of the realized scalar polynomial from the target at the test nodes.
+    ``residual`` is the sup deviation of the realized scalar polynomial
+    from the target at the test nodes.
     """
 
     phases: np.ndarray
     parity: int
     residual: float
-    wx_phases: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
         self.phases.setflags(write=False)
-        if self.wx_phases is not None:
-            object.__setattr__(self, "wx_phases",
-                               np.asarray(self.wx_phases, dtype=float))
-            self.wx_phases.setflags(write=False)
 
     @property
     def degree(self) -> int:
@@ -362,7 +358,7 @@ def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
         if abs(c) > 1.0:
             raise ConfigError("constant target must have magnitude <= 1")
         phases = np.array([math.acos(c)])
-        return PhaseFactorSequence(phases, 0, 0.0, phases.copy())
+        return PhaseFactorSequence(phases, 0, 0.0)
 
     count = degree + 1
     theta = (np.arange(count) + 0.5) * np.pi / count
@@ -434,32 +430,32 @@ def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
     residual = float(np.abs(realized - np_cheb.chebval(check_nodes, coeffs)).max())
     if residual > PHASE_RESIDUAL_TOL:
         raise NumericalError(f"projector-phase conversion check failed: {residual:.3e}")
-    return PhaseFactorSequence(proj, degree % 2, residual, wx)
+    return PhaseFactorSequence(proj, degree % 2, residual)
 
 
 @dataclass(frozen=True)
 class QsvtUnitary:
-    """Dense alternating-circuit unitary with its resource counters.
+    """The post-selected block of the alternating circuit U_Phi.
 
-    Register order (most significant first): real-part signal qubit,
-    encoding flag, branch pair, system register -- a = 4 ancillas ahead of
-    the n system qubits.  The certified top-left block is
-    sum_k P(sigma_k / gamma) |w_k><v_k| of the encoded matrix.
+    ``matrix`` is the read-only top-left 2^n block, the branch where all
+    a = 4 ancillas (real-part signal qubit, encoding flag, branch pair)
+    read zero: sum_k P(sigma_k / gamma) |w_k><v_k| of the encoded matrix.
+    ``degree`` counts the encoding queries.
     """
 
     matrix: np.ndarray
     degree: int
-    invocations: int
-    n: int
-
-    @property
-    def block(self) -> np.ndarray:
-        size = 2**self.n
-        return self.matrix[:size, :size]
 
 
 def apply_qsvt(be: BlockEncoding, phases: PhaseFactorSequence) -> QsvtUnitary:
-    """Assemble U_Phi from the encoding and the projector phases."""
+    """The top-left 2^n block of U_Phi for the encoding and the phases.
+
+    Right multiplication never mixes rows, so only the first 2^n rows of
+    the alternating product are carried through the d factors.  The
+    real-part signal qubit averages the circuit with its phase-negated
+    twin, which is its complex conjugate because the encoding unitary is
+    real.
+    """
     size = 2**be.n
     dim = be.U.shape[0]
     if be.a != 3:
@@ -469,32 +465,18 @@ def apply_qsvt(be: BlockEncoding, phases: PhaseFactorSequence) -> QsvtUnitary:
     # encoding ancillas read zero (indices < 2^n), -phi elsewhere
     signs = np.full(dim, -1.0)
     signs[:size] = 1.0
-
-    def branch(sign: float) -> np.ndarray:
-        m = np.eye(dim, dtype=complex)
-        for k, phi in enumerate(phases.phases):
-            m = m * np.exp(1j * sign * phi * signs)[None, :]  # M @ diag
-            m = m @ (be.U if k % 2 == 0 else be.U.T.conj())
-        return m
-
     if phases.degree == 0:
         # degree 0: a single reflection phase, no encoding queries
-        phi = phases.phases[0]
-        plus = np.diag(np.exp(1j * phi * signs))
+        plus = np.diag(np.exp(1j * phases.phases[0] * signs)[:size])
     else:
-        plus = branch(+1.0)
-    minus = plus.conj()  # the encoding unitary is real
-
-    re_part = 0.5 * (plus + minus)
-    im_part = 0.5 * (plus - minus)
-    full = np.empty((2 * dim, 2 * dim), dtype=complex)
-    full[:dim, :dim] = re_part
-    full[:dim, dim:] = im_part
-    full[dim:, :dim] = im_part
-    full[dim:, dim:] = re_part
-
-    d = phases.degree
-    return QsvtUnitary(matrix=full, degree=d, invocations=d, n=be.n)
+        m = np.eye(size, dim, dtype=complex)
+        for k, phi in enumerate(phases.phases):
+            m = m * np.exp(1j * phi * signs)[None, :]  # M @ diag
+            m = m @ (be.U if k % 2 == 0 else be.U.T.conj())
+        plus = m[:, :size]
+    block = 0.5 * (plus + plus.conj())
+    block.setflags(write=False)
+    return QsvtUnitary(matrix=block, degree=phases.degree)
 
 
 def svd_transform_oracle(dense: np.ndarray, poly: PolynomialTarget,
@@ -523,22 +505,20 @@ def _encoding(op_key: tuple) -> BlockEncoding:
 def _value_block(op_key: tuple, degree: int, coeffs_key: bytes) -> np.ndarray:
     """Read-only top-left 2^n block of U_Phi for the encoded operator and
     the fit: the map from payoff amplitudes to the post-selected branch."""
-    circuit = apply_qsvt(_encoding(op_key), _phase_factors(degree, coeffs_key))
-    block = circuit.block.copy()
-    block.setflags(write=False)
-    return block
+    return apply_qsvt(_encoding(op_key), _phase_factors(degree, coeffs_key)).matrix
 
 
 @dataclass(frozen=True)
 class PreparedValueState:
-    """Post-selected output of the backward-stepping stage."""
+    """Post-selected output of the backward-stepping stage, with the
+    memoised read-only block of U_Phi that produced it."""
 
     state: StateVector
     success_probability: float
     target: PolynomialTarget
     phases: PhaseFactorSequence
     gamma: float
-    invocations: int
+    block: np.ndarray
 
 
 def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGrid,
@@ -563,6 +543,9 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
     be = _encoding(op_key)
     gamma = be.gamma
 
+    # sigma_min comes from its own values-only SVD, not from the full SVD
+    # below: the two can differ in the last bits, which would move norm_param
+    # and with it the fit
     sig = np.linalg.svd(dense, compute_uv=False)
     sigma_min = float(sig.min())
     if sigma_min <= 0:
@@ -601,4 +584,4 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
     layout = RegisterLayout([("grid", be.n)])
     state = StateVector(vec, layout)
     return PreparedValueState(state=state, success_probability=prob, target=poly,
-                              phases=phases, gamma=gamma, invocations=phases.degree)
+                              phases=phases, gamma=gamma, block=block)

@@ -16,6 +16,8 @@ compared entry by entry:
   ``euler_forward``), the sparse-access column map of the block encoding
   (``column_index``), its top-left block (``encoded_block``) and its
   certificate (``verify_block_encoding``);
+* the full 2^(n+4)-square QSVT circuit U_Phi (``qsvt_circuit``), whose
+  top-left 2^n block ``qsvt.apply_qsvt`` computes alone;
 * small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
   ``fit_linear_slope``.
 
@@ -36,6 +38,7 @@ from qvar.market import MarketParams
 from qvar.pde import TridiagonalOperator
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
 from qvar.qpca import PcaJob, decode_value, sqrt_code_table
+from qvar.qsvt import PhaseFactorSequence
 
 UNITARY_TOL = 1e-10
 
@@ -326,6 +329,45 @@ def verify_block_encoding(be: BlockEncoding, mtilde: TridiagonalOperator) -> flo
     if dense.shape[0] != 2**be.n:
         raise ConfigError("matrix dimension does not match the encoding")
     return float(np.linalg.norm(dense - be.gamma * encoded_block(be), 2))
+
+
+def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
+    """The dense U_Phi: the alternating circuit on the encoding space with
+    a real-part signal qubit in front, the LCU of the circuit and its
+    phase-negated twin."""
+    size = 2**be.n
+    dim = be.U.shape[0]
+    if be.a != 3:
+        raise ConfigError("expected a 3-ancilla block encoding")
+
+    # diag(e^{i phi (2 Pi - I)}) on the encoding space: +phi where both
+    # encoding ancillas read zero (indices < 2^n), -phi elsewhere
+    signs = np.full(dim, -1.0)
+    signs[:size] = 1.0
+
+    def branch(sign: float) -> np.ndarray:
+        m = np.eye(dim, dtype=complex)
+        for k, phi in enumerate(phases.phases):
+            m = m * np.exp(1j * sign * phi * signs)[None, :]  # M @ diag
+            m = m @ (be.U if k % 2 == 0 else be.U.T.conj())
+        return m
+
+    if phases.degree == 0:
+        # degree 0: a single reflection phase, no encoding queries
+        phi = phases.phases[0]
+        plus = np.diag(np.exp(1j * phi * signs))
+    else:
+        plus = branch(+1.0)
+    minus = plus.conj()  # the encoding unitary is real
+
+    re_part = 0.5 * (plus + minus)
+    im_part = 0.5 * (plus - minus)
+    full = np.empty((2 * dim, 2 * dim), dtype=complex)
+    full[:dim, :dim] = re_part
+    full[:dim, dim:] = im_part
+    full[dim:, :dim] = im_part
+    full[dim:, dim:] = re_part
+    return full
 
 
 def fit_linear_slope(curve) -> float:

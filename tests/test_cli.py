@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from qvar import cli
+from qvar import cli, qsvt
 from qvar.cli import main
 from qvar.market import payoff_vector
 from qvar.mc import simulate_paths
@@ -78,6 +79,34 @@ def test_verify_qsvt_json(config_path, capsys):
     assert doc["block_error"] <= 1e-8
     assert doc["degree"] >= 1
     assert doc["success_probability"] > 1e-6
+
+
+def count_calls(monkeypatch, fn):
+    """Calls of ``fn`` through every binding a qvar module holds of it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qvar" or name.startswith("qvar."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_cold_verify_qsvt_builds_one_encoding_and_one_block(config_path, capsys,
+                                                            monkeypatch):
+    # the Stage-1 memos start empty: verify-qsvt checks the block that
+    # production computed instead of building a second one
+    encodings = count_calls(monkeypatch, qsvt.assemble_block_encoding)
+    blocks = count_calls(monkeypatch, qsvt.apply_qsvt)
+    assert run_cli(["verify-qsvt", "--config", config_path]) == 0
+    assert json.loads(capsys.readouterr().out)["block_error"] <= 1e-8
+    assert len(encodings) == 1
+    assert len(blocks) == 1
 
 
 def test_assemble_branch_rows(config_path, capsys):
@@ -205,6 +234,15 @@ def test_budget_error_exit_code(tmp_path, monkeypatch):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     assert run_cli(["run", "--config", str(path)]) == 4
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_assemble_budget_error_exit_code(config_path, capsys, monkeypatch, mode):
+    # 3 path + 9 price + 6 value qubits, checked in either mode before
+    # phase estimation runs
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "12")
+    assert run_cli(["assemble", "--mode", mode, "--config", config_path]) == 4
+    assert "layout needs 18 qubits, budget is 12" in capsys.readouterr().err
 
 
 def test_numerical_error_exit_code(tmp_path):

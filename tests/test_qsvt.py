@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from qvar.qsvt import (FIT_ACCEPT, PolynomialTarget, _cheb_nodes, _fit_minimax,
                        _wx_eval, apply_qsvt, approximate_target,
                        prepare_value_state, qsp_reflection_eval,
                        solve_phase_factors, svd_transform_oracle, target_g)
-from reference import encoded_block
+from reference import encoded_block, qsvt_circuit
 
 
 def test_target_g_examples():
@@ -197,44 +199,83 @@ def _encoded_operator(rng, n):
     return op, assemble_block_encoding(op)
 
 
+APPLY_NS = (2, 3, 4, 5)
+
+
+def _circuit_polynomials():
+    """Degree 0, the identity, T2 and a fitted odd polynomial."""
+    window = (0.5, 1.0)
+    return [approximate_target(0, 2.0, 0.5),
+            PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0, window, 0.0),
+            PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
+                             window, 0.0),
+            approximate_target(2, 4.0, 1e-4)]
+
+
 def test_apply_qsvt_identity_polynomial_reproduces_encoding(rng):
-    op, be = _encoded_operator(rng, 3)
     poly = PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0,
                             (0.5, 1.0), 0.0)
-    circ = apply_qsvt(be, solve_phase_factors(poly))
-    assert np.abs(circ.block - encoded_block(be)).max() < 1e-10
-    assert circ.invocations == 1
+    for n in APPLY_NS:
+        op, be = _encoded_operator(rng, n)
+        circ = apply_qsvt(be, solve_phase_factors(poly))
+        assert np.abs(circ.matrix - encoded_block(be)).max() < 1e-10
+        assert circ.degree == 1
 
 
 def test_apply_qsvt_diagonal_t2(rng):
-    diag = np.array([0.3, 0.5, 0.7, 0.9])
-    op = TridiagonalOperator(np.zeros(4), diag, np.zeros(4), 2)
-    be = assemble_block_encoding(op)
     poly = PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
                             (0.5, 1.0), 0.0)
-    circ = apply_qsvt(be, solve_phase_factors(poly))
-    expected = np.diag(2 * (diag / be.gamma) ** 2 - 1)
-    assert np.abs(circ.block - expected).max() < 1e-10
+    for n in APPLY_NS:
+        diag = np.linspace(0.3, 0.9, 2**n)
+        op = TridiagonalOperator(np.zeros(2**n), diag, np.zeros(2**n), n)
+        be = assemble_block_encoding(op)
+        circ = apply_qsvt(be, solve_phase_factors(poly))
+        expected = np.diag(2 * (diag / be.gamma) ** 2 - 1)
+        assert np.abs(circ.matrix - expected).max() < 1e-10
 
 
 def test_apply_qsvt_matches_svd_oracle(rng):
-    op, be = _encoded_operator(rng, 3)
     poly = approximate_target(2, 4.0, 1e-4)
-    circ = apply_qsvt(be, solve_phase_factors(poly))
-    oracle = svd_transform_oracle(op.to_dense(), poly, be.gamma)
-    assert np.abs(circ.block - oracle).max() < 1e-8
+    for n in APPLY_NS:
+        op, be = _encoded_operator(rng, n)
+        circ = apply_qsvt(be, solve_phase_factors(poly))
+        oracle = svd_transform_oracle(op.to_dense(), poly, be.gamma)
+        assert np.abs(circ.matrix - oracle).max() < 1e-8
 
 
 def test_apply_qsvt_unitary_and_counts(rng):
-    op, be = _encoded_operator(rng, 2)
-    poly = approximate_target(1, 3.0, 1e-3)
-    circ = apply_qsvt(be, solve_phase_factors(poly))
-    dim = circ.matrix.shape[0]
-    assert np.abs(circ.matrix @ circ.matrix.conj().T - np.eye(dim)).max() < 1e-10
-    assert circ.invocations == poly.degree == circ.degree
+    # the block is the dense circuit's top-left corner, bit for bit
+    for n in APPLY_NS:
+        op, be = _encoded_operator(rng, n)
+        size = 2**n
+        for poly in _circuit_polynomials() + [approximate_target(1, 3.0, 1e-3)]:
+            phases = solve_phase_factors(poly)
+            circ = apply_qsvt(be, phases)
+            full = qsvt_circuit(be, phases)
+            dim = full.shape[0]
+            assert dim == 16 * size
+            assert np.abs(full @ full.conj().T - np.eye(dim)).max() < 1e-10
+            assert circ.matrix.shape == (size, size)
+            assert circ.matrix.tobytes() == full[:size, :size].tobytes()
+            assert circ.degree == poly.degree == phases.degree
 
 
-PREP_CASES = {4: dict(r=0.02, alpha=0.2), 5: dict(r=0.01, alpha=0.1)}
+def test_apply_qsvt_peak_memory_below_one_circuit(rng):
+    n = 5
+    op, be = _encoded_operator(rng, n)
+    phases = solve_phase_factors(approximate_target(2, 4.0, 1e-4))
+    tracemalloc.start()
+    try:
+        apply_qsvt(be, phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2^(n+4)-square complex matrix: the dense circuit alone needs more
+    assert peak < 16 * 4 ** (n + 4)
+
+
+PREP_CASES = {2: dict(r=0.02, alpha=0.2), 3: dict(r=0.02, alpha=0.2),
+              4: dict(r=0.02, alpha=0.2), 5: dict(r=0.01, alpha=0.1)}
 
 
 def _market(n, t_tilde, dtau=1 / 4096):
@@ -295,12 +336,12 @@ def _call_state(params, grid, strike, eps1=1e-3, **kwargs):
 def _stage1_bits(res):
     return (res.state.amplitudes.tobytes(), res.phases.phases.tobytes(),
             res.success_probability, res.target.degree, res.target.sup_error,
-            res.invocations)
+            res.phases.degree)
 
 
 def _dense_circuit(params, grid, phases):
     mtilde_t = assemble_operator(params, grid).plus_identity().transpose()
-    return apply_qsvt(assemble_block_encoding(mtilde_t), phases).matrix
+    return qsvt_circuit(assemble_block_encoding(mtilde_t), phases)
 
 
 def _dense_post_selection(matrix, payoff):
@@ -347,7 +388,7 @@ def _stage1_operator_key(params, grid):
     return qsvt._operator_key(assemble_operator(params, grid).plus_identity().transpose())
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_value_block_applies_like_the_dense_circuit(n):
     grid = build_grid(0.0, 4.0, n, "uniform")
     params = _market(n, 4)
@@ -355,6 +396,8 @@ def test_value_block_applies_like_the_dense_circuit(n):
     op_key = _stage1_operator_key(params, grid)
     block = qsvt._value_block(op_key, res.target.degree, res.target.coeffs.tobytes())
     matrix = _dense_circuit(params, grid, res.phases)
+    size = 2**n
+    assert block.tobytes() == matrix[:size, :size].tobytes()
     rng = np.random.default_rng(n)
     for _ in range(200):
         payoff = rng.normal(size=2**n)
@@ -384,10 +427,11 @@ def test_compiled_stage1_arrays_are_read_only(unit_grid):
     res = _call_state(params, unit_grid, 1.0)
     op_key = _stage1_operator_key(params, unit_grid)
     block = qsvt._value_block(op_key, res.target.degree, res.target.coeffs.tobytes())
-    # the memo keeps the 2^n block itself, not a view of the dense circuit
+    # the memo keeps the 2^n block itself, and the prepared state carries it
     assert block.shape == (16, 16) and block.base is None
-    arrays = [res.target.coeffs, res.phases.phases, res.phases.wx_phases,
-              qsvt._encoding(op_key).U, block]
+    assert res.block is block
+    arrays = [res.target.coeffs, res.phases.phases, qsvt._encoding(op_key).U,
+              block]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0

@@ -102,4 +102,6 @@ def test_tracer_counts_lazy_solver_calls_on_a_cold_request(monkeypatch):
 
     names = [span.name for span in tracer.spans]
     assert names.count("qsvt.linprog") >= 1
+    # the traced circuit is the 2^n-square complex block, not the dense U_Phi
+    assert tracer.values[0]["qsvt.unitary_bytes"] == 16 * 4 ** README_CONFIG["n"]
     assert all(getattr(qvar.qsvt, name) is fn for name, fn in lazy.items())
