@@ -12,7 +12,7 @@ from .pde import (TridiagonalOperator, ValueSurface, assemble_operator,
 from .pipeline import (PipelineResult, ResourceTally, RunConfig, emit_report,
                        load_run_config, run_pipeline)
 from .qcore import RegisterLayout, StateVector, exact_distribution
-from .qpca import PcaJob, assemble_portfolio_state, reduced_rho
+from .qpca import assemble_portfolio_state, reduced_rho
 from .qsvt import (BlockEncoding, PhaseFactorSequence, PolynomialTarget,
                    apply_qsvt, approximate_target, prepare_value_state,
                    solve_phase_factors, target_g)

@@ -38,18 +38,6 @@ class BlockEncoding:
     n: int
 
 
-def _branch_amplitude(dense: np.ndarray, j: int, l: int, kappa: float) -> float:
-    """Rescaled entry carried by branch l of column j; zero on clamped or
-    padding branches."""
-    size = dense.shape[0]
-    if l == 3:
-        return 0.0
-    i = j - 1 + l
-    if not 0 <= i < size:
-        return 0.0
-    return dense[i, j] / kappa
-
-
 def assemble_block_encoding(mtilde: TridiagonalOperator) -> BlockEncoding:
     """Build and certify the (gamma, 3, eps) encoding of a tridiagonal matrix."""
     size = mtilde.size
@@ -61,11 +49,15 @@ def assemble_block_encoding(mtilde: TridiagonalOperator) -> BlockEncoding:
     gamma = BRANCHES * kappa
 
     dim = BRANCHES * size  # branch + index space, flag excluded
-    # U_R: rotate the flag qubit by the rescaled entry, multiplexed on (l, j)
-    amps = np.zeros(dim)
-    for l in range(BRANCHES):
-        for j in range(size):
-            amps[l * size + j] = _branch_amplitude(dense, j, l, kappa)
+    # U_R: rotate the flag qubit by the rescaled entry, multiplexed on (l, j).
+    # Branch l of column j carries entry (j - 1 + l, j): the super-diagonal
+    # of row j - 1, the diagonal, the sub-diagonal of row j + 1; clamped
+    # positions and the padding branch carry zero.
+    amps = np.zeros((BRANCHES, size))
+    amps[0, 1:] = mtilde.super_[:-1]
+    amps[1] = mtilde.diag
+    amps[2, :-1] = mtilde.sub[1:]
+    amps = (amps / kappa).ravel()
     comp = np.sqrt(1.0 - amps**2)
     u_r = np.zeros((2 * dim, 2 * dim))
     idx = np.arange(dim)

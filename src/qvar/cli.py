@@ -9,7 +9,6 @@ single JSON document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -17,18 +16,14 @@ import numpy as np
 
 from . import nogo as nogo_mod
 from .blockenc import assemble_block_encoding
-from .errors import ConfigError, NumericalError, QvarError
+from .errors import ConfigError, QvarError
 from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
 from .pde import assemble_operator, price_american, price_european
 from .pipeline import emit_report, load_run_config, run_pipeline
-from .qpca import PcaJob, assemble_portfolio_state, snap_paths
+from .qpca import (assemble_portfolio_state, scenario_layout, snap_paths,
+                   trotter_values)
 from .qsvt import prepare_value_state, svd_transform_oracle
-
-# `assemble --mode trotter` doubles the slice count until the worst branch's
-# total-variation distance to exact mode is at most TROTTER_DISTANCE_TOL
-TROTTER_DISTANCE_TOL = 0.1
-TROTTER_SLICE_CAP = 2**16
 
 
 def _write(text: str, path: str | None) -> None:
@@ -41,6 +36,16 @@ def _write(text: str, path: str | None) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot write --output {path}: "
                           f"{exc.strerror or exc}") from exc
+
+
+def _write_csv(header: str, rows, path: str | None) -> None:
+    """The header line, then one comma-joined line per row; floats are
+    written with ``repr``, so every bit survives the round trip."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                              for x in row))
+    _write("\n".join(lines) + "\n", path)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -61,20 +66,14 @@ def cmd_price(args) -> int:
     cfg = load_run_config(_overridden_config(args))
     pricer = price_american if args.style == "american" else price_european
     surface = pricer(cfg.market, cfg.grid, cfg.payoff)
-    lines = ["S,V"]
-    for s, v in zip(cfg.grid.nodes, surface.values):
-        lines.append(f"{float(s)!r},{float(v)!r}")
-    _write("\n".join(lines) + "\n", args.output)
+    _write_csv("S,V", zip(cfg.grid.nodes, surface.values), args.output)
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(_overridden_config(args))
     paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
-    lines = ["k,price"]
-    for k, price in enumerate(paths.prices, start=1):
-        lines.append(f"{k},{float(price)!r}")
-    _write("\n".join(lines) + "\n", args.output)
+    _write_csv("k,price", enumerate(paths.prices, start=1), args.output)
     return 0
 
 
@@ -108,28 +107,20 @@ def cmd_verify_qsvt(args) -> int:
 
 def cmd_assemble(args) -> int:
     cfg = load_run_config(_overridden_config(args))
+    paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
+    # the scenario registers must fit the budget before Stage 1 is paid for
+    scenario_layout(paths, cfg.grid, cfg.m)
     prepared = prepare_value_state(payoff_vector(cfg.payoff, cfg.grid),
                                    cfg.market, cfg.grid, cfg.eps1)
-    paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
-    mode = "trotterized" if args.mode == "trotter" else "exact_exponential"
-    job = PcaJob(m=cfg.m, mode=mode)
     node_index = snap_paths(paths, cfg.grid)
-    assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, job,
+    assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, cfg.m,
                                          node_index)
-    while mode == "trotterized" and assembled.trotter_distance > TROTTER_DISTANCE_TOL:
-        if job.n_trotter >= TROTTER_SLICE_CAP:
-            raise NumericalError(
-                f"trotter distance {assembled.trotter_distance:.3g} exceeds "
-                f"{TROTTER_DISTANCE_TOL} at {job.n_trotter} slices "
-                f"(cap {TROTTER_SLICE_CAP})")
-        job = dataclasses.replace(job, n_trotter=2 * job.n_trotter)
-        assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid,
-                                             job, node_index)
-    lines = ["k,price,value,error_vs_oracle"]
-    columns = zip(cfg.grid.nodes[node_index], assembled.value, assembled.error)
-    for k, (price, value, error) in enumerate(columns):
-        lines.append(f"{k},{float(price)!r},{float(value)!r},{float(error)!r}")
-    _write("\n".join(lines) + "\n", args.output)
+    value = assembled.value
+    if args.mode == "trotter":
+        value = trotter_values(prepared.state, cfg.grid, cfg.m, node_index)
+    _write_csv("k,price,value,error_vs_oracle",
+               zip(range(paths.L), cfg.grid.nodes[node_index], value,
+                   np.abs(value - assembled.oracle)), args.output)
     return 0
 
 
@@ -143,11 +134,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_nogo(args) -> int:
-    curve = nogo_mod.copy_curve(args.max_d, args.threshold)
-    lines = ["d,min_copies"]
-    for d, m in curve:
-        lines.append(f"{d},{m}")
-    _write("\n".join(lines) + "\n", args.output)
+    _write_csv("d,min_copies", nogo_mod.copy_curve(args.max_d, args.threshold),
+               args.output)
     return 0
 
 

@@ -94,27 +94,26 @@ class PathSet:
         return self.L.bit_length() - 1
 
 
-def simulate_paths(params: MarketParams, s0: float, L: int, m: int,
-                   range_max: float | None = None) -> PathSet:
-    """Evolve L paths from s0 to t_bar, quantizing to m bits each step."""
+def simulate_paths(params: MarketParams, s0: float, L: int, m: int) -> PathSet:
+    """Evolve L paths from s0 to t_bar, quantizing to m bits each step.
+
+    A dry pass sizes the register first: its range is the smallest power
+    of two at or above max(2 * peak + 1, 4) for the paths' peak price."""
     if s0 < 0:
         raise NumericalError(f"s0 must be non-negative, got {s0}")
     a = 1.0 + params.mu * params.dtau
     j = np.arange(1, L + 1, dtype=float)
     b = params.alpha * 4.0 * (j / L) * (1.0 - j / L)
-    if range_max is None:
-        # dry pass sizes the register: next power of two above the peak
-        peak = float(s0)
-        probe = np.full(L, float(s0))
-        for _ in range(params.horizon_steps):
-            probe = np.maximum(a * probe + b * np.sqrt(np.maximum(probe, 0.0)), 0.0)
-            peak = max(peak, float(probe.max()))
-        bound = max(2.0 * peak + 1.0, 4.0)
-        if not bound <= 2.0**62:  # beyond every int64 code range, or not finite
-            raise ConfigError(f"s0={s0} drives the price register to {bound:.3g}, "
-                              f"past the int64 code range")
-        range_max = float(2 ** math.ceil(math.log2(bound)))
-    code = FixedPointCode(m=m, range_max=range_max)
+    peak = float(s0)
+    probe = np.full(L, float(s0))
+    for _ in range(params.horizon_steps):
+        probe = np.maximum(a * probe + b * np.sqrt(np.maximum(probe, 0.0)), 0.0)
+        peak = max(peak, float(probe.max()))
+    bound = max(2.0 * peak + 1.0, 4.0)
+    if not bound <= 2.0**62:  # beyond every int64 code range, or not finite
+        raise ConfigError(f"s0={s0} drives the price register to {bound:.3g}, "
+                          f"past the int64 code range")
+    code = FixedPointCode(m=m, range_max=float(2 ** math.ceil(math.log2(bound))))
     prices = code.quantize(np.full(L, float(s0)))
     for _ in range(params.horizon_steps):
         prices = code.quantize(a * prices + b * np.sqrt(prices))

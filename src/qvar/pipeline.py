@@ -16,12 +16,12 @@ from .market import (MarketParams, PayoffSpec, PriceGrid,
 from .mc import simulate_paths
 from .pde import price_european
 from .qcore import RegisterLayout, StateVector
-from .qpca import (PcaJob, assemble_portfolio_state, decode_value, grid_codes,
+from .qpca import (assemble_portfolio_state, decode_value, grid_codes,
                    price_register_width, snap_paths, value_code_table,
                    reduced_rho)
 from .qsvt import prepare_value_state
-from .risk import (ClassicalRisk, CvarBreakdown, RiskReport, bisection_var,
-                   classical_var_cvar, comparator_ucc, cvar,
+from .risk import (FLAG, ClassicalRisk, CvarBreakdown, RiskReport,
+                   bisection_var, classical_var_cvar, comparator_ucc, cvar,
                    make_reference_state, tail_probability)
 
 
@@ -159,12 +159,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                                  classical_state.amplitudes)))
 
     # Steps 2 + 3: scenario state and the value lookup
-    job = PcaJob(m=config.m)
-    assembled = assemble_portfolio_state(paths, prepared.state, grid, job,
+    assembled = assemble_portfolio_state(paths, prepared.state, grid, config.m,
                                          node_idx)
     tally.rho_copies += 1
     phi = assembled.state
-    layout = RegisterLayout(phi.layout.items() + [("flag", 1)])
+    layout = RegisterLayout(phi.layout.items() + [(FLAG, 1)])
     phi_flagged_base = StateVector(phi.amplitudes, layout, phi.index << 1)
 
     sampled = config.mode == "quantum_sampled"
@@ -185,7 +184,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if np.all(assembled.value == 0.0):
         # every branch value rounds to zero: the tail mean is exactly zero
         # and the value-weighted reference state degenerates
-        flagged = comparator_ucc(phi_flagged_base.copy(), "value", var_code, "flag")
+        flagged = comparator_ucc(phi_flagged_base.copy(), var_code)
         p0, _ = tail_probability(flagged)
         breakdown = CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
                                   overlap_raw=0.0, p0=p0)

@@ -11,10 +11,10 @@ estimation and the value lookup read it directly; neither psi2 nor the
 
 One Step-3 path.  Production Step 3 is the infinite-precision limit of
 QPCA followed by the square root: the lookup table ``value_code_table``,
-applied to the scenario state as one reversible XOR write.  The
-finite-precision circuit is evaluated in closed form per branch by
-``qpe_branch_distributions``, which ``assemble --mode trotter`` certifies
-against.  The coherent circuits these closed forms stand for (dense QPE,
+applied to the scenario state as one reversible XOR write, on m-bit
+registers with the fixed QPE_DT and 2^m controlled powers below.  The
+finite-precision circuit is evaluated in closed form per branch by the
+two QPE kernels, which ``assemble --mode trotter`` reads.  The coherent circuits these closed forms stand for (dense QPE,
 the swap-slice channel, the reversible square root) are test references
 and live with the tests.
 
@@ -27,35 +27,42 @@ at most 2^-m.
 
 QPE convention.  The controlled evolution loads phases e^{+i lambda l dt}
 (the reverse-time sign of the usual e^{-i rho t}), so after the inverse
-QFT the phase register reads code y ~ lambda * 2^m * dt / (2 pi); with the
-default dt = pi the code is exactly the half-scale eigenvalue code and the
-total evolution time N_qpe * dt = pi 2^m grows as O(2^m) with the target
-precision.
+QFT the phase register reads code y ~ lambda * 2^m * dt / (2 pi); with
+dt = QPE_DT = pi the code is exactly the half-scale eigenvalue code and
+the N_qpe = 2^m controlled powers give a total evolution time
+N_qpe * dt = pi 2^m that grows as O(2^m) with the target precision.
 
-Mode semantics.  ``exact_exponential`` evolves with the exact matrix
-exponential; ``trotterized`` composes swap-interaction slices with fresh
+Kernel semantics.  ``qpe_exact_distributions`` evolves with the exact
+matrix exponential and reproduces the textbook QPE kernel.
+``qpe_trotter_distributions`` composes swap-interaction slices with fresh
 copies of rho, which is a channel, so trotterized phase estimation is
-reported as per-branch outcome distributions.  Each controlled e^{i rho dt}
-is ``n_trotter`` slices of length dt / n_trotter.
+reported as per-branch outcome distributions; each controlled e^{i rho dt}
+is ``n_trotter`` slices of length dt / n_trotter.  ``trotter_values``
+certifies the slice count: it doubles it from 16 until every branch lies
+within total-variation distance TROTTER_DISTANCE_TOL of the exact kernel,
+and raises ``NumericalError`` past TROTTER_SLICE_CAP slices.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .market import PriceGrid
 from .mc import PathSet
 from .qcore import RegisterLayout, StateVector, xor_write
 
-PcaMode = Literal["exact_exponential", "trotterized"]
-
 # snap_paths holds at most this many path-node distances at once
 SNAP_BLOCK = 2**20
+# evolution time of each controlled power of e^{i rho dt}
+QPE_DT = np.pi
+# trotter_values doubles the slice count from 16 until the worst branch's
+# total-variation distance to the exact kernel is at most
+# TROTTER_DISTANCE_TOL, and gives up past TROTTER_SLICE_CAP slices
+TROTTER_DISTANCE_TOL = 0.1
+TROTTER_SLICE_CAP = 2**16
 
 
 def price_code(values, m: int) -> np.ndarray:
@@ -86,27 +93,6 @@ def grid_codes(grid: PriceGrid, m: int) -> np.ndarray:
 
 def price_register_width(grid: PriceGrid, m: int) -> int:
     return max(1, int(grid_codes(grid, m).max()).bit_length())
-
-
-@dataclass(frozen=True)
-class PcaJob:
-    """Evolution and estimation parameters for the distribution stage."""
-
-    m: int
-    n_trotter: int = 16
-    delta_t: float = np.pi
-    n_qpe: int | None = None
-    mode: PcaMode = "exact_exponential"
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ConfigError(f"m must be >= 2, got {self.m}")
-        if self.n_trotter < 1:
-            raise ConfigError("n_trotter must be >= 1")
-        if self.mode not in ("exact_exponential", "trotterized"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.n_qpe is None:
-            object.__setattr__(self, "n_qpe", 2**self.m)
 
 
 def snap_paths(paths: PathSet, grid: PriceGrid) -> np.ndarray:
@@ -160,34 +146,46 @@ def reduced_rho(value_state: StateVector, grid: PriceGrid, m: int) -> np.ndarray
     return p
 
 
-def qpe_branch_distributions(branch_codes, rho: np.ndarray,
-                             job: PcaJob) -> dict[int, np.ndarray]:
-    """Phase-register outcome distribution per branch price code, for rho
-    given as its spectrum p over price codes (``reduced_rho``).
+def _qft(m: int) -> np.ndarray:
+    """The QFT on the 2^m-outcome phase register, as a matrix."""
+    ls = np.arange(2**m)
+    return np.exp(2j * np.pi * np.outer(ls, ls) / 2**m) / np.sqrt(2**m)
+
+
+def qpe_exact_distributions(branch_codes, rho: np.ndarray,
+                            m: int) -> dict[int, np.ndarray]:
+    """Phase-register outcome distribution per branch price code under
+    exact-exponential QPE, the textbook kernel, for rho given as its
+    spectrum p over price codes (``reduced_rho``)."""
+    n = 2**m
+    ls = np.arange(n)
+    inverse = _qft(m).conj()
+    out: dict[int, np.ndarray] = {}
+    for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
+        kernel = np.exp(1j * rho[b] * QPE_DT * ls) / np.sqrt(n)
+        amp = inverse @ kernel  # inverse QFT of the phase load
+        out[int(b)] = np.abs(amp) ** 2
+    return out
+
+
+def qpe_trotter_distributions(branch_codes, rho: np.ndarray, m: int,
+                              n_trotter: int) -> dict[int, np.ndarray]:
+    """Phase-register outcome distribution per branch price code under
+    trotterized QPE, with each controlled power of e^{i rho dt} made of
+    ``n_trotter`` slices of length dt / n_trotter.
 
     Works in the diagonal operator basis, where the swap-interaction
-    channel acts in closed form.  Each controlled power of e^{i rho dt} is
-    ``n_trotter`` slices of length dt / n_trotter.  Between phase-register
-    branches l <= l', the l * n_trotter shared slices act two-sided and mix
-    the branch projector toward rho at rate cos^2 per slice; the
-    (l' - l) * n_trotter excess slices act one-sided and multiply code b's
-    coefficient by (cos + i sin p_b) per slice.  The exact mode reproduces
-    the textbook QPE kernel.
+    channel acts in closed form.  Between phase-register branches l <= l',
+    the l * n_trotter shared slices act two-sided and mix the branch
+    projector toward rho at rate cos^2 per slice; the (l' - l) * n_trotter
+    excess slices act one-sided and multiply code b's coefficient by
+    (cos + i sin p_b) per slice.
     """
-    n = job.n_qpe
-    dt = job.delta_t
+    n = 2**m
     ls = np.arange(n)
-    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), ls) / n) / np.sqrt(n)
-    out: dict[int, np.ndarray] = {}
-    if job.mode == "exact_exponential":
-        for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
-            kernel = np.exp(1j * rho[b] * dt * ls) / np.sqrt(n)
-            amp = fourier.conj() @ kernel  # inverse QFT of the phase load
-            out[int(b)] = np.abs(amp) ** 2
-        return out
-
-    slices = ls * job.n_trotter  # slice count of each controlled power
-    c, s = np.cos(dt / job.n_trotter), np.sin(dt / job.n_trotter)
+    fourier = _qft(m)
+    slices = ls * n_trotter  # slice count of each controlled power
+    c, s = np.cos(QPE_DT / n_trotter), np.sin(QPE_DT / n_trotter)
     one_sided = c + 1j * s * rho  # per-code factor for a left-only slice
     pow_one = one_sided[None, :] ** slices[:, None]  # [j, code]
     phi = pow_one @ rho  # sum_b p_b (c + i s p_b)^(j n_trotter)
@@ -196,6 +194,7 @@ def qpe_branch_distributions(branch_codes, rho: np.ndarray,
     # (two-sided), j = l' - l excess slices (one-sided)
     l, lp = np.triu_indices(n)
     k, j = l, lp - l
+    out: dict[int, np.ndarray] = {}
     for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
         val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
         mat = np.empty((n, n), dtype=complex)
@@ -225,57 +224,62 @@ class AssembleResult:
     snaps to grid node ``node_index[k]`` and reads ``value[k]`` from its
     value register, against the classical normalized lookup ``oracle[k]``."""
 
-    state: StateVector | None
+    state: StateVector
     value_table: np.ndarray  # price code -> value code
     node_index: np.ndarray  # path -> snapped grid node
     value: np.ndarray  # path -> decoded value-register content
     oracle: np.ndarray  # path -> classical normalized lookup
-    trotter_distance: float | None = None
-
-    @property
-    def error(self) -> np.ndarray:
-        return np.abs(self.value - self.oracle)
 
 
 def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
-                             grid: PriceGrid, job: PcaJob,
+                             grid: PriceGrid, m: int,
                              node_index: np.ndarray | None = None) -> AssembleResult:
     """Attach option-value codes to every scenario branch.
 
     ``node_index`` is the paths' ``snap_paths`` result, computed here when
-    the caller has not.  Exact mode applies the spectral value lookup (the
-    infinite-time limit of QPCA phase estimation and the square root) as a
-    reversible XOR write, leaving a pure statevector.  Trotterized mode
-    reports the per-branch modal codes of the finite-slice channel instead.
+    the caller has not.  The spectral value lookup (the infinite-time limit
+    of QPCA phase estimation and the square root) is applied as a
+    reversible XOR write, leaving a pure statevector; building the scenario
+    state checks its registers against the qubit budget.
     """
-    m = job.m
-    # both modes stand for a circuit on these registers, so both check the
-    # budget before any phase-estimation array is allocated
-    scenario_layout(paths, grid, m)
     if node_index is None:
         node_index = snap_paths(paths, grid)
-    branch_codes = grid_codes(grid, m)[node_index]
-    rho = reduced_rho(value_state, grid, m)
-    table = value_code_table(rho, m)
-
+    path_state = prepare_path_state(paths, grid, m, node_index)
+    table = value_code_table(reduced_rho(value_state, grid, m), m)
     v = np.abs(value_state.amplitudes)
-    oracle = (v / np.linalg.norm(v))[node_index]
+    return AssembleResult(
+        state=xor_write(path_state, "price", "value", table), value_table=table,
+        node_index=node_index,
+        value=decode_value(table[grid_codes(grid, m)[node_index]], m),
+        oracle=(v / np.linalg.norm(v))[node_index])
 
-    state = None
-    trotter_distance = None
-    if job.mode == "exact_exponential":
-        state = xor_write(prepare_path_state(paths, grid, m, node_index),
-                          "price", "value", table)
-        value = decode_value(table[branch_codes], m)
-    else:
-        dists = qpe_branch_distributions(branch_codes, rho, job)
-        exact = qpe_branch_distributions(
-            branch_codes, rho, dataclasses.replace(job, mode="exact_exponential"))
-        modal = {b: int(np.argmax(dist)) for b, dist in dists.items()}
-        value = decode_value(
-            sqrt_code_table(m)[[modal[b] for b in branch_codes.tolist()]], m)
-        trotter_distance = max(float(np.abs(dist - exact[b]).sum()) / 2
-                               for b, dist in dists.items())
-    return AssembleResult(state=state, value_table=table, node_index=node_index,
-                          value=value, oracle=oracle,
-                          trotter_distance=trotter_distance)
+
+def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
+                   node_index: np.ndarray) -> np.ndarray:
+    """Per-branch values read from the modal codes of trotterized QPE
+    followed by the square root, at a certified slice count.
+
+    The exact kernel is evaluated once; the slice count doubles from 16
+    until every branch's outcome distribution lies within total-variation
+    distance TROTTER_DISTANCE_TOL of it, and ``NumericalError`` names the
+    distance reached past TROTTER_SLICE_CAP slices.
+    """
+    rho = reduced_rho(value_state, grid, m)
+    branch_codes = grid_codes(grid, m)[node_index]
+    exact = qpe_exact_distributions(branch_codes, rho, m)
+    n_trotter = 16
+    while True:
+        dists = qpe_trotter_distributions(branch_codes, rho, m, n_trotter)
+        distance = max(float(np.abs(dist - exact[b]).sum()) / 2
+                       for b, dist in dists.items())
+        if distance <= TROTTER_DISTANCE_TOL:
+            break
+        if n_trotter >= TROTTER_SLICE_CAP:
+            raise NumericalError(
+                f"trotter distance {distance:.3g} exceeds "
+                f"{TROTTER_DISTANCE_TOL} at {n_trotter} slices "
+                f"(cap {TROTTER_SLICE_CAP})")
+        n_trotter *= 2
+    modal = {b: int(np.argmax(dist)) for b, dist in dists.items()}
+    return decode_value(
+        sqrt_code_table(m)[[modal[b] for b in branch_codes.tolist()]], m)

@@ -216,8 +216,7 @@ def _fit_certificate(t_tilde: int, norm: float,
     return sup_err, peak, eff_degree
 
 
-def approximate_target(t_tilde: int, norm: float, eps: float,
-                       degree_cap: int = DEGREE_CAP) -> PolynomialTarget:
+def approximate_target(t_tilde: int, norm: float, eps: float) -> PolynomialTarget:
     """Bounded-degree polynomial realizing scale * g on [1/norm, 1].
 
     ``eps`` bounds the rescaled comparison sup |P/scale - g|; the degree
@@ -257,11 +256,11 @@ def approximate_target(t_tilde: int, norm: float, eps: float,
 
     degree = max(1, int(0.25 * t_tilde * norm) | 1)
     while (coeffs := accepted_fit(degree)) is None:
-        if degree >= degree_cap:
+        if degree >= DEGREE_CAP:
             raise NumericalError(
-                f"degree cap {degree_cap} exceeded for t_tilde={t_tilde}, "
+                f"degree cap {DEGREE_CAP} exceeded for t_tilde={t_tilde}, "
                 f"norm={norm:.4g}, eps={eps:.3g}")
-        degree = min(degree_cap, max(degree + 2, int(degree * 1.4) | 1))
+        degree = min(DEGREE_CAP, max(degree + 2, int(degree * 1.4) | 1))
 
     sup_err, peak, eff_degree = _fit_certificate(t_tilde, norm, degree)
     if sup_err > eps:
@@ -522,8 +521,7 @@ class PreparedValueState:
 
 
 def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGrid,
-                        eps1: float, degree_cap: int = DEGREE_CAP,
-                        prob_floor: float = SUCCESS_PROB_FLOOR) -> PreparedValueState:
+                        eps1: float) -> PreparedValueState:
     """Prepare the normalized t_bar value state by QSVT post-selection.
 
     The encoding carries the transpose of the stepping matrix so the
@@ -566,7 +564,7 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
         if y_norm <= 0:
             raise NumericalError("target action annihilates the payoff state")
         eps_fit = min(0.49, max(1e-13, 0.25 * eps1 * y_norm))
-        poly = approximate_target(t_tilde, norm_param, eps_fit, degree_cap)
+        poly = approximate_target(t_tilde, norm_param, eps_fit)
 
     phases = solve_phase_factors(poly)
     # the post-selected branch of U_Phi |0>|payoff>: its zero ancilla
@@ -574,10 +572,10 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
     block = _value_block(op_key, poly.degree, poly.coeffs.tobytes())
     sub = block @ (payoff / norm_payoff).astype(complex)
     prob = float(np.linalg.norm(sub) ** 2)
-    if prob < prob_floor:
+    if prob < SUCCESS_PROB_FLOOR:
         raise NumericalError(
-            f"post-selection probability {prob:.3e} below floor {prob_floor:.1e}; "
-            f"degree={poly.degree}, scale={poly.scale:.3e}")
+            f"post-selection probability {prob:.3e} below floor "
+            f"{SUCCESS_PROB_FLOOR:.1e}; degree={poly.degree}, scale={poly.scale:.3e}")
     vec = sub / np.linalg.norm(sub)
     if vec.real.sum() < 0:
         vec = -vec

@@ -37,6 +37,9 @@ from .errors import ConfigError, NumericalError
 from .qcore import StateVector, exact_distribution, flag_write, xor_write
 
 CDF_TOL = 1e-9
+# the scenario state's value register and the comparator's tail flag
+VALUE_REG = "value"
+FLAG = "flag"
 # grid points per block of the bound-pruned likelihood search
 BLOCK = 128
 
@@ -79,15 +82,14 @@ class RiskReport:
         }
 
 
-def comparator_ucc(state: StateVector, value_reg: str, threshold_code: int,
-                   flag: str) -> StateVector:
+def comparator_ucc(state: StateVector, threshold_code: int) -> StateVector:
     """Write the tail flag: 0 where the value code is <= the threshold code,
     1 otherwise (the flag qubit starts zeroed)."""
-    width = state.layout.width_of(value_reg)
+    width = state.layout.width_of(VALUE_REG)
     if not 0 <= threshold_code < 2**width:
         raise ConfigError(f"threshold code {threshold_code} not representable "
                           f"in {width} bits")
-    return flag_write(state, value_reg, flag,
+    return flag_write(state, VALUE_REG, FLAG,
                       lambda codes: (codes > threshold_code).astype(np.int64))
 
 
@@ -207,15 +209,14 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
                              shots=shots * len(powers))
 
 
-def tail_probability(state: StateVector, flag: str = "flag",
-                     mode: str = "exact", eps: float = 0.01,
-                     rng=None) -> tuple[float, int]:
+def tail_probability(state: StateVector, mode: str = "exact",
+                     eps: float = 0.01, rng=None) -> tuple[float, int]:
     """Probability of flag = 0 (the tail mass); returns (p0, query count).
 
     Exact mode reads squared amplitudes (one query); sampled mode runs the
     amplitude-estimation simulation at additive error eps.
     """
-    p0 = float(exact_distribution(state, flag)[0])
+    p0 = float(exact_distribution(state, FLAG)[0])
     if mode == "exact":
         return p0, 1
     if rng is None:
@@ -225,7 +226,6 @@ def tail_probability(state: StateVector, flag: str = "flag",
 
 
 def bisection_var(state_preparer: Callable[[], StateVector], q: float, m: int,
-                  value_reg: str = "value", flag: str = "flag",
                   mode: str = "exact", eps: float = 0.01, rng=None):
     """Smallest m-bit code whose tail probability reaches q.
 
@@ -243,8 +243,8 @@ def bisection_var(state_preparer: Callable[[], StateVector], q: float, m: int,
         if iterations > m:
             raise NumericalError("bisection exceeded the m-iteration budget")
         mid = (lo + hi) // 2
-        flagged = comparator_ucc(state_preparer(), value_reg, mid, flag)
-        p0, used = tail_probability(flagged, flag, mode, eps, rng)
+        flagged = comparator_ucc(state_preparer(), mid)
+        p0, used = tail_probability(flagged, mode, eps, rng)
         queries += used
         if p0 >= q - CDF_TOL:
             hi = mid
@@ -323,8 +323,7 @@ class CvarBreakdown:
 
 def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
          threshold_code: int, q: float, L: int, scale: float,
-         value_table: np.ndarray, value_reg: str = "value",
-         flag: str = "flag", mode: str = "exact", eps: float = 0.01,
+         value_table: np.ndarray, mode: str = "exact", eps: float = 0.01,
          rng=None) -> CvarBreakdown:
     """Tail mean from the flagged-and-uncomputed portfolio state.
 
@@ -333,11 +332,11 @@ def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
     pass), and contracts against the value-weighted reference state; the
     reconstruction divides by the achieved tail fraction.
     """
-    flagged = comparator_ucc(state, value_reg, threshold_code, flag)
-    p0, q_used = tail_probability(flagged, flag, mode, eps, rng)
+    flagged = comparator_ucc(state, threshold_code)
+    p0, q_used = tail_probability(flagged, mode, eps, rng)
     if p0 <= 0.0:
         raise NumericalError("empty tail set: no branch at or below the VaR code")
-    phi3 = xor_write(flagged, "price", value_reg, value_table)
+    phi3 = xor_write(flagged, "price", VALUE_REG, value_table)
     raw, q_overlap = swap_test_overlap(psi_ref, phi3, mode, eps, rng)
     cvar_norm = raw * ref_norm / (p0 * math.sqrt(L))
     overlap_folded = raw * ref_norm * math.sqrt(p0)

@@ -1,10 +1,10 @@
 """Reference implementations the tests check the production code against.
 
 The production pipeline runs Step 3 in closed form: the limit table
-``qpca.value_code_table`` and the per-branch kernel
-``qpca.qpe_branch_distributions``.  This module holds the circuits those
-closed forms stand for, written out densely so that small instances can be
-compared entry by entry:
+``qpca.value_code_table`` and the per-branch kernels
+``qpca.qpe_exact_distributions`` and ``qpca.qpe_trotter_distributions``.
+This module holds the circuits those closed forms stand for, written out
+densely so that small instances can be compared entry by entry:
 
 * a dense gate and QFT toolkit on ``qcore.StateVector`` (dense form only);
 * ``DensityMatrix`` and the swap-interaction channel of density-matrix
@@ -18,6 +18,8 @@ compared entry by entry:
   certificate (``verify_block_encoding``);
 * the full 2^(n+4)-square QSVT circuit U_Phi (``qsvt_circuit``), whose
   top-left 2^n block ``qsvt.apply_qsvt`` computes alone;
+* the explicit 1-norm of the no-go pair's m-copy projectors
+  (``explicit_trace_norm_gap``), twice ``nogo.trace_norm_gap``;
 * small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
   ``fit_linear_slope``.
 
@@ -37,10 +39,11 @@ from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams
 from qvar.pde import TridiagonalOperator
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
-from qvar.qpca import PcaJob, decode_value, sqrt_code_table
+from qvar.qpca import QPE_DT, decode_value, sqrt_code_table
 from qvar.qsvt import PhaseFactorSequence
 
 UNITARY_TOL = 1e-10
+EXPLICIT_DIM_CAP = 2**12
 
 
 # --- dense statevector toolkit ------------------------------------------
@@ -190,16 +193,17 @@ def trotter_slice(rho: DensityMatrix, sigma: DensityMatrix, dt: float) -> Densit
 
 
 def evolve_exp_rho(sigma: DensityMatrix, rho: DensityMatrix, tau: float,
-                   job: PcaJob) -> DensityMatrix:
-    """Evolve sigma under e^{-i rho tau}, exactly or by swap slices."""
+                   n_trotter: int | None = None) -> DensityMatrix:
+    """Evolve sigma under e^{-i rho tau}: exactly when ``n_trotter`` is
+    None, else by ``n_trotter`` swap slices."""
     if sigma.entries.shape != rho.entries.shape:
         raise ConfigError("sigma and rho must act on the same register")
-    if job.mode == "exact_exponential":
+    if n_trotter is None:
         u = expm(-1j * tau * rho.entries)
         return DensityMatrix(u @ sigma.entries @ u.conj().T)
-    dt = tau / job.n_trotter
+    dt = tau / n_trotter
     out = sigma
-    for _ in range(job.n_trotter):
+    for _ in range(n_trotter):
         out = trotter_slice(rho, out, dt)
     return out
 
@@ -214,25 +218,22 @@ def _hadamard_all(width: int) -> np.ndarray:
     return out
 
 
-def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray, job: PcaJob,
+def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray,
                           price: str = "price", phase: str = "value") -> StateVector:
-    """Coherent phase estimation writing eigenvalue codes of rho, given as
-    its spectrum over price codes (``qpca.reduced_rho``).
+    """Coherent exact-exponential phase estimation writing eigenvalue codes
+    of rho, given as its spectrum over price codes (``qpca.reduced_rho``),
+    with 2^m controlled powers of evolution time ``qpca.QPE_DT`` for the
+    m-qubit phase register.
 
     Price-register basis states are rho eigenstates (diagonal rho), so the
     controlled evolution is a pure phase load followed by the inverse QFT.
-    Only the exact-exponential mode yields a statevector; the trotterized
-    channel is analyzed through ``qpca.qpe_branch_distributions``.  The
-    QFTs entangle the phase register with the branches, so a sparse input
-    is expanded and the result is dense.
+    The trotterized channel is not a statevector map and is analyzed
+    through ``qpca.qpe_trotter_distributions``.  The QFTs entangle the
+    phase register with the branches, so a sparse input is expanded and
+    the result is dense.
     """
-    if job.mode != "exact_exponential":
-        raise ConfigError("coherent QPE requires exact_exponential mode; "
-                          "use qpe_branch_distributions for the trotterized channel")
     layout = state.layout
     m = layout.width_of(phase)
-    if job.m != m:
-        raise ConfigError("job.m does not match the phase register width")
     if state.index is not None:
         amps = np.zeros(2**layout.total_qubits, dtype=complex)
         amps[state.index] = state.amplitudes
@@ -247,7 +248,7 @@ def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray, job: PcaJob,
 
     out = apply_unitary(state, _hadamard_all(m), phase, check=False)
     l_vals = layout.values(phase)
-    phases = rho[price_vals] * l_vals * job.delta_t
+    phases = rho[price_vals] * l_vals * QPE_DT
     out = StateVector(out.amplitudes * np.exp(1j * phases), layout)
     return inverse_qft(out, phase)
 
@@ -368,6 +369,28 @@ def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
     full[dim:, :dim] = im_part
     full[dim:, dim:] = re_part
     return full
+
+
+# --- the no-go pair's explicit trace norm --------------------------------
+
+def explicit_trace_norm_gap(d: int, m: int) -> float:
+    """The 1-norm of the difference of the m-copy projectors of
+    |psi> = -sqrt((d-1)/d)|0...0> + sqrt(1/d)|1...1> and |phi> = |0...0>,
+    evaluated in the two-dimensional span of the product states; the
+    standard pure-state identity makes it exactly twice the analytic gap
+    ``nogo.trace_norm_gap``.  Limited to d^m <= EXPLICIT_DIM_CAP, the
+    product-space sizes the factor-of-2 checks range over."""
+    if d**m > EXPLICIT_DIM_CAP:
+        raise ConfigError(f"explicit gap limited to d^m <= {EXPLICIT_DIM_CAP}, "
+                          f"got {d}^{m}")
+    # Gram basis {psi^m, phi^m}: overlap g = <psi|phi>^m
+    g = (-np.sqrt((d - 1.0) / d)) ** m
+    # orthonormalize: phi^m = g psi^m + sqrt(1-g^2) e2
+    comp = np.sqrt(max(0.0, 1.0 - g * g))
+    p_psi = np.array([[1.0, 0.0], [0.0, 0.0]])
+    vec_phi = np.array([g, comp])
+    eig = np.linalg.eigvalsh(p_psi - np.outer(vec_phi, vec_phi))
+    return float(np.abs(eig).sum())
 
 
 def fit_linear_slope(curve) -> float:

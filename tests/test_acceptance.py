@@ -20,13 +20,13 @@ from qvar.nogo import copy_curve, trace_norm_gap
 from qvar.pde import (TridiagonalOperator, assemble_operator, price_american,
                       price_european)
 from qvar.qcore import RegisterLayout
-from qvar.qpca import (PcaJob, assemble_portfolio_state, decode_value,
-                       grid_codes, reduced_rho)
+from qvar.qpca import (assemble_portfolio_state, decode_value, grid_codes,
+                       reduced_rho)
 from qvar.qsvt import prepare_value_state
 from qvar.risk import bisection_var, classical_var_cvar, cvar, make_reference_state
-from reference import (DensityMatrix, evolve_exp_rho, fit_linear_slope,
-                       grover_rudolph_prepare, perturb_state, trotter_slice,
-                       verify_block_encoding)
+from reference import (DensityMatrix, evolve_exp_rho, explicit_trace_norm_gap,
+                       fit_linear_slope, grover_rudolph_prepare, perturb_state,
+                       trotter_slice, verify_block_encoding)
 
 # degree-budget constant for criterion 3, shared across every case
 DEGREE_BUDGET_C = 8.0
@@ -126,7 +126,7 @@ def _lookup_instance(rng, m=6):
 
 def test_criterion_4_step3_lookup_and_trotter_convergence(rng):
     grid, values, vstate, paths = _lookup_instance(rng)
-    res = assemble_portfolio_state(paths, vstate, grid, PcaJob(m=6))
+    res = assemble_portfolio_state(paths, vstate, grid, 6)
     normalized = values / np.linalg.norm(values)
     worst = 0.0
     for value, j in zip(res.value, res.node_index):
@@ -144,7 +144,7 @@ def test_criterion_4_step3_lookup_and_trotter_convergence(rng):
     dists = []
     for n_trotter in (8, 16, 32):
         dt = 1.0 / n_trotter
-        exact = evolve_exp_rho(sigma, rho, dt, PcaJob(m=6, mode="exact_exponential"))
+        exact = evolve_exp_rho(sigma, rho, dt)
         approx = trotter_slice(rho, sigma, dt)
         dists.append(np.linalg.norm(approx.entries - exact.entries, 2))
     slopes = [math.log2(dists[i] / dists[i + 1]) for i in range(2)]
@@ -179,7 +179,7 @@ def _risk_instance(rng, L, m=6):
     code = FixedPointCode(m=m, range_max=8.0)
     prices = code.quantize(grid.nodes[rng.integers(0, 16, size=L)])
     paths = PathSet(L=L, t=0.0, prices=prices, code=code)
-    assembled = assemble_portfolio_state(paths, vstate, grid, PcaJob(m=m))
+    assembled = assemble_portfolio_state(paths, vstate, grid, m)
     return grid, values, paths, assembled
 
 
@@ -252,7 +252,7 @@ def test_criterion_8_american_projection(rng):
 
 
 def test_criterion_9_nogo_curve():
-    curve = copy_curve(256, 0.8, "paper_analytic")
+    curve = copy_curve(256, 0.8)
     slope = fit_linear_slope(curve)
     assert 0.3 <= slope <= 3.0
     checked = 0
@@ -260,8 +260,8 @@ def test_criterion_9_nogo_curve():
     while d <= 256:
         m = 1
         while d**m <= 2**12:
-            explicit = trace_norm_gap(d, m, "explicit")
-            analytic = trace_norm_gap(d, m, "analytic")
+            explicit = explicit_trace_norm_gap(d, m)
+            analytic = trace_norm_gap(d, m)
             assert abs(explicit - 2.0 * analytic) <= 1e-12
             checked += 1
             m += 1

@@ -4,12 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from qvar import cli, qsvt
+from qvar import qpca, qsvt
 from qvar.cli import main
 from qvar.market import payoff_vector
 from qvar.mc import simulate_paths
 from qvar.pipeline import load_run_config
-from qvar.qpca import (PcaJob, decode_value, grid_codes, qpe_branch_distributions,
+from qvar.qpca import (decode_value, grid_codes, qpe_exact_distributions,
                        reduced_rho, snap_paths, sqrt_code_table)
 from qvar.qsvt import prepare_value_state
 
@@ -124,7 +124,7 @@ def exact_qpe_modal_values(doc):
     paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
     rho = reduced_rho(prepared.state, cfg.grid, cfg.m)
     codes = grid_codes(cfg.grid, cfg.m)[snap_paths(paths, cfg.grid)]
-    dists = qpe_branch_distributions(codes, rho, PcaJob(m=cfg.m))
+    dists = qpe_exact_distributions(codes, rho, cfg.m)
     sqrt_map = sqrt_code_table(cfg.m)
     return [float(decode_value(sqrt_map[int(np.argmax(dists[int(c)]))], cfg.m))
             for c in codes]
@@ -142,12 +142,23 @@ def test_assemble_trotter_doubles_slices_until_certified(config_path, capsys):
 
 
 def test_assemble_trotter_slice_cap_exit_code(config_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "TROTTER_SLICE_CAP", 256)  # 4096 are needed
+    monkeypatch.setattr(qpca, "TROTTER_SLICE_CAP", 256)  # 4096 are needed
     assert run_cli(["assemble", "--mode", "trotter", "--config", config_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("qvar: error: trotter distance ")
     assert "at 256 slices" in err
     assert "Traceback" not in err
+
+
+def test_assemble_trotter_evaluates_the_exact_kernel_once(config_path, capsys,
+                                                         monkeypatch):
+    # the certification doubles the slice count 16 -> 4096 (9 trotter
+    # kernels) against one exact kernel, not one per doubling
+    exact = count_calls(monkeypatch, qpca.qpe_exact_distributions)
+    trotter = count_calls(monkeypatch, qpca.qpe_trotter_distributions)
+    assert run_cli(["assemble", "--mode", "trotter", "--config", config_path]) == 0
+    assert len(exact) == 1
+    assert [call[3] for call in trotter] == [16 * 2**k for k in range(9)]
 
 
 def test_run_deterministic_reports(config_path, tmp_path):
@@ -243,6 +254,17 @@ def test_assemble_budget_error_exit_code(config_path, capsys, monkeypatch, mode)
     monkeypatch.setenv("QVAR_QUBIT_CAP", "12")
     assert run_cli(["assemble", "--mode", mode, "--config", config_path]) == 4
     assert "layout needs 18 qubits, budget is 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_assemble_budget_checked_before_stage1(config_path, capsys, monkeypatch,
+                                               mode):
+    # a config whose scenario registers can never fit exits 4 without
+    # paying for the Stage-1 fit
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "12")
+    stage1 = count_calls(monkeypatch, qsvt.prepare_value_state)
+    assert run_cli(["assemble", "--mode", mode, "--config", config_path]) == 4
+    assert stage1 == []
 
 
 def test_numerical_error_exit_code(tmp_path):

@@ -106,9 +106,13 @@ def test_simulate_paths_deterministic():
 
 
 def test_simulate_paths_overflow():
+    # 3 * 1.5^4 = 15.2: the dry pass sizes the register past the peak,
+    # where a fixed range of 8 overflows on the same prices
     params = make_params(mu=0.5, alpha=0.0, dtau=1.0, t_bar=4.0, T=4.0)
+    paths = simulate_paths(params, 3.0, 4, 6)
+    assert paths.code.range_max == 32.0
     with pytest.raises(NumericalError, match="overflow"):
-        simulate_paths(params, 3.0, 4, 6, range_max=8.0)
+        FixedPointCode(m=6, range_max=8.0).encode(paths.prices)
 
 
 @pytest.mark.parametrize("s0", [1e308, 5e307, math.nan])

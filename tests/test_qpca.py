@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qvar import qpca
 from qvar.errors import ConfigError
 from qvar.market import build_grid, payoff_vector
 from qvar.mc import FixedPointCode, PathSet
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution
-from qvar.qpca import (PcaJob, assemble_portfolio_state, decode_value,
-                       encode_value, grid_codes, prepare_path_state,
-                       price_register_width, qpe_branch_distributions,
-                       reduced_rho, snap_paths, sqrt_code_table)
+from qvar.qpca import (TROTTER_DISTANCE_TOL, assemble_portfolio_state,
+                       decode_value, encode_value, grid_codes,
+                       prepare_path_state, price_register_width,
+                       qpe_exact_distributions, qpe_trotter_distributions,
+                       reduced_rho, snap_paths, sqrt_code_table, trotter_values)
 from reference import (DensityMatrix, basis_state, evolve_exp_rho,
                        grover_rudolph_prepare, perturb_state,
                        qpe_modal_estimates, qpe_write_eigenvalues, qft_matrix,
@@ -114,17 +116,15 @@ def test_reduced_rho_is_the_diagonal_of_the_contracted_psi2(case):
 def test_evolve_zero_time_is_identity(rng):
     rho = random_density(rng, 8, diagonal=True)
     sigma = random_density(rng, 8)
-    for mode in ("exact_exponential", "trotterized"):
-        job = PcaJob(m=3, n_trotter=4, mode=mode)
-        out = evolve_exp_rho(sigma, rho, 0.0, job)
+    for n_trotter in (None, 4):  # exact, then four swap slices
+        out = evolve_exp_rho(sigma, rho, 0.0, n_trotter)
         assert np.abs(out.entries - sigma.entries).max() < 1e-12
 
 
 def test_evolve_commuting_case(rng):
     rho = random_density(rng, 8, diagonal=True)
     sigma = random_density(rng, 8, diagonal=True)
-    job = PcaJob(m=3, mode="exact_exponential")
-    out = evolve_exp_rho(sigma, rho, 1.7, job)
+    out = evolve_exp_rho(sigma, rho, 1.7)
     assert np.abs(out.entries - sigma.entries).max() < 1e-12
 
 
@@ -136,7 +136,7 @@ def test_trotter_slice_second_order(rng):
     dists = []
     for n_slices in (8, 16, 32):
         dt = 1.0 / n_slices
-        exact = evolve_exp_rho(sigma, rho, dt, PcaJob(m=3, mode="exact_exponential"))
+        exact = evolve_exp_rho(sigma, rho, dt)
         approx = trotter_slice(rho, sigma, dt)
         dists.append(np.linalg.norm(approx.entries - exact.entries, 2))
     ratios = [dists[i] / dists[i + 1] for i in range(2)]
@@ -148,10 +148,9 @@ def test_trotter_accumulated_error_bounded(rng):
     rho = random_density(rng, 8, diagonal=True)
     sigma = random_density(rng, 8)
     tau = 1.0
-    exact = evolve_exp_rho(sigma, rho, tau, PcaJob(m=3, mode="exact_exponential"))
+    exact = evolve_exp_rho(sigma, rho, tau)
     for n in (8, 16, 32):
-        approx = evolve_exp_rho(sigma, rho, tau, PcaJob(m=3, n_trotter=n,
-                                                        mode="trotterized"))
+        approx = evolve_exp_rho(sigma, rho, tau, n)
         dist = np.linalg.norm(approx.entries - exact.entries, 2)
         assert dist <= 4.0 * n * (tau / n) ** 2  # C * N_trotter * delta_t^2
 
@@ -160,7 +159,7 @@ def qpe_state(grid, values, paths, m):
     vstate = make_value_state(values, grid.n)
     rho = reduced_rho(vstate, grid, m)
     state = prepare_path_state(paths, grid, m, snap_paths(paths, grid))
-    return qpe_write_eigenvalues(state, rho, PcaJob(m=m)), rho
+    return qpe_write_eigenvalues(state, rho), rho
 
 
 def test_qpe_pure_rho_reads_one(grid4):
@@ -204,7 +203,7 @@ def test_qpe_requires_zeroed_phase_register(grid4):
     shifted = state.index + 1  # value register no longer zeroed
     with pytest.raises(ConfigError, match="zeroed"):
         qpe_write_eigenvalues(StateVector(state.amplitudes, state.layout, shifted),
-                              rho, PcaJob(m=6))
+                              rho)
 
 
 def test_sqrt_code_examples():
@@ -226,8 +225,7 @@ def test_sqrt_register_xor_write(grid4):
 def test_assemble_constant_surface(grid4):
     values = np.ones(16)
     paths = make_paths(grid4.nodes[[1, 3, 5, 7, 9, 11, 13, 15]])
-    res = assemble_portfolio_state(paths, make_value_state(values, 4), grid4,
-                                   PcaJob(m=6))
+    res = assemble_portfolio_state(paths, make_value_state(values, 4), grid4, 6)
     vals = set(res.value.tolist())
     assert len(vals) == 1
     assert res.value[0] == pytest.approx(0.25, abs=2**-6)
@@ -236,8 +234,7 @@ def test_assemble_constant_surface(grid4):
 def test_assemble_payoff_at_expiry(grid4, call_spec):
     payoff = payoff_vector(call_spec, grid4)
     paths = make_paths(grid4.nodes[[2, 4, 6, 8, 10, 12, 14, 15]])
-    res = assemble_portfolio_state(paths, make_value_state(payoff, 4), grid4,
-                                   PcaJob(m=6))
+    res = assemble_portfolio_state(paths, make_value_state(payoff, 4), grid4, 6)
     normalized = payoff / np.linalg.norm(payoff)
     idx = snap_paths(paths, grid4)
     for value, j in zip(res.value, idx):
@@ -247,11 +244,11 @@ def test_assemble_payoff_at_expiry(grid4, call_spec):
 def test_assemble_full_pipeline_lookup(grid4, rng):
     values = rng.uniform(0.0, 1.0, size=16)
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
-    res = assemble_portfolio_state(paths, make_value_state(values, 4), grid4,
-                                   PcaJob(m=6))
+    res = assemble_portfolio_state(paths, make_value_state(values, 4), grid4, 6)
     assert res.state is not None
     normalized = values / np.linalg.norm(values)
-    for value, error, j in zip(res.value, res.error, res.node_index):
+    for value, oracle, j in zip(res.value, res.oracle, res.node_index):
+        error = abs(value - oracle)
         assert abs(value - normalized[j]) <= 2**-6
         assert error <= 2**-6
     # value register content in the state matches the table
@@ -268,12 +265,22 @@ def test_assemble_trotter_mode_matches_exact_modal_codes(grid4, rng):
     values = rng.uniform(0.2, 1.0, size=16)
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
     vstate = make_value_state(values, 4)
-    job = PcaJob(m=4, n_trotter=64, mode="trotterized")
-    res = assemble_portfolio_state(paths, vstate, grid4, job)
-    assert res.state is None
-    assert res.trotter_distance is not None
-    for value, oracle in zip(res.value, res.oracle):
-        assert abs(value - oracle) <= 2**-4 + res.trotter_distance
+    res = assemble_portfolio_state(paths, vstate, grid4, 4)
+    got = trotter_values(vstate, grid4, 4, res.node_index)
+    # the certified slice count reads exact-mode QPE's modal codes
+    codes = grid_codes(grid4, 4)[res.node_index]
+    exact = qpe_exact_distributions(codes, reduced_rho(vstate, grid4, 4), 4)
+    modal = [int(np.argmax(exact[int(c)])) for c in codes]
+    assert got.tolist() == decode_value(sqrt_code_table(4)[modal], 4).tolist()
+    for value, oracle in zip(got, res.oracle):
+        assert abs(value - oracle) <= 2**-4 + TROTTER_DISTANCE_TOL
+
+
+def trotter_distance(codes, rho, m, n_trotter, exact):
+    """Worst branch total-variation distance of the trotter kernel to the
+    exact one."""
+    dists = qpe_trotter_distributions(codes, rho, m, n_trotter)
+    return max(float(np.abs(d - exact[b]).sum()) / 2 for b, d in dists.items())
 
 
 def test_trotter_branch_distributions_converge_in_the_slice_count(grid4, rng):
@@ -283,20 +290,17 @@ def test_trotter_branch_distributions_converge_in_the_slice_count(grid4, rng):
     vstate = make_value_state(values, 4)
     rho = reduced_rho(vstate, grid4, m)
     codes = grid_codes(grid4, m)[snap_paths(paths, grid4)]
-    exact = qpe_branch_distributions(codes, rho, PcaJob(m=m))
-    distances = []
-    for n_trotter in (16, 64, 256, 1024):
-        job = PcaJob(m=m, n_trotter=n_trotter, mode="trotterized")
-        distances.append(assemble_portfolio_state(paths, vstate, grid4,
-                                                  job).trotter_distance)
+    exact = qpe_exact_distributions(codes, rho, m)
+    distances = [trotter_distance(codes, rho, m, n, exact)
+                 for n in (16, 64, 256, 1024)]
     assert all(a > b for a, b in zip(distances, distances[1:]))
-    dists = qpe_branch_distributions(codes, rho, job)
+    dists = qpe_trotter_distributions(codes, rho, m, 1024)
     for code in np.unique(codes):
         assert np.argmax(dists[int(code)]) == np.argmax(exact[int(code)])
-    # one slice of length delta_t = pi is -I, so every branch reads 1.0
-    one = assemble_portfolio_state(paths, vstate, grid4,
-                                   PcaJob(m=m, n_trotter=1, mode="trotterized"))
-    assert one.value.tolist() == [1.0] * paths.L
+    # one slice of length QPE_DT = pi is -I, so every branch reads 1.0
+    one = qpe_trotter_distributions(codes, rho, m, 1)
+    modal = [int(np.argmax(one[int(c)])) for c in codes]
+    assert decode_value(sqrt_code_table(m)[modal], m).tolist() == [1.0] * paths.L
 
 
 def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
@@ -306,9 +310,9 @@ def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
     vstate = make_value_state(values, 4)
     rho = reduced_rho(vstate, grid4, m)
     state = prepare_path_state(paths, grid4, m, snap_paths(paths, grid4))
-    out = qpe_write_eigenvalues(state, rho, PcaJob(m=m))
+    out = qpe_write_eigenvalues(state, rho)
     codes = grid_codes(grid4, m)[snap_paths(paths, grid4)]
-    dists = qpe_branch_distributions(codes, rho, PcaJob(m=m))
+    dists = qpe_exact_distributions(codes, rho, m)
     layout = out.layout
     probs = np.abs(out.amplitudes) ** 2
     pvals = layout.values("price")
@@ -332,13 +336,13 @@ def one_sided_slice(rho, x, h):
     return np.einsum("abac->bc", joint)
 
 
-def dense_trotter_branch_distribution(rho, b, job):
+def dense_trotter_branch_distribution(rho, b, m, n_trotter):
     """Phase-register distribution of trotterized QPE on branch code b,
     composed slice by slice.  The phase register's coherence |l'><l|,
     l' >= l, carries l * n_trotter slices acting on both sides of |b><b|
     (``trotter_slice``) and (l' - l) * n_trotter more acting on the ket
     side only; the inverse QFT follows."""
-    n, h = job.n_qpe, job.delta_t / job.n_trotter
+    n, h = 2**m, qpca.QPE_DT / n_trotter
     rho_dm = DensityMatrix(np.diag(rho))
     two_sided = DensityMatrix(np.diag(np.eye(rho.size)[b]))
     coherences = np.empty((n, n), dtype=complex)
@@ -347,9 +351,9 @@ def dense_trotter_branch_distribution(rho, b, job):
         for lp in range(l, n):
             coherences[lp, l] = np.trace(x) / n
             coherences[l, lp] = np.conj(coherences[lp, l])
-            for _ in range(job.n_trotter):
+            for _ in range(n_trotter):
                 x = one_sided_slice(rho_dm.entries, x, h)
-        for _ in range(job.n_trotter):
+        for _ in range(n_trotter):
             two_sided = trotter_slice(rho_dm, two_sided, h)
     fourier = qft_matrix(int(np.log2(n)))
     return np.diag(fourier.conj().T @ coherences @ fourier).real
@@ -361,21 +365,20 @@ def test_trotter_closed_form_matches_dense_slice_composition(rng, n_trotter):
     grid = build_grid(0.0, 0.75, 2, "uniform")  # codes 0, 2, 4, 6 at m = 3
     rho = reduced_rho(make_value_state(rng.uniform(0.2, 1.0, size=4), 2), grid, m)
     codes = grid_codes(grid, m)
-    job = PcaJob(m=m, n_trotter=n_trotter, mode="trotterized")
-    closed = qpe_branch_distributions(codes, rho, job)
+    closed = qpe_trotter_distributions(codes, rho, m, n_trotter)
     for b in codes.tolist():
-        dense = dense_trotter_branch_distribution(rho, b, job)
+        dense = dense_trotter_branch_distribution(rho, b, m, n_trotter)
         assert np.abs(closed[b] - dense).max() <= 1e-12
 
 
-def looped_trotter_branch_distributions(branch_codes, rho, job):
+def looped_trotter_branch_distributions(branch_codes, rho, m, n_trotter):
     """The trotterized kernel with each coherence matrix filled entry by
     entry, as the reference for the index-array fill."""
-    n, dt = job.n_qpe, job.delta_t
+    n, dt = 2**m, qpca.QPE_DT
     ls = np.arange(n)
     fourier = np.exp(2j * np.pi * np.outer(np.arange(n), ls) / n) / np.sqrt(n)
-    slices = ls * job.n_trotter
-    c, s = np.cos(dt / job.n_trotter), np.sin(dt / job.n_trotter)
+    slices = ls * n_trotter
+    c, s = np.cos(dt / n_trotter), np.sin(dt / n_trotter)
     pow_one = (c + 1j * s * rho)[None, :] ** slices[:, None]
     phi = pow_one @ rho
     c2l = (c * c) ** slices
@@ -398,10 +401,9 @@ def looped_trotter_branch_distributions(branch_codes, rho, job):
 def test_trotter_kernel_equals_looped_fill_bit_for_bit(rng, m, n_trotter):
     rho = rng.uniform(0.0, 1.0, size=2**m)
     rho /= rho.sum()
-    job = PcaJob(m=m, n_trotter=n_trotter, mode="trotterized")
     codes = np.arange(2**m)
-    got = qpe_branch_distributions(codes, rho, job)
-    want = looped_trotter_branch_distributions(codes, rho, job)
+    got = qpe_trotter_distributions(codes, rho, m, n_trotter)
+    want = looped_trotter_branch_distributions(codes, rho, m, n_trotter)
     assert got.keys() == want.keys()
     for b in want:
         assert got[b].tobytes() == want[b].tobytes()

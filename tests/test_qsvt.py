@@ -85,9 +85,10 @@ def test_cached_certificate_checked_on_every_request(monkeypatch, certificate,
         approximate_target(2, 2.0, 1e-3)
 
 
-def test_degree_cap_enforced():
-    with pytest.raises(NumericalError, match="degree cap"):
-        approximate_target(32, 8.0, 1e-6, degree_cap=64)
+def test_degree_cap_enforced(monkeypatch):
+    monkeypatch.setattr(qsvt, "DEGREE_CAP", 64)
+    with pytest.raises(NumericalError, match="degree cap 64 exceeded"):
+        approximate_target(32, 8.0, 1e-6)
 
 
 def _unscreened_walk(t_tilde, norm, eps):
@@ -321,16 +322,17 @@ def test_prepare_value_state_rejects_zero_payoff(unit_grid):
         prepare_value_state(np.zeros(16), params, unit_grid, eps1=1e-3)
 
 
-def test_prepare_value_state_probability_floor(unit_grid, call_spec):
+def test_prepare_value_state_probability_floor(unit_grid, call_spec, monkeypatch):
     params = _market(4, 1)
     payoff = payoff_vector(call_spec, unit_grid)
+    monkeypatch.setattr(qsvt, "SUCCESS_PROB_FLOOR", 0.9)
     with pytest.raises(NumericalError, match="floor"):
-        prepare_value_state(payoff, params, unit_grid, eps1=1e-3, prob_floor=0.9)
+        prepare_value_state(payoff, params, unit_grid, eps1=1e-3)
 
 
-def _call_state(params, grid, strike, eps1=1e-3, **kwargs):
+def _call_state(params, grid, strike, eps1=1e-3):
     payoff = payoff_vector(PayoffSpec("call", strike), grid)
-    return prepare_value_state(payoff, params, grid, eps1=eps1, **kwargs)
+    return prepare_value_state(payoff, params, grid, eps1=eps1)
 
 
 def _stage1_bits(res):
@@ -405,20 +407,23 @@ def test_value_block_applies_like_the_dense_circuit(n):
         assert applied.tobytes() == _dense_post_selection(matrix, payoff).tobytes()
 
 
-def test_per_request_checks_fire_on_warm_cache(unit_grid):
+def test_per_request_checks_fire_on_warm_cache(unit_grid, monkeypatch):
     params = _market(4, 4)
     res = _call_state(params, unit_grid, 1.0)
     misses = _misses()
-    with pytest.raises(NumericalError, match="floor"):
-        _call_state(params, unit_grid, 1.0, prob_floor=0.9)
+    with monkeypatch.context() as patch:
+        patch.setattr(qsvt, "SUCCESS_PROB_FLOOR", 0.9)
+        with pytest.raises(NumericalError, match="floor"):
+            _call_state(params, unit_grid, 1.0)
     # the ladder rung just below the accepted degree failed its fit, so a
     # cap there stops the walk on compiled entries alone
     t_tilde, norm = res.target.t_tilde, res.target.norm
     rungs = [max(1, int(0.25 * t_tilde * norm) | 1)]
     while rungs[-1] < res.target.degree:
         rungs.append(max(rungs[-1] + 2, int(rungs[-1] * 1.4) | 1))
+    monkeypatch.setattr(qsvt, "DEGREE_CAP", rungs[-2])
     with pytest.raises(NumericalError, match="degree cap"):
-        _call_state(params, unit_grid, 1.0, degree_cap=rungs[-2])
+        _call_state(params, unit_grid, 1.0)
     assert _misses() == misses
 
 

@@ -41,13 +41,13 @@ def branch_state(value_codes, price_codes=None, with_flag=True):
 
 def test_comparator_all_below_threshold():
     state = branch_state([1, 3, 5, 7])
-    out = comparator_ucc(state, "value", 2**M_BITS - 1, "flag")
+    out = comparator_ucc(state, 2**M_BITS - 1)
     assert exact_distribution(out, "flag")[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_comparator_all_above_threshold():
     state = branch_state([5, 9, 13, 21])
-    out = comparator_ucc(state, "value", 3, "flag")
+    out = comparator_ucc(state, 3)
     assert exact_distribution(out, "flag")[1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -55,14 +55,14 @@ def test_comparator_matches_classical_pattern(rng):
     codes = rng.integers(0, 2**M_BITS, size=8)
     thr = 11
     state = branch_state(codes)
-    out = comparator_ucc(state, "value", thr, "flag")
+    out = comparator_ucc(state, thr)
     p0, _ = tail_probability(out)
     assert p0 == pytest.approx(np.mean(codes <= thr), abs=1e-12)
 
 
 def test_tail_probability_counting():
     state = branch_state([1, 2, 10, 11, 12, 13, 14, 15])
-    out = comparator_ucc(state, "value", 2, "flag")
+    out = comparator_ucc(state, 2)
     p0, queries = tail_probability(out)
     assert p0 == pytest.approx(0.25, abs=1e-12)
     assert queries == 1
@@ -75,7 +75,7 @@ def test_tail_probability_sampled_within_eps(rng):
         codes = gen.integers(0, 2**M_BITS, size=16)
         thr = int(gen.integers(0, 2**M_BITS))
         state = branch_state(codes)
-        flagged = comparator_ucc(state, "value", thr, "flag")
+        flagged = comparator_ucc(state, thr)
         exact, _ = tail_probability(flagged)
         sampled, queries = tail_probability(flagged, mode="sampled", eps=eps,
                                             rng=np.random.default_rng(1000 + seed))
