@@ -32,7 +32,6 @@ class ResourceTally:
     block_encoding_queries: int = 0
     qsvt_degree: int = 0
     rho_copies: int = 0
-    trotter_slices: int = 0
     state_preparation_repetitions: int = 0
     amplitude_estimation_queries: int = 0
     bisection_iterations: int = 0

@@ -8,10 +8,21 @@ feasible ``scale`` recorded on the result; the rescale cancels under state
 normalization and only lowers the post-selection probability.  The fit is
 a minimax linear program over odd Chebyshev coefficients with a global
 amplitude cap, so the polynomial stays quiet in the spectral gap around
-zero without any explicit parity surgery.  A cheap screen LP on a subset
-of the rows comes first at each degree: dropping constraints from a
-minimization can only lower its optimum, so a screen that misses the
-acceptance threshold proves the full LP would miss it too.
+zero without any explicit parity surgery.  A cheap screen LP on every
+SCREEN_STRIDE-th window and cap row comes first at each degree: dropping
+constraints from a minimization can only lower its optimum, so a screen
+that misses the acceptance threshold proves the full LP would miss it too.
+
+Both LPs are solved by ``linprog``, one warm HiGHS model per rung through
+SciPy's private binding ``scipy.optimize._highspy._core._Highs``.  The
+full LP is never handed over whole: the model starts from the screen
+rows, and each round adds up to ROW_BATCH of the grid rows it violates
+most and re-solves from the previous basis, until no row outside the
+model is violated by more than HiGHS's own primal feasibility tolerance.
+A solution that is optimal on a subset of the rows and feasible on all
+of them is optimal for the full LP; a subset that is infeasible makes
+the full LP infeasible.  Every round adds a row the model does not hold,
+so the loop ends without an iteration cap.
 
 Phase factors are solved in the symmetric Wx convention by the standard
 coefficient fixed-point iteration and converted to projector phases for
@@ -46,8 +57,8 @@ first request on a market and horizon does all the work it did before;
 the results are the same bits cold or warm.
 
 SciPy is bound lazily: the module-level ``linprog`` and ``least_squares``
-import ``scipy.optimize`` on their first call, so only a cold fit or a
-phase-solve fallback loads it.
+import from ``scipy.optimize`` on their first call, so only a cold fit or
+a phase-solve fallback loads it.
 """
 
 from __future__ import annotations
@@ -71,6 +82,7 @@ PHASE_RESIDUAL_TOL = 1e-8
 GLOBAL_BOUND = 0.98  # amplitude cap used inside the fit; leaves QSP headroom
 FIT_ACCEPT = 0.85  # a fit is accepted when its LP error is <= FIT_ACCEPT * eps
 SCREEN_STRIDE = 8  # the screen LP keeps every 8th window and cap node
+ROW_BATCH = 200  # most violated rows a row-generation round adds to the LP
 # a screen rules a degree out only when its error exceeds the acceptance
 # threshold times SCREEN_REL plus SCREEN_ABS: slack for HiGHS's 1e-7 tolerances
 SCREEN_REL = 1.01
@@ -80,10 +92,54 @@ LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
+def linprog(a_ub: np.ndarray, b_ub: np.ndarray, start: np.ndarray):
+    """Minimize the last variable of x subject to ``a_ub @ x <= b_ub``, with
+    the last variable non-negative and the others free, by row generation.
+
+    One HiGHS model starts from the rows ``start`` (a boolean mask) and
+    re-solves warm after each round adds up to ROW_BATCH of the rows it
+    does not hold, most violated first.  It stops when none of those is
+    violated by more than HiGHS's primal feasibility tolerance.  Returns x,
+    or None when HiGHS finds the rows it holds infeasible.  SciPy's HiGHS
+    binding is imported on the first call.
+    """
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    n_rows, n_cols = a_ub.shape
+    lower = np.full(n_cols, -np.inf)
+    lower[-1] = 0.0
+    highs.addVars(n_cols, lower, np.full(n_cols, np.inf))
+    highs.changeColsCost(1, np.array([n_cols - 1], dtype=np.int32), np.ones(1))
+    tol = highs.getOptionValue("primal_feasibility_tolerance")[1]
+    held = np.zeros(n_rows, dtype=bool)
+    rows = np.flatnonzero(start)
+    while True:
+        held[rows] = True
+        block = a_ub[rows]
+        flat = np.flatnonzero(block)  # row-major: one sparse row after another
+        starts = np.searchsorted(flat, np.arange(0, block.size, n_cols))
+        highs.addRows(rows.size, np.full(rows.size, -np.inf), b_ub[rows],
+                      flat.size, starts.astype(np.int32),
+                      (flat % n_cols).astype(np.int32), block.flat[flat])
+        highs.run()
+        status = highs.getModelStatus()
+        # the objective is bounded below by 0, so "unbounded or infeasible"
+        # can only mean infeasible
+        if status in (HighsModelStatus.kInfeasible,
+                      HighsModelStatus.kUnboundedOrInfeasible):
+            return None
+        if status != HighsModelStatus.kOptimal:
+            raise NumericalError(f"HiGHS stopped with status {status.name} on "
+                                 f"{held.sum()} of {n_rows} rows")
+        x = np.array(highs.getSolution().col_value)
+        excess = a_ub @ x - b_ub
+        excess[held] = 0.0
+        rows = np.flatnonzero(excess > tol)
+        if not rows.size:
+            return x
+        rows = rows[np.argsort(-excess[rows], kind="stable")[:ROW_BATCH]]
 
 
 def least_squares(*args, **kwargs):
@@ -128,39 +184,19 @@ class PolynomialTarget:
         return np_cheb.chebval(np.asarray(x, dtype=float), self.coeffs)
 
 
-def _fit_minimax(grid_w, y_w, grid_c, degree: int, parity: int):
-    """Minimax fit on the window with |P| <= GLOBAL_BOUND on the cap grid.
-
-    Returns (coeffs, achieved_error) or None when the LP is infeasible.
-    """
-    cols = list(range(parity, degree + 1, 2))
+def _minimax_rows(grid_w, y_w, grid_c, degree: int):
+    """Rows ``a @ (c, t) <= b`` of the minimax LP over the odd Chebyshev
+    coefficients c of a degree-``degree`` polynomial P and its error t:
+    P - y_w <= t and y_w - P <= t on the window nodes, then P <= GLOBAL_BOUND
+    and -P <= GLOBAL_BOUND on the cap nodes."""
+    cols = np.arange(1, degree + 1, 2)
     vw = np_cheb.chebvander(grid_w, degree)[:, cols]
     vc = np_cheb.chebvander(grid_c, degree)[:, cols]
-    k = len(cols)
-    n_w, n_c = vw.shape[0], vc.shape[0]
-
-    a_ub = np.zeros((2 * n_w + 2 * n_c, k + 1))
-    b_ub = np.zeros(2 * n_w + 2 * n_c)
-    a_ub[:n_w, :k] = vw
-    a_ub[:n_w, k] = -1.0
-    b_ub[:n_w] = y_w
-    a_ub[n_w:2 * n_w, :k] = -vw
-    a_ub[n_w:2 * n_w, k] = -1.0
-    b_ub[n_w:2 * n_w] = -y_w
-    a_ub[2 * n_w:2 * n_w + n_c, :k] = vc
-    b_ub[2 * n_w:2 * n_w + n_c] = GLOBAL_BOUND
-    a_ub[2 * n_w + n_c:, :k] = -vc
-    b_ub[2 * n_w + n_c:] = GLOBAL_BOUND
-
-    cost = np.zeros(k + 1)
-    cost[k] = 1.0
-    bounds = [(None, None)] * k + [(0, None)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    coeffs = np.zeros(degree + 1)
-    coeffs[cols] = res.x[:k]
-    return coeffs, float(res.x[k])
+    t_w = np.ones((grid_w.size, 1))
+    t_c = np.zeros((grid_c.size, 1))
+    a_ub = np.block([[vw, -t_w], [-vw, -t_w], [vc, t_c], [-vc, t_c]])
+    b_ub = np.concatenate([y_w, -y_w, np.full(2 * grid_c.size, GLOBAL_BOUND)])
+    return a_ub, b_ub
 
 
 def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
@@ -176,7 +212,8 @@ def _fit_scale(t_tilde: int, norm: float) -> float:
 @functools.lru_cache(maxsize=LADDER_CACHE)
 def _ladder_fit(t_tilde: int, norm: float, degree: int, screen: bool):
     """One rung of the degree ladder: the full minimax LP, or its screen on
-    every SCREEN_STRIDE-th window and cap row.
+    every SCREEN_STRIDE-th window and cap row.  The full LP's row
+    generation starts from the screen rows.
 
     Returns (read-only coeffs, achieved_error) or None when infeasible.
     The grids and the rescaled target are fixed by (t_tilde, norm, degree);
@@ -189,11 +226,19 @@ def _ladder_fit(t_tilde: int, norm: float, degree: int, screen: bool):
     # dense enough that a degree-d polynomial cannot slip between nodes
     grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
                              _cheb_nodes(lo, hi, max(400, 2 * degree))])
-    rows = slice(None, None, SCREEN_STRIDE if screen else 1)
-    fit = _fit_minimax(grid_w[rows], y_w[rows], grid_c[rows], degree, parity=1)
-    if fit is not None:
-        fit[0].setflags(write=False)
-    return fit
+    a_ub, b_ub = _minimax_rows(grid_w, y_w, grid_c, degree)
+    # the screen rows: every SCREEN_STRIDE-th node of each of the four blocks
+    first = np.concatenate([np.arange(size) % SCREEN_STRIDE == 0 for size in
+                            (grid_w.size, grid_w.size, grid_c.size, grid_c.size)])
+    if screen:
+        a_ub, b_ub, first = a_ub[first], b_ub[first], first[first]
+    x = linprog(a_ub, b_ub, first)
+    if x is None:
+        return None
+    coeffs = np.zeros(degree + 1)
+    coeffs[1::2] = x[:-1]
+    coeffs.setflags(write=False)
+    return coeffs, float(x[-1])
 
 
 @functools.lru_cache(maxsize=LADDER_CACHE)

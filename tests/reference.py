@@ -18,6 +18,10 @@ densely so that small instances can be compared entry by entry:
   certificate (``verify_block_encoding``);
 * the full 2^(n+4)-square QSVT circuit U_Phi (``qsvt_circuit``), whose
   top-left 2^n block ``qsvt.apply_qsvt`` computes alone;
+* the Stage-1 minimax LP written out densely (``minimax_lp``) and handed
+  whole to the public ``scipy.optimize.linprog`` (``fit_minimax``), with
+  the degree walk on it (``dense_walk``): the fits ``qsvt.linprog`` finds
+  by row generation are checked against these;
 * the explicit 1-norm of the no-go pair's m-copy projectors
   (``explicit_trace_norm_gap``), twice ``nogo.trace_norm_gap``;
 * small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
@@ -32,8 +36,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as np_cheb
 from scipy.linalg import expm
+from scipy.optimize import linprog
 
+from qvar import qsvt
 from qvar.blockenc import BRANCHES, BlockEncoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams
@@ -369,6 +376,69 @@ def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
     full[dim:, :dim] = im_part
     full[dim:, dim:] = re_part
     return full
+
+
+# --- the dense Stage-1 LP ---------------------------------------------------
+
+def minimax_lp(t_tilde: int, norm: float, degree: int):
+    """The full minimax LP of one ladder rung as dense ``a_ub @ x <= b_ub``
+    over x = (odd Chebyshev coefficients, error t): |P - scale * g| <= t on
+    the window nodes, |P| <= GLOBAL_BOUND on the cap nodes."""
+    lo = 1.0 / norm
+    scale = min(1.0, 0.45 / qsvt.target_g(lo, t_tilde, norm))
+    grid_w = qsvt._cheb_nodes(lo, 1.0, max(1200, 3 * degree))
+    y_w = scale * qsvt.target_g(grid_w, t_tilde, norm)
+    grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
+                             qsvt._cheb_nodes(lo, 1.0, max(400, 2 * degree))])
+    cols = list(range(1, degree + 1, 2))
+    vw = np_cheb.chebvander(grid_w, degree)[:, cols]
+    vc = np_cheb.chebvander(grid_c, degree)[:, cols]
+    k = len(cols)
+    n_w, n_c = vw.shape[0], vc.shape[0]
+
+    a_ub = np.zeros((2 * n_w + 2 * n_c, k + 1))
+    b_ub = np.zeros(2 * n_w + 2 * n_c)
+    a_ub[:n_w, :k] = vw
+    a_ub[:n_w, k] = -1.0
+    b_ub[:n_w] = y_w
+    a_ub[n_w:2 * n_w, :k] = -vw
+    a_ub[n_w:2 * n_w, k] = -1.0
+    b_ub[n_w:2 * n_w] = -y_w
+    a_ub[2 * n_w:2 * n_w + n_c, :k] = vc
+    b_ub[2 * n_w:2 * n_w + n_c] = qsvt.GLOBAL_BOUND
+    a_ub[2 * n_w + n_c:, :k] = -vc
+    b_ub[2 * n_w + n_c:] = qsvt.GLOBAL_BOUND
+    return a_ub, b_ub
+
+
+def fit_minimax(t_tilde: int, norm: float, degree: int):
+    """The rung's full LP solved whole by ``scipy.optimize.linprog``.
+
+    Returns (coeffs, achieved_error) or None when the LP is infeasible.
+    """
+    a_ub, b_ub = minimax_lp(t_tilde, norm, degree)
+    k = a_ub.shape[1] - 1
+    cost = np.zeros(k + 1)
+    cost[k] = 1.0
+    bounds = [(None, None)] * k + [(0, None)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        return None
+    coeffs = np.zeros(degree + 1)
+    coeffs[1::2] = res.x[:k]
+    return coeffs, float(res.x[k])
+
+
+def dense_walk(t_tilde: int, norm: float, eps: float):
+    """``qsvt.approximate_target``'s degree walk with the dense full LP at
+    every rung and no screen; returns the accepted rung's degree and its
+    (coeffs, achieved_error)."""
+    degree = max(1, int(0.25 * t_tilde * norm) | 1)
+    while True:
+        fit = fit_minimax(t_tilde, norm, degree)
+        if fit is not None and fit[1] <= eps * qsvt.FIT_ACCEPT:
+            return degree, fit
+        degree = max(degree + 2, int(degree * 1.4) | 1)
 
 
 # --- the no-go pair's explicit trace norm --------------------------------

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +13,11 @@ from qvar.blockenc import assemble_block_encoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
 from qvar.pde import TridiagonalOperator, assemble_operator, price_european
-from qvar.qsvt import (FIT_ACCEPT, PolynomialTarget, _cheb_nodes, _fit_minimax,
-                       _wx_eval, apply_qsvt, approximate_target,
-                       prepare_value_state, qsp_reflection_eval,
-                       solve_phase_factors, svd_transform_oracle, target_g)
-from reference import encoded_block, qsvt_circuit
+from qvar.qsvt import (PolynomialTarget, _wx_eval, apply_qsvt,
+                       approximate_target, prepare_value_state,
+                       qsp_reflection_eval, solve_phase_factors,
+                       svd_transform_oracle, target_g)
+from reference import dense_walk, encoded_block, minimax_lp, qsvt_circuit
 
 
 def test_target_g_examples():
@@ -91,37 +93,162 @@ def test_degree_cap_enforced(monkeypatch):
         approximate_target(32, 8.0, 1e-6)
 
 
-def _unscreened_walk(t_tilde, norm, eps):
-    """approximate_target's degree walk with the full LP run at every degree;
-    returns (degree, sup_error, coeffs) of the accepted fit."""
-    lo = 1.0 / norm
-    scale = min(1.0, 0.45 / target_g(lo, t_tilde, norm))
-    degree = max(1, int(0.25 * t_tilde * norm) | 1)
-    while True:
-        grid_w = _cheb_nodes(lo, 1.0, max(1200, 3 * degree))
-        grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
-                                 _cheb_nodes(lo, 1.0, max(400, 2 * degree))])
-        fit = _fit_minimax(grid_w, scale * target_g(grid_w, t_tilde, norm),
-                           grid_c, degree, parity=1)
-        if fit is not None and fit[1] <= eps * FIT_ACCEPT:
-            break
-        degree = max(degree + 2, int(degree * 1.4) | 1)
-    coeffs = fit[0]
-    dense = np.linspace(lo, 1.0, 10_000)
-    sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
-                           - scale * target_g(dense, t_tilde, norm)).max())
-    return int(np.flatnonzero(np.abs(coeffs) > 1e-300)[-1]), sup_err, coeffs
+# what qsvt.linprog calls on SciPy's private HiGHS binding
+HIGHS_METHODS = ("setOptionValue", "addVars", "changeColsCost", "getOptionValue",
+                 "addRows", "run", "getModelStatus", "getSolution")
+HIGHS_STATUSES = ("kOptimal", "kInfeasible", "kUnboundedOrInfeasible")
+
+
+def _highs_tolerance():
+    from scipy.optimize._highspy._core import _Highs
+    return _Highs().getOptionValue("primal_feasibility_tolerance")[1]
+
+
+def test_private_highs_binding_has_what_the_solver_calls():
+    import scipy
+    installed = f"installed scipy {scipy.__version__}"
+    try:
+        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+    except ImportError as exc:
+        pytest.fail(f"{installed} has no scipy.optimize._highspy._core._Highs, "
+                    f"which qsvt.linprog solves the Stage-1 LP on: {exc}")
+    missing = [name for name in HIGHS_METHODS
+               if not callable(getattr(_Highs, name, None))]
+    missing += [f"HighsModelStatus.{name}" for name in HIGHS_STATUSES
+                if not hasattr(HighsModelStatus, name)]
+    assert not missing, (f"{installed}: the private HiGHS binding lacks "
+                         f"{missing}, which qsvt.linprog calls")
+    tol = _highs_tolerance()
+    assert isinstance(tol, float) and 0 < tol < 1e-3, (
+        f"{installed}: primal_feasibility_tolerance reads {tol!r}")
 
 
 @settings(max_examples=15, deadline=None)
 @given(t_tilde=st.integers(1, 4), norm=st.floats(1.2, 3.0),
        eps=st.floats(1e-3, 2e-2))
-def test_screened_fit_equals_unscreened_walk(t_tilde, norm, eps):
+def test_row_generated_fit_solves_the_dense_lp(t_tilde, norm, eps):
     poly = approximate_target(t_tilde, norm, eps)
-    degree, sup_err, coeffs = _unscreened_walk(t_tilde, norm, eps)
-    assert poly.degree == degree
-    assert poly.sup_error == sup_err
-    assert np.array_equal(poly.coeffs, coeffs)
+    degree, (coeffs, optimum) = dense_walk(t_tilde, norm, eps)
+    assert poly.degree == int(np.flatnonzero(np.abs(coeffs) > 1e-300)[-1])
+    tol = _highs_tolerance()
+    error = qsvt._ladder_fit(t_tilde, norm, degree, False)[1]
+    assert abs(error - optimum) <= 2 * tol
+    a_ub, b_ub = minimax_lp(t_tilde, norm, degree)
+    x = np.append(poly.coeffs[1::2], error)
+    assert (a_ub @ x - b_ub).max() <= tol
+    assert poly.sup_error <= eps
+
+
+def _row_key(index, value, upper):
+    return tuple(index.tolist()), tuple(value.tolist()), float(upper)
+
+
+class _Recorder:
+    """Wraps qsvt.linprog and the HiGHS models it builds.  Per call: the
+    LP, its rows keyed by their entries, the keys each round added and the
+    solution after each round."""
+
+    def __init__(self, monkeypatch):
+        import scipy.optimize._highspy._core as core
+        self.calls = []
+        calls = self.calls
+
+        class RecordingHighs(core._Highs):
+            def addRows(self, num, lower, upper, nnz, starts, index, value):
+                ends = np.append(starts[1:], nnz)
+                calls[-1]["rounds"].append([
+                    _row_key(index[a:b], value[a:b], upper[i])
+                    for i, (a, b) in enumerate(zip(starts, ends))])
+                return super().addRows(num, lower, upper, nnz, starts, index,
+                                       value)
+
+            def run(self):
+                status = super().run()
+                calls[-1]["solutions"].append(
+                    np.array(self.getSolution().col_value))
+                return status
+
+        solve = qsvt.linprog
+
+        def linprog(a_ub, b_ub, start):
+            keys = [_row_key(np.flatnonzero(row), row[row != 0], b)
+                    for row, b in zip(a_ub, b_ub)]
+            calls.append({"lp": (a_ub, b_ub), "keys": keys,
+                          "start": int(start.sum()), "rounds": [],
+                          "solutions": []})
+            calls[-1]["result"] = solve(a_ub, b_ub, start)
+            return calls[-1]["result"]
+
+        monkeypatch.setattr(core, "_Highs", RecordingHighs)
+        monkeypatch.setattr(qsvt, "linprog", linprog)
+
+
+README_MARKET = MarketParams(r=0.02, mu=0.05, alpha=0.2, T=16 / 4096,
+                             t_bar=8 / 4096, dtau=1 / 4096)
+
+
+def test_row_generation_adds_the_most_violated_new_rows(monkeypatch, unit_grid,
+                                                        call_spec):
+    recorder = _Recorder(monkeypatch)
+    payoff = payoff_vector(call_spec, unit_grid)
+    res = prepare_value_state(payoff, README_MARKET, unit_grid, eps1=1e-3)
+    assert res.target.degree == 139
+    assert len(recorder.calls) >= 2
+    tol = _highs_tolerance()
+    for call in recorder.calls:
+        (a_ub, b_ub), keys, rounds = call["lp"], call["keys"], call["rounds"]
+        assert len(rounds) <= math.ceil(len(keys) / qsvt.ROW_BATCH) + 1
+        assert len(rounds[0]) == call["start"]
+        held = Counter()
+        for r, added in enumerate(rounds + [[]]):
+            if r:
+                # the rows outside the model that the last solution violates
+                excess = a_ub @ call["solutions"][r - 1] - b_ub
+                outside = np.array([key not in held for key in keys])
+                violated = outside & (excess > tol)
+                picked = outside & np.array([key in set(added) for key in keys])
+                assert not (picked & ~violated).any()
+                assert picked.sum() == len(added) == min(qsvt.ROW_BATCH,
+                                                         violated.sum())
+                if (violated & ~picked).any():
+                    assert excess[picked].min() >= excess[violated & ~picked].max()
+            # a row enters the model no more often than the LP holds it: the
+            # two empty cap rows at node 0 are the only repeated rows
+            held.update(added)
+            assert held <= Counter(keys)
+    # the accepted rung is the walk's last LP: it started from the screen
+    # rows, added rows over more than one round and stopped short of the grid
+    accepted = recorder.calls[-1]
+    held = sum(len(added) for added in accepted["rounds"])
+    assert len(accepted["rounds"]) > 1
+    assert accepted["start"] < held < len(accepted["keys"])
+
+
+def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
+    recorder = _Recorder(monkeypatch)
+    monkeypatch.setattr(qsvt, "DEGREE_CAP", 64)
+    # |P| <= a negative bound has no solution on any subset of the cap rows
+    monkeypatch.setattr(qsvt, "GLOBAL_BOUND", -1e-3)
+    with pytest.raises(NumericalError, match="degree cap 64 exceeded"):
+        approximate_target(4, 2.0, 1e-3)
+    # every rung up to the cap ran its screen and then its full LP
+    assert len(recorder.calls) > 2
+    assert len(recorder.calls[-1]["keys"]) > len(recorder.calls[-2]["keys"])
+    for call in recorder.calls:
+        assert call["result"] is None
+        assert len(call["rounds"]) == 1
+
+
+def test_highs_stop_that_is_not_optimal_raises(monkeypatch):
+    import scipy.optimize._highspy._core as core
+
+    class StoppedHighs(core._Highs):
+        def getModelStatus(self):
+            return core.HighsModelStatus.kIterationLimit
+
+    monkeypatch.setattr(core, "_Highs", StoppedHighs)
+    with pytest.raises(NumericalError, match="kIterationLimit"):
+        approximate_target(1, 2.0, 1e-3)
 
 
 def _wx_eval_full_product(x, phases):
