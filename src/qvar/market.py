@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Literal
@@ -169,6 +170,26 @@ def read_config_doc(path_or_dict) -> dict:
     return doc
 
 
+def config_int(doc: dict, key: str, default=None) -> int:
+    """Integer config field ``key``: an integer, an integral number such as
+    8.0 or a decimal string such as "8".  A fraction, which ``int`` would
+    truncate, a boolean or a value of any other type is a ConfigError."""
+    value = doc.get(key, default)
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGrid]:
     """Read the JSON config (keys r, mu, alpha, T, t_bar, dtau, kind, strike,
     s_min, s_max, n, spacing) into validated domain objects."""
@@ -185,7 +206,7 @@ def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGri
         params = MarketParams(r=num["r"], mu=num["mu"], alpha=num["alpha"],
                               T=num["T"], t_bar=num["t_bar"], dtau=num["dtau"])
         spec = PayoffSpec(kind=doc["kind"], strike=num["strike"])
-        grid = build_grid(num["s_min"], num["s_max"], int(doc["n"]),
+        grid = build_grid(num["s_min"], num["s_max"], config_int(doc, "n"),
                           doc["spacing"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc

@@ -52,6 +52,8 @@ def min_copies(d: int, threshold: float = 0.8) -> int:
 
 def copy_curve(max_d: int = 256, threshold: float = 0.8):
     """(d, min_copies) for d = 2, 4, ..., max_d along powers of two."""
+    if max_d < 2:
+        raise ConfigError(f"need max_d >= 2, got {max_d}")
     ds = []
     d = 2
     while d <= max_d:

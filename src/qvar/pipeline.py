@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, NumericalError, QubitBudgetError
-from .market import (MarketParams, PayoffSpec, PriceGrid,
+from .market import (MarketParams, PayoffSpec, PriceGrid, config_int,
                      load_market_config, payoff_vector, qubit_cap,
                      read_config_doc)
 from .mc import simulate_paths
@@ -88,9 +88,9 @@ def load_run_config(path_or_dict) -> RunConfig:
         return RunConfig(
             market=market, payoff=payoff, grid=grid,
             s0=float(doc.get("s0", payoff.strike)),
-            L=int(doc.get("L", 8)), m=int(doc.get("m", 6)),
+            L=config_int(doc, "L", 8), m=config_int(doc, "m", 6),
             q=float(doc.get("q", 0.05)), mode=doc.get("mode", "quantum_exact"),
-            seed=int(doc.get("seed", 7)), eps1=float(doc.get("eps1", 1e-3)))
+            seed=config_int(doc, "seed", 7), eps1=float(doc.get("eps1", 1e-3)))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 

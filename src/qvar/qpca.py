@@ -45,6 +45,7 @@ and raises ``NumericalError`` past TROTTER_SLICE_CAP slices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,14 @@ def decode_value(code, m: int):
 
 
 def grid_codes(grid: PriceGrid, m: int) -> np.ndarray:
-    """Distinct price codes for all grid nodes; rejects collisions."""
+    """Distinct price codes for all grid nodes; rejects collisions and
+    codes too wide for int64."""
+    s_max = float(grid.nodes[-1])
+    width = math.frexp(s_max)[1] + m  # bits of floor(s_max * 2^m)
+    if width > 63:
+        raise ConfigError(
+            f"s_max = {s_max} at m = {m} needs a {width}-bit price code, past "
+            "the 63 bits of a signed 64-bit integer; decrease m or s_max")
     codes = price_code(grid.nodes, m)
     if len(set(codes.tolist())) != codes.size:
         dupes = sorted({int(c) for c in codes if np.sum(codes == c) > 1})

@@ -15,13 +15,16 @@ and the monetary figures via ``scale``.
 
 Amplitude estimation (sampled mode) returns the first argmax of a float
 log-likelihood over a fixed 200,001-point theta grid, the index
-``np.argmax`` gives on the full grid, without evaluating the full grid.
-Each block of BLOCK grid points is bounded by the log-likelihood fold of
-its per-table maxima.  The multipliers (hit and miss counts) are
-non-negative and IEEE rounding is monotone, so the bound is at least the
-float log-likelihood of every point in the block, with no slack constant,
-and a block whose bound falls below an attained value cannot hold the
-argmax (``_likelihood_argmax``).
+``np.argmax`` gives on the full grid, without evaluating the full grid or
+holding any full-grid table.  Per Grover power, a two-level max tree
+holds the maxima of the log p and log(1 - p) tables over 16-point
+sub-blocks and 128-point blocks, 225 KB per power.  A block or sub-block
+is bounded by the log-likelihood sum of its maxima.  The multipliers (hit
+and miss counts) are non-negative and IEEE rounding is monotone, so the
+bound is at least the float log-likelihood of every point it covers, with
+no slack constant, and one whose bound falls below an attained value
+cannot hold the argmax.  The few points left are evaluated from theta with
+the full grid's ufuncs, so they carry its bits (``_likelihood_argmax``).
 """
 
 from __future__ import annotations
@@ -40,8 +43,16 @@ CDF_TOL = 1e-9
 # the scenario state's value register and the comparator's tail flag
 VALUE_REG = "value"
 FLAG = "flag"
-# grid points per block of the bound-pruned likelihood search
+# the amplitude-estimation theta grid: POINTS angles STEP apart on
+# [0, pi/2], searched through maxima over BLOCKS blocks of BLOCK points and
+# their SUBS sub-blocks of SUB_BLOCK points, built CHUNK blocks at a time
+POINTS = 200_001
+STEP = (np.pi / 2) / (POINTS - 1)
 BLOCK = 128
+SUB_BLOCK = 16
+SUBS = BLOCK // SUB_BLOCK
+BLOCKS = -(-POINTS // BLOCK)
+CHUNK = 64
 
 RiskMethod = Literal["classical", "quantum_exact", "quantum_sampled"]
 
@@ -100,79 +111,119 @@ class AmplitudeEstimate:
     shots: int
 
 
-@functools.cache
-def _theta_grid() -> np.ndarray:
-    """The maximum-likelihood search grid over theta in [0, pi/2]."""
-    grid = np.linspace(0.0, np.pi / 2, 200_001)
-    grid.setflags(write=False)
-    return grid
+def _theta(index):
+    """Theta grid angles ``index * STEP`` at an integer index or an
+    ascending index array, bit-equal to ``np.linspace(0, pi/2, POINTS)``,
+    whose last angle is set to pi/2; an index past the grid repeats that
+    last angle."""
+    if isinstance(index, int):
+        return index * STEP if index < POINTS - 1 else np.pi / 2
+    theta = index * STEP
+    if index[-1] >= POINTS - 1:
+        theta[index >= POINTS - 1] = np.pi / 2
+    return theta
+
+
+def _log_tables(mults, theta):
+    """log p and log(1 - p) for p = sin^2(mults * theta) clipped to
+    [1e-12, 1 - 1e-12], the entries of the log-likelihood.  Both stay
+    finite, where an unclipped -inf would give NaN at 0 * -inf when a
+    power has no hits or no misses.  Every ufunc runs on contiguous
+    operands, so a subset of points gets the bits of the full grid."""
+    pk = np.sin(mults * theta) ** 2
+    np.minimum(np.maximum(pk, 1e-12, out=pk), 1.0 - 1e-12, out=pk)
+    log_miss = np.negative(pk)
+    np.log1p(log_miss, out=log_miss)
+    return np.log(pk, out=pk), log_miss
 
 
 @functools.cache
-def _log_likelihood_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """log p_k and log(1 - p_k) on the theta grid for Grover power k, with
-    p_k = sin^2((2k+1) theta) clipped away from 0 and 1, as (blocks, BLOCK)
-    arrays.  The last block is padded by repeating the last grid point's
-    entry: a padded entry ties the real one before it and so never wins a
-    first argmax, and it stays finite, where a -inf pad would give NaN at
-    0 * -inf when a power has no hits or no misses.  The tables do not
-    depend on the data, so each power's pair is computed once per process;
-    the powers in use are 0 and 2^j below 1/eps, a handful of pairs."""
-    pk = np.sin((2 * k + 1) * _theta_grid()) ** 2
-    pk = np.clip(pk, 1e-12, 1.0 - 1e-12)
-    pad = -pk.size % BLOCK
-    tables = tuple(np.pad(table, (0, pad), mode="edge").reshape(-1, BLOCK)
-                   for table in (np.log(pk), np.log1p(-pk)))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+def _subblock_maxima(k: int) -> np.ndarray:
+    """Maxima of power k's log p and log(1 - p) over each SUB_BLOCK grid
+    points, as a (2, BLOCKS, SUBS) array: the leaves of the max tree.
+    Indices past the grid repeat its last point, so every maximum is over
+    real grid points.  Built CHUNK blocks at a time, so no full-grid table
+    lives; the powers in use are 0 and 2^j below 1/eps, a handful of
+    200 KB arrays per process."""
+    leaves = np.empty((2, BLOCKS, SUBS))
+    for lo in range(0, BLOCKS, CHUNK):
+        index = np.arange(lo * BLOCK, min(lo + CHUNK, BLOCKS) * BLOCK)
+        tables = np.array(_log_tables(2 * k + 1, _theta(index)))
+        leaves[:, lo:lo + CHUNK] = \
+            tables.reshape(2, -1, SUBS, SUB_BLOCK).max(axis=3)
+    leaves.setflags(write=False)
+    return leaves
 
 
 @functools.cache
-def _block_maxima(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block maxima of power k's log p_k and log(1 - p_k) tables; the
-    padding repeats a real entry, so each is the maximum over the block's
-    real grid points."""
-    maxima = tuple(table.max(axis=1) for table in _log_likelihood_tables(k))
-    for table in maxima:
-        table.setflags(write=False)
+def _block_maxima(k: int) -> np.ndarray:
+    """Power k's (2, BLOCKS) maxima over each BLOCK grid points, the max
+    of its sub-block maxima: the max tree's root level."""
+    maxima = _subblock_maxima(k).max(axis=2)
+    maxima.setflags(write=False)
     return maxima
 
 
-def _log_likelihood(pairs, hits, shots: int) -> np.ndarray:
-    """sum_k h_k log_hit_k + (shots - h_k) log_miss_k, folded in power order
-    over whatever entries the (log_hit, log_miss) pairs hold."""
-    total = np.zeros_like(pairs[0][0])
-    for (log_hit, log_miss), h in zip(pairs, hits):
-        total += h * log_hit + (shots - h) * log_miss
+def _weighted(hits, log_hit, misses, log_miss):
+    """The log-likelihood terms hits * log p + misses * log(1 - p)."""
+    term = hits * log_hit
+    term += misses * log_miss
+    return term
+
+
+def _power_sum(terms):
+    """Per-power log-likelihood terms, floats or fresh arrays, added into
+    the first one power at a time in power order, as the full-grid sum
+    adds them (``np.sum`` would add them pairwise and round differently).
+    That sum starts from 0, and 0 + t is t: every term is negative."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
     return total
 
 
 def _likelihood_argmax(powers, hits, shots: int) -> int:
-    """First argmax over the theta grid of the float log-likelihood of
-    ``hits`` out of ``shots`` at each Grover power, equal to ``np.argmax``
+    """First argmax over the theta grid of the float log-likelihood
+    sum_k h_k log p_k + (shots - h_k) log(1 - p_k), equal to ``np.argmax``
     of the full-grid sum.
 
-    The bound UB[b] of block b is the same fold as the log-likelihood with
-    each table replaced by its block maximum.  The multipliers h and
-    shots - h are non-negative and IEEE rounding is monotone, so UB[b] is
-    at least the float log-likelihood of every point in block b, with no
-    slack.  The block of largest UB is evaluated exactly; its maximum
-    ``best`` is attained on the grid.  Every block with UB < best holds
-    only points strictly below best, so the blocks with UB >= best,
-    evaluated exactly in index order, hold every point of the global
-    maximum, and their first argmax is the full grid's.
+    The bound of a block or sub-block is the same sum with each table
+    replaced by its maximum there.  The multipliers h and shots - h are
+    non-negative and IEEE rounding is monotone, so the bound is at least
+    the float log-likelihood of every point it covers, with no slack.  The
+    middle point of the block of largest bound is evaluated exactly; its
+    value ``best`` is attained on the grid.  A block or sub-block with
+    bound < best holds only points strictly below best, so the sub-blocks
+    with bound >= best inside the blocks with bound >= best, evaluated
+    exactly in index order, hold every point of the global maximum, and
+    their first argmax is the full grid's.  Exact values are recomputed
+    from theta with the full grid's ufuncs, so they carry its bits.
     """
-    tables = [_log_likelihood_tables(k) for k in powers]
-    bound = _log_likelihood([_block_maxima(k) for k in powers], hits, shots)
-    top = int(np.argmax(bound))
-    best = _log_likelihood([(a[top], b[top]) for a, b in tables], hits,
-                           shots).max()
-    kept = np.flatnonzero(bound >= best)
-    exact = _log_likelihood([(a[kept], b[kept]) for a, b in tables], hits,
-                            shots)
-    block, offset = divmod(int(np.argmax(exact)), BLOCK)
-    return int(kept[block]) * BLOCK + offset
+    hit_w = np.array(hits, dtype=float)
+    miss_w = shots - hit_w
+    hit_f, miss_f = hit_w.tolist(), miss_w.tolist()
+    bound = _power_sum(_weighted(h, log_hit, m, log_miss)
+                       for h, m, (log_hit, log_miss)
+                       in zip(hit_f, miss_f, map(_block_maxima, powers)))
+    mults = np.array([2.0 * k + 1 for k in powers])
+    # one point's terms as Python floats: the same IEEE double operations
+    # in the same order, without a ufunc call per power
+    middle = int(bound.argmax()) * BLOCK + BLOCK // 2
+    log_hit, log_miss = _log_tables(mults, _theta(middle))
+    best = _power_sum(map(_weighted, hit_f, log_hit.tolist(), miss_f,
+                          log_miss.tolist()))
+    kept = (bound >= best).nonzero()[0]
+    leaves = np.array([_subblock_maxima(k).take(kept, axis=1) for k in powers])
+    sub_bound = _power_sum(_weighted(hit_w[:, None, None], leaves[:, 0],
+                                     miss_w[:, None, None], leaves[:, 1]))
+    block, sub = (sub_bound >= best).nonzero()
+    index = ((kept[block] * BLOCK + sub * SUB_BLOCK)[:, None]
+             + np.arange(SUB_BLOCK)).ravel()
+    log_hit, log_miss = _log_tables(mults[:, None], _theta(index))
+    exact = _power_sum(_weighted(hit_w[:, None], log_hit, miss_w[:, None],
+                                 log_miss))
+    return int(index[exact.argmax()])
 
 
 def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
@@ -185,11 +236,12 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     count sum_k shots (2k+1) = O(1/eps), which is the documented budget.
 
     The estimate is the theta grid's first log-likelihood argmax, found by
-    ``_likelihood_argmax``: a block's bound folds its per-table maxima with
-    the non-negative hit and miss counts, so monotone IEEE rounding keeps
-    it above every float log-likelihood in the block.  Only blocks whose
-    bound reaches an attained value are evaluated, and the index is the
-    full grid's ``np.argmax``, bit for bit.
+    ``_likelihood_argmax``: the bound of a block or sub-block folds its
+    per-table maxima with the non-negative hit and miss counts, so
+    monotone IEEE rounding keeps it above every float log-likelihood it
+    covers.  Only the points of sub-blocks whose bound reaches an attained
+    value are evaluated, and the index is the full grid's ``np.argmax``,
+    bit for bit.
     """
     if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
@@ -204,7 +256,8 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
         p_k = math.sin((2 * k + 1) * theta) ** 2
         hits.append(rng.binomial(shots, p_k))
         queries += shots * (2 * k + 1)
-    best = _theta_grid()[_likelihood_argmax(powers, hits, shots)]
+    index = _likelihood_argmax(powers, hits, shots)
+    best = _theta(index)
     return AmplitudeEstimate(value=float(np.sin(best) ** 2), queries=queries,
                              shots=shots * len(powers))
 

@@ -193,6 +193,51 @@ def test_nogo_curve(capsys):
     assert len(lines) == 7  # d = 2..64 along powers of two
 
 
+@pytest.mark.parametrize("max_d", ["0", "-3", "1"])
+def test_nogo_max_d_below_two_exit_code(capsys, max_d):
+    # used to print only the CSV header and exit 0
+    assert run_cli(["nogo", "--max-d", max_d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qvar: error: need max_d >= 2")
+
+
+@pytest.mark.parametrize("bits", ["61", "62", "80"])
+def test_price_code_past_int64_exit_code(config_path, capsys, bits):
+    # s_max = 4 at m >= 61 has a price code of 2^63 or more; the cast used
+    # to wrap it and report a collision advising a larger m
+    assert run_cli(["run", "--bits", bits, "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qvar: error: s_max = 4.0 at m = {bits} needs a ")
+    assert "decrease m or s_max" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("L", 2.5), ("n", 4.7), ("m", 6.5), ("seed", 1.5), ("L", True),
+    ("n", True), ("m", True), ("seed", False), ("seed", "1.5")],
+    ids=["L_fraction", "n_fraction", "m_fraction", "seed_fraction", "L_bool",
+         "n_bool", "m_bool", "seed_bool", "seed_fraction_string"])
+def test_non_integral_config_value_exit_code(tmp_path, capsys, field, value):
+    # int() used to truncate these: "L": 2.5 ran as L = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE_CONFIG, field: value}))
+    assert run_cli(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"qvar: error: {field} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("field", ["L", "n", "m", "seed"])
+def test_integral_float_config_value_accepted(tmp_path, field):
+    reports = []
+    for value in (BASE_CONFIG[field], float(BASE_CONFIG[field])):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**BASE_CONFIG, field: value}))
+        out = tmp_path / "report.json"
+        assert run_cli(["run", "--config", str(path), "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"r": 0.02}))

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import subprocess
@@ -13,8 +14,8 @@ import qvar
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, _block_maxima, _likelihood_argmax,
-                       _log_likelihood, _log_likelihood_tables, bisection_var,
+from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, _block_maxima,
+                       _likelihood_argmax, _subblock_maxima, bisection_var,
                        classical_var_cvar, comparator_ucc, cvar,
                        estimate_amplitude, make_reference_state,
                        swap_test_overlap, tail_probability)
@@ -379,7 +380,7 @@ def full_grid_argmax(powers, hits):
 
 @st.composite
 def hit_vectors(draw):
-    eps = draw(st.sampled_from([0.1, 0.02, 0.01]))
+    eps = draw(st.sampled_from([0.1, 0.02, 0.01, 0.005]))
     size = len(powers_for(eps))
     hits = draw(st.lists(st.integers(0, SHOTS), min_size=size, max_size=size))
     return eps, hits
@@ -390,9 +391,11 @@ def hit_vectors(draw):
 @example(case=(0.1, [0] * 5)).via("all misses")
 @example(case=(0.02, [0] * 7)).via("all misses")
 @example(case=(0.01, [0] * 8)).via("all misses")
+@example(case=(0.005, [0] * 9)).via("all misses: argmax at grid index 0")
 @example(case=(0.1, [SHOTS] * 5)).via("all hits")
 @example(case=(0.02, [SHOTS] * 7)).via("all hits")
 @example(case=(0.01, [SHOTS] * 8)).via("all hits")
+@example(case=(0.005, [SHOTS] * 9)).via("all hits: argmax at grid index 200,000")
 def test_pruned_search_returns_full_grid_argmax(case):
     eps, hits = case
     powers = powers_for(eps)
@@ -400,20 +403,65 @@ def test_pruned_search_returns_full_grid_argmax(case):
     assert _likelihood_argmax(powers, hits, SHOTS) == full_grid_argmax(powers, hits)
 
 
+@pytest.mark.parametrize("h,index", [(0, 0), (SHOTS, THETA.size - 1)])
+def test_pruned_search_reaches_grid_ends(h, index):
+    # the all-miss and all-hit examples above end on the first and the
+    # last grid point, where the search's edge handling is exercised
+    powers = powers_for(0.005)
+    hits = [np.int64(h)] * len(powers)
+    assert full_grid_argmax(powers, hits) == index
+    assert _likelihood_argmax(powers, hits, SHOTS) == index
+
+
+def padded_maxima(real, size):
+    """Maxima of the full-grid table over each size-point slice of the
+    padded index range; slices past the grid hold only padding, which
+    repeats the last point."""
+    return np.array([real[lo:lo + size].max() if lo < real.size else real[-1]
+                     for lo in range(0, BLOCKS * BLOCK, size)])
+
+
 @pytest.mark.parametrize("h", [0, SHOTS])
 def test_block_bounds_finite_and_tight(h):
     powers = powers_for(0.01)
-    points = THETA.size
-    blocks = -(-points // BLOCK)
     for k in powers:
-        for padded, real in zip(_log_likelihood_tables(k), full_tables(k)):
-            # the padding repeats the last real entry
-            assert padded.shape == (blocks, BLOCK)
-            assert np.array_equal(padded.ravel()[:points], real)
-            assert np.all(padded.ravel()[points:] == real[-1])
-        for maxima, real in zip(_block_maxima(k), full_tables(k)):
-            want = [real[lo:lo + BLOCK].max() for lo in range(0, points, BLOCK)]
-            assert np.array_equal(maxima, want)
+        leaves, blocks = _subblock_maxima(k), _block_maxima(k)
+        assert leaves.shape == (2, BLOCKS, BLOCK // SUB_BLOCK)
+        assert blocks.shape == (2, BLOCKS)
+        for leaf, block, real in zip(leaves, blocks, full_tables(k)):
+            assert np.array_equal(leaf.ravel(), padded_maxima(real, SUB_BLOCK))
+            assert np.array_equal(block, padded_maxima(real, BLOCK))
     hits = [np.int64(h)] * len(powers)
-    bound = _log_likelihood([_block_maxima(k) for k in powers], hits, SHOTS)
-    assert bound.shape == (blocks,) and np.all(np.isfinite(bound))
+    bound = sum(hit * _block_maxima(k)[0] + (SHOTS - hit) * _block_maxima(k)[1]
+                for k, hit in zip(powers, hits))
+    assert bound.shape == (BLOCKS,) and np.all(np.isfinite(bound))
+
+
+# the bytes of every array held by qvar.risk's functools caches, after
+# estimate_amplitude has run at each eps, in a fresh interpreter
+CACHED_BYTES = """
+import gc, json
+import numpy as np
+from qvar import risk
+for eps in (0.1, 0.02, 0.01):
+    risk.estimate_amplitude(0.3, eps, np.random.default_rng(0))
+caches = [f for f in vars(risk).values() if hasattr(f, "cache_info")]
+arrays = [a for f in caches for ref in gc.get_referents(f) if isinstance(ref, dict)
+          for value in ref.values()
+          for a in (value if isinstance(value, tuple) else (value,))
+          if isinstance(a, np.ndarray)]
+print(json.dumps({"entries": sum(f.cache_info().currsize for f in caches),
+                  "arrays": len(arrays), "bytes": sum(a.nbytes for a in arrays)}))
+"""
+
+
+def test_amplitude_estimation_caches_stay_small():
+    src = str(Path(qvar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", CACHED_BYTES],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    held = json.loads(proc.stdout)
+    # each cache entry holds at least one array, so none was missed
+    assert held["arrays"] >= held["entries"] > 0
+    assert held["bytes"] <= 2 * 2**20, held

@@ -4,7 +4,7 @@ built on first use only.
 Importing qvar, budget-checking a config, a classical run and the CLI
 commands that never fit a polynomial must leave ``scipy`` unimported; the
 first cold Stage-1 fit loads ``scipy.optimize``.  Importing qvar and
-budget-checking a config must also leave the amplitude-estimation tables
+budget-checking a config must also leave the amplitude-estimation maxima
 and the fit memos empty, so that start-up does none of a request's work.
 Each check runs in a fresh interpreter, because the test process itself
 has loaded SciPy and filled the tables.
@@ -81,8 +81,7 @@ import json, sys
 from qvar import load_run_config, qsvt, risk
 with open(sys.argv[1]) as fh:
     load_run_config(json.load(fh)).check_budget()
-caches = {"risk._theta_grid": risk._theta_grid,
-          "risk._log_likelihood_tables": risk._log_likelihood_tables,
+caches = {"risk._subblock_maxima": risk._subblock_maxima,
           "risk._block_maxima": risk._block_maxima,
           "qsvt._ladder_fit": qsvt._ladder_fit,
           "qsvt._fit_certificate": qsvt._fit_certificate}
@@ -101,5 +100,5 @@ def test_import_and_budget_check_build_no_tables(tmp_path):
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert len(sizes) == 5
+    assert len(sizes) == 4
     assert all(size == 0 for size in sizes.values()), sizes
