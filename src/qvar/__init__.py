@@ -5,8 +5,8 @@ a desk-scale statevector pipeline and the early-exercise no-go arithmetic.
 
 from .errors import ConfigError, NumericalError, QubitBudgetError, QvarError
 from .market import (MarketParams, PayoffSpec, PriceGrid, build_grid,
-                     load_market_config, payoff_vector)
-from .mc import FixedPointCode, PathSet, simulate_paths
+                     load_market_config, payoff_vector, price_code)
+from .mc import PathSet, simulate_paths
 from .pde import (TridiagonalOperator, ValueSurface, assemble_operator,
                   implicit_step, price_american, price_european)
 from .pipeline import (PipelineResult, ResourceTally, RunConfig, emit_report,

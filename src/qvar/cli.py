@@ -109,12 +109,12 @@ def cmd_assemble(args) -> int:
     cfg = load_run_config(_overridden_config(args))
     paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
     # the scenario registers must fit the budget before Stage 1 is paid for
-    scenario_layout(paths, cfg.grid, cfg.m)
+    scenario_layout(paths, cfg.price_codes, cfg.m)
     prepared = prepare_value_state(payoff_vector(cfg.payoff, cfg.grid),
                                    cfg.market, cfg.grid, cfg.eps1)
     node_index = snap_paths(paths, cfg.grid)
     assembled = assemble_portfolio_state(paths, prepared.state, cfg.grid, cfg.m,
-                                         node_index)
+                                         node_index, cfg.price_codes)
     value = assembled.value
     if args.mode == "trotter":
         value = trotter_values(prepared.state, cfg.grid, cfg.m, node_index)

@@ -11,15 +11,18 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, QubitBudgetError
+from .errors import ConfigError, NumericalError, QubitBudgetError
 
 DEFAULT_QUBIT_CAP = 24
+# basis indices are int64, so no layout may span more qubits
+MAX_QUBIT_CAP = 63
 
 PayoffKind = Literal["call", "put"]
 
 
 def qubit_cap() -> int:
-    """Simulator-wide qubit budget; QVAR_QUBIT_CAP overrides the default 24."""
+    """Simulator-wide qubit budget; QVAR_QUBIT_CAP overrides the default 24
+    with a value from 1 to 63."""
     raw = os.environ.get("QVAR_QUBIT_CAP")
     if raw is None:
         return DEFAULT_QUBIT_CAP
@@ -27,9 +30,33 @@ def qubit_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise ConfigError(f"QVAR_QUBIT_CAP must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"QVAR_QUBIT_CAP must be positive, got {cap}")
+    if not 1 <= cap <= MAX_QUBIT_CAP:
+        raise ConfigError(f"QVAR_QUBIT_CAP must lie in 1..{MAX_QUBIT_CAP} "
+                          f"(basis indices are int64), got {cap}")
     return cap
+
+
+def price_code(values, m: int) -> np.ndarray:
+    """Unsigned m-fractional-bit price codes, round to nearest with ties
+    up: code c stands for c / 2^m, within 2^-(m+1) of the value.
+
+    A negative value is a NumericalError.  A value that is not finite, or
+    whose code needs more than the 63 bits of an int64, is a ConfigError,
+    raised before the cast could wrap it."""
+    x = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(x)):
+        bad = float(x[~np.isfinite(x)][0])
+        raise ConfigError(f"price {bad} at m = {m} has no code in the int64 "
+                          "code range")
+    if np.any(x < 0):
+        raise NumericalError("fixed-point codes are unsigned; negative value")
+    top = float(x.max(initial=0.0))
+    width = math.frexp(top)[1] + m  # bits of floor(top * 2^m)
+    if width > 63:
+        raise ConfigError(
+            f"s_max = {top} at m = {m} needs a {width}-bit price code, past "
+            "the 63 bits of the int64 code range; decrease m or s_max")
+    return np.floor(x * 2**m + 0.5).astype(np.int64)
 
 
 def _check_integer_multiple(num: float, den: float, what: str) -> int:
@@ -110,15 +137,6 @@ class PriceGrid:
         self.nodes = nodes
         self.nodes.setflags(write=False)
         self.n = n
-
-    def nearest_index(self, price: float) -> int:
-        """Index of the node closest to ``price``; ties round down."""
-        # clamped first: far beyond the grid every |node - price| rounds to
-        # the same float, and that tie would pick node 0
-        price = min(max(price, self.nodes[0]), self.nodes[-1])
-        d = np.abs(self.nodes - price)
-        # argmin returns the first (lower) index on exact ties
-        return int(np.argmin(d))
 
 
 def payoff_vector(spec: PayoffSpec, grid: PriceGrid) -> np.ndarray:

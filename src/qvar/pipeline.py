@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -70,8 +71,14 @@ class RunConfig:
         if not (math.isfinite(self.eps1) and self.eps1 > 0):
             raise ConfigError(f"eps1 must be finite and positive, got {self.eps1}")
 
+    @cached_property
+    def price_codes(self) -> np.ndarray:
+        """The grid's m-bit price codes (``grid_codes``), encoded once per
+        request; Steps 2-4 and the budget check read them."""
+        return grid_codes(self.grid, self.m)
+
     def check_budget(self) -> None:
-        need = (self.L.bit_length() - 1 + price_register_width(self.grid, self.m)
+        need = (self.L.bit_length() - 1 + price_register_width(self.price_codes)
                 + self.m + 1)
         cap = qubit_cap()
         if need > cap:
@@ -130,10 +137,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     classical_state = StateVector(normalized.astype(complex),
                                   RegisterLayout([("grid", grid.n)]))
-    rho_classical = reduced_rho(classical_state, grid, config.m)
-    table_classical = value_code_table(rho_classical, config.m)
-    codes = grid_codes(grid, config.m)
-    twin_values = decode_value(table_classical[codes[node_idx]], config.m)
+    rho_classical = reduced_rho(classical_state, grid)
+    twin_values = decode_value(
+        value_code_table(rho_classical, config.m)[node_idx], config.m)
     classical = classical_var_cvar(twin_values, config.q)
     raw_values = normalized[node_idx]
     classical_raw = classical_var_cvar(raw_values, config.q)
@@ -159,7 +165,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     # Steps 2 + 3: scenario state and the value lookup
     assembled = assemble_portfolio_state(paths, prepared.state, grid, config.m,
-                                         node_idx)
+                                         node_idx, config.price_codes)
     tally.rho_copies += 1
     phi = assembled.state
     layout = RegisterLayout(phi.layout.items() + [(FLAG, 1)])
@@ -188,10 +194,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         breakdown = CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
                                   overlap_raw=0.0, p0=p0)
     else:
-        psi_ref, ref_norm = make_reference_state(layout, node_idx, codes,
+        psi_ref, ref_norm = make_reference_state(layout, node_idx,
+                                                 config.price_codes,
                                                  assembled.value)
         breakdown = cvar(phi_flagged_base.copy(), psi_ref, ref_norm, var_code,
-                         config.q, config.L, scale, assembled.value_table,
+                         config.q, config.L, scale, assembled.lookup,
                          mode=measure_mode, eps=eps_est, rng=rng)
         if sampled:
             tally.amplitude_estimation_queries += breakdown.queries

@@ -13,15 +13,18 @@ basis state has amplitude zero.  A dense state behaves as if its index were
 (``xor_write``, ``flag_write``, ``exact_distribution``,
 ``StateVector.copy``) run one code path on (basis index, amplitude) pairs
 and keep the form they are given.  They cost O(stored amplitudes), which
-for the scenario stages is O(L), not O(2^q).
+for the scenario stages is O(L), not O(2^q): the writes take their lookup
+or predicate as a function of the source register's values and call it on
+the stored amplitudes only, so no table over a source register is built.
 The module has no gates or QFTs: no production stage mixes amplitudes
 across basis states on a ``StateVector`` (Stage 1 applies the 2^n-square
 post-selected block of its circuit as a dense matrix in ``qsvt``, and
 Step 3's phase estimation is evaluated in closed form in ``qpca``).
 
-The qubit cap (``QVAR_QUBIT_CAP``, default 24) bounds the width of the
-simulated device, whatever the form; it is not a memory limit.  A sparse
-state on a wide layout holds only its stored amplitudes.
+The qubit cap (``QVAR_QUBIT_CAP``, default 24, at most 63 because basis
+indices are int64) bounds the width of the simulated device, whatever the
+form; it is not a memory limit.  A sparse state on a wide layout holds
+only its stored amplitudes.
 
 Readout is exact: ``exact_distribution`` returns the squared marginal
 amplitudes of a register, so algorithmic error is never confounded with
@@ -163,22 +166,22 @@ def _permuted(state: StateVector, moved: np.ndarray) -> StateVector:
     return StateVector(state.amplitudes[order], state.layout, moved[order])
 
 
-def xor_write(state: StateVector, source: str, target: str, table) -> StateVector:
-    """|a>_src |z>_tgt -> |a>_src |z XOR f(a)>_tgt for a code table f.
+def xor_write(state: StateVector, source: str, target: str, lookup) -> StateVector:
+    """|a>_src |z>_tgt -> |a>_src |z XOR f(a)>_tgt for a code lookup f,
+    called on the source register's values, as ``flag_write`` calls its
+    predicate.
 
     A controlled permutation, manifestly unitary and self-inverse; the
     standard reversible-lookup construction used by all register loads.
+    It evaluates f only on the stored amplitudes' source values, so no
+    table over the source register is needed.
     """
     layout = state.layout
-    src_vals = layout.values(source, state.index)
-    table = np.asarray(table, dtype=np.int64)
-    if table.size != 2**layout.width_of(source):
-        raise ConfigError("lookup table must cover the source register")
-    tgt_width = layout.width_of(target)
-    if np.any(table < 0) or np.any(table >= 2**tgt_width):
+    codes = np.asarray(lookup(layout.values(source, state.index)), dtype=np.int64)
+    if np.any(codes < 0) or np.any(codes >= 2**layout.width_of(target)):
         raise NumericalError("lookup value exceeds the target register range")
     shift = layout.shift_of(target)
-    return _permuted(state, state.support ^ (table[src_vals] << shift))
+    return _permuted(state, state.support ^ (codes << shift))
 
 
 def flag_write(state: StateVector, source: str, flag: str, predicate) -> StateVector:

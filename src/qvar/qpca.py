@@ -4,26 +4,30 @@ and the square-root map, in closed form.
 The reduced density matrix.  Step 3 runs QPCA on rho = Tr_grid |psi2><psi2|
 for the grid-information state psi2 = sum_j v_j |j> |code(S_j)>.  The grid
 codes are distinct (``grid_codes`` rejects collisions), so rho is diagonal
-in the price-code basis with |v_j|^2 at code(S_j).  ``reduced_rho`` returns
-that spectrum as a float vector over the 2^p price codes, and phase
-estimation and the value lookup read it directly; neither psi2 nor the
-2^p-square matrix is built.
+in the price-code basis with |v_j|^2 at code(S_j) and zero at every code
+that is no node's: its spectrum lives on the 2^n grid nodes.
+``reduced_rho`` returns it per node, and phase estimation, the trotter
+kernel and the value codes index it by node.  Only the XOR writes read the
+price register, through ``value_lookup``, which finds a code's node by
+binary search over the increasing grid codes.  Neither psi2, the
+2^p-square matrix nor any vector over the 2^p price codes is built.
 
 One Step-3 path.  Production Step 3 is the infinite-precision limit of
-QPCA followed by the square root: the lookup table ``value_code_table``,
-applied to the scenario state as one reversible XOR write, on m-bit
-registers with the fixed QPE_DT and 2^m controlled powers below.  The
-finite-precision circuit is evaluated in closed form per branch by the
-two QPE kernels, which ``assemble --mode trotter`` reads.  The coherent circuits these closed forms stand for (dense QPE,
-the swap-slice channel, the reversible square root) are test references
-and live with the tests.
+QPCA followed by the square root: the per-node value codes
+``value_code_table``, written into the scenario state as one reversible
+XOR, on m-bit registers with the fixed QPE_DT and 2^m controlled powers
+below.  The finite-precision circuit is evaluated in closed form per
+branch by the two QPE kernels, which ``assemble --mode trotter`` reads.
+The coherent circuits these closed forms stand for (dense QPE, the
+swap-slice channel, the reversible square root) are test references and
+live with the tests.
 
 Fixed-point conventions.  Price registers carry plain m-fractional-bit
-codes (code c means c / 2^m).  Eigenvalue and value registers carry a
-half-scale code on m qubits: code c means 2c / 2^m, i.e. one integer bit
-and m-1 fractional bits, so both an eigenvalue of exactly 1 and a
-normalized value of exactly 1 are representable and the rounding error is
-at most 2^-m.
+codes (``market.price_code``; code c means c / 2^m).  Eigenvalue and value
+registers carry a half-scale code on m qubits: code c means 2c / 2^m, i.e.
+one integer bit and m-1 fractional bits, so both an eigenvalue of exactly
+1 and a normalized value of exactly 1 are representable and the rounding
+error is at most 2^-m.
 
 QPE convention.  The controlled evolution loads phases e^{+i lambda l dt}
 (the reverse-time sign of the usual e^{-i rho t}), so after the inverse
@@ -45,13 +49,13 @@ and raises ``NumericalError`` past TROTTER_SLICE_CAP slices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .market import PriceGrid
+from .market import PriceGrid, price_code
 from .mc import PathSet
 from .qcore import RegisterLayout, StateVector, xor_write
 
@@ -66,11 +70,6 @@ TROTTER_DISTANCE_TOL = 0.1
 TROTTER_SLICE_CAP = 2**16
 
 
-def price_code(values, m: int) -> np.ndarray:
-    """Plain m-fractional-bit price codes, round to nearest, ties up."""
-    return np.floor(np.asarray(values, dtype=float) * 2**m + 0.5).astype(np.int64)
-
-
 def encode_value(x, m: int) -> np.ndarray:
     """Half-scale value code on m bits: code c represents 2c / 2^m."""
     code = np.floor(np.asarray(x, dtype=float) * 2 ** (m - 1) + 0.5).astype(np.int64)
@@ -82,31 +81,29 @@ def decode_value(code, m: int):
 
 
 def grid_codes(grid: PriceGrid, m: int) -> np.ndarray:
-    """Distinct price codes for all grid nodes; rejects collisions and
-    codes too wide for int64."""
-    s_max = float(grid.nodes[-1])
-    width = math.frexp(s_max)[1] + m  # bits of floor(s_max * 2^m)
-    if width > 63:
-        raise ConfigError(
-            f"s_max = {s_max} at m = {m} needs a {width}-bit price code, past "
-            "the 63 bits of a signed 64-bit integer; decrease m or s_max")
+    """The grid nodes' m-bit price codes, strictly increasing; rejects
+    collisions, and ``price_code`` rejects codes too wide for int64."""
     codes = price_code(grid.nodes, m)
-    if len(set(codes.tolist())) != codes.size:
-        dupes = sorted({int(c) for c in codes if np.sum(codes == c) > 1})
+    tied = np.diff(codes) == 0  # rounding keeps the nodes' order
+    if np.any(tied):
         raise ConfigError(
-            f"grid nodes collide in {m}-bit fixed point (codes {dupes}); "
+            f"grid nodes collide in {m}-bit fixed point (codes "
+            f"{sorted(set(codes[1:][tied].tolist()))}); "
             "increase m or coarsen the grid")
     return codes
 
 
-def price_register_width(grid: PriceGrid, m: int) -> int:
-    return max(1, int(grid_codes(grid, m).max()).bit_length())
+def price_register_width(codes: np.ndarray) -> int:
+    """Qubits of the price register: the bits of the last, largest of the
+    increasing ``grid_codes``."""
+    return max(1, int(codes[-1]).bit_length())
 
 
 def snap_paths(paths: PathSet, grid: PriceGrid) -> np.ndarray:
-    """Nearest grid node index for every path, as ``PriceGrid.nearest_index``
-    gives it: prices clamped to the grid first, ties to the lower node
-    (``argmin`` returns the first minimum)."""
+    """Nearest grid node index for every path, ties to the lower node
+    (``argmin`` returns the first minimum).  Prices are clamped to the grid
+    first: far beyond it every node distance rounds to the same float, and
+    that tie would pick node 0."""
     nodes = grid.nodes
     prices = np.clip(paths.prices, nodes[0], nodes[-1])
     out = np.empty(prices.size, dtype=np.int64)
@@ -117,40 +114,42 @@ def snap_paths(paths: PathSet, grid: PriceGrid) -> np.ndarray:
     return out
 
 
-def scenario_layout(paths: PathSet, grid: PriceGrid, m: int) -> RegisterLayout:
-    """The path, price and value registers of the scenario state; building
-    the layout checks their width against the qubit budget."""
+def scenario_layout(paths: PathSet, codes: np.ndarray, m: int) -> RegisterLayout:
+    """The path, price and value registers of the scenario state for the
+    grid's ``grid_codes``; building the layout checks their width against
+    the qubit budget."""
     return RegisterLayout([("path", paths.index_qubits),
-                           ("price", price_register_width(grid, m)),
+                           ("price", price_register_width(codes)),
                            ("value", m)])
 
 
-def prepare_path_state(paths: PathSet, grid: PriceGrid, m: int,
+def prepare_path_state(paths: PathSet, codes: np.ndarray, m: int,
                        node_index: np.ndarray) -> StateVector:
     """Circuit twin of the scenario generator: the uniform path-index state
-    with the price codes of the snapped nodes ``node_index`` loaded, value
-    register zeroed.  Sparse, with one stored amplitude per path."""
-    layout = scenario_layout(paths, grid, m)
-    codes = grid_codes(grid, m)[node_index]
+    with the price codes ``codes`` of the snapped nodes ``node_index``
+    loaded, value register zeroed.  Sparse, with one stored amplitude per
+    path."""
+    layout = scenario_layout(paths, codes, m)
     index = ((np.arange(paths.L, dtype=np.int64) << layout.shift_of("path"))
-             | (codes << layout.shift_of("price")))
+             | (codes[node_index] << layout.shift_of("price")))
     amps = np.full(paths.L, 1.0 / np.sqrt(paths.L), dtype=complex)
     return StateVector(amps, layout, index)
 
 
-def reduced_rho(value_state: StateVector, grid: PriceGrid, m: int) -> np.ndarray:
-    """The spectrum of rho = Tr_grid |psi2><psi2| over price codes, for the
+def reduced_rho(value_state: StateVector, grid: PriceGrid) -> np.ndarray:
+    """The spectrum of rho = Tr_grid |psi2><psi2| per grid node, for the
     grid-information state psi2 = sum_j v_j |j> |code(S_j)>.
 
     The grid codes are distinct, so the grid index is a function of the
-    price code and rho is diagonal in the code basis: the result holds
-    |v_j|^2 at code(S_j) and zero at every other code of the price register.
+    price code and rho is diagonal in the code basis, with |v_j|^2 at
+    code(S_j) and zero at every code that is no node's: entry j of the
+    result is |v_j|^2.
     """
     if value_state.num_qubits != grid.n:
         raise ConfigError("value state must live on the grid register")
     v = value_state.amplitudes
-    p = np.zeros(2 ** price_register_width(grid, m))
-    p[grid_codes(grid, m)[value_state.support]] = v.real**2 + v.imag**2
+    p = np.zeros(2**grid.n)
+    p[value_state.support] = v.real**2 + v.imag**2
     return p
 
 
@@ -160,25 +159,25 @@ def _qft(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(ls, ls) / 2**m) / np.sqrt(2**m)
 
 
-def qpe_exact_distributions(branch_codes, rho: np.ndarray,
+def qpe_exact_distributions(branch_nodes, rho: np.ndarray,
                             m: int) -> dict[int, np.ndarray]:
-    """Phase-register outcome distribution per branch price code under
+    """Phase-register outcome distribution per branch grid node under
     exact-exponential QPE, the textbook kernel, for rho given as its
-    spectrum p over price codes (``reduced_rho``)."""
+    spectrum p per grid node (``reduced_rho``)."""
     n = 2**m
     ls = np.arange(n)
     inverse = _qft(m).conj()
     out: dict[int, np.ndarray] = {}
-    for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
+    for b in np.unique(np.asarray(branch_nodes, dtype=np.int64)):
         kernel = np.exp(1j * rho[b] * QPE_DT * ls) / np.sqrt(n)
         amp = inverse @ kernel  # inverse QFT of the phase load
         out[int(b)] = np.abs(amp) ** 2
     return out
 
 
-def qpe_trotter_distributions(branch_codes, rho: np.ndarray, m: int,
+def qpe_trotter_distributions(branch_nodes, rho: np.ndarray, m: int,
                               n_trotter: int) -> dict[int, np.ndarray]:
-    """Phase-register outcome distribution per branch price code under
+    """Phase-register outcome distribution per branch grid node under
     trotterized QPE, with each controlled power of e^{i rho dt} made of
     ``n_trotter`` slices of length dt / n_trotter.
 
@@ -186,7 +185,7 @@ def qpe_trotter_distributions(branch_codes, rho: np.ndarray, m: int,
     channel acts in closed form.  Between phase-register branches l <= l',
     the l * n_trotter shared slices act two-sided and mix the branch
     projector toward rho at rate cos^2 per slice; the (l' - l) * n_trotter
-    excess slices act one-sided and multiply code b's coefficient by
+    excess slices act one-sided and multiply node b's coefficient by
     (cos + i sin p_b) per slice.
     """
     n = 2**m
@@ -194,8 +193,8 @@ def qpe_trotter_distributions(branch_codes, rho: np.ndarray, m: int,
     fourier = _qft(m)
     slices = ls * n_trotter  # slice count of each controlled power
     c, s = np.cos(QPE_DT / n_trotter), np.sin(QPE_DT / n_trotter)
-    one_sided = c + 1j * s * rho  # per-code factor for a left-only slice
-    pow_one = one_sided[None, :] ** slices[:, None]  # [j, code]
+    one_sided = c + 1j * s * rho  # per-node factor for a left-only slice
+    pow_one = one_sided[None, :] ** slices[:, None]  # [j, node]
     phi = pow_one @ rho  # sum_b p_b (c + i s p_b)^(j n_trotter)
     c2l = (c * c) ** slices
     # pairs l <= l' of phase-register branches: k = l shared slices
@@ -203,7 +202,7 @@ def qpe_trotter_distributions(branch_codes, rho: np.ndarray, m: int,
     l, lp = np.triu_indices(n)
     k, j = l, lp - l
     out: dict[int, np.ndarray] = {}
-    for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
+    for b in np.unique(np.asarray(branch_nodes, dtype=np.int64)):
         val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
         mat = np.empty((n, n), dtype=complex)
         mat[lp, l] = val
@@ -220,10 +219,24 @@ def sqrt_code_table(m: int) -> np.ndarray:
 
 
 def value_code_table(rho: np.ndarray, m: int) -> np.ndarray:
-    """Price code -> value code sqrt(eigenvalue), the infinite-precision
+    """Grid node -> value code sqrt(eigenvalue), the infinite-precision
     limit of phase estimation followed by the square root, for rho given
-    as its spectrum over price codes (``reduced_rho``)."""
+    as its spectrum per grid node (``reduced_rho``)."""
     return encode_value(np.sqrt(rho), m)
+
+
+def value_lookup(codes: np.ndarray, value_codes: np.ndarray) -> Callable:
+    """Price code -> value code, the lookup of the value register's XOR
+    writes: a grid code reads its node's entry of ``value_codes``, found by
+    binary search over the increasing ``grid_codes``, and a code that is no
+    node's reads 0, as rho has no weight there."""
+    last = codes.size - 1
+
+    def lookup(price):
+        node = np.minimum(np.searchsorted(codes, price), last)
+        return np.where(codes[node] == price, value_codes[node], 0)
+
+    return lookup
 
 
 @dataclass
@@ -233,32 +246,32 @@ class AssembleResult:
     value register, against the classical normalized lookup ``oracle[k]``."""
 
     state: StateVector
-    value_table: np.ndarray  # price code -> value code
+    lookup: Callable  # price code -> value code (``value_lookup``)
     node_index: np.ndarray  # path -> snapped grid node
     value: np.ndarray  # path -> decoded value-register content
     oracle: np.ndarray  # path -> classical normalized lookup
 
 
 def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
-                             grid: PriceGrid, m: int,
-                             node_index: np.ndarray | None = None) -> AssembleResult:
+                             grid: PriceGrid, m: int, node_index: np.ndarray,
+                             codes: np.ndarray) -> AssembleResult:
     """Attach option-value codes to every scenario branch.
 
-    ``node_index`` is the paths' ``snap_paths`` result, computed here when
-    the caller has not.  The spectral value lookup (the infinite-time limit
-    of QPCA phase estimation and the square root) is applied as a
-    reversible XOR write, leaving a pure statevector; building the scenario
-    state checks its registers against the qubit budget.
+    ``node_index`` is the paths' ``snap_paths`` result and ``codes`` the
+    grid's ``grid_codes``, both derived once per request.  The spectral
+    value lookup (the infinite-time limit of QPCA phase estimation and the
+    square root) is applied as a reversible XOR write, leaving a pure
+    statevector; building the scenario state checks its registers against
+    the qubit budget.
     """
-    if node_index is None:
-        node_index = snap_paths(paths, grid)
-    path_state = prepare_path_state(paths, grid, m, node_index)
-    table = value_code_table(reduced_rho(value_state, grid, m), m)
+    path_state = prepare_path_state(paths, codes, m, node_index)
+    value_codes = value_code_table(reduced_rho(value_state, grid), m)
+    lookup = value_lookup(codes, value_codes)
     v = np.abs(value_state.amplitudes)
     return AssembleResult(
-        state=xor_write(path_state, "price", "value", table), value_table=table,
-        node_index=node_index,
-        value=decode_value(table[grid_codes(grid, m)[node_index]], m),
+        state=xor_write(path_state, "price", "value", lookup),
+        lookup=lookup, node_index=node_index,
+        value=decode_value(value_codes[node_index], m),
         oracle=(v / np.linalg.norm(v))[node_index])
 
 
@@ -272,12 +285,11 @@ def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
     distance TROTTER_DISTANCE_TOL of it, and ``NumericalError`` names the
     distance reached past TROTTER_SLICE_CAP slices.
     """
-    rho = reduced_rho(value_state, grid, m)
-    branch_codes = grid_codes(grid, m)[node_index]
-    exact = qpe_exact_distributions(branch_codes, rho, m)
+    rho = reduced_rho(value_state, grid)
+    exact = qpe_exact_distributions(node_index, rho, m)
     n_trotter = 16
     while True:
-        dists = qpe_trotter_distributions(branch_codes, rho, m, n_trotter)
+        dists = qpe_trotter_distributions(node_index, rho, m, n_trotter)
         distance = max(float(np.abs(dist - exact[b]).sum()) / 2
                        for b, dist in dists.items())
         if distance <= TROTTER_DISTANCE_TOL:
@@ -290,4 +302,4 @@ def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
         n_trotter *= 2
     modal = {b: int(np.argmax(dist)) for b, dist in dists.items()}
     return decode_value(
-        sqrt_code_table(m)[[modal[b] for b in branch_codes.tolist()]], m)
+        sqrt_code_table(m)[[modal[b] for b in node_index.tolist()]], m)

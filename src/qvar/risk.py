@@ -376,20 +376,21 @@ class CvarBreakdown:
 
 def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
          threshold_code: int, q: float, L: int, scale: float,
-         value_table: np.ndarray, mode: str = "exact", eps: float = 0.01,
+         value_lookup: Callable, mode: str = "exact", eps: float = 0.01,
          rng=None) -> CvarBreakdown:
     """Tail mean from the flagged-and-uncomputed portfolio state.
 
-    Applies the comparator at the VaR code, undoes the value write (the
-    XOR lookup is self-inverse, standing in for the inverse QPCA/QFT
-    pass), and contracts against the value-weighted reference state; the
-    reconstruction divides by the achieved tail fraction.
+    Applies the comparator at the VaR code, undoes the value write with
+    the same price-code lookup ``value_lookup`` (the XOR lookup is
+    self-inverse, standing in for the inverse QPCA/QFT pass), and contracts
+    against the value-weighted reference state; the reconstruction divides
+    by the achieved tail fraction.
     """
     flagged = comparator_ucc(state, threshold_code)
     p0, q_used = tail_probability(flagged, mode, eps, rng)
     if p0 <= 0.0:
         raise NumericalError("empty tail set: no branch at or below the VaR code")
-    phi3 = xor_write(flagged, "price", VALUE_REG, value_table)
+    phi3 = xor_write(flagged, "price", VALUE_REG, value_lookup)
     raw, q_overlap = swap_test_overlap(psi_ref, phi3, mode, eps, rng)
     cvar_norm = raw * ref_norm / (p0 * math.sqrt(L))
     overlap_folded = raw * ref_norm * math.sqrt(p0)

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the production code against.
 
-The production pipeline runs Step 3 in closed form: the limit table
-``qpca.value_code_table`` and the per-branch kernels
-``qpca.qpe_exact_distributions`` and ``qpca.qpe_trotter_distributions``.
+The production pipeline runs Step 3 in closed form over the grid nodes:
+the limit's per-node value codes ``qpca.value_code_table`` and the
+per-branch kernels ``qpca.qpe_exact_distributions`` and
+``qpca.qpe_trotter_distributions``.
 This module holds the circuits those closed forms stand for, written out
 densely so that small instances can be compared entry by entry:
 
@@ -13,7 +14,7 @@ densely so that small instances can be compared entry by entry:
   square root (``sqrt_register``) of Lloyd, Mohseni and Rebentrost,
   arXiv 1307.0401;
 * the scalar forms of the scenario map (``logistic_increment``,
-  ``euler_forward``), the sparse-access column map of the block encoding
+  ``euler_forward``) and of the path snap (``nearest_index``), the sparse-access column map of the block encoding
   (``column_index``), its top-left block (``encoded_block``) and its
   certificate (``verify_block_encoding``);
 * the full 2^(n+4)-square QSVT circuit U_Phi (``qsvt_circuit``), whose
@@ -43,7 +44,7 @@ from scipy.optimize import linprog
 from qvar import qsvt
 from qvar.blockenc import BRANCHES, BlockEncoding
 from qvar.errors import ConfigError, NumericalError
-from qvar.market import MarketParams
+from qvar.market import MarketParams, PriceGrid
 from qvar.pde import TridiagonalOperator
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
 from qvar.qpca import QPE_DT, decode_value, sqrt_code_table
@@ -225,12 +226,13 @@ def _hadamard_all(width: int) -> np.ndarray:
     return out
 
 
-def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray,
+def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray, codes: np.ndarray,
                           price: str = "price", phase: str = "value") -> StateVector:
     """Coherent exact-exponential phase estimation writing eigenvalue codes
-    of rho, given as its spectrum over price codes (``qpca.reduced_rho``),
-    with 2^m controlled powers of evolution time ``qpca.QPE_DT`` for the
-    m-qubit phase register.
+    of rho, given as its spectrum per grid node (``qpca.reduced_rho``) and
+    the nodes' price codes ``codes`` (``qpca.grid_codes``), with 2^m
+    controlled powers of evolution time ``qpca.QPE_DT`` for the m-qubit
+    phase register.  A price code that is no node's has eigenvalue 0.
 
     Price-register basis states are rho eigenstates (diagonal rho), so the
     controlled evolution is a pure phase load followed by the inverse QFT.
@@ -246,16 +248,14 @@ def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray,
         amps[state.index] = state.amplitudes
         state = StateVector(amps, layout)
     price_vals = layout.values(price)
-    populated = np.unique(price_vals[np.abs(state.amplitudes) > 1e-14])
-    if populated.size and populated.max() >= rho.size:
-        bad = [int(c) for c in populated if c >= rho.size]
-        raise NumericalError(f"price codes {bad} lie outside rho's register")
+    spectrum = np.zeros(2**layout.width_of(price))  # rho over price codes
+    spectrum[codes] = rho
     if exact_distribution(state, phase)[0] < 1.0 - 1e-10:
         raise ConfigError("phase register must be zeroed before QPE")
 
     out = apply_unitary(state, _hadamard_all(m), phase, check=False)
     l_vals = layout.values(phase)
-    phases = rho[price_vals] * l_vals * QPE_DT
+    phases = spectrum[price_vals] * l_vals * QPE_DT
     out = StateVector(out.amplitudes * np.exp(1j * phases), layout)
     return inverse_qft(out, phase)
 
@@ -286,7 +286,7 @@ def sqrt_register(state: StateVector, source: str, target: str) -> StateVector:
     m = state.layout.width_of(source)
     if state.layout.width_of(target) != m:
         raise ConfigError("source and target registers must share the width")
-    return xor_write(state, source, target, sqrt_code_table(m))
+    return xor_write(state, source, target, sqrt_code_table(m).take)
 
 
 # --- scalar and structural references -----------------------------------
@@ -297,6 +297,16 @@ def logistic_increment(j: int, L: int) -> float:
         raise ConfigError(f"path index must satisfy 1 <= j <= L, got j={j}, L={L}")
     u = j / L
     return 4.0 * u * (1.0 - u)
+
+
+def nearest_index(grid: PriceGrid, price: float) -> int:
+    """Index of the grid node closest to ``price``, ties to the lower node:
+    the scalar snap that ``qpca.snap_paths`` vectorises."""
+    # clamped first: far beyond the grid every |node - price| rounds to
+    # the same float, and that tie would pick node 0
+    price = min(max(price, grid.nodes[0]), grid.nodes[-1])
+    # argmin returns the first (lower) index on exact ties
+    return int(np.argmin(np.abs(grid.nodes - price)))
 
 
 def euler_forward(j: int, x: float, params: MarketParams, L: int) -> float:

@@ -14,19 +14,20 @@ import pytest
 from conftest import random_tridiagonal
 from qvar.blockenc import assemble_block_encoding
 from qvar.cli import main as cli_main
-from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
-from qvar.mc import FixedPointCode, PathSet
+from qvar.market import (MarketParams, PayoffSpec, build_grid, payoff_vector,
+                         price_code)
+from qvar.mc import PathSet
 from qvar.nogo import copy_curve, trace_norm_gap
 from qvar.pde import (TridiagonalOperator, assemble_operator, price_american,
                       price_european)
 from qvar.qcore import RegisterLayout
 from qvar.qpca import (assemble_portfolio_state, decode_value, grid_codes,
-                       reduced_rho)
+                       reduced_rho, snap_paths)
 from qvar.qsvt import prepare_value_state
 from qvar.risk import bisection_var, classical_var_cvar, cvar, make_reference_state
 from reference import (DensityMatrix, evolve_exp_rho, explicit_trace_norm_gap,
-                       fit_linear_slope, grover_rudolph_prepare, perturb_state,
-                       trotter_slice, verify_block_encoding)
+                       fit_linear_slope, grover_rudolph_prepare, nearest_index,
+                       perturb_state, trotter_slice, verify_block_encoding)
 
 # degree-budget constant for criterion 3, shared across every case
 DEGREE_BUDGET_C = 8.0
@@ -42,7 +43,7 @@ def test_criterion_1_pde_matches_risk_neutral_mc():
     grid = build_grid(0.0, 4.0, 6, "uniform")
     spec = PayoffSpec("call", 1.0)
     surface = price_european(params, grid, spec)
-    j = grid.nearest_index(1.0)
+    j = nearest_index(grid, 1.0)
 
     rng = np.random.default_rng(20240801)
     n_paths = 2 * 10**5
@@ -118,15 +119,15 @@ def _lookup_instance(rng, m=6):
     grid = build_grid(0.0, 4.0, 4, "uniform")
     values = rng.uniform(0.05, 1.0, size=16)
     vstate = grover_rudolph_prepare(values, RegisterLayout([("grid", 4)]))
-    code = FixedPointCode(m=m, range_max=8.0)
-    prices = code.quantize(grid.nodes[rng.integers(0, 16, size=8)])
-    paths = PathSet(L=8, t=0.0, prices=prices, code=code)
+    prices = price_code(grid.nodes[rng.integers(0, 16, size=8)], m) / 2.0**m
+    paths = PathSet(L=8, t=0.0, prices=prices, m=m)
     return grid, values, vstate, paths
 
 
 def test_criterion_4_step3_lookup_and_trotter_convergence(rng):
     grid, values, vstate, paths = _lookup_instance(rng)
-    res = assemble_portfolio_state(paths, vstate, grid, 6)
+    res = assemble_portfolio_state(paths, vstate, grid, 6, snap_paths(paths, grid),
+                                   grid_codes(grid, 6))
     normalized = values / np.linalg.norm(values)
     worst = 0.0
     for value, j in zip(res.value, res.node_index):
@@ -136,11 +137,11 @@ def test_criterion_4_step3_lookup_and_trotter_convergence(rng):
 
     # second-order slice convergence: distance between one swap slice and
     # the exact exponential over the slice lengths 1/8, 1/16, 1/32
-    rho = DensityMatrix(np.diag(reduced_rho(vstate, grid, 6)))
+    rho = DensityMatrix(np.diag(reduced_rho(vstate, grid)))
     sigma_vals = rng.uniform(0.2, 1.0, size=rho.entries.shape[0])
     sigma = DensityMatrix(np.diag(reduced_rho(
         grover_rudolph_prepare(rng.uniform(0.1, 1.0, size=16),
-                               RegisterLayout([("grid", 4)])), grid, 6)))
+                               RegisterLayout([("grid", 4)])), grid)))
     dists = []
     for n_trotter in (8, 16, 32):
         dt = 1.0 / n_trotter
@@ -162,8 +163,8 @@ def test_criterion_5_error_propagation(rng):
         for _ in range(10):
             values = rng.uniform(0.05, 1.0, size=16)
             vstate = grover_rudolph_prepare(values, RegisterLayout([("grid", 4)]))
-            rho = reduced_rho(vstate, grid, 6)
-            rho_p = reduced_rho(perturb_state(vstate, eps, rng), grid, 6)
+            rho = reduced_rho(vstate, grid)
+            rho_p = reduced_rho(perturb_state(vstate, eps, rng), grid)
             shift = np.abs(np.sort(rho_p) - np.sort(rho)).max()
             assert shift <= 4.0 * eps
             worst_ratio = max(worst_ratio, shift / eps)
@@ -176,10 +177,11 @@ def _risk_instance(rng, L, m=6):
     grid = build_grid(0.0, 4.0, 4, "uniform")
     values = rng.uniform(0.0, 1.0, size=16)
     vstate = grover_rudolph_prepare(values, RegisterLayout([("grid", 4)]))
-    code = FixedPointCode(m=m, range_max=8.0)
-    prices = code.quantize(grid.nodes[rng.integers(0, 16, size=L)])
-    paths = PathSet(L=L, t=0.0, prices=prices, code=code)
-    assembled = assemble_portfolio_state(paths, vstate, grid, m)
+    prices = price_code(grid.nodes[rng.integers(0, 16, size=L)], m) / 2.0**m
+    paths = PathSet(L=L, t=0.0, prices=prices, m=m)
+    assembled = assemble_portfolio_state(paths, vstate, grid, m,
+                                         snap_paths(paths, grid),
+                                         grid_codes(grid, m))
     return grid, values, paths, assembled
 
 
@@ -201,7 +203,7 @@ def test_criterion_6_and_7_var_equality_cvar_identity(rng):
         state, layout = _flagged(assembled)
         codes = grid_codes(grid, m)
         node_idx = assembled.node_index
-        twin = decode_value(assembled.value_table[codes[node_idx]], m)
+        twin = decode_value(assembled.lookup(codes[node_idx]), m)
 
         var_code, iters, _ = bisection_var(lambda: state.copy(), q, m)
         classical = classical_var_cvar(twin, q)
@@ -212,7 +214,7 @@ def test_criterion_6_and_7_var_equality_cvar_identity(rng):
         ref, ref_norm = make_reference_state(layout, node_idx, codes,
                                              assembled.value)
         breakdown = cvar(state.copy(), ref, ref_norm, var_code, q, L, 1.0,
-                         assembled.value_table)
+                         assembled.lookup)
         # identity against the coded twin
         assert breakdown.cvar_normalized == pytest.approx(classical.cvar, abs=1e-10)
         # stated tolerance against the unquantized classical tail mean

@@ -9,8 +9,8 @@ from qvar.cli import main
 from qvar.market import payoff_vector
 from qvar.mc import simulate_paths
 from qvar.pipeline import load_run_config
-from qvar.qpca import (decode_value, grid_codes, qpe_exact_distributions,
-                       reduced_rho, snap_paths, sqrt_code_table)
+from qvar.qpca import (decode_value, qpe_exact_distributions, reduced_rho,
+                       snap_paths, sqrt_code_table)
 from qvar.qsvt import prepare_value_state
 
 BASE_CONFIG = {
@@ -122,12 +122,12 @@ def exact_qpe_modal_values(doc):
     prepared = prepare_value_state(payoff_vector(cfg.payoff, cfg.grid),
                                    cfg.market, cfg.grid, cfg.eps1)
     paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
-    rho = reduced_rho(prepared.state, cfg.grid, cfg.m)
-    codes = grid_codes(cfg.grid, cfg.m)[snap_paths(paths, cfg.grid)]
-    dists = qpe_exact_distributions(codes, rho, cfg.m)
+    rho = reduced_rho(prepared.state, cfg.grid)
+    nodes = snap_paths(paths, cfg.grid)
+    dists = qpe_exact_distributions(nodes, rho, cfg.m)
     sqrt_map = sqrt_code_table(cfg.m)
-    return [float(decode_value(sqrt_map[int(np.argmax(dists[int(c)]))], cfg.m))
-            for c in codes]
+    return [float(decode_value(sqrt_map[int(np.argmax(dists[int(j)]))], cfg.m))
+            for j in nodes]
 
 
 def test_assemble_trotter_doubles_slices_until_certified(config_path, capsys):
@@ -290,6 +290,25 @@ def test_budget_error_exit_code(tmp_path, monkeypatch):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     assert run_cli(["run", "--config", str(path)]) == 4
+
+
+def test_qubit_cap_past_int64_exit_code(config_path, capsys, monkeypatch):
+    # basis indices are int64: a cap of 100 used to let --bits 30 (67
+    # qubits) through the budget check into a 64 GiB allocation
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "100")
+    assert run_cli(["run", "--bits", "30", "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvar: error: QVAR_QUBIT_CAP must lie in 1..63")
+    assert "Traceback" not in err
+
+
+def test_qubit_cap_63_budget_exit_code(config_path, capsys, monkeypatch):
+    # 3 path + 33 price + 30 value + 1 flag qubits
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "63")
+    assert run_cli(["run", "--bits", "30", "--config", config_path]) == 4
+    err = capsys.readouterr().err
+    assert "pipeline needs 67 qubits" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["exact", "trotter"])

@@ -5,7 +5,16 @@ import pytest
 
 from qvar.errors import ConfigError, QubitBudgetError
 from qvar.market import (MarketParams, PayoffSpec, build_grid,
-                         load_market_config, payoff_vector)
+                         load_market_config, payoff_vector, price_code)
+from qvar.mc import PathSet
+from qvar.qpca import snap_paths
+
+
+def lattice_paths(prices, m):
+    """A PathSet holding ``prices`` rounded to the m-bit lattice."""
+    prices = np.asarray(prices, dtype=float)
+    return PathSet(L=prices.size, t=0.0, prices=price_code(prices, m) / 2.0**m,
+                   m=m)
 
 
 def test_call_payoff_on_padded_grid():
@@ -80,14 +89,18 @@ def test_market_params_validation():
 
 
 def test_nearest_index_ties_round_down():
+    # snap_paths gives every path its nearest node's index
     grid = build_grid(0.0, 3.0, 2, "uniform")
-    assert grid.nearest_index(0.5) == 0
-    assert grid.nearest_index(0.51) == 1
+    # 0.51 at m = 20 is 0.51000022..., still nearer node 1
+    assert snap_paths(lattice_paths([0.5, 0.51], 20), grid).tolist() == [0, 1]
 
 
-@pytest.mark.parametrize("price", [5.0, 1e15, 1e16, 1e300])
+# at 2^60 every |node - price| rounds to the same float, the tie the clamp
+# guards against; a price such as 1e300 has no int64 code to reach the snap
+@pytest.mark.parametrize("price", [5.0, 1e15, 1e16, 2.0**60])
 def test_nearest_index_beyond_the_grid_is_the_top_node(price):
-    assert build_grid(0.0, 4.0, 4, "uniform").nearest_index(price) == 15
+    grid = build_grid(0.0, 4.0, 4, "uniform")
+    assert snap_paths(lattice_paths([price], 2), grid).tolist() == [15]
 
 
 def test_config_roundtrip(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qvar.errors import ConfigError, NumericalError
-from qvar.market import MarketParams
-from qvar.mc import FixedPointCode, simulate_paths
+from qvar.market import MarketParams, price_code
+from qvar.mc import simulate_paths
 from reference import euler_forward, logistic_increment
 
 
@@ -61,15 +61,18 @@ def test_round_trip_before_quantization(j):
         assert euler_inverse(j, y, params, 8) == pytest.approx(x, abs=1e-12)
 
 
+def quantize(x, m):
+    return price_code(x, m) / 2.0**m
+
+
 def test_quantized_round_trip_bounded_by_lipschitz_constant():
     params = make_params(mu=0.07, alpha=0.4, dtau=0.5)
     m = 8
-    code = FixedPointCode(m=m, range_max=64.0)
     for j in (1, 3, 6):
         a = 1.0 + params.mu * params.dtau
         b = params.alpha * logistic_increment(j, 8)
         for x in (0.5, 2.0, 7.3):
-            y = code.quantize(euler_forward(j, x, params, 8))
+            y = quantize(euler_forward(j, x, params, 8), m)
             back = euler_inverse(j, float(y), params, 8)
             # |dF^-1/dy| = 1 / (a + b / (2 sqrt(x)))
             lipschitz = 1.0 / (a + b / (2.0 * math.sqrt(x)))
@@ -93,8 +96,7 @@ def test_simulate_paths_single_step_matches_scalar_recomputation():
     params = make_params(mu=0.1, alpha=1.0, dtau=1.0, t_bar=1.0, T=1.0)
     m = 10
     paths = simulate_paths(params, 4.0, 8, m)
-    code = FixedPointCode(m=m, range_max=paths.code.range_max)
-    expected = [code.quantize(euler_forward(j, 4.0, params, 8)) for j in range(1, 9)]
+    expected = [quantize(euler_forward(j, 4.0, params, 8), m) for j in range(1, 9)]
     assert np.allclose(paths.prices, expected, atol=0)
 
 
@@ -105,35 +107,27 @@ def test_simulate_paths_deterministic():
     assert np.array_equal(a.prices, b.prices)
 
 
-def test_simulate_paths_overflow():
-    # 3 * 1.5^4 = 15.2: the dry pass sizes the register past the peak,
-    # where a fixed range of 8 overflows on the same prices
-    params = make_params(mu=0.5, alpha=0.0, dtau=1.0, t_bar=4.0, T=4.0)
-    paths = simulate_paths(params, 3.0, 4, 6)
-    assert paths.code.range_max == 32.0
-    with pytest.raises(NumericalError, match="overflow"):
-        FixedPointCode(m=6, range_max=8.0).encode(paths.prices)
-
-
 @pytest.mark.parametrize("s0", [1e308, 5e307, math.nan])
 def test_simulate_paths_rejects_unrepresentable_register(s0):
-    # the sized register would be infinite or beyond int64 codes
+    # the price codes would be infinite or beyond int64 codes
     with pytest.raises(ConfigError, match="int64 code range"):
         simulate_paths(make_params(), s0, 4, 6)
 
 
-@pytest.mark.parametrize("range_max", [math.inf, math.nan, 0.0, 2.0**57])
+@pytest.mark.parametrize("range_max", [math.inf, math.nan, 2.0**57])
 def test_fixed_point_code_rejects_unrepresentable_range(range_max):
-    with pytest.raises(ConfigError, match="range_max"):
-        FixedPointCode(m=6, range_max=range_max)
+    # price codes on [0, range_max] at m = 6: 2^57 needs a 64-bit code, and
+    # inf would pass the width test alone
+    with pytest.raises(ConfigError, match="int64 code range"):
+        price_code([0.0, range_max], 6)
 
 
 def test_fixed_point_code_properties():
-    code = FixedPointCode(m=6, range_max=4.0)
-    assert code.max_code == 256
-    x = 1.2345
-    assert abs(code.quantize(x) - x) <= 2.0**-6
+    m = 6
+    assert price_code(4.0, m) == 256
+    assert price_code([0.5 / 2**m, 1.5 / 2**m], m).tolist() == [1, 2]  # ties up
+    x = np.linspace(0.0, 5.0, 1001)
+    assert np.abs(quantize(x, m) - x).max() <= 2.0 ** -(m + 1)
+    assert price_code(2.0**57 - 16, m) == 2**63 - 1024  # 63 bits still fit
     with pytest.raises(NumericalError):
-        code.encode(5.0)
-    with pytest.raises(NumericalError):
-        code.encode(-0.25)
+        price_code(-0.25, m)

@@ -6,6 +6,7 @@ from qvar.errors import NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
 from qvar.pde import (TridiagonalOperator, ValueSurface, assemble_operator,
                       implicit_step, price_american, price_european)
+from reference import nearest_index
 
 
 def coefficient_oracle(params, grid):
@@ -130,7 +131,7 @@ def test_price_european_matches_risk_neutral_mc():
     grid = build_grid(0.0, 4.0, 6, "uniform")
     spec = PayoffSpec("call", 1.0)
     surface = price_european(params, grid, spec)
-    j = grid.nearest_index(spec.strike)
+    j = nearest_index(grid, spec.strike)
     terminal = risk_neutral_mc_price(params, grid.nodes[j], 10**5, seed=20240801)
     payoffs = np.exp(-params.r * (params.T - params.t_bar)) \
         * np.maximum(terminal - spec.strike, 0.0)

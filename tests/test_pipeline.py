@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
+from qvar.market import (MarketParams, PayoffSpec, build_grid, payoff_vector,
+                         price_code)
 from qvar.pipeline import (RunConfig, emit_report, load_run_config,
                            run_pipeline)
 from qvar.errors import ConfigError
 from qvar.qpca import snap_paths
+from reference import nearest_index
 
 
 def make_config(**overrides):
@@ -31,7 +33,7 @@ def test_degenerate_dynamics_quantum_equals_classical():
     res = run_pipeline(cfg)
     grid = cfg.grid
     payoff = payoff_vector(cfg.payoff, grid)
-    expected = payoff[grid.nearest_index(cfg.s0)]
+    expected = payoff[nearest_index(grid, cfg.s0)]
     scale = float(np.linalg.norm(payoff))
     assert res.report.var_normalized == res.classical.var
     assert res.report.cvar_normalized == pytest.approx(res.classical.cvar, abs=1e-10)
@@ -100,20 +102,31 @@ def test_quantum_sampled_var_close_to_classical():
 
 
 def test_scenario_stages_scale_with_branches_not_qubits(monkeypatch):
-    # 12 path + 9 price + 6 value + 1 flag = 28 qubits: 4 GiB as a dense
-    # statevector, 4096 stored amplitudes in the branch-sparse form
-    monkeypatch.setenv("QVAR_QUBIT_CAP", "28")
-    cfg = make_config(L=4096, q=0.5)  # VaR code 7, a nonzero tail mean
-    tracemalloc.start()
-    try:
-        res = run_pipeline(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 2**20
-    assert res.deviations["var_code_matches_classical"]
-    assert res.report.var_normalized == res.classical.var
-    assert res.report.cvar_normalized == pytest.approx(res.classical.cvar, abs=1e-10)
+    no_pricing = MarketParams(r=0.02, mu=0.05, alpha=0.2, T=8 / 4096,
+                              t_bar=8 / 4096, dtau=1 / 4096)
+    cases = [
+        # 12 path + 9 price + 6 value + 1 flag = 28 qubits: 4 GiB as a
+        # dense statevector, 4096 stored amplitudes in the branch-sparse
+        # form; VaR code 7, a nonzero tail mean
+        ("28", make_config(L=4096, q=0.5)),
+        # 3 path + 23 price + 20 value + 1 flag = 47 qubits, 2^23 price
+        # codes against 16 grid nodes; T = t_bar leaves no pricing step,
+        # so the value state is the payoff's and the VaR code the classical
+        ("47", make_config(market=no_pricing, m=20, q=0.5)),
+    ]
+    for cap, cfg in cases:
+        monkeypatch.setenv("QVAR_QUBIT_CAP", cap)
+        tracemalloc.start()
+        try:
+            res = run_pipeline(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20, cap
+        assert res.deviations["var_code_matches_classical"]
+        assert res.report.var_normalized == res.classical.var
+        assert res.report.cvar_normalized == pytest.approx(res.classical.cvar,
+                                                           abs=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["quantum_exact", "quantum_sampled"])
@@ -131,3 +144,22 @@ def test_one_snap_per_quantum_request(monkeypatch, mode):
             monkeypatch.setattr(module, "snap_paths", counting)
     run_pipeline(make_config(mode=mode))
     assert calls == [8]
+
+
+@pytest.mark.parametrize("mode", ["quantum_exact", "quantum_sampled"])
+def test_one_grid_encoding_per_quantum_request(monkeypatch, mode):
+    # Steps 2-4 read the grid's price codes from one encoding: count the
+    # price_code calls on the grid nodes at every qvar module that binds it
+    cfg = make_config(mode=mode)
+    calls = []
+
+    def counting(values, m):
+        if np.array_equal(values, cfg.grid.nodes):
+            calls.append(m)
+        return price_code(values, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qvar") and getattr(module, "price_code", None) is price_code:
+            monkeypatch.setattr(module, "price_code", counting)
+    run_pipeline(cfg)
+    assert calls == [cfg.m]

@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qvar import qpca
 from qvar.errors import ConfigError
-from qvar.market import build_grid, payoff_vector
-from qvar.mc import FixedPointCode, PathSet
+from qvar.market import build_grid, payoff_vector, price_code
+from qvar.mc import PathSet
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution
 from qvar.qpca import (TROTTER_DISTANCE_TOL, assemble_portfolio_state,
                        decode_value, encode_value, grid_codes,
@@ -13,7 +13,7 @@ from qvar.qpca import (TROTTER_DISTANCE_TOL, assemble_portfolio_state,
                        qpe_exact_distributions, qpe_trotter_distributions,
                        reduced_rho, snap_paths, sqrt_code_table, trotter_values)
 from reference import (DensityMatrix, basis_state, evolve_exp_rho,
-                       grover_rudolph_prepare, perturb_state,
+                       grover_rudolph_prepare, nearest_index, perturb_state,
                        qpe_modal_estimates, qpe_write_eigenvalues, qft_matrix,
                        sqrt_register, trotter_slice)
 
@@ -23,10 +23,16 @@ def make_value_state(values, n):
                                   RegisterLayout([("grid", n)]))
 
 
-def make_paths(prices, m=6, range_max=8.0):
-    prices = np.asarray(prices, dtype=float)
-    code = FixedPointCode(m=m, range_max=range_max)
-    return PathSet(L=prices.size, t=0.0, prices=code.quantize(prices), code=code)
+def make_paths(prices, m=6):
+    prices = price_code(prices, m) / 2.0**m
+    return PathSet(L=prices.size, t=0.0, prices=prices, m=m)
+
+
+def assemble(paths, vstate, grid, m):
+    """``assemble_portfolio_state`` with the snap and the grid codes derived
+    here, as ``run_pipeline`` derives them once per request."""
+    return assemble_portfolio_state(paths, vstate, grid, m,
+                                    snap_paths(paths, grid), grid_codes(grid, m))
 
 
 @pytest.fixture
@@ -37,7 +43,15 @@ def grid4():
 def test_grid_codes_distinct_and_width(grid4):
     codes = grid_codes(grid4, 6)
     assert len(set(codes.tolist())) == 16
-    assert price_register_width(grid4, 6) == 9
+    assert price_register_width(codes) == 9
+
+
+def test_value_lookup_reads_only_grid_codes(grid4):
+    codes = grid_codes(grid4, 6)  # 0, 17, 34, ..., 256
+    lookup = qpca.value_lookup(codes, np.arange(1, 17))
+    assert lookup(codes).tolist() == list(range(1, 17))
+    # a code that is no node's reads 0, not a neighbour's value
+    assert lookup(np.array([1, 16, 18, 255, 257, 511])).tolist() == [0] * 6
 
 
 def test_grid_codes_collision_rejected():
@@ -49,15 +63,14 @@ def test_grid_codes_collision_rejected():
 def test_reduced_rho_pure_case(grid4):
     values = np.zeros(16)
     values[3] = 2.5
-    rho = reduced_rho(make_value_state(values, 4), grid4, 6)
-    code = grid_codes(grid4, 6)[3]
-    assert rho[code] == pytest.approx(1.0, abs=1e-12)
+    rho = reduced_rho(make_value_state(values, 4), grid4)
+    assert rho[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reduced_rho_two_equal_values(grid4):
     values = np.zeros(16)
     values[[2, 9]] = 1.0
-    rho = reduced_rho(make_value_state(values, 4), grid4, 6)
+    rho = reduced_rho(make_value_state(values, 4), grid4)
     eigs = np.sort(rho)[::-1]
     assert eigs[0] == pytest.approx(0.5, abs=1e-12)
     assert eigs[1] == pytest.approx(0.5, abs=1e-12)
@@ -65,7 +78,7 @@ def test_reduced_rho_two_equal_values(grid4):
 
 def test_reduced_rho_matches_normalization_oracle(grid4, rng):
     values = rng.uniform(0.0, 1.0, size=16)
-    rho = reduced_rho(make_value_state(values, 4), grid4, 6)
+    rho = reduced_rho(make_value_state(values, 4), grid4)
     expected = np.sort(values**2 / np.sum(values**2))[::-1]
     got = np.sort(rho)[::-1]
     assert np.abs(got[:16] - expected).max() < 1e-12
@@ -104,13 +117,16 @@ def test_reduced_rho_is_the_diagonal_of_the_contracted_psi2(case):
     grid, m, vstate = case
     # psi2 = sum_j v_j |j>|code(S_j)> as a (grid, price) array, contracted
     # over the grid index: rho[c, d] = sum_j psi2[j, c] conj(psi2[j, d])
-    psi2 = np.zeros((2**grid.n, 2**price_register_width(grid, m)), dtype=complex)
-    psi2[np.arange(2**grid.n), grid_codes(grid, m)] = vstate.amplitudes
+    codes = grid_codes(grid, m)
+    psi2 = np.zeros((2**grid.n, 2**price_register_width(codes)), dtype=complex)
+    psi2[np.arange(2**grid.n), codes] = vstate.amplitudes
     dense = np.einsum("jc,jd->cd", psi2, psi2.conj())
     diag = np.diagonal(dense)
     assert np.count_nonzero(dense - np.diag(diag)) == 0
     assert np.count_nonzero(diag.imag) == 0
-    assert np.array_equal(reduced_rho(vstate, grid, m), diag.real)
+    # the spectrum lives on the nodes' codes: node j's entry sits at code(S_j)
+    assert np.count_nonzero(np.delete(diag, codes)) == 0
+    assert np.array_equal(reduced_rho(vstate, grid), diag.real[codes])
 
 
 def test_evolve_zero_time_is_identity(rng):
@@ -156,20 +172,21 @@ def test_trotter_accumulated_error_bounded(rng):
 
 
 def qpe_state(grid, values, paths, m):
+    """The QPE output on the scenario state, rho per node and the codes."""
     vstate = make_value_state(values, grid.n)
-    rho = reduced_rho(vstate, grid, m)
-    state = prepare_path_state(paths, grid, m, snap_paths(paths, grid))
-    return qpe_write_eigenvalues(state, rho), rho
+    rho = reduced_rho(vstate, grid)
+    codes = grid_codes(grid, m)
+    state = prepare_path_state(paths, codes, m, snap_paths(paths, grid))
+    return qpe_write_eigenvalues(state, rho, codes), rho, codes
 
 
 def test_qpe_pure_rho_reads_one(grid4):
     values = np.zeros(16)
     values[5] = 1.0
     paths = make_paths(np.full(8, grid4.nodes[5]))
-    out, _ = qpe_state(grid4, values, paths, 6)
+    out, _, codes = qpe_state(grid4, values, paths, 6)
     estimates = qpe_modal_estimates(out)
-    code = grid_codes(grid4, 6)[5]
-    assert estimates[code] == pytest.approx(1.0, abs=1e-12)
+    assert estimates[codes[5]] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qpe_two_equal_nodes_read_half(grid4):
@@ -177,8 +194,7 @@ def test_qpe_two_equal_nodes_read_half(grid4):
     values[[4, 11]] = 1.0
     paths = make_paths(np.concatenate([np.full(4, grid4.nodes[4]),
                                        np.full(4, grid4.nodes[11])]))
-    out, _ = qpe_state(grid4, values, paths, 6)
-    codes = grid_codes(grid4, 6)
+    out, _, codes = qpe_state(grid4, values, paths, 6)
     estimates = qpe_modal_estimates(out)
     assert estimates[codes[4]] == pytest.approx(0.5, abs=2**-6)
     assert estimates[codes[11]] == pytest.approx(0.5, abs=2**-6)
@@ -187,23 +203,23 @@ def test_qpe_two_equal_nodes_read_half(grid4):
 def test_qpe_generic_instance_within_resolution(grid4, rng):
     values = rng.uniform(0.1, 1.0, size=16)
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
-    out, rho = qpe_state(grid4, values, paths, 6)
-    codes = grid_codes(grid4, 6)
+    out, rho, codes = qpe_state(grid4, values, paths, 6)
     estimates = qpe_modal_estimates(out)
     for code, lam_hat in estimates.items():
-        assert abs(lam_hat - rho[code]) <= 2**-6
+        assert abs(lam_hat - rho[np.searchsorted(codes, code)]) <= 2**-6
 
 
 def test_qpe_requires_zeroed_phase_register(grid4):
     values = np.ones(16)
     paths = make_paths(grid4.nodes[:8])
     vstate = make_value_state(values, 4)
-    rho = reduced_rho(vstate, grid4, 6)
-    state = prepare_path_state(paths, grid4, 6, snap_paths(paths, grid4))
+    rho = reduced_rho(vstate, grid4)
+    codes = grid_codes(grid4, 6)
+    state = prepare_path_state(paths, codes, 6, snap_paths(paths, grid4))
     shifted = state.index + 1  # value register no longer zeroed
     with pytest.raises(ConfigError, match="zeroed"):
         qpe_write_eigenvalues(StateVector(state.amplitudes, state.layout, shifted),
-                              rho)
+                              rho, codes)
 
 
 def test_sqrt_code_examples():
@@ -225,7 +241,7 @@ def test_sqrt_register_xor_write(grid4):
 def test_assemble_constant_surface(grid4):
     values = np.ones(16)
     paths = make_paths(grid4.nodes[[1, 3, 5, 7, 9, 11, 13, 15]])
-    res = assemble_portfolio_state(paths, make_value_state(values, 4), grid4, 6)
+    res = assemble(paths, make_value_state(values, 4), grid4, 6)
     vals = set(res.value.tolist())
     assert len(vals) == 1
     assert res.value[0] == pytest.approx(0.25, abs=2**-6)
@@ -234,7 +250,7 @@ def test_assemble_constant_surface(grid4):
 def test_assemble_payoff_at_expiry(grid4, call_spec):
     payoff = payoff_vector(call_spec, grid4)
     paths = make_paths(grid4.nodes[[2, 4, 6, 8, 10, 12, 14, 15]])
-    res = assemble_portfolio_state(paths, make_value_state(payoff, 4), grid4, 6)
+    res = assemble(paths, make_value_state(payoff, 4), grid4, 6)
     normalized = payoff / np.linalg.norm(payoff)
     idx = snap_paths(paths, grid4)
     for value, j in zip(res.value, idx):
@@ -244,7 +260,7 @@ def test_assemble_payoff_at_expiry(grid4, call_spec):
 def test_assemble_full_pipeline_lookup(grid4, rng):
     values = rng.uniform(0.0, 1.0, size=16)
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
-    res = assemble_portfolio_state(paths, make_value_state(values, 4), grid4, 6)
+    res = assemble(paths, make_value_state(values, 4), grid4, 6)
     assert res.state is not None
     normalized = values / np.linalg.norm(values)
     for value, oracle, j in zip(res.value, res.oracle, res.node_index):
@@ -256,30 +272,29 @@ def test_assemble_full_pipeline_lookup(grid4, rng):
     probs = np.abs(res.state.amplitudes) ** 2
     vvals = layout.values("value", res.state.index)
     pvals = layout.values("price", res.state.index)
-    table = res.value_table
     populated = probs > 1e-14
-    assert np.all(vvals[populated] == table[pvals[populated]])
+    assert np.all(vvals[populated] == res.lookup(pvals[populated]))
 
 
 def test_assemble_trotter_mode_matches_exact_modal_codes(grid4, rng):
     values = rng.uniform(0.2, 1.0, size=16)
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
     vstate = make_value_state(values, 4)
-    res = assemble_portfolio_state(paths, vstate, grid4, 4)
+    res = assemble(paths, vstate, grid4, 4)
     got = trotter_values(vstate, grid4, 4, res.node_index)
     # the certified slice count reads exact-mode QPE's modal codes
-    codes = grid_codes(grid4, 4)[res.node_index]
-    exact = qpe_exact_distributions(codes, reduced_rho(vstate, grid4, 4), 4)
-    modal = [int(np.argmax(exact[int(c)])) for c in codes]
+    nodes = res.node_index
+    exact = qpe_exact_distributions(nodes, reduced_rho(vstate, grid4), 4)
+    modal = [int(np.argmax(exact[int(j)])) for j in nodes]
     assert got.tolist() == decode_value(sqrt_code_table(4)[modal], 4).tolist()
     for value, oracle in zip(got, res.oracle):
         assert abs(value - oracle) <= 2**-4 + TROTTER_DISTANCE_TOL
 
 
-def trotter_distance(codes, rho, m, n_trotter, exact):
+def trotter_distance(nodes, rho, m, n_trotter, exact):
     """Worst branch total-variation distance of the trotter kernel to the
     exact one."""
-    dists = qpe_trotter_distributions(codes, rho, m, n_trotter)
+    dists = qpe_trotter_distributions(nodes, rho, m, n_trotter)
     return max(float(np.abs(d - exact[b]).sum()) / 2 for b, d in dists.items())
 
 
@@ -288,18 +303,18 @@ def test_trotter_branch_distributions_converge_in_the_slice_count(grid4, rng):
     m = 4
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)], m=m)
     vstate = make_value_state(values, 4)
-    rho = reduced_rho(vstate, grid4, m)
-    codes = grid_codes(grid4, m)[snap_paths(paths, grid4)]
-    exact = qpe_exact_distributions(codes, rho, m)
-    distances = [trotter_distance(codes, rho, m, n, exact)
+    rho = reduced_rho(vstate, grid4)
+    nodes = snap_paths(paths, grid4)
+    exact = qpe_exact_distributions(nodes, rho, m)
+    distances = [trotter_distance(nodes, rho, m, n, exact)
                  for n in (16, 64, 256, 1024)]
     assert all(a > b for a, b in zip(distances, distances[1:]))
-    dists = qpe_trotter_distributions(codes, rho, m, 1024)
-    for code in np.unique(codes):
-        assert np.argmax(dists[int(code)]) == np.argmax(exact[int(code)])
+    dists = qpe_trotter_distributions(nodes, rho, m, 1024)
+    for node in np.unique(nodes):
+        assert np.argmax(dists[int(node)]) == np.argmax(exact[int(node)])
     # one slice of length QPE_DT = pi is -I, so every branch reads 1.0
-    one = qpe_trotter_distributions(codes, rho, m, 1)
-    modal = [int(np.argmax(one[int(c)])) for c in codes]
+    one = qpe_trotter_distributions(nodes, rho, m, 1)
+    modal = [int(np.argmax(one[int(j)])) for j in nodes]
     assert decode_value(sqrt_code_table(m)[modal], m).tolist() == [1.0] * paths.L
 
 
@@ -308,20 +323,21 @@ def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
     m = 4
     paths = make_paths(grid4.nodes[[0, 2, 4, 6, 8, 10, 12, 14]], m=m)
     vstate = make_value_state(values, 4)
-    rho = reduced_rho(vstate, grid4, m)
-    state = prepare_path_state(paths, grid4, m, snap_paths(paths, grid4))
-    out = qpe_write_eigenvalues(state, rho)
-    codes = grid_codes(grid4, m)[snap_paths(paths, grid4)]
-    dists = qpe_exact_distributions(codes, rho, m)
+    rho = reduced_rho(vstate, grid4)
+    codes = grid_codes(grid4, m)
+    nodes = snap_paths(paths, grid4)
+    state = prepare_path_state(paths, codes, m, nodes)
+    out = qpe_write_eigenvalues(state, rho, codes)
+    dists = qpe_exact_distributions(nodes, rho, m)
     layout = out.layout
     probs = np.abs(out.amplitudes) ** 2
     pvals = layout.values("price")
     vvals = layout.values("value")
-    for code in np.unique(codes):
-        mask = pvals == code
+    for node in np.unique(nodes):
+        mask = pvals == codes[node]
         hist = np.bincount(vvals[mask], weights=probs[mask], minlength=2**m)
         branch_mass = hist.sum()
-        assert np.abs(hist / branch_mass - dists[int(code)]).max() < 1e-10
+        assert np.abs(hist / branch_mass - dists[int(node)]).max() < 1e-10
 
 
 
@@ -362,11 +378,11 @@ def dense_trotter_branch_distribution(rho, b, m, n_trotter):
 @pytest.mark.parametrize("n_trotter", [1, 2, 4])
 def test_trotter_closed_form_matches_dense_slice_composition(rng, n_trotter):
     m = 3
-    grid = build_grid(0.0, 0.75, 2, "uniform")  # codes 0, 2, 4, 6 at m = 3
-    rho = reduced_rho(make_value_state(rng.uniform(0.2, 1.0, size=4), 2), grid, m)
-    codes = grid_codes(grid, m)
-    closed = qpe_trotter_distributions(codes, rho, m, n_trotter)
-    for b in codes.tolist():
+    grid = build_grid(0.0, 0.75, 2, "uniform")
+    rho = reduced_rho(make_value_state(rng.uniform(0.2, 1.0, size=4), 2), grid)
+    nodes = np.arange(4)
+    closed = qpe_trotter_distributions(nodes, rho, m, n_trotter)
+    for b in nodes.tolist():
         dense = dense_trotter_branch_distribution(rho, b, m, n_trotter)
         assert np.abs(closed[b] - dense).max() <= 1e-12
 
@@ -422,22 +438,20 @@ def grids_and_paths(draw):
         lo = draw(st.sampled_from([0.25, 0.5, 1.0]))
         grid = build_grid(lo, lo * draw(st.floats(2.0, 1e3)), n, "geometric")
     m = draw(st.sampled_from([2, 20]))
-    code = FixedPointCode(m=m, range_max=2.0 ** (60 - m))
     nodes = grid.nodes.tolist()
     mids = [(a + b) / 2 for a, b in zip(nodes, nodes[1:])]
     price = st.one_of(st.sampled_from(nodes), st.sampled_from(mids),
                       st.floats(0.0, 2 * nodes[-1]),
-                      st.floats(0.0, code.range_max))
+                      st.floats(0.0, 2.0 ** (60 - m)))
     count = 2 ** draw(st.integers(0, 6))
-    prices = draw(st.lists(price, min_size=count, max_size=count))
-    return grid, PathSet(L=count, t=0.0, prices=code.quantize(prices), code=code)
+    return grid, make_paths(draw(st.lists(price, min_size=count, max_size=count)), m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=grids_and_paths())
 def test_snap_paths_equals_nearest_index(case):
     grid, paths = case
-    expected = [grid.nearest_index(p) for p in paths.prices]
+    expected = [nearest_index(grid, p) for p in paths.prices]
     assert snap_paths(paths, grid).tolist() == expected
 
 def test_error_propagation_bound(grid4, rng):
@@ -445,9 +459,9 @@ def test_error_propagation_bound(grid4, rng):
         for _ in range(10):
             values = rng.uniform(0.05, 1.0, size=16)
             vstate = make_value_state(values, 4)
-            rho = reduced_rho(vstate, grid4, 6)
+            rho = reduced_rho(vstate, grid4)
             perturbed = perturb_state(vstate, eps, rng)
-            rho_p = reduced_rho(perturbed, grid4, 6)
+            rho_p = reduced_rho(perturbed, grid4)
             spectral = np.abs(np.sort(rho_p) - np.sort(rho)).max()
             assert spectral <= 4.0 * eps
 

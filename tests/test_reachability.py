@@ -34,9 +34,6 @@ ALLOWED = {
         "phase-solve fallback; only the |P| = 1 targets of test_qsvt need it",
     "qsvt._phase_factors.<locals>.value_residual":
         "the fallback's residual, called by least_squares",
-    "market.PriceGrid.nearest_index":
-        "scalar snap that snap_paths vectorises; criterion 1 and the snap "
-        "property call it",
 }
 
 SURVEY = """

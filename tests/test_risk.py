@@ -192,7 +192,7 @@ def cvar_setup(value_codes, q, L=8):
 def test_cvar_constant_values():
     value_codes = [10] * 8
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.5)
-    out = cvar(state, ref, ref_norm, 10, 0.5, 8, 1.0, table)
+    out = cvar(state, ref, ref_norm, 10, 0.5, 8, 1.0, table.take)
     assert out.cvar_normalized == pytest.approx(decode_value(10, M_BITS), abs=1e-10)
     assert out.p0 == pytest.approx(1.0, abs=1e-12)
 
@@ -201,7 +201,7 @@ def test_cvar_two_level_instance():
     a, b = encode_value(0.2, M_BITS), encode_value(0.8, M_BITS)
     value_codes = [a] * 4 + [b] * 4
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.5)
-    out = cvar(state, ref, ref_norm, int(a), 0.5, 8, 1.0, table)
+    out = cvar(state, ref, ref_norm, int(a), 0.5, 8, 1.0, table.take)
     assert out.cvar_normalized == pytest.approx(float(decode_value(a, M_BITS)), abs=1e-10)
 
 
@@ -211,7 +211,7 @@ def test_cvar_identity_matches_tail_mean(rng):
         q = 0.25
         state, ref, ref_norm, table = cvar_setup(value_codes, q)
         var, _, _ = bisection_var(lambda: state.copy(), q, M_BITS)
-        out = cvar(state, ref, ref_norm, var, q, 8, 1.0, table)
+        out = cvar(state, ref, ref_norm, var, q, 8, 1.0, table.take)
         values = decode_value(value_codes, M_BITS)
         tail = values[values <= decode_value(var, M_BITS)]
         assert out.cvar_normalized == pytest.approx(tail.mean(), abs=1e-10)
@@ -224,7 +224,7 @@ def test_cvar_empty_tail_rejected():
     value_codes = [10, 11, 12, 13, 14, 15, 16, 17]
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.25)
     with pytest.raises(NumericalError, match="empty tail"):
-        cvar(state, ref, ref_norm, 5, 0.25, 8, 1.0, table)
+        cvar(state, ref, ref_norm, 5, 0.25, 8, 1.0, table.take)
 
 
 def test_reference_state_rejects_all_zero():
@@ -269,7 +269,7 @@ def test_sparse_swap_test_equals_dense_bitwise(codes, seed):
     ref_args = (np.arange(L), prices, decode_value(table[prices], M_BITS))
     state = sparse_branch_state(codes, prices)
     ref, _ = make_reference_state(state.layout, *ref_args)
-    for phi in (state, xor_write(state, "price", "value", table)):
+    for phi in (state, xor_write(state, "price", "value", table.take)):
         dense_ref = np.zeros(2**ref.layout.total_qubits, dtype=complex)
         dense_ref[ref.index] = ref.amplitudes
         dense_phi = np.zeros_like(dense_ref)
