@@ -16,13 +16,13 @@ import numpy as np
 
 from . import nogo as nogo_mod
 from .blockenc import assemble_block_encoding
-from .errors import ConfigError, QvarError
+from .errors import ConfigError, QubitBudgetError, QvarError
 from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
 from .pde import assemble_operator, price_american, price_european
 from .pipeline import emit_report, load_run_config, run_pipeline
-from .qpca import (assemble_portfolio_state, scenario_layout, snap_paths,
-                   trotter_values)
+from .qpca import (assemble_portfolio_state, check_kernel_budget,
+                   scenario_layout, snap_paths, trotter_values)
 from .qsvt import prepare_value_state, svd_transform_oracle
 
 
@@ -108,8 +108,11 @@ def cmd_verify_qsvt(args) -> int:
 def cmd_assemble(args) -> int:
     cfg = load_run_config(_overridden_config(args))
     paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
-    # the scenario registers must fit the budget before Stage 1 is paid for
+    # the scenario registers, and in trotter mode the QPE kernels, must fit
+    # the budget before Stage 1 is paid for
     scenario_layout(paths, cfg.price_codes, cfg.m)
+    if args.mode == "trotter":
+        check_kernel_budget(cfg.m)
     prepared = prepare_value_state(payoff_vector(cfg.payoff, cfg.grid),
                                    cfg.market, cfg.grid, cfg.eps1)
     node_index = snap_paths(paths, cfg.grid)
@@ -117,7 +120,11 @@ def cmd_assemble(args) -> int:
                                          node_index, cfg.price_codes)
     value = assembled.value
     if args.mode == "trotter":
-        value = trotter_values(prepared.state, cfg.grid, cfg.m, node_index)
+        try:
+            value = trotter_values(prepared.state, cfg.grid, cfg.m, node_index)
+        except MemoryError as exc:
+            # kernels within the qubit budget that the machine cannot hold
+            raise QubitBudgetError(f"QPE kernels at m = {cfg.m}: {exc}") from exc
     _write_csv("k,price,value,error_vs_oracle",
                zip(range(paths.L), cfg.grid.nodes[node_index], value,
                    np.abs(value - assembled.oracle)), args.output)

@@ -54,8 +54,9 @@ def price_code(values, m: int) -> np.ndarray:
     width = math.frexp(top)[1] + m  # bits of floor(top * 2^m)
     if width > 63:
         raise ConfigError(
-            f"s_max = {top} at m = {m} needs a {width}-bit price code, past "
-            "the 63 bits of the int64 code range; decrease m or s_max")
+            f"largest price {top} at m = {m} needs a {width}-bit price code, "
+            "past the 63 bits of the int64 code range; decrease m, s_max, or "
+            "s0 and the dynamics that set the path prices")
     return np.floor(x * 2**m + 0.5).astype(np.int64)
 
 

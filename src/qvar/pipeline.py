@@ -194,9 +194,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         breakdown = CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
                                   overlap_raw=0.0, p0=p0)
     else:
-        psi_ref, ref_norm = make_reference_state(layout, node_idx,
-                                                 config.price_codes,
-                                                 assembled.value)
+        psi_ref, ref_norm = make_reference_state(
+            layout, assembled.path_support << 1, assembled.value)
         breakdown = cvar(phi_flagged_base.copy(), psi_ref, ref_norm, var_code,
                          config.q, config.L, scale, assembled.lookup,
                          mode=measure_mode, eps=eps_est, rng=rng)

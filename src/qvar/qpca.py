@@ -54,8 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .market import PriceGrid, price_code
+from .errors import ConfigError, NumericalError, QubitBudgetError
+from .market import PriceGrid, price_code, qubit_cap
 from .mc import PathSet
 from .qcore import RegisterLayout, StateVector, xor_write
 
@@ -242,12 +242,15 @@ def value_lookup(codes: np.ndarray, value_codes: np.ndarray) -> Callable:
 @dataclass
 class AssembleResult:
     """The assembled portfolio state and its per-branch columns: path k
-    snaps to grid node ``node_index[k]`` and reads ``value[k]`` from its
-    value register, against the classical normalized lookup ``oracle[k]``."""
+    snaps to grid node ``node_index[k]``, sits at basis index
+    ``path_support[k]`` before the value write and reads ``value[k]`` from
+    its value register, against the classical normalized lookup
+    ``oracle[k]``."""
 
     state: StateVector
     lookup: Callable  # price code -> value code (``value_lookup``)
     node_index: np.ndarray  # path -> snapped grid node
+    path_support: np.ndarray  # path -> basis index, value register zeroed
     value: np.ndarray  # path -> decoded value-register content
     oracle: np.ndarray  # path -> classical normalized lookup
 
@@ -270,9 +273,20 @@ def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
     v = np.abs(value_state.amplitudes)
     return AssembleResult(
         state=xor_write(path_state, "price", "value", lookup),
-        lookup=lookup, node_index=node_index,
+        lookup=lookup, node_index=node_index, path_support=path_state.support,
         value=decode_value(value_codes[node_index], m),
         oracle=(v / np.linalg.norm(v))[node_index])
+
+
+def check_kernel_budget(m: int) -> None:
+    """The QPE kernels are dense 2^m-square matrices over the phase
+    register: count each as 2m qubits against the budget, before any is
+    allocated."""
+    cap = qubit_cap()
+    if 2 * m > cap:
+        raise QubitBudgetError(
+            f"QPE kernel over the {m}-qubit phase register is 2^{m}-square, "
+            f"{2 * m} qubits; budget is {cap}")
 
 
 def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
@@ -283,7 +297,8 @@ def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
     The exact kernel is evaluated once; the slice count doubles from 16
     until every branch's outcome distribution lies within total-variation
     distance TROTTER_DISTANCE_TOL of it, and ``NumericalError`` names the
-    distance reached past TROTTER_SLICE_CAP slices.
+    distance reached past TROTTER_SLICE_CAP slices.  The caller checks
+    that the kernels fit the qubit budget (``check_kernel_budget``).
     """
     rho = reduced_rho(value_state, grid)
     exact = qpe_exact_distributions(node_index, rho, m)

@@ -56,16 +56,22 @@ applies the block to the payoff and checks the post-selection floor.  The
 first request on a market and horizon does all the work it did before;
 the results are the same bits cold or warm.
 
-SciPy is bound lazily: the module-level ``linprog`` and ``least_squares``
-import from ``scipy.optimize`` on their first call, so only a cold fit or
-a phase-solve fallback loads it.
+SciPy is bound lazily.  ``linprog`` loads the HiGHS extension from its
+file on its first call (``highs_core``), so a cold fit never runs the
+``scipy.optimize`` package and its 300-odd modules; a later ``import
+scipy.optimize`` finds the same module.  Only a phase-solve fallback
+imports ``scipy.optimize``, for ``least_squares``.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import chebyshev as np_cheb
@@ -90,6 +96,29 @@ SCREEN_ABS = 1e-7
 SUCCESS_PROB_FLOOR = 1e-6
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
+HIGHS_CORE = "scipy.optimize._highspy._core"  # the binding linprog solves on
+
+
+@functools.cache
+def highs_core():
+    """SciPy's HiGHS extension module: the one ``scipy.optimize`` loaded,
+    or else its file, loaded and registered under its full name without
+    running the ``scipy.optimize`` package."""
+    if HIGHS_CORE in sys.modules:
+        return sys.modules[HIGHS_CORE]
+    import scipy
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    found = [folder / f"_core{suffix}"
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             if (folder / f"_core{suffix}").is_file()]
+    if not found:
+        raise ImportError(f"installed scipy {scipy.__version__} has no HiGHS "
+                          f"extension _core in {folder}")
+    spec = importlib.util.spec_from_file_location(HIGHS_CORE, found[0])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[HIGHS_CORE] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def linprog(a_ub: np.ndarray, b_ub: np.ndarray, start: np.ndarray):
@@ -101,11 +130,10 @@ def linprog(a_ub: np.ndarray, b_ub: np.ndarray, start: np.ndarray):
     does not hold, most violated first.  It stops when none of those is
     violated by more than HiGHS's primal feasibility tolerance.  Returns x,
     or None when HiGHS finds the rows it holds infeasible.  SciPy's HiGHS
-    binding is imported on the first call.
+    extension is loaded on the first call.
     """
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
-    highs = _Highs()
+    core = highs_core()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     n_rows, n_cols = a_ub.shape
     lower = np.full(n_cols, -np.inf)
@@ -127,10 +155,10 @@ def linprog(a_ub: np.ndarray, b_ub: np.ndarray, start: np.ndarray):
         status = highs.getModelStatus()
         # the objective is bounded below by 0, so "unbounded or infeasible"
         # can only mean infeasible
-        if status in (HighsModelStatus.kInfeasible,
-                      HighsModelStatus.kUnboundedOrInfeasible):
+        if status in (core.HighsModelStatus.kInfeasible,
+                      core.HighsModelStatus.kUnboundedOrInfeasible):
             return None
-        if status != HighsModelStatus.kOptimal:
+        if status != core.HighsModelStatus.kOptimal:
             raise NumericalError(f"HiGHS stopped with status {status.name} on "
                                  f"{held.sum()} of {n_rows} rows")
         x = np.array(highs.getSolution().col_value)

@@ -399,18 +399,17 @@ def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
                          level=q, queries=q_used + q_overlap)
 
 
-def make_reference_state(phi_layout, node_index, grid_code_list,
+def make_reference_state(phi_layout, support,
                          value) -> tuple[StateVector, float]:
     """Value-weighted reference over (path, price) with zeroed value and
     flag registers, sparse with one stored amplitude per path.  Path k sits
-    at price code ``grid_code_list[node_index[k]]`` with weight ``value[k]``,
-    the decoded content of its value register (``AssembleResult.value``);
-    returns the state and the weight norm W needed by the reconstruction."""
-    codes = np.asarray(grid_code_list, dtype=np.int64)[np.asarray(node_index)]
+    at basis index ``support[k]``, its branch in the scenario state before
+    the value write (``AssembleResult.path_support``), with weight
+    ``value[k]``, the decoded content of its value register
+    (``AssembleResult.value``); returns the state and the weight norm W
+    needed by the reconstruction."""
     weights = np.asarray(value, dtype=float)
     w_norm = float(np.linalg.norm(weights))
     if w_norm == 0.0:
         raise NumericalError("all branch values are zero; reference undefined")
-    index = ((np.arange(codes.size, dtype=np.int64) << phi_layout.shift_of("path"))
-             | (codes << phi_layout.shift_of("price")))
-    return StateVector(weights / w_norm, phi_layout, index), w_norm
+    return StateVector(weights / w_norm, phi_layout, support), w_norm

@@ -211,8 +211,8 @@ def test_criterion_6_and_7_var_equality_cvar_identity(rng):
             f"trial {trial}: code {var_code} vs classical {classical.var}"
         assert iters <= m
 
-        ref, ref_norm = make_reference_state(layout, node_idx, codes,
-                                             assembled.value)
+        ref, ref_norm = make_reference_state(
+            layout, assembled.path_support << 1, assembled.value)
         breakdown = cvar(state.copy(), ref, ref_norm, var_code, q, L, 1.0,
                          assembled.lookup)
         # identity against the coded twin

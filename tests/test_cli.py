@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,8 +211,22 @@ def test_price_code_past_int64_exit_code(config_path, capsys, bits):
     # to wrap it and report a collision advising a larger m
     assert run_cli(["run", "--bits", bits, "--config", config_path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"qvar: error: s_max = 4.0 at m = {bits} needs a ")
-    assert "decrease m or s_max" in err
+    assert err.startswith(f"qvar: error: largest price 4.0 at m = {bits} "
+                          "needs a ")
+    assert "decrease m, s_max, or s0 and the dynamics" in err
+
+
+def test_path_price_past_int64_names_the_price_not_s_max(config_path, capsys):
+    # simulate encodes path prices only: the largest one, set by s0 and the
+    # dynamics, is what overflows, and the message used to call it s_max
+    assert run_cli(["simulate", "--bits", "62", "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvar: error: largest price ")
+    top = float(err.split()[4])
+    assert 1.0 < top < 4.0  # a path price, neither s0 = 1 nor s_max = 4
+    assert f"largest price {top} at m = 62 needs a 64-bit price code" in err
+    assert "decrease m, s_max, or s0 and the dynamics" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -329,6 +346,55 @@ def test_assemble_budget_checked_before_stage1(config_path, capsys, monkeypatch,
     stage1 = count_calls(monkeypatch, qsvt.prepare_value_state)
     assert run_cli(["assemble", "--mode", mode, "--config", config_path]) == 4
     assert stage1 == []
+
+
+def test_assemble_trotter_kernel_budget_exit_code(tmp_path, capsys,
+                                                 monkeypatch):
+    # 1 path + 21 price + 24 value qubits fit a cap of 47, the 2^24-square
+    # QPE kernels (48 qubits) do not: exit 4 before Stage 1 or any kernel
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "47")
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "s_max": 1 / 16, "s0": 1 / 32,
+                                "strike": 1 / 32, "L": 2, "m": 24}))
+    stage1 = count_calls(monkeypatch, qsvt.prepare_value_state)
+    kernels = count_calls(monkeypatch, qpca._qft)
+    assert run_cli(["assemble", "--mode", "trotter", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("qvar: error: QPE kernel over the 24-qubit phase register "
+                   "is 2^24-square, 48 qubits; budget is 47\n")
+    assert stage1 == [] and kernels == []
+    assert run_cli(["assemble", "--mode", "exact", "--config", str(path)]) == 0
+
+
+# runs the CLI with the address space capped, so that a kernel allocation
+# the budget lets through is refused at once whatever the host's overcommit
+CAPPED_CLI = """
+import resource, sys
+limit = 4 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from qvar.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
+    # m = 20: 46 scenario qubits and a 40-qubit kernel fit a cap of 47, but
+    # the kernel's 2^20-square int64 phase table is 8 TiB; its allocation
+    # used to end in a traceback and exit 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "m": 20}))
+    src = str(Path(qpca.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "QVAR_QUBIT_CAP": "47",
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "assemble", "--mode", "trotter",
+         "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("qvar: error: QPE kernels at m = 20: "
+                                  "Unable to allocate 8.00 TiB")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_numerical_error_exit_code(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -100,27 +101,44 @@ HIGHS_STATUSES = ("kOptimal", "kInfeasible", "kUnboundedOrInfeasible")
 
 
 def _highs_tolerance():
-    from scipy.optimize._highspy._core import _Highs
-    return _Highs().getOptionValue("primal_feasibility_tolerance")[1]
+    return qsvt.highs_core()._Highs().getOptionValue(
+        "primal_feasibility_tolerance")[1]
 
 
 def test_private_highs_binding_has_what_the_solver_calls():
     import scipy
     installed = f"installed scipy {scipy.__version__}"
     try:
-        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+        core = qsvt.highs_core()
     except ImportError as exc:
-        pytest.fail(f"{installed} has no scipy.optimize._highspy._core._Highs, "
-                    f"which qsvt.linprog solves the Stage-1 LP on: {exc}")
+        pytest.fail(f"{installed}: qsvt.highs_core cannot load the HiGHS "
+                    f"extension that qsvt.linprog solves the Stage-1 LP on: "
+                    f"{exc}")
+    missing = [name for name in ("_Highs", "HighsModelStatus")
+               if not hasattr(core, name)]
+    assert not missing, (f"{installed}: {core.__name__} lacks {missing}, "
+                         f"which qsvt.linprog calls")
     missing = [name for name in HIGHS_METHODS
-               if not callable(getattr(_Highs, name, None))]
+               if not callable(getattr(core._Highs, name, None))]
     missing += [f"HighsModelStatus.{name}" for name in HIGHS_STATUSES
-                if not hasattr(HighsModelStatus, name)]
+                if not hasattr(core.HighsModelStatus, name)]
     assert not missing, (f"{installed}: the private HiGHS binding lacks "
                          f"{missing}, which qsvt.linprog calls")
     tol = _highs_tolerance()
     assert isinstance(tol, float) and 0 < tol < 1e-3, (
         f"{installed}: primal_feasibility_tolerance reads {tol!r}")
+
+
+def test_missing_highs_extension_names_scipy_and_the_folder(monkeypatch,
+                                                          tmp_path):
+    import scipy
+    monkeypatch.delitem(sys.modules, qsvt.HIGHS_CORE, raising=False)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    folder = tmp_path / "optimize" / "_highspy"
+    with pytest.raises(ImportError) as info:
+        qsvt.highs_core.__wrapped__()
+    assert f"scipy {scipy.__version__}" in str(info.value)
+    assert str(folder) in str(info.value)
 
 
 @settings(max_examples=15, deadline=None)
@@ -149,7 +167,7 @@ class _Recorder:
     solution after each round."""
 
     def __init__(self, monkeypatch):
-        import scipy.optimize._highspy._core as core
+        core = qsvt.highs_core()
         self.calls = []
         calls = self.calls
 
@@ -240,7 +258,7 @@ def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
 
 
 def test_highs_stop_that_is_not_optimal_raises(monkeypatch):
-    import scipy.optimize._highspy._core as core
+    core = qsvt.highs_core()
 
     class StoppedHighs(core._Highs):
         def getModelStatus(self):

@@ -178,13 +178,22 @@ def test_classical_var_cvar_uniform_distribution(rng):
     assert abs(out.cvar - 0.025) < 0.01
 
 
+def branch_support(layout, price_codes):
+    """Basis index of branch k at price code ``price_codes[k]``, value and
+    flag registers zeroed."""
+    price_codes = np.asarray(price_codes, dtype=np.int64)
+    return ((np.arange(price_codes.size, dtype=np.int64)
+             << layout.shift_of("path"))
+            | (price_codes << layout.shift_of("price")))
+
+
 def cvar_setup(value_codes, q, L=8):
     state = branch_state(value_codes, with_flag=True)
     layout = state.layout
     codes = np.arange(L)
     table = np.zeros(2**6, dtype=np.int64)
     table[codes] = value_codes  # price code k carries branch k's value code
-    ref, ref_norm = make_reference_state(layout, np.arange(L), codes,
+    ref, ref_norm = make_reference_state(layout, branch_support(layout, codes),
                                          decode_value(table[codes], M_BITS))
     return state, ref, ref_norm, table
 
@@ -231,7 +240,8 @@ def test_reference_state_rejects_all_zero():
     layout = RegisterLayout([("path", 3), ("price", 6), ("value", M_BITS),
                              ("flag", 1)])
     with pytest.raises(NumericalError):
-        make_reference_state(layout, np.arange(8), np.arange(8), np.zeros(8))
+        make_reference_state(layout, branch_support(layout, np.arange(8)),
+                             np.zeros(8))
 
 
 def sparse_branch_state(value_codes, price_codes=None, with_flag=True):
@@ -266,9 +276,10 @@ def test_sparse_swap_test_equals_dense_bitwise(codes, seed):
     prices = rng.choice(2**6, size=L, replace=False)
     table = np.zeros(2**6, dtype=np.int64)
     table[prices] = codes
-    ref_args = (np.arange(L), prices, decode_value(table[prices], M_BITS))
     state = sparse_branch_state(codes, prices)
-    ref, _ = make_reference_state(state.layout, *ref_args)
+    ref, _ = make_reference_state(state.layout,
+                                  branch_support(state.layout, prices),
+                                  decode_value(table[prices], M_BITS))
     for phi in (state, xor_write(state, "price", "value", table.take)):
         dense_ref = np.zeros(2**ref.layout.total_qubits, dtype=complex)
         dense_ref[ref.index] = ref.amplitudes
