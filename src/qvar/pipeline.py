@@ -124,7 +124,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     config.check_budget()
     tally = ResourceTally()
     market, grid, payoff = config.market, config.grid, config.payoff
-    rng = np.random.default_rng(config.seed)
 
     # classical oracle: surface, snapped per-path values, quantile statistics
     surface = price_european(market, grid, payoff)
@@ -173,6 +172,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     sampled = config.mode == "quantum_sampled"
     measure_mode = "sampled" if sampled else "exact"
+    # only sampled mode draws, and only from here on: exact mode never
+    # imports numpy.random
+    rng = np.random.default_rng(config.seed) if sampled else None
     eps_est = 0.02
 
     # Step 4: bisection VaR and the CVaR overlap

@@ -13,16 +13,20 @@ SCREEN_STRIDE-th window and cap row comes first at each degree: dropping
 constraints from a minimization can only lower its optimum, so a screen
 that misses the acceptance threshold proves the full LP would miss it too.
 
-Both LPs are solved by ``linprog``, one warm HiGHS model per rung through
-SciPy's private binding ``scipy.optimize._highspy._core._Highs``.  The
-full LP is never handed over whole: the model starts from the screen
-rows, and each round adds up to ROW_BATCH of the grid rows it violates
-most and re-solves from the previous basis, until no row outside the
-model is violated by more than HiGHS's own primal feasibility tolerance.
-A solution that is optimal on a subset of the rows and feasible on all
-of them is optimal for the full LP; a subset that is infeasible makes
-the full LP infeasible.  Every round adds a row the model does not hold,
-so the loop ends without an iteration cap.
+Each rung is one LP on one warm HiGHS model, solved by ``linprog``
+through SciPy's private binding ``scipy.optimize._highspy._core._Highs``.
+The screen is its first round.  When the screen lets the rung through,
+the full LP goes on in the same model rather than solving the screen
+again: each round adds up to ROW_BATCH of the grid rows it violates most
+and re-solves from the previous basis, until no row outside the model is
+violated by more than HiGHS's own primal feasibility tolerance.  A
+solution that is optimal on a subset of the rows and feasible on all of
+them is optimal for the full LP; a subset that is infeasible makes the
+full LP infeasible.  Every round adds a row the model does not hold, so
+the loop ends without an iteration cap.  No matrix of all the rows by
+the columns is built: ``MinimaxLP`` keeps the odd Chebyshev columns once
+per distinct node and builds from them the rows a round adds and, in
+ROW_CHUNK-row chunks, every row's violation.
 
 Phase factors are solved in the symmetric Wx convention by the standard
 coefficient fixed-point iteration and converted to projector phases for
@@ -41,7 +45,8 @@ memos (``functools.lru_cache``), each keyed on values, never on object
 identity, and holding read-only arrays:
 
 - the degree ladder's screen and full LP results, on (t_tilde, norm,
-  degree, screen): neither eps nor the payoff enters an LP;
+  degree): neither eps nor the payoff enters an LP.  The LP and its HiGHS
+  model are not kept: they end with the walk that built them;
 - the accepted fit's certificate (sup error on the window, |P| peak on
   [-1, 1], effective degree), on (t_tilde, norm, degree);
 - the phase factors, on the fit (its degree and coefficient bytes);
@@ -89,6 +94,7 @@ GLOBAL_BOUND = 0.98  # amplitude cap used inside the fit; leaves QSP headroom
 FIT_ACCEPT = 0.85  # a fit is accepted when its LP error is <= FIT_ACCEPT * eps
 SCREEN_STRIDE = 8  # the screen LP keeps every 8th window and cap node
 ROW_BATCH = 200  # most violated rows a row-generation round adds to the LP
+ROW_CHUNK = 512  # LP rows built at a time to find the violated ones
 # a screen rules a degree out only when its error exceeds the acceptance
 # threshold times SCREEN_REL plus SCREEN_ABS: slack for HiGHS's 1e-7 tolerances
 SCREEN_REL = 1.01
@@ -121,53 +127,54 @@ def highs_core():
     return module
 
 
-def linprog(a_ub: np.ndarray, b_ub: np.ndarray, start: np.ndarray):
-    """Minimize the last variable of x subject to ``a_ub @ x <= b_ub``, with
-    the last variable non-negative and the others free, by row generation.
+def linprog(lp: MinimaxLP, full: bool):
+    """Minimize the error t of ``lp`` over its rows by row generation on
+    the rung's one HiGHS model, with t non-negative and the coefficients
+    free.
 
-    One HiGHS model starts from the rows ``start`` (a boolean mask) and
-    re-solves warm after each round adds up to ROW_BATCH of the rows it
-    does not hold, most violated first.  It stops when none of those is
-    violated by more than HiGHS's primal feasibility tolerance.  Returns x,
-    or None when HiGHS finds the rows it holds infeasible.  SciPy's HiGHS
+    The first call builds the model on the screen rows and solves it: the
+    screen LP, where a call without ``full`` stops.  With ``full`` each
+    round then adds up to ROW_BATCH of the rows the model does not hold,
+    most violated first, and re-solves warm, until none of them is
+    violated by more than HiGHS's primal feasibility tolerance.  A call
+    with ``full`` after the screen goes on in the screen's model, so the
+    full LP does not solve the screen again.  Returns x = (c, t), or None
+    when HiGHS finds the rows it holds infeasible.  SciPy's HiGHS
     extension is loaded on the first call.
     """
     core = highs_core()
-    highs = core._Highs()
-    highs.setOptionValue("output_flag", False)
-    n_rows, n_cols = a_ub.shape
-    lower = np.full(n_cols, -np.inf)
-    lower[-1] = 0.0
-    highs.addVars(n_cols, lower, np.full(n_cols, np.inf))
-    highs.changeColsCost(1, np.array([n_cols - 1], dtype=np.int32), np.ones(1))
-    tol = highs.getOptionValue("primal_feasibility_tolerance")[1]
-    held = np.zeros(n_rows, dtype=bool)
-    rows = np.flatnonzero(start)
-    while True:
-        held[rows] = True
-        block = a_ub[rows]
-        flat = np.flatnonzero(block)  # row-major: one sparse row after another
-        starts = np.searchsorted(flat, np.arange(0, block.size, n_cols))
-        highs.addRows(rows.size, np.full(rows.size, -np.inf), b_ub[rows],
-                      flat.size, starts.astype(np.int32),
-                      (flat % n_cols).astype(np.int32), block.flat[flat])
-        highs.run()
-        status = highs.getModelStatus()
+    if lp.highs is None:
+        lp.highs = core._Highs()
+        lp.highs.setOptionValue("output_flag", False)
+        n_cols = lp.vander.shape[1] + 1
+        lower = np.full(n_cols, -np.inf)
+        lower[-1] = 0.0
+        lp.highs.addVars(n_cols, lower, np.full(n_cols, np.inf))
+        lp.highs.changeColsCost(1, np.array([n_cols - 1], dtype=np.int32),
+                                np.ones(1))
+    tol = lp.highs.getOptionValue("primal_feasibility_tolerance")[1]
+    rows = lp.screen if lp.x is None else lp.most_violated(tol)
+    while rows.size:
+        lp.held[rows] = True
+        starts, index, value = lp.sparse_rows(rows)
+        lp.highs.addRows(rows.size, np.full(rows.size, -np.inf),
+                         lp.bound[rows], value.size, starts, index, value)
+        lp.highs.run()
+        status = lp.highs.getModelStatus()
         # the objective is bounded below by 0, so "unbounded or infeasible"
         # can only mean infeasible
         if status in (core.HighsModelStatus.kInfeasible,
                       core.HighsModelStatus.kUnboundedOrInfeasible):
+            lp.x = None
             return None
         if status != core.HighsModelStatus.kOptimal:
             raise NumericalError(f"HiGHS stopped with status {status.name} on "
-                                 f"{held.sum()} of {n_rows} rows")
-        x = np.array(highs.getSolution().col_value)
-        excess = a_ub @ x - b_ub
-        excess[held] = 0.0
-        rows = np.flatnonzero(excess > tol)
-        if not rows.size:
-            return x
-        rows = rows[np.argsort(-excess[rows], kind="stable")[:ROW_BATCH]]
+                                 f"{lp.held.sum()} of {lp.held.size} rows")
+        lp.x = np.array(lp.highs.getSolution().col_value)
+        if not full:
+            break
+        rows = lp.most_violated(tol)
+    return lp.x
 
 
 def least_squares(*args, **kwargs):
@@ -212,21 +219,6 @@ class PolynomialTarget:
         return np_cheb.chebval(np.asarray(x, dtype=float), self.coeffs)
 
 
-def _minimax_rows(grid_w, y_w, grid_c, degree: int):
-    """Rows ``a @ (c, t) <= b`` of the minimax LP over the odd Chebyshev
-    coefficients c of a degree-``degree`` polynomial P and its error t:
-    P - y_w <= t and y_w - P <= t on the window nodes, then P <= GLOBAL_BOUND
-    and -P <= GLOBAL_BOUND on the cap nodes."""
-    cols = np.arange(1, degree + 1, 2)
-    vw = np_cheb.chebvander(grid_w, degree)[:, cols]
-    vc = np_cheb.chebvander(grid_c, degree)[:, cols]
-    t_w = np.ones((grid_w.size, 1))
-    t_c = np.zeros((grid_c.size, 1))
-    a_ub = np.block([[vw, -t_w], [-vw, -t_w], [vc, t_c], [-vc, t_c]])
-    b_ub = np.concatenate([y_w, -y_w, np.full(2 * grid_c.size, GLOBAL_BOUND)])
-    return a_ub, b_ub
-
-
 def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     theta = (np.arange(count) + 0.5) * np.pi / count
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
@@ -237,30 +229,120 @@ def _fit_scale(t_tilde: int, norm: float) -> float:
     return min(1.0, 0.45 / target_g(1.0 / norm, t_tilde, norm))
 
 
-@functools.lru_cache(maxsize=LADDER_CACHE)
-def _ladder_fit(t_tilde: int, norm: float, degree: int, screen: bool):
-    """One rung of the degree ladder: the full minimax LP, or its screen on
-    every SCREEN_STRIDE-th window and cap row.  The full LP's row
-    generation starts from the screen rows.
+def _odd_chebvander(x: np.ndarray, degree: int) -> np.ndarray:
+    """Columns T_1, T_3, ..., T_degree of ``chebvander(x, degree)``, bit
+    for bit: the same recurrence T_i = T_(i-1) * 2x - T_(i-2), storing
+    only the odd columns."""
+    x = x + 0.0
+    out = np.empty((x.size, (degree + 1) // 2))
+    out[:, 0] = x
+    x2 = 2 * x
+    prev, cur = np.ones_like(x), x
+    for i in range(2, degree + 1):
+        prev, cur = cur, cur * x2 - prev
+        if i % 2:
+            out[:, i // 2] = cur
+    return out
 
-    Returns (read-only coeffs, achieved_error) or None when infeasible.
-    The grids and the rescaled target are fixed by (t_tilde, norm, degree);
-    eps only sets the acceptance threshold the caller applies.
+
+class MinimaxLP:
+    """The minimax LP of one ladder rung, ``a_ub @ x <= b_ub`` over
+    x = (c, t), the odd Chebyshev coefficients c of a degree-``degree``
+    polynomial P and its error t: P - y_w <= t and y_w - P <= t on the
+    window nodes, then P <= GLOBAL_BOUND and -P <= GLOBAL_BOUND on the cap
+    nodes, in that row order.  The window and cap grids and the rescaled
+    target y_w are fixed by (t_tilde, norm, degree).
+
+    No matrix of rows by columns is held.  ``vander`` holds the odd
+    Chebyshev columns once per distinct node, and ``rows`` builds any rows
+    of a_ub from it.  ``excess`` forms a_ub @ x - b_ub in ROW_CHUNK-row
+    chunks that start at multiples of ROW_CHUNK, so BLAS groups the rows
+    as it does in one product over the whole a_ub on one thread, and the
+    bits are that product's.  ``highs``, ``held`` and ``x`` are the state
+    of the HiGHS model ``linprog`` solves the rung on; the LP and its model
+    live only as long as the degree walk that built them.
     """
-    lo, hi = 1.0 / norm, 1.0
-    grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
-    y_w = _fit_scale(t_tilde, norm) * target_g(grid_w, t_tilde, norm)
-    # cap grid covers the gap below the window and the window itself;
-    # dense enough that a degree-d polynomial cannot slip between nodes
-    grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
-                             _cheb_nodes(lo, hi, max(400, 2 * degree))])
-    a_ub, b_ub = _minimax_rows(grid_w, y_w, grid_c, degree)
-    # the screen rows: every SCREEN_STRIDE-th node of each of the four blocks
-    first = np.concatenate([np.arange(size) % SCREEN_STRIDE == 0 for size in
-                            (grid_w.size, grid_w.size, grid_c.size, grid_c.size)])
-    if screen:
-        a_ub, b_ub, first = a_ub[first], b_ub[first], first[first]
-    x = linprog(a_ub, b_ub, first)
+
+    def __init__(self, t_tilde: int, norm: float, degree: int):
+        self.t_tilde, self.norm, self.degree = t_tilde, norm, degree
+        lo, hi = 1.0 / norm, 1.0
+        grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
+        y_w = _fit_scale(t_tilde, norm) * target_g(grid_w, t_tilde, norm)
+        # cap grid covers the gap below the window and the window itself;
+        # dense enough that a degree-d polynomial cannot slip between nodes
+        grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
+                                 _cheb_nodes(lo, hi, max(400, 2 * degree))])
+        n_w, n_c = grid_w.size, grid_c.size
+        self.n_window = n_w
+        self.vander = _odd_chebvander(np.concatenate([grid_w, grid_c]), degree)
+        # each row's node and sign in the four blocks (+-P on the window,
+        # +-P on the cap), and its bound b_ub
+        self.node = np.concatenate([np.arange(n_w), np.arange(n_w),
+                                    np.arange(n_w, n_w + n_c),
+                                    np.arange(n_w, n_w + n_c)])
+        self.sign = np.repeat([1.0, -1.0, 1.0, -1.0], [n_w, n_w, n_c, n_c])
+        self.bound = np.concatenate([y_w, -y_w,
+                                     np.full(2 * n_c, GLOBAL_BOUND)])
+        # the screen rows: every SCREEN_STRIDE-th node of each block
+        self.screen = np.concatenate([
+            start + np.arange(0, size, SCREEN_STRIDE) for start, size in
+            ((0, n_w), (n_w, n_w), (2 * n_w, n_c), (2 * n_w + n_c, n_c))])
+        self.highs = None
+        self.held = np.zeros(self.bound.size, dtype=bool)
+        self.x = None
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """Rows ``index`` of a_ub, dense: sign * T_odd(node), then the
+        error's coefficient, -1 on the window and 0 on the cap."""
+        node = self.node[index]
+        out = np.empty((index.size, self.vander.shape[1] + 1))
+        # "clip" writes straight into the strided out; "raise" would buffer
+        np.take(self.vander, node, axis=0, out=out[:, :-1], mode="clip")
+        out[:, :-1] *= self.sign[index, None]
+        out[:, -1] = np.where(node < self.n_window, -1.0, 0.0)
+        return out
+
+    def sparse_rows(self, index: np.ndarray):
+        """Rows ``index`` of a_ub in the compressed form HiGHS takes: each
+        row's first entry, then the column and the value of every nonzero
+        entry, row after row."""
+        block = self.rows(index)
+        nonzero = block != 0
+        starts = np.zeros(index.size, dtype=np.int32)
+        np.cumsum(nonzero.sum(axis=1)[:-1], out=starts[1:])
+        columns = np.broadcast_to(np.arange(block.shape[1], dtype=np.int32),
+                                  block.shape)
+        return starts, columns[nonzero], block[nonzero]
+
+    def excess(self, x: np.ndarray) -> np.ndarray:
+        """a_ub @ x - b_ub, ROW_CHUNK rows at a time."""
+        out = np.empty(self.bound.size)
+        for lo in range(0, out.size, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, out.size)
+            out[lo:hi] = self.rows(np.arange(lo, hi)) @ x - self.bound[lo:hi]
+        return out
+
+    def most_violated(self, tol: float) -> np.ndarray:
+        """Up to ROW_BATCH of the rows outside the model that the model's
+        solution violates by more than ``tol``, most violated first."""
+        excess = self.excess(self.x)
+        excess[self.held] = 0.0
+        rows = np.flatnonzero(excess > tol)
+        return rows[np.argsort(-excess[rows], kind="stable")[:ROW_BATCH]]
+
+
+@functools.lru_cache(maxsize=LADDER_CACHE)
+def _ladder_fits(t_tilde: int, norm: float, degree: int) -> dict:
+    """The memo of one rung of the degree ladder: its LP results under
+    "screen" and "full", each (read-only coeffs, achieved_error) or None
+    when infeasible, filled by ``approximate_target`` as its walk needs
+    them.  The LP is fixed by (t_tilde, norm, degree); eps only sets the
+    acceptance threshold the caller applies."""
+    return {}
+
+
+def _coeffs_and_error(x: np.ndarray | None, degree: int):
+    """The fit (read-only full Chebyshev coeffs, error) of an LP solution."""
     if x is None:
         return None
     coeffs = np.zeros(degree + 1)
@@ -277,7 +359,7 @@ def _fit_certificate(t_tilde: int, norm: float,
     20,001 points of [-1, 1] and its effective degree.  Like the fit it
     depends on (t_tilde, norm, degree) alone; callers compare it with their
     own eps and with 1."""
-    coeffs = _ladder_fit(t_tilde, norm, degree, False)[0]
+    coeffs = _ladder_fits(t_tilde, norm, degree)["full"][0]
     dense = np.linspace(1.0 / norm, 1.0, 10_000)
     sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
                            - _fit_scale(t_tilde, norm)
@@ -299,9 +381,9 @@ def approximate_target(t_tilde: int, norm: float, eps: float) -> PolynomialTarge
     Each degree first solves a screen LP with the full LP's columns and
     objective and every SCREEN_STRIDE-th row.  Its optimum is a lower bound
     on the full optimum, so a screen error above the acceptance threshold
-    (plus solver slack) rules the degree out without the full LP.  The full
-    LPs that do run see unchanged inputs, so the result is bit-identical to
-    the unscreened walk's.  The LP results and the accepted fit's
+    (plus solver slack) rules the degree out without the full LP.  A full
+    LP that does run goes on in the screen's HiGHS model, whose first
+    round the screen was.  The LP results and the accepted fit's
     certificate are memoised; the walk, its acceptance tests and the
     checks of the certificate against eps and 1 run on every call.
     """
@@ -321,10 +403,22 @@ def approximate_target(t_tilde: int, norm: float, eps: float) -> PolynomialTarge
     accept = eps * FIT_ACCEPT
 
     def accepted_fit(degree: int):
-        screen = _ladder_fit(t_tilde, norm, degree, True)
-        if screen is not None and screen[1] > accept * SCREEN_REL + SCREEN_ABS:
+        fits = _ladder_fits(t_tilde, norm, degree)
+        lp = None  # the rung's LP and HiGHS model, built on its first miss
+
+        def solved(kind: str):
+            nonlocal lp
+            if kind not in fits:
+                lp = lp or MinimaxLP(t_tilde, norm, degree)
+                fits[kind] = _coeffs_and_error(
+                    linprog(lp, full=kind == "full"), degree)
+            return fits[kind]
+
+        # an infeasible screen makes the full LP, a superset, infeasible
+        screen = solved("screen")
+        if screen is None or screen[1] > accept * SCREEN_REL + SCREEN_ABS:
             return None
-        fit = _ladder_fit(t_tilde, norm, degree, False)
+        fit = solved("full")
         return fit[0] if fit is not None and fit[1] <= accept else None
 
     degree = max(1, int(0.25 * t_tilde * norm) | 1)

@@ -5,7 +5,7 @@ from qvar import qsvt
 from qvar.market import MarketParams, PayoffSpec, build_grid
 
 # the in-process Stage-1 memos, emptied before every test
-STAGE1_CACHES = (qsvt._ladder_fit, qsvt._fit_certificate, qsvt._phase_factors,
+STAGE1_CACHES = (qsvt._ladder_fits, qsvt._fit_certificate, qsvt._phase_factors,
                  qsvt._encoding, qsvt._value_block)
 
 

@@ -1,7 +1,11 @@
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from qvar.qsvt import (PolynomialTarget, _wx_eval, apply_qsvt,
                        qsp_reflection_eval, solve_phase_factors,
                        svd_transform_oracle, target_g)
 from reference import dense_walk, encoded_block, minimax_lp, qsvt_circuit
+
+SRC = str(Path(qsvt.__file__).resolve().parents[1])  # for fresh interpreters
 
 
 def test_target_g_examples():
@@ -149,7 +155,7 @@ def test_row_generated_fit_solves_the_dense_lp(t_tilde, norm, eps):
     degree, (coeffs, optimum) = dense_walk(t_tilde, norm, eps)
     assert poly.degree == int(np.flatnonzero(np.abs(coeffs) > 1e-300)[-1])
     tol = _highs_tolerance()
-    error = qsvt._ladder_fit(t_tilde, norm, degree, False)[1]
+    error = qsvt._ladder_fits(t_tilde, norm, degree)["full"][1]
     assert abs(error - optimum) <= 2 * tol
     a_ub, b_ub = minimax_lp(t_tilde, norm, degree)
     x = np.append(poly.coeffs[1::2], error)
@@ -161,20 +167,35 @@ def _row_key(index, value, upper):
     return tuple(index.tolist()), tuple(value.tolist()), float(upper)
 
 
+def _dense_screen(degree):
+    """The screen rows of the dense LP: every SCREEN_STRIDE-th node of each
+    of its four blocks, in block order."""
+    n_w, n_c = max(1200, 3 * degree), 2 * max(400, 2 * degree)
+    starts = np.cumsum([0, n_w, n_w, n_c])
+    return np.concatenate([start + np.arange(0, size, qsvt.SCREEN_STRIDE)
+                           for start, size in zip(starts, (n_w, n_w, n_c, n_c))])
+
+
 class _Recorder:
-    """Wraps qsvt.linprog and the HiGHS models it builds.  Per call: the
-    LP, its rows keyed by their entries, the keys each round added and the
-    solution after each round."""
+    """Wraps qsvt.linprog and the HiGHS models it builds.  Per model (one
+    per rung the walk solves): the rung's dense LP from the oracle, its
+    rows keyed by their entries, the keys each round added, the solution
+    after each round and the linprog calls made on it, in order."""
 
     def __init__(self, monkeypatch):
         core = qsvt.highs_core()
+        self.models = []
         self.calls = []
-        calls = self.calls
+        models, calls = self.models, self.calls
 
         class RecordingHighs(core._Highs):
+            def __init__(self):
+                super().__init__()
+                self.record = {"rounds": [], "solutions": [], "calls": []}
+
             def addRows(self, num, lower, upper, nnz, starts, index, value):
                 ends = np.append(starts[1:], nnz)
-                calls[-1]["rounds"].append([
+                self.record["rounds"].append([
                     _row_key(index[a:b], value[a:b], upper[i])
                     for i, (a, b) in enumerate(zip(starts, ends))])
                 return super().addRows(num, lower, upper, nnz, starts, index,
@@ -182,20 +203,27 @@ class _Recorder:
 
             def run(self):
                 status = super().run()
-                calls[-1]["solutions"].append(
+                self.record["solutions"].append(
                     np.array(self.getSolution().col_value))
                 return status
 
         solve = qsvt.linprog
 
-        def linprog(a_ub, b_ub, start):
-            keys = [_row_key(np.flatnonzero(row), row[row != 0], b)
-                    for row, b in zip(a_ub, b_ub)]
-            calls.append({"lp": (a_ub, b_ub), "keys": keys,
-                          "start": int(start.sum()), "rounds": [],
-                          "solutions": []})
-            calls[-1]["result"] = solve(a_ub, b_ub, start)
-            return calls[-1]["result"]
+        def linprog(lp, full):
+            result = solve(lp, full)
+            record = lp.highs.record
+            if "lp" not in record:
+                a_ub, b_ub = minimax_lp(lp.t_tilde, lp.norm, lp.degree)
+                record["lp"], record["degree"] = (a_ub, b_ub), lp.degree
+                record["keys"] = [_row_key(np.flatnonzero(row), row[row != 0], b)
+                                  for row, b in zip(a_ub, b_ub)]
+                record["screen"] = [record["keys"][i]
+                                    for i in _dense_screen(lp.degree)]
+                models.append(record)
+            record["calls"].append({"full": full, "result": result,
+                                    "rounds": len(record["rounds"])})
+            calls.append((lp.degree, full))
+            return result
 
         monkeypatch.setattr(core, "_Highs", RecordingHighs)
         monkeypatch.setattr(qsvt, "linprog", linprog)
@@ -211,17 +239,18 @@ def test_row_generation_adds_the_most_violated_new_rows(monkeypatch, unit_grid,
     payoff = payoff_vector(call_spec, unit_grid)
     res = prepare_value_state(payoff, README_MARKET, unit_grid, eps1=1e-3)
     assert res.target.degree == 139
-    assert len(recorder.calls) >= 2
+    assert len(recorder.models) >= 2
     tol = _highs_tolerance()
-    for call in recorder.calls:
-        (a_ub, b_ub), keys, rounds = call["lp"], call["keys"], call["rounds"]
+    for model in recorder.models:
+        (a_ub, b_ub), keys, rounds = model["lp"], model["keys"], model["rounds"]
         assert len(rounds) <= math.ceil(len(keys) / qsvt.ROW_BATCH) + 1
-        assert len(rounds[0]) == call["start"]
+        # round 1 is the screen: the dense LP's screen rows, in its order
+        assert rounds[0] == model["screen"]
         held = Counter()
         for r, added in enumerate(rounds + [[]]):
-            if r:
+            if r and model["calls"][-1]["full"]:
                 # the rows outside the model that the last solution violates
-                excess = a_ub @ call["solutions"][r - 1] - b_ub
+                excess = a_ub @ model["solutions"][r - 1] - b_ub
                 outside = np.array([key not in held for key in keys])
                 violated = outside & (excess > tol)
                 picked = outside & np.array([key in set(added) for key in keys])
@@ -234,12 +263,23 @@ def test_row_generation_adds_the_most_violated_new_rows(monkeypatch, unit_grid,
             # two empty cap rows at node 0 are the only repeated rows
             held.update(added)
             assert held <= Counter(keys)
-    # the accepted rung is the walk's last LP: it started from the screen
+    # one model per rung: its screen call solves round 1 alone, and the full
+    # LP, when the screen lets the rung through, goes on in that model, so a
+    # rung makes at most two linprog calls
+    assert len(recorder.calls) == sum(len(m["calls"]) for m in recorder.models)
+    degrees = [model["degree"] for model in recorder.models]
+    assert degrees == sorted(set(degrees))
+    for model in recorder.models:
+        assert [call["full"] for call in model["calls"]] in ([False],
+                                                             [False, True])
+        assert model["calls"][0]["rounds"] == 1
+    # the accepted rung is the walk's last model: it started from the screen
     # rows, added rows over more than one round and stopped short of the grid
-    accepted = recorder.calls[-1]
+    accepted = recorder.models[-1]
     held = sum(len(added) for added in accepted["rounds"])
+    assert [call["full"] for call in accepted["calls"]] == [False, True]
     assert len(accepted["rounds"]) > 1
-    assert accepted["start"] < held < len(accepted["keys"])
+    assert len(accepted["screen"]) < held < len(accepted["keys"])
 
 
 def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
@@ -249,12 +289,108 @@ def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
     monkeypatch.setattr(qsvt, "GLOBAL_BOUND", -1e-3)
     with pytest.raises(NumericalError, match="degree cap 64 exceeded"):
         approximate_target(4, 2.0, 1e-3)
-    # every rung up to the cap ran its screen and then its full LP
-    assert len(recorder.calls) > 2
-    assert len(recorder.calls[-1]["keys"]) > len(recorder.calls[-2]["keys"])
-    for call in recorder.calls:
-        assert call["result"] is None
-        assert len(call["rounds"]) == 1
+    # every rung up to the cap ran its screen, which found it infeasible, and
+    # so the full LP, a superset of its rows, never ran
+    degrees = [model["degree"] for model in recorder.models]
+    assert len(degrees) > 2 and degrees == sorted(set(degrees))
+    for model in recorder.models:
+        assert [call["result"] for call in model["calls"]] == [None]
+        assert [call["full"] for call in model["calls"]] == [False]
+        assert model["rounds"] == [model["screen"]]
+
+
+def _index_sets(lp, rng):
+    """Screen rows, a subset of them, and random rows in and out of order."""
+    size = lp.bound.size
+    return [lp.screen, np.sort(rng.choice(lp.screen, 40, replace=False)),
+            np.sort(rng.choice(size, qsvt.ROW_BATCH, replace=False)),
+            rng.permutation(size)[:300], np.arange(size)]
+
+
+@pytest.mark.parametrize("degree", [51, 195, 483])
+def test_on_demand_rows_are_the_dense_lp_rows(degree, rng):
+    lp = qsvt.MinimaxLP(12, 4.0021, degree)
+    a_ub, b_ub = minimax_lp(12, 4.0021, degree)
+    assert lp.bound.tobytes() == b_ub.tobytes()
+    assert np.array_equal(lp.screen, _dense_screen(degree))
+    # the odd Chebyshev columns are half of a_ub: no +- copies, no t column
+    assert lp.vander.nbytes * 2 < a_ub.nbytes
+    for index in _index_sets(lp, rng):
+        block = a_ub[index]
+        assert lp.rows(index).tobytes() == block.tobytes()
+        # the compressed rows HiGHS gets, against the dense rows' nonzeros
+        starts, columns, values = lp.sparse_rows(index)
+        flat = np.flatnonzero(block)
+        assert starts.dtype == columns.dtype == np.int32
+        assert np.array_equal(
+            starts, np.searchsorted(flat, np.arange(0, block.size, block.shape[1])))
+        assert np.array_equal(columns, flat % block.shape[1])
+        assert values.tobytes() == block.flat[flat].tobytes()
+
+
+# prints, per degree, whether the on-demand excess equals the dense LP's
+# a_ub @ x - b_ub bit for bit, and a digest of the excess vectors
+ON_DEMAND_EXCESS = """
+import hashlib, json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from qvar import qsvt
+from reference import minimax_lp
+rng = np.random.default_rng(20240811)
+out = {}
+for degree in (51, 195, 483):
+    lp = qsvt.MinimaxLP(12, 4.0021, degree)
+    a_ub, b_ub = minimax_lp(12, 4.0021, degree)
+    xs = []
+    for _ in range(6):
+        x = rng.normal(size=a_ub.shape[1]) * 10.0 ** rng.integers(-3, 4, a_ub.shape[1])
+        x[-1] = abs(x[-1])
+        xs.append(x)
+    if degree < 483:
+        xs.append(qsvt.linprog(lp, True))  # a solution, as the rounds see them
+    digest, equal = hashlib.sha256(), True
+    for x in xs:
+        excess = lp.excess(x)
+        equal = equal and excess.tobytes() == (a_ub @ x - b_ub).tobytes()
+        digest.update(excess.tobytes())
+    out[degree] = [equal, digest.hexdigest()]
+print(json.dumps(out))
+"""
+
+
+def test_on_demand_excess_is_the_dense_products_bits():
+    # with one BLAS thread the dense product groups rows as the aligned
+    # chunks do; the chunks are too small for BLAS to split across threads,
+    # so the excess keeps its bits at any thread count
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", ON_DEMAND_EXCESS, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout)
+    assert all(equal for equal, _ in runs["1"].values()), runs["1"]
+    assert ({degree: digest for degree, (_, digest) in runs["2"].items()}
+            == {degree: digest for degree, (_, digest) in runs["1"].items()})
+
+
+def test_cold_full_rung_peaks_below_one_dense_lp():
+    qsvt.highs_core()  # the extension's import is not the rung's memory
+    tracemalloc.start()
+    try:
+        lp = qsvt.MinimaxLP(12, 4.0021, 195)
+        screen = qsvt.linprog(lp, False)
+        full = qsvt.linprog(lp, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert screen is not None and full is not None
+    assert lp.screen.size < lp.held.sum() < lp.held.size
+    # the dense 4,000 x 99 a_ub the rung used to build
+    dense = (2 * 1200 + 2 * 800) * 99 * 8
+    assert peak < dense, (peak, dense)
 
 
 def test_highs_stop_that_is_not_optimal_raises(monkeypatch):
@@ -588,7 +724,7 @@ def test_compiled_stage1_arrays_are_read_only(unit_grid):
 
 
 def test_stage1_caches_stay_within_maxsize(rng):
-    assert qsvt._ladder_fit.cache_info().maxsize == qsvt.LADDER_CACHE
+    assert qsvt._ladder_fits.cache_info().maxsize == qsvt.LADDER_CACHE
     extra = qsvt.PROGRAM_CACHE + 3
     for k in range(extra):
         # a distinct operator and a distinct degree-1 fit each time

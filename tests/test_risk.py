@@ -414,14 +414,37 @@ def test_pruned_search_returns_full_grid_argmax(case):
     assert _likelihood_argmax(powers, hits, SHOTS) == full_grid_argmax(powers, hits)
 
 
+# the pipeline's amplitude-estimation eps, and the ones the tests above use
+EPS_SCHEDULES = [0.02, 0.1, 0.01, 0.005]
+
+
 @pytest.mark.parametrize("h,index", [(0, 0), (SHOTS, THETA.size - 1)])
 def test_pruned_search_reaches_grid_ends(h, index):
-    # the all-miss and all-hit examples above end on the first and the
-    # last grid point, where the search's edge handling is exercised
-    powers = powers_for(0.005)
-    hits = [np.int64(h)] * len(powers)
-    assert full_grid_argmax(powers, hits) == index
-    assert _likelihood_argmax(powers, hits, SHOTS) == index
+    # all misses and all hits end on the first and the last grid point,
+    # and the search returns them without building a max tree
+    for eps in EPS_SCHEDULES:
+        powers = powers_for(eps)
+        hits = [np.int64(h)] * len(powers)
+        assert full_grid_argmax(powers, hits) == index
+        _subblock_maxima.cache_clear()
+        _block_maxima.cache_clear()
+        assert _likelihood_argmax(powers, hits, SHOTS) == index
+        assert _subblock_maxima.cache_info().currsize == 0
+        assert _block_maxima.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("eps", EPS_SCHEDULES)
+@pytest.mark.parametrize("prob", [0.0, 1.0])
+def test_foregone_estimate_draws_as_the_reference(prob, eps):
+    # p = 0 misses and p = 1 hits every shot at every power: the shortcut
+    # gives the reference's estimate and leaves the generator where the
+    # reference leaves it
+    rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = estimate_amplitude(prob, eps, rng)
+    want = uncached_estimate_amplitude(prob, eps, reference_rng)
+    assert (got.value, got.queries, got.shots) == want
+    assert got.value == prob
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def padded_maxima(real, size):

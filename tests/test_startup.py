@@ -5,7 +5,7 @@ Importing qvar, budget-checking a config, a classical run and the CLI
 commands that never fit a polynomial must leave ``scipy`` unimported; the
 first cold Stage-1 fit loads SciPy's HiGHS extension module and not the
 ``scipy.optimize`` package, and a later ``import scipy.optimize`` finds
-that same extension module.  Importing qvar and budget-checking a config
+that same extension module.  Only a sampled run imports ``numpy.random``.  Importing qvar and budget-checking a config
 must also leave the amplitude-estimation maxima and the fit memos empty,
 so that start-up does none of a request's work.
 Each check runs in a fresh interpreter, because the test process itself
@@ -29,12 +29,14 @@ README_CONFIG = {
     "mode": "quantum_exact", "seed": 11,
 }
 
-# prints one JSON line per step: the step and the scipy modules loaded after it
+# prints one JSON line per step: the step and the scipy modules and
+# numpy.random, if loaded, after it
 STEPS = """
 import json, sys
 
 def loaded(step):
-    mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    mods = sorted(m for m in sys.modules
+                  if m in ("scipy", "numpy.random") or m.startswith("scipy."))
     print(json.dumps([step, mods]), flush=True)
 
 import qvar
@@ -55,6 +57,8 @@ assert cli.main(["nogo", "--max-d", "8", "--output", out]) == 0
 loaded("nogo")
 run_pipeline(load_run_config(doc))
 loaded("quantum_exact run_pipeline")
+run_pipeline(load_run_config({**doc, "mode": "quantum_sampled"}))
+loaded("quantum_sampled run_pipeline")
 """
 
 
@@ -71,12 +75,17 @@ def test_scipy_loaded_only_by_a_cold_stage1_fit(tmp_path):
     assert [step for step, _ in steps] == [
         "import qvar", "check_budget", "classical run_pipeline", "price",
         "simulate", "verify-be", "run --mode classical", "var --mode classical",
-        "cvar --mode classical", "nogo", "quantum_exact run_pipeline"]
-    for step, mods in steps[:-1]:
+        "cvar --mode classical", "nogo", "quantum_exact run_pipeline",
+        "quantum_sampled run_pipeline"]
+    for step, mods in steps[:-2]:
         assert mods == [], step
-    assert "scipy.optimize._highspy._core" in steps[-1][1]
-    assert "scipy.optimize" not in steps[-1][1]
-    assert "scipy.optimize._highspy" not in steps[-1][1]
+    exact, sampled = steps[-2][1], steps[-1][1]
+    assert "scipy.optimize._highspy._core" in exact
+    assert "scipy.optimize" not in exact
+    assert "scipy.optimize._highspy" not in exact
+    # exact mode never draws, so only the sampled run imports numpy.random
+    assert "numpy.random" not in exact
+    assert sorted(set(sampled) - set(exact)) == ["numpy.random"]
 
 
 # a cold sampled fit, then the package import that tests/reference.py makes
@@ -117,7 +126,7 @@ with open(sys.argv[1]) as fh:
     load_run_config(json.load(fh)).check_budget()
 caches = {"risk._subblock_maxima": risk._subblock_maxima,
           "risk._block_maxima": risk._block_maxima,
-          "qsvt._ladder_fit": qsvt._ladder_fit,
+          "qsvt._ladder_fits": qsvt._ladder_fits,
           "qsvt._fit_certificate": qsvt._fit_certificate}
 print(json.dumps({name: cache.cache_info().currsize
                   for name, cache in caches.items()}))
