@@ -138,10 +138,15 @@ def _thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
     """Tridiagonal solve without pivoting; rejects tiny pivots.
 
     Safe here because (I + M) is diagonally dominant for small dtau.
+    Both sweeps run over Python floats: the same IEEE-754 operations in the
+    same order as on NumPy scalars, so the same bits, without a NumPy
+    scalar per operation.
     """
-    size = diag.size
-    c = np.zeros(size)
-    d = np.zeros(size)
+    sub, diag, sup, rhs = (np.asarray(a, dtype=float).tolist()
+                           for a in (sub, diag, sup, rhs))
+    size = len(diag)
+    c = [0.0] * size
+    d = [0.0] * size
     pivot = diag[0]
     if abs(pivot) < PIVOT_FLOOR:
         raise NumericalError(f"singular system: |pivot| = {abs(pivot):.3e} at row 0")
@@ -154,11 +159,11 @@ def _thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
         if i < size - 1:
             c[i] = sup[i] / pivot
         d[i] = (rhs[i] - sub[i] * d[i - 1]) / pivot
-    x = np.zeros(size)
+    x = [0.0] * size
     x[-1] = d[-1]
     for i in range(size - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
-    return x
+    return np.array(x)
 
 
 def implicit_step(op: TridiagonalOperator, surface: ValueSurface, dtau: float) -> ValueSurface:

@@ -1,12 +1,36 @@
 """End-to-end orchestration: the four-stage quantum pipeline next to its
-classical twin, with per-quantity deviations and resource accounting."""
+classical twin, with per-quantity deviations and resource accounting.
+
+A request splits into what its book fixes and what its level reads.  The
+book is the market, the payoff, the grid, s0, L, m and eps1; q, mode and
+seed only choose what Step 4 reads.  So Steps 1-3 are prepared once per
+book and kept in a bounded in-process memo (``_book``, PROGRAM_CACHE
+books, least recently used first out), keyed on those values and on the
+grid's node bytes, as a ``PriceGrid`` hashes by identity:
+
+- the classical half, built with the book: the value surface's norm
+  ``scale``, the paths and their snapped grid nodes, the classical value
+  state and the twin and raw per-path values;
+- the quantum half, built on the book's first quantum request, so a
+  classical request never builds it: the prepared value state with its
+  step-1 fidelity and l2 distance, the assembled scenario state, the
+  flagged base state that every Step-4 probe copies and the value-weighted
+  reference state.
+
+Every array a book holds is read-only.  A step that raises caches nothing,
+so a failing book raises the same error on every request.  Each request
+still runs the budget check first, then both classical quantile readouts
+at its level and Step 4: bisection VaR, the CVaR overlap and, in sampled
+mode, its own seeded generator.  The ``ResourceTally`` charges the
+simulated device Steps 1-3 on every request, memo or not, so a hit and a
+miss give the same tally and the same report bytes."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from functools import cached_property
 
 import numpy as np
 
@@ -17,10 +41,10 @@ from .market import (MarketParams, PayoffSpec, PriceGrid, config_int,
 from .mc import simulate_paths
 from .pde import price_european
 from .qcore import RegisterLayout, StateVector
-from .qpca import (assemble_portfolio_state, decode_value, grid_codes,
-                   price_register_width, snap_paths, value_code_table,
-                   reduced_rho)
-from .qsvt import prepare_value_state
+from .qpca import (AssembleResult, assemble_portfolio_state, decode_value,
+                   grid_codes, price_register_width, snap_paths,
+                   value_code_table, reduced_rho)
+from .qsvt import PROGRAM_CACHE, PreparedValueState, prepare_value_state
 from .risk import (FLAG, ClassicalRisk, CvarBreakdown, RiskReport,
                    bisection_var, classical_var_cvar, comparator_ucc, cvar,
                    make_reference_state, tail_probability)
@@ -71,11 +95,13 @@ class RunConfig:
         if not (math.isfinite(self.eps1) and self.eps1 > 0):
             raise ConfigError(f"eps1 must be finite and positive, got {self.eps1}")
 
-    @cached_property
+    @functools.cached_property
     def price_codes(self) -> np.ndarray:
         """The grid's m-bit price codes (``grid_codes``), encoded once per
-        request; Steps 2-4 and the budget check read them."""
-        return grid_codes(self.grid, self.m)
+        request, read-only; Steps 2-4 and the budget check read them."""
+        codes = grid_codes(self.grid, self.m)
+        codes.setflags(write=False)
+        return codes
 
     def check_budget(self) -> None:
         need = (self.L.bit_length() - 1 + price_register_width(self.price_codes)
@@ -119,29 +145,114 @@ class PipelineResult:
         }
 
 
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class QuantumBook:
+    """Steps 1-3 of a book: the prepared value state and its step-1
+    certificates, the assembled scenario state, the flagged base state that
+    every Step-4 probe copies, and the value-weighted reference state
+    (None when every branch value rounds to zero)."""
+
+    prepared: PreparedValueState
+    fidelity: float
+    l2_distance: float
+    assembled: AssembleResult
+    flagged_base: StateVector
+    reference: tuple[StateVector, float] | None
+
+
+class Book:
+    """Everything a request computes before it reads its level q: the
+    classical oracle's half of one book, built with it, and the quantum
+    half, built on the first quantum request (``quantum``).  Every array
+    it holds is read-only."""
+
+    def __init__(self, market: MarketParams, payoff: PayoffSpec,
+                 grid: PriceGrid, s0: float, L: int, m: int, eps1: float):
+        self.market, self.payoff, self.grid = market, payoff, grid
+        self.m, self.eps1 = m, eps1
+        # classical oracle: surface, snapped per-path values
+        surface = price_european(market, grid, payoff)
+        self.scale = float(np.linalg.norm(surface.values))
+        if self.scale == 0.0:
+            raise NumericalError("value surface is identically zero")
+        self.paths = simulate_paths(market, s0, L, m)
+        self.node_idx = snap_paths(self.paths, grid)
+        normalized = surface.values / self.scale
+        self.classical_state = StateVector(normalized.astype(complex),
+                                           RegisterLayout([("grid", grid.n)]))
+        rho_classical = reduced_rho(self.classical_state, grid)
+        self.twin_values = decode_value(
+            value_code_table(rho_classical, m)[self.node_idx], m)
+        self.raw_values = normalized[self.node_idx]
+        _read_only(self.node_idx, self.classical_state.amplitudes,
+                   self.twin_values, self.raw_values)
+        self._quantum = None
+
+    def quantum(self, codes: np.ndarray) -> QuantumBook:
+        """Steps 1-3 on the grid's price codes ``codes``, built once; a
+        step that raises leaves nothing behind, so it raises again."""
+        if self._quantum is None:
+            self._quantum = self._build_quantum(codes)
+        return self._quantum
+
+    def _build_quantum(self, codes: np.ndarray) -> QuantumBook:
+        grid, classical = self.grid, self.classical_state.amplitudes
+        # Step 1: value-state preparation by singular-value transformation
+        prepared = prepare_value_state(payoff_vector(self.payoff, grid),
+                                       self.market, grid, self.eps1)
+        # Steps 2 + 3: scenario state and the value lookup
+        assembled = assemble_portfolio_state(self.paths, prepared.state, grid,
+                                             self.m, self.node_idx, codes)
+        phi = assembled.state
+        layout = RegisterLayout(phi.layout.items() + [(FLAG, 1)])
+        flagged_base = StateVector(phi.amplitudes, layout, phi.index << 1)
+        # every branch value rounding to zero leaves no reference state
+        reference = (None if np.all(assembled.value == 0.0) else
+                     make_reference_state(layout, assembled.path_support << 1,
+                                          assembled.value))
+        _read_only(prepared.state.amplitudes, assembled.node_index,
+                   assembled.path_support, assembled.value, assembled.oracle,
+                   phi.amplitudes, phi.index, flagged_base.index)
+        if reference is not None:
+            _read_only(reference[0].amplitudes, reference[0].index)
+        return QuantumBook(
+            prepared=prepared,
+            fidelity=float(abs(np.vdot(prepared.state.amplitudes, classical))),
+            l2_distance=float(np.linalg.norm(prepared.state.amplitudes
+                                             - classical)),
+            assembled=assembled, flagged_base=flagged_base,
+            reference=reference)
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE)
+def _book(market: MarketParams, payoff: PayoffSpec, n: int, nodes: bytes,
+          s0: float, L: int, m: int, eps1: float) -> Book:
+    """The memo of the books: keyed on the values Steps 1-3 read, never on
+    q, mode or seed, and on the grid's node bytes, as a ``PriceGrid``
+    hashes by identity."""
+    return Book(market, payoff, PriceGrid(np.frombuffer(nodes), n), s0, L, m,
+                eps1)
+
+
 def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Execute the four stages and the classical oracle, then cross-check."""
+    """Execute the four stages and the classical oracle, then cross-check.
+
+    Steps 1-3 and the classical oracle's values come from the request's
+    memoised ``Book``; the budget check, both quantile readouts and Step 4
+    run on every request."""
     config.check_budget()
     tally = ResourceTally()
-    market, grid, payoff = config.market, config.grid, config.payoff
-
-    # classical oracle: surface, snapped per-path values, quantile statistics
-    surface = price_european(market, grid, payoff)
-    scale = float(np.linalg.norm(surface.values))
-    if scale == 0.0:
-        raise NumericalError("value surface is identically zero")
-    paths = simulate_paths(market, config.s0, config.L, config.m)
-    node_idx = snap_paths(paths, grid)
-    normalized = surface.values / scale
-
-    classical_state = StateVector(normalized.astype(complex),
-                                  RegisterLayout([("grid", grid.n)]))
-    rho_classical = reduced_rho(classical_state, grid)
-    twin_values = decode_value(
-        value_code_table(rho_classical, config.m)[node_idx], config.m)
-    classical = classical_var_cvar(twin_values, config.q)
-    raw_values = normalized[node_idx]
-    classical_raw = classical_var_cvar(raw_values, config.q)
+    book = _book(config.market, config.payoff, config.grid.n,
+                 config.grid.nodes.tobytes(), config.s0, config.L, config.m,
+                 config.eps1)
+    scale = book.scale
+    classical = classical_var_cvar(book.twin_values, config.q)
+    classical_raw = classical_var_cvar(book.raw_values, config.q)
 
     if config.mode == "classical":
         report = RiskReport(level=config.q, var=classical.var * scale,
@@ -153,22 +264,14 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                               deviations={"raw_var_gap": abs(classical.var - classical_raw.var),
                                           "raw_cvar_gap": abs(classical.cvar - classical_raw.cvar)})
 
-    # Step 1: value-state preparation by singular-value transformation
-    prepared = prepare_value_state(payoff_vector(payoff, grid), market, grid,
-                                   config.eps1)
+    quantum = book.quantum(config.price_codes)
+    prepared, assembled = quantum.prepared, quantum.assembled
+    phi_flagged_base = quantum.flagged_base
+    # the device spends Steps 1-3 on every request, memo or not
     tally.qsvt_degree = prepared.target.degree
     tally.block_encoding_queries = prepared.phases.degree
     tally.state_preparation_repetitions += 1
-    fidelity = float(abs(np.vdot(prepared.state.amplitudes,
-                                 classical_state.amplitudes)))
-
-    # Steps 2 + 3: scenario state and the value lookup
-    assembled = assemble_portfolio_state(paths, prepared.state, grid, config.m,
-                                         node_idx, config.price_codes)
     tally.rho_copies += 1
-    phi = assembled.state
-    layout = RegisterLayout(phi.layout.items() + [(FLAG, 1)])
-    phi_flagged_base = StateVector(phi.amplitudes, layout, phi.index << 1)
 
     sampled = config.mode == "quantum_sampled"
     measure_mode = "sampled" if sampled else "exact"
@@ -188,7 +291,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if sampled:
         tally.amplitude_estimation_queries += queries
 
-    if np.all(assembled.value == 0.0):
+    if quantum.reference is None:
         # every branch value rounds to zero: the tail mean is exactly zero
         # and the value-weighted reference state degenerates
         flagged = comparator_ucc(phi_flagged_base.copy(), var_code)
@@ -196,8 +299,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         breakdown = CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
                                   overlap_raw=0.0, p0=p0)
     else:
-        psi_ref, ref_norm = make_reference_state(
-            layout, assembled.path_support << 1, assembled.value)
+        psi_ref, ref_norm = quantum.reference
         breakdown = cvar(phi_flagged_base.copy(), psi_ref, ref_norm, var_code,
                          config.q, config.L, scale, assembled.lookup,
                          mode=measure_mode, eps=eps_est, rng=rng)
@@ -212,9 +314,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                         cvar_normalized=breakdown.cvar_normalized,
                         var_code=var_code)
     deviations = {
-        "step1_fidelity": fidelity,
-        "step1_l2_distance": float(np.linalg.norm(
-            prepared.state.amplitudes - classical_state.amplitudes)),
+        "step1_fidelity": quantum.fidelity,
+        "step1_l2_distance": quantum.l2_distance,
         "var_code_matches_classical": bool(var_norm == classical.var),
         "var_gap_normalized": abs(var_norm - classical.var),
         "cvar_gap_normalized": abs(breakdown.cvar_normalized - classical.cvar),

@@ -52,7 +52,10 @@ identity, and holding read-only arrays:
 - the phase factors, on the fit (its degree and coefficient bytes);
 - the block encoding, on the bytes of the encoded operator's bands, and
   the realized top-left 2^n block of U_Phi, on those bytes and the fit.
-  No 2^(n+4)-square circuit matrix is ever built.
+  No 2^(n+4)-square circuit matrix is ever built;
+- the stepping matrix's least singular value and its full SVD, each from
+  its own dense SVD, on the same bytes, so a new payoff on a known
+  operator runs no SVD.
 
 Every request still derives its fit tolerance from the payoff, walks the
 degree ladder with the same screen and acceptance tests, checks the
@@ -667,6 +670,31 @@ def _encoding(op_key: tuple) -> BlockEncoding:
     return be
 
 
+def _stepping_matrix(op_key: tuple) -> np.ndarray:
+    """The dense stepping matrix I + M whose transpose has these bands."""
+    n, *bands = op_key
+    return TridiagonalOperator(*(np.frombuffer(b) for b in bands),
+                               n).transpose().to_dense()
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE)
+def _sigma_min(op_key: tuple) -> float:
+    """The least singular value of the stepping matrix, from its own
+    values-only SVD and not from the full SVD of ``_stepping_svd``: the two
+    can differ in the last bits, which would move the fit's norm and with
+    it the fit."""
+    return float(np.linalg.svd(_stepping_matrix(op_key), compute_uv=False).min())
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE)
+def _stepping_svd(op_key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full SVD (w, s, vt) of the stepping matrix, read-only."""
+    factors = np.linalg.svd(_stepping_matrix(op_key))
+    for factor in factors:
+        factor.setflags(write=False)
+    return tuple(factors)
+
+
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
 def _value_block(op_key: tuple, degree: int, coeffs_key: bytes) -> np.ndarray:
     """Read-only top-left 2^n block of U_Phi for the encoded operator and
@@ -702,17 +730,12 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
         raise NumericalError("payoff vector has zero norm")
     t_tilde = params.pricing_steps
 
-    mtilde = assemble_operator(params, grid).plus_identity()
-    dense = mtilde.to_dense()
-    op_key = _operator_key(mtilde.transpose())
+    op_key = _operator_key(assemble_operator(params, grid).plus_identity()
+                           .transpose())
     be = _encoding(op_key)
     gamma = be.gamma
 
-    # sigma_min comes from its own values-only SVD, not from the full SVD
-    # below: the two can differ in the last bits, which would move norm_param
-    # and with it the fit
-    sig = np.linalg.svd(dense, compute_uv=False)
-    sigma_min = float(sig.min())
+    sigma_min = _sigma_min(op_key)
     if sigma_min <= 0:
         raise NumericalError("stepping matrix is singular")
     norm_param = max(1.0 + 1e-12, gamma / sigma_min)
@@ -723,7 +746,7 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
         # allocate most of eps1 to the polynomial fit (the phase residual is
         # held near 1e-8); the fit tolerance is absolute in polynomial units
         scale = _fit_scale(t_tilde, norm_param)
-        w, s, vt = np.linalg.svd(dense)
+        w, s, vt = _stepping_svd(op_key)
         # predicted post-selected vector under the exact scaled target
         f_vals = scale * target_g(s / gamma, t_tilde, norm_param)
         y_pred = (vt.T * f_vals) @ (w.T @ (payoff / norm_payoff))

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from qvar import qsvt
+from qvar import pipeline, qsvt, risk
 from qvar.market import MarketParams, PayoffSpec, build_grid
 
-# the in-process Stage-1 memos, emptied before every test
-STAGE1_CACHES = (qsvt._ladder_fits, qsvt._fit_certificate, qsvt._phase_factors,
-                 qsvt._encoding, qsvt._value_block)
+# every in-process memo, emptied before every test: the books, Stage 1's
+# fits, programs and operator SVDs, and amplitude estimation's max trees
+MEMOS = (pipeline._book, qsvt._ladder_fits, qsvt._fit_certificate,
+         qsvt._phase_factors, qsvt._encoding, qsvt._value_block,
+         qsvt._sigma_min, qsvt._stepping_svd, risk._subblock_maxima,
+         risk._block_maxima)
 
 
 @pytest.fixture(autouse=True)
-def clear_stage1_caches():
-    """No test sees another test's compiled Stage 1, so none depends on order."""
-    for cache in STAGE1_CACHES:
-        cache.cache_clear()
+def clear_memos():
+    """No test sees another test's books, compiled Stage 1 or tables, so a
+    test that counts work a memo hit skips does not depend on order."""
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -14,7 +14,10 @@ densely so that small instances can be compared entry by entry:
   square root (``sqrt_register``) of Lloyd, Mohseni and Rebentrost,
   arXiv 1307.0401;
 * the scalar forms of the scenario map (``logistic_increment``,
-  ``euler_forward``) and of the path snap (``nearest_index``), the sparse-access column map of the block encoding
+  ``euler_forward``) and of the path snap (``nearest_index``), the
+  tridiagonal solve on NumPy scalars (``numpy_thomas_solve``), which
+  ``pde._thomas_solve`` runs over Python floats, the sparse-access column
+  map of the block encoding
   (``column_index``), its top-left block (``encoded_block``) and its
   certificate (``verify_block_encoding``);
 * the full 2^(n+4)-square QSVT circuit U_Phi (``qsvt_circuit``), whose
@@ -45,7 +48,7 @@ from qvar import qsvt
 from qvar.blockenc import BRANCHES, BlockEncoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PriceGrid
-from qvar.pde import TridiagonalOperator
+from qvar.pde import PIVOT_FLOOR, TridiagonalOperator
 from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
 from qvar.qpca import QPE_DT, decode_value, sqrt_code_table
 from qvar.qsvt import PhaseFactorSequence
@@ -307,6 +310,32 @@ def nearest_index(grid: PriceGrid, price: float) -> int:
     price = min(max(price, grid.nodes[0]), grid.nodes[-1])
     # argmin returns the first (lower) index on exact ties
     return int(np.argmin(np.abs(grid.nodes - price)))
+
+
+def numpy_thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
+    """Tridiagonal solve without pivoting on NumPy scalars, rejecting
+    pivots below ``pde.PIVOT_FLOOR``: the operations, their order and the
+    errors of ``pde._thomas_solve``, which runs them over Python floats."""
+    size = diag.size
+    c = np.zeros(size)
+    d = np.zeros(size)
+    pivot = diag[0]
+    if abs(pivot) < PIVOT_FLOOR:
+        raise NumericalError(f"singular system: |pivot| = {abs(pivot):.3e} at row 0")
+    c[0] = sup[0] / pivot
+    d[0] = rhs[0] / pivot
+    for i in range(1, size):
+        pivot = diag[i] - sub[i] * c[i - 1]
+        if abs(pivot) < PIVOT_FLOOR:
+            raise NumericalError(f"singular system: |pivot| = {abs(pivot):.3e} at row {i}")
+        if i < size - 1:
+            c[i] = sup[i] / pivot
+        d[i] = (rhs[i] - sub[i] * d[i - 1]) / pivot
+    x = np.zeros(size)
+    x[-1] = d[-1]
+    for i in range(size - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
 
 
 def euler_forward(j: int, x: float, params: MarketParams, L: int) -> float:

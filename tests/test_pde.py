@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from qvar.errors import NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
-from qvar.pde import (TridiagonalOperator, ValueSurface, assemble_operator,
-                      implicit_step, price_american, price_european)
-from reference import nearest_index
+from qvar.pde import (PIVOT_FLOOR, TridiagonalOperator, ValueSurface,
+                      _thomas_solve, assemble_operator, implicit_step,
+                      price_american, price_european)
+from conftest import random_tridiagonal
+from reference import nearest_index, numpy_thomas_solve
 
 
 def coefficient_oracle(params, grid):
@@ -91,6 +93,35 @@ def test_implicit_step_matches_dense_lu(n, seed, scale, margin):
     out = implicit_step(op, ValueSurface(t=1.0, values=v), 0.5)
     ref = np.linalg.solve(np.eye(size) + op.to_dense(), v)
     assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(1.5, 4.0),
+       singular=st.none() | st.tuples(st.integers(0, 2**7 - 1),
+                                      st.floats(-0.9 * PIVOT_FLOOR,
+                                                0.9 * PIVOT_FLOOR)))
+def test_thomas_solve_equals_the_numpy_scalar_solve_bit_for_bit(
+        n, seed, shift, singular):
+    # the sweeps over Python floats are the NumPy-scalar sweeps' operations
+    # in their order: the same bits, and the same error at the same pivot
+    rng = np.random.default_rng(seed)
+    sub, diag, sup = random_tridiagonal(rng, n, shift)
+    rhs = rng.normal(size=2**n)
+    if singular is not None:
+        row, pivot = singular[0] % 2**n, singular[1]
+        sub[row], diag[row] = 0.0, pivot  # that row's pivot is exactly pivot
+    try:
+        expected = numpy_thomas_solve(sub, diag, sup, rhs)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as raised:
+            _thomas_solve(sub, diag, sup, rhs)
+        assert str(raised.value) == str(exc)
+    else:
+        assert singular is None  # a pivot below the floor always raises
+        out = _thomas_solve(sub, diag, sup, rhs)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_implicit_step_rejects_singular():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as np_cheb
 
-from conftest import STAGE1_CACHES, random_tridiagonal
+from conftest import MEMOS, random_tridiagonal
 from qvar import qsvt
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import ConfigError, NumericalError
@@ -73,8 +73,8 @@ def test_fit_certificate_is_per_rung():
     # request reads its own rung's certificate, cold or warm
     cold = {}
     for eps in (1e-2, 1e-4):
-        for cache in STAGE1_CACHES:
-            cache.cache_clear()
+        for memo in MEMOS:
+            memo.cache_clear()
         poly = approximate_target(2, 2.0, eps)
         cold[eps] = (poly.degree, poly.sup_error)
     assert cold[1e-2][0] < cold[1e-4][0]
@@ -637,7 +637,7 @@ def _dense_post_selection(matrix, payoff):
 
 
 def _misses():
-    return [cache.cache_info().misses for cache in STAGE1_CACHES]
+    return [memo.cache_info().misses for memo in MEMOS]
 
 
 def test_warm_stage1_equals_cold_bit_for_bit():
@@ -648,8 +648,8 @@ def test_warm_stage1_equals_cold_bit_for_bit():
     cases = [(0.95, 1e-3), (1.05, 1e-3), (1.0, 1e-4)]
     cold = {}
     for case in cases:
-        for cache in STAGE1_CACHES:
-            cache.cache_clear()
+        for memo in MEMOS:
+            memo.cache_clear()
         cold[case] = _stage1_bits(_call_state(params, grid, *case))
     assert len({bits[3] for bits in cold.values()}) == 2
     for case in cases:

@@ -6,8 +6,9 @@ commands that never fit a polynomial must leave ``scipy`` unimported; the
 first cold Stage-1 fit loads SciPy's HiGHS extension module and not the
 ``scipy.optimize`` package, and a later ``import scipy.optimize`` finds
 that same extension module.  Only a sampled run imports ``numpy.random``.  Importing qvar and budget-checking a config
-must also leave the amplitude-estimation maxima and the fit memos empty,
-so that start-up does none of a request's work.
+must also leave the amplitude-estimation maxima, the Stage-1 memos (fits,
+programs and operator SVDs) and the book memo empty, so that start-up does
+none of a request's work.
 Each check runs in a fresh interpreter, because the test process itself
 has loaded SciPy and filled the tables.
 """
@@ -121,13 +122,19 @@ def test_scipy_optimize_imported_after_a_cold_fit_shares_the_extension(tmp_path)
 # prints the size of every process-wide table after import and budget check
 CACHES_AFTER_BUDGET = """
 import json, sys
-from qvar import load_run_config, qsvt, risk
+from qvar import load_run_config, pipeline, qsvt, risk
 with open(sys.argv[1]) as fh:
     load_run_config(json.load(fh)).check_budget()
 caches = {"risk._subblock_maxima": risk._subblock_maxima,
           "risk._block_maxima": risk._block_maxima,
           "qsvt._ladder_fits": qsvt._ladder_fits,
-          "qsvt._fit_certificate": qsvt._fit_certificate}
+          "qsvt._fit_certificate": qsvt._fit_certificate,
+          "qsvt._phase_factors": qsvt._phase_factors,
+          "qsvt._encoding": qsvt._encoding,
+          "qsvt._value_block": qsvt._value_block,
+          "qsvt._sigma_min": qsvt._sigma_min,
+          "qsvt._stepping_svd": qsvt._stepping_svd,
+          "pipeline._book": pipeline._book}
 print(json.dumps({name: cache.cache_info().currsize
                   for name, cache in caches.items()}))
 """
@@ -143,5 +150,5 @@ def test_import_and_budget_check_build_no_tables(tmp_path):
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert len(sizes) == 4
+    assert len(sizes) == 10
     assert all(size == 0 for size in sizes.values()), sizes
