@@ -21,8 +21,8 @@ from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
 from .pde import assemble_operator, price_american, price_european
 from .pipeline import emit_report, load_run_config, run_pipeline
-from .qpca import (assemble_portfolio_state, check_kernel_budget,
-                   scenario_layout, snap_paths, trotter_values)
+from .qpca import (assemble_portfolio_state, scenario_layout, snap_paths,
+                   trotter_values)
 from .qsvt import prepare_value_state, svd_transform_oracle
 
 
@@ -108,11 +108,8 @@ def cmd_verify_qsvt(args) -> int:
 def cmd_assemble(args) -> int:
     cfg = load_run_config(_overridden_config(args))
     paths = simulate_paths(cfg.market, cfg.s0, cfg.L, cfg.m)
-    # the scenario registers, and in trotter mode the QPE kernels, must fit
-    # the budget before Stage 1 is paid for
+    # the scenario registers must fit the budget before Stage 1 is paid for
     scenario_layout(paths, cfg.price_codes, cfg.m)
-    if args.mode == "trotter":
-        check_kernel_budget(cfg.m)
     prepared = prepare_value_state(payoff_vector(cfg.payoff, cfg.grid),
                                    cfg.market, cfg.grid, cfg.eps1)
     node_index = snap_paths(paths, cfg.grid)
@@ -123,7 +120,8 @@ def cmd_assemble(args) -> int:
         try:
             value = trotter_values(prepared.state, cfg.grid, cfg.m, node_index)
         except MemoryError as exc:
-            # kernels within the qubit budget that the machine cannot hold
+            # 2^m-long kernel vectors within the qubit budget that the
+            # machine cannot hold
             raise QubitBudgetError(f"QPE kernels at m = {cfg.m}: {exc}") from exc
     _write_csv("k,price,value,error_vs_oracle",
                zip(range(paths.L), cfg.grid.nodes[node_index], value,

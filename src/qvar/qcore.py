@@ -19,7 +19,8 @@ the stored amplitudes only, so no table over a source register is built.
 The module has no gates or QFTs: no production stage mixes amplitudes
 across basis states on a ``StateVector`` (Stage 1 applies the 2^n-square
 post-selected block of its circuit as a dense matrix in ``qsvt``, and
-Step 3's phase estimation is evaluated in closed form in ``qpca``).
+Step 3's phase estimation is evaluated in closed form in ``qpca``, its
+inverse QFT one FFT over the phase register's 2^m outcomes per branch).
 
 The qubit cap (``QVAR_QUBIT_CAP``, default 24, at most 63 because basis
 indices are int64) bounds the width of the simulated device, whatever the

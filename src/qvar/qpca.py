@@ -41,7 +41,10 @@ matrix exponential and reproduces the textbook QPE kernel.
 ``qpe_trotter_distributions`` composes swap-interaction slices with fresh
 copies of rho, which is a channel, so trotterized phase estimation is
 reported as per-branch outcome distributions; each controlled e^{i rho dt}
-is ``n_trotter`` slices of length dt / n_trotter.  ``trotter_values``
+is ``n_trotter`` slices of length dt / n_trotter.  Both kernels are one
+FFT per branch over a 2^m-long vector, the phase load or the summed
+coherences of the phase register, so neither holds a 2^m-square array and
+the m-qubit value register is all the qubit budget counts.  ``trotter_values``
 certifies the slice count: it doubles it from 16 until every branch lies
 within total-variation distance TROTTER_DISTANCE_TOL of the exact kernel,
 and raises ``NumericalError`` past TROTTER_SLICE_CAP slices.
@@ -54,8 +57,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, QubitBudgetError
-from .market import PriceGrid, price_code, qubit_cap
+from .errors import ConfigError, NumericalError
+from .market import PriceGrid, price_code
 from .mc import PathSet
 from .qcore import RegisterLayout, StateVector, xor_write
 
@@ -153,25 +156,18 @@ def reduced_rho(value_state: StateVector, grid: PriceGrid) -> np.ndarray:
     return p
 
 
-def _qft(m: int) -> np.ndarray:
-    """The QFT on the 2^m-outcome phase register, as a matrix."""
-    ls = np.arange(2**m)
-    return np.exp(2j * np.pi * np.outer(ls, ls) / 2**m) / np.sqrt(2**m)
-
-
 def qpe_exact_distributions(branch_nodes, rho: np.ndarray,
                             m: int) -> dict[int, np.ndarray]:
     """Phase-register outcome distribution per branch grid node under
     exact-exponential QPE, the textbook kernel, for rho given as its
-    spectrum p per grid node (``reduced_rho``)."""
+    spectrum p per grid node (``reduced_rho``): the inverse QFT of the
+    phase load e^{i p_b dt l} / sqrt(2^m), as one FFT."""
     n = 2**m
     ls = np.arange(n)
-    inverse = _qft(m).conj()
     out: dict[int, np.ndarray] = {}
     for b in np.unique(np.asarray(branch_nodes, dtype=np.int64)):
-        kernel = np.exp(1j * rho[b] * QPE_DT * ls) / np.sqrt(n)
-        amp = inverse @ kernel  # inverse QFT of the phase load
-        out[int(b)] = np.abs(amp) ** 2
+        load = np.exp(1j * rho[b] * QPE_DT * ls) / np.sqrt(n)
+        out[int(b)] = np.abs(np.fft.fft(load) / np.sqrt(n)) ** 2
     return out
 
 
@@ -183,32 +179,39 @@ def qpe_trotter_distributions(branch_nodes, rho: np.ndarray, m: int,
 
     Works in the diagonal operator basis, where the swap-interaction
     channel acts in closed form.  Between phase-register branches l <= l',
-    the l * n_trotter shared slices act two-sided and mix the branch
-    projector toward rho at rate cos^2 per slice; the (l' - l) * n_trotter
-    excess slices act one-sided and multiply node b's coefficient by
-    (cos + i sin p_b) per slice.
+    the k n_trotter shared slices, k = l, act two-sided and mix the branch
+    projector toward rho at rate cos^2 per slice; the j n_trotter excess
+    slices, j = l' - l, act one-sided and multiply node b's coefficient by
+    (cos + i sin p_b) per slice.  The coherence of the pair (l, l') is
+
+        (c2l[k] pow_b[j] + (1 - c2l[k]) phi[j]) / 2^m,
+
+    with c2l[k] = cos^(2 k n_trotter), pow_b[j] = (cos + i sin p_b)^(j
+    n_trotter) and phi[j] = sum_b p_b pow_b[j].  The inverse QFT's
+    diagonal sums each diagonal j of that Hermitian matrix against
+    e^{-2 pi i j y / 2^m}, so with S_j the sum over the 2^m - j pairs of
+    diagonal j, the outcome distribution is (2 Re FFT(S)_y - S_0) / 2^m.
     """
     n = 2**m
-    ls = np.arange(n)
-    fourier = _qft(m)
-    slices = ls * n_trotter  # slice count of each controlled power
+    slices = np.arange(n) * n_trotter  # slice count of each controlled power
     c, s = np.cos(QPE_DT / n_trotter), np.sin(QPE_DT / n_trotter)
-    one_sided = c + 1j * s * rho  # per-node factor for a left-only slice
-    pow_one = one_sided[None, :] ** slices[:, None]  # [j, node]
-    phi = pow_one @ rho  # sum_b p_b (c + i s p_b)^(j n_trotter)
-    c2l = (c * c) ** slices
-    # pairs l <= l' of phase-register branches: k = l shared slices
-    # (two-sided), j = l' - l excess slices (one-sided)
-    l, lp = np.triu_indices(n)
-    k, j = l, lp - l
+    # per-node factor of a left-only slice, as log-magnitude and angle
+    log_one_sided = np.log(c + 1j * s * rho)
+
+    def powers(b):  # pow_b[j] for every j
+        return np.exp(slices * log_one_sided[b])
+
+    phi = np.zeros(n, dtype=complex)
+    for b in np.flatnonzero(rho):
+        phi += rho[b] * powers(b)
+    # over the 2^m - j pairs of diagonal j: C_j = sum_{k < 2^m - j} c2l[k]
+    # weighs pow_b[j], and the rest weighs phi[j]
+    shared = np.cumsum((c * c) ** slices)[::-1]
+    mixed = n - np.arange(n) - shared
     out: dict[int, np.ndarray] = {}
     for b in np.unique(np.asarray(branch_nodes, dtype=np.int64)):
-        val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
-        mat = np.empty((n, n), dtype=complex)
-        mat[lp, l] = val
-        mat[l, lp] = np.conj(val)  # on the diagonal the conjugate is kept
-        red = fourier.conj().T @ mat @ fourier
-        out[int(b)] = np.abs(np.diag(red).real)
+        sums = (powers(b) * shared + phi * mixed) / n
+        out[int(b)] = np.abs(2.0 * np.fft.fft(sums).real - sums[0].real) / n
     return out
 
 
@@ -278,17 +281,6 @@ def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
         oracle=(v / np.linalg.norm(v))[node_index])
 
 
-def check_kernel_budget(m: int) -> None:
-    """The QPE kernels are dense 2^m-square matrices over the phase
-    register: count each as 2m qubits against the budget, before any is
-    allocated."""
-    cap = qubit_cap()
-    if 2 * m > cap:
-        raise QubitBudgetError(
-            f"QPE kernel over the {m}-qubit phase register is 2^{m}-square, "
-            f"{2 * m} qubits; budget is {cap}")
-
-
 def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
                    node_index: np.ndarray) -> np.ndarray:
     """Per-branch values read from the modal codes of trotterized QPE
@@ -297,8 +289,7 @@ def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
     The exact kernel is evaluated once; the slice count doubles from 16
     until every branch's outcome distribution lies within total-variation
     distance TROTTER_DISTANCE_TOL of it, and ``NumericalError`` names the
-    distance reached past TROTTER_SLICE_CAP slices.  The caller checks
-    that the kernels fit the qubit budget (``check_kernel_budget``).
+    distance reached past TROTTER_SLICE_CAP slices.
     """
     rho = reduced_rho(value_state, grid)
     exact = qpe_exact_distributions(node_index, rho, m)

@@ -10,8 +10,10 @@ densely so that small instances can be compared entry by entry:
 * a dense gate and QFT toolkit on ``qcore.StateVector`` (dense form only);
 * ``DensityMatrix`` and the swap-interaction channel of density-matrix
   exponentiation (``trotter_slice``, ``evolve_exp_rho``);
-* coherent phase estimation (``qpe_write_eigenvalues``) and the reversible
-  square root (``sqrt_register``) of Lloyd, Mohseni and Rebentrost,
+* coherent phase estimation (``qpe_write_eigenvalues``), the two QPE
+  kernels with the inverse QFT as a dense matrix
+  (``dense_qpe_exact_distributions``, ``dense_qpe_trotter_distributions``)
+  and the reversible square root (``sqrt_register``) of Lloyd, Mohseni and Rebentrost,
   arXiv 1307.0401;
 * the scalar forms of the scenario map (``logistic_increment``,
   ``euler_forward``) and of the path snap (``nearest_index``), the
@@ -277,6 +279,47 @@ def qpe_modal_estimates(state: StateVector, price: str = "price",
         hist = np.bincount(phase_vals[mask], weights=probs[mask], minlength=2**m)
         estimates[int(code)] = float(decode_value(int(np.argmax(hist)), m))
     return estimates
+
+
+def dense_qpe_exact_distributions(branch_nodes, rho: np.ndarray,
+                                  m: int) -> dict[int, np.ndarray]:
+    """``qpca.qpe_exact_distributions`` with the inverse QFT applied to the
+    phase load as a dense 2^m-square matrix."""
+    n = 2**m
+    inverse = qft_matrix(m).conj()
+    ls = np.arange(n)
+    out = {}
+    for b in np.unique(np.asarray(branch_nodes, dtype=np.int64)):
+        load = np.exp(1j * rho[b] * QPE_DT * ls) / np.sqrt(n)
+        out[int(b)] = np.abs(inverse @ load) ** 2
+    return out
+
+
+def dense_qpe_trotter_distributions(branch_nodes, rho: np.ndarray, m: int,
+                                   n_trotter: int) -> dict[int, np.ndarray]:
+    """``qpca.qpe_trotter_distributions`` with each branch's phase-register
+    coherences filled into a dense 2^m-square matrix, entry (l', l) for
+    l' >= l carrying k = l shared and j = l' - l excess slices, and the
+    diagonal of its inverse QFT read through two full matrix products."""
+    n = 2**m
+    ls = np.arange(n)
+    fourier = qft_matrix(m)
+    slices = ls * n_trotter
+    c, s = np.cos(QPE_DT / n_trotter), np.sin(QPE_DT / n_trotter)
+    pow_one = (c + 1j * s * rho)[None, :] ** slices[:, None]  # [j, node]
+    phi = pow_one @ rho
+    c2l = (c * c) ** slices
+    l, lp = np.triu_indices(n)
+    k, j = l, lp - l
+    out = {}
+    for b in np.unique(np.asarray(branch_nodes, dtype=np.int64)):
+        val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
+        mat = np.empty((n, n), dtype=complex)
+        mat[lp, l] = val
+        mat[l, lp] = np.conj(val)
+        red = fourier.conj().T @ mat @ fourier
+        out[int(b)] = np.abs(np.diag(red).real)
+    return out
 
 
 def sqrt_register(state: StateVector, source: str, target: str) -> StateVector:

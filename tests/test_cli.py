@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,8 @@ BASE_CONFIG = {
     "s_max": 4.0, "n": 4, "spacing": "uniform",
     "s0": 1.0, "L": 8, "m": 6, "q": 0.25, "mode": "quantum_exact", "seed": 11,
 }
+# the README's example config
+README_CONFIG = {**BASE_CONFIG, "q": 0.05}
 
 
 @pytest.fixture
@@ -348,24 +351,6 @@ def test_assemble_budget_checked_before_stage1(config_path, capsys, monkeypatch,
     assert stage1 == []
 
 
-def test_assemble_trotter_kernel_budget_exit_code(tmp_path, capsys,
-                                                 monkeypatch):
-    # 1 path + 21 price + 24 value qubits fit a cap of 47, the 2^24-square
-    # QPE kernels (48 qubits) do not: exit 4 before Stage 1 or any kernel
-    monkeypatch.setenv("QVAR_QUBIT_CAP", "47")
-    path = tmp_path / "narrow.json"
-    path.write_text(json.dumps({**BASE_CONFIG, "s_max": 1 / 16, "s0": 1 / 32,
-                                "strike": 1 / 32, "L": 2, "m": 24}))
-    stage1 = count_calls(monkeypatch, qsvt.prepare_value_state)
-    kernels = count_calls(monkeypatch, qpca._qft)
-    assert run_cli(["assemble", "--mode", "trotter", "--config", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err == ("qvar: error: QPE kernel over the 24-qubit phase register "
-                   "is 2^24-square, 48 qubits; budget is 47\n")
-    assert stage1 == [] and kernels == []
-    assert run_cli(["assemble", "--mode", "exact", "--config", str(path)]) == 0
-
-
 # runs the CLI with the address space capped, so that a kernel allocation
 # the budget lets through is refused at once whatever the host's overcommit
 CAPPED_CLI = """
@@ -378,23 +363,45 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
-    # m = 20: 46 scenario qubits and a 40-qubit kernel fit a cap of 47, but
-    # the kernel's 2^20-square int64 phase table is 8 TiB; its allocation
-    # used to end in a traceback and exit 1
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps({**BASE_CONFIG, "m": 20}))
+    # m = 32: 1 path + 29 price + 32 value qubits fit a cap of 63, but a
+    # 2^32-long kernel vector does not fit 4 GiB of address space; exit 4
+    # with NumPy's message, not a traceback
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "s_max": 1 / 16, "s0": 1 / 32,
+                                "strike": 1 / 32, "L": 2, "m": 32}))
     src = str(Path(qpca.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "QVAR_QUBIT_CAP": "47",
+    env = {**os.environ, "PYTHONPATH": src, "QVAR_QUBIT_CAP": "63",
            "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", CAPPED_CLI, "assemble", "--mode", "trotter",
          "--config", str(path)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 4, proc.stderr
-    assert proc.stderr.startswith("qvar: error: QPE kernels at m = 20: "
-                                  "Unable to allocate 8.00 TiB")
+    assert proc.stderr.startswith("qvar: error: QPE kernels at m = 32: "
+                                  "Unable to allocate")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# sha256 of `assemble --mode trotter` on the README config at m = 6, 8 and
+# 10 (the last under QVAR_QUBIT_CAP=30: 3 path + 13 price + 10 value
+# qubits), recorded from the dense-matrix kernels the FFT forms replaced
+TROTTER_CSV_SHA256 = {
+    6: "62461c8a92cd604cc52775cad01c2712ee4ca624c30420cf407fd44e948e2fef",
+    8: "a34231d50268af8a3684cc0686a3c2b2aa823aa9169d9550afad1660013c4809",
+    10: "9ce0a694349dbf05400f2500bb4081d52aeffad498a42243345767d2d30cc606",
+}
+
+
+@pytest.mark.parametrize("m", sorted(TROTTER_CSV_SHA256))
+def test_assemble_trotter_csv_bytes_pinned(tmp_path, monkeypatch, m):
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "30")
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps({**README_CONFIG, "m": m}))
+    out = tmp_path / "branches.csv"
+    assert run_cli(["assemble", "--mode", "trotter", "--config", str(path),
+                    "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TROTTER_CSV_SHA256[m]
 
 
 def test_numerical_error_exit_code(tmp_path):

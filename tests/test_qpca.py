@@ -12,7 +12,9 @@ from qvar.qpca import (TROTTER_DISTANCE_TOL, assemble_portfolio_state,
                        prepare_path_state, price_register_width,
                        qpe_exact_distributions, qpe_trotter_distributions,
                        reduced_rho, snap_paths, sqrt_code_table, trotter_values)
-from reference import (DensityMatrix, basis_state, evolve_exp_rho,
+from reference import (DensityMatrix, basis_state,
+                       dense_qpe_exact_distributions,
+                       dense_qpe_trotter_distributions, evolve_exp_rho,
                        grover_rudolph_prepare, nearest_index, perturb_state,
                        qpe_modal_estimates, qpe_write_eigenvalues, qft_matrix,
                        sqrt_register, trotter_slice)
@@ -387,42 +389,31 @@ def test_trotter_closed_form_matches_dense_slice_composition(rng, n_trotter):
         assert np.abs(closed[b] - dense).max() <= 1e-12
 
 
-def looped_trotter_branch_distributions(branch_codes, rho, m, n_trotter):
-    """The trotterized kernel with each coherence matrix filled entry by
-    entry, as the reference for the index-array fill."""
-    n, dt = 2**m, qpca.QPE_DT
-    ls = np.arange(n)
-    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), ls) / n) / np.sqrt(n)
-    slices = ls * n_trotter
-    c, s = np.cos(dt / n_trotter), np.sin(dt / n_trotter)
-    pow_one = (c + 1j * s * rho)[None, :] ** slices[:, None]
-    phi = pow_one @ rho
-    c2l = (c * c) ** slices
-    out = {}
-    for b in np.unique(np.asarray(branch_codes, dtype=np.int64)):
-        mat = np.empty((n, n), dtype=complex)
-        for l in range(n):
-            for lp in range(l, n):
-                k, j = l, lp - l
-                val = (c2l[k] * pow_one[j, b] + (1.0 - c2l[k]) * phi[j]) / n
-                mat[lp, l] = val
-                mat[l, lp] = np.conj(val)
-        red = fourier.conj().T @ mat @ fourier
-        out[int(b)] = np.abs(np.diag(red).real)
-    return out
+@st.composite
+def spectra_and_branches(draw):
+    """A random spectrum over 1 to 16 grid nodes, zero on some of them, a
+    few branch nodes among them and a phase register of 2 to 9 qubits."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=1, max_size=16))
+    assume(sum(weights) > 0.0)
+    rho = np.asarray(weights) / sum(weights)
+    branches = draw(st.lists(st.integers(0, rho.size - 1), min_size=1,
+                             max_size=3))
+    return rho, np.asarray(branches), draw(st.integers(2, 9))
 
 
-@pytest.mark.parametrize("m", [2, 4, 6])
-@pytest.mark.parametrize("n_trotter", [1, 16, 256])
-def test_trotter_kernel_equals_looped_fill_bit_for_bit(rng, m, n_trotter):
-    rho = rng.uniform(0.0, 1.0, size=2**m)
-    rho /= rho.sum()
-    codes = np.arange(2**m)
-    got = qpe_trotter_distributions(codes, rho, m, n_trotter)
-    want = looped_trotter_branch_distributions(codes, rho, m, n_trotter)
-    assert got.keys() == want.keys()
-    for b in want:
-        assert got[b].tobytes() == want[b].tobytes()
+@settings(max_examples=60, deadline=None)
+@given(case=spectra_and_branches(), n_trotter=st.sampled_from([1, 16, 256]))
+def test_qpe_kernels_match_the_dense_oracles(case, n_trotter):
+    rho, branches, m = case
+    pairs = [(qpe_exact_distributions(branches, rho, m),
+              dense_qpe_exact_distributions(branches, rho, m)),
+             (qpe_trotter_distributions(branches, rho, m, n_trotter),
+              dense_qpe_trotter_distributions(branches, rho, m, n_trotter))]
+    for got, want in pairs:
+        assert got.keys() == want.keys() == set(branches.tolist())
+        for b in want:
+            assert np.abs(got[b] - want[b]).max() <= 1e-13
 
 
 @st.composite

@@ -5,7 +5,9 @@ Importing qvar, budget-checking a config, a classical run and the CLI
 commands that never fit a polynomial must leave ``scipy`` unimported; the
 first cold Stage-1 fit loads SciPy's HiGHS extension module and not the
 ``scipy.optimize`` package, and a later ``import scipy.optimize`` finds
-that same extension module.  Only a sampled run imports ``numpy.random``.  Importing qvar and budget-checking a config
+that same extension module.  Only a sampled run imports ``numpy.random``,
+and only ``assemble --mode trotter``, whose QPE kernels are FFTs, imports
+``numpy.fft``.  Importing qvar and budget-checking a config
 must also leave the amplitude-estimation maxima, the Stage-1 memos (fits,
 programs and operator SVDs) and the book memo empty, so that start-up does
 none of a request's work.
@@ -30,14 +32,15 @@ README_CONFIG = {
     "mode": "quantum_exact", "seed": 11,
 }
 
-# prints one JSON line per step: the step and the scipy modules and
-# numpy.random, if loaded, after it
+# prints one JSON line per step: the step and the scipy modules,
+# numpy.random and numpy.fft, if loaded, after it
 STEPS = """
 import json, sys
 
 def loaded(step):
     mods = sorted(m for m in sys.modules
-                  if m in ("scipy", "numpy.random") or m.startswith("scipy."))
+                  if m in ("scipy", "numpy.random", "numpy.fft")
+                  or m.startswith("scipy."))
     print(json.dumps([step, mods]), flush=True)
 
 import qvar
@@ -60,6 +63,9 @@ run_pipeline(load_run_config(doc))
 loaded("quantum_exact run_pipeline")
 run_pipeline(load_run_config({**doc, "mode": "quantum_sampled"}))
 loaded("quantum_sampled run_pipeline")
+assert cli.main(["assemble", "--mode", "trotter", "--config", path,
+                 "--output", out]) == 0
+loaded("assemble --mode trotter")
 """
 
 
@@ -77,16 +83,18 @@ def test_scipy_loaded_only_by_a_cold_stage1_fit(tmp_path):
         "import qvar", "check_budget", "classical run_pipeline", "price",
         "simulate", "verify-be", "run --mode classical", "var --mode classical",
         "cvar --mode classical", "nogo", "quantum_exact run_pipeline",
-        "quantum_sampled run_pipeline"]
-    for step, mods in steps[:-2]:
+        "quantum_sampled run_pipeline", "assemble --mode trotter"]
+    for step, mods in steps[:-3]:
         assert mods == [], step
-    exact, sampled = steps[-2][1], steps[-1][1]
+    exact, sampled, trotter = (mods for _, mods in steps[-3:])
     assert "scipy.optimize._highspy._core" in exact
     assert "scipy.optimize" not in exact
     assert "scipy.optimize._highspy" not in exact
     # exact mode never draws, so only the sampled run imports numpy.random
     assert "numpy.random" not in exact
     assert sorted(set(sampled) - set(exact)) == ["numpy.random"]
+    # no run loads numpy.fft; the trotter kernels do
+    assert sorted(set(trotter) - set(sampled)) == ["numpy.fft"]
 
 
 # a cold sampled fit, then the package import that tests/reference.py makes
