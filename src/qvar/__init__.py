@@ -11,7 +11,7 @@ from .pde import (TridiagonalOperator, ValueSurface, assemble_operator,
                   implicit_step, price_american, price_european)
 from .pipeline import (PipelineResult, ResourceTally, RunConfig, emit_report,
                        load_run_config, run_pipeline)
-from .qcore import RegisterLayout, StateVector, exact_distribution
+from .qcore import RegisterLayout, StateVector
 from .qpca import assemble_portfolio_state, reduced_rho
 from .qsvt import (BlockEncoding, PhaseFactorSequence, PolynomialTarget,
                    apply_qsvt, approximate_target, prepare_value_state,

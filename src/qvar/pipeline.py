@@ -14,8 +14,8 @@ grid's node bytes, as a ``PriceGrid`` hashes by identity:
 - the quantum half, built on the book's first quantum request, so a
   classical request never builds it: the prepared value state with its
   step-1 fidelity and l2 distance, the assembled scenario state, the
-  flagged base state that every Step-4 probe copies and the value-weighted
-  reference state.
+  flagged base state that every Step-4 probe copies and reads its tail
+  mass from, and the value-weighted reference state.
 
 Every array a book holds is read-only.  A step that raises caches nothing,
 so a failing book raises the same error on every request.  Each request
@@ -46,7 +46,7 @@ from .qpca import (AssembleResult, assemble_portfolio_state, decode_value,
                    value_code_table, reduced_rho)
 from .qsvt import PROGRAM_CACHE, PreparedValueState, prepare_value_state
 from .risk import (FLAG, ClassicalRisk, CvarBreakdown, RiskReport,
-                   bisection_var, classical_var_cvar, comparator_ucc, cvar,
+                   bisection_var, classical_var_cvar, cvar,
                    make_reference_state, tail_probability)
 
 
@@ -154,8 +154,8 @@ def _read_only(*arrays) -> None:
 class QuantumBook:
     """Steps 1-3 of a book: the prepared value state and its step-1
     certificates, the assembled scenario state, the flagged base state that
-    every Step-4 probe copies, and the value-weighted reference state
-    (None when every branch value rounds to zero)."""
+    every Step-4 probe copies and reads, and the value-weighted reference
+    state (None when every branch value rounds to zero)."""
 
     prepared: PreparedValueState
     fidelity: float
@@ -266,7 +266,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     quantum = book.quantum(config.price_codes)
     prepared, assembled = quantum.prepared, quantum.assembled
-    phi_flagged_base = quantum.flagged_base
     # the device spends Steps 1-3 on every request, memo or not
     tally.qsvt_degree = prepared.target.degree
     tally.block_encoding_queries = prepared.phases.degree
@@ -283,7 +282,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     # Step 4: bisection VaR and the CVaR overlap
     def preparer() -> StateVector:
         tally.state_preparation_repetitions += 1
-        return phi_flagged_base.copy()
+        return quantum.flagged_base.copy()
 
     var_code, iterations, queries = bisection_var(
         preparer, config.q, config.m, mode=measure_mode, eps=eps_est, rng=rng)
@@ -294,14 +293,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if quantum.reference is None:
         # every branch value rounds to zero: the tail mean is exactly zero
         # and the value-weighted reference state degenerates
-        flagged = comparator_ucc(phi_flagged_base.copy(), var_code)
-        p0, _ = tail_probability(flagged)
+        p0, _ = tail_probability(quantum.flagged_base, var_code)
         breakdown = CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
                                   overlap_raw=0.0, p0=p0)
     else:
         psi_ref, ref_norm = quantum.reference
-        breakdown = cvar(phi_flagged_base.copy(), psi_ref, ref_norm, var_code,
-                         config.q, config.L, scale, assembled.lookup,
+        breakdown = cvar(quantum.flagged_base.copy(), psi_ref, ref_norm,
+                         var_code, config.q, config.L, scale, assembled.lookup,
                          mode=measure_mode, eps=eps_est, rng=rng)
         if sampled:
             tally.amplitude_estimation_queries += breakdown.queries

@@ -9,9 +9,8 @@ A ``StateVector`` takes one of two forms.  The dense form stores all 2^q
 amplitudes in basis order.  The sparse form also carries ``index``, the
 strictly increasing basis indices of the stored amplitudes; every other
 basis state has amplitude zero.  A dense state behaves as if its index were
-``arange(2^q)``, so the permutations and diagonal readouts
-(``xor_write``, ``flag_write``, ``exact_distribution``,
-``StateVector.copy``) run one code path on (basis index, amplitude) pairs
+``arange(2^q)``, so the permutations (``xor_write``, ``flag_write``) and
+``StateVector.copy`` run one code path on (basis index, amplitude) pairs
 and keep the form they are given.  They cost O(stored amplitudes), which
 for the scenario stages is O(L), not O(2^q): the writes take their lookup
 or predicate as a function of the source register's values and call it on
@@ -27,11 +26,8 @@ indices are int64) bounds the width of the simulated device, whatever the
 form; it is not a memory limit.  A sparse state on a wide layout holds
 only its stored amplitudes.
 
-Readout is exact: ``exact_distribution`` returns the squared marginal
-amplitudes of a register, so algorithmic error is never confounded with
-shot noise.  The sampled mode of the risk stage
-(``risk.estimate_amplitude``) draws its amplitude-estimation shots from
-such an exact flag probability.
+Readout lives with the stage that reads it: ``risk.tail_probability`` sums
+squared amplitudes exactly, and sampled mode draws its shots from that sum.
 """
 
 from __future__ import annotations
@@ -142,16 +138,11 @@ class StateVector:
         return self.index
 
     def copy(self) -> "StateVector":
-        index = None if self.index is None else self.index.copy()
-        return StateVector(self.amplitudes.copy(), self.layout, index)
-
-
-def exact_distribution(state: StateVector, register: str) -> np.ndarray:
-    """Squared marginal amplitudes of one register (exact readout mode)."""
-    width = state.layout.width_of(register)
-    values = state.layout.values(register, state.index)
-    probs = np.abs(state.amplitudes) ** 2
-    return np.bincount(values, weights=probs, minlength=2**width)
+        """A bit copy; its source passed ``__post_init__``'s checks."""
+        new = object.__new__(StateVector)
+        new.amplitudes, new.layout = self.amplitudes.copy(), self.layout
+        new.index = None if self.index is None else self.index.copy()
+        return new
 
 
 def _permuted(state: StateVector, moved: np.ndarray) -> StateVector:
@@ -179,7 +170,8 @@ def xor_write(state: StateVector, source: str, target: str, lookup) -> StateVect
     """
     layout = state.layout
     codes = np.asarray(lookup(layout.values(source, state.index)), dtype=np.int64)
-    if np.any(codes < 0) or np.any(codes >= 2**layout.width_of(target)):
+    # a code outside [0, 2^width), negative too, has a bit above the width
+    if (codes >> layout.width_of(target)).any():
         raise NumericalError("lookup value exceeds the target register range")
     shift = layout.shift_of(target)
     return _permuted(state, state.support ^ (codes << shift))
@@ -187,11 +179,14 @@ def xor_write(state: StateVector, source: str, target: str, lookup) -> StateVect
 
 def flag_write(state: StateVector, source: str, flag: str, predicate) -> StateVector:
     """Flip the 1-qubit flag register on basis states where predicate(source
-    value) holds; the flag must be zeroed beforehand by convention."""
+    value) is 1; the flag must be zeroed beforehand by convention.  Any
+    other predicate value raises, as ``xor_write``'s range check does."""
     layout = state.layout
     if layout.width_of(flag) != 1:
         raise ConfigError(f"flag register {flag!r} must be one qubit")
     src_vals = layout.values(source, state.index)
     bits = np.asarray(predicate(src_vals), dtype=np.int64)
+    if (bits >> 1).any():
+        raise NumericalError("predicate value is not a bit")
     shift = layout.shift_of(flag)
     return _permuted(state, state.support ^ (bits << shift))

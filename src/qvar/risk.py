@@ -1,5 +1,7 @@
 """Tail-risk stage: comparator, bisection VaR, tail probability, swap-test
 overlap and the CVaR reconstruction, plus the classical quantile oracle.
+Step 4 flags once per request: each bisection probe reads the comparator's
+flag-0 mass from the unflagged state (``tail_probability``).
 
 All quantum-path quantities operate on the m-bit half-scale value codes,
 so the quantum-exact VaR code coincides with the classical empirical
@@ -37,7 +39,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .qcore import StateVector, exact_distribution, flag_write, xor_write
+from .qcore import StateVector, flag_write, xor_write
 
 CDF_TOL = 1e-9
 # the scenario state's value register and the comparator's tail flag
@@ -93,13 +95,17 @@ class RiskReport:
         }
 
 
-def comparator_ucc(state: StateVector, threshold_code: int) -> StateVector:
-    """Write the tail flag: 0 where the value code is <= the threshold code,
-    1 otherwise (the flag qubit starts zeroed)."""
+def _check_threshold(state: StateVector, threshold_code: int) -> None:
     width = state.layout.width_of(VALUE_REG)
     if not 0 <= threshold_code < 2**width:
         raise ConfigError(f"threshold code {threshold_code} not representable "
                           f"in {width} bits")
+
+
+def comparator_ucc(state: StateVector, threshold_code: int) -> StateVector:
+    """Write the tail flag: 0 where the value code is <= the threshold code,
+    1 otherwise (the flag qubit starts zeroed)."""
+    _check_threshold(state, threshold_code)
     return flag_write(state, VALUE_REG, FLAG,
                       lambda codes: (codes > threshold_code).astype(np.int64))
 
@@ -274,14 +280,21 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
                              shots=shots * len(powers))
 
 
-def tail_probability(state: StateVector, mode: str = "exact",
-                     eps: float = 0.01, rng=None) -> tuple[float, int]:
-    """Probability of flag = 0 (the tail mass); returns (p0, query count).
-
-    Exact mode reads squared amplitudes (one query); sampled mode runs the
-    amplitude-estimation simulation at additive error eps.
-    """
-    p0 = float(exact_distribution(state, FLAG)[0])
+def tail_probability(state: StateVector, threshold_code: int,
+                     mode: str = "exact", eps: float = 0.01,
+                     rng=None) -> tuple[float, int]:
+    """Probability of flag = 0 (the tail mass) that ``comparator_ucc`` at
+    ``threshold_code`` would give, without writing the flag; returns (p0,
+    query count).  The comparator is a basis permutation, so p0 sums the
+    squared amplitudes at value codes <= the threshold in stored order,
+    which it keeps when the flag is the least significant qubit, as in the
+    pipeline: there p0 has the bits of its flag readout.  Exact mode reads
+    squared amplitudes (one query); sampled mode runs amplitude estimation
+    at additive error eps."""
+    _check_threshold(state, threshold_code)
+    above = state.layout.values(VALUE_REG, state.index) > threshold_code
+    probs = np.abs(state.amplitudes) ** 2
+    p0 = float(np.bincount(above, weights=probs, minlength=2)[0])
     if mode == "exact":
         return p0, 1
     if rng is None:
@@ -294,9 +307,9 @@ def bisection_var(state_preparer: Callable[[], StateVector], q: float, m: int,
                   mode: str = "exact", eps: float = 0.01, rng=None):
     """Smallest m-bit code whose tail probability reaches q.
 
-    Binary search over the code range; each probe prepares a fresh state,
-    applies the comparator at the candidate threshold and measures the
-    flag.  Terminates in at most m iterations.
+    Binary search over the code range; each probe prepares a fresh state
+    and reads the flag-0 mass of the comparator at the candidate threshold
+    (``tail_probability``).  Terminates in at most m iterations.
     """
     if not 0 < q < 1:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
@@ -308,8 +321,7 @@ def bisection_var(state_preparer: Callable[[], StateVector], q: float, m: int,
         if iterations > m:
             raise NumericalError("bisection exceeded the m-iteration budget")
         mid = (lo + hi) // 2
-        flagged = comparator_ucc(state_preparer(), mid)
-        p0, used = tail_probability(flagged, mode, eps, rng)
+        p0, used = tail_probability(state_preparer(), mid, mode, eps, rng)
         queries += used
         if p0 >= q - CDF_TOL:
             hi = mid
@@ -392,16 +404,17 @@ def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
          rng=None) -> CvarBreakdown:
     """Tail mean from the flagged-and-uncomputed portfolio state.
 
-    Applies the comparator at the VaR code, undoes the value write with
-    the same price-code lookup ``value_lookup`` (the XOR lookup is
-    self-inverse, standing in for the inverse QPCA/QFT pass), and contracts
-    against the value-weighted reference state; the reconstruction divides
-    by the achieved tail fraction.
+    Reads the tail fraction at the VaR code, applies the comparator there,
+    undoes the value write with the same price-code lookup
+    ``value_lookup`` (the XOR lookup is self-inverse, standing in for the
+    inverse QPCA/QFT pass), and contracts against the value-weighted
+    reference state; the reconstruction divides by the achieved tail
+    fraction.
     """
-    flagged = comparator_ucc(state, threshold_code)
-    p0, q_used = tail_probability(flagged, mode, eps, rng)
+    p0, q_used = tail_probability(state, threshold_code, mode, eps, rng)
     if p0 <= 0.0:
         raise NumericalError("empty tail set: no branch at or below the VaR code")
+    flagged = comparator_ucc(state, threshold_code)
     phi3 = xor_write(flagged, "price", VALUE_REG, value_lookup)
     raw, q_overlap = swap_test_overlap(psi_ref, phi3, mode, eps, rng)
     cvar_norm = raw * ref_norm / (p0 * math.sqrt(L))

@@ -7,7 +7,8 @@ per-branch kernels ``qpca.qpe_exact_distributions`` and
 This module holds the circuits those closed forms stand for, written out
 densely so that small instances can be compared entry by entry:
 
-* a dense gate and QFT toolkit on ``qcore.StateVector`` (dense form only);
+* a dense gate and QFT toolkit on ``qcore.StateVector`` (dense form only)
+  and the register readout ``exact_distribution``;
 * ``DensityMatrix`` and the swap-interaction channel of density-matrix
   exponentiation (``trotter_slice``, ``evolve_exp_rho``);
 * coherent phase estimation (``qpe_write_eigenvalues``), the two QPE
@@ -28,6 +29,10 @@ densely so that small instances can be compared entry by entry:
   whole to the public ``scipy.optimize.linprog`` (``fit_minimax``), with
   the degree walk on it (``dense_walk``): the fits ``qsvt.linprog`` finds
   by row generation are checked against these;
+* Step 4 through a flagged state per probe: the comparator's flag readout
+  (``comparator_tail_probability``) and the bisection on it
+  (``comparator_bisection_var``), which ``risk.tail_probability`` and
+  ``risk.bisection_var`` reproduce bit for bit without writing the flag;
 * the explicit 1-norm of the no-go pair's m-copy projectors
   (``explicit_trace_norm_gap``), twice ``nogo.trace_norm_gap``;
 * small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
@@ -46,12 +51,12 @@ from numpy.polynomial import chebyshev as np_cheb
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from qvar import qsvt
+from qvar import qsvt, risk
 from qvar.blockenc import BRANCHES, BlockEncoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PriceGrid
 from qvar.pde import PIVOT_FLOOR, TridiagonalOperator
-from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
+from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import QPE_DT, decode_value, sqrt_code_table
 from qvar.qsvt import PhaseFactorSequence
 
@@ -76,6 +81,14 @@ def tensor(state: StateVector) -> np.ndarray:
         raise ConfigError("a sparse state has no dense tensor form; gates "
                           "and QFTs need a dense state")
     return state.amplitudes.reshape([2] * state.num_qubits)
+
+
+def exact_distribution(state: StateVector, register: str) -> np.ndarray:
+    """Squared marginal amplitudes of one register (exact readout)."""
+    width = state.layout.width_of(register)
+    values = state.layout.values(register, state.index)
+    probs = np.abs(state.amplitudes) ** 2
+    return np.bincount(values, weights=probs, minlength=2**width)
 
 
 def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
@@ -521,6 +534,42 @@ def dense_walk(t_tilde: int, norm: float, eps: float):
         if fit is not None and fit[1] <= eps * qsvt.FIT_ACCEPT:
             return degree, fit
         degree = max(degree + 2, int(degree * 1.4) | 1)
+
+
+# --- Step 4 through a flagged state per probe ----------------------------
+
+def comparator_tail_probability(state: StateVector, threshold_code: int,
+                                mode: str = "exact", eps: float = 0.01,
+                                rng=None) -> tuple[float, int]:
+    """The tail read as a circuit: write the flag with
+    ``risk.comparator_ucc`` and read Pr(flag = 0) from the flagged state,
+    then, in sampled mode, run amplitude estimation on it."""
+    flagged = risk.comparator_ucc(state, threshold_code)
+    p0 = float(exact_distribution(flagged, risk.FLAG)[0])
+    if mode == "exact":
+        return p0, 1
+    est = risk.estimate_amplitude(p0, eps, rng)
+    return est.value, est.queries
+
+
+def comparator_bisection_var(state_preparer, q: float, m: int,
+                             mode: str = "exact", eps: float = 0.01,
+                             rng=None) -> tuple[int, int, int]:
+    """Bisection VaR whose every probe flags a fresh state; returns
+    (code, iterations, queries) as ``risk.bisection_var`` does."""
+    lo, hi = 0, 2**m - 1
+    iterations = queries = 0
+    while lo < hi:
+        iterations += 1
+        mid = (lo + hi) // 2
+        p0, used = comparator_tail_probability(state_preparer(), mid, mode,
+                                               eps, rng)
+        queries += used
+        if p0 >= q - risk.CDF_TOL:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, iterations, queries
 
 
 # --- the no-go pair's explicit trace norm --------------------------------

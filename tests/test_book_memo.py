@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import qvar
-from qvar import cli, pipeline, qsvt
+from qvar import cli, pipeline, qcore, qsvt
 from qvar.errors import QubitBudgetError
 from qvar.pipeline import emit_report, load_run_config, run_pipeline
 
@@ -158,6 +158,27 @@ def test_tally_is_equal_on_a_hit_and_a_miss(mode):
     assert hit == miss
     if mode != "classical":
         assert hit["qsvt_degree"] >= 1 and hit["rho_copies"] == 1
+
+
+@pytest.mark.parametrize("mode", ["quantum_exact", "quantum_sampled"])
+def test_a_warm_quantum_request_writes_the_flag_once(monkeypatch, mode):
+    # every bisection probe reads its tail mass from the prepared state;
+    # only the CVaR overlap applies the comparator
+    run(mode=mode)
+    writes, flag_write = [], qcore.flag_write
+
+    def counted(*args, **kwargs):
+        writes.append(args)
+        return flag_write(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qvar.") and vars(module).get("flag_write") \
+                is flag_write:
+            monkeypatch.setattr(module, "flag_write", counted)
+    tally = run(mode=mode).tally
+    assert len(writes) == 1
+    assert tally.bisection_iterations == README_CONFIG["m"]
+    assert tally.state_preparation_repetitions == 1 + README_CONFIG["m"]
 
 
 def test_a_classical_request_builds_no_quantum_half():

@@ -404,6 +404,29 @@ def test_assemble_trotter_csv_bytes_pinned(tmp_path, monkeypatch, m):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TROTTER_CSV_SHA256[m]
 
 
+# sha256 of the `run`, `var` and `cvar` report on the README config in each
+# mode; the three commands share one handler, so one digest per mode
+REPORT_SHA256 = {
+    "classical":
+        "e24db15e0db078bb6bceeb75b9285f6654845910bb31ef5fb4dd64431b1750d2",
+    "quantum-exact":
+        "dcd1825246a1ff9dffc0eade022e5fd0df5892bd205f76e8f4ba9e5707f58049",
+    "quantum-sampled":
+        "8b8ea914125808a701a7662e7a7e037e420b59b7b6f76571cf247d57d9dd1388",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REPORT_SHA256))
+@pytest.mark.parametrize("command", ["run", "var", "cvar"])
+def test_report_bytes_pinned(tmp_path, command, mode):
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "report.json"
+    assert run_cli([command, "--mode", mode, "--config", str(path),
+                    "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[mode]
+
+
 def test_numerical_error_exit_code(tmp_path):
     doc = dict(BASE_CONFIG)
     doc["kind"] = "put"

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvar.errors import ConfigError, NumericalError, QubitBudgetError
-from qvar.qcore import (RegisterLayout, StateVector, exact_distribution,
-                        flag_write, xor_write)
+from qvar.qcore import RegisterLayout, StateVector, flag_write, xor_write
 from reference import (DensityMatrix, apply_unitary, basis_state,
-                       grover_rudolph_prepare, inverse_qft, names, qft,
+                       exact_distribution, grover_rudolph_prepare, inverse_qft, names, qft,
                        qft_matrix, tensor)
 
 
@@ -148,6 +147,31 @@ def test_flag_write_marks_predicate():
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("code", [0, 7, 8, -1, 2**62, -2**63])
+def test_xor_write_checks_the_target_register_range(code):
+    layout = RegisterLayout([("src", 2), ("dst", 3)])
+    state = StateVector(np.ones(1), layout, np.array([0]))
+    write = lambda: xor_write(state, "src", "dst", lambda v: np.full_like(v, code))
+    if 0 <= code < 8:
+        assert write().support.tolist() == [code]
+    else:
+        with pytest.raises(NumericalError, match="target register range"):
+            write()
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_flag_write_rejects_a_predicate_value_that_is_not_a_bit(bad):
+    # on [value 3 qubits, flag 1 qubit] a predicate value of 2 would turn
+    # value 2 into value 3 and leave the flag at 0
+    layout = RegisterLayout([("value", 3), ("flag", 1)])
+    state = basis_state(layout, 2 << 1)
+    with pytest.raises(NumericalError, match="not a bit"):
+        flag_write(state, "value", "flag", lambda v: np.full_like(v, bad))
+    with pytest.raises(NumericalError, match="not a bit"):
+        flag_write(StateVector(np.ones(1), layout, np.array([2 << 1])),
+                   "value", "flag", lambda v: np.full_like(v, bad))
+
+
 def test_state_norm_validated():
     layout = RegisterLayout([("a", 1)])
     with pytest.raises(NumericalError, match="norm"):
@@ -212,6 +236,25 @@ def test_sparse_flag_write_distribution_matches_dense(case, data):
         readout) for state in (StateVector(sparse.amplitudes, flagged, index),
                                StateVector(dense_amps, flagged))]
     assert np.array_equal(outs[0], outs[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=layouts_and_states())
+def test_copy_is_a_bit_copy_with_its_own_arrays(case):
+    _, _, dense, sparse = case
+    for state in (dense, sparse):
+        state.amplitudes.setflags(write=False)
+        copy = state.copy()
+        assert type(copy) is StateVector and copy.layout is state.layout
+        assert copy.amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert np.array_equal(copy.support, state.support)
+        assert copy.amplitudes is not state.amplitudes
+        assert copy.amplitudes.flags.writeable
+        if state.index is None:
+            assert copy.index is None
+        else:
+            assert copy.index is not state.index
+            assert copy.index.dtype == np.int64
 
 
 def test_sparse_state_validated():

@@ -6,7 +6,7 @@ from qvar import qpca
 from qvar.errors import ConfigError
 from qvar.market import build_grid, payoff_vector, price_code
 from qvar.mc import PathSet
-from qvar.qcore import RegisterLayout, StateVector, exact_distribution
+from qvar.qcore import RegisterLayout, StateVector
 from qvar.qpca import (TROTTER_DISTANCE_TOL, assemble_portfolio_state,
                        decode_value, encode_value, grid_codes,
                        prepare_path_state, price_register_width,
@@ -15,9 +15,10 @@ from qvar.qpca import (TROTTER_DISTANCE_TOL, assemble_portfolio_state,
 from reference import (DensityMatrix, basis_state,
                        dense_qpe_exact_distributions,
                        dense_qpe_trotter_distributions, evolve_exp_rho,
-                       grover_rudolph_prepare, nearest_index, perturb_state,
-                       qpe_modal_estimates, qpe_write_eigenvalues, qft_matrix,
-                       sqrt_register, trotter_slice)
+                       exact_distribution, grover_rudolph_prepare,
+                       nearest_index, perturb_state, qpe_modal_estimates,
+                       qpe_write_eigenvalues, qft_matrix, sqrt_register,
+                       trotter_slice)
 
 
 def make_value_state(values, n):

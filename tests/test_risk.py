@@ -12,13 +12,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import qvar
 from qvar.errors import ConfigError, NumericalError
-from qvar.qcore import RegisterLayout, StateVector, exact_distribution, xor_write
+from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
 from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, _block_maxima,
                        _likelihood_argmax, _subblock_maxima, bisection_var,
                        classical_var_cvar, comparator_ucc, cvar,
                        estimate_amplitude, make_reference_state,
                        swap_test_overlap, tail_probability)
+from reference import (comparator_bisection_var, comparator_tail_probability,
+                       exact_distribution)
 
 M_BITS = 5
 
@@ -56,15 +58,14 @@ def test_comparator_matches_classical_pattern(rng):
     codes = rng.integers(0, 2**M_BITS, size=8)
     thr = 11
     state = branch_state(codes)
-    out = comparator_ucc(state, thr)
-    p0, _ = tail_probability(out)
+    p0, _ = tail_probability(state, thr)
     assert p0 == pytest.approx(np.mean(codes <= thr), abs=1e-12)
+    assert exact_distribution(comparator_ucc(state, thr), "flag")[0] == p0
 
 
 def test_tail_probability_counting():
     state = branch_state([1, 2, 10, 11, 12, 13, 14, 15])
-    out = comparator_ucc(state, 2)
-    p0, queries = tail_probability(out)
+    p0, queries = tail_probability(state, 2)
     assert p0 == pytest.approx(0.25, abs=1e-12)
     assert queries == 1
 
@@ -76,12 +77,73 @@ def test_tail_probability_sampled_within_eps(rng):
         codes = gen.integers(0, 2**M_BITS, size=16)
         thr = int(gen.integers(0, 2**M_BITS))
         state = branch_state(codes)
-        flagged = comparator_ucc(state, thr)
-        exact, _ = tail_probability(flagged)
-        sampled, queries = tail_probability(flagged, mode="sampled", eps=eps,
+        exact, _ = tail_probability(state, thr)
+        sampled, queries = tail_probability(state, thr, mode="sampled", eps=eps,
                                             rng=np.random.default_rng(1000 + seed))
         assert abs(sampled - exact) <= eps
         assert queries <= 64 * 96 * 4 / eps  # documented O(1/eps) budget
+
+
+@pytest.mark.parametrize("threshold", [-1, 2**M_BITS])
+def test_tail_probability_rejects_unrepresentable_threshold(threshold):
+    state = branch_state([1, 2, 3, 4])
+    with pytest.raises(ConfigError, match="not representable"):
+        tail_probability(state, threshold)
+    with pytest.raises(ConfigError, match="not representable"):
+        comparator_ucc(state, threshold)
+
+
+@st.composite
+def flag_ready_states(draw):
+    """A random state on [path, price, value, flag] with the flag as the
+    least significant qubit and zeroed, as in the pipeline's flagged
+    layout, in sparse or dense form; returns (state, value width)."""
+    widths = [draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+              draw(st.integers(1, 6))]
+    layout = RegisterLayout(list(zip(("path", "price", "value"), widths))
+                            + [("flag", 1)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unflagged = 2**(layout.total_qubits - 1)
+    count = draw(st.integers(1, min(unflagged, 64)))
+    index = np.sort(rng.choice(unflagged, size=count, replace=False)) << 1
+    amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+    if draw(st.booleans()):
+        amps[:] = 1.0  # uniform over the branches, as the scenario state
+    amps /= np.linalg.norm(amps)
+    if draw(st.booleans()):
+        return StateVector(amps, layout, index.astype(np.int64)), widths[2]
+    dense = np.zeros(2**layout.total_qubits, dtype=complex)
+    dense[index] = amps
+    return StateVector(dense, layout), widths[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=flag_ready_states(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.1, 0.02]))
+def test_tail_read_equals_comparator_readout_bitwise(case, data, seed, eps):
+    state, m = case
+    threshold = data.draw(st.integers(0, 2**m - 1))
+    p0, queries = tail_probability(state, threshold)
+    oracle, oracle_queries = comparator_tail_probability(state, threshold)
+    assert (p0.hex(), queries) == (oracle.hex(), oracle_queries)
+    sampled = [read(state, threshold, "sampled", eps, np.random.default_rng(seed))
+               for read in (tail_probability, comparator_tail_probability)]
+    assert sampled[0][0].hex() == sampled[1][0].hex()
+    assert sampled[0][1] == sampled[1][1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=flag_ready_states(), q=st.floats(0.01, 0.99),
+       mode=st.sampled_from(["exact", "sampled"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bisection_equals_comparator_bisection(case, q, mode, seed):
+    state, m = case
+
+    def bisect(search):
+        rng = np.random.default_rng(seed) if mode == "sampled" else None
+        return search(state.copy, q, m, mode, 0.02, rng)
+
+    assert bisect(bisection_var) == bisect(comparator_bisection_var)
 
 
 def test_estimate_amplitude_budget_scales(rng):
