@@ -183,14 +183,13 @@ class Book:
         self.paths = simulate_paths(market, s0, L, m)
         self.node_idx = snap_paths(self.paths, grid)
         normalized = surface.values / self.scale
-        self.classical_state = StateVector(normalized.astype(complex),
-                                           RegisterLayout([("grid", grid.n)]))
+        self.classical_state = normalized.astype(complex)
         rho_classical = reduced_rho(self.classical_state, grid)
         self.twin_values = decode_value(
             value_code_table(rho_classical, m)[self.node_idx], m)
         self.raw_values = normalized[self.node_idx]
-        _read_only(self.node_idx, self.classical_state.amplitudes,
-                   self.twin_values, self.raw_values)
+        _read_only(self.node_idx, self.classical_state, self.twin_values,
+                   self.raw_values)
         self._quantum = None
 
     def quantum(self, codes: np.ndarray) -> QuantumBook:
@@ -201,7 +200,7 @@ class Book:
         return self._quantum
 
     def _build_quantum(self, codes: np.ndarray) -> QuantumBook:
-        grid, classical = self.grid, self.classical_state.amplitudes
+        grid, classical = self.grid, self.classical_state
         # Step 1: value-state preparation by singular-value transformation
         prepared = prepare_value_state(payoff_vector(self.payoff, grid),
                                        self.market, grid, self.eps1)
@@ -215,16 +214,15 @@ class Book:
         reference = (None if np.all(assembled.value == 0.0) else
                      make_reference_state(layout, assembled.path_support << 1,
                                           assembled.value))
-        _read_only(prepared.state.amplitudes, assembled.node_index,
-                   assembled.path_support, assembled.value, assembled.oracle,
-                   phi.amplitudes, phi.index, flagged_base.index)
+        _read_only(assembled.node_index, assembled.path_support,
+                   assembled.value, assembled.oracle, phi.amplitudes,
+                   phi.index, flagged_base.index)
         if reference is not None:
             _read_only(reference[0].amplitudes, reference[0].index)
         return QuantumBook(
             prepared=prepared,
-            fidelity=float(abs(np.vdot(prepared.state.amplitudes, classical))),
-            l2_distance=float(np.linalg.norm(prepared.state.amplitudes
-                                             - classical)),
+            fidelity=float(abs(np.vdot(prepared.state, classical))),
+            l2_distance=float(np.linalg.norm(prepared.state - classical)),
             assembled=assembled, flagged_base=flagged_base,
             reference=reference)
 
@@ -299,7 +297,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     else:
         psi_ref, ref_norm = quantum.reference
         breakdown = cvar(quantum.flagged_base.copy(), psi_ref, ref_norm,
-                         var_code, config.q, config.L, scale, assembled.lookup,
+                         var_code, config.L, scale, assembled.lookup,
                          mode=measure_mode, eps=eps_est, rng=rng)
         if sampled:
             tally.amplitude_estimation_queries += breakdown.queries

@@ -5,26 +5,23 @@ layout) is most significant.  A register at qubit offset ``o`` with width
 ``w`` in a ``q``-qubit layout reads value ``(i >> (q - o - w)) & (2^w - 1)``
 from basis index ``i``.  This convention is fixed here and used everywhere.
 
-A ``StateVector`` takes one of two forms.  The dense form stores all 2^q
-amplitudes in basis order.  The sparse form also carries ``index``, the
-strictly increasing basis indices of the stored amplitudes; every other
-basis state has amplitude zero.  A dense state behaves as if its index were
-``arange(2^q)``, so the permutations (``xor_write``, ``flag_write``) and
-``StateVector.copy`` run one code path on (basis index, amplitude) pairs
-and keep the form they are given.  They cost O(stored amplitudes), which
-for the scenario stages is O(L), not O(2^q): the writes take their lookup
-or predicate as a function of the source register's values and call it on
-the stored amplitudes only, so no table over a source register is built.
-The module has no gates or QFTs: no production stage mixes amplitudes
-across basis states on a ``StateVector`` (Stage 1 applies the 2^n-square
-post-selected block of its circuit as a dense matrix in ``qsvt``, and
+A ``StateVector`` is sparse: ``index`` holds the strictly increasing basis
+indices of the stored amplitudes, and every other basis state has
+amplitude zero.  Steps 2-4 act on the scenario state only through basis
+permutations (``xor_write``, ``flag_write``) and diagonal readouts, so
+the state holds one amplitude per scenario branch and every operation
+here costs O(stored amplitudes), O(L) rather than O(2^q): the writes take
+their lookup or predicate as a function of the source register's values
+and call it on the stored amplitudes only, so no table over a source
+register is built.  The module has no gates or QFTs: no production stage
+mixes amplitudes across basis states on a ``StateVector``.  Stage 1's
+output is a plain complex vector over the 2^n grid nodes (``qsvt``), and
 Step 3's phase estimation is evaluated in closed form in ``qpca``, its
-inverse QFT one FFT over the phase register's 2^m outcomes per branch).
+inverse QFT one FFT over the phase register's 2^m outcomes per branch.
 
 The qubit cap (``QVAR_QUBIT_CAP``, default 24, at most 63 because basis
-indices are int64) bounds the width of the simulated device, whatever the
-form; it is not a memory limit.  A sparse state on a wide layout holds
-only its stored amplitudes.
+indices are int64) bounds the width of the simulated device; it is not a
+memory limit.  A state on a wide layout holds only its stored amplitudes.
 
 Readout lives with the stage that reads it: ``risk.tail_probability`` sums
 squared amplitudes exactly, and sampled mode draws its shots from that sum.
@@ -78,12 +75,9 @@ class RegisterLayout:
         """Bit position of the register's least significant qubit."""
         return self.total_qubits - self.offset_of(name) - self.width_of(name)
 
-    def values(self, name: str, index=None) -> np.ndarray:
-        """Register value at each basis index in ``index`` (default: every
-        basis index, in order), vectorized."""
+    def values(self, name: str, index: np.ndarray) -> np.ndarray:
+        """Register value at each basis index in ``index``, vectorized."""
         _, width = self._offsets[name]
-        if index is None:
-            index = np.arange(2**self.total_qubits, dtype=np.int64)
         return (index >> self.shift_of(name)) & ((1 << width) - 1)
 
     def items(self):
@@ -92,66 +86,44 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
-    """Complex amplitudes over 2^q basis states with a named layout.
-
-    Dense when ``index`` is None (``amplitudes[i]`` belongs to basis state
-    i); sparse otherwise (``amplitudes[j]`` belongs to basis state
-    ``index[j]``, all others are zero).
-    """
+    """Complex amplitudes over 2^q basis states with a named layout:
+    ``amplitudes[j]`` belongs to basis state ``index[j]``, and every other
+    basis state has amplitude zero."""
 
     amplitudes: np.ndarray
     layout: RegisterLayout
-    index: np.ndarray | None = None
+    index: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
+        idx = np.asarray(self.index)
         self.amplitudes = amps
         q = self.layout.total_qubits
         if amps.ndim != 1:
             raise ConfigError("amplitudes must be a 1-d vector")
-        if self.index is None:
-            if amps.size != 2**q:
-                raise ConfigError(f"amplitude vector must have length 2^{q}")
-        else:
-            idx = np.asarray(self.index)
-            if idx.dtype != np.int64 or idx.shape != amps.shape:
-                raise ConfigError("index must be an int64 vector as long as "
-                                  "the amplitudes")
-            if idx.size and (idx[0] < 0 or idx[-1] >= 2**q
-                             or np.any(idx[1:] <= idx[:-1])):
-                raise ConfigError(f"index must be strictly increasing basis "
-                                  f"indices below 2^{q}")
-            self.index = idx
+        if idx.dtype != np.int64 or idx.shape != amps.shape:
+            raise ConfigError("index must be an int64 vector as long as "
+                              "the amplitudes")
+        if idx.size and (idx[0] < 0 or idx[-1] >= 2**q
+                         or np.any(idx[1:] <= idx[:-1])):
+            raise ConfigError(f"index must be strictly increasing basis "
+                              f"indices below 2^{q}")
+        self.index = idx
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise NumericalError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-
-    @property
-    def num_qubits(self) -> int:
-        return self.layout.total_qubits
-
-    @property
-    def support(self) -> np.ndarray:
-        """Basis index of each stored amplitude."""
-        if self.index is None:
-            return np.arange(self.amplitudes.size, dtype=np.int64)
-        return self.index
 
     def copy(self) -> "StateVector":
         """A bit copy; its source passed ``__post_init__``'s checks."""
         new = object.__new__(StateVector)
         new.amplitudes, new.layout = self.amplitudes.copy(), self.layout
-        new.index = None if self.index is None else self.index.copy()
+        new.index = self.index.copy()
         return new
 
 
 def _permuted(state: StateVector, moved: np.ndarray) -> StateVector:
     """The state with stored amplitude j moved to basis index moved[j],
-    for a basis permutation; the result keeps the input's form."""
-    if state.index is None:
-        out = np.empty_like(state.amplitudes)
-        out[moved] = state.amplitudes
-        return StateVector(out, state.layout)
+    for a basis permutation."""
     # stable sort is timsort here: linear when the permutation keeps the
     # order, as the scenario stages' writes into low registers do
     order = np.argsort(moved, kind="stable")
@@ -174,7 +146,7 @@ def xor_write(state: StateVector, source: str, target: str, lookup) -> StateVect
     if (codes >> layout.width_of(target)).any():
         raise NumericalError("lookup value exceeds the target register range")
     shift = layout.shift_of(target)
-    return _permuted(state, state.support ^ (codes << shift))
+    return _permuted(state, state.index ^ (codes << shift))
 
 
 def flag_write(state: StateVector, source: str, flag: str, predicate) -> StateVector:
@@ -189,4 +161,4 @@ def flag_write(state: StateVector, source: str, flag: str, predicate) -> StateVe
     if (bits >> 1).any():
         raise NumericalError("predicate value is not a bit")
     shift = layout.shift_of(flag)
-    return _permuted(state, state.support ^ (bits << shift))
+    return _permuted(state, state.index ^ (bits << shift))

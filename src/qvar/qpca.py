@@ -139,21 +139,21 @@ def prepare_path_state(paths: PathSet, codes: np.ndarray, m: int,
     return StateVector(amps, layout, index)
 
 
-def reduced_rho(value_state: StateVector, grid: PriceGrid) -> np.ndarray:
+def reduced_rho(value_state: np.ndarray, grid: PriceGrid) -> np.ndarray:
     """The spectrum of rho = Tr_grid |psi2><psi2| per grid node, for the
-    grid-information state psi2 = sum_j v_j |j> |code(S_j)>.
+    grid-information state psi2 = sum_j v_j |j> |code(S_j)> of the 2^n
+    grid amplitudes ``value_state``.
 
     The grid codes are distinct, so the grid index is a function of the
     price code and rho is diagonal in the code basis, with |v_j|^2 at
     code(S_j) and zero at every code that is no node's: entry j of the
     result is |v_j|^2.
     """
-    if value_state.num_qubits != grid.n:
-        raise ConfigError("value state must live on the grid register")
-    v = value_state.amplitudes
-    p = np.zeros(2**grid.n)
-    p[value_state.support] = v.real**2 + v.imag**2
-    return p
+    v = np.asarray(value_state)
+    if v.shape != (2**grid.n,):
+        raise ConfigError(f"value state must hold the 2^{grid.n} grid "
+                          f"amplitudes")
+    return v.real**2 + v.imag**2
 
 
 def qpe_exact_distributions(branch_nodes, rho: np.ndarray,
@@ -258,13 +258,14 @@ class AssembleResult:
     oracle: np.ndarray  # path -> classical normalized lookup
 
 
-def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
+def assemble_portfolio_state(paths: PathSet, value_state: np.ndarray,
                              grid: PriceGrid, m: int, node_index: np.ndarray,
                              codes: np.ndarray) -> AssembleResult:
     """Attach option-value codes to every scenario branch.
 
-    ``node_index`` is the paths' ``snap_paths`` result and ``codes`` the
-    grid's ``grid_codes``, both derived once per request.  The spectral
+    ``value_state`` holds Stage 1's 2^n grid amplitudes, ``node_index`` is
+    the paths' ``snap_paths`` result and ``codes`` the grid's
+    ``grid_codes``, both derived once per request.  The spectral
     value lookup (the infinite-time limit of QPCA phase estimation and the
     square root) is applied as a reversible XOR write, leaving a pure
     statevector; building the scenario state checks its registers against
@@ -273,15 +274,15 @@ def assemble_portfolio_state(paths: PathSet, value_state: StateVector,
     path_state = prepare_path_state(paths, codes, m, node_index)
     value_codes = value_code_table(reduced_rho(value_state, grid), m)
     lookup = value_lookup(codes, value_codes)
-    v = np.abs(value_state.amplitudes)
+    v = np.abs(value_state)
     return AssembleResult(
         state=xor_write(path_state, "price", "value", lookup),
-        lookup=lookup, node_index=node_index, path_support=path_state.support,
+        lookup=lookup, node_index=node_index, path_support=path_state.index,
         value=decode_value(value_codes[node_index], m),
         oracle=(v / np.linalg.norm(v))[node_index])
 
 
-def trotter_values(value_state: StateVector, grid: PriceGrid, m: int,
+def trotter_values(value_state: np.ndarray, grid: PriceGrid, m: int,
                    node_index: np.ndarray) -> np.ndarray:
     """Per-branch values read from the modal codes of trotterized QPE
     followed by the square root, at a certified slice count.

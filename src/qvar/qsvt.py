@@ -88,7 +88,6 @@ from .blockenc import BlockEncoding, assemble_block_encoding
 from .errors import ConfigError, NumericalError
 from .market import MarketParams, PriceGrid
 from .pde import TridiagonalOperator, assemble_operator
-from .qcore import RegisterLayout, StateVector
 
 DEGREE_CAP = 512
 PHASE_ITER_CAP = 10_000
@@ -510,8 +509,9 @@ def _cheb_coeffs_from_values(values: np.ndarray, count: int,
 def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
     """Phase factors reproducing the polynomial on scalar inputs.
 
-    Runs the symmetric-phase coefficient fixed-point iteration with a
-    least-squares fallback, then converts to projector phases.  Fails with
+    Runs the symmetric-phase coefficient fixed-point iteration, one pass of
+    at most PHASE_ITER_CAP steps, with a least-squares fallback from its
+    best iterate, then converts to projector phases.  Fails with
     the residual report if neither reaches the tolerance within the caps.
     The solve is memoised on the polynomial's degree and coefficient bytes,
     the only parts of it the solve reads.
@@ -551,32 +551,26 @@ def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
     def value_residual(z):
         return _wx_eval(nodes, full_from_reduced(z)) - target_vals
 
-    def run_fixed_point(step_sign: float):
-        # one evaluation per iterate feeds both its residual and the next step
-        z = np.zeros(half)
-        z[0] = np.pi / 4
+    # coefficient fixed point; one evaluation per iterate feeds both its
+    # residual and the next step
+    z = np.zeros(half)
+    z[0] = np.pi / 4
+    vals = _wx_eval(nodes, full_from_reduced(z))
+    best, best_res = z.copy(), np.abs(vals - target_vals).max()
+    for it in range(PHASE_ITER_CAP):
+        realized_red = _cheb_coeffs_from_values(vals, count, cos_table)[ridx]
+        z = z + 0.5 * (realized_red - target_red)
         vals = _wx_eval(nodes, full_from_reduced(z))
-        best, best_res = z.copy(), np.abs(vals - target_vals).max()
-        for it in range(PHASE_ITER_CAP):
-            coeffs = _cheb_coeffs_from_values(vals, count, cos_table)[ridx]
-            z = z + step_sign * 0.5 * (coeffs - target_red)
-            vals = _wx_eval(nodes, full_from_reduced(z))
-            res = np.abs(vals - target_vals).max()
-            if not np.isfinite(res):
-                break
-            if res < best_res:
-                best, best_res = z.copy(), res
-            if res <= PHASE_RESIDUAL_TOL * 0.1:
-                break
-            if it > 60 and res > 10 * best_res:
-                break  # diverging, stop wasting iterations
-        return best, best_res
-
-    z, res = run_fixed_point(+1.0)
-    if res > PHASE_RESIDUAL_TOL * 0.1:
-        z_alt, res_alt = run_fixed_point(-1.0)
-        if res_alt < res:
-            z, res = z_alt, res_alt
+        res = np.abs(vals - target_vals).max()
+        if not np.isfinite(res):
+            break
+        if res < best_res:
+            best, best_res = z.copy(), res
+        if res <= PHASE_RESIDUAL_TOL * 0.1:
+            break
+        if it > 60 and res > 10 * best_res:
+            break  # diverging, stop wasting iterations
+    z, res = best, best_res
     if res > PHASE_RESIDUAL_TOL * 0.1:
         sol = least_squares(value_residual, z, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         res_ls = np.abs(value_residual(sol.x)).max()
@@ -704,10 +698,11 @@ def _value_block(op_key: tuple, degree: int, coeffs_key: bytes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreparedValueState:
-    """Post-selected output of the backward-stepping stage, with the
-    memoised read-only block of U_Phi that produced it."""
+    """Post-selected output of the backward-stepping stage: ``state`` is
+    the normalized read-only complex vector of the 2^n grid amplitudes,
+    with the memoised read-only block of U_Phi that produced it."""
 
-    state: StateVector
+    state: np.ndarray
     success_probability: float
     target: PolynomialTarget
     phases: PhaseFactorSequence
@@ -769,7 +764,6 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
     vec = sub / np.linalg.norm(sub)
     if vec.real.sum() < 0:
         vec = -vec
-    layout = RegisterLayout([("grid", be.n)])
-    state = StateVector(vec, layout)
-    return PreparedValueState(state=state, success_probability=prob, target=poly,
+    vec.setflags(write=False)
+    return PreparedValueState(state=vec, success_probability=prob, target=poly,
                               phases=phases, gamma=gamma, block=block)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -336,13 +336,16 @@ def swap_test_overlap(state_a: StateVector, state_b: StateVector,
     """|<a|b>| via direct contraction (exact) or the swap-test statistics
     fed through amplitude estimation (sampled), budget O(1/eps).
 
-    The contraction sums the products with ``math.fsum``, which rounds the
-    exact sum once: stored zeros, the sparse or dense form and the BLAS
-    thread count cannot change its bits."""
+    The common support is found by binary search of one strictly
+    increasing index in the other.  The contraction sums the products with
+    ``math.fsum``, which rounds the exact sum once: stored zeros, the order
+    of the terms and the BLAS thread count cannot change its bits."""
     if state_a.layout.items() != state_b.layout.items():
         raise ConfigError("swap test requires identical register shapes")
-    _, in_a, in_b = np.intersect1d(state_a.support, state_b.support,
-                                   assume_unique=True, return_indices=True)
+    index_a, index_b = state_a.index, state_b.index
+    at = np.minimum(np.searchsorted(index_b, index_a), index_b.size - 1)
+    in_a = np.flatnonzero(index_b[at] == index_a)
+    in_b = at[in_a]
     terms = np.conj(state_a.amplitudes[in_a]) * state_b.amplitudes[in_b]
     overlap = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
     if mode == "exact":
@@ -394,12 +397,11 @@ class CvarBreakdown:
     overlap: float
     overlap_raw: float
     p0: float
-    level: float = field(default=0.05)  # nominal q, for provenance
-    queries: int = field(default=1)
+    queries: int = 1
 
 
 def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
-         threshold_code: int, q: float, L: int, scale: float,
+         threshold_code: int, L: int, scale: float,
          value_lookup: Callable, mode: str = "exact", eps: float = 0.01,
          rng=None) -> CvarBreakdown:
     """Tail mean from the flagged-and-uncomputed portfolio state.
@@ -421,7 +423,7 @@ def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
     overlap_folded = raw * ref_norm * math.sqrt(p0)
     return CvarBreakdown(cvar=cvar_norm * scale, cvar_normalized=cvar_norm,
                          overlap=overlap_folded, overlap_raw=raw, p0=p0,
-                         level=q, queries=q_used + q_overlap)
+                         queries=q_used + q_overlap)
 
 
 def make_reference_state(phi_layout, support,

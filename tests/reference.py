@@ -7,8 +7,9 @@ per-branch kernels ``qpca.qpe_exact_distributions`` and
 This module holds the circuits those closed forms stand for, written out
 densely so that small instances can be compared entry by entry:
 
-* a dense gate and QFT toolkit on ``qcore.StateVector`` (dense form only)
-  and the register readout ``exact_distribution``;
+* ``dense_state``, a ``qcore.StateVector`` that stores all 2^q amplitudes,
+  a dense gate and QFT toolkit on it and the register readout
+  ``exact_distribution``;
 * ``DensityMatrix`` and the swap-interaction channel of density-matrix
   exponentiation (``trotter_slice``, ``evolve_exp_rho``);
 * coherent phase estimation (``qpe_write_eigenvalues``), the two QPE
@@ -76,11 +77,19 @@ def names(layout: RegisterLayout) -> list[str]:
     return [name for name, _ in layout.items()]
 
 
+def dense_state(amplitudes, layout: RegisterLayout) -> StateVector:
+    """A state storing every one of the layout's 2^q amplitudes in basis
+    order: its index is arange(2^q)."""
+    return StateVector(amplitudes, layout,
+                       np.arange(2**layout.total_qubits, dtype=np.int64))
+
+
 def tensor(state: StateVector) -> np.ndarray:
-    if state.index is not None:
+    q = state.layout.total_qubits
+    if state.index.size != 2**q:
         raise ConfigError("a sparse state has no dense tensor form; gates "
                           "and QFTs need a dense state")
-    return state.amplitudes.reshape([2] * state.num_qubits)
+    return state.amplitudes.reshape([2] * q)
 
 
 def exact_distribution(state: StateVector, register: str) -> np.ndarray:
@@ -94,7 +103,7 @@ def exact_distribution(state: StateVector, register: str) -> np.ndarray:
 def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
     amps = np.zeros(2**layout.total_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps, layout)
+    return dense_state(amps, layout)
 
 
 def _resolve_registers(layout: RegisterLayout, registers) -> list[str]:
@@ -127,7 +136,7 @@ def apply_unitary(state: StateVector, u: np.ndarray, registers,
     shape = moved.shape
     out = (u @ moved.reshape(2**k, -1)).reshape(shape)
     out = np.moveaxis(out, range(k), axes)
-    return StateVector(out.reshape(-1), state.layout)
+    return dense_state(out.reshape(-1), state.layout)
 
 
 def qft_matrix(width: int) -> np.ndarray:
@@ -147,11 +156,12 @@ def inverse_qft(state: StateVector, register: str) -> StateVector:
                          register, check=False)
 
 
-def grover_rudolph_prepare(v, layout: RegisterLayout | None = None) -> StateVector:
-    """State with amplitudes v / ||v||_2 for a non-negative vector v.
+def grover_rudolph_prepare(v) -> np.ndarray:
+    """The amplitudes v / ||v||_2 for a non-negative vector v, as a
+    complex vector, the form of Stage 1's value state.
 
     Stands in for amplitude-encoding state preparation; the simulator
-    constructs the resulting state directly.
+    constructs the resulting amplitudes directly.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size & (v.size - 1):
@@ -161,23 +171,19 @@ def grover_rudolph_prepare(v, layout: RegisterLayout | None = None) -> StateVect
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ConfigError("cannot prepare the zero vector")
-    if layout is None:
-        layout = RegisterLayout([("data", int(np.log2(v.size)))])
-    if 2**layout.total_qubits != v.size:
-        raise ConfigError("layout size does not match vector length")
-    return StateVector(v / norm + 0j, layout)
+    return v / norm + 0j
 
 
-def perturb_state(state: StateVector, eps: float, rng) -> StateVector:
-    """A state at exact l2 distance eps from the input (eps <= sqrt(2))."""
-    dim = state.amplitudes.size
+def perturb_state(state: np.ndarray, eps: float, rng) -> np.ndarray:
+    """A unit vector at exact l2 distance eps from the unit vector
+    ``state`` (eps <= sqrt(2))."""
+    dim = state.size
     direction = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    direction -= np.vdot(state.amplitudes, direction) * state.amplitudes
+    direction -= np.vdot(state, direction) * state
     direction /= np.linalg.norm(direction)
     # chord length eps on the unit sphere
     theta = 2.0 * np.arcsin(min(1.0, eps / 2.0))
-    amps = np.cos(theta) * state.amplitudes + np.sin(theta) * direction
-    return StateVector(amps, state.layout)
+    return np.cos(theta) * state + np.sin(theta) * direction
 
 
 # --- density-matrix exponentiation --------------------------------------
@@ -256,25 +262,24 @@ def qpe_write_eigenvalues(state: StateVector, rho: np.ndarray, codes: np.ndarray
     controlled evolution is a pure phase load followed by the inverse QFT.
     The trotterized channel is not a statevector map and is analyzed
     through ``qpca.qpe_trotter_distributions``.  The QFTs entangle the
-    phase register with the branches, so a sparse input is expanded and
-    the result is dense.
+    phase register with the branches, so the input is expanded to a
+    ``dense_state`` and so is the result.
     """
     layout = state.layout
     m = layout.width_of(phase)
-    if state.index is not None:
-        amps = np.zeros(2**layout.total_qubits, dtype=complex)
-        amps[state.index] = state.amplitudes
-        state = StateVector(amps, layout)
-    price_vals = layout.values(price)
+    amps = np.zeros(2**layout.total_qubits, dtype=complex)
+    amps[state.index] = state.amplitudes
+    state = dense_state(amps, layout)
+    price_vals = layout.values(price, state.index)
     spectrum = np.zeros(2**layout.width_of(price))  # rho over price codes
     spectrum[codes] = rho
     if exact_distribution(state, phase)[0] < 1.0 - 1e-10:
         raise ConfigError("phase register must be zeroed before QPE")
 
     out = apply_unitary(state, _hadamard_all(m), phase, check=False)
-    l_vals = layout.values(phase)
+    l_vals = layout.values(phase, state.index)
     phases = spectrum[price_vals] * l_vals * QPE_DT
-    out = StateVector(out.amplitudes * np.exp(1j * phases), layout)
+    out = dense_state(out.amplitudes * np.exp(1j * phases), layout)
     return inverse_qft(out, phase)
 
 
@@ -284,8 +289,8 @@ def qpe_modal_estimates(state: StateVector, price: str = "price",
     layout = state.layout
     m = layout.width_of(phase)
     probs = np.abs(state.amplitudes) ** 2
-    price_vals = layout.values(price)
-    phase_vals = layout.values(phase)
+    price_vals = layout.values(price, state.index)
+    phase_vals = layout.values(phase, state.index)
     estimates: dict[int, float] = {}
     for code in np.unique(price_vals[probs > 1e-14]):
         mask = price_vals == code

@@ -100,7 +100,7 @@ def test_criterion_3_qsvt_fidelity_and_degree_budget():
             res = prepare_value_state(payoff, params, grid, eps1=1e-3)
             classical = price_european(params, grid, spec).values
             vc = classical / np.linalg.norm(classical)
-            dist = float(np.linalg.norm(res.state.amplitudes - vc))
+            dist = float(np.linalg.norm(res.state - vc))
             elapsed = time.perf_counter() - start
             assert dist <= 1e-3, f"n={n} T~={t_tilde}: distance {dist:.2e}"
             norm2 = float(np.linalg.norm(
@@ -118,7 +118,7 @@ def test_criterion_3_qsvt_fidelity_and_degree_budget():
 def _lookup_instance(rng, m=6):
     grid = build_grid(0.0, 4.0, 4, "uniform")
     values = rng.uniform(0.05, 1.0, size=16)
-    vstate = grover_rudolph_prepare(values, RegisterLayout([("grid", 4)]))
+    vstate = grover_rudolph_prepare(values)
     prices = price_code(grid.nodes[rng.integers(0, 16, size=8)], m) / 2.0**m
     paths = PathSet(L=8, t=0.0, prices=prices, m=m)
     return grid, values, vstate, paths
@@ -140,8 +140,7 @@ def test_criterion_4_step3_lookup_and_trotter_convergence(rng):
     rho = DensityMatrix(np.diag(reduced_rho(vstate, grid)))
     sigma_vals = rng.uniform(0.2, 1.0, size=rho.entries.shape[0])
     sigma = DensityMatrix(np.diag(reduced_rho(
-        grover_rudolph_prepare(rng.uniform(0.1, 1.0, size=16),
-                               RegisterLayout([("grid", 4)])), grid)))
+        grover_rudolph_prepare(rng.uniform(0.1, 1.0, size=16)), grid)))
     dists = []
     for n_trotter in (8, 16, 32):
         dt = 1.0 / n_trotter
@@ -162,7 +161,7 @@ def test_criterion_5_error_propagation(rng):
     for eps in (1e-3, 1e-2, 1e-1):
         for _ in range(10):
             values = rng.uniform(0.05, 1.0, size=16)
-            vstate = grover_rudolph_prepare(values, RegisterLayout([("grid", 4)]))
+            vstate = grover_rudolph_prepare(values)
             rho = reduced_rho(vstate, grid)
             rho_p = reduced_rho(perturb_state(vstate, eps, rng), grid)
             shift = np.abs(np.sort(rho_p) - np.sort(rho)).max()
@@ -176,7 +175,7 @@ def test_criterion_5_error_propagation(rng):
 def _risk_instance(rng, L, m=6):
     grid = build_grid(0.0, 4.0, 4, "uniform")
     values = rng.uniform(0.0, 1.0, size=16)
-    vstate = grover_rudolph_prepare(values, RegisterLayout([("grid", 4)]))
+    vstate = grover_rudolph_prepare(values)
     prices = price_code(grid.nodes[rng.integers(0, 16, size=L)], m) / 2.0**m
     paths = PathSet(L=L, t=0.0, prices=prices, m=m)
     assembled = assemble_portfolio_state(paths, vstate, grid, m,
@@ -213,7 +212,7 @@ def test_criterion_6_and_7_var_equality_cvar_identity(rng):
 
         ref, ref_norm = make_reference_state(
             layout, assembled.path_support << 1, assembled.value)
-        breakdown = cvar(state.copy(), ref, ref_norm, var_code, q, L, 1.0,
+        breakdown = cvar(state.copy(), ref, ref_norm, var_code, L, 1.0,
                          assembled.lookup)
         # identity against the coded twin
         assert breakdown.cvar_normalized == pytest.approx(classical.cvar, abs=1e-10)

@@ -48,13 +48,13 @@ def book_of(**overrides) -> pipeline.Book:
 
 def cached_arrays(book: pipeline.Book) -> dict:
     arrays = {"node_idx": book.node_idx,
-              "classical_state": book.classical_state.amplitudes,
+              "classical_state": book.classical_state,
               "twin_values": book.twin_values, "raw_values": book.raw_values}
     quantum = book._quantum
     if quantum is not None:
         assembled = quantum.assembled
         arrays.update({
-            "prepared": quantum.prepared.state.amplitudes,
+            "prepared": quantum.prepared.state,
             "block": quantum.prepared.block,
             "node_index": assembled.node_index,
             "path_support": assembled.path_support,

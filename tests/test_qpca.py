@@ -21,11 +21,6 @@ from reference import (DensityMatrix, basis_state,
                        trotter_slice)
 
 
-def make_value_state(values, n):
-    return grover_rudolph_prepare(np.asarray(values, float),
-                                  RegisterLayout([("grid", n)]))
-
-
 def make_paths(prices, m=6):
     prices = price_code(prices, m) / 2.0**m
     return PathSet(L=prices.size, t=0.0, prices=prices, m=m)
@@ -66,14 +61,14 @@ def test_grid_codes_collision_rejected():
 def test_reduced_rho_pure_case(grid4):
     values = np.zeros(16)
     values[3] = 2.5
-    rho = reduced_rho(make_value_state(values, 4), grid4)
+    rho = reduced_rho(grover_rudolph_prepare(values), grid4)
     assert rho[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reduced_rho_two_equal_values(grid4):
     values = np.zeros(16)
     values[[2, 9]] = 1.0
-    rho = reduced_rho(make_value_state(values, 4), grid4)
+    rho = reduced_rho(grover_rudolph_prepare(values), grid4)
     eigs = np.sort(rho)[::-1]
     assert eigs[0] == pytest.approx(0.5, abs=1e-12)
     assert eigs[1] == pytest.approx(0.5, abs=1e-12)
@@ -81,10 +76,19 @@ def test_reduced_rho_two_equal_values(grid4):
 
 def test_reduced_rho_matches_normalization_oracle(grid4, rng):
     values = rng.uniform(0.0, 1.0, size=16)
-    rho = reduced_rho(make_value_state(values, 4), grid4)
+    rho = reduced_rho(grover_rudolph_prepare(values), grid4)
     expected = np.sort(values**2 / np.sum(values**2))[::-1]
     got = np.sort(rho)[::-1]
     assert np.abs(got[:16] - expected).max() < 1e-12
+
+
+def test_reduced_rho_checks_the_grid_length(grid4):
+    reduced_rho(grover_rudolph_prepare(np.ones(16)), grid4)
+    for size in (8, 32):
+        with pytest.raises(ConfigError, match=r"2\^4 grid amplitudes"):
+            reduced_rho(grover_rudolph_prepare(np.ones(size)), grid4)
+    with pytest.raises(ConfigError, match=r"2\^4 grid amplitudes"):
+        reduced_rho(grover_rudolph_prepare(np.ones(16)).reshape(4, 4), grid4)
 
 
 def random_density(rng, dim, diagonal=False):
@@ -98,8 +102,8 @@ def random_density(rng, dim, diagonal=False):
 
 @st.composite
 def value_states_on_grids(draw):
-    """A random complex value state on a 2^n-node grid whose m-bit price
-    codes are distinct."""
+    """A random complex value state, Stage 1's 2^n grid amplitudes, on a
+    2^n-node grid whose m-bit price codes are distinct."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(2, 7))
     spacing = draw(st.sampled_from(["uniform", "geometric"]))
@@ -110,8 +114,7 @@ def value_states_on_grids(draw):
         assume(False)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return grid, m, StateVector(amps / np.linalg.norm(amps),
-                                RegisterLayout([("grid", n)]))
+    return grid, m, amps / np.linalg.norm(amps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +125,7 @@ def test_reduced_rho_is_the_diagonal_of_the_contracted_psi2(case):
     # over the grid index: rho[c, d] = sum_j psi2[j, c] conj(psi2[j, d])
     codes = grid_codes(grid, m)
     psi2 = np.zeros((2**grid.n, 2**price_register_width(codes)), dtype=complex)
-    psi2[np.arange(2**grid.n), codes] = vstate.amplitudes
+    psi2[np.arange(2**grid.n), codes] = vstate
     dense = np.einsum("jc,jd->cd", psi2, psi2.conj())
     diag = np.diagonal(dense)
     assert np.count_nonzero(dense - np.diag(diag)) == 0
@@ -176,7 +179,7 @@ def test_trotter_accumulated_error_bounded(rng):
 
 def qpe_state(grid, values, paths, m):
     """The QPE output on the scenario state, rho per node and the codes."""
-    vstate = make_value_state(values, grid.n)
+    vstate = grover_rudolph_prepare(values)
     rho = reduced_rho(vstate, grid)
     codes = grid_codes(grid, m)
     state = prepare_path_state(paths, codes, m, snap_paths(paths, grid))
@@ -215,7 +218,7 @@ def test_qpe_generic_instance_within_resolution(grid4, rng):
 def test_qpe_requires_zeroed_phase_register(grid4):
     values = np.ones(16)
     paths = make_paths(grid4.nodes[:8])
-    vstate = make_value_state(values, 4)
+    vstate = grover_rudolph_prepare(values)
     rho = reduced_rho(vstate, grid4)
     codes = grid_codes(grid4, 6)
     state = prepare_path_state(paths, codes, 6, snap_paths(paths, grid4))
@@ -244,7 +247,7 @@ def test_sqrt_register_xor_write(grid4):
 def test_assemble_constant_surface(grid4):
     values = np.ones(16)
     paths = make_paths(grid4.nodes[[1, 3, 5, 7, 9, 11, 13, 15]])
-    res = assemble(paths, make_value_state(values, 4), grid4, 6)
+    res = assemble(paths, grover_rudolph_prepare(values), grid4, 6)
     vals = set(res.value.tolist())
     assert len(vals) == 1
     assert res.value[0] == pytest.approx(0.25, abs=2**-6)
@@ -253,7 +256,7 @@ def test_assemble_constant_surface(grid4):
 def test_assemble_payoff_at_expiry(grid4, call_spec):
     payoff = payoff_vector(call_spec, grid4)
     paths = make_paths(grid4.nodes[[2, 4, 6, 8, 10, 12, 14, 15]])
-    res = assemble(paths, make_value_state(payoff, 4), grid4, 6)
+    res = assemble(paths, grover_rudolph_prepare(payoff), grid4, 6)
     normalized = payoff / np.linalg.norm(payoff)
     idx = snap_paths(paths, grid4)
     for value, j in zip(res.value, idx):
@@ -263,7 +266,7 @@ def test_assemble_payoff_at_expiry(grid4, call_spec):
 def test_assemble_full_pipeline_lookup(grid4, rng):
     values = rng.uniform(0.0, 1.0, size=16)
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
-    res = assemble(paths, make_value_state(values, 4), grid4, 6)
+    res = assemble(paths, grover_rudolph_prepare(values), grid4, 6)
     assert res.state is not None
     normalized = values / np.linalg.norm(values)
     for value, oracle, j in zip(res.value, res.oracle, res.node_index):
@@ -282,7 +285,7 @@ def test_assemble_full_pipeline_lookup(grid4, rng):
 def test_assemble_trotter_mode_matches_exact_modal_codes(grid4, rng):
     values = rng.uniform(0.2, 1.0, size=16)
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)])
-    vstate = make_value_state(values, 4)
+    vstate = grover_rudolph_prepare(values)
     res = assemble(paths, vstate, grid4, 4)
     got = trotter_values(vstate, grid4, 4, res.node_index)
     # the certified slice count reads exact-mode QPE's modal codes
@@ -305,7 +308,7 @@ def test_trotter_branch_distributions_converge_in_the_slice_count(grid4, rng):
     values = rng.uniform(0.2, 1.0, size=16)
     m = 4
     paths = make_paths(grid4.nodes[rng.integers(0, 16, size=8)], m=m)
-    vstate = make_value_state(values, 4)
+    vstate = grover_rudolph_prepare(values)
     rho = reduced_rho(vstate, grid4)
     nodes = snap_paths(paths, grid4)
     exact = qpe_exact_distributions(nodes, rho, m)
@@ -325,7 +328,7 @@ def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
     values = rng.uniform(0.1, 1.0, size=16)
     m = 4
     paths = make_paths(grid4.nodes[[0, 2, 4, 6, 8, 10, 12, 14]], m=m)
-    vstate = make_value_state(values, 4)
+    vstate = grover_rudolph_prepare(values)
     rho = reduced_rho(vstate, grid4)
     codes = grid_codes(grid4, m)
     nodes = snap_paths(paths, grid4)
@@ -334,8 +337,8 @@ def test_qpe_branch_distributions_exact_matches_statevector(grid4, rng):
     dists = qpe_exact_distributions(nodes, rho, m)
     layout = out.layout
     probs = np.abs(out.amplitudes) ** 2
-    pvals = layout.values("price")
-    vvals = layout.values("value")
+    pvals = layout.values("price", out.index)
+    vvals = layout.values("value", out.index)
     for node in np.unique(nodes):
         mask = pvals == codes[node]
         hist = np.bincount(vvals[mask], weights=probs[mask], minlength=2**m)
@@ -382,7 +385,7 @@ def dense_trotter_branch_distribution(rho, b, m, n_trotter):
 def test_trotter_closed_form_matches_dense_slice_composition(rng, n_trotter):
     m = 3
     grid = build_grid(0.0, 0.75, 2, "uniform")
-    rho = reduced_rho(make_value_state(rng.uniform(0.2, 1.0, size=4), 2), grid)
+    rho = reduced_rho(grover_rudolph_prepare(rng.uniform(0.2, 1.0, size=4)), grid)
     nodes = np.arange(4)
     closed = qpe_trotter_distributions(nodes, rho, m, n_trotter)
     for b in nodes.tolist():
@@ -492,7 +495,7 @@ def test_error_propagation_bound(grid4, rng):
     for eps in (1e-3, 1e-2, 1e-1):
         for _ in range(10):
             values = rng.uniform(0.05, 1.0, size=16)
-            vstate = make_value_state(values, 4)
+            vstate = grover_rudolph_prepare(values)
             rho = reduced_rho(vstate, grid4)
             perturbed = perturb_state(vstate, eps, rng)
             rho_p = reduced_rho(perturbed, grid4)
@@ -501,6 +504,6 @@ def test_error_propagation_bound(grid4, rng):
 
 
 def test_perturb_state_distance_exact(grid4, rng):
-    vstate = make_value_state(np.arange(1.0, 17.0), 4)
+    vstate = grover_rudolph_prepare(np.arange(1.0, 17.0))
     out = perturb_state(vstate, 0.05, rng)
-    assert np.linalg.norm(out.amplitudes - vstate.amplitudes) == pytest.approx(0.05, abs=1e-12)
+    assert np.linalg.norm(out - vstate) == pytest.approx(0.05, abs=1e-12)

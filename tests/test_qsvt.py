@@ -571,7 +571,7 @@ def test_prepare_value_state_zero_steps_is_normalized_payoff(unit_grid, call_spe
     payoff = payoff_vector(call_spec, unit_grid)
     res = prepare_value_state(payoff, params, unit_grid, eps1=1e-3)
     expected = payoff / np.linalg.norm(payoff)
-    assert np.abs(res.state.amplitudes - expected).max() < 1e-12
+    assert np.abs(res.state - expected).max() < 1e-12
     assert res.target.degree == 0
     assert res.success_probability == pytest.approx(0.25, abs=1e-10)
 
@@ -583,7 +583,7 @@ def test_prepare_value_state_single_step_fidelity():
     res = prepare_value_state(payoff_vector(spec, grid), params, grid, eps1=1e-3)
     classical = price_european(params, grid, spec).values
     vc = classical / np.linalg.norm(classical)
-    fidelity = abs(np.vdot(res.state.amplitudes, vc))
+    fidelity = abs(np.vdot(res.state, vc))
     assert fidelity >= 1 - 1e-6
 
 
@@ -594,7 +594,7 @@ def test_prepare_value_state_eight_steps_l2():
     res = prepare_value_state(payoff_vector(spec, grid), params, grid, eps1=1e-3)
     classical = price_european(params, grid, spec).values
     vc = classical / np.linalg.norm(classical)
-    assert np.linalg.norm(res.state.amplitudes - vc) <= 1e-3
+    assert np.linalg.norm(res.state - vc) <= 1e-3
 
 
 def test_prepare_value_state_rejects_zero_payoff(unit_grid):
@@ -617,7 +617,7 @@ def _call_state(params, grid, strike, eps1=1e-3):
 
 
 def _stage1_bits(res):
-    return (res.state.amplitudes.tobytes(), res.phases.phases.tobytes(),
+    return (res.state.tobytes(), res.phases.phases.tobytes(),
             res.success_probability, res.target.degree, res.target.sup_error,
             res.phases.degree)
 

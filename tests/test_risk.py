@@ -20,7 +20,7 @@ from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, _block_maxima,
                        estimate_amplitude, make_reference_state,
                        swap_test_overlap, tail_probability)
 from reference import (comparator_bisection_var, comparator_tail_probability,
-                       exact_distribution)
+                       dense_state, exact_distribution)
 
 M_BITS = 5
 
@@ -39,7 +39,7 @@ def branch_state(value_codes, price_codes=None, with_flag=True):
         idx = (k << layout.shift_of("path")) | (int(c) << layout.shift_of("price")) \
             | (int(v) << layout.shift_of("value"))
         amps[idx] = 1.0 / np.sqrt(L)
-    return StateVector(amps, layout)
+    return dense_state(amps, layout)
 
 
 def test_comparator_all_below_threshold():
@@ -114,7 +114,7 @@ def flag_ready_states(draw):
         return StateVector(amps, layout, index.astype(np.int64)), widths[2]
     dense = np.zeros(2**layout.total_qubits, dtype=complex)
     dense[index] = amps
-    return StateVector(dense, layout), widths[2]
+    return dense_state(dense, layout), widths[2]
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,17 +199,32 @@ def test_swap_test_matches_inner_product(rng):
     layout = RegisterLayout([("a", 3)])
     x = rng.normal(size=8) + 1j * rng.normal(size=8)
     y = rng.normal(size=8) + 1j * rng.normal(size=8)
-    a = StateVector(x / np.linalg.norm(x), layout)
-    b = StateVector(y / np.linalg.norm(y), layout)
+    a = dense_state(x / np.linalg.norm(x), layout)
+    b = dense_state(y / np.linalg.norm(y), layout)
     got, _ = swap_test_overlap(a, b)
     assert got == pytest.approx(abs(np.vdot(x, y)) / (np.linalg.norm(x) * np.linalg.norm(y)),
                                 abs=1e-12)
+    # sparse supports: partly shared, of different sizes, one past the
+    # other's end, and disjoint
+    for keep_a, keep_b in (([0, 2, 3, 6], [1, 2, 6, 7]), ([5], [0, 1, 2, 5, 7]),
+                           ([6, 7], [0, 1, 6]), ([0, 2, 4, 6], [1, 3, 5, 7]),
+                           ([6, 7], [0, 1])):
+        xa, yb = np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)
+        xa[keep_a], yb[keep_b] = x[keep_a], y[keep_b]
+        xa, yb = xa / np.linalg.norm(xa), yb / np.linalg.norm(yb)
+        sa = StateVector(xa[keep_a], layout, np.array(keep_a, dtype=np.int64))
+        sb = StateVector(yb[keep_b], layout, np.array(keep_b, dtype=np.int64))
+        for u, v in ((sa, sb), (sb, sa)):
+            got, _ = swap_test_overlap(u, v)
+            assert got == pytest.approx(abs(np.vdot(xa, yb)), abs=1e-12)
+        if not set(keep_a) & set(keep_b):
+            assert got == 0.0
 
 
 def test_swap_test_shape_mismatch():
     a = branch_state([1, 2, 3, 4])
     layout = RegisterLayout([("z", 2)])
-    b = StateVector(np.full(4, 0.5), layout)
+    b = dense_state(np.full(4, 0.5), layout)
     with pytest.raises(ConfigError):
         swap_test_overlap(a, b)
 
@@ -218,8 +233,8 @@ def test_swap_test_sampled(rng):
     layout = RegisterLayout([("a", 3)])
     x = rng.normal(size=8)
     y = x + 0.3 * rng.normal(size=8)
-    a = StateVector(x / np.linalg.norm(x) + 0j, layout)
-    b = StateVector(y / np.linalg.norm(y) + 0j, layout)
+    a = dense_state(x / np.linalg.norm(x) + 0j, layout)
+    b = dense_state(y / np.linalg.norm(y) + 0j, layout)
     exact, _ = swap_test_overlap(a, b)
     sampled, _ = swap_test_overlap(a, b, mode="sampled", eps=0.01,
                                    rng=np.random.default_rng(17))
@@ -263,7 +278,7 @@ def cvar_setup(value_codes, q, L=8):
 def test_cvar_constant_values():
     value_codes = [10] * 8
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.5)
-    out = cvar(state, ref, ref_norm, 10, 0.5, 8, 1.0, table.take)
+    out = cvar(state, ref, ref_norm, 10, 8, 1.0, table.take)
     assert out.cvar_normalized == pytest.approx(decode_value(10, M_BITS), abs=1e-10)
     assert out.p0 == pytest.approx(1.0, abs=1e-12)
 
@@ -272,7 +287,7 @@ def test_cvar_two_level_instance():
     a, b = encode_value(0.2, M_BITS), encode_value(0.8, M_BITS)
     value_codes = [a] * 4 + [b] * 4
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.5)
-    out = cvar(state, ref, ref_norm, int(a), 0.5, 8, 1.0, table.take)
+    out = cvar(state, ref, ref_norm, int(a), 8, 1.0, table.take)
     assert out.cvar_normalized == pytest.approx(float(decode_value(a, M_BITS)), abs=1e-10)
 
 
@@ -282,7 +297,7 @@ def test_cvar_identity_matches_tail_mean(rng):
         q = 0.25
         state, ref, ref_norm, table = cvar_setup(value_codes, q)
         var, _, _ = bisection_var(lambda: state.copy(), q, M_BITS)
-        out = cvar(state, ref, ref_norm, var, q, 8, 1.0, table.take)
+        out = cvar(state, ref, ref_norm, var, 8, 1.0, table.take)
         values = decode_value(value_codes, M_BITS)
         tail = values[values <= decode_value(var, M_BITS)]
         assert out.cvar_normalized == pytest.approx(tail.mean(), abs=1e-10)
@@ -295,7 +310,7 @@ def test_cvar_empty_tail_rejected():
     value_codes = [10, 11, 12, 13, 14, 15, 16, 17]
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.25)
     with pytest.raises(NumericalError, match="empty tail"):
-        cvar(state, ref, ref_norm, 5, 0.25, 8, 1.0, table.take)
+        cvar(state, ref, ref_norm, 5, 8, 1.0, table.take)
 
 
 def test_reference_state_rejects_all_zero():
@@ -348,8 +363,8 @@ def test_sparse_swap_test_equals_dense_bitwise(codes, seed):
         dense_phi = np.zeros_like(dense_ref)
         dense_phi[phi.index] = phi.amplitudes
         sparse_overlap, _ = swap_test_overlap(ref, phi)
-        dense_overlap, _ = swap_test_overlap(StateVector(dense_ref, ref.layout),
-                                             StateVector(dense_phi, phi.layout))
+        dense_overlap, _ = swap_test_overlap(dense_state(dense_ref, ref.layout),
+                                             dense_state(dense_phi, phi.layout))
         assert sparse_overlap == dense_overlap
 
 

@@ -79,7 +79,9 @@ def test_tracer_wraps_every_target_and_restores_every_binding(monkeypatch):
     names = {span.name for span in tracer.spans}
     assert "qpca.reduced_rho" in names
     assert "pipeline.run_pipeline" in names
-    assert tracer.values[0]["qcore.state_bytes_max"] > 0
+    # a classical request builds no StateVector: its value state is a plain
+    # vector over the grid
+    assert tracer.values[0]["qcore.state_bytes_max"] == 0
     after = bindings(tracer_mod.TARGETS)
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
@@ -104,4 +106,7 @@ def test_tracer_counts_lazy_solver_calls_on_a_cold_request(monkeypatch):
     assert names.count("qsvt.linprog") >= 1
     # the traced circuit is the 2^n-square complex block, not the dense U_Phi
     assert tracer.values[0]["qsvt.unitary_bytes"] == 16 * 4 ** README_CONFIG["n"]
+    # the largest traced state holds one complex amplitude per scenario
+    # branch, not 2^q of them
+    assert tracer.values[0]["qcore.state_bytes_max"] == 16 * README_CONFIG["L"]
     assert all(getattr(qvar.qsvt, name) is fn for name, fn in lazy.items())
