@@ -17,8 +17,8 @@ from .qsvt import (BlockEncoding, PhaseFactorSequence, PolynomialTarget,
                    apply_qsvt, approximate_target, prepare_value_state,
                    solve_phase_factors, target_g)
 from .blockenc import assemble_block_encoding
-from .risk import (RiskReport, bisection_var, classical_var_cvar, comparator_ucc,
-                   cvar, swap_test_overlap, tail_probability)
+from .risk import (RiskReport, TailTable, bisection_var, classical_var_cvar,
+                   comparator_ucc, cvar, swap_test_overlap, tail_probability)
 from .nogo import min_copies, overlap_power, trace_norm_gap
 
 __version__ = "0.1.0"

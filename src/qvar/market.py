@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 import os
+import struct
 from dataclasses import dataclass
 from typing import Literal
 
@@ -16,6 +18,7 @@ from .errors import ConfigError, NumericalError, QubitBudgetError
 DEFAULT_QUBIT_CAP = 24
 # basis indices are int64, so no layout may span more qubits
 MAX_QUBIT_CAP = 63
+GRID_CACHE = 16  # grids and their price codes
 
 PayoffKind = Literal["call", "put"]
 
@@ -148,7 +151,9 @@ def payoff_vector(spec: PayoffSpec, grid: PriceGrid) -> np.ndarray:
 
 
 def build_grid(s_min: float, s_max: float, n: int, spacing: str = "uniform") -> PriceGrid:
-    """Build a 2^n node grid on [s_min, s_max], uniform or geometric."""
+    """Build a 2^n node grid on [s_min, s_max], uniform or geometric, with
+    every check, the qubit cap's too, run on each call; the grid is memoised
+    on the bit patterns of s_min and s_max, n and spacing."""
     if not (0 <= s_min < s_max):
         raise ConfigError(f"need 0 <= s_min < s_max, got [{s_min}, {s_max}]")
     if n < 1:
@@ -156,16 +161,20 @@ def build_grid(s_min: float, s_max: float, n: int, spacing: str = "uniform") -> 
     cap = qubit_cap()
     if n > cap:
         raise QubitBudgetError(f"grid register of {n} qubits exceeds the budget of {cap}")
-    size = 2**n
-    if spacing == "uniform":
-        nodes = np.linspace(s_min, s_max, size)
-    elif spacing == "geometric":
-        if s_min <= 0:
-            raise ConfigError("geometric spacing requires s_min > 0")
-        nodes = np.geomspace(s_min, s_max, size)
-        nodes[0], nodes[-1] = s_min, s_max
-    else:
+    if spacing == "geometric" and s_min <= 0:
+        raise ConfigError("geometric spacing requires s_min > 0")
+    if spacing not in ("uniform", "geometric"):
         raise ConfigError(f"spacing must be 'uniform' or 'geometric', got {spacing!r}")
+    return _grid(struct.pack("<dd", s_min, s_max), n, spacing)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE)
+def _grid(bounds: bytes, n: int, spacing: str) -> PriceGrid:
+    s_min, s_max = struct.unpack("<dd", bounds)
+    if spacing == "uniform":
+        return PriceGrid(np.linspace(s_min, s_max, 2**n), n)
+    nodes = np.geomspace(s_min, s_max, 2**n)
+    nodes[0], nodes[-1] = s_min, s_max
     return PriceGrid(nodes, n)
 
 

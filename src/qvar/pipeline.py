@@ -10,20 +10,22 @@ grid's node bytes, as a ``PriceGrid`` hashes by identity:
 
 - the classical half, built with the book: the value surface's norm
   ``scale``, the paths and their snapped grid nodes, the classical value
-  state and the twin and raw per-path values;
+  state and the twin and raw per-path values, in stored order and sorted;
 - the quantum half, built on the book's first quantum request, so a
   classical request never builds it: the prepared value state with its
-  step-1 fidelity and l2 distance, the assembled scenario state, the
-  flagged base state that every Step-4 probe copies and reads its tail
-  mass from, and the value-weighted reference state.
+  step-1 fidelity and l2 distance, and the ``TailTable`` of the flagged
+  scenario state, which holds the tail reads' codes and squared
+  magnitudes and the CVaR overlap's terms against the value-weighted
+  reference state, from the book's one comparator write.
 
 Every array a book holds is read-only.  A step that raises caches nothing,
 so a failing book raises the same error on every request.  Each request
 still runs the budget check first, then both classical quantile readouts
-at its level and Step 4: bisection VaR, the CVaR overlap and, in sampled
-mode, its own seeded generator.  The ``ResourceTally`` charges the
-simulated device Steps 1-3 on every request, memo or not, so a hit and a
-miss give the same tally and the same report bytes."""
+at its level and Step 4's table reads: bisection VaR, the CVaR overlap
+and, in sampled mode, its own seeded generator.  The ``ResourceTally``
+charges the simulated device Steps 1-3 and one state preparation per
+probe on every request, memo or not, so a hit and a miss give the same
+tally and the same report bytes."""
 
 from __future__ import annotations
 
@@ -41,13 +43,12 @@ from .market import (MarketParams, PayoffSpec, PriceGrid, config_int,
 from .mc import simulate_paths
 from .pde import price_european
 from .qcore import RegisterLayout, StateVector
-from .qpca import (AssembleResult, assemble_portfolio_state, decode_value,
+from .qpca import (assemble_portfolio_state, decode_value,
                    grid_codes, price_register_width, snap_paths,
                    value_code_table, reduced_rho)
 from .qsvt import PROGRAM_CACHE, PreparedValueState, prepare_value_state
-from .risk import (FLAG, ClassicalRisk, CvarBreakdown, RiskReport,
-                   bisection_var, classical_var_cvar, cvar,
-                   make_reference_state, tail_probability)
+from .risk import (FLAG, ClassicalRisk, RiskReport, TailTable, bisection_var,
+                   classical_var_cvar, cvar, make_reference_state)
 
 
 @dataclass
@@ -97,11 +98,9 @@ class RunConfig:
 
     @functools.cached_property
     def price_codes(self) -> np.ndarray:
-        """The grid's m-bit price codes (``grid_codes``), encoded once per
-        request, read-only; Steps 2-4 and the budget check read them."""
-        codes = grid_codes(self.grid, self.m)
-        codes.setflags(write=False)
-        return codes
+        """The grid's m-bit price codes (``grid_codes``, memoised and
+        read-only); Steps 2-4 and the budget check read them."""
+        return grid_codes(self.grid, self.m)
 
     def check_budget(self) -> None:
         need = (self.L.bit_length() - 1 + price_register_width(self.price_codes)
@@ -152,17 +151,14 @@ def _read_only(*arrays) -> None:
 
 @dataclass(frozen=True)
 class QuantumBook:
-    """Steps 1-3 of a book: the prepared value state and its step-1
-    certificates, the assembled scenario state, the flagged base state that
-    every Step-4 probe copies and reads, and the value-weighted reference
-    state (None when every branch value rounds to zero)."""
+    """Steps 1-3 of a book: the prepared value state, its step-1
+    certificates and the ``TailTable`` every Step-4 read uses, of the
+    flagged scenario state and the value-weighted reference state."""
 
     prepared: PreparedValueState
     fidelity: float
     l2_distance: float
-    assembled: AssembleResult
-    flagged_base: StateVector
-    reference: tuple[StateVector, float] | None
+    tail: TailTable
 
 
 class Book:
@@ -188,8 +184,10 @@ class Book:
         self.twin_values = decode_value(
             value_code_table(rho_classical, m)[self.node_idx], m)
         self.raw_values = normalized[self.node_idx]
+        self.twin_sorted = np.sort(self.twin_values)
+        self.raw_sorted = np.sort(self.raw_values)
         _read_only(self.node_idx, self.classical_state, self.twin_values,
-                   self.raw_values)
+                   self.raw_values, self.twin_sorted, self.raw_sorted)
         self._quantum = None
 
     def quantum(self, codes: np.ndarray) -> QuantumBook:
@@ -214,17 +212,11 @@ class Book:
         reference = (None if np.all(assembled.value == 0.0) else
                      make_reference_state(layout, assembled.path_support << 1,
                                           assembled.value))
-        _read_only(assembled.node_index, assembled.path_support,
-                   assembled.value, assembled.oracle, phi.amplitudes,
-                   phi.index, flagged_base.index)
-        if reference is not None:
-            _read_only(reference[0].amplitudes, reference[0].index)
         return QuantumBook(
             prepared=prepared,
             fidelity=float(abs(np.vdot(prepared.state, classical))),
             l2_distance=float(np.linalg.norm(prepared.state - classical)),
-            assembled=assembled, flagged_base=flagged_base,
-            reference=reference)
+            tail=TailTable(flagged_base, reference, assembled.lookup))
 
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
@@ -249,8 +241,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                  config.grid.nodes.tobytes(), config.s0, config.L, config.m,
                  config.eps1)
     scale = book.scale
-    classical = classical_var_cvar(book.twin_values, config.q)
-    classical_raw = classical_var_cvar(book.raw_values, config.q)
+    classical = classical_var_cvar(book.twin_values, config.q,
+                                   book.twin_sorted)
+    classical_raw = classical_var_cvar(book.raw_values, config.q,
+                                       book.raw_sorted)
 
     if config.mode == "classical":
         report = RiskReport(level=config.q, var=classical.var * scale,
@@ -263,7 +257,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                                           "raw_cvar_gap": abs(classical.cvar - classical_raw.cvar)})
 
     quantum = book.quantum(config.price_codes)
-    prepared, assembled = quantum.prepared, quantum.assembled
+    prepared = quantum.prepared
     # the device spends Steps 1-3 on every request, memo or not
     tally.qsvt_degree = prepared.target.degree
     tally.block_encoding_queries = prepared.phases.degree
@@ -277,30 +271,16 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     rng = np.random.default_rng(config.seed) if sampled else None
     eps_est = 0.02
 
-    # Step 4: bisection VaR and the CVaR overlap
-    def preparer() -> StateVector:
-        tally.state_preparation_repetitions += 1
-        return quantum.flagged_base.copy()
-
+    # Step 4: bisection VaR and the CVaR overlap, read from the book's tail
+    # table; the device prepares the state once per probe
     var_code, iterations, queries = bisection_var(
-        preparer, config.q, config.m, mode=measure_mode, eps=eps_est, rng=rng)
+        quantum.tail, config.q, mode=measure_mode, eps=eps_est, rng=rng)
     tally.bisection_iterations = iterations
+    tally.state_preparation_repetitions += iterations
+    breakdown = cvar(quantum.tail, var_code, config.L, scale,
+                     mode=measure_mode, eps=eps_est, rng=rng)
     if sampled:
-        tally.amplitude_estimation_queries += queries
-
-    if quantum.reference is None:
-        # every branch value rounds to zero: the tail mean is exactly zero
-        # and the value-weighted reference state degenerates
-        p0, _ = tail_probability(quantum.flagged_base, var_code)
-        breakdown = CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
-                                  overlap_raw=0.0, p0=p0)
-    else:
-        psi_ref, ref_norm = quantum.reference
-        breakdown = cvar(quantum.flagged_base.copy(), psi_ref, ref_norm,
-                         var_code, config.L, scale, assembled.lookup,
-                         mode=measure_mode, eps=eps_est, rng=rng)
-        if sampled:
-            tally.amplitude_estimation_queries += breakdown.queries
+        tally.amplitude_estimation_queries += queries + breakdown.queries
 
     var_norm = float(decode_value(var_code, config.m))
     method = "quantum_sampled" if sampled else "quantum_exact"

@@ -123,7 +123,10 @@ class StateVector:
 
 def _permuted(state: StateVector, moved: np.ndarray) -> StateVector:
     """The state with stored amplitude j moved to basis index moved[j],
-    for a basis permutation."""
+    for a basis permutation; a permutation that moves nothing gives a bit
+    copy."""
+    if np.array_equal(moved, state.index):
+        return state.copy()
     # stable sort is timsort here: linear when the permutation keeps the
     # order, as the scenario stages' writes into low registers do
     order = np.argsort(moved, kind="stable")

@@ -52,13 +52,14 @@ and raises ``NumericalError`` past TROTTER_SLICE_CAP slices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .market import PriceGrid, price_code
+from .market import GRID_CACHE, PriceGrid, price_code
 from .mc import PathSet
 from .qcore import RegisterLayout, StateVector, xor_write
 
@@ -84,15 +85,22 @@ def decode_value(code, m: int):
 
 
 def grid_codes(grid: PriceGrid, m: int) -> np.ndarray:
-    """The grid nodes' m-bit price codes, strictly increasing; rejects
-    collisions, and ``price_code`` rejects codes too wide for int64."""
-    codes = price_code(grid.nodes, m)
+    """The grid nodes' m-bit price codes, strictly increasing, read-only and
+    memoised on the node bytes and m; a collision, or a code too wide for
+    int64 (``price_code``), raises on every call, as a raise stores nothing."""
+    return _grid_codes(grid.nodes.tobytes(), m)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE)
+def _grid_codes(nodes: bytes, m: int) -> np.ndarray:
+    codes = price_code(np.frombuffer(nodes), m)
     tied = np.diff(codes) == 0  # rounding keeps the nodes' order
     if np.any(tied):
         raise ConfigError(
             f"grid nodes collide in {m}-bit fixed point (codes "
             f"{sorted(set(codes[1:][tied].tolist()))}); "
             "increase m or coarsen the grid")
+    codes.setflags(write=False)
     return codes
 
 

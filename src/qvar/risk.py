@@ -1,7 +1,9 @@
 """Tail-risk stage: comparator, bisection VaR, tail probability, swap-test
 overlap and the CVaR reconstruction, plus the classical quantile oracle.
-Step 4 flags once per request: each bisection probe reads the comparator's
-flag-0 mass from the unflagged state (``tail_probability``).
+Step 4 reads a ``TailTable`` built once per flagged state: the bisection
+probes sum its squared magnitudes (``tail_probability``) and the CVaR
+overlap its contraction terms (``swap_test_overlap``); no request writes
+the flag.
 
 All quantum-path quantities operate on the m-bit half-scale value codes,
 so the quantum-exact VaR code coincides with the classical empirical
@@ -31,10 +33,11 @@ the full grid's ufuncs, so they carry its bits (``_likelihood_argmax``).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -95,8 +98,7 @@ class RiskReport:
         }
 
 
-def _check_threshold(state: StateVector, threshold_code: int) -> None:
-    width = state.layout.width_of(VALUE_REG)
+def _check_threshold(width: int, threshold_code: int) -> None:
     if not 0 <= threshold_code < 2**width:
         raise ConfigError(f"threshold code {threshold_code} not representable "
                           f"in {width} bits")
@@ -105,7 +107,7 @@ def _check_threshold(state: StateVector, threshold_code: int) -> None:
 def comparator_ucc(state: StateVector, threshold_code: int) -> StateVector:
     """Write the tail flag: 0 where the value code is <= the threshold code,
     1 otherwise (the flag qubit starts zeroed)."""
-    _check_threshold(state, threshold_code)
+    _check_threshold(state.layout.width_of(VALUE_REG), threshold_code)
     return flag_write(state, VALUE_REG, FLAG,
                       lambda codes: (codes > threshold_code).astype(np.int64))
 
@@ -280,21 +282,65 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
                              shots=shots * len(powers))
 
 
-def tail_probability(state: StateVector, threshold_code: int,
+def overlap_terms(state_a: StateVector, state_b: StateVector):
+    """The terms conj(a_j) b_j of <a|b> on two states' common support, in
+    a's stored order, and their positions in b, found by binary search of
+    one strictly increasing index in the other."""
+    if state_a.layout.items() != state_b.layout.items():
+        raise ConfigError("swap test requires identical register shapes")
+    index_a, index_b = state_a.index, state_b.index
+    at = np.minimum(np.searchsorted(index_b, index_a), index_b.size - 1)
+    in_a = np.flatnonzero(index_b[at] == index_a)
+    in_b = at[in_a]
+    return np.conj(state_a.amplitudes[in_a]) * state_b.amplitudes[in_b], in_b
+
+
+class TailTable:
+    """What Step 4 reads of one flagged state (flag the lowest qubit,
+    zeroed), built once: ``codes`` and ``probs``, the value codes and
+    squared magnitudes in stored order, which the comparator keeps, so a
+    tail read summing ``probs`` at codes <= its threshold has the flag
+    readout's bits; and, given the reference ``(psi_ref, ref_norm)``, the
+    CVaR overlap's terms from one comparator, value uncompute (the
+    self-inverse ``value_lookup``) and ``overlap_terms`` pass at the top
+    code.  A lower threshold flags the branches above it off the
+    reference's support, whose branches read value 0 once uncomputed, so
+    their code is their price's lookup: its terms are a prefix of the terms
+    sorted by code, and ``math.fsum``, exact whatever the order, gives the
+    contraction's bits.  No reference: no terms, ``ref_norm`` None."""
+
+    def __init__(self, state: StateVector, reference=None, value_lookup=None):
+        layout = state.layout
+        self.width = layout.width_of(VALUE_REG)
+        self.codes = layout.values(VALUE_REG, state.index)
+        self.probs = np.abs(state.amplitudes) ** 2
+        self.codes.setflags(write=False)
+        self.probs.setflags(write=False)
+        self.ref_norm = self.term_codes = self.term_real = self.term_imag = None
+        if reference is None:
+            return
+        psi_ref, self.ref_norm = reference
+        top = comparator_ucc(state, 2**self.width - 1)
+        phi3 = xor_write(top, "price", VALUE_REG, value_lookup)
+        terms, at = overlap_terms(psi_ref, phi3)
+        codes = np.asarray(value_lookup(layout.values("price", phi3.index[at])))
+        order = np.argsort(codes, kind="stable")
+        self.term_codes = tuple(codes[order].tolist())
+        self.term_real = tuple(terms.real[order].tolist())
+        self.term_imag = tuple(terms.imag[order].tolist())
+
+
+def tail_probability(table: TailTable, threshold_code: int,
                      mode: str = "exact", eps: float = 0.01,
                      rng=None) -> tuple[float, int]:
     """Probability of flag = 0 (the tail mass) that ``comparator_ucc`` at
-    ``threshold_code`` would give, without writing the flag; returns (p0,
-    query count).  The comparator is a basis permutation, so p0 sums the
-    squared amplitudes at value codes <= the threshold in stored order,
-    which it keeps when the flag is the least significant qubit, as in the
-    pipeline: there p0 has the bits of its flag readout.  Exact mode reads
-    squared amplitudes (one query); sampled mode runs amplitude estimation
-    at additive error eps."""
-    _check_threshold(state, threshold_code)
-    above = state.layout.values(VALUE_REG, state.index) > threshold_code
-    probs = np.abs(state.amplitudes) ** 2
-    p0 = float(np.bincount(above, weights=probs, minlength=2)[0])
+    ``threshold_code`` would give on the table's state, without writing the
+    flag; returns (p0, query count).  Exact mode sums the squared
+    amplitudes at value codes <= the threshold in stored order (one
+    query); sampled mode runs amplitude estimation at additive error eps."""
+    _check_threshold(table.width, threshold_code)
+    p0 = float(np.bincount(table.codes > threshold_code, weights=table.probs,
+                           minlength=2)[0])
     if mode == "exact":
         return p0, 1
     if rng is None:
@@ -303,16 +349,18 @@ def tail_probability(state: StateVector, threshold_code: int,
     return est.value, est.queries
 
 
-def bisection_var(state_preparer: Callable[[], StateVector], q: float, m: int,
-                  mode: str = "exact", eps: float = 0.01, rng=None):
-    """Smallest m-bit code whose tail probability reaches q.
+def bisection_var(table: TailTable, q: float, mode: str = "exact",
+                  eps: float = 0.01, rng=None):
+    """Smallest code of the table's m-bit value register whose tail
+    probability reaches q; returns (code, iterations, queries).
 
-    Binary search over the code range; each probe prepares a fresh state
-    and reads the flag-0 mass of the comparator at the candidate threshold
-    (``tail_probability``).  Terminates in at most m iterations.
+    Binary search over the code range; each probe, one preparation of the
+    state on the device, reads the flag-0 mass of the comparator at the
+    candidate threshold (``tail_probability``).  At most m iterations.
     """
     if not 0 < q < 1:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
+    m = table.width
     lo, hi = 0, 2**m - 1
     iterations = 0
     queries = 0
@@ -321,7 +369,7 @@ def bisection_var(state_preparer: Callable[[], StateVector], q: float, m: int,
         if iterations > m:
             raise NumericalError("bisection exceeded the m-iteration budget")
         mid = (lo + hi) // 2
-        p0, used = tail_probability(state_preparer(), mid, mode, eps, rng)
+        p0, used = tail_probability(table, mid, mode, eps, rng)
         queries += used
         if p0 >= q - CDF_TOL:
             hi = mid
@@ -330,26 +378,19 @@ def bisection_var(state_preparer: Callable[[], StateVector], q: float, m: int,
     return lo, iterations, queries
 
 
-def swap_test_overlap(state_a: StateVector, state_b: StateVector,
+def swap_test_overlap(table: TailTable, threshold_code: int,
                       mode: str = "exact", eps: float = 0.01,
                       rng=None) -> tuple[float, int]:
-    """|<a|b>| via direct contraction (exact) or the swap-test statistics
-    fed through amplitude estimation (sampled), budget O(1/eps).
-
-    The common support is found by binary search of one strictly
-    increasing index in the other.  The contraction sums the products with
-    ``math.fsum``, which rounds the exact sum once: stored zeros, the order
-    of the terms and the BLAS thread count cannot change its bits."""
-    if state_a.layout.items() != state_b.layout.items():
-        raise ConfigError("swap test requires identical register shapes")
-    index_a, index_b = state_a.index, state_b.index
-    at = np.minimum(np.searchsorted(index_b, index_a), index_b.size - 1)
-    in_a = np.flatnonzero(index_b[at] == index_a)
-    in_b = at[in_a]
-    terms = np.conj(state_a.amplitudes[in_a]) * state_b.amplitudes[in_b]
-    overlap = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    """|<psi_ref x 0|Phi3>| for the table's reference and its state flagged
+    at ``threshold_code`` with the value uncomputed: the exactly rounded
+    sum of the table's terms at codes <= the threshold (exact), or the
+    swap-test statistics of that overlap fed through amplitude estimation
+    (sampled), budget O(1/eps)."""
+    k = bisect.bisect_right(table.term_codes, threshold_code)
+    overlap = abs(complex(math.fsum(table.term_real[:k]),
+                          math.fsum(table.term_imag[:k])))
     if mode == "exact":
-        return float(overlap), 1
+        return overlap, 1
     if rng is None:
         raise ConfigError("sampled mode needs a seeded generator")
     est = estimate_amplitude(0.5 * (1.0 + overlap**2), eps, rng)
@@ -363,15 +404,16 @@ class ClassicalRisk:
     p0: float
 
 
-def classical_var_cvar(values, q: float) -> ClassicalRisk:
+def classical_var_cvar(values, q: float, ordered=None) -> ClassicalRisk:
     """Empirical quantile oracle: smallest value with CDF >= q, and the
-    mean over the closed tail {v <= VaR}."""
+    mean over the closed tail {v <= VaR}, taken in stored order.
+    ``ordered`` is the values sorted, when the caller keeps them."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ConfigError("values must be nonempty")
     if not 0 < q < 1:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
-    ordered = np.sort(values)
+    ordered = np.sort(values) if ordered is None else ordered
     count = values.size
     cdf = np.arange(1, count + 1) / count
     idx = int(np.argmax(cdf >= q - CDF_TOL))
@@ -400,27 +442,25 @@ class CvarBreakdown:
     queries: int = 1
 
 
-def cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
-         threshold_code: int, L: int, scale: float,
-         value_lookup: Callable, mode: str = "exact", eps: float = 0.01,
-         rng=None) -> CvarBreakdown:
+def cvar(table: TailTable, threshold_code: int, L: int, scale: float,
+         mode: str = "exact", eps: float = 0.01, rng=None) -> CvarBreakdown:
     """Tail mean from the flagged-and-uncomputed portfolio state.
 
-    Reads the tail fraction at the VaR code, applies the comparator there,
-    undoes the value write with the same price-code lookup
-    ``value_lookup`` (the XOR lookup is self-inverse, standing in for the
-    inverse QPCA/QFT pass), and contracts against the value-weighted
-    reference state; the reconstruction divides by the achieved tail
-    fraction.
+    Reads the tail fraction at the VaR code and the reference's overlap
+    with the state flagged there, value uncomputed (``swap_test_overlap``);
+    the reconstruction divides by the achieved tail fraction.  Without a
+    reference every branch value is zero, and so is the tail mean.
     """
-    p0, q_used = tail_probability(state, threshold_code, mode, eps, rng)
+    if table.ref_norm is None:
+        p0, _ = tail_probability(table, threshold_code)
+        return CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
+                             overlap_raw=0.0, p0=p0, queries=0)
+    p0, q_used = tail_probability(table, threshold_code, mode, eps, rng)
     if p0 <= 0.0:
         raise NumericalError("empty tail set: no branch at or below the VaR code")
-    flagged = comparator_ucc(state, threshold_code)
-    phi3 = xor_write(flagged, "price", VALUE_REG, value_lookup)
-    raw, q_overlap = swap_test_overlap(psi_ref, phi3, mode, eps, rng)
-    cvar_norm = raw * ref_norm / (p0 * math.sqrt(L))
-    overlap_folded = raw * ref_norm * math.sqrt(p0)
+    raw, q_overlap = swap_test_overlap(table, threshold_code, mode, eps, rng)
+    cvar_norm = raw * table.ref_norm / (p0 * math.sqrt(L))
+    overlap_folded = raw * table.ref_norm * math.sqrt(p0)
     return CvarBreakdown(cvar=cvar_norm * scale, cvar_normalized=cvar_norm,
                          overlap=overlap_folded, overlap_raw=raw, p0=p0,
                          queries=q_used + q_overlap)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from qvar import pipeline, qsvt, risk
+from qvar import market, pipeline, qpca, qsvt, risk
 from qvar.market import MarketParams, PayoffSpec, build_grid
 
-# every in-process memo, emptied before every test: the books, Stage 1's
-# fits, programs and operator SVDs, and amplitude estimation's max trees
-MEMOS = (pipeline._book, qsvt._ladder_fits, qsvt._fit_certificate,
-         qsvt._phase_factors, qsvt._encoding, qsvt._value_block,
-         qsvt._sigma_min, qsvt._stepping_svd, risk._subblock_maxima,
-         risk._block_maxima)
+# every in-process memo, emptied before every test: the grids and their
+# price codes, the books, Stage 1's fits, programs and operator SVDs, and
+# amplitude estimation's max trees
+MEMOS = (market._grid, qpca._grid_codes, pipeline._book, qsvt._ladder_fits,
+         qsvt._fit_certificate, qsvt._phase_factors, qsvt._encoding,
+         qsvt._value_block, qsvt._sigma_min, qsvt._stepping_svd,
+         risk._subblock_maxima, risk._block_maxima)
 
 
 @pytest.fixture(autouse=True)

@@ -30,10 +30,13 @@ densely so that small instances can be compared entry by entry:
   whole to the public ``scipy.optimize.linprog`` (``fit_minimax``), with
   the degree walk on it (``dense_walk``): the fits ``qsvt.linprog`` finds
   by row generation are checked against these;
-* Step 4 through a flagged state per probe: the comparator's flag readout
-  (``comparator_tail_probability``) and the bisection on it
-  (``comparator_bisection_var``), which ``risk.tail_probability`` and
-  ``risk.bisection_var`` reproduce bit for bit without writing the flag;
+* Step 4 through a flagged state per read: the comparator's flag readout
+  (``comparator_tail_probability``), the bisection on it
+  (``comparator_bisection_var``) and the CVaR that flags the state at the
+  VaR code, uncomputes its value and contracts it with the reference
+  (``comparator_cvar``, on the two-state swap test ``state_swap_test``),
+  which ``risk.tail_probability``, ``risk.bisection_var`` and
+  ``risk.cvar`` reproduce bit for bit from a ``risk.TailTable``;
 * the explicit 1-norm of the no-go pair's m-copy projectors
   (``explicit_trace_norm_gap``), twice ``nogo.trace_norm_gap``;
 * small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
@@ -541,7 +544,7 @@ def dense_walk(t_tilde: int, norm: float, eps: float):
         degree = max(degree + 2, int(degree * 1.4) | 1)
 
 
-# --- Step 4 through a flagged state per probe ----------------------------
+# --- Step 4 through a flagged state per read -----------------------------
 
 def comparator_tail_probability(state: StateVector, threshold_code: int,
                                 mode: str = "exact", eps: float = 0.01,
@@ -575,6 +578,46 @@ def comparator_bisection_var(state_preparer, q: float, m: int,
         else:
             lo = mid + 1
     return lo, iterations, queries
+
+
+def state_swap_test(state_a: StateVector, state_b: StateVector,
+                    mode: str = "exact", eps: float = 0.01,
+                    rng=None) -> tuple[float, int]:
+    """|<a|b>| by contraction over the common support, summed with
+    ``math.fsum`` (exact), or the swap-test statistics fed through
+    amplitude estimation (sampled)."""
+    if state_a.layout.items() != state_b.layout.items():
+        raise ConfigError("swap test requires identical register shapes")
+    index_a, index_b = state_a.index, state_b.index
+    at = np.minimum(np.searchsorted(index_b, index_a), index_b.size - 1)
+    in_a = np.flatnonzero(index_b[at] == index_a)
+    terms = np.conj(state_a.amplitudes[in_a]) * state_b.amplitudes[at[in_a]]
+    overlap = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    if mode == "exact":
+        return overlap, 1
+    est = risk.estimate_amplitude(0.5 * (1.0 + overlap**2), eps, rng)
+    return math.sqrt(max(0.0, 2.0 * est.value - 1.0)), est.queries
+
+
+def comparator_cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
+                    threshold_code: int, L: int, scale: float, value_lookup,
+                    mode: str = "exact", eps: float = 0.01,
+                    rng=None) -> risk.CvarBreakdown:
+    """The CVaR as a circuit at the VaR code: read the tail fraction, write
+    the flag with ``risk.comparator_ucc``, uncompute the value with the
+    XOR lookup ``value_lookup`` and contract against the reference."""
+    p0, q_used = comparator_tail_probability(state, threshold_code, mode, eps,
+                                             rng)
+    if p0 <= 0.0:
+        raise NumericalError("empty tail set: no branch at or below the VaR code")
+    flagged = risk.comparator_ucc(state, threshold_code)
+    phi3 = xor_write(flagged, "price", risk.VALUE_REG, value_lookup)
+    raw, q_overlap = state_swap_test(psi_ref, phi3, mode, eps, rng)
+    cvar_norm = raw * ref_norm / (p0 * math.sqrt(L))
+    return risk.CvarBreakdown(
+        cvar=cvar_norm * scale, cvar_normalized=cvar_norm,
+        overlap=raw * ref_norm * math.sqrt(p0), overlap_raw=raw, p0=p0,
+        queries=q_used + q_overlap)
 
 
 # --- the no-go pair's explicit trace norm --------------------------------

@@ -24,7 +24,8 @@ from qvar.qcore import RegisterLayout
 from qvar.qpca import (assemble_portfolio_state, decode_value, grid_codes,
                        reduced_rho, snap_paths)
 from qvar.qsvt import prepare_value_state
-from qvar.risk import bisection_var, classical_var_cvar, cvar, make_reference_state
+from qvar.risk import (TailTable, bisection_var, classical_var_cvar, cvar,
+                       make_reference_state)
 from reference import (DensityMatrix, evolve_exp_rho, explicit_trace_norm_gap,
                        fit_linear_slope, grover_rudolph_prepare, nearest_index,
                        perturb_state, trotter_slice, verify_block_encoding)
@@ -204,16 +205,16 @@ def test_criterion_6_and_7_var_equality_cvar_identity(rng):
         node_idx = assembled.node_index
         twin = decode_value(assembled.lookup(codes[node_idx]), m)
 
-        var_code, iters, _ = bisection_var(lambda: state.copy(), q, m)
+        reference = make_reference_state(
+            layout, assembled.path_support << 1, assembled.value)
+        tail = TailTable(state, reference, assembled.lookup)
+        var_code, iters, _ = bisection_var(tail, q)
         classical = classical_var_cvar(twin, q)
         assert decode_value(var_code, m) == classical.var, \
             f"trial {trial}: code {var_code} vs classical {classical.var}"
         assert iters <= m
 
-        ref, ref_norm = make_reference_state(
-            layout, assembled.path_support << 1, assembled.value)
-        breakdown = cvar(state.copy(), ref, ref_norm, var_code, L, 1.0,
-                         assembled.lookup)
+        breakdown = cvar(tail, var_code, L, 1.0)
         # identity against the coded twin
         assert breakdown.cvar_normalized == pytest.approx(classical.cvar, abs=1e-10)
         # stated tolerance against the unquantized classical tail mean

@@ -12,11 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvar
-from qvar import cli, pipeline, qcore, qsvt
-from qvar.errors import QubitBudgetError
+from qvar import cli, market, pipeline, qcore, qpca, qsvt
+from qvar.errors import ConfigError, QubitBudgetError
+from qvar.market import build_grid
 from qvar.pipeline import emit_report, load_run_config, run_pipeline
 
 README_CONFIG = {
@@ -49,22 +51,15 @@ def book_of(**overrides) -> pipeline.Book:
 def cached_arrays(book: pipeline.Book) -> dict:
     arrays = {"node_idx": book.node_idx,
               "classical_state": book.classical_state,
-              "twin_values": book.twin_values, "raw_values": book.raw_values}
+              "twin_values": book.twin_values, "raw_values": book.raw_values,
+              "twin_sorted": book.twin_sorted, "raw_sorted": book.raw_sorted}
     quantum = book._quantum
     if quantum is not None:
-        assembled = quantum.assembled
         arrays.update({
             "prepared": quantum.prepared.state,
             "block": quantum.prepared.block,
-            "node_index": assembled.node_index,
-            "path_support": assembled.path_support,
-            "value": assembled.value, "oracle": assembled.oracle,
-            "phi": assembled.state.amplitudes,
-            "phi_index": assembled.state.index,
-            "flagged_base": quantum.flagged_base.amplitudes,
-            "flagged_index": quantum.flagged_base.index,
-            "reference": quantum.reference[0].amplitudes,
-            "reference_index": quantum.reference[0].index})
+            "tail_codes": quantum.tail.codes,
+            "tail_probs": quantum.tail.probs})
     return arrays
 
 
@@ -140,13 +135,18 @@ def test_cached_arrays_are_read_only_and_unchanged_by_step_4():
     run()
     book = book_of()
     before = {name: array.tobytes() for name, array in cached_arrays(book).items()}
-    assert len(before) == 16
+    assert len(before) == 10
     for name, array in cached_arrays(book).items():
         assert not array.flags.writeable, name
+    tail = book._quantum.tail
+    terms = (tail.term_codes, tail.term_real, tail.term_imag)
+    assert all(isinstance(column, tuple) for column in terms)
+    assert len(tail.term_codes) == README_CONFIG["L"]
     for request in REQUESTS:
         run(**request)
     after = {name: array.tobytes() for name, array in cached_arrays(book_of()).items()}
     assert after == before
+    assert (tail.term_codes, tail.term_real, tail.term_imag) == terms
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -162,9 +162,9 @@ def test_tally_is_equal_on_a_hit_and_a_miss(mode):
 
 @pytest.mark.parametrize("mode", ["quantum_exact", "quantum_sampled"])
 def test_a_warm_quantum_request_writes_the_flag_once(monkeypatch, mode):
-    # every bisection probe reads its tail mass from the prepared state;
-    # only the CVaR overlap applies the comparator
-    run(mode=mode)
+    # the flag is written once per book: the comparator at the top code
+    # when the cold request builds the tail table, for the CVaR overlap's
+    # terms; every request's probes and overlap read that table
     writes, flag_write = [], qcore.flag_write
 
     def counted(*args, **kwargs):
@@ -175,10 +175,12 @@ def test_a_warm_quantum_request_writes_the_flag_once(monkeypatch, mode):
         if name.startswith("qvar.") and vars(module).get("flag_write") \
                 is flag_write:
             monkeypatch.setattr(module, "flag_write", counted)
-    tally = run(mode=mode).tally
-    assert len(writes) == 1
-    assert tally.bisection_iterations == README_CONFIG["m"]
-    assert tally.state_preparation_repetitions == 1 + README_CONFIG["m"]
+    for built in (1, 0):  # cold, then warm
+        writes.clear()
+        tally = run(mode=mode).tally
+        assert len(writes) == built
+        assert tally.bisection_iterations == README_CONFIG["m"]
+        assert tally.state_preparation_repetitions == 1 + README_CONFIG["m"]
 
 
 def test_a_classical_request_builds_no_quantum_half():
@@ -223,3 +225,60 @@ def test_a_lowered_cap_refuses_a_cached_book(monkeypatch, tmp_path):
         assert cli.main(["run", "--mode", mode, "--config", str(config),
                          "--output", str(tmp_path / "out.json")]) == 4
     assert pipeline._book.cache_info().currsize == 1
+
+
+def test_a_lowered_cap_refuses_a_warm_grid(monkeypatch, tmp_path):
+    # the README grid has n = 4 qubits; the cap check runs on every call,
+    # memoised grid or not
+    run()
+    assert market._grid.cache_info().currsize == 1
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "3")
+    for _ in range(2):
+        with pytest.raises(QubitBudgetError, match="grid register of 4"):
+            run()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(README_CONFIG))
+    assert cli.main(["run", "--config", str(config),
+                     "--output", str(tmp_path / "out.json")]) == 4
+    assert market._grid.cache_info().currsize == 1
+
+
+def test_a_colliding_grid_raises_the_same_error_on_every_call():
+    # 64 nodes on [0, 4] are 1/16 apart, so m = 2 rounds some onto one code
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="collide") as err:
+            load_run_config({**README_CONFIG, "n": 6, "m": 2}).check_budget()
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    assert qpca._grid_codes.cache_info().currsize == 0
+
+
+def test_a_negative_zero_s_min_keeps_its_own_nodes():
+    # the grid memo keys on bit patterns, so -0.0 is built apart from 0.0
+    # and gets the nodes of its own unmemoised build; np.linspace adds
+    # s_min to 0 * step, so those bytes equal 0.0's, and the books, keyed
+    # on node bytes, are shared as they are without the memo
+    bounds = (-0.0, 0.0)
+    grids = [build_grid(s_min, 4.0, 4) for s_min in bounds]
+    assert grids[0] is not grids[1]
+    assert market._grid.cache_info().currsize == 2
+    for s_min, grid in zip(bounds, grids):
+        assert grid.nodes.tobytes() == np.linspace(s_min, 4.0, 16).tobytes()
+    reports = [emit_report(run(s_min=s_min)) for s_min in bounds]
+    distinct = {grid.nodes.tobytes() for grid in grids}
+    assert pipeline._book.cache_info().currsize == len(distinct)
+    pipeline._book.cache_clear()
+    assert [emit_report(run(s_min=s_min)) for s_min in bounds[::-1]] == \
+        reports[::-1]
+
+
+def test_memoised_nodes_and_codes_are_read_only():
+    grid = build_grid(0.0, 4.0, 4)
+    codes = qpca.grid_codes(grid, 6)
+    assert build_grid(0.0, 4.0, 4) is grid
+    assert qpca.grid_codes(build_grid(0.0, 4.0, 4), 6) is codes
+    for array in (grid.nodes, codes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1

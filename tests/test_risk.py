@@ -14,13 +14,14 @@ import qvar
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, _block_maxima,
+from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, TailTable, _block_maxima,
                        _likelihood_argmax, _subblock_maxima, bisection_var,
                        classical_var_cvar, comparator_ucc, cvar,
                        estimate_amplitude, make_reference_state,
-                       swap_test_overlap, tail_probability)
-from reference import (comparator_bisection_var, comparator_tail_probability,
-                       dense_state, exact_distribution)
+                       overlap_terms, swap_test_overlap, tail_probability)
+from reference import (comparator_bisection_var, comparator_cvar,
+                       comparator_tail_probability, dense_state,
+                       exact_distribution)
 
 M_BITS = 5
 
@@ -58,14 +59,14 @@ def test_comparator_matches_classical_pattern(rng):
     codes = rng.integers(0, 2**M_BITS, size=8)
     thr = 11
     state = branch_state(codes)
-    p0, _ = tail_probability(state, thr)
+    p0, _ = tail_probability(TailTable(state), thr)
     assert p0 == pytest.approx(np.mean(codes <= thr), abs=1e-12)
     assert exact_distribution(comparator_ucc(state, thr), "flag")[0] == p0
 
 
 def test_tail_probability_counting():
     state = branch_state([1, 2, 10, 11, 12, 13, 14, 15])
-    p0, queries = tail_probability(state, 2)
+    p0, queries = tail_probability(TailTable(state), 2)
     assert p0 == pytest.approx(0.25, abs=1e-12)
     assert queries == 1
 
@@ -76,9 +77,9 @@ def test_tail_probability_sampled_within_eps(rng):
         gen = np.random.default_rng(seed)
         codes = gen.integers(0, 2**M_BITS, size=16)
         thr = int(gen.integers(0, 2**M_BITS))
-        state = branch_state(codes)
-        exact, _ = tail_probability(state, thr)
-        sampled, queries = tail_probability(state, thr, mode="sampled", eps=eps,
+        table = TailTable(branch_state(codes))
+        exact, _ = tail_probability(table, thr)
+        sampled, queries = tail_probability(table, thr, mode="sampled", eps=eps,
                                             rng=np.random.default_rng(1000 + seed))
         assert abs(sampled - exact) <= eps
         assert queries <= 64 * 96 * 4 / eps  # documented O(1/eps) budget
@@ -88,7 +89,7 @@ def test_tail_probability_sampled_within_eps(rng):
 def test_tail_probability_rejects_unrepresentable_threshold(threshold):
     state = branch_state([1, 2, 3, 4])
     with pytest.raises(ConfigError, match="not representable"):
-        tail_probability(state, threshold)
+        tail_probability(TailTable(state), threshold)
     with pytest.raises(ConfigError, match="not representable"):
         comparator_ucc(state, threshold)
 
@@ -123,11 +124,13 @@ def flag_ready_states(draw):
 def test_tail_read_equals_comparator_readout_bitwise(case, data, seed, eps):
     state, m = case
     threshold = data.draw(st.integers(0, 2**m - 1))
-    p0, queries = tail_probability(state, threshold)
+    table = TailTable(state)
+    p0, queries = tail_probability(table, threshold)
     oracle, oracle_queries = comparator_tail_probability(state, threshold)
     assert (p0.hex(), queries) == (oracle.hex(), oracle_queries)
-    sampled = [read(state, threshold, "sampled", eps, np.random.default_rng(seed))
-               for read in (tail_probability, comparator_tail_probability)]
+    sampled = [read(source, threshold, "sampled", eps, np.random.default_rng(seed))
+               for read, source in ((tail_probability, table),
+                                    (comparator_tail_probability, state))]
     assert sampled[0][0].hex() == sampled[1][0].hex()
     assert sampled[0][1] == sampled[1][1]
 
@@ -139,11 +142,105 @@ def test_tail_read_equals_comparator_readout_bitwise(case, data, seed, eps):
 def test_bisection_equals_comparator_bisection(case, q, mode, seed):
     state, m = case
 
-    def bisect(search):
-        rng = np.random.default_rng(seed) if mode == "sampled" else None
-        return search(state.copy, q, m, mode, 0.02, rng)
+    def rng():
+        return np.random.default_rng(seed) if mode == "sampled" else None
 
-    assert bisect(bisection_var) == bisect(comparator_bisection_var)
+    assert bisection_var(TailTable(state), q, mode, 0.02, rng()) == \
+        comparator_bisection_var(state.copy, q, m, mode, 0.02, rng())
+
+
+@st.composite
+def tail_instances(draw):
+    """A sparse state on [path, price, value, flag], the flag its least
+    significant qubit and zeroed: branches at distinct (path, price) whose
+    value register holds a random lookup of their price, a few strays whose
+    value register holds something else, and the value-weighted reference
+    over every branch's (path, price).  About one case in four has an
+    all-zero lookup and so no reference.  Returns (state, reference or
+    None, lookup, value width)."""
+    path_w, price_w, m = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                          draw(st.integers(1, 5)))
+    layout = RegisterLayout([("path", path_w), ("price", price_w),
+                             ("value", m), ("flag", 1)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, 2**m, size=2**price_w)
+    if draw(st.booleans()) and draw(st.booleans()):
+        table[:] = 0
+    count = draw(st.integers(1, min(2**(path_w + price_w), 32)))
+    pairs = np.sort(rng.choice(2**(path_w + price_w), size=count, replace=False))
+    price = pairs & (2**price_w - 1)
+    value = table[price]
+    stray = rng.random(count) < draw(st.sampled_from([0.0, 0.25]))
+    value[stray] ^= rng.integers(1, 2**m, size=int(stray.sum()))
+    amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+    if draw(st.booleans()):
+        amps[:] = 1.0  # uniform over the branches, as the scenario state
+    state = StateVector(amps / np.linalg.norm(amps), layout,
+                        (pairs << (m + 1)) | (value << 1))
+    weights = decode_value(table[price], m)
+    reference = (make_reference_state(layout, pairs << (m + 1), weights)
+                 if weights.any() else None)
+    return state, reference, table.take, m
+
+
+def modes_with_generators(seed):
+    """(mode, generator, oracle's generator): none in exact mode, two
+    equally seeded ones in sampled mode."""
+    return [("exact", None, None),
+            ("sampled", np.random.default_rng(seed), np.random.default_rng(seed))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tail_instances(), seed=st.integers(0, 2**32 - 1))
+def test_table_tail_mass_equals_the_comparator_at_every_code(case, seed):
+    state, reference, lookup, m = case
+    table = TailTable(state, reference, lookup)
+    for code in range(2**m):
+        for mode, rng_a, rng_b in modes_with_generators(seed):
+            p0, queries = tail_probability(table, code, mode, 0.1, rng_a)
+            oracle, oracle_queries = comparator_tail_probability(
+                state, code, mode, 0.1, rng_b)
+            assert (p0.hex(), queries) == (oracle.hex(), oracle_queries)
+
+
+def breakdown_bits(out) -> tuple:
+    return (out.overlap_raw.hex(), out.p0.hex(), out.cvar.hex(),
+            out.cvar_normalized.hex(), out.overlap.hex(), out.queries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tail_instances(), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 2.75]))
+def test_table_cvar_equals_the_comparator_circuit_at_every_code(case, seed,
+                                                                 scale):
+    state, reference, lookup, m = case
+    table = TailTable(state, reference, lookup)
+    L = state.index.size
+    for code in range(2**m):
+        p0, _ = comparator_tail_probability(state, code)
+        if p0 <= 0.0:
+            continue
+        for mode, rng_a, rng_b in modes_with_generators(seed):
+            if reference is None:
+                # a zero tail mean with the exact p0, and no draw
+                before = None if rng_a is None else rng_a.bit_generator.state
+                out = cvar(table, code, L, scale, mode, 0.1, rng_a)
+                assert breakdown_bits(out) == ((0.0).hex(), p0.hex(),
+                                               *[(0.0).hex()] * 3, 0)
+                assert before is None or rng_a.bit_generator.state == before
+                continue
+            try:
+                got = breakdown_bits(cvar(table, code, L, scale, mode, 0.1,
+                                          rng_a))
+            except NumericalError as exc:  # a sampled p0 of zero
+                got = str(exc)
+            try:
+                want = breakdown_bits(comparator_cvar(
+                    state, *reference, code, L, scale, lookup, mode, 0.1,
+                    rng_b))
+            except NumericalError as exc:
+                want = str(exc)
+            assert got == want
 
 
 def test_estimate_amplitude_budget_scales(rng):
@@ -164,16 +261,14 @@ def sorting_oracle(codes, q):
 
 
 def test_bisection_all_equal_values():
-    state = branch_state([9] * 8)
-    var, iters, _ = bisection_var(lambda: state.copy(), 0.37, M_BITS)
+    var, iters, _ = bisection_var(TailTable(branch_state([9] * 8)), 0.37)
     assert var == 9
     assert iters <= M_BITS
 
 
 def test_bisection_uniform_distinct_codes():
     codes = [2, 5, 7, 11, 13, 17, 23, 29]
-    state = branch_state(codes)
-    var, iters, _ = bisection_var(lambda: state.copy(), 0.25, M_BITS)
+    var, iters, _ = bisection_var(TailTable(branch_state(codes)), 0.25)
     assert var == sorting_oracle(codes, 0.25) == 5
     assert iters <= M_BITS
 
@@ -182,17 +277,23 @@ def test_bisection_uniform_distinct_codes():
 def test_bisection_matches_sorting_oracle(rng, q):
     for _ in range(10):
         codes = rng.integers(0, 2**M_BITS, size=16)
-        state = branch_state(codes)
-        var, iters, _ = bisection_var(lambda: state.copy(), q, M_BITS)
+        var, iters, _ = bisection_var(TailTable(branch_state(codes)), q)
         assert var == sorting_oracle(codes, q)
         assert iters <= M_BITS
+
+
+def contraction(a, b) -> float:
+    """|<a|b>| from the terms ``overlap_terms`` aligns, summed exactly."""
+    terms, at = overlap_terms(a, b)
+    assert set(b.index[at].tolist()) == set(a.index.tolist()) & set(b.index.tolist())
+    return abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
 
 
 def test_swap_test_identical_and_orthogonal():
     a = branch_state([1, 2, 3, 4])
     b = branch_state([5, 6, 7, 8])
-    assert swap_test_overlap(a, a)[0] == pytest.approx(1.0, abs=1e-12)
-    assert swap_test_overlap(a, b)[0] == pytest.approx(0.0, abs=1e-12)
+    assert contraction(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert contraction(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_swap_test_matches_inner_product(rng):
@@ -201,7 +302,7 @@ def test_swap_test_matches_inner_product(rng):
     y = rng.normal(size=8) + 1j * rng.normal(size=8)
     a = dense_state(x / np.linalg.norm(x), layout)
     b = dense_state(y / np.linalg.norm(y), layout)
-    got, _ = swap_test_overlap(a, b)
+    got = contraction(a, b)
     assert got == pytest.approx(abs(np.vdot(x, y)) / (np.linalg.norm(x) * np.linalg.norm(y)),
                                 abs=1e-12)
     # sparse supports: partly shared, of different sizes, one past the
@@ -215,7 +316,7 @@ def test_swap_test_matches_inner_product(rng):
         sa = StateVector(xa[keep_a], layout, np.array(keep_a, dtype=np.int64))
         sb = StateVector(yb[keep_b], layout, np.array(keep_b, dtype=np.int64))
         for u, v in ((sa, sb), (sb, sa)):
-            got, _ = swap_test_overlap(u, v)
+            got = contraction(u, v)
             assert got == pytest.approx(abs(np.vdot(xa, yb)), abs=1e-12)
         if not set(keep_a) & set(keep_b):
             assert got == 0.0
@@ -226,19 +327,18 @@ def test_swap_test_shape_mismatch():
     layout = RegisterLayout([("z", 2)])
     b = dense_state(np.full(4, 0.5), layout)
     with pytest.raises(ConfigError):
-        swap_test_overlap(a, b)
+        overlap_terms(a, b)
 
 
 def test_swap_test_sampled(rng):
-    layout = RegisterLayout([("a", 3)])
-    x = rng.normal(size=8)
-    y = x + 0.3 * rng.normal(size=8)
-    a = dense_state(x / np.linalg.norm(x) + 0j, layout)
-    b = dense_state(y / np.linalg.norm(y) + 0j, layout)
-    exact, _ = swap_test_overlap(a, b)
-    sampled, _ = swap_test_overlap(a, b, mode="sampled", eps=0.01,
-                                   rng=np.random.default_rng(17))
-    assert abs(sampled - exact) <= 0.05
+    codes = rng.integers(1, 2**M_BITS, size=8)
+    state, ref, ref_norm, table = cvar_setup(codes, 0.5)
+    tail = TailTable(state, (ref, ref_norm), table.take)
+    for threshold in (int(np.median(codes)), 2**M_BITS - 1):
+        exact, _ = swap_test_overlap(tail, threshold)
+        sampled, _ = swap_test_overlap(tail, threshold, mode="sampled",
+                                       eps=0.01, rng=np.random.default_rng(17))
+        assert abs(sampled - exact) <= 0.05
 
 
 def test_classical_var_cvar_examples():
@@ -278,7 +378,7 @@ def cvar_setup(value_codes, q, L=8):
 def test_cvar_constant_values():
     value_codes = [10] * 8
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.5)
-    out = cvar(state, ref, ref_norm, 10, 8, 1.0, table.take)
+    out = cvar(TailTable(state, (ref, ref_norm), table.take), 10, 8, 1.0)
     assert out.cvar_normalized == pytest.approx(decode_value(10, M_BITS), abs=1e-10)
     assert out.p0 == pytest.approx(1.0, abs=1e-12)
 
@@ -287,7 +387,7 @@ def test_cvar_two_level_instance():
     a, b = encode_value(0.2, M_BITS), encode_value(0.8, M_BITS)
     value_codes = [a] * 4 + [b] * 4
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.5)
-    out = cvar(state, ref, ref_norm, int(a), 8, 1.0, table.take)
+    out = cvar(TailTable(state, (ref, ref_norm), table.take), int(a), 8, 1.0)
     assert out.cvar_normalized == pytest.approx(float(decode_value(a, M_BITS)), abs=1e-10)
 
 
@@ -296,8 +396,9 @@ def test_cvar_identity_matches_tail_mean(rng):
         value_codes = rng.integers(0, 2**M_BITS, size=8)
         q = 0.25
         state, ref, ref_norm, table = cvar_setup(value_codes, q)
-        var, _, _ = bisection_var(lambda: state.copy(), q, M_BITS)
-        out = cvar(state, ref, ref_norm, var, 8, 1.0, table.take)
+        tail = TailTable(state, (ref, ref_norm), table.take)
+        var, _, _ = bisection_var(tail, q)
+        out = cvar(tail, var, 8, 1.0)
         values = decode_value(value_codes, M_BITS)
         tail = values[values <= decode_value(var, M_BITS)]
         assert out.cvar_normalized == pytest.approx(tail.mean(), abs=1e-10)
@@ -310,7 +411,7 @@ def test_cvar_empty_tail_rejected():
     value_codes = [10, 11, 12, 13, 14, 15, 16, 17]
     state, ref, ref_norm, table = cvar_setup(value_codes, 0.25)
     with pytest.raises(NumericalError, match="empty tail"):
-        cvar(state, ref, ref_norm, 5, 8, 1.0, table.take)
+        cvar(TailTable(state, (ref, ref_norm), table.take), 5, 8, 1.0)
 
 
 def test_reference_state_rejects_all_zero():
@@ -337,8 +438,7 @@ def value_code_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(codes=value_code_lists(), q=st.floats(0.01, 0.99))
 def test_sparse_bisection_matches_classical_quantile(codes, q):
-    state = sparse_branch_state(codes)
-    var, iters, _ = bisection_var(state.copy, q, M_BITS)
+    var, iters, _ = bisection_var(TailTable(sparse_branch_state(codes)), q)
     classical = classical_var_cvar(decode_value(codes, M_BITS), q)
     assert decode_value(var, M_BITS) == classical.var
     assert iters <= M_BITS
@@ -362,28 +462,32 @@ def test_sparse_swap_test_equals_dense_bitwise(codes, seed):
         dense_ref[ref.index] = ref.amplitudes
         dense_phi = np.zeros_like(dense_ref)
         dense_phi[phi.index] = phi.amplitudes
-        sparse_overlap, _ = swap_test_overlap(ref, phi)
-        dense_overlap, _ = swap_test_overlap(dense_state(dense_ref, ref.layout),
-                                             dense_state(dense_phi, phi.layout))
+        sparse_overlap = contraction(ref, phi)
+        dense_overlap = contraction(dense_state(dense_ref, ref.layout),
+                                    dense_state(dense_phi, phi.layout))
         assert sparse_overlap == dense_overlap
 
 
 # two fixed sparse states with 2^16 stored entries each, normalized with an
-# exactly rounded sum so that only the overlap could depend on BLAS
+# exactly rounded sum so that only the overlap could depend on BLAS: a
+# flagged state on 2^16 paths at price and value 0, and a reference on the
+# same support; the value lookup is zero
 OVERLAP_2_16 = """
 import math
 import numpy as np
 from qvar.qcore import RegisterLayout, StateVector
-from qvar.risk import swap_test_overlap
+from qvar.risk import TailTable, swap_test_overlap
 rng = np.random.default_rng(20240811)
-layout = RegisterLayout([("a", 17)])
-index = np.arange(0, 2**17, 2, dtype=np.int64)
+layout = RegisterLayout([("path", 16), ("price", 1), ("value", 1),
+                         ("flag", 1)])
+index = np.arange(2**16, dtype=np.int64) << 3
 states = []
 for _ in range(2):
     amps = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
     norm = math.sqrt(math.fsum(np.abs(amps) ** 2))
     states.append(StateVector(amps / norm, layout, index))
-print(repr(swap_test_overlap(*states)[0]))
+table = TailTable(states[1], (states[0], 1.0), np.zeros_like)
+print(repr(swap_test_overlap(table, 1)[0]))
 """
 
 
