@@ -209,17 +209,28 @@ def qpe_trotter_distributions(branch_nodes, rho: np.ndarray, m: int,
     def powers(b):  # pow_b[j] for every j
         return np.exp(slices * log_one_sided[b])
 
+    branches = np.unique(np.asarray(branch_nodes, dtype=np.int64)).tolist()
+    wanted = set(branches)
+    # the columns of the branch nodes that carry weight, kept from the phi
+    # sum for their diagonal sums below
+    kept: dict[int, np.ndarray] = {}
     phi = np.zeros(n, dtype=complex)
     for b in np.flatnonzero(rho):
-        phi += rho[b] * powers(b)
+        column = powers(b)
+        phi += rho[b] * column
+        if b in wanted:
+            kept[int(b)] = column
     # over the 2^m - j pairs of diagonal j: C_j = sum_{k < 2^m - j} c2l[k]
     # weighs pow_b[j], and the rest weighs phi[j]
     shared = np.cumsum((c * c) ** slices)[::-1]
     mixed = n - np.arange(n) - shared
     out: dict[int, np.ndarray] = {}
-    for b in np.unique(np.asarray(branch_nodes, dtype=np.int64)):
-        sums = (powers(b) * shared + phi * mixed) / n
-        out[int(b)] = np.abs(2.0 * np.fft.fft(sums).real - sums[0].real) / n
+    for b in branches:
+        sums = kept.pop(b) if b in kept else powers(b)
+        sums *= shared
+        sums += phi * mixed
+        sums /= n
+        out[b] = np.abs(2.0 * np.fft.fft(sums).real - sums[0].real) / n
     return out
 
 

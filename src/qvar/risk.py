@@ -404,10 +404,20 @@ class ClassicalRisk:
     p0: float
 
 
+@functools.lru_cache(maxsize=64)
+def _empirical_cdf(count: int) -> np.ndarray:
+    """The read-only empirical CDF k / count, k = 1..count, of ``count``
+    equally weighted values."""
+    cdf = np.arange(1, count + 1) / count
+    cdf.setflags(write=False)
+    return cdf
+
+
 def classical_var_cvar(values, q: float, ordered=None) -> ClassicalRisk:
     """Empirical quantile oracle: smallest value with CDF >= q, and the
     mean over the closed tail {v <= VaR}, taken in stored order.
-    ``ordered`` is the values sorted, when the caller keeps them."""
+    ``ordered`` is the values sorted, when the caller keeps them.  The
+    mean is ``np.mean``'s own sum and division, without its wrapper."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ConfigError("values must be nonempty")
@@ -415,11 +425,10 @@ def classical_var_cvar(values, q: float, ordered=None) -> ClassicalRisk:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
     ordered = np.sort(values) if ordered is None else ordered
     count = values.size
-    cdf = np.arange(1, count + 1) / count
-    idx = int(np.argmax(cdf >= q - CDF_TOL))
+    idx = int(np.argmax(_empirical_cdf(count) >= q - CDF_TOL))
     var = float(ordered[idx])
     tail = values[values <= var]
-    return ClassicalRisk(var=var, cvar=float(tail.mean()),
+    return ClassicalRisk(var=var, cvar=float(np.add.reduce(tail) / tail.size),
                          p0=float(tail.size / count))
 
 
