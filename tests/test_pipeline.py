@@ -45,19 +45,22 @@ def test_tally_counters_match_pipeline():
     cfg = make_config()
     res = run_pipeline(cfg)
     assert res.tally.qsvt_degree >= 1
-    assert res.tally.block_encoding_queries == res.tally.qsvt_degree
+    # each of the T~ steps runs the degree-d circuit, then one amplification
+    # round runs its inverse and the circuit again
+    assert cfg.market.pricing_steps == 8
+    assert res.tally.block_encoding_queries == 3 * 8 * res.tally.qsvt_degree
     assert res.tally.bisection_iterations <= cfg.m
     assert res.tally.state_preparation_repetitions >= 1
 
 
 def test_tally_identical_on_cold_and_warm_stage1():
     # the compiled Stage 1 is a simulator memo: the device still spends
-    # degree encoding queries on every request
+    # the march's encoding queries on every request
     cfg = make_config()
     cold = run_pipeline(cfg).tally.to_dict()
     warm = run_pipeline(cfg).tally.to_dict()
     assert warm == cold
-    assert warm["block_encoding_queries"] == warm["qsvt_degree"] >= 1
+    assert warm["block_encoding_queries"] == 3 * 8 * warm["qsvt_degree"] > 0
 
 
 @pytest.mark.parametrize("field,value", [

@@ -17,7 +17,8 @@ from qvar import qsvt
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
-from qvar.pde import TridiagonalOperator, assemble_operator, price_european
+from qvar.pde import (TridiagonalOperator, _thomas_solve, assemble_operator,
+                      price_european)
 from qvar.qsvt import (PolynomialTarget, _wx_eval, apply_qsvt,
                        approximate_target, prepare_value_state,
                        qsp_reflection_eval, solve_phase_factors,
@@ -28,58 +29,43 @@ SRC = str(Path(qsvt.__file__).resolve().parents[1])  # for fresh interpreters
 
 
 def test_target_g_examples():
-    assert target_g(2.0, 3, 2.0) == pytest.approx(0.5, abs=1e-15)
-    assert target_g(0.37, 0, 2.0) == pytest.approx(0.5, abs=1e-15)
-    assert target_g(1.0, 1, 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert target_g(2.0, 2.0) == pytest.approx(0.5, abs=1e-15)
+    assert target_g(0.5, 2.0) == pytest.approx(2.0, abs=1e-15)
+    assert target_g(1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ConfigError):
-        target_g(0.0, 1, 2.0)
-
-
-def test_constant_target_degree_zero():
-    poly = approximate_target(0, 3.0, 1e-3)
-    assert poly.degree == 0
-    assert poly.coeffs.tolist() == [0.5]
-    assert poly.scale == 1.0
+        target_g(0.0, 2.0)
 
 
 def test_approximate_target_sup_error_dense_sampling():
-    poly = approximate_target(1, 2.0, 1e-3)
+    poly = approximate_target(2.0, 1e-3)
     xs = np.linspace(0.5, 1.0, 10_000)
-    err = np.abs(poly.evaluate(xs) - poly.scale * target_g(xs, 1, 2.0)).max()
+    err = np.abs(poly.evaluate(xs) - poly.scale * target_g(xs, 2.0)).max()
     assert err <= 1e-3
     assert np.abs(poly.evaluate(np.linspace(-1, 1, 20_001))).max() <= 1.0
-
-
-def test_degree_grows_at_most_linearly():
-    degrees = {}
-    for t_tilde in (4, 8, 16, 32):
-        degrees[t_tilde] = approximate_target(t_tilde, 2.0, 1e-3).degree
-    for t_tilde in (4, 8, 16):
-        assert degrees[2 * t_tilde] / degrees[t_tilde] <= 2.5
 
 
 def test_monotone_error_in_eps():
     prev_degree = 0
     prev_err = np.inf
     for eps in (1e-2, 1e-3, 1e-4):
-        poly = approximate_target(2, 2.0, eps)
+        poly = approximate_target(2.0, eps)
         assert poly.degree >= prev_degree
         assert poly.sup_error <= prev_err
         prev_degree, prev_err = poly.degree, poly.sup_error
 
 
 def test_fit_certificate_is_per_rung():
-    # two tolerances on one (t_tilde, norm) accept different rungs; each
+    # two tolerances on one norm accept different rungs; each
     # request reads its own rung's certificate, cold or warm
     cold = {}
     for eps in (1e-2, 1e-4):
         for memo in MEMOS:
             memo.cache_clear()
-        poly = approximate_target(2, 2.0, eps)
+        poly = approximate_target(2.0, eps)
         cold[eps] = (poly.degree, poly.sup_error)
     assert cold[1e-2][0] < cold[1e-4][0]
     for eps in (1e-2, 1e-4, 1e-2, 1e-4):
-        poly = approximate_target(2, 2.0, eps)
+        poly = approximate_target(2.0, eps)
         assert (poly.degree, poly.sup_error) == cold[eps]
     assert qsvt._fit_certificate.cache_info().currsize == 2
 
@@ -88,16 +74,16 @@ def test_fit_certificate_is_per_rung():
                                                 ((0.0, 1.5, 5), "exceeds 1")])
 def test_cached_certificate_checked_on_every_request(monkeypatch, certificate,
                                                      match):
-    approximate_target(2, 2.0, 1e-3)
+    approximate_target(2.0, 1e-3)
     monkeypatch.setattr(qsvt, "_fit_certificate", lambda *key: certificate)
     with pytest.raises(NumericalError, match=match):
-        approximate_target(2, 2.0, 1e-3)
+        approximate_target(2.0, 1e-3)
 
 
 def test_degree_cap_enforced(monkeypatch):
     monkeypatch.setattr(qsvt, "DEGREE_CAP", 64)
     with pytest.raises(NumericalError, match="degree cap 64 exceeded"):
-        approximate_target(32, 8.0, 1e-6)
+        approximate_target(8.0, 1e-6)
 
 
 # what qsvt.linprog calls on SciPy's private HiGHS binding
@@ -148,16 +134,15 @@ def test_missing_highs_extension_names_scipy_and_the_folder(monkeypatch,
 
 
 @settings(max_examples=15, deadline=None)
-@given(t_tilde=st.integers(1, 4), norm=st.floats(1.2, 3.0),
-       eps=st.floats(1e-3, 2e-2))
-def test_row_generated_fit_solves_the_dense_lp(t_tilde, norm, eps):
-    poly = approximate_target(t_tilde, norm, eps)
-    degree, (coeffs, optimum) = dense_walk(t_tilde, norm, eps)
+@given(norm=st.floats(1.2, 3.0), eps=st.floats(1e-3, 2e-2))
+def test_row_generated_fit_solves_the_dense_lp(norm, eps):
+    poly = approximate_target(norm, eps)
+    degree, (coeffs, optimum) = dense_walk(norm, eps)
     assert poly.degree == int(np.flatnonzero(np.abs(coeffs) > 1e-300)[-1])
     tol = _highs_tolerance()
-    error = qsvt._ladder_fits(t_tilde, norm, degree)["full"][1]
+    error = qsvt._ladder_fits(norm, degree)["full"][1]
     assert abs(error - optimum) <= 2 * tol
-    a_ub, b_ub = minimax_lp(t_tilde, norm, degree)
+    a_ub, b_ub = minimax_lp(norm, degree)
     x = np.append(poly.coeffs[1::2], error)
     assert (a_ub @ x - b_ub).max() <= tol
     assert poly.sup_error <= eps
@@ -213,7 +198,7 @@ class _Recorder:
             result = solve(lp, full)
             record = lp.highs.record
             if "lp" not in record:
-                a_ub, b_ub = minimax_lp(lp.t_tilde, lp.norm, lp.degree)
+                a_ub, b_ub = minimax_lp(lp.norm, lp.degree)
                 record["lp"], record["degree"] = (a_ub, b_ub), lp.degree
                 record["keys"] = [_row_key(np.flatnonzero(row), row[row != 0], b)
                                   for row, b in zip(a_ub, b_ub)]
@@ -229,16 +214,12 @@ class _Recorder:
         monkeypatch.setattr(qsvt, "linprog", linprog)
 
 
-README_MARKET = MarketParams(r=0.02, mu=0.05, alpha=0.2, T=16 / 4096,
-                             t_bar=8 / 4096, dtau=1 / 4096)
-
-
-def test_row_generation_adds_the_most_violated_new_rows(monkeypatch, unit_grid,
-                                                        call_spec):
+def test_row_generation_adds_the_most_violated_new_rows(monkeypatch):
     recorder = _Recorder(monkeypatch)
-    payoff = payoff_vector(call_spec, unit_grid)
-    res = prepare_value_state(payoff, README_MARKET, unit_grid, eps1=1e-3)
-    assert res.target.degree == 139
+    # at Stage 1's norm of about 4 the screen rows already pin the one-step
+    # fit; on a window twice as wide the accepted rung adds rows
+    poly = approximate_target(8.0, 1e-4)
+    assert poly.degree == 71
     assert len(recorder.models) >= 2
     tol = _highs_tolerance()
     for model in recorder.models:
@@ -288,7 +269,7 @@ def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
     # |P| <= a negative bound has no solution on any subset of the cap rows
     monkeypatch.setattr(qsvt, "GLOBAL_BOUND", -1e-3)
     with pytest.raises(NumericalError, match="degree cap 64 exceeded"):
-        approximate_target(4, 2.0, 1e-3)
+        approximate_target(2.0, 1e-3)
     # every rung up to the cap ran its screen, which found it infeasible, and
     # so the full LP, a superset of its rows, never ran
     degrees = [model["degree"] for model in recorder.models]
@@ -309,8 +290,8 @@ def _index_sets(lp, rng):
 
 @pytest.mark.parametrize("degree", [51, 195, 483])
 def test_on_demand_rows_are_the_dense_lp_rows(degree, rng):
-    lp = qsvt.MinimaxLP(12, 4.0021, degree)
-    a_ub, b_ub = minimax_lp(12, 4.0021, degree)
+    lp = qsvt.MinimaxLP(4.0021, degree)
+    a_ub, b_ub = minimax_lp(4.0021, degree)
     assert lp.bound.tobytes() == b_ub.tobytes()
     assert np.array_equal(lp.screen, _dense_screen(degree))
     # the odd Chebyshev columns are half of a_ub: no +- copies, no t column
@@ -339,8 +320,8 @@ from reference import minimax_lp
 rng = np.random.default_rng(20240811)
 out = {}
 for degree in (51, 195, 483):
-    lp = qsvt.MinimaxLP(12, 4.0021, degree)
-    a_ub, b_ub = minimax_lp(12, 4.0021, degree)
+    lp = qsvt.MinimaxLP(4.0021, degree)
+    a_ub, b_ub = minimax_lp(4.0021, degree)
     xs = []
     for _ in range(6):
         x = rng.normal(size=a_ub.shape[1]) * 10.0 ** rng.integers(-3, 4, a_ub.shape[1])
@@ -380,7 +361,7 @@ def test_cold_full_rung_peaks_below_one_dense_lp():
     qsvt.highs_core()  # the extension's import is not the rung's memory
     tracemalloc.start()
     try:
-        lp = qsvt.MinimaxLP(12, 4.0021, 195)
+        lp = qsvt.MinimaxLP(16.0, 195)
         screen = qsvt.linprog(lp, False)
         full = qsvt.linprog(lp, True)
         peak = tracemalloc.get_traced_memory()[1]
@@ -402,7 +383,7 @@ def test_highs_stop_that_is_not_optimal_raises(monkeypatch):
 
     monkeypatch.setattr(core, "_Highs", StoppedHighs)
     with pytest.raises(NumericalError, match="kIterationLimit"):
-        approximate_target(1, 2.0, 1e-3)
+        approximate_target(2.0, 1e-3)
 
 
 def _wx_eval_full_product(x, phases):
@@ -450,27 +431,27 @@ def test_row_only_evaluation_matches_full_product(rng, length):
 
 
 def test_phase_factors_identity_polynomial():
-    poly = PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0,
+    poly = PolynomialTarget(2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0,
                             (0.5, 1.0), 0.0)
     seq = solve_phase_factors(poly)
     x = np.cos((np.arange(64) + 0.5) * np.pi / 64)
-    assert np.abs(qsp_reflection_eval(x, seq.phases, 1) - x).max() < 1e-10
+    assert np.abs(qsp_reflection_eval(x, seq.phases) - x).max() < 1e-10
 
 
 def test_phase_factors_chebyshev_t2():
-    poly = PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
+    poly = PolynomialTarget(2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
                             (0.5, 1.0), 0.0)
     seq = solve_phase_factors(poly)
     x = np.cos((np.arange(64) + 0.5) * np.pi / 64)
-    assert np.abs(qsp_reflection_eval(x, seq.phases, 2) - (2 * x**2 - 1)).max() < 1e-10
+    assert np.abs(qsp_reflection_eval(x, seq.phases) - (2 * x**2 - 1)).max() < 1e-10
 
 
 def test_phase_factors_production_target():
-    poly = approximate_target(4, 3.0, 1e-4)
+    poly = approximate_target(3.0, 1e-4)
     seq = solve_phase_factors(poly)
     assert seq.residual <= 1e-8
     x = np.cos((np.arange(64) + 0.5) * np.pi / 64)
-    err = np.abs(qsp_reflection_eval(x, seq.phases, poly.degree)
+    err = np.abs(qsp_reflection_eval(x, seq.phases)
                  - np_cheb.chebval(x, poly.coeffs)).max()
     assert err <= 1e-8
 
@@ -485,17 +466,16 @@ APPLY_NS = (2, 3, 4, 5)
 
 
 def _circuit_polynomials():
-    """Degree 0, the identity, T2 and a fitted odd polynomial."""
+    """The identity, T2 and a fitted odd polynomial."""
     window = (0.5, 1.0)
-    return [approximate_target(0, 2.0, 0.5),
-            PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0, window, 0.0),
-            PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
+    return [PolynomialTarget(2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0, window, 0.0),
+            PolynomialTarget(2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
                              window, 0.0),
-            approximate_target(2, 4.0, 1e-4)]
+            approximate_target(4.0, 1e-4)]
 
 
 def test_apply_qsvt_identity_polynomial_reproduces_encoding(rng):
-    poly = PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0,
+    poly = PolynomialTarget(2.0, 0.5, np.array([0.0, 1.0]), 1, 1.0,
                             (0.5, 1.0), 0.0)
     for n in APPLY_NS:
         op, be = _encoded_operator(rng, n)
@@ -505,7 +485,7 @@ def test_apply_qsvt_identity_polynomial_reproduces_encoding(rng):
 
 
 def test_apply_qsvt_diagonal_t2(rng):
-    poly = PolynomialTarget(1, 2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
+    poly = PolynomialTarget(2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
                             (0.5, 1.0), 0.0)
     for n in APPLY_NS:
         diag = np.linspace(0.3, 0.9, 2**n)
@@ -517,7 +497,7 @@ def test_apply_qsvt_diagonal_t2(rng):
 
 
 def test_apply_qsvt_matches_svd_oracle(rng):
-    poly = approximate_target(2, 4.0, 1e-4)
+    poly = approximate_target(4.0, 1e-4)
     for n in APPLY_NS:
         op, be = _encoded_operator(rng, n)
         circ = apply_qsvt(be, solve_phase_factors(poly))
@@ -530,7 +510,7 @@ def test_apply_qsvt_unitary_and_counts(rng):
     for n in APPLY_NS:
         op, be = _encoded_operator(rng, n)
         size = 2**n
-        for poly in _circuit_polynomials() + [approximate_target(1, 3.0, 1e-3)]:
+        for poly in _circuit_polynomials() + [approximate_target(3.0, 1e-3)]:
             phases = solve_phase_factors(poly)
             circ = apply_qsvt(be, phases)
             full = qsvt_circuit(be, phases)
@@ -545,7 +525,7 @@ def test_apply_qsvt_unitary_and_counts(rng):
 def test_apply_qsvt_peak_memory_below_one_circuit(rng):
     n = 5
     op, be = _encoded_operator(rng, n)
-    phases = solve_phase_factors(approximate_target(2, 4.0, 1e-4))
+    phases = solve_phase_factors(approximate_target(4.0, 1e-4))
     tracemalloc.start()
     try:
         apply_qsvt(be, phases)
@@ -567,13 +547,14 @@ def _market(n, t_tilde, dtau=1 / 4096):
 
 
 def test_prepare_value_state_zero_steps_is_normalized_payoff(unit_grid, call_spec):
+    # no step runs: nothing is post-selected and no encoding is queried
     params = MarketParams(r=0.02, mu=0.0, alpha=0.2, T=0.5, t_bar=0.5, dtau=1 / 16)
     payoff = payoff_vector(call_spec, unit_grid)
     res = prepare_value_state(payoff, params, unit_grid, eps1=1e-3)
     expected = payoff / np.linalg.norm(payoff)
     assert np.abs(res.state - expected).max() < 1e-12
-    assert res.target.degree == 0
-    assert res.success_probability == pytest.approx(0.25, abs=1e-10)
+    assert res.steps == 0 and res.queries == 0
+    assert res.success_probability == 1.0
 
 
 def test_prepare_value_state_single_step_fidelity():
@@ -603,12 +584,82 @@ def test_prepare_value_state_rejects_zero_payoff(unit_grid):
         prepare_value_state(np.zeros(16), params, unit_grid, eps1=1e-3)
 
 
+def _amplified(prob):
+    """One round of amplitude amplification: sin^2 theta -> sin^2 3 theta."""
+    return math.sin(3.0 * math.asin(math.sqrt(prob))) ** 2
+
+
 def test_prepare_value_state_probability_floor(unit_grid, call_spec, monkeypatch):
-    params = _market(4, 1)
+    params = _market(4, 4)
     payoff = payoff_vector(call_spec, unit_grid)
+    res = prepare_value_state(payoff, params, unit_grid, eps1=1e-3)
+    # each step's unamplified probability is about 0.2; one amplification
+    # round lifts it to about 0.97, and the least step is reported
+    vec, amplified = payoff / np.linalg.norm(payoff), []
+    for _ in range(4):
+        sub = res.block @ vec
+        prob = float(np.linalg.norm(sub) ** 2)
+        assert 0.15 < prob < 0.25
+        amplified.append(_amplified(prob))
+        vec = sub / np.linalg.norm(sub)
+    assert res.success_probability == pytest.approx(min(amplified), rel=1e-12)
+    assert 0.95 < res.success_probability < 1.0
+    # the floor applies to every step's amplified probability, not to the
+    # product over the march (about 0.97^4 here)
     monkeypatch.setattr(qsvt, "SUCCESS_PROB_FLOOR", 0.9)
-    with pytest.raises(NumericalError, match="floor"):
+    assert _call_state(params, unit_grid, 1.0).success_probability > 0.9
+    monkeypatch.setattr(qsvt, "SUCCESS_PROB_FLOOR", 0.99)
+    with pytest.raises(NumericalError, match="step 1 of 4 below floor"):
         prepare_value_state(payoff, params, unit_grid, eps1=1e-3)
+
+
+def _readme_horizon(steps):
+    """The README market, t_bar = 8 dtau, ``steps`` pricing steps out."""
+    return MarketParams(r=0.02, mu=0.05, alpha=0.2, T=(8 + steps) / 4096,
+                        t_bar=8 / 4096, dtau=1 / 4096)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("s_max", [1.1, 1.5])
+def test_prepare_value_state_is_the_repeated_implicit_solve(s_max, n):
+    # on narrow grids the stepping matrix is far from normal, so only the
+    # march of (I + M)^(-1) gives the T-step solve
+    grid = build_grid(0.0, s_max, n, "uniform")
+    payoff = payoff_vector(PayoffSpec("call", 1.0), grid)
+    for steps in (2, 8, 16):
+        params = _readme_horizon(steps)
+        op = assemble_operator(params, grid).plus_identity()
+        solved = payoff
+        for _ in range(steps):
+            solved = _thomas_solve(op.sub, op.diag, op.super_, solved)
+        res = prepare_value_state(payoff, params, grid, eps1=1e-3)
+        distance = np.linalg.norm(res.state - solved / np.linalg.norm(solved))
+        assert distance <= 1e-3, (s_max, n, steps, distance)
+
+
+def test_horizons_share_one_accepted_rung(unit_grid, call_spec):
+    payoff = payoff_vector(call_spec, unit_grid)
+    results = [prepare_value_state(payoff, _readme_horizon(steps), unit_grid,
+                                   eps1=1e-3) for steps in (4, 8, 16, 32)]
+    degree, norm = results[0].target.degree, results[0].target.norm
+    assert {res.target.degree for res in results} == {degree}
+    # the four walks climbed the same rungs, and every tolerance accepts
+    # the top one alone
+    rungs = [max(1, int(0.25 * norm) | 1)]
+    while rungs[-1] < degree:
+        rungs.append(max(rungs[-1] + 2, int(rungs[-1] * 1.4) | 1))
+    info = qsvt._ladder_fits.cache_info()
+    assert info.misses == info.currsize == len(rungs)
+    full = {rung: qsvt._ladder_fits(norm, rung).get("full") for rung in rungs}
+    assert qsvt._ladder_fits.cache_info().misses == info.misses
+    for res in results:
+        assert [rung for rung, fit in full.items() if fit is not None
+                and fit[1] <= res.target.eps * qsvt.FIT_ACCEPT] == [degree]
+    # one certificate, one phase solve and one block serve every horizon
+    for memo in (qsvt._fit_certificate, qsvt._phase_factors, qsvt._value_block):
+        assert memo.cache_info().currsize == 1
+    assert [res.queries for res in results] == [3 * steps * degree
+                                                for steps in (4, 8, 16, 32)]
 
 
 def _call_state(params, grid, strike, eps1=1e-3):
@@ -640,30 +691,54 @@ def _misses():
     return [memo.cache_info().misses for memo in MEMOS]
 
 
+def _dense_march(matrix, payoff, steps):
+    """Stage 1 through the full U_Phi matrix: the post-selected branch of
+    the padded state, renormalized, ``steps`` times; returns the state and
+    the least amplified step probability."""
+    size = payoff.size
+    vec = (payoff / np.linalg.norm(payoff)).astype(complex)
+    least = 1.0
+    for _ in range(steps):
+        amps = np.zeros(16 * size, dtype=complex)
+        amps[:size] = vec
+        sub = (matrix @ amps)[:size]
+        least = min(least, _amplified(float(np.linalg.norm(sub) ** 2)))
+        vec = sub / np.linalg.norm(sub)
+    return (-vec if vec.real.sum() < 0 else vec), least
+
+
 def test_warm_stage1_equals_cold_bit_for_bit():
     grid = build_grid(0.0, 4.0, 4, "uniform")
-    params = _market(4, 4)
-    # two strikes share a fit; the tighter eps1 needs a higher degree, so
-    # one operator carries two compiled blocks
-    cases = [(0.95, 1e-3), (1.05, 1e-3), (1.0, 1e-4)]
+    # two strikes at two horizons of one market share one fit; the tighter
+    # eps1 needs a higher degree, so one operator carries two compiled blocks
+    cases = [(0.95, 1e-3, 4), (1.05, 1e-3, 8), (1.0, 1e-5, 4)]
+
+    def state(case):
+        strike, eps1, steps = case
+        return _call_state(_market(4, steps), grid, strike, eps1)
+
     cold = {}
     for case in cases:
         for memo in MEMOS:
             memo.cache_clear()
-        cold[case] = _stage1_bits(_call_state(params, grid, *case))
+        cold[case] = _stage1_bits(state(case))
     assert len({bits[3] for bits in cold.values()}) == 2
+    assert cold[cases[0]][1] == cold[cases[1]][1]  # the same phases
     for case in cases:
-        # the memo's block is the one the dense circuit of these phases has
-        res = _call_state(params, grid, *case)
+        # the march through the dense circuit of these phases gives the
+        # memo's state and per-step probability
+        res = state(case)
         payoff = payoff_vector(PayoffSpec("call", case[0]), grid)
-        sub = _dense_post_selection(_dense_circuit(params, grid, res.phases), payoff)
-        assert res.success_probability == float(np.linalg.norm(sub) ** 2)
+        matrix = _dense_circuit(_market(4, case[2]), grid, res.phases)
+        vec, least = _dense_march(matrix, payoff, case[2])
+        assert res.state.tobytes() == vec.tobytes()
+        assert res.success_probability == least
     for case in cases:
-        assert _stage1_bits(_call_state(params, grid, *case)) == cold[case]
+        assert _stage1_bits(state(case)) == cold[case]
     misses = _misses()
     # every memo now holds all three cases: this round is warm throughout
     for case in cases:
-        assert _stage1_bits(_call_state(params, grid, *case)) == cold[case]
+        assert _stage1_bits(state(case)) == cold[case]
     assert _misses() == misses
 
 
@@ -693,13 +768,12 @@ def test_per_request_checks_fire_on_warm_cache(unit_grid, monkeypatch):
     res = _call_state(params, unit_grid, 1.0)
     misses = _misses()
     with monkeypatch.context() as patch:
-        patch.setattr(qsvt, "SUCCESS_PROB_FLOOR", 0.9)
+        patch.setattr(qsvt, "SUCCESS_PROB_FLOOR", 0.99)
         with pytest.raises(NumericalError, match="floor"):
             _call_state(params, unit_grid, 1.0)
     # the ladder rung just below the accepted degree failed its fit, so a
     # cap there stops the walk on compiled entries alone
-    t_tilde, norm = res.target.t_tilde, res.target.norm
-    rungs = [max(1, int(0.25 * t_tilde * norm) | 1)]
+    rungs = [max(1, int(0.25 * res.target.norm) | 1)]
     while rungs[-1] < res.target.degree:
         rungs.append(max(rungs[-1] + 2, int(rungs[-1] * 1.4) | 1))
     monkeypatch.setattr(qsvt, "DEGREE_CAP", rungs[-2])

@@ -135,13 +135,13 @@ with open(sys.argv[1]) as fh:
     load_run_config(json.load(fh)).check_budget()
 caches = {"risk._subblock_maxima": risk._subblock_maxima,
           "risk._block_maxima": risk._block_maxima,
+          "risk._empirical_cdf": risk._empirical_cdf,
           "qsvt._ladder_fits": qsvt._ladder_fits,
           "qsvt._fit_certificate": qsvt._fit_certificate,
           "qsvt._phase_factors": qsvt._phase_factors,
           "qsvt._encoding": qsvt._encoding,
           "qsvt._value_block": qsvt._value_block,
           "qsvt._sigma_min": qsvt._sigma_min,
-          "qsvt._stepping_svd": qsvt._stepping_svd,
           "pipeline._book": pipeline._book}
 print(json.dumps({name: cache.cache_info().currsize
                   for name, cache in caches.items()}))
