@@ -438,6 +438,13 @@ def test_phase_factors_identity_polynomial():
     assert np.abs(qsp_reflection_eval(x, seq.phases) - x).max() < 1e-10
 
 
+def test_phase_factors_reject_a_constant():
+    # the alternating circuit makes no degree-0 polynomial
+    poly = PolynomialTarget(2.0, 0.5, np.array([0.5]), 0, 1.0, (0.5, 1.0), 0.0)
+    with pytest.raises(ConfigError, match="degree >= 1"):
+        solve_phase_factors(poly)
+
+
 def test_phase_factors_chebyshev_t2():
     poly = PolynomialTarget(2.0, 0.5, np.array([0.0, 0.0, 1.0]), 2, 1.0,
                             (0.5, 1.0), 0.0)
