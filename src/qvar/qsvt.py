@@ -18,20 +18,23 @@ SCREEN_STRIDE-th window and cap row comes first at each degree: dropping
 constraints from a minimization can only lower its optimum, so a screen
 that misses the acceptance threshold proves the full LP would miss it too.
 
-Each rung is one LP on one warm HiGHS model, solved by ``linprog``
-through SciPy's private binding ``scipy.optimize._highspy._core._Highs``.
-The screen is its first round.  When the screen lets the rung through,
-the full LP goes on in the same model rather than solving the screen
+Each rung is one LP, solved by ``linprog`` in NumPy alone: a dense
+primal-dual interior-point method (Mehrotra's predictor-corrector) on the
+rows the LP holds, with t >= 0 as one more row.  The LP always has a
+solution, since P = 0 with t = max |y_w| meets every row, and a solve
+returns only a certified optimum: its primal and dual residuals and its
+relative duality gap within LP_TOL, or else NumericalError with the three.
+The screen is the first round.  When the screen lets the rung through,
+the full LP goes on from the screen's rows rather than solving the screen
 again: each round adds up to ROW_BATCH of the grid rows it violates most
-and re-solves from the previous basis, until no row outside the model is
-violated by more than HiGHS's own primal feasibility tolerance.  A
-solution that is optimal on a subset of the rows and feasible on all of
-them is optimal for the full LP; a subset that is infeasible makes the
-full LP infeasible.  Every round adds a row the model does not hold, so
-the loop ends without an iteration cap.  No matrix of all the rows by
-the columns is built: ``MinimaxLP`` keeps the odd Chebyshev columns once
-per distinct node and builds from them the rows a round adds and, in
-ROW_CHUNK-row chunks, every row's violation.
+and solves again, until no row outside the LP is violated by more than
+ROW_TOL.  A solution that is optimal on a subset of the rows and feasible
+on all of them is optimal for the full LP.  Every round adds a row the LP
+does not hold, so the loop ends without an iteration cap.  No matrix of
+all the rows by the columns is built: ``MinimaxLP`` keeps the odd
+Chebyshev columns once per distinct node, and the solver's products and
+factorisation and, in ROW_CHUNK-row chunks, every row's violation are
+built from them.
 
 Phase factors are solved in the symmetric Wx convention by the standard
 coefficient fixed-point iteration and converted to projector phases for
@@ -60,8 +63,8 @@ compiled once per operator and kept in bounded in-process memos
 (``functools.lru_cache``), keyed on values and holding read-only arrays:
 
 - the degree ladder's screen and full LP results, on (norm, degree), so
-  every horizon on a market walks the same rungs; the LP and its HiGHS
-  model end with the walk that built them;
+  every horizon on a market walks the same rungs; the LP and its held
+  rows end with the walk that built them;
 - the accepted fit's certificate (sup error on the window, |P| peak on
   [-1, 1], effective degree), on (norm, degree);
 - the phase factors, on the fit's degree and coefficient bytes;
@@ -74,22 +77,15 @@ accepted fit's certificate against its eps and |P| <= 1 on [-1, 1],
 marches the block over its payoff and checks the floor; the results are
 the same bits cold or warm.
 
-SciPy is bound lazily.  ``linprog`` loads the HiGHS extension from its
-file on its first call (``highs_core``), so a cold fit never runs the
-``scipy.optimize`` package and its 300-odd modules; a later ``import
-scipy.optimize`` finds the same module.  Only a phase-solve fallback
-imports ``scipy.optimize``, for ``least_squares``.
+SciPy is bound lazily: only a phase-solve fallback imports
+``scipy.optimize``, for ``least_squares``.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import chebyshev as np_cheb
@@ -107,8 +103,14 @@ FIT_ACCEPT = 0.85  # a fit is accepted when its LP error is <= FIT_ACCEPT * eps
 SCREEN_STRIDE = 8  # the screen LP keeps every 8th window and cap node
 ROW_BATCH = 200  # most violated rows a row-generation round adds to the LP
 ROW_CHUNK = 512  # LP rows built at a time to find the violated ones
+ROW_TOL = 1e-7  # a row outside the LP enters it when violated by more
+LP_TOL = 1e-9  # bound on an LP solve's primal and dual residuals and gap
+LP_ITER_CAP = 100  # interior-point iterations per LP solve
+LP_PROX = 1e-12  # proximal weight on an interior-point step
+STEP_FRACTION = 0.99  # of the step to the boundary of the positive orthant
+LP_BLOCK = 2**19  # bytes of scaled LP rows factored at a time
 # a screen rules a degree out only when its error exceeds the acceptance
-# threshold times SCREEN_REL plus SCREEN_ABS: slack for HiGHS's 1e-7 tolerances
+# threshold times SCREEN_REL plus SCREEN_ABS: slack for ROW_TOL and LP_TOL
 SCREEN_REL = 1.01
 SCREEN_ABS = 1e-7
 SUCCESS_PROB_FLOOR = 1e-6  # least amplified post-selection probability of a step
@@ -117,79 +119,196 @@ SUCCESS_PROB_FLOOR = 1e-6  # least amplified post-selection probability of a ste
 RUNS_PER_STEP = 3
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
-HIGHS_CORE = "scipy.optimize._highspy._core"  # the binding linprog solves on
-
-
-@functools.cache
-def highs_core():
-    """SciPy's HiGHS extension module: the one ``scipy.optimize`` loaded,
-    or else its file, loaded and registered under its full name without
-    running the ``scipy.optimize`` package."""
-    if HIGHS_CORE in sys.modules:
-        return sys.modules[HIGHS_CORE]
-    import scipy
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
-    found = [folder / f"_core{suffix}"
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES
-             if (folder / f"_core{suffix}").is_file()]
-    if not found:
-        raise ImportError(f"installed scipy {scipy.__version__} has no HiGHS "
-                          f"extension _core in {folder}")
-    spec = importlib.util.spec_from_file_location(HIGHS_CORE, found[0])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[HIGHS_CORE] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def linprog(lp: MinimaxLP, full: bool):
-    """Minimize the error t of ``lp`` over its rows by row generation on
-    the rung's one HiGHS model, with t non-negative and the coefficients
-    free.
+    """Minimize the error t of ``lp`` over its rows by row generation, with
+    t non-negative and the coefficients free.
 
-    The first call builds the model on the screen rows and solves it: the
-    screen LP, where a call without ``full`` stops.  With ``full`` each
-    round then adds up to ROW_BATCH of the rows the model does not hold,
-    most violated first, and re-solves warm, until none of them is
-    violated by more than HiGHS's primal feasibility tolerance.  A call
-    with ``full`` after the screen goes on in the screen's model, so the
-    full LP does not solve the screen again.  Returns x = (c, t), or None
-    when HiGHS finds the rows it holds infeasible.  SciPy's HiGHS
-    extension is loaded on the first call.
+    The first call solves the LP on the screen rows: the screen LP, where a
+    call without ``full`` stops.  With ``full`` each round then adds up to
+    ROW_BATCH of the rows the LP does not hold, most violated first, and
+    solves again, until none of them is violated by more than ROW_TOL.  A
+    call with ``full`` after the screen goes on from the screen's rows, so
+    the full LP does not solve the screen again.  Each round is one
+    ``_interior_point`` solve of the held rows.  Returns x = (c, t).
     """
-    core = highs_core()
-    if lp.highs is None:
-        lp.highs = core._Highs()
-        lp.highs.setOptionValue("output_flag", False)
-        n_cols = lp.vander.shape[1] + 1
-        lower = np.full(n_cols, -np.inf)
-        lower[-1] = 0.0
-        lp.highs.addVars(n_cols, lower, np.full(n_cols, np.inf))
-        lp.highs.changeColsCost(1, np.array([n_cols - 1], dtype=np.int32),
-                                np.ones(1))
-    tol = lp.highs.getOptionValue("primal_feasibility_tolerance")[1]
-    rows = lp.screen if lp.x is None else lp.most_violated(tol)
+    rows = lp.screen if lp.x is None else lp.most_violated(ROW_TOL)
     while rows.size:
         lp.held[rows] = True
-        starts, index, value = lp.sparse_rows(rows)
-        lp.highs.addRows(rows.size, np.full(rows.size, -np.inf),
-                         lp.bound[rows], value.size, starts, index, value)
-        lp.highs.run()
-        status = lp.highs.getModelStatus()
-        # the objective is bounded below by 0, so "unbounded or infeasible"
-        # can only mean infeasible
-        if status in (core.HighsModelStatus.kInfeasible,
-                      core.HighsModelStatus.kUnboundedOrInfeasible):
-            lp.x = None
-            return None
-        if status != core.HighsModelStatus.kOptimal:
-            raise NumericalError(f"HiGHS stopped with status {status.name} on "
-                                 f"{lp.held.sum()} of {lp.held.size} rows")
-        lp.x = np.array(lp.highs.getSolution().col_value)
+        lp.x = _interior_point(lp, np.flatnonzero(lp.held))
         if not full:
             break
-        rows = lp.most_violated(tol)
+        rows = lp.most_violated(ROW_TOL)
     return lp.x
+
+
+def _householder(a: np.ndarray):
+    """The QR factorisation of ``a`` as (v, t, r): Q = I - v t v^T, from
+    the k = min(a.shape) Householder vectors v (unit lower trapezoidal),
+    and the k leading rows r of R."""
+    house, tau = np.linalg.qr(a, mode="raw")
+    del a  # frees a temporary argument before the work below
+    k = tau.size
+    r = np.triu(house.T[:k])
+    v = house.T[:, :k]
+    np.fill_diagonal(v, 1.0)
+    # a zero tau is the identity, a zero column of v
+    v[:, tau == 0] = 0.0
+    # t^(-1) has 1 / tau on its diagonal and v_i . v_j above it; one
+    # vector product per column keeps its bits at any BLAS thread count
+    t = np.diag(np.divide(1.0, tau, out=np.ones(k), where=tau != 0))
+    for j in range(1, k):
+        v[:j, j] = 0.0  # R's part of the column
+        t[:j, j] = v[j:, j] @ v[j:, :j]
+    return v, np.linalg.inv(t), r
+
+
+def _q_t(factor, u: np.ndarray) -> np.ndarray:
+    """The k leading entries of Q^T u."""
+    v, t = factor
+    k = v.shape[1]
+    return u[:k] - v[:k] @ (t.T @ (v.T @ u))
+
+
+def _q(factor, b: np.ndarray) -> np.ndarray:
+    """Q (b, 0) for the k entries of b."""
+    v, t = factor
+    out = v @ -(t @ (v[:b.size].T @ b))
+    out[:b.size] += b
+    return out
+
+
+def _interior_point(lp: MinimaxLP, held: np.ndarray) -> np.ndarray:
+    """x = (c, t) minimizing t over the rows ``held`` of ``lp`` and t >= 0,
+    by Mehrotra's primal-dual predictor-corrector method (SIAM J. Optim.
+    2(4), 1992).
+
+    Written g x <= h, the rows are the held rows, then -t <= 0.  The
+    slacks s = h - g x and the multipliers z stay positive.  The start is
+    strictly feasible: no polynomial, and an error above every bound.  Each
+    Newton step comes from the QR factorisation of the scaled rows
+    sqrt(z / s) g, stacked on sqrt(LP_PROX) I; the normal matrix g^T D g,
+    which loses positive definiteness near the optimum, is never formed.
+    The multipliers' step is taken through Q, so it meets the dual
+    equations to rounding even where R is ill-conditioned.  The LP_PROX
+    rows are a proximal term on the step: they keep it bounded when the
+    held rows leave a direction of the coefficients free, and they vanish
+    as the steps do.
+
+    No matrix of the rows by the columns is held whole.  g's products go
+    through ``lp.vander``, and the factorisation is a two-level tree: each
+    block of LP_BLOCK bytes of the scaled and proximal rows is factored on
+    its own and kept as its Householder vectors, and the blocks' stacked R
+    factors are factored once more.
+
+    Returns x once the primal residual |g x + s - h| / (1 + |h|), the dual
+    residual |g^T z + e_t| / 2 and the relative gap s.z / (1 + |t|) are all
+    at most LP_TOL (maximum norms); raises NumericalError with the three
+    otherwise.
+    """
+    # row i of g: sign[i] * T_odd(node[i]), then err[i] in the t column;
+    # the t >= 0 row has sign 0
+    node = np.append(lp.node[held], 0)
+    sign = np.append(lp.sign[held], 0.0)
+    err = np.append(np.where(lp.node[held] < lp.n_window, -1.0, 0.0), -1.0)
+    h = np.append(lp.bound[held], 0.0)
+    m, n = h.size, lp.vander.shape[1] + 1
+    # the rows of [sqrt(z / s) g; sqrt(LP_PROX) I], factored LP_BLOCK bytes
+    # of them at a time
+    blocks = np.array_split(np.arange(m + n), -(-8 * (m + n) * n // LP_BLOCK))
+
+    def times(v):
+        """g @ v"""
+        return sign * (lp.vander @ v[:-1])[node] + err * v[-1]
+
+    def times_t(u):
+        """g^T @ u"""
+        return np.append(np.bincount(node, sign * u, lp.vander.shape[0])
+                         @ lp.vander, err @ u)
+
+    def max_step(v, dv):
+        # the longest step that keeps v + step * dv >= 0
+        neg = dv < 0
+        return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
+
+    def scaled_rows(rows, root):
+        """Rows ``rows`` of [sqrt(z / s) g; sqrt(LP_PROX) I]"""
+        out = np.zeros((rows.size, n))
+        k = np.count_nonzero(rows < m)
+        held = rows[:k]
+        # "clip" writes straight into the strided rows; "raise" buffers
+        np.take(lp.vander, node[held], axis=0, out=out[:k, :-1], mode="clip")
+        out[:k, :-1] *= (sign[held] * root[held])[:, None]
+        out[:k, -1] = err[held] * root[held]
+        out[np.arange(k, rows.size), rows[k:] - m] = math.sqrt(LP_PROX)
+        return out
+
+    def factor(root):
+        """The QR factorisation of [sqrt(z / s) g; sqrt(LP_PROX) I] as
+        (leaves, top, r): each block's (v, t), the (v, t) of the blocks'
+        stacked R factors, or None for one block, and R."""
+        leaves = [list(_householder(scaled_rows(rows, root)))
+                  for rows in blocks]
+        # each leaf keeps its (v, t); its R goes to the top's input
+        if len(leaves) == 1:
+            return leaves, None, leaves[0].pop()
+        *top, r = _householder(np.vstack([leaf.pop() for leaf in leaves]))
+        return leaves, top, r
+
+    x = np.zeros(n)
+    x[-1] = 1.0 + np.abs(h).max()
+    s = h - times(x)
+    s[s <= 0] = 1.0  # only rows with no solution make a slack start at 1
+    z = np.ones(m)
+    for _ in range(LP_ITER_CAP):
+        r_p = times(x) + s - h
+        r_d = times_t(z)
+        r_d[-1] += 1.0
+        gap = float(s @ z)
+        residuals = (float(np.abs(r_p).max()) / (1.0 + np.abs(h).max()),
+                     float(np.abs(r_d).max()) / 2.0, gap / (1.0 + abs(x[-1])))
+        if max(residuals) <= LP_TOL:
+            return x
+        if not np.isfinite(residuals).all():
+            break
+        root = np.sqrt(z / s)
+        # the last step's factors go before the new ones are built; with
+        # more than one block, the blocks' R factors are factored once more
+        leaves = top = r = None
+        leaves, top, r = factor(root)
+        a = np.linalg.solve(r.T, -r_d)
+        cuts = np.cumsum([leaf[0].shape[1] for leaf in leaves])[:-1]
+
+        def newton(r_c):
+            # z ds + s dz = -r_c, g dx + ds = -r_p, g^T dz + LP_PROX dx = -r_d:
+            # dz = root * y[:m] for y = [W; prox] dx + [w; 0], which has
+            # R^T Q^T y = -r_d, so Q^T y = a and y = Q (a - Q^T w) + w
+            w = np.zeros(m + n)
+            w[:m] = (z * r_p - r_c) / np.sqrt(z * s)
+            b = np.concatenate([_q_t(leaf, w[rows])
+                                for leaf, rows in zip(leaves, blocks)])
+            b = a - (b if top is None else _q_t(top, b))
+            parts = [b] if top is None else np.split(_q(top, b), cuts)
+            y = np.concatenate([_q(leaf, part) for leaf, part
+                                in zip(leaves, parts)])[:m] + w[:m]
+            dx = np.linalg.solve(r, b)
+            return dx, -r_p - times(dx), root * y
+
+        dx, ds, dz = newton(s * z)
+        ap, ad = min(1.0, max_step(s, ds)), min(1.0, max_step(z, dz))
+        sigma = (float((s + ap * ds) @ (z + ad * dz)) / gap) ** 3
+        dx, ds, dz = newton(s * z + ds * dz - sigma * gap / m)
+        ap = min(1.0, STEP_FRACTION * max_step(s, ds))
+        ad = min(1.0, STEP_FRACTION * max_step(z, dz))
+        x = x + ap * dx
+        s = s + ap * ds
+        z = z + ad * dz
+    raise NumericalError(
+        f"minimax LP on {m} rows not solved in {LP_ITER_CAP} interior-point "
+        f"iterations: primal residual {residuals[0]:.2e}, dual residual "
+        f"{residuals[1]:.2e}, relative gap {residuals[2]:.2e} "
+        f"(tolerance {LP_TOL:.0e})")
 
 
 def least_squares(*args, **kwargs):
@@ -272,9 +391,9 @@ class MinimaxLP:
     of a_ub from it.  ``excess`` forms a_ub @ x - b_ub in ROW_CHUNK-row
     chunks that start at multiples of ROW_CHUNK, so BLAS groups the rows
     as it does in one product over the whole a_ub on one thread, and the
-    bits are that product's.  ``highs``, ``held`` and ``x`` are the state
-    of the HiGHS model ``linprog`` solves the rung on; the LP and its model
-    live only as long as the degree walk that built them.
+    bits are that product's.  ``held`` and ``x`` are the rows ``linprog``
+    holds and its last solution; the LP lives only as long as the degree
+    walk that built it.
     """
 
     def __init__(self, norm: float, degree: int):
@@ -301,7 +420,6 @@ class MinimaxLP:
         self.screen = np.concatenate([
             start + np.arange(0, size, SCREEN_STRIDE) for start, size in
             ((0, n_w), (n_w, n_w), (2 * n_w, n_c), (2 * n_w + n_c, n_c))])
-        self.highs = None
         self.held = np.zeros(self.bound.size, dtype=bool)
         self.x = None
 
@@ -315,18 +433,6 @@ class MinimaxLP:
         out[:, :-1] *= self.sign[index, None]
         out[:, -1] = np.where(node < self.n_window, -1.0, 0.0)
         return out
-
-    def sparse_rows(self, index: np.ndarray):
-        """Rows ``index`` of a_ub in the compressed form HiGHS takes: each
-        row's first entry, then the column and the value of every nonzero
-        entry, row after row."""
-        block = self.rows(index)
-        nonzero = block != 0
-        starts = np.zeros(index.size, dtype=np.int32)
-        np.cumsum(nonzero.sum(axis=1)[:-1], out=starts[1:])
-        columns = np.broadcast_to(np.arange(block.shape[1], dtype=np.int32),
-                                  block.shape)
-        return starts, columns[nonzero], block[nonzero]
 
     def excess(self, x: np.ndarray) -> np.ndarray:
         """a_ub @ x - b_ub, ROW_CHUNK rows at a time."""
@@ -355,10 +461,8 @@ def _ladder_fits(norm: float, degree: int) -> dict:
     return {}
 
 
-def _coeffs_and_error(x: np.ndarray | None, degree: int):
+def _coeffs_and_error(x: np.ndarray, degree: int):
     """The fit (read-only full Chebyshev coeffs, error) of an LP solution."""
-    if x is None:
-        return None
     coeffs = np.zeros(degree + 1)
     coeffs[1::2] = x[:-1]
     coeffs.setflags(write=False)
@@ -394,8 +498,8 @@ def approximate_target(norm: float, eps: float) -> PolynomialTarget:
     objective and every SCREEN_STRIDE-th row.  Its optimum is a lower bound
     on the full optimum, so a screen error above the acceptance threshold
     (plus solver slack) rules the degree out without the full LP.  A full
-    LP that does run goes on in the screen's HiGHS model, whose first
-    round the screen was.  The LP results and the accepted fit's
+    LP that does run goes on from the screen's rows, whose first round the
+    screen was.  The LP results and the accepted fit's
     certificate are memoised; the walk, its acceptance tests and the
     checks of the certificate against eps and 1 run on every call.
     """
@@ -408,7 +512,7 @@ def approximate_target(norm: float, eps: float) -> PolynomialTarget:
 
     def accepted_fit(degree: int):
         fits = _ladder_fits(norm, degree)
-        lp = None  # the rung's LP and HiGHS model, built on its first miss
+        lp = None  # the rung's LP, built on its first miss
 
         def solved(kind: str):
             nonlocal lp
@@ -418,12 +522,10 @@ def approximate_target(norm: float, eps: float) -> PolynomialTarget:
                     linprog(lp, full=kind == "full"), degree)
             return fits[kind]
 
-        # an infeasible screen makes the full LP, a superset, infeasible
-        screen = solved("screen")
-        if screen is None or screen[1] > accept * SCREEN_REL + SCREEN_ABS:
+        if solved("screen")[1] > accept * SCREEN_REL + SCREEN_ABS:
             return None
         fit = solved("full")
-        return fit[0] if fit is not None and fit[1] <= accept else None
+        return fit[0] if fit[1] <= accept else None
 
     degree = max(1, int(0.25 * norm) | 1)
     while (coeffs := accepted_fit(degree)) is None:

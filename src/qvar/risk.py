@@ -356,7 +356,10 @@ def bisection_var(table: TailTable, q: float, mode: str = "exact",
 
     Binary search over the code range; each probe, one preparation of the
     state on the device, reads the flag-0 mass of the comparator at the
-    candidate threshold (``tail_probability``).  At most m iterations.
+    candidate threshold (``tail_probability``).  A probe is accepted when
+    its tail holds mass and reaches q to CDF_TOL; an empty tail never is,
+    so a level at or below CDF_TOL picks the least code with mass, as the
+    classical quantile does.  At most m iterations.
     """
     if not 0 < q < 1:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
@@ -371,7 +374,7 @@ def bisection_var(table: TailTable, q: float, mode: str = "exact",
         mid = (lo + hi) // 2
         p0, used = tail_probability(table, mid, mode, eps, rng)
         queries += used
-        if p0 >= q - CDF_TOL:
+        if p0 > 0 and p0 >= q - CDF_TOL:
             hi = mid
         else:
             lo = mid + 1

@@ -385,11 +385,12 @@ def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
 
 # sha256 of `assemble --mode trotter` on the README config at m = 6, 8 and
 # 10 (the last under QVAR_QUBIT_CAP=30: 3 path + 13 price + 10 value
-# qubits), recorded from the dense-matrix kernels the FFT forms replaced
+# qubits); the QPE columns were recorded from the dense-matrix kernels the
+# FFT forms replaced, the error column from the NumPy Stage-1 fit
 TROTTER_CSV_SHA256 = {
-    6: "15687b7593f973fc566498c285a6747e0159075037b49de90be906638b5b724f",
-    8: "0334238473a6a031307657c31f3f890781b26fe12f87de2499c0b2232a15ad29",
-    10: "951296dd354876686500afaf55ac2f5fdcc4fc28d6cbff9c415954e0e74c9cb8",
+    6: "a487de73f4fa382d6e68e72d565574fd82f1040d953439c664fb11a0e41dc6a8",
+    8: "e9f28238d52969b19c84cb2bd6a0025133e9b6ec5af9dbc264ed635477ea61bd",
+    10: "0cca1a176e768b21d28f2a008738e9e3a84e6e26587771b02b809237099c89e1",
 }
 
 
@@ -410,9 +411,9 @@ REPORT_SHA256 = {
     "classical":
         "e24db15e0db078bb6bceeb75b9285f6654845910bb31ef5fb4dd64431b1750d2",
     "quantum-exact":
-        "90424124b6f4d94b26b6ae4536d4794b53cb427d9b4746e2457f425300cdcc6c",
+        "de53a315c4e68af49062aa6f0b7158e78c579f7536feb14688034edaa2c17601",
     "quantum-sampled":
-        "f3f846f7082515fda9b2a106b0b48d048b3b7aeab730514adb2b24b6f79d99fb",
+        "c124285619f54759df28f81c545384b5c5a47f70de273876522deb1ec1e9c63d",
 }
 
 
@@ -425,6 +426,25 @@ def test_report_bytes_pinned(tmp_path, command, mode):
     assert run_cli([command, "--mode", mode, "--config", str(path),
                     "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[mode]
+
+
+def test_level_at_the_cdf_tolerance_reads_the_least_value(tmp_path):
+    # q <= risk.CDF_TOL: an empty tail must not count as reaching q, so both
+    # quantum modes read the least value code, as the classical oracle does
+    path = tmp_path / "tiny_level.json"
+    path.write_text(json.dumps({**README_CONFIG, "strike": 0.5, "q": 1e-10}))
+    reports = {}
+    for mode in ("classical", "quantum-exact", "quantum-sampled"):
+        out = tmp_path / f"{mode}.json"
+        assert run_cli(["run", "--mode", mode, "--config", str(path),
+                        "--output", str(out)]) == 0
+        reports[mode] = json.loads(out.read_text())
+    classical = reports["classical"]["report"]["var_normalized"]
+    for mode in ("quantum-exact", "quantum-sampled"):
+        assert reports[mode]["deviations"]["var_code_matches_classical"]
+    exact = reports["quantum-exact"]["report"]
+    assert exact["var_code"] / 2 ** (README_CONFIG["m"] - 1) == classical
+    assert exact["var_normalized"] == classical
 
 
 def test_numerical_error_exit_code(tmp_path):

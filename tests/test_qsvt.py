@@ -23,9 +23,16 @@ from qvar.qsvt import (PolynomialTarget, _wx_eval, apply_qsvt,
                        approximate_target, prepare_value_state,
                        qsp_reflection_eval, solve_phase_factors,
                        svd_transform_oracle, target_g)
-from reference import dense_walk, encoded_block, minimax_lp, qsvt_circuit
+from reference import (dense_walk, encoded_block, fit_minimax, minimax_lp,
+                       qsvt_circuit)
 
 SRC = str(Path(qsvt.__file__).resolve().parents[1])  # for fresh interpreters
+# the oracle's optimum meets its rows to HiGHS's primal feasibility
+# tolerance of 1e-7, and the row-generated one meets the rows it does not
+# hold to ROW_TOL, so either may lie that far below the exact optimum
+ORACLE_TOL = 1e-7 + qsvt.ROW_TOL
+# what an uncertified interior-point solve reports
+LP_RESIDUALS = "primal residual .*, dual residual .*, relative gap "
 
 
 def test_target_g_examples():
@@ -86,65 +93,17 @@ def test_degree_cap_enforced(monkeypatch):
         approximate_target(8.0, 1e-6)
 
 
-# what qsvt.linprog calls on SciPy's private HiGHS binding
-HIGHS_METHODS = ("setOptionValue", "addVars", "changeColsCost", "getOptionValue",
-                 "addRows", "run", "getModelStatus", "getSolution")
-HIGHS_STATUSES = ("kOptimal", "kInfeasible", "kUnboundedOrInfeasible")
-
-
-def _highs_tolerance():
-    return qsvt.highs_core()._Highs().getOptionValue(
-        "primal_feasibility_tolerance")[1]
-
-
-def test_private_highs_binding_has_what_the_solver_calls():
-    import scipy
-    installed = f"installed scipy {scipy.__version__}"
-    try:
-        core = qsvt.highs_core()
-    except ImportError as exc:
-        pytest.fail(f"{installed}: qsvt.highs_core cannot load the HiGHS "
-                    f"extension that qsvt.linprog solves the Stage-1 LP on: "
-                    f"{exc}")
-    missing = [name for name in ("_Highs", "HighsModelStatus")
-               if not hasattr(core, name)]
-    assert not missing, (f"{installed}: {core.__name__} lacks {missing}, "
-                         f"which qsvt.linprog calls")
-    missing = [name for name in HIGHS_METHODS
-               if not callable(getattr(core._Highs, name, None))]
-    missing += [f"HighsModelStatus.{name}" for name in HIGHS_STATUSES
-                if not hasattr(core.HighsModelStatus, name)]
-    assert not missing, (f"{installed}: the private HiGHS binding lacks "
-                         f"{missing}, which qsvt.linprog calls")
-    tol = _highs_tolerance()
-    assert isinstance(tol, float) and 0 < tol < 1e-3, (
-        f"{installed}: primal_feasibility_tolerance reads {tol!r}")
-
-
-def test_missing_highs_extension_names_scipy_and_the_folder(monkeypatch,
-                                                          tmp_path):
-    import scipy
-    monkeypatch.delitem(sys.modules, qsvt.HIGHS_CORE, raising=False)
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
-    folder = tmp_path / "optimize" / "_highspy"
-    with pytest.raises(ImportError) as info:
-        qsvt.highs_core.__wrapped__()
-    assert f"scipy {scipy.__version__}" in str(info.value)
-    assert str(folder) in str(info.value)
-
-
 @settings(max_examples=15, deadline=None)
 @given(norm=st.floats(1.2, 3.0), eps=st.floats(1e-3, 2e-2))
 def test_row_generated_fit_solves_the_dense_lp(norm, eps):
     poly = approximate_target(norm, eps)
     degree, (coeffs, optimum) = dense_walk(norm, eps)
     assert poly.degree == int(np.flatnonzero(np.abs(coeffs) > 1e-300)[-1])
-    tol = _highs_tolerance()
     error = qsvt._ladder_fits(norm, degree)["full"][1]
-    assert abs(error - optimum) <= 2 * tol
+    assert abs(error - optimum) <= ORACLE_TOL
     a_ub, b_ub = minimax_lp(norm, degree)
     x = np.append(poly.coeffs[1::2], error)
-    assert (a_ub @ x - b_ub).max() <= tol
+    assert (a_ub @ x - b_ub).max() <= qsvt.ROW_TOL
     assert poly.sup_error <= eps
 
 
@@ -162,55 +121,60 @@ def _dense_screen(degree):
 
 
 class _Recorder:
-    """Wraps qsvt.linprog and the HiGHS models it builds.  Per model (one
-    per rung the walk solves): the rung's dense LP from the oracle, its
-    rows keyed by their entries, the keys each round added, the solution
-    after each round and the linprog calls made on it, in order."""
+    """Wraps qsvt.linprog and the interior-point solves it makes.  Per LP
+    (one per rung the walk solves): the rung's dense LP from the oracle, its
+    rows keyed by their entries, the keys each round added to the rows the
+    solver was given, the solution after each round and the linprog calls
+    made on it, in order."""
 
     def __init__(self, monkeypatch):
-        core = qsvt.highs_core()
         self.models = []
         self.calls = []
         models, calls = self.models, self.calls
+        solving = []  # the record of the linprog call in progress
+        solve_rows = qsvt._interior_point
 
-        class RecordingHighs(core._Highs):
-            def __init__(self):
-                super().__init__()
-                self.record = {"rounds": [], "solutions": [], "calls": []}
-
-            def addRows(self, num, lower, upper, nnz, starts, index, value):
-                ends = np.append(starts[1:], nnz)
-                self.record["rounds"].append([
-                    _row_key(index[a:b], value[a:b], upper[i])
-                    for i, (a, b) in enumerate(zip(starts, ends))])
-                return super().addRows(num, lower, upper, nnz, starts, index,
-                                       value)
-
-            def run(self):
-                status = super().run()
-                self.record["solutions"].append(
-                    np.array(self.getSolution().col_value))
-                return status
+        def interior_point(lp, held):
+            record = solving[-1]
+            given = [_row_key(np.flatnonzero(row), row[row != 0], b)
+                     for row, b in zip(lp.rows(held), lp.bound[held])]
+            before = Counter(record["given"])
+            added = []
+            for key in given:
+                if before[key]:
+                    before[key] -= 1
+                else:
+                    added.append(key)
+            assert not +before, "a round dropped a row it held"
+            record["given"] = given
+            record["rounds"].append(added)
+            x = solve_rows(lp, held)
+            record["solutions"].append(x)
+            return x
 
         solve = qsvt.linprog
 
         def linprog(lp, full):
-            result = solve(lp, full)
-            record = lp.highs.record
-            if "lp" not in record:
+            if not hasattr(lp, "record"):
                 a_ub, b_ub = minimax_lp(lp.norm, lp.degree)
-                record["lp"], record["degree"] = (a_ub, b_ub), lp.degree
-                record["keys"] = [_row_key(np.flatnonzero(row), row[row != 0], b)
-                                  for row, b in zip(a_ub, b_ub)]
-                record["screen"] = [record["keys"][i]
-                                    for i in _dense_screen(lp.degree)]
-                models.append(record)
-            record["calls"].append({"full": full, "result": result,
-                                    "rounds": len(record["rounds"])})
+                keys = [_row_key(np.flatnonzero(row), row[row != 0], b)
+                        for row, b in zip(a_ub, b_ub)]
+                lp.record = {"lp": (a_ub, b_ub), "degree": lp.degree,
+                             "keys": keys, "given": [], "rounds": [],
+                             "solutions": [], "calls": [],
+                             "screen": [keys[i] for i in _dense_screen(lp.degree)]}
+                models.append(lp.record)
+            solving.append(lp.record)
+            try:
+                result = solve(lp, full)
+            finally:
+                solving.pop()
+            lp.record["calls"].append({"full": full, "result": result,
+                                       "rounds": len(lp.record["rounds"])})
             calls.append((lp.degree, full))
             return result
 
-        monkeypatch.setattr(core, "_Highs", RecordingHighs)
+        monkeypatch.setattr(qsvt, "_interior_point", interior_point)
         monkeypatch.setattr(qsvt, "linprog", linprog)
 
 
@@ -221,7 +185,7 @@ def test_row_generation_adds_the_most_violated_new_rows(monkeypatch):
     poly = approximate_target(8.0, 1e-4)
     assert poly.degree == 71
     assert len(recorder.models) >= 2
-    tol = _highs_tolerance()
+    tol = qsvt.ROW_TOL
     for model in recorder.models:
         (a_ub, b_ub), keys, rounds = model["lp"], model["keys"], model["rounds"]
         assert len(rounds) <= math.ceil(len(keys) / qsvt.ROW_BATCH) + 1
@@ -230,7 +194,7 @@ def test_row_generation_adds_the_most_violated_new_rows(monkeypatch):
         held = Counter()
         for r, added in enumerate(rounds + [[]]):
             if r and model["calls"][-1]["full"]:
-                # the rows outside the model that the last solution violates
+                # the rows outside the LP that the last solution violates
                 excess = a_ub @ model["solutions"][r - 1] - b_ub
                 outside = np.array([key not in held for key in keys])
                 violated = outside & (excess > tol)
@@ -240,13 +204,13 @@ def test_row_generation_adds_the_most_violated_new_rows(monkeypatch):
                                                          violated.sum())
                 if (violated & ~picked).any():
                     assert excess[picked].min() >= excess[violated & ~picked].max()
-            # a row enters the model no more often than the LP holds it: the
+            # a row enters the solve no more often than the LP holds it: the
             # two empty cap rows at node 0 are the only repeated rows
             held.update(added)
             assert held <= Counter(keys)
-    # one model per rung: its screen call solves round 1 alone, and the full
-    # LP, when the screen lets the rung through, goes on in that model, so a
-    # rung makes at most two linprog calls
+    # one LP per rung: its screen call solves round 1 alone, and the full
+    # LP, when the screen lets the rung through, goes on from the screen's
+    # rows, so a rung makes at most two linprog calls
     assert len(recorder.calls) == sum(len(m["calls"]) for m in recorder.models)
     degrees = [model["degree"] for model in recorder.models]
     assert degrees == sorted(set(degrees))
@@ -254,7 +218,7 @@ def test_row_generation_adds_the_most_violated_new_rows(monkeypatch):
         assert [call["full"] for call in model["calls"]] in ([False],
                                                              [False, True])
         assert model["calls"][0]["rounds"] == 1
-    # the accepted rung is the walk's last model: it started from the screen
+    # the accepted rung is the walk's last LP: it started from the screen
     # rows, added rows over more than one round and stopped short of the grid
     accepted = recorder.models[-1]
     held = sum(len(added) for added in accepted["rounds"])
@@ -265,19 +229,45 @@ def test_row_generation_adds_the_most_violated_new_rows(monkeypatch):
 
 def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
     recorder = _Recorder(monkeypatch)
-    monkeypatch.setattr(qsvt, "DEGREE_CAP", 64)
-    # |P| <= a negative bound has no solution on any subset of the cap rows
+    # |P| <= a negative bound has no solution on any subset of the cap rows,
+    # so the first screen has no optimum to certify and the walk stops there
     monkeypatch.setattr(qsvt, "GLOBAL_BOUND", -1e-3)
-    with pytest.raises(NumericalError, match="degree cap 64 exceeded"):
+    with pytest.raises(NumericalError, match=LP_RESIDUALS):
         approximate_target(2.0, 1e-3)
-    # every rung up to the cap ran its screen, which found it infeasible, and
-    # so the full LP, a superset of its rows, never ran
-    degrees = [model["degree"] for model in recorder.models]
-    assert len(degrees) > 2 and degrees == sorted(set(degrees))
-    for model in recorder.models:
-        assert [call["result"] for call in model["calls"]] == [None]
-        assert [call["full"] for call in model["calls"]] == [False]
-        assert model["rounds"] == [model["screen"]]
+    (model,) = recorder.models
+    assert model["degree"] == 1
+    assert model["rounds"] == [model["screen"]]
+    assert model["calls"] == [] and recorder.calls == []
+
+
+def test_solve_past_its_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(qsvt, "LP_ITER_CAP", 3)
+    with pytest.raises(NumericalError, match="not solved in 3 interior-point "
+                                             "iterations: " + LP_RESIDUALS):
+        approximate_target(2.0, 1e-3)
+
+
+# the oracle's dense HiGHS solve of the degree-483 LP takes minutes; the
+# row-generated solve of that rung is checked against the dense rows in
+# test_full_lp_at_the_top_rung_meets_every_row
+@pytest.mark.parametrize("norm, degree", [(4.0021, 51), (4.0021, 195),
+                                          (16.0, 195), (16.0, 273)])
+def test_full_lp_optimum_is_the_oracle_optimum(norm, degree):
+    x = qsvt.linprog(qsvt.MinimaxLP(norm, degree), True)
+    coeffs, optimum = fit_minimax(norm, degree)
+    a_ub, b_ub = minimax_lp(norm, degree)
+    assert (a_ub @ x - b_ub).max() <= qsvt.ROW_TOL
+    assert abs(x[-1] - optimum) <= ORACLE_TOL
+
+
+def test_full_lp_at_the_top_rung_meets_every_row():
+    lp = qsvt.MinimaxLP(4.0021, 483)
+    x = qsvt.linprog(lp, True)
+    a_ub, b_ub = minimax_lp(4.0021, 483)
+    assert (a_ub @ x - b_ub).max() <= qsvt.ROW_TOL
+    # the target is met to rounding: the optimum is about 7e-11
+    assert 0 <= x[-1] <= ORACLE_TOL
+    assert lp.held.sum() < lp.held.size
 
 
 def _index_sets(lp, rng):
@@ -299,14 +289,6 @@ def test_on_demand_rows_are_the_dense_lp_rows(degree, rng):
     for index in _index_sets(lp, rng):
         block = a_ub[index]
         assert lp.rows(index).tobytes() == block.tobytes()
-        # the compressed rows HiGHS gets, against the dense rows' nonzeros
-        starts, columns, values = lp.sparse_rows(index)
-        flat = np.flatnonzero(block)
-        assert starts.dtype == columns.dtype == np.int32
-        assert np.array_equal(
-            starts, np.searchsorted(flat, np.arange(0, block.size, block.shape[1])))
-        assert np.array_equal(columns, flat % block.shape[1])
-        assert values.tobytes() == block.flat[flat].tobytes()
 
 
 # prints, per degree, whether the on-demand excess equals the dense LP's
@@ -358,7 +340,6 @@ def test_on_demand_excess_is_the_dense_products_bits():
 
 
 def test_cold_full_rung_peaks_below_one_dense_lp():
-    qsvt.highs_core()  # the extension's import is not the rung's memory
     tracemalloc.start()
     try:
         lp = qsvt.MinimaxLP(16.0, 195)
@@ -372,18 +353,6 @@ def test_cold_full_rung_peaks_below_one_dense_lp():
     # the dense 4,000 x 99 a_ub the rung used to build
     dense = (2 * 1200 + 2 * 800) * 99 * 8
     assert peak < dense, (peak, dense)
-
-
-def test_highs_stop_that_is_not_optimal_raises(monkeypatch):
-    core = qsvt.highs_core()
-
-    class StoppedHighs(core._Highs):
-        def getModelStatus(self):
-            return core.HighsModelStatus.kIterationLimit
-
-    monkeypatch.setattr(core, "_Highs", StoppedHighs)
-    with pytest.raises(NumericalError, match="kIterationLimit"):
-        approximate_target(2.0, 1e-3)
 
 
 def _wx_eval_full_product(x, phases):

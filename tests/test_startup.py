@@ -1,16 +1,14 @@
-"""SciPy is loaded on first use only, and the process-wide tables are
-built on first use only.
+"""SciPy is never loaded by the request path, and the process-wide tables
+are built on first use only.
 
-Importing qvar, budget-checking a config, a classical run and the CLI
-commands that never fit a polynomial must leave ``scipy`` unimported; the
-first cold Stage-1 fit loads SciPy's HiGHS extension module and not the
-``scipy.optimize`` package, and a later ``import scipy.optimize`` finds
-that same extension module.  Only a sampled run imports ``numpy.random``,
-and only ``assemble --mode trotter``, whose QPE kernels are FFTs, imports
-``numpy.fft``.  Importing qvar and budget-checking a config
-must also leave the amplitude-estimation maxima, the Stage-1 memos (fits,
-programs and operator SVDs) and the book memo empty, so that start-up does
-none of a request's work.
+Importing qvar, budget-checking a config, every CLI command and every
+pipeline mode, cold Stage-1 fits included, must leave ``scipy``
+unimported: the Stage-1 LP is solved in NumPy.  Only a sampled run
+imports ``numpy.random``, and only ``assemble --mode trotter``, whose QPE
+kernels are FFTs, imports ``numpy.fft``.  Importing qvar and
+budget-checking a config must also leave the amplitude-estimation maxima,
+the Stage-1 memos (fits, programs and operator SVDs) and the book memo
+empty, so that start-up does none of a request's work.
 Each check runs in a fresh interpreter, because the test process itself
 has loaded SciPy and filled the tables.
 """
@@ -69,7 +67,7 @@ loaded("assemble --mode trotter")
 """
 
 
-def test_scipy_loaded_only_by_a_cold_stage1_fit(tmp_path):
+def test_scipy_loaded_by_no_step(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(README_CONFIG))
     src = str(Path(qvar.__file__).resolve().parents[1])
@@ -84,47 +82,16 @@ def test_scipy_loaded_only_by_a_cold_stage1_fit(tmp_path):
         "simulate", "verify-be", "run --mode classical", "var --mode classical",
         "cvar --mode classical", "nogo", "quantum_exact run_pipeline",
         "quantum_sampled run_pipeline", "assemble --mode trotter"]
+    for step, mods in steps:
+        assert not [m for m in mods if m == "scipy" or m.startswith("scipy.")], step
     for step, mods in steps[:-3]:
         assert mods == [], step
     exact, sampled, trotter = (mods for _, mods in steps[-3:])
-    assert "scipy.optimize._highspy._core" in exact
-    assert "scipy.optimize" not in exact
-    assert "scipy.optimize._highspy" not in exact
     # exact mode never draws, so only the sampled run imports numpy.random
-    assert "numpy.random" not in exact
-    assert sorted(set(sampled) - set(exact)) == ["numpy.random"]
+    assert exact == []
+    assert sampled == ["numpy.random"]
     # no run loads numpy.fft; the trotter kernels do
     assert sorted(set(trotter) - set(sampled)) == ["numpy.fft"]
-
-
-# a cold sampled fit, then the package import that tests/reference.py makes
-OPTIMIZE_AFTER_FIT = """
-import json, sys
-import numpy as np
-from qvar import load_run_config, qsvt, run_pipeline
-with open(sys.argv[1]) as fh:
-    run_pipeline(load_run_config(json.load(fh)))
-assert "scipy.optimize" not in sys.modules
-core = sys.modules["scipy.optimize._highspy._core"]
-import scipy.optimize
-import scipy.optimize._highspy._core as imported
-assert imported is core and qsvt.highs_core() is core
-res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
-assert res.status == 0 and np.allclose(res.x, [1.0, 0.0]), res
-print("ok")
-"""
-
-
-def test_scipy_optimize_imported_after_a_cold_fit_shares_the_extension(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**README_CONFIG, "mode": "quantum_sampled"}))
-    src = str(Path(qvar.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", OPTIMIZE_AFTER_FIT, str(config)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok"]
 
 
 # prints the size of every process-wide table after import and budget check
