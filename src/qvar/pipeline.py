@@ -22,10 +22,10 @@ Every array a book holds is read-only.  A step that raises caches nothing,
 so a failing book raises the same error on every request.  Each request
 still runs the budget check first, then both classical quantile readouts
 at its level and Step 4's table reads: bisection VaR, the CVaR overlap
-and, in sampled mode, its own seeded generator.  The ``ResourceTally``
-charges the simulated device Steps 1-3 and one state preparation per
-probe on every request, memo or not, so a hit and a miss give the same
-tally and the same report bytes."""
+and, in sampled mode, its own ``random.Random`` seeded with the
+request's seed.  The ``ResourceTally`` charges the simulated device
+Steps 1-3 and one state preparation per probe on every request, memo or
+not, so a hit and a miss give the same tally and the same report bytes."""
 
 from __future__ import annotations
 
@@ -268,9 +268,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     sampled = config.mode == "quantum_sampled"
     measure_mode = "sampled" if sampled else "exact"
-    # only sampled mode draws, and only from here on: exact mode never
-    # imports numpy.random
-    rng = np.random.default_rng(config.seed) if sampled else None
+    # only sampled mode draws, from here on, and from the standard
+    # library's generator: no mode imports numpy.random, and start-up does
+    # not import random
+    rng = None
+    if sampled:
+        import random
+        rng = random.Random(config.seed)
     eps_est = 0.02
 
     # Step 4: bisection VaR and the CVaR overlap, read from the book's tail

@@ -29,6 +29,8 @@ bound is at least the float log-likelihood of every point it covers, with
 no slack constant, and one whose bound falls below an attained value
 cannot hold the argmax.  The few points left are evaluated from theta with
 the full grid's ufuncs, so they carry its bits (``_likelihood_argmax``).
+The shot counts are drawn from the request's seeded ``random.Random``
+(``_binomial``), so sampled mode needs no ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -246,6 +248,43 @@ def _likelihood_argmax(powers, hits, shots: int) -> int:
     return int(index[exact.argmax()])
 
 
+def _binomial(rng, n: int, p: float) -> int:
+    """One Binomial(n, p) draw by inversion of one ``rng.random()``
+    uniform, which ``rng``, a ``random.Random`` or a NumPy ``Generator``,
+    supplies.  The pmf's segments of [0, 1) are laid out in walk order:
+    the mode floor((n + 1) p), whose mass comes from ``math.comb``, then
+    one count below and one above in turn, each mass from its neighbour's
+    by the pmf ratio, until both ends are reached.  The walk stops in the
+    segment holding the uniform; the few ulps of mass that rounding leaves
+    past the last segment go to the count visited last.  p <= 0 and p >= 1
+    return 0 and n without a draw."""
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    q = 1.0 - p
+    ratio = p / q
+    mode = lo = hi = min(n, int((n + 1) * p))
+    lo_mass = hi_mass = math.comb(n, mode) * p**mode * q**(n - mode)
+    u = rng.random() - lo_mass
+    if u < 0.0:
+        return mode
+    while lo > 0 or hi < n:
+        if lo > 0:
+            lo_mass *= lo / ((n - lo + 1) * ratio)
+            lo -= 1
+            u -= lo_mass
+            if u < 0.0:
+                return lo
+        if hi < n:
+            hi_mass *= (n - hi) * ratio / (hi + 1)
+            hi += 1
+            u -= hi_mass
+            if u < 0.0:
+                return hi
+    return n if 2 * mode <= n else 0
+
+
 def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     """Amplitude-estimation-style measurement of a flag probability.
 
@@ -254,6 +293,8 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     theta = arcsin(sqrt(p)).  The maximum-likelihood estimate over the
     doubling power schedule reaches additive error eps at a total query
     count sum_k shots (2k+1) = O(1/eps), which is the documented budget.
+    ``rng`` is a seeded ``random.Random``; each power's hits are one
+    ``_binomial`` draw from it.
 
     The estimate is the theta grid's first log-likelihood argmax, found by
     ``_likelihood_argmax``: the bound of a block or sub-block folds its
@@ -274,7 +315,7 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     queries = 0
     for k in powers:
         p_k = math.sin((2 * k + 1) * theta) ** 2
-        hits.append(rng.binomial(shots, p_k))
+        hits.append(_binomial(rng, shots, p_k))
         queries += shots * (2 * k + 1)
     index = _likelihood_argmax(powers, hits, shots)
     best = _theta(index)

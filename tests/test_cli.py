@@ -413,7 +413,7 @@ REPORT_SHA256 = {
     "quantum-exact":
         "de53a315c4e68af49062aa6f0b7158e78c579f7536feb14688034edaa2c17601",
     "quantum-sampled":
-        "c124285619f54759df28f81c545384b5c5a47f70de273876522deb1ec1e9c63d",
+        "e5a3540b0ef01a72932dcff9e26b3bdeed644144e0a5def337f94b1db69b9604",
 }
 
 
@@ -426,6 +426,27 @@ def test_report_bytes_pinned(tmp_path, command, mode):
     assert run_cli([command, "--mode", mode, "--config", str(path),
                     "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[mode]
+
+
+def test_sampled_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # the seeded draws and every step after them are deterministic: two
+    # fresh interpreters with different string hashing write equal reports
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    src = str(Path(qpca.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvar.cli", "run", "--mode",
+             "quantum-sampled", "--config", str(path), "--output", str(out)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0]).hexdigest() == \
+        REPORT_SHA256["quantum-sampled"]
 
 
 def test_level_at_the_cdf_tolerance_reads_the_least_value(tmp_path):

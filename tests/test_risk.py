@@ -2,8 +2,10 @@ import functools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,10 @@ import qvar
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, TailTable, _block_maxima,
-                       _likelihood_argmax, _subblock_maxima, bisection_var,
-                       classical_var_cvar, comparator_ucc, cvar,
-                       estimate_amplitude, make_reference_state,
+from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, TailTable, _binomial,
+                       _block_maxima, _likelihood_argmax, _subblock_maxima,
+                       bisection_var, classical_var_cvar, comparator_ucc,
+                       cvar, estimate_amplitude, make_reference_state,
                        overlap_terms, swap_test_overlap, tail_probability)
 from reference import (comparator_bisection_var, comparator_cvar,
                        comparator_tail_probability, dense_state,
@@ -525,7 +527,7 @@ def uncached_estimate_amplitude(prob, eps, rng):
     queries = 0
     for k in powers:
         p_k = math.sin((2 * k + 1) * theta) ** 2
-        hits.append(rng.binomial(shots, p_k))
+        hits.append(_binomial(rng, shots, p_k))
         queries += shots * (2 * k + 1)
     grid = np.linspace(0.0, np.pi / 2, 200_001)
     loglik = np.zeros_like(grid)
@@ -591,7 +593,7 @@ def hit_vectors(draw):
 def test_pruned_search_returns_full_grid_argmax(case):
     eps, hits = case
     powers = powers_for(eps)
-    hits = [np.int64(h) for h in hits]  # as rng.binomial returns them
+    hits = [np.int64(h) for h in hits]  # NumPy integers are accepted too
     assert _likelihood_argmax(powers, hits, SHOTS) == full_grid_argmax(powers, hits)
 
 
@@ -620,12 +622,104 @@ def test_foregone_estimate_draws_as_the_reference(prob, eps):
     # p = 0 misses and p = 1 hits every shot at every power: the shortcut
     # gives the reference's estimate and leaves the generator where the
     # reference leaves it
-    rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+    rng, reference_rng = random.Random(3), random.Random(3)
     got = estimate_amplitude(prob, eps, rng)
     want = uncached_estimate_amplitude(prob, eps, reference_rng)
     assert (got.value, got.queries, got.shots) == want
     assert got.value == prob
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert rng.getstate() == reference_rng.getstate()
+
+
+class UniformStub:
+    """A generator whose every uniform is ``u``, counting the draws."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def walk_segments(n, p):
+    """Each count's segment [lo, hi) of [0, 1) in the sampler's walk order,
+    the mode floor((n + 1) p) and then one count below and one above in
+    turn, from the exact pmf in rational arithmetic."""
+    mode = min(n, int((n + 1) * p))
+    order = [mode]
+    for step in range(1, n + 1):
+        order += [k for k in (mode - step, mode + step) if 0 <= k <= n]
+    assert sorted(order) == list(range(n + 1))
+    p_exact = Fraction(p)
+    lo = Fraction(0)
+    for k in order:
+        hi = lo + math.comb(n, k) * p_exact**k * (1 - p_exact)**(n - k)
+        yield k, lo, hi
+        lo = hi
+
+
+# how far a segment end of the sampler may sit from the exact one
+SEGMENT_TOL = Fraction(5e-13)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.77])
+@pytest.mark.parametrize("n", [1, 2, 7, 96])
+def test_binomial_inverts_the_pmf_from_the_mode(n, p):
+    # a uniform at a segment's midpoint, or at either end pulled in by
+    # SEGMENT_TOL, comes back as a count whose exact segment lies within
+    # SEGMENT_TOL of it: each segment is the pmf to 1e-12, and every count
+    # whose mass exceeds that comes back from its own segment
+    segments = {k: (lo, hi) for k, lo, hi in walk_segments(n, p)}
+    resolved = set()
+    for k, (lo, hi) in segments.items():
+        for u in (lo + SEGMENT_TOL, (lo + hi) / 2, hi - SEGMENT_TOL):
+            u = float(u)
+            if not 0.0 <= u < 1.0:
+                continue
+            stub = UniformStub(u)
+            got = _binomial(stub, n, p)
+            assert stub.draws == 1
+            got_lo, got_hi = segments[got]
+            assert got_lo - SEGMENT_TOL <= Fraction(u) < got_hi + SEGMENT_TOL, \
+                (k, u, got)
+            if got == k:
+                resolved.add(k)
+    assert resolved >= {k for k, (lo, hi) in segments.items()
+                        if hi - lo > 2 * SEGMENT_TOL}
+
+
+@pytest.mark.parametrize("p,count", [(0.0, 0), (-0.1, 0), (1.0, 7), (1.5, 7)])
+def test_binomial_certain_outcomes_draw_nothing(p, count):
+    stub, rng = UniformStub(0.5), random.Random(9)
+    state = rng.getstate()
+    assert _binomial(stub, 7, p) == count and stub.draws == 0
+    assert _binomial(rng, 7, p) == count and rng.getstate() == state
+
+
+@pytest.mark.parametrize("p", [0.02, 0.2, 0.5, 0.8, 0.97])
+def test_binomial_moments(p):
+    # 20,000 draws at n = 96: the sample mean and variance lie within four
+    # standard errors of n p and n p (1 - p); the variance's error uses the
+    # binomial's fourth central moment n p q (1 + 3 (n - 2) p q)
+    n, draws = 96, 20_000
+    rng = random.Random(20240811)
+    counts = np.array([_binomial(rng, n, p) for _ in range(draws)])
+    npq = n * p * (1 - p)
+    fourth = npq * (1 + 3 * (n - 2) * p * (1 - p))
+    assert abs(counts.mean() - n * p) <= 4 * math.sqrt(npq / draws)
+    assert abs(counts.var(ddof=1) - npq) <= 4 * math.sqrt((fourth - npq**2) / draws)
+
+
+@pytest.mark.parametrize("make", [random.Random, np.random.default_rng])
+def test_binomial_takes_one_uniform_from_either_generator(make):
+    # a random.Random, as the pipeline passes, or a NumPy Generator, as
+    # tests pass: one draw is the inversion of the generator's next uniform
+    rng, twin = make(5), make(5)
+    for p in (0.01, 0.3, 0.5, 0.77):
+        got = _binomial(rng, 96, p)
+        assert type(got) is int
+        assert got == _binomial(UniformStub(twin.random()), 96, p)
 
 
 def padded_maxima(real, size):

@@ -1,11 +1,13 @@
-"""SciPy is never loaded by the request path, and the process-wide tables
-are built on first use only.
+"""SciPy, ``numpy.random`` and the hashing modules are never loaded by the
+request path, and the process-wide tables are built on first use only.
 
 Importing qvar, budget-checking a config, every CLI command and every
 pipeline mode, cold Stage-1 fits included, must leave ``scipy``
-unimported: the Stage-1 LP is solved in NumPy.  Only a sampled run
-imports ``numpy.random``, and only ``assemble --mode trotter``, whose QPE
-kernels are FFTs, imports ``numpy.fft``.  Importing qvar and
+unimported: the Stage-1 LP is solved in NumPy.  No step, the sampled run
+included, imports ``numpy.random`` or what it loads, ``secrets``,
+``hashlib`` and OpenSSL's ``_hashlib``: sampled mode draws its shot
+counts from ``random.Random``.  Only ``assemble --mode trotter``, whose
+QPE kernels are FFTs, imports ``numpy.fft``.  Importing qvar and
 budget-checking a config must also leave the amplitude-estimation maxima,
 the Stage-1 memos (fits, programs and operator SVDs) and the book memo
 empty, so that start-up does none of a request's work.
@@ -31,13 +33,14 @@ README_CONFIG = {
 }
 
 # prints one JSON line per step: the step and the scipy modules,
-# numpy.random and numpy.fft, if loaded, after it
+# numpy.random, numpy.fft, secrets, hashlib and _hashlib, if loaded, after it
 STEPS = """
 import json, sys
 
 def loaded(step):
     mods = sorted(m for m in sys.modules
-                  if m in ("scipy", "numpy.random", "numpy.fft")
+                  if m in ("scipy", "numpy.random", "numpy.fft", "secrets",
+                           "hashlib", "_hashlib")
                   or m.startswith("scipy."))
     print(json.dumps([step, mods]), flush=True)
 
@@ -84,14 +87,11 @@ def test_scipy_loaded_by_no_step(tmp_path):
         "quantum_sampled run_pipeline", "assemble --mode trotter"]
     for step, mods in steps:
         assert not [m for m in mods if m == "scipy" or m.startswith("scipy.")], step
-    for step, mods in steps[:-3]:
+    # every run, sampled included, leaves numpy.random, secrets, hashlib
+    # and _hashlib unloaded; the trotter kernels load numpy.fft alone
+    for step, mods in steps[:-1]:
         assert mods == [], step
-    exact, sampled, trotter = (mods for _, mods in steps[-3:])
-    # exact mode never draws, so only the sampled run imports numpy.random
-    assert exact == []
-    assert sampled == ["numpy.random"]
-    # no run loads numpy.fft; the trotter kernels do
-    assert sorted(set(trotter) - set(sampled)) == ["numpy.fft"]
+    assert steps[-1][1] == ["numpy.fft"]
 
 
 # prints the size of every process-wide table after import and budget check
