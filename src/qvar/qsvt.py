@@ -88,7 +88,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as np_cheb
 
 from .blockenc import BlockEncoding, assemble_block_encoding
 from .errors import ConfigError, NumericalError
@@ -119,6 +118,7 @@ SUCCESS_PROB_FLOOR = 1e-6  # least amplified post-selection probability of a ste
 RUNS_PER_STEP = 3
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
+CERT_SLICE = 2048  # certificate points evaluated at a time
 
 
 def linprog(lp: MinimaxLP, full: bool):
@@ -349,7 +349,23 @@ class PolynomialTarget:
         self.coeffs.setflags(write=False)
 
     def evaluate(self, x):
-        return np_cheb.chebval(np.asarray(x, dtype=float), self.coeffs)
+        return _chebval(np.asarray(x, dtype=float), self.coeffs)
+
+
+def _chebval(x, coeffs):
+    """The Chebyshev series with 1-D ``coeffs`` at x: NumPy's ``chebval``
+    Clenshaw recurrence, the same operations in the same order, so the
+    same bits, without importing ``numpy.polynomial``."""
+    if len(coeffs) == 1:
+        c0, c1 = coeffs[0], 0
+    elif len(coeffs) == 2:
+        c0, c1 = coeffs[0], coeffs[1]
+    else:
+        x2 = 2 * x
+        c0, c1 = coeffs[-2], coeffs[-1]
+        for i in range(3, len(coeffs) + 1):
+            c0, c1 = coeffs[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
@@ -469,19 +485,28 @@ def _coeffs_and_error(x: np.ndarray, degree: int):
     return coeffs, float(x[-1])
 
 
+def _sliced_max(values, x) -> float:
+    """The max of the elementwise ``values`` over x, evaluated CERT_SLICE
+    points at a time: the same float as over all of x at once, NaN
+    included, without full-length temporaries."""
+    return float(np.max([values(x[lo:lo + CERT_SLICE]).max()
+                         for lo in range(0, x.size, CERT_SLICE)]))
+
+
 @functools.lru_cache(maxsize=LADDER_CACHE)
 def _fit_certificate(norm: float, degree: int) -> tuple[float, float, int]:
     """The full LP fit's certificate at one rung of the ladder: its sup
     error against scale * g on 10,000 window points, its |P| peak on
-    20,001 points of [-1, 1] and its effective degree.  Like the fit it
-    depends on (norm, degree) alone; callers compare it with their own eps
-    and with 1."""
+    20,001 points of [-1, 1], each evaluated CERT_SLICE points at a time,
+    and its effective degree.  Like the fit it depends on (norm, degree)
+    alone; callers compare it with their own eps and with 1."""
     coeffs = _ladder_fits(norm, degree)["full"][0]
-    dense = np.linspace(1.0 / norm, 1.0, 10_000)
-    sup_err = float(np.abs(np_cheb.chebval(dense, coeffs)
-                           - _fit_scale(norm) * target_g(dense, norm)).max())
-    full = np.linspace(-1.0, 1.0, 20_001)
-    peak = float(np.abs(np_cheb.chebval(full, coeffs)).max())
+    scale = _fit_scale(norm)
+    sup_err = _sliced_max(lambda x: np.abs(_chebval(x, coeffs)
+                                           - scale * target_g(x, norm)),
+                          np.linspace(1.0 / norm, 1.0, 10_000))
+    peak = _sliced_max(lambda x: np.abs(_chebval(x, coeffs)),
+                       np.linspace(-1.0, 1.0, 20_001))
     nz = np.flatnonzero(np.abs(coeffs) > 1e-300)
     eff_degree = int(nz[-1]) if nz.size else degree
     return sup_err, peak, eff_degree
@@ -622,7 +647,7 @@ def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
     count = degree + 1
     theta = (np.arange(count) + 0.5) * np.pi / count
     nodes = np.cos(theta)
-    target_vals = np_cheb.chebval(nodes, coeffs)
+    target_vals = _chebval(nodes, coeffs)
     # descending order pairs the outermost phases with the leading
     # coefficients, making the coefficient-map Jacobian -2 I at the init
     ridx = np.arange(degree % 2, degree + 1, 2)[::-1]
@@ -680,7 +705,7 @@ def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
 
     check_nodes = np.cos((np.arange(64) + 0.5) * np.pi / 64)
     realized = qsp_reflection_eval(check_nodes, proj)
-    residual = float(np.abs(realized - np_cheb.chebval(check_nodes, coeffs)).max())
+    residual = float(np.abs(realized - _chebval(check_nodes, coeffs)).max())
     if residual > PHASE_RESIDUAL_TOL:
         raise NumericalError(f"projector-phase conversion check failed: {residual:.3e}")
     return PhaseFactorSequence(proj, residual)

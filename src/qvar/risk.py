@@ -20,15 +20,18 @@ and the monetary figures via ``scale``.
 Amplitude estimation (sampled mode) returns the first argmax of a float
 log-likelihood over a fixed 200,001-point theta grid, the index
 ``np.argmax`` gives on the full grid, without evaluating the full grid or
-holding any full-grid table.  Per Grover power, a two-level max tree
-holds the maxima of the log p and log(1 - p) tables over 16-point
-sub-blocks and 128-point blocks, 225 KB per power.  A block or sub-block
-is bounded by the log-likelihood sum of its maxima.  The multipliers (hit
-and miss counts) are non-negative and IEEE rounding is monotone, so the
-bound is at least the float log-likelihood of every point it covers, with
-no slack constant, and one whose bound falls below an attained value
-cannot hold the argmax.  The few points left are evaluated from theta with
+holding any full-grid table.  The search has two levels.  Per power
+schedule, the maxima of the log p and log(1 - p) tables over 256-point
+blocks, 12.5 KB per power, bound every block by the log-likelihood sum of
+its maxima.  The multipliers (hit and miss counts) are non-negative and
+IEEE rounding is monotone, so the bound is at least the float
+log-likelihood of every point in the block, with no slack constant, and a
+block whose bound falls below an attained value cannot hold the argmax.
+The few blocks left are evaluated exactly from their log tables, which a
+bounded memo keyed on (power schedule, block) computes on first use with
 the full grid's ufuncs, so they carry its bits (``_likelihood_argmax``).
+The probes estimate tail masses that are multiples of 1/L, so searches
+come back to the same blocks and the memo's tables are reused.
 The shot counts are drawn from the request's seeded ``random.Random``
 (``_binomial``), so sampled mode needs no ``numpy.random``.
 """
@@ -51,15 +54,15 @@ CDF_TOL = 1e-9
 VALUE_REG = "value"
 FLAG = "flag"
 # the amplitude-estimation theta grid: POINTS angles STEP apart on
-# [0, pi/2], searched through maxima over BLOCKS blocks of BLOCK points and
-# their SUBS sub-blocks of SUB_BLOCK points, built CHUNK blocks at a time
+# [0, pi/2], searched through maxima over BLOCKS blocks of BLOCK points,
+# built CHUNK blocks at a time; the exact tables of at most MEMO_BLOCKS
+# blocks are kept
 POINTS = 200_001
 STEP = (np.pi / 2) / (POINTS - 1)
-BLOCK = 128
-SUB_BLOCK = 16
-SUBS = BLOCK // SUB_BLOCK
+BLOCK = 256
 BLOCKS = -(-POINTS // BLOCK)
-CHUNK = 64
+CHUNK = 32
+MEMO_BLOCKS = 64
 
 RiskMethod = Literal["classical", "quantum_exact", "quantum_sampled"]
 
@@ -148,49 +151,52 @@ def _log_tables(mults, theta):
 
 
 @functools.cache
-def _subblock_maxima(k: int) -> np.ndarray:
-    """Maxima of power k's log p and log(1 - p) over each SUB_BLOCK grid
-    points, as a (2, BLOCKS, SUBS) array: the leaves of the max tree.
-    Indices past the grid repeat its last point, so every maximum is over
-    real grid points.  Built CHUNK blocks at a time, so no full-grid table
-    lives; the powers in use are 0 and 2^j below 1/eps, a handful of
-    200 KB arrays per process."""
-    leaves = np.empty((2, BLOCKS, SUBS))
-    for lo in range(0, BLOCKS, CHUNK):
-        index = np.arange(lo * BLOCK, min(lo + CHUNK, BLOCKS) * BLOCK)
-        tables = np.array(_log_tables(2 * k + 1, _theta(index)))
-        leaves[:, lo:lo + CHUNK] = \
-            tables.reshape(2, -1, SUBS, SUB_BLOCK).max(axis=3)
-    leaves.setflags(write=False)
-    return leaves
-
-
-@functools.cache
-def _block_maxima(k: int) -> np.ndarray:
-    """Power k's (2, BLOCKS) maxima over each BLOCK grid points, the max
-    of its sub-block maxima: the max tree's root level."""
-    maxima = _subblock_maxima(k).max(axis=2)
+def _block_maxima(powers: tuple) -> np.ndarray:
+    """Maxima of the power schedule's log p and log(1 - p) tables over each
+    BLOCK grid points, as a (2, P, BLOCKS) array.  Indices past the grid
+    repeat its last point, so every maximum is over real grid points.
+    Built one power and CHUNK blocks at a time, so no full-grid table
+    lives; the pipeline's schedule, 7 powers, holds 88 KB."""
+    maxima = np.empty((2, len(powers), BLOCKS))
+    for row, k in enumerate(powers):
+        for lo in range(0, BLOCKS, CHUNK):
+            index = np.arange(lo * BLOCK, min(lo + CHUNK, BLOCKS) * BLOCK)
+            tables = np.array(_log_tables(2 * k + 1, _theta(index)))
+            maxima[:, row, lo:lo + CHUNK] = \
+                tables.reshape(2, -1, BLOCK).max(axis=2)
     maxima.setflags(write=False)
     return maxima
 
 
-def _weighted(hits, log_hit, misses, log_miss):
-    """The log-likelihood terms hits * log p + misses * log(1 - p)."""
-    term = hits * log_hit
-    term += misses * log_miss
-    return term
+@functools.lru_cache(maxsize=MEMO_BLOCKS)
+def _block_tables(powers: tuple, block: int) -> dict:
+    """The power schedule's exact log p and log(1 - p) tables over one
+    block's grid points, read-only (P, BLOCK) arrays under "log_hit" and
+    "log_miss".  Computed on contiguous indices with the full grid's
+    ufuncs, so they carry its bits; the last block's padding repeats the
+    grid's last point.  At most MEMO_BLOCKS blocks are kept, 1.75 MiB at
+    the pipeline's 7 powers and 2 MiB at 8."""
+    mults = np.array([2.0 * k + 1 for k in powers])[:, None]
+    index = np.arange(block * BLOCK, (block + 1) * BLOCK)
+    log_hit, log_miss = _log_tables(mults, _theta(index))
+    log_hit.setflags(write=False)
+    log_miss.setflags(write=False)
+    return {"log_hit": log_hit, "log_miss": log_miss}
 
 
-def _power_sum(terms):
-    """Per-power log-likelihood terms, floats or fresh arrays, added into
-    the first one power at a time in power order, as the full-grid sum
-    adds them (``np.sum`` would add them pairwise and round differently).
-    That sum starts from 0, and 0 + t is t: every term is negative."""
-    terms = iter(terms)
-    total = next(terms)
-    for term in terms:
-        total += term
-    return total
+def _loglik(term):
+    """The float log-likelihood sum_k h_k log p_k + m_k log(1 - p_k) at
+    every point, from ``term``, a fresh (..., 2, P, n) array of the
+    products h log p and m log(1 - p) over the power schedule, which it
+    overwrites.  Each power's term is h log p + m log(1 - p), and the
+    terms are added in power order, as the full-grid sum adds them:
+    ``np.add.reduce`` over the power axis, an outer axis, adds its rows
+    one after another (along the contiguous points axis it would add
+    pairwise).  That sum starts from 0, and 0 + t is t: every term is
+    negative."""
+    hit = term[..., 0, :, :]
+    np.add(hit, term[..., 1, :, :], out=hit)
+    return np.add.reduce(hit, axis=-2)
 
 
 def _likelihood_argmax(powers, hits, shots: int) -> int:
@@ -198,17 +204,18 @@ def _likelihood_argmax(powers, hits, shots: int) -> int:
     sum_k h_k log p_k + (shots - h_k) log(1 - p_k), equal to ``np.argmax``
     of the full-grid sum.
 
-    The bound of a block or sub-block is the same sum with each table
-    replaced by its maximum there.  The multipliers h and shots - h are
-    non-negative and IEEE rounding is monotone, so the bound is at least
-    the float log-likelihood of every point it covers, with no slack.  The
-    middle point of the block of largest bound is evaluated exactly; its
-    value ``best`` is attained on the grid.  A block or sub-block with
-    bound < best holds only points strictly below best, so the sub-blocks
-    with bound >= best inside the blocks with bound >= best, evaluated
-    exactly in index order, hold every point of the global maximum, and
-    their first argmax is the full grid's.  Exact values are recomputed
-    from theta with the full grid's ufuncs, so they carry its bits.
+    The bound of a block is the same sum with each table replaced by its
+    maximum there.  The multipliers h and shots - h are non-negative and
+    IEEE rounding is monotone, so the bound is at least the float
+    log-likelihood of every point of the block, with no slack.  The block
+    of largest bound is evaluated exactly; its maximum ``best`` is attained
+    on the grid.  A block with bound < best holds only points strictly
+    below best, so that block and the other blocks with bound >= best hold
+    every point of the global maximum.  The others are evaluated exactly
+    in index order, and the first argmax of the two sets, the earlier one
+    on a tie, is the full grid's.  Exact values come from
+    ``_block_tables``, which carry the full grid's bits; padded indices
+    repeat the last grid point, which comes first, so none is returned.
 
     A foregone estimate needs no search.  When every power missed every
     shot, every term is largest where p is at its floor 1e-12, which grid
@@ -222,30 +229,31 @@ def _likelihood_argmax(powers, hits, shots: int) -> int:
         return 0
     if powers[0] == 0 and all(h == shots for h in hits):
         return POINTS - 1
-    hit_w = np.array(hits, dtype=float)
-    miss_w = shots - hit_w
-    hit_f, miss_f = hit_w.tolist(), miss_w.tolist()
-    bound = _power_sum(_weighted(h, log_hit, m, log_miss)
-                       for h, m, (log_hit, log_miss)
-                       in zip(hit_f, miss_f, map(_block_maxima, powers)))
-    mults = np.array([2.0 * k + 1 for k in powers])
-    # one point's terms as Python floats: the same IEEE double operations
-    # in the same order, without a ufunc call per power
-    middle = int(bound.argmax()) * BLOCK + BLOCK // 2
-    log_hit, log_miss = _log_tables(mults, _theta(middle))
-    best = _power_sum(map(_weighted, hit_f, log_hit.tolist(), miss_f,
-                          log_miss.tolist()))
-    kept = (bound >= best).nonzero()[0]
-    leaves = np.array([_subblock_maxima(k).take(kept, axis=1) for k in powers])
-    sub_bound = _power_sum(_weighted(hit_w[:, None, None], leaves[:, 0],
-                                     miss_w[:, None, None], leaves[:, 1]))
-    block, sub = (sub_bound >= best).nonzero()
-    index = ((kept[block] * BLOCK + sub * SUB_BLOCK)[:, None]
-             + np.arange(SUB_BLOCK)).ravel()
-    log_hit, log_miss = _log_tables(mults[:, None], _theta(index))
-    exact = _power_sum(_weighted(hit_w[:, None], log_hit, miss_w[:, None],
-                                 log_miss))
-    return int(index[exact.argmax()])
+    powers = tuple(powers)
+    weights = np.array([hits, [shots - h for h in hits]], dtype=float)
+    weights = weights[:, :, None]
+    bound = _loglik(weights * _block_maxima(powers))
+
+    def first_argmax(blocks):
+        # the first argmax over the blocks' points, in their order, and
+        # its value; the tables are weighted in a fresh copy
+        term = np.array([(t["log_hit"], t["log_miss"])
+                         for t in (_block_tables(powers, block)
+                                   for block in blocks)])
+        term *= weights
+        values = _loglik(term)
+        at = int(values.argmax())
+        return blocks[at // BLOCK] * BLOCK + at % BLOCK, values.flat[at]
+
+    top = int(bound.argmax())
+    index, best = first_argmax([top])
+    rest = [block for block in (bound >= best).nonzero()[0].tolist()
+            if block != top]
+    if rest:
+        other, value = first_argmax(rest)
+        if value > best or (value == best and other < index):
+            index = other
+    return index
 
 
 def _binomial(rng, n: int, p: float) -> int:
@@ -297,12 +305,12 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     ``_binomial`` draw from it.
 
     The estimate is the theta grid's first log-likelihood argmax, found by
-    ``_likelihood_argmax``: the bound of a block or sub-block folds its
-    per-table maxima with the non-negative hit and miss counts, so
-    monotone IEEE rounding keeps it above every float log-likelihood it
-    covers.  Only the points of sub-blocks whose bound reaches an attained
-    value are evaluated, and the index is the full grid's ``np.argmax``,
-    bit for bit.
+    ``_likelihood_argmax``: the bound of a block folds its per-table maxima
+    with the non-negative hit and miss counts, so monotone IEEE rounding
+    keeps it above every float log-likelihood it covers.  Only the blocks
+    whose bound reaches an attained value are evaluated, from memoised
+    exact tables, and the index is the full grid's ``np.argmax``, bit for
+    bit.
     """
     if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")

@@ -77,6 +77,41 @@ def test_fit_certificate_is_per_rung():
     assert qsvt._fit_certificate.cache_info().currsize == 2
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 27, 51, 195])
+def test_chebval_is_numpys_chebval(degree, rng):
+    # the same Clenshaw recurrence: the same bits, type and shape at a
+    # 0-d, a 1-d and a 2-d x
+    coeffs = rng.normal(size=degree + 1)
+    coeffs.setflags(write=False)
+    for x in (np.asarray(0.3), rng.uniform(-1, 1, 3001),
+              rng.uniform(-1, 1, (3, 5))):
+        got, want = qsvt._chebval(x, coeffs), np_cheb.chebval(x, coeffs)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("norm, eps",
+                         [(2.0, 1e-4), (4.0021, 1e-3), (8.0, 1e-3)])
+def test_sliced_certificate_is_the_whole_grid_max(norm, eps):
+    # the certificate, evaluated a slice at a time, is the max over all
+    # points at once: the same floats
+    poly = approximate_target(norm, eps)
+    coeffs = qsvt._ladder_fits(norm, poly.degree)["full"][0]
+    dense = np.linspace(1.0 / norm, 1.0, 10_000)
+    full = np.linspace(-1.0, 1.0, 20_001)
+    target = qsvt._fit_scale(norm) * target_g(dense, norm)
+    want = (float(np.abs(np_cheb.chebval(dense, coeffs) - target).max()),
+            float(np.abs(np_cheb.chebval(full, coeffs)).max()))
+    assert qsvt._fit_certificate(norm, poly.degree)[:2] == want
+    assert qsvt.CERT_SLICE < dense.size
+
+
+def test_sliced_max_keeps_a_nan():
+    x = np.linspace(0.0, 1.0, 3 * qsvt.CERT_SLICE)
+    assert math.isnan(qsvt._sliced_max(
+        lambda v: np.where(v > 0.9, np.nan, v), x))
+
+
 @pytest.mark.parametrize("certificate, match", [((2e-3, 0.5, 5), "sup error"),
                                                 ((0.0, 1.5, 5), "exceeds 1")])
 def test_cached_certificate_checked_on_every_request(monkeypatch, certificate,

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import math
 import os
@@ -16,11 +17,12 @@ import qvar
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, BLOCKS, SUB_BLOCK, TailTable, _binomial,
-                       _block_maxima, _likelihood_argmax, _subblock_maxima,
-                       bisection_var, classical_var_cvar, comparator_ucc,
-                       cvar, estimate_amplitude, make_reference_state,
-                       overlap_terms, swap_test_overlap, tail_probability)
+from qvar.risk import (BLOCK, BLOCKS, MEMO_BLOCKS, TailTable, _binomial,
+                       _block_maxima, _block_tables, _likelihood_argmax,
+                       _loglik, bisection_var, classical_var_cvar,
+                       comparator_ucc, cvar, estimate_amplitude,
+                       make_reference_state, overlap_terms, swap_test_overlap,
+                       tail_probability)
 from reference import (comparator_bisection_var, comparator_cvar,
                        comparator_tail_probability, dense_state,
                        exact_distribution)
@@ -604,15 +606,15 @@ EPS_SCHEDULES = [0.02, 0.1, 0.01, 0.005]
 @pytest.mark.parametrize("h,index", [(0, 0), (SHOTS, THETA.size - 1)])
 def test_pruned_search_reaches_grid_ends(h, index):
     # all misses and all hits end on the first and the last grid point,
-    # and the search returns them without building a max tree
+    # and the search returns them without building block maxima or tables
     for eps in EPS_SCHEDULES:
         powers = powers_for(eps)
         hits = [np.int64(h)] * len(powers)
         assert full_grid_argmax(powers, hits) == index
-        _subblock_maxima.cache_clear()
+        _block_tables.cache_clear()
         _block_maxima.cache_clear()
         assert _likelihood_argmax(powers, hits, SHOTS) == index
-        assert _subblock_maxima.cache_info().currsize == 0
+        assert _block_tables.cache_info().currsize == 0
         assert _block_maxima.cache_info().currsize == 0
 
 
@@ -722,28 +724,95 @@ def test_binomial_takes_one_uniform_from_either_generator(make):
         assert got == _binomial(UniformStub(twin.random()), 96, p)
 
 
-def padded_maxima(real, size):
-    """Maxima of the full-grid table over each size-point slice of the
-    padded index range; slices past the grid hold only padding, which
-    repeats the last point."""
-    return np.array([real[lo:lo + size].max() if lo < real.size else real[-1]
-                     for lo in range(0, BLOCKS * BLOCK, size)])
+def padded(real, size):
+    """The full-grid table over the padded index range, cut into size-point
+    slices: indices past the grid repeat its last point."""
+    pad = np.full(BLOCKS * BLOCK - real.size, real[-1])
+    return np.concatenate([real, pad]).reshape(-1, size)
 
 
 @pytest.mark.parametrize("h", [0, SHOTS])
 def test_block_bounds_finite_and_tight(h):
     powers = powers_for(0.01)
-    for k in powers:
-        leaves, blocks = _subblock_maxima(k), _block_maxima(k)
-        assert leaves.shape == (2, BLOCKS, BLOCK // SUB_BLOCK)
-        assert blocks.shape == (2, BLOCKS)
-        for leaf, block, real in zip(leaves, blocks, full_tables(k)):
-            assert np.array_equal(leaf.ravel(), padded_maxima(real, SUB_BLOCK))
-            assert np.array_equal(block, padded_maxima(real, BLOCK))
+    maxima = _block_maxima(tuple(powers))
+    assert maxima.shape == (2, len(powers), BLOCKS)
+    for row, k in enumerate(powers):
+        for block, real in zip(maxima[:, row], full_tables(k)):
+            assert np.array_equal(block, padded(real, BLOCK).max(axis=1))
     hits = [np.int64(h)] * len(powers)
-    bound = sum(hit * _block_maxima(k)[0] + (SHOTS - hit) * _block_maxima(k)[1]
-                for k, hit in zip(powers, hits))
+    bound = sum(hit * maxima[0, row] + (SHOTS - hit) * maxima[1, row]
+                for row, hit in enumerate(hits))
     assert bound.shape == (BLOCKS,) and np.all(np.isfinite(bound))
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.01])
+def test_block_tables_are_the_full_grid_slices(eps):
+    # every block, the padded last one included, bit for bit, read-only
+    powers = tuple(powers_for(eps))
+    real = [padded(table, BLOCK) for k in powers for table in full_tables(k)]
+    for block in range(BLOCKS):
+        tables = _block_tables(powers, block)
+        assert sorted(tables) == ["log_hit", "log_miss"]
+        for name, side in (("log_hit", 0), ("log_miss", 1)):
+            table = tables[name]
+            assert table.shape == (len(powers), BLOCK)
+            assert not table.flags.writeable
+            for row in range(len(powers)):
+                assert np.array_equal(table[row], real[2 * row + side][block])
+
+
+@pytest.mark.parametrize("shape", [(7, BLOCKS), (5, 7, BLOCK), (2, 9, 3)])
+def test_loglik_adds_the_powers_in_order(shape):
+    # _loglik's terms are h log p + m log(1 - p), added one power after
+    # another into the first, as the full-grid sum adds them
+    rng = np.random.default_rng(11)
+    powers = shape[-2]
+    tables = -rng.exponential(size=shape[:-2] + (2,) + shape[-2:]) \
+        * 10.0 ** rng.integers(-12, 2, size=shape[:-2] + (2, powers, 1))
+    hits = rng.integers(0, SHOTS + 1, size=powers).astype(float)
+    weights = np.array([hits, SHOTS - hits])[:, :, None]
+    want = np.zeros(shape[:-2] + shape[-1:])
+    for k in range(powers):
+        want += (hits[k] * tables[..., 0, k, :]
+                 + (SHOTS - hits[k]) * tables[..., 1, k, :])
+    assert np.array_equal(_loglik(weights * tables), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=hit_vectors(),
+       fill=st.lists(st.integers(0, BLOCKS - 1), max_size=80))
+def test_search_is_the_same_with_the_memo_cold_and_warm(case, fill):
+    # cleared, warm with the search's own blocks, and full of other blocks
+    # (past the cap): the same index every time
+    eps, hits = case
+    powers = powers_for(eps)
+    _block_tables.cache_clear()
+    cold = _likelihood_argmax(powers, hits, SHOTS)
+    misses = _block_tables.cache_info().misses
+    assert _likelihood_argmax(powers, hits, SHOTS) == cold
+    assert _block_tables.cache_info().misses == misses
+    for block in fill:
+        _block_tables(tuple(powers), block)
+    assert _likelihood_argmax(powers, hits, SHOTS) == cold
+    assert _block_tables.cache_info().currsize <= MEMO_BLOCKS
+
+
+def held_tables(memo):
+    """The arrays of the dict entries a functools cache holds."""
+    return [value for ref in gc.get_referents(memo) if isinstance(ref, dict)
+            for value in ref.values() if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.01])
+def test_block_memo_past_its_cap_stays_under_two_mb(eps):
+    # the pipeline's 7 powers and 8, the most whose 64 blocks fit in 2 MiB
+    powers = tuple(powers_for(eps))
+    for block in range(0, BLOCKS, 3):
+        _block_tables(powers, block)
+    assert _block_tables.cache_info().currsize == MEMO_BLOCKS
+    arrays = held_tables(_block_tables)
+    assert len(arrays) == 2 * MEMO_BLOCKS
+    assert sum(a.nbytes for a in arrays) <= 2 * 2**20
 
 
 # the bytes of every array held by qvar.risk's functools caches, after

@@ -1,16 +1,19 @@
-"""SciPy, ``numpy.random`` and the hashing modules are never loaded by the
-request path, and the process-wide tables are built on first use only.
+"""SciPy, ``numpy.random``, ``numpy.polynomial`` and the hashing modules
+are never loaded by the request path, and the process-wide tables are
+built on first use only.
 
 Importing qvar, budget-checking a config, every CLI command and every
 pipeline mode, cold Stage-1 fits included, must leave ``scipy``
 unimported: the Stage-1 LP is solved in NumPy.  No step, the sampled run
 included, imports ``numpy.random`` or what it loads, ``secrets``,
 ``hashlib`` and OpenSSL's ``_hashlib``: sampled mode draws its shot
-counts from ``random.Random``.  Only ``assemble --mode trotter``, whose
-QPE kernels are FFTs, imports ``numpy.fft``.  Importing qvar and
-budget-checking a config must also leave the amplitude-estimation maxima,
-the Stage-1 memos (fits, programs and operator SVDs) and the book memo
-empty, so that start-up does none of a request's work.
+counts from ``random.Random``.  No step imports ``numpy.polynomial``:
+Stage 1 evaluates its Chebyshev series with its own Clenshaw recurrence.
+Only ``assemble --mode trotter``, whose QPE kernels are FFTs, imports
+``numpy.fft``.  Importing qvar and budget-checking a config must also
+leave the amplitude-estimation block maxima and block tables, the Stage-1
+memos (fits, programs and operator SVDs) and the book memo empty, so that
+start-up does none of a request's work.
 Each check runs in a fresh interpreter, because the test process itself
 has loaded SciPy and filled the tables.
 """
@@ -32,7 +35,7 @@ README_CONFIG = {
     "mode": "quantum_exact", "seed": 11,
 }
 
-# prints one JSON line per step: the step and the scipy modules,
+# prints one JSON line per step: the scipy and numpy.polynomial modules,
 # numpy.random, numpy.fft, secrets, hashlib and _hashlib, if loaded, after it
 STEPS = """
 import json, sys
@@ -40,8 +43,8 @@ import json, sys
 def loaded(step):
     mods = sorted(m for m in sys.modules
                   if m in ("scipy", "numpy.random", "numpy.fft", "secrets",
-                           "hashlib", "_hashlib")
-                  or m.startswith("scipy."))
+                           "hashlib", "_hashlib", "numpy.polynomial")
+                  or m.startswith(("scipy.", "numpy.polynomial.")))
     print(json.dumps([step, mods]), flush=True)
 
 import qvar
@@ -87,8 +90,9 @@ def test_scipy_loaded_by_no_step(tmp_path):
         "quantum_sampled run_pipeline", "assemble --mode trotter"]
     for step, mods in steps:
         assert not [m for m in mods if m == "scipy" or m.startswith("scipy.")], step
-    # every run, sampled included, leaves numpy.random, secrets, hashlib
-    # and _hashlib unloaded; the trotter kernels load numpy.fft alone
+    # every run, sampled included, leaves numpy.random, numpy.polynomial,
+    # secrets, hashlib and _hashlib unloaded; the trotter kernels load
+    # numpy.fft alone
     for step, mods in steps[:-1]:
         assert mods == [], step
     assert steps[-1][1] == ["numpy.fft"]
@@ -100,8 +104,8 @@ import json, sys
 from qvar import load_run_config, pipeline, qsvt, risk
 with open(sys.argv[1]) as fh:
     load_run_config(json.load(fh)).check_budget()
-caches = {"risk._subblock_maxima": risk._subblock_maxima,
-          "risk._block_maxima": risk._block_maxima,
+caches = {"risk._block_maxima": risk._block_maxima,
+          "risk._block_tables": risk._block_tables,
           "risk._empirical_cdf": risk._empirical_cdf,
           "qsvt._ladder_fits": qsvt._ladder_fits,
           "qsvt._fit_certificate": qsvt._fit_certificate,
