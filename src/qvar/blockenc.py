@@ -1,13 +1,31 @@
-"""Certified block-encoding of the stepping matrix via sparse-access oracles.
+"""Certified block encoding of the stepping matrix by a state-preparation pair.
 
-The construction follows the standard sparse scheme: a branch register in
-uniform superposition (Hadamard sandwich), a multiplexed rotation U_R
-writing the rescaled entry amplitude onto a flag qubit, and a column-index
-shift U_c.  For a tridiagonal matrix the three structural branches are
-padded to four so the Hadamard pair applies; the dead branch carries zero
-amplitude.  The subnormalization is gamma = 4 * kappa with kappa the
-largest entry magnitude, and every constructed encoding is certified
-numerically against the dense matrix before use.
+U = L^T U_c R (Gilyén, Su, Low and Wiebe, arXiv 1806.01838; Camps et al.,
+arXiv 2203.10236, give circuits for banded matrices).  Branch l of column
+j addresses entry (j - 1 + l, j): the super-diagonal of row j - 1, the
+diagonal and the sub-diagonal of row j + 1; branch 3 pads the three to a
+register of two qubits.  Then:
+
+- R prepares, for each column j, the amplitudes sqrt(|A_ij| / c_max) on
+  its branches;
+- L prepares, for each row i, sgn(A_ij) sqrt(|A_ij| / r_max) on the
+  branch whose column shift lands on row i;
+- U_c shifts branch l of column j to row j - 1 + l.
+
+So <0|<i| U |0>|j> = A_ij / gamma with gamma = sqrt(r_max c_max), where
+r_max and c_max are the largest row and column 1-norms.  That gamma is at
+least ||A||_2 (the Schur test), and on a diagonally dominant stepping
+matrix it is within a few percent of it, which matters because the
+singular-value transform's polynomial degree grows with gamma / sigma_min.
+
+Each side puts its leftover amplitude, sqrt(1 - c_j / c_max) or
+sqrt(1 - r_i / r_max), on its own flag-1 branch, branch 0 for columns
+and branch 1 for rows.  U_c keeps the branch, so the two leftovers never
+meet and add nothing to the block.  R and L are one 8 x 8 reflection on
+(flag, branch) per index, signed so that it maps |0> to the prepared
+amplitudes.  The clamped positions at the edges carry zero amplitude, so
+completing the shift to a permutation by wrapping leaves the block as it
+is.  Every encoding is certified against the dense matrix before use.
 
 Register order inside the encoding unitary (most significant first):
 flag (1 qubit), branch (2 qubits), index (n qubits).  The encoded block
@@ -25,6 +43,9 @@ from .pde import TridiagonalOperator
 
 CERTIFY_TOL = 1e-10
 BRANCHES = 4  # three tridiagonal branches plus one dead padding branch
+SHIFTS = (-1, 0, 1, 0)  # row offset of each branch's entry from its column
+REST_OF_COLUMN = BRANCHES + 0  # flag 1, branch 0: a column's leftover amplitude
+REST_OF_ROW = BRANCHES + 1  # flag 1, branch 1: a row's leftover amplitude
 
 
 @dataclass(frozen=True)
@@ -38,56 +59,60 @@ class BlockEncoding:
     n: int
 
 
+def _preparations(branch: np.ndarray, norms: np.ndarray, top: float,
+                  rest: int) -> np.ndarray:
+    """One 8 x 8 orthogonal matrix per index, each mapping |0> on (flag,
+    branch) to sgn(branch) sqrt(|branch| / top) on flag 0 with the
+    leftover amplitude at ``rest``.  ``branch`` is (3, 2^n), ``norms`` the
+    1-norms of its columns.  Each is the Householder reflection of |0> onto
+    -s v, negated by s = sgn(v_0), so that w = |0> + s v never cancels."""
+    v = np.zeros((norms.size, 2 * BRANCHES))
+    v[:, :3] = (np.sign(branch) * np.sqrt(np.abs(branch) / top)).T
+    v[:, rest] = np.sqrt(np.maximum(0.0, 1.0 - norms / top))
+    s = np.where(v[:, 0] < 0, -1.0, 1.0)[:, None]
+    w = s * v
+    w[:, 0] += 1.0
+    reflect = np.eye(2 * BRANCHES) - 2.0 * (w[:, :, None] * w[:, None, :]
+                                            / (w * w).sum(1)[:, None, None])
+    return -s[:, :, None] * reflect
+
+
 def assemble_block_encoding(mtilde: TridiagonalOperator) -> BlockEncoding:
     """Build and certify the (gamma, 3, eps) encoding of a tridiagonal matrix."""
     size = mtilde.size
-    n = mtilde.n
-    dense = mtilde.to_dense()
-    kappa = mtilde.max_abs_entry()
-    if kappa == 0.0:
+    # column j's branches hold entries (j - 1, j), (j, j), (j + 1, j) and
+    # row i's hold (i, i + 1), (i, i), (i, i - 1): the same entry sits on
+    # one branch l of column j and of row j - 1 + l
+    cols = np.zeros((3, size))
+    cols[0, 1:] = mtilde.super_[:-1]
+    cols[1] = mtilde.diag
+    cols[2, :-1] = mtilde.sub[1:]
+    rows = np.zeros((3, size))
+    rows[0, :-1] = mtilde.super_[:-1]
+    rows[1] = mtilde.diag
+    rows[2, 1:] = mtilde.sub[1:]
+    col_norms, row_norms = np.abs(cols).sum(0), np.abs(rows).sum(0)
+    c_max, r_max = float(col_norms.max()), float(row_norms.max())
+    if c_max == 0.0:
         raise NumericalError("cannot block-encode the zero matrix")
-    gamma = BRANCHES * kappa
+    gamma = float(np.sqrt(r_max * c_max))
 
-    dim = BRANCHES * size  # branch + index space, flag excluded
-    # U_R: rotate the flag qubit by the rescaled entry, multiplexed on (l, j).
-    # Branch l of column j carries entry (j - 1 + l, j): the super-diagonal
-    # of row j - 1, the diagonal, the sub-diagonal of row j + 1; clamped
-    # positions and the padding branch carry zero.
-    amps = np.zeros((BRANCHES, size))
-    amps[0, 1:] = mtilde.super_[:-1]
-    amps[1] = mtilde.diag
-    amps[2, :-1] = mtilde.sub[1:]
-    amps = (amps / kappa).ravel()
-    comp = np.sqrt(1.0 - amps**2)
-    u_r = np.zeros((2 * dim, 2 * dim))
-    idx = np.arange(dim)
-    u_r[idx, idx] = amps
-    u_r[dim + idx, idx] = comp
-    u_r[idx, dim + idx] = -comp
-    u_r[dim + idx, dim + idx] = amps
+    right = _preparations(np.abs(cols), col_norms, c_max, REST_OF_COLUMN)
+    left = _preparations(rows, row_norms, r_max, REST_OF_ROW)
+    # U[(a, i), (b, j)] = sum_k L_i[k, a] R_j[k, b] over the branches k
+    # whose shift takes column j to row i
+    u = np.zeros((2 * BRANCHES, size, 2 * BRANCHES, size))
+    j = np.arange(size)
+    for k in range(2 * BRANCHES):
+        i = (j + SHIFTS[k % BRANCHES]) % size
+        u[:, i, :, j] += left[i, k, :, None] * right[j, k, None, :]
+    dim = 2 * BRANCHES * size
+    u = u.reshape(dim, dim)
 
-    # U_c: permutation |l>|j> -> |l>|c(j, l)>.  The clamped column map is not
-    # injective, so it is completed to a permutation with a modular shift;
-    # the wrapped positions are exactly the clamped ones and carry zero
-    # amplitude, so the encoded block is unaffected.
-    u_c = np.zeros((2 * dim, 2 * dim))
-    for l in range(BRANCHES):
-        shift = 0 if l == 3 else l - 1
-        for j in range(size):
-            i = (j + shift) % size
-            u_c[l * size + i, l * size + j] = 1.0
-    u_c[dim:, dim:] = u_c[:dim, :dim]
-
-    h2 = np.array([[(-1) ** bin(a & b).count("1") for b in range(BRANCHES)]
-                   for a in range(BRANCHES)]) / 2.0
-    h_full = np.kron(np.eye(2), np.kron(h2, np.eye(size)))
-
-    u = h_full @ u_c @ u_r @ h_full
-
-    unit_err = np.abs(u @ u.T - np.eye(2 * dim)).max()
+    unit_err = np.abs(u @ u.T - np.eye(dim)).max()
     if unit_err > CERTIFY_TOL:
         raise NumericalError(f"encoding unitary deviates from unitarity by {unit_err:.3e}")
-    cert = np.linalg.norm(dense - gamma * u[:size, :size], 2)
+    cert = np.linalg.norm(mtilde.to_dense() - gamma * u[:size, :size], 2)
     if cert > CERTIFY_TOL:
         raise NumericalError(f"block-encoding certification failed: error {cert:.3e}")
-    return BlockEncoding(U=u, gamma=gamma, a=3, eps=cert, n=n)
+    return BlockEncoding(U=u, gamma=gamma, a=3, eps=cert, n=mtilde.n)

@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify-be", help="block-encoding certificate as JSON")
+    p = sub.add_parser("verify-be", help="block-encoding certificate as JSON; "
+                       "gamma = sqrt(r_max c_max), the largest row and column "
+                       "1-norms")
     _add_common(p)
     p.set_defaults(func=cmd_verify_be)
 

@@ -79,11 +79,6 @@ class TridiagonalOperator:
         super_t[:-1] = self.sub[1:]
         return TridiagonalOperator(sub_t, self.diag.copy(), super_t, self.n)
 
-    def max_abs_entry(self) -> float:
-        return float(max(np.abs(self.sub[1:]).max(initial=0.0),
-                         np.abs(self.diag).max(initial=0.0),
-                         np.abs(self.super_[:-1]).max(initial=0.0)))
-
 
 @dataclass(frozen=True)
 class ValueSurface:

@@ -13,28 +13,17 @@ feasible ``scale`` recorded on the result; the rescale cancels under state
 normalization and only lowers the post-selection probability.  The fit is
 a minimax linear program over odd Chebyshev coefficients with a global
 amplitude cap, so the polynomial stays quiet in the spectral gap around
-zero without any explicit parity surgery.  A cheap screen LP on every
-SCREEN_STRIDE-th window and cap row comes first at each degree: dropping
-constraints from a minimization can only lower its optimum, so a screen
-that misses the acceptance threshold proves the full LP would miss it too.
+zero without any explicit parity surgery.
 
-Each rung is one LP, solved by ``linprog`` in NumPy alone: a dense
-primal-dual interior-point method (Mehrotra's predictor-corrector) on the
-rows the LP holds, with t >= 0 as one more row.  The LP always has a
-solution, since P = 0 with t = max |y_w| meets every row, and a solve
-returns only a certified optimum: its primal and dual residuals and its
-relative duality gap within LP_TOL, or else NumericalError with the three.
-The screen is the first round.  When the screen lets the rung through,
-the full LP goes on from the screen's rows rather than solving the screen
-again: each round adds up to ROW_BATCH of the grid rows it violates most
-and solves again, until no row outside the LP is violated by more than
-ROW_TOL.  A solution that is optimal on a subset of the rows and feasible
-on all of them is optimal for the full LP.  Every round adds a row the LP
-does not hold, so the loop ends without an iteration cap.  No matrix of
-all the rows by the columns is built: ``MinimaxLP`` keeps the odd
-Chebyshev columns once per distinct node, and the solver's products and
-factorisation and, in ROW_CHUNK-row chunks, every row's violation are
-built from them.
+Each rung of the degree walk is one dense LP, solved whole by ``linprog``
+in NumPy alone: a primal-dual interior-point method (Mehrotra's
+predictor-corrector) over all its rows, with t >= 0 as one more row.  The
+LP always has a solution, since P = 0 with t = max |y_w| meets every row,
+and a solve returns only a certified optimum: its primal and dual
+residuals and its relative duality gap within LP_TOL, or else
+NumericalError with the three.  The tight block encoding keeps the norm
+near 1 on the README market, so production rungs are degree 3 to 13 at
+n <= 8 and 99 at n = 10, a few MB of rows at most.
 
 Phase factors are solved in the symmetric Wx convention by the standard
 coefficient fixed-point iteration and converted to projector phases for
@@ -62,9 +51,8 @@ The one-step circuit depends on the stepping operator alone, so it is
 compiled once per operator and kept in bounded in-process memos
 (``functools.lru_cache``), keyed on values and holding read-only arrays:
 
-- the degree ladder's screen and full LP results, on (norm, degree), so
-  every horizon on a market walks the same rungs; the LP and its held
-  rows end with the walk that built them;
+- the degree ladder's LP results, on (norm, degree), so every horizon on
+  a market walks the same rungs;
 - the accepted fit's certificate (sup error on the window, |P| peak on
   [-1, 1], effective degree), on (norm, degree);
 - the phase factors, on the fit's degree and coefficient bytes;
@@ -99,19 +87,10 @@ PHASE_ITER_CAP = 10_000
 PHASE_RESIDUAL_TOL = 1e-8
 GLOBAL_BOUND = 0.98  # amplitude cap used inside the fit; leaves QSP headroom
 FIT_ACCEPT = 0.85  # a fit is accepted when its LP error is <= FIT_ACCEPT * eps
-SCREEN_STRIDE = 8  # the screen LP keeps every 8th window and cap node
-ROW_BATCH = 200  # most violated rows a row-generation round adds to the LP
-ROW_CHUNK = 512  # LP rows built at a time to find the violated ones
-ROW_TOL = 1e-7  # a row outside the LP enters it when violated by more
 LP_TOL = 1e-9  # bound on an LP solve's primal and dual residuals and gap
 LP_ITER_CAP = 100  # interior-point iterations per LP solve
 LP_PROX = 1e-12  # proximal weight on an interior-point step
 STEP_FRACTION = 0.99  # of the step to the boundary of the positive orthant
-LP_BLOCK = 2**19  # bytes of scaled LP rows factored at a time
-# a screen rules a degree out only when its error exceeds the acceptance
-# threshold times SCREEN_REL plus SCREEN_ABS: slack for ROW_TOL and LP_TOL
-SCREEN_REL = 1.01
-SCREEN_ABS = 1e-7
 SUCCESS_PROB_FLOOR = 1e-6  # least amplified post-selection probability of a step
 # circuit runs per marching step: the step's circuit, then one round of
 # amplitude amplification, which runs its inverse and the circuit again
@@ -121,149 +100,53 @@ PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
 CERT_SLICE = 2048  # certificate points evaluated at a time
 
 
-def linprog(lp: MinimaxLP, full: bool):
-    """Minimize the error t of ``lp`` over its rows by row generation, with
-    t non-negative and the coefficients free.
+# an LP with no solution drives its multipliers past the float range; the
+# solve checks its residuals and scaling for it instead of warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def linprog(a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+    """x = (c, t) minimizing t subject to a_ub @ x <= b_ub and t >= 0, with
+    the coefficients c free, by Mehrotra's primal-dual predictor-corrector
+    method (SIAM J. Optim. 2(4), 1992).
 
-    The first call solves the LP on the screen rows: the screen LP, where a
-    call without ``full`` stops.  With ``full`` each round then adds up to
-    ROW_BATCH of the rows the LP does not hold, most violated first, and
-    solves again, until none of them is violated by more than ROW_TOL.  A
-    call with ``full`` after the screen goes on from the screen's rows, so
-    the full LP does not solve the screen again.  Each round is one
-    ``_interior_point`` solve of the held rows.  Returns x = (c, t).
-    """
-    rows = lp.screen if lp.x is None else lp.most_violated(ROW_TOL)
-    while rows.size:
-        lp.held[rows] = True
-        lp.x = _interior_point(lp, np.flatnonzero(lp.held))
-        if not full:
-            break
-        rows = lp.most_violated(ROW_TOL)
-    return lp.x
-
-
-def _householder(a: np.ndarray):
-    """The QR factorisation of ``a`` as (v, t, r): Q = I - v t v^T, from
-    the k = min(a.shape) Householder vectors v (unit lower trapezoidal),
-    and the k leading rows r of R."""
-    house, tau = np.linalg.qr(a, mode="raw")
-    del a  # frees a temporary argument before the work below
-    k = tau.size
-    r = np.triu(house.T[:k])
-    v = house.T[:, :k]
-    np.fill_diagonal(v, 1.0)
-    # a zero tau is the identity, a zero column of v
-    v[:, tau == 0] = 0.0
-    # t^(-1) has 1 / tau on its diagonal and v_i . v_j above it; one
-    # vector product per column keeps its bits at any BLAS thread count
-    t = np.diag(np.divide(1.0, tau, out=np.ones(k), where=tau != 0))
-    for j in range(1, k):
-        v[:j, j] = 0.0  # R's part of the column
-        t[:j, j] = v[j:, j] @ v[j:, :j]
-    return v, np.linalg.inv(t), r
-
-
-def _q_t(factor, u: np.ndarray) -> np.ndarray:
-    """The k leading entries of Q^T u."""
-    v, t = factor
-    k = v.shape[1]
-    return u[:k] - v[:k] @ (t.T @ (v.T @ u))
-
-
-def _q(factor, b: np.ndarray) -> np.ndarray:
-    """Q (b, 0) for the k entries of b."""
-    v, t = factor
-    out = v @ -(t @ (v[:b.size].T @ b))
-    out[:b.size] += b
-    return out
-
-
-def _interior_point(lp: MinimaxLP, held: np.ndarray) -> np.ndarray:
-    """x = (c, t) minimizing t over the rows ``held`` of ``lp`` and t >= 0,
-    by Mehrotra's primal-dual predictor-corrector method (SIAM J. Optim.
-    2(4), 1992).
-
-    Written g x <= h, the rows are the held rows, then -t <= 0.  The
-    slacks s = h - g x and the multipliers z stay positive.  The start is
-    strictly feasible: no polynomial, and an error above every bound.  Each
-    Newton step comes from the QR factorisation of the scaled rows
-    sqrt(z / s) g, stacked on sqrt(LP_PROX) I; the normal matrix g^T D g,
-    which loses positive definiteness near the optimum, is never formed.
-    The multipliers' step is taken through Q, so it meets the dual
-    equations to rounding even where R is ill-conditioned.  The LP_PROX
-    rows are a proximal term on the step: they keep it bounded when the
-    held rows leave a direction of the coefficients free, and they vanish
-    as the steps do.
-
-    No matrix of the rows by the columns is held whole.  g's products go
-    through ``lp.vander``, and the factorisation is a two-level tree: each
-    block of LP_BLOCK bytes of the scaled and proximal rows is factored on
-    its own and kept as its Householder vectors, and the blocks' stacked R
-    factors are factored once more.
+    Written g x <= h, the rows are a_ub's, then -t <= 0.  The slacks
+    s = h - g x and the multipliers z stay positive.  The start is strictly
+    feasible: no polynomial, and an error above every bound.  Each Newton
+    step comes from one QR factorisation of the scaled rows sqrt(z / s) g,
+    stacked on sqrt(LP_PROX) I; the normal matrix g^T D g, which loses
+    positive definiteness near the optimum, is never formed.  Q is kept
+    explicitly and the multipliers' step is taken through it, so it meets
+    the dual equations to rounding even where R is ill-conditioned.  The
+    LP_PROX rows are a proximal term on the step: they keep it bounded when
+    the rows leave a direction of the coefficients free, and they vanish as
+    the steps do.
 
     Returns x once the primal residual |g x + s - h| / (1 + |h|), the dual
     residual |g^T z + e_t| / 2 and the relative gap s.z / (1 + |t|) are all
     at most LP_TOL (maximum norms); raises NumericalError with the three
-    otherwise.
+    when the iteration cap is reached or a residual or the scaling is no
+    longer finite.
     """
-    # row i of g: sign[i] * T_odd(node[i]), then err[i] in the t column;
-    # the t >= 0 row has sign 0
-    node = np.append(lp.node[held], 0)
-    sign = np.append(lp.sign[held], 0.0)
-    err = np.append(np.where(lp.node[held] < lp.n_window, -1.0, 0.0), -1.0)
-    h = np.append(lp.bound[held], 0.0)
-    m, n = h.size, lp.vander.shape[1] + 1
-    # the rows of [sqrt(z / s) g; sqrt(LP_PROX) I], factored LP_BLOCK bytes
-    # of them at a time
-    blocks = np.array_split(np.arange(m + n), -(-8 * (m + n) * n // LP_BLOCK))
-
-    def times(v):
-        """g @ v"""
-        return sign * (lp.vander @ v[:-1])[node] + err * v[-1]
-
-    def times_t(u):
-        """g^T @ u"""
-        return np.append(np.bincount(node, sign * u, lp.vander.shape[0])
-                         @ lp.vander, err @ u)
+    n = a_ub.shape[1]
+    g = np.vstack([a_ub, -np.eye(1, n, n - 1)])
+    h = np.append(b_ub, 0.0)
+    m = h.size
 
     def max_step(v, dv):
         # the longest step that keeps v + step * dv >= 0
         neg = dv < 0
         return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
 
-    def scaled_rows(rows, root):
-        """Rows ``rows`` of [sqrt(z / s) g; sqrt(LP_PROX) I]"""
-        out = np.zeros((rows.size, n))
-        k = np.count_nonzero(rows < m)
-        held = rows[:k]
-        # "clip" writes straight into the strided rows; "raise" buffers
-        np.take(lp.vander, node[held], axis=0, out=out[:k, :-1], mode="clip")
-        out[:k, :-1] *= (sign[held] * root[held])[:, None]
-        out[:k, -1] = err[held] * root[held]
-        out[np.arange(k, rows.size), rows[k:] - m] = math.sqrt(LP_PROX)
-        return out
-
-    def factor(root):
-        """The QR factorisation of [sqrt(z / s) g; sqrt(LP_PROX) I] as
-        (leaves, top, r): each block's (v, t), the (v, t) of the blocks'
-        stacked R factors, or None for one block, and R."""
-        leaves = [list(_householder(scaled_rows(rows, root)))
-                  for rows in blocks]
-        # each leaf keeps its (v, t); its R goes to the top's input
-        if len(leaves) == 1:
-            return leaves, None, leaves[0].pop()
-        *top, r = _householder(np.vstack([leaf.pop() for leaf in leaves]))
-        return leaves, top, r
-
     x = np.zeros(n)
     x[-1] = 1.0 + np.abs(h).max()
-    s = h - times(x)
+    s = h - g @ x
     s[s <= 0] = 1.0  # only rows with no solution make a slack start at 1
     z = np.ones(m)
+    # [sqrt(z / s) g; sqrt(LP_PROX) I], its scaled rows rewritten each step
+    stack = np.empty((m + n, n))
+    stack[m:] = math.sqrt(LP_PROX) * np.eye(n)
     for _ in range(LP_ITER_CAP):
-        r_p = times(x) + s - h
-        r_d = times_t(z)
+        r_p = g @ x + s - h
+        r_d = g.T @ z
         r_d[-1] += 1.0
         gap = float(s @ z)
         residuals = (float(np.abs(r_p).max()) / (1.0 + np.abs(h).max()),
@@ -273,27 +156,22 @@ def _interior_point(lp: MinimaxLP, held: np.ndarray) -> np.ndarray:
         if not np.isfinite(residuals).all():
             break
         root = np.sqrt(z / s)
-        # the last step's factors go before the new ones are built; with
-        # more than one block, the blocks' R factors are factored once more
-        leaves = top = r = None
-        leaves, top, r = factor(root)
+        if not np.isfinite(root).all():
+            break
+        np.multiply(root[:, None], g, out=stack[:m])
+        q = None  # the last step's Q goes before the new one is built
+        q, r = np.linalg.qr(stack)
+        q = q[:m]  # the proximal rows' part of y is never read
         a = np.linalg.solve(r.T, -r_d)
-        cuts = np.cumsum([leaf[0].shape[1] for leaf in leaves])[:-1]
 
         def newton(r_c):
             # z ds + s dz = -r_c, g dx + ds = -r_p, g^T dz + LP_PROX dx = -r_d:
             # dz = root * y[:m] for y = [W; prox] dx + [w; 0], which has
             # R^T Q^T y = -r_d, so Q^T y = a and y = Q (a - Q^T w) + w
-            w = np.zeros(m + n)
-            w[:m] = (z * r_p - r_c) / np.sqrt(z * s)
-            b = np.concatenate([_q_t(leaf, w[rows])
-                                for leaf, rows in zip(leaves, blocks)])
-            b = a - (b if top is None else _q_t(top, b))
-            parts = [b] if top is None else np.split(_q(top, b), cuts)
-            y = np.concatenate([_q(leaf, part) for leaf, part
-                                in zip(leaves, parts)])[:m] + w[:m]
+            w = (z * r_p - r_c) / np.sqrt(z * s)
+            b = a - q.T @ w
             dx = np.linalg.solve(r, b)
-            return dx, -r_p - times(dx), root * y
+            return dx, -r_p - g @ dx, root * (q @ b + w)
 
         dx, ds, dz = newton(s * z)
         ap, ad = min(1.0, max_step(s, ds)), min(1.0, max_step(z, dz))
@@ -394,91 +272,35 @@ def _odd_chebvander(x: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-class MinimaxLP:
-    """The minimax LP of one ladder rung, ``a_ub @ x <= b_ub`` over
+def _minimax_lp(norm: float, degree: int):
+    """The minimax LP of one ladder rung as dense ``a_ub @ x <= b_ub`` over
     x = (c, t), the odd Chebyshev coefficients c of a degree-``degree``
     polynomial P and its error t: P - y_w <= t and y_w - P <= t on the
     window nodes, then P <= GLOBAL_BOUND and -P <= GLOBAL_BOUND on the cap
     nodes, in that row order.  The window and cap grids and the rescaled
-    target y_w are fixed by (norm, degree).
-
-    No matrix of rows by columns is held.  ``vander`` holds the odd
-    Chebyshev columns once per distinct node, and ``rows`` builds any rows
-    of a_ub from it.  ``excess`` forms a_ub @ x - b_ub in ROW_CHUNK-row
-    chunks that start at multiples of ROW_CHUNK, so BLAS groups the rows
-    as it does in one product over the whole a_ub on one thread, and the
-    bits are that product's.  ``held`` and ``x`` are the rows ``linprog``
-    holds and its last solution; the LP lives only as long as the degree
-    walk that built it.
-    """
-
-    def __init__(self, norm: float, degree: int):
-        self.norm, self.degree = norm, degree
-        lo, hi = 1.0 / norm, 1.0
-        grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
-        y_w = _fit_scale(norm) * target_g(grid_w, norm)
-        # cap grid covers the gap below the window and the window itself;
-        # dense enough that a degree-d polynomial cannot slip between nodes
-        grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
-                                 _cheb_nodes(lo, hi, max(400, 2 * degree))])
-        n_w, n_c = grid_w.size, grid_c.size
-        self.n_window = n_w
-        self.vander = _odd_chebvander(np.concatenate([grid_w, grid_c]), degree)
-        # each row's node and sign in the four blocks (+-P on the window,
-        # +-P on the cap), and its bound b_ub
-        self.node = np.concatenate([np.arange(n_w), np.arange(n_w),
-                                    np.arange(n_w, n_w + n_c),
-                                    np.arange(n_w, n_w + n_c)])
-        self.sign = np.repeat([1.0, -1.0, 1.0, -1.0], [n_w, n_w, n_c, n_c])
-        self.bound = np.concatenate([y_w, -y_w,
-                                     np.full(2 * n_c, GLOBAL_BOUND)])
-        # the screen rows: every SCREEN_STRIDE-th node of each block
-        self.screen = np.concatenate([
-            start + np.arange(0, size, SCREEN_STRIDE) for start, size in
-            ((0, n_w), (n_w, n_w), (2 * n_w, n_c), (2 * n_w + n_c, n_c))])
-        self.held = np.zeros(self.bound.size, dtype=bool)
-        self.x = None
-
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """Rows ``index`` of a_ub, dense: sign * T_odd(node), then the
-        error's coefficient, -1 on the window and 0 on the cap."""
-        node = self.node[index]
-        out = np.empty((index.size, self.vander.shape[1] + 1))
-        # "clip" writes straight into the strided out; "raise" would buffer
-        np.take(self.vander, node, axis=0, out=out[:, :-1], mode="clip")
-        out[:, :-1] *= self.sign[index, None]
-        out[:, -1] = np.where(node < self.n_window, -1.0, 0.0)
-        return out
-
-    def excess(self, x: np.ndarray) -> np.ndarray:
-        """a_ub @ x - b_ub, ROW_CHUNK rows at a time."""
-        out = np.empty(self.bound.size)
-        for lo in range(0, out.size, ROW_CHUNK):
-            hi = min(lo + ROW_CHUNK, out.size)
-            out[lo:hi] = self.rows(np.arange(lo, hi)) @ x - self.bound[lo:hi]
-        return out
-
-    def most_violated(self, tol: float) -> np.ndarray:
-        """Up to ROW_BATCH of the rows outside the model that the model's
-        solution violates by more than ``tol``, most violated first."""
-        excess = self.excess(self.x)
-        excess[self.held] = 0.0
-        rows = np.flatnonzero(excess > tol)
-        return rows[np.argsort(-excess[rows], kind="stable")[:ROW_BATCH]]
+    target y_w are fixed by (norm, degree)."""
+    lo, hi = 1.0 / norm, 1.0
+    grid_w = _cheb_nodes(lo, hi, max(1200, 3 * degree))
+    y_w = _fit_scale(norm) * target_g(grid_w, norm)
+    # cap grid covers the gap below the window and the window itself;
+    # dense enough that a degree-d polynomial cannot slip between nodes
+    grid_c = np.concatenate([np.linspace(0.0, lo, max(400, 2 * degree)),
+                             _cheb_nodes(lo, hi, max(400, 2 * degree))])
+    n_w, n_c = grid_w.size, grid_c.size
+    vw, vc = np.split(_odd_chebvander(np.concatenate([grid_w, grid_c]),
+                                      degree), [n_w])
+    err = np.repeat([-1.0, -1.0, 0.0, 0.0], [n_w, n_w, n_c, n_c])
+    a_ub = np.column_stack([np.vstack([vw, -vw, vc, -vc]), err])
+    b_ub = np.concatenate([y_w, -y_w, np.full(2 * n_c, GLOBAL_BOUND)])
+    return a_ub, b_ub
 
 
 @functools.lru_cache(maxsize=LADDER_CACHE)
-def _ladder_fits(norm: float, degree: int) -> dict:
-    """The memo of one rung of the degree ladder: its LP results under
-    "screen" and "full", each (read-only coeffs, achieved_error) or None
-    when infeasible, filled by ``approximate_target`` as its walk needs
-    them.  The LP is fixed by (norm, degree); eps only sets the
-    acceptance threshold the caller applies."""
-    return {}
-
-
-def _coeffs_and_error(x: np.ndarray, degree: int):
-    """The fit (read-only full Chebyshev coeffs, error) of an LP solution."""
+def _ladder_fit(norm: float, degree: int):
+    """The memo of one rung of the degree ladder: its LP's fit, (read-only
+    full Chebyshev coeffs, achieved error).  The LP is fixed by (norm,
+    degree); eps only sets the acceptance threshold the caller applies."""
+    x = linprog(*_minimax_lp(norm, degree))
     coeffs = np.zeros(degree + 1)
     coeffs[1::2] = x[:-1]
     coeffs.setflags(write=False)
@@ -495,12 +317,12 @@ def _sliced_max(values, x) -> float:
 
 @functools.lru_cache(maxsize=LADDER_CACHE)
 def _fit_certificate(norm: float, degree: int) -> tuple[float, float, int]:
-    """The full LP fit's certificate at one rung of the ladder: its sup
+    """The LP fit's certificate at one rung of the ladder: its sup
     error against scale * g on 10,000 window points, its |P| peak on
     20,001 points of [-1, 1], each evaluated CERT_SLICE points at a time,
     and its effective degree.  Like the fit it depends on (norm, degree)
     alone; callers compare it with their own eps and with 1."""
-    coeffs = _ladder_fits(norm, degree)["full"][0]
+    coeffs = _ladder_fit(norm, degree)[0]
     scale = _fit_scale(norm)
     sup_err = _sliced_max(lambda x: np.abs(_chebval(x, coeffs)
                                            - scale * target_g(x, norm)),
@@ -519,41 +341,17 @@ def approximate_target(norm: float, eps: float) -> PolynomialTarget:
     d <= C * norm * log(1/eps) with the constant C checked by the
     acceptance suite.
 
-    Each degree first solves a screen LP with the full LP's columns and
-    objective and every SCREEN_STRIDE-th row.  Its optimum is a lower bound
-    on the full optimum, so a screen error above the acceptance threshold
-    (plus solver slack) rules the degree out without the full LP.  A full
-    LP that does run goes on from the screen's rows, whose first round the
-    screen was.  The LP results and the accepted fit's
-    certificate are memoised; the walk, its acceptance tests and the
-    checks of the certificate against eps and 1 run on every call.
+    Each rung solves its whole LP once; the LP results and the accepted
+    fit's certificate are memoised, and the walk, its acceptance tests and
+    the checks of the certificate against eps and 1 run on every call.
     """
     if not 0 < eps <= 0.5:
         raise ConfigError(f"eps must lie in (0, 1/2], got {eps}")
     if norm < 1.0:
         raise ConfigError(f"norm must be >= 1, got {norm}")
 
-    accept = eps * FIT_ACCEPT
-
-    def accepted_fit(degree: int):
-        fits = _ladder_fits(norm, degree)
-        lp = None  # the rung's LP, built on its first miss
-
-        def solved(kind: str):
-            nonlocal lp
-            if kind not in fits:
-                lp = lp or MinimaxLP(norm, degree)
-                fits[kind] = _coeffs_and_error(
-                    linprog(lp, full=kind == "full"), degree)
-            return fits[kind]
-
-        if solved("screen")[1] > accept * SCREEN_REL + SCREEN_ABS:
-            return None
-        fit = solved("full")
-        return fit[0] if fit[1] <= accept else None
-
     degree = max(1, int(0.25 * norm) | 1)
-    while (coeffs := accepted_fit(degree)) is None:
+    while (fit := _ladder_fit(norm, degree))[1] > eps * FIT_ACCEPT:
         if degree >= DEGREE_CAP:
             raise NumericalError(
                 f"degree cap {DEGREE_CAP} exceeded for norm={norm:.4g}, "
@@ -565,7 +363,7 @@ def approximate_target(norm: float, eps: float) -> PolynomialTarget:
         raise NumericalError(f"fit verification failed: sup error {sup_err:.3e}")
     if peak > 1.0:
         raise NumericalError(f"polynomial exceeds 1 on [-1, 1]: {peak:.6f}")
-    return PolynomialTarget(norm, eps, coeffs, eff_degree, _fit_scale(norm),
+    return PolynomialTarget(norm, eps, fit[0], eff_degree, _fit_scale(norm),
                             (1.0 / norm, 1.0), sup_err)
 
 

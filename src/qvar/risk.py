@@ -1,5 +1,5 @@
-"""Tail-risk stage: comparator, bisection VaR, tail probability, swap-test
-overlap and the CVaR reconstruction, plus the classical quantile oracle.
+"""Tail-risk stage: comparator, bisection VaR, tail probability, the CVaR
+overlap and its reconstruction, plus the classical quantile oracle.
 Step 4 reads a ``TailTable`` built once per flagged state: the bisection
 probes sum its squared magnitudes (``tail_probability``) and the CVaR
 overlap its contraction terms (``swap_test_overlap``); no request writes
@@ -435,9 +435,12 @@ def swap_test_overlap(table: TailTable, threshold_code: int,
                       rng=None) -> tuple[float, int]:
     """|<psi_ref x 0|Phi3>| for the table's reference and its state flagged
     at ``threshold_code`` with the value uncomputed: the exactly rounded
-    sum of the table's terms at codes <= the threshold (exact), or the
-    swap-test statistics of that overlap fed through amplitude estimation
-    (sampled), budget O(1/eps)."""
+    sum of the table's terms at codes <= the threshold (exact), or
+    (sampled) the square root of an amplitude estimate, budget O(1/eps),
+    of the squared overlap, the probability that compute-uncompute (Phi3's
+    preparation, then the inverse reference preparation) returns all
+    zeros.  Amplitude estimation resolves the angle whose sine is the
+    overlap, so the overlap's error stays linear in eps near 0."""
     k = bisect.bisect_right(table.term_codes, threshold_code)
     overlap = abs(complex(math.fsum(table.term_real[:k]),
                           math.fsum(table.term_imag[:k])))
@@ -445,8 +448,8 @@ def swap_test_overlap(table: TailTable, threshold_code: int,
         return overlap, 1
     if rng is None:
         raise ConfigError("sampled mode needs a seeded generator")
-    est = estimate_amplitude(0.5 * (1.0 + overlap**2), eps, rng)
-    return float(math.sqrt(max(0.0, 2.0 * est.value - 1.0))), est.queries
+    est = estimate_amplitude(overlap**2, eps, rng)
+    return math.sqrt(est.value), est.queries
 
 
 @dataclass(frozen=True)

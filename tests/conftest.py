@@ -8,7 +8,7 @@ from qvar.market import MarketParams, PayoffSpec, build_grid
 # price codes, the books, Stage 1's fits, programs and least singular
 # values, amplitude estimation's block maxima and block tables and the
 # classical CDFs
-MEMOS = (market._grid, qpca._grid_codes, pipeline._book, qsvt._ladder_fits,
+MEMOS = (market._grid, qpca._grid_codes, pipeline._book, qsvt._ladder_fit,
          qsvt._fit_certificate, qsvt._phase_factors, qsvt._encoding,
          qsvt._value_block, qsvt._sigma_min, risk._block_maxima,
          risk._block_tables, risk._empirical_cdf)

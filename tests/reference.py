@@ -20,21 +20,21 @@ densely so that small instances can be compared entry by entry:
 * the scalar forms of the scenario map (``logistic_increment``,
   ``euler_forward``) and of the path snap (``nearest_index``), the
   tridiagonal solve on NumPy scalars (``numpy_thomas_solve``), which
-  ``pde._thomas_solve`` runs over Python floats, the sparse-access column
-  map of the block encoding
+  ``pde._thomas_solve`` runs over Python floats, the column map of the
+  block encoding
   (``column_index``), its top-left block (``encoded_block``) and its
   certificate (``verify_block_encoding``);
 * the full 2^(n+4)-square QSVT circuit U_Phi (``qsvt_circuit``), whose
   top-left 2^n block ``qsvt.apply_qsvt`` computes alone;
 * the Stage-1 minimax LP written out densely (``minimax_lp``) and handed
   whole to the public ``scipy.optimize.linprog`` (``fit_minimax``), with
-  the degree walk on it (``dense_walk``): the fits ``qsvt.linprog`` finds
-  by row generation are checked against these;
+  the degree walk on it (``dense_walk``): ``qsvt._minimax_lp``'s rows and
+  the fits ``qsvt.linprog`` finds are checked against these;
 * Step 4 through a flagged state per read: the comparator's flag readout
   (``comparator_tail_probability``), the bisection on it
   (``comparator_bisection_var``) and the CVaR that flags the state at the
   VaR code, uncomputes its value and contracts it with the reference
-  (``comparator_cvar``, on the two-state swap test ``state_swap_test``),
+  (``comparator_cvar``, on the two-state overlap ``state_swap_test``),
   which ``risk.tail_probability``, ``risk.bisection_var`` and
   ``risk.cvar`` reproduce bit for bit from a ``risk.TailTable``;
 * the explicit 1-norm of the no-go pair's m-copy projectors
@@ -525,7 +525,7 @@ def fit_minimax(norm: float, degree: int):
 
 def dense_walk(norm: float, eps: float):
     """``qsvt.approximate_target``'s degree walk with the dense full LP at
-    every rung and no screen; returns the accepted rung's degree and its
+    every rung; returns the accepted rung's degree and its
     (coeffs, achieved_error)."""
     degree = max(1, int(0.25 * norm) | 1)
     while True:
@@ -575,8 +575,8 @@ def state_swap_test(state_a: StateVector, state_b: StateVector,
                     mode: str = "exact", eps: float = 0.01,
                     rng=None) -> tuple[float, int]:
     """|<a|b>| by contraction over the common support, summed with
-    ``math.fsum`` (exact), or the swap-test statistics fed through
-    amplitude estimation (sampled)."""
+    ``math.fsum`` (exact), or the square root of an amplitude estimate of
+    |<a|b>|^2, the compute-uncompute all-zeros probability (sampled)."""
     if state_a.layout.items() != state_b.layout.items():
         raise ConfigError("swap test requires identical register shapes")
     index_a, index_b = state_a.index, state_b.index
@@ -586,8 +586,8 @@ def state_swap_test(state_a: StateVector, state_b: StateVector,
     overlap = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
     if mode == "exact":
         return overlap, 1
-    est = risk.estimate_amplitude(0.5 * (1.0 + overlap**2), eps, rng)
-    return math.sqrt(max(0.0, 2.0 * est.value - 1.0)), est.queries
+    est = risk.estimate_amplitude(overlap**2, eps, rng)
+    return math.sqrt(est.value), est.queries
 
 
 def comparator_cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tridiagonal
+from qvar import blockenc
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import NumericalError
 from qvar.pde import TridiagonalOperator
@@ -28,8 +29,8 @@ def test_identity_encoding():
     op = make_op(np.zeros(4), np.ones(4), np.zeros(4), 2)
     be = assemble_block_encoding(op)
     assert be.a == 3
-    assert be.gamma == 4.0
-    assert np.abs(encoded_block(be) - np.eye(4) / 4.0).max() < 1e-14
+    assert be.gamma == 1.0
+    assert np.abs(encoded_block(be) - np.eye(4)).max() < 1e-14
 
 
 def test_diagonal_encoding():
@@ -59,11 +60,38 @@ def test_entrywise_inner_product_identity(rng):
             assert col[i] * be.gamma == pytest.approx(dense[i, j], abs=1e-12)
 
 
-def test_gamma_is_four_kappa(rng):
+def test_gamma_is_the_root_of_the_largest_row_and_column_norms(rng):
     sub, diag, sup = random_tridiagonal(rng, 3)
     op = make_op(sub, diag, sup, 3)
     be = assemble_block_encoding(op)
-    assert be.gamma == pytest.approx(4.0 * op.max_abs_entry(), abs=0)
+    dense = np.abs(op.to_dense())
+    r_max, c_max = dense.sum(1).max(), dense.sum(0).max()
+    assert r_max != c_max
+    assert be.gamma == pytest.approx(np.sqrt(r_max * c_max), rel=1e-15)
+    # the Schur test: gamma bounds the spectral norm, and on a diagonally
+    # dominant matrix stays within twice the largest entry
+    assert np.linalg.norm(op.to_dense(), 2) <= be.gamma < 2 * dense.max()
+
+
+@pytest.mark.parametrize("name, value", [
+    # the column and row leftovers on one branch meet under U_c
+    ("REST_OF_ROW", blockenc.REST_OF_COLUMN),
+    # branches 0 and 2 swapped: a permutation, but the wrong entries
+    ("SHIFTS", (1, 0, -1, 0)),
+], ids=["shared_leftover_branch", "swapped_shifts"])
+def test_miswired_encodings_fail_certification(rng, monkeypatch, name, value):
+    op = make_op(*random_tridiagonal(rng, 3), 3)
+    monkeypatch.setattr(blockenc, name, value)
+    with pytest.raises(NumericalError, match="certification failed"):
+        assemble_block_encoding(op)
+
+
+def test_non_orthogonal_preparation_fails_unitarity(rng, monkeypatch):
+    prepare = blockenc._preparations
+    monkeypatch.setattr(blockenc, "_preparations",
+                        lambda *args: 1.001 * prepare(*args))
+    with pytest.raises(NumericalError, match="unitarity"):
+        assemble_block_encoding(make_op(*random_tridiagonal(rng, 3), 3))
 
 
 def test_unitarity(rng):

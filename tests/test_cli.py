@@ -386,11 +386,11 @@ def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
 # sha256 of `assemble --mode trotter` on the README config at m = 6, 8 and
 # 10 (the last under QVAR_QUBIT_CAP=30: 3 path + 13 price + 10 value
 # qubits); the QPE columns were recorded from the dense-matrix kernels the
-# FFT forms replaced, the error column from the NumPy Stage-1 fit
+# FFT forms replaced, the error column from the tight block encoding's fit
 TROTTER_CSV_SHA256 = {
-    6: "a487de73f4fa382d6e68e72d565574fd82f1040d953439c664fb11a0e41dc6a8",
-    8: "e9f28238d52969b19c84cb2bd6a0025133e9b6ec5af9dbc264ed635477ea61bd",
-    10: "0cca1a176e768b21d28f2a008738e9e3a84e6e26587771b02b809237099c89e1",
+    6: "6897cc22f84f3cf04efbf318e7df99560436720bc2e06120f07eb93ee58c62a5",
+    8: "c91ada90261e27bac312586bb2015a52f665ecca6f1ab6c7589f8abf13844ca1",
+    10: "2cfa89fc23c213f05387b29a66890a5d3a3dda6da7a568112d6be33c8266a466",
 }
 
 
@@ -411,9 +411,9 @@ REPORT_SHA256 = {
     "classical":
         "e24db15e0db078bb6bceeb75b9285f6654845910bb31ef5fb4dd64431b1750d2",
     "quantum-exact":
-        "de53a315c4e68af49062aa6f0b7158e78c579f7536feb14688034edaa2c17601",
+        "8b764a3ba4f8ae44b715e14fcfd9900fa0cf6027e33fb07ab8555547d6f28330",
     "quantum-sampled":
-        "e5a3540b0ef01a72932dcff9e26b3bdeed644144e0a5def337f94b1db69b9604",
+        "fea9b140d34db0f15edd7bb6e4c6ad561841fcdeec4a53e2e3b2b79e741f9a05",
 }
 
 

@@ -1,11 +1,5 @@
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +20,12 @@ from qvar.qsvt import (PolynomialTarget, _wx_eval, apply_qsvt,
 from reference import (dense_walk, encoded_block, fit_minimax, minimax_lp,
                        qsvt_circuit)
 
-SRC = str(Path(qsvt.__file__).resolve().parents[1])  # for fresh interpreters
+# linprog's solution meets every row to its certified primal residual,
+# LP_TOL (1 + max |b_ub|), and |b_ub| <= GLOBAL_BOUND < 1
+ROWS_TOL = 2 * qsvt.LP_TOL
 # the oracle's optimum meets its rows to HiGHS's primal feasibility
-# tolerance of 1e-7, and the row-generated one meets the rows it does not
-# hold to ROW_TOL, so either may lie that far below the exact optimum
-ORACLE_TOL = 1e-7 + qsvt.ROW_TOL
+# tolerance of 1e-7, so either optimum may lie that far below the exact one
+ORACLE_TOL = 1e-7 + ROWS_TOL
 # what an uncertified interior-point solve reports
 LP_RESIDUALS = "primal residual .*, dual residual .*, relative gap "
 
@@ -96,7 +91,7 @@ def test_sliced_certificate_is_the_whole_grid_max(norm, eps):
     # the certificate, evaluated a slice at a time, is the max over all
     # points at once: the same floats
     poly = approximate_target(norm, eps)
-    coeffs = qsvt._ladder_fits(norm, poly.degree)["full"][0]
+    coeffs = qsvt._ladder_fit(norm, poly.degree)[0]
     dense = np.linspace(1.0 / norm, 1.0, 10_000)
     full = np.linspace(-1.0, 1.0, 20_001)
     target = qsvt._fit_scale(norm) * target_g(dense, norm)
@@ -130,149 +125,33 @@ def test_degree_cap_enforced(monkeypatch):
 
 @settings(max_examples=15, deadline=None)
 @given(norm=st.floats(1.2, 3.0), eps=st.floats(1e-3, 2e-2))
-def test_row_generated_fit_solves_the_dense_lp(norm, eps):
+def test_walked_fit_solves_the_dense_lp(norm, eps):
     poly = approximate_target(norm, eps)
     degree, (coeffs, optimum) = dense_walk(norm, eps)
     assert poly.degree == int(np.flatnonzero(np.abs(coeffs) > 1e-300)[-1])
-    error = qsvt._ladder_fits(norm, degree)["full"][1]
+    error = qsvt._ladder_fit(norm, degree)[1]
     assert abs(error - optimum) <= ORACLE_TOL
     a_ub, b_ub = minimax_lp(norm, degree)
     x = np.append(poly.coeffs[1::2], error)
-    assert (a_ub @ x - b_ub).max() <= qsvt.ROW_TOL
+    assert (a_ub @ x - b_ub).max() <= ROWS_TOL
     assert poly.sup_error <= eps
 
 
-def _row_key(index, value, upper):
-    return tuple(index.tolist()), tuple(value.tolist()), float(upper)
-
-
-def _dense_screen(degree):
-    """The screen rows of the dense LP: every SCREEN_STRIDE-th node of each
-    of its four blocks, in block order."""
-    n_w, n_c = max(1200, 3 * degree), 2 * max(400, 2 * degree)
-    starts = np.cumsum([0, n_w, n_w, n_c])
-    return np.concatenate([start + np.arange(0, size, qsvt.SCREEN_STRIDE)
-                           for start, size in zip(starts, (n_w, n_w, n_c, n_c))])
-
-
-class _Recorder:
-    """Wraps qsvt.linprog and the interior-point solves it makes.  Per LP
-    (one per rung the walk solves): the rung's dense LP from the oracle, its
-    rows keyed by their entries, the keys each round added to the rows the
-    solver was given, the solution after each round and the linprog calls
-    made on it, in order."""
-
-    def __init__(self, monkeypatch):
-        self.models = []
-        self.calls = []
-        models, calls = self.models, self.calls
-        solving = []  # the record of the linprog call in progress
-        solve_rows = qsvt._interior_point
-
-        def interior_point(lp, held):
-            record = solving[-1]
-            given = [_row_key(np.flatnonzero(row), row[row != 0], b)
-                     for row, b in zip(lp.rows(held), lp.bound[held])]
-            before = Counter(record["given"])
-            added = []
-            for key in given:
-                if before[key]:
-                    before[key] -= 1
-                else:
-                    added.append(key)
-            assert not +before, "a round dropped a row it held"
-            record["given"] = given
-            record["rounds"].append(added)
-            x = solve_rows(lp, held)
-            record["solutions"].append(x)
-            return x
-
-        solve = qsvt.linprog
-
-        def linprog(lp, full):
-            if not hasattr(lp, "record"):
-                a_ub, b_ub = minimax_lp(lp.norm, lp.degree)
-                keys = [_row_key(np.flatnonzero(row), row[row != 0], b)
-                        for row, b in zip(a_ub, b_ub)]
-                lp.record = {"lp": (a_ub, b_ub), "degree": lp.degree,
-                             "keys": keys, "given": [], "rounds": [],
-                             "solutions": [], "calls": [],
-                             "screen": [keys[i] for i in _dense_screen(lp.degree)]}
-                models.append(lp.record)
-            solving.append(lp.record)
-            try:
-                result = solve(lp, full)
-            finally:
-                solving.pop()
-            lp.record["calls"].append({"full": full, "result": result,
-                                       "rounds": len(lp.record["rounds"])})
-            calls.append((lp.degree, full))
-            return result
-
-        monkeypatch.setattr(qsvt, "_interior_point", interior_point)
-        monkeypatch.setattr(qsvt, "linprog", linprog)
-
-
-def test_row_generation_adds_the_most_violated_new_rows(monkeypatch):
-    recorder = _Recorder(monkeypatch)
-    # at Stage 1's norm of about 4 the screen rows already pin the one-step
-    # fit; on a window twice as wide the accepted rung adds rows
-    poly = approximate_target(8.0, 1e-4)
-    assert poly.degree == 71
-    assert len(recorder.models) >= 2
-    tol = qsvt.ROW_TOL
-    for model in recorder.models:
-        (a_ub, b_ub), keys, rounds = model["lp"], model["keys"], model["rounds"]
-        assert len(rounds) <= math.ceil(len(keys) / qsvt.ROW_BATCH) + 1
-        # round 1 is the screen: the dense LP's screen rows, in its order
-        assert rounds[0] == model["screen"]
-        held = Counter()
-        for r, added in enumerate(rounds + [[]]):
-            if r and model["calls"][-1]["full"]:
-                # the rows outside the LP that the last solution violates
-                excess = a_ub @ model["solutions"][r - 1] - b_ub
-                outside = np.array([key not in held for key in keys])
-                violated = outside & (excess > tol)
-                picked = outside & np.array([key in set(added) for key in keys])
-                assert not (picked & ~violated).any()
-                assert picked.sum() == len(added) == min(qsvt.ROW_BATCH,
-                                                         violated.sum())
-                if (violated & ~picked).any():
-                    assert excess[picked].min() >= excess[violated & ~picked].max()
-            # a row enters the solve no more often than the LP holds it: the
-            # two empty cap rows at node 0 are the only repeated rows
-            held.update(added)
-            assert held <= Counter(keys)
-    # one LP per rung: its screen call solves round 1 alone, and the full
-    # LP, when the screen lets the rung through, goes on from the screen's
-    # rows, so a rung makes at most two linprog calls
-    assert len(recorder.calls) == sum(len(m["calls"]) for m in recorder.models)
-    degrees = [model["degree"] for model in recorder.models]
-    assert degrees == sorted(set(degrees))
-    for model in recorder.models:
-        assert [call["full"] for call in model["calls"]] in ([False],
-                                                             [False, True])
-        assert model["calls"][0]["rounds"] == 1
-    # the accepted rung is the walk's last LP: it started from the screen
-    # rows, added rows over more than one round and stopped short of the grid
-    accepted = recorder.models[-1]
-    held = sum(len(added) for added in accepted["rounds"])
-    assert [call["full"] for call in accepted["calls"]] == [False, True]
-    assert len(accepted["rounds"]) > 1
-    assert len(accepted["screen"]) < held < len(accepted["keys"])
-
-
 def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
-    recorder = _Recorder(monkeypatch)
-    # |P| <= a negative bound has no solution on any subset of the cap rows,
-    # so the first screen has no optimum to certify and the walk stops there
+    solve, shapes = qsvt.linprog, []
+
+    def linprog(a_ub, b_ub):
+        shapes.append(a_ub.shape)
+        return solve(a_ub, b_ub)
+
+    monkeypatch.setattr(qsvt, "linprog", linprog)
+    # |P| <= a negative bound has no solution on the cap rows, so the first
+    # rung has no optimum to certify and the walk stops there
     monkeypatch.setattr(qsvt, "GLOBAL_BOUND", -1e-3)
     with pytest.raises(NumericalError, match=LP_RESIDUALS):
         approximate_target(2.0, 1e-3)
-    (model,) = recorder.models
-    assert model["degree"] == 1
-    assert model["rounds"] == [model["screen"]]
-    assert model["calls"] == [] and recorder.calls == []
+    assert shapes == [qsvt._minimax_lp(2.0, 1)[0].shape]
+    assert qsvt._ladder_fit.cache_info().currsize == 0
 
 
 def test_solve_past_its_iteration_cap_raises(monkeypatch):
@@ -282,112 +161,50 @@ def test_solve_past_its_iteration_cap_raises(monkeypatch):
         approximate_target(2.0, 1e-3)
 
 
-# the oracle's dense HiGHS solve of the degree-483 LP takes minutes; the
-# row-generated solve of that rung is checked against the dense rows in
-# test_full_lp_at_the_top_rung_meets_every_row
+# the oracle's dense HiGHS solve of the degree-483 LP takes minutes; that
+# rung's rows are checked in test_full_lp_at_the_top_rung_meets_every_row
 @pytest.mark.parametrize("norm, degree", [(4.0021, 51), (4.0021, 195),
                                           (16.0, 195), (16.0, 273)])
 def test_full_lp_optimum_is_the_oracle_optimum(norm, degree):
-    x = qsvt.linprog(qsvt.MinimaxLP(norm, degree), True)
+    a_ub, b_ub = qsvt._minimax_lp(norm, degree)
+    x = qsvt.linprog(a_ub, b_ub)
     coeffs, optimum = fit_minimax(norm, degree)
-    a_ub, b_ub = minimax_lp(norm, degree)
-    assert (a_ub @ x - b_ub).max() <= qsvt.ROW_TOL
+    assert (a_ub @ x - b_ub).max() <= ROWS_TOL
     assert abs(x[-1] - optimum) <= ORACLE_TOL
 
 
 def test_full_lp_at_the_top_rung_meets_every_row():
-    lp = qsvt.MinimaxLP(4.0021, 483)
-    x = qsvt.linprog(lp, True)
-    a_ub, b_ub = minimax_lp(4.0021, 483)
-    assert (a_ub @ x - b_ub).max() <= qsvt.ROW_TOL
-    # the target is met to rounding: the optimum is about 7e-11
+    a_ub, b_ub = qsvt._minimax_lp(4.0021, 483)
+    x = qsvt.linprog(a_ub, b_ub)
+    assert (a_ub @ x - b_ub).max() <= ROWS_TOL
+    # the target is met to rounding: the optimum is about 1e-10
     assert 0 <= x[-1] <= ORACLE_TOL
-    assert lp.held.sum() < lp.held.size
-
-
-def _index_sets(lp, rng):
-    """Screen rows, a subset of them, and random rows in and out of order."""
-    size = lp.bound.size
-    return [lp.screen, np.sort(rng.choice(lp.screen, 40, replace=False)),
-            np.sort(rng.choice(size, qsvt.ROW_BATCH, replace=False)),
-            rng.permutation(size)[:300], np.arange(size)]
 
 
 @pytest.mark.parametrize("degree", [51, 195, 483])
-def test_on_demand_rows_are_the_dense_lp_rows(degree, rng):
-    lp = qsvt.MinimaxLP(4.0021, degree)
-    a_ub, b_ub = minimax_lp(4.0021, degree)
-    assert lp.bound.tobytes() == b_ub.tobytes()
-    assert np.array_equal(lp.screen, _dense_screen(degree))
-    # the odd Chebyshev columns are half of a_ub: no +- copies, no t column
-    assert lp.vander.nbytes * 2 < a_ub.nbytes
-    for index in _index_sets(lp, rng):
-        block = a_ub[index]
-        assert lp.rows(index).tobytes() == block.tobytes()
+def test_on_demand_rows_are_the_dense_lp_rows(degree):
+    # each rung builds its rows when the walk reaches it, with the odd
+    # columns of chebvander's own recurrence: the oracle's rows, bit for bit
+    a_ub, b_ub = qsvt._minimax_lp(4.0021, degree)
+    oracle_a, oracle_b = minimax_lp(4.0021, degree)
+    assert a_ub.tobytes() == oracle_a.tobytes()
+    assert b_ub.tobytes() == oracle_b.tobytes()
 
 
-# prints, per degree, whether the on-demand excess equals the dense LP's
-# a_ub @ x - b_ub bit for bit, and a digest of the excess vectors
-ON_DEMAND_EXCESS = """
-import hashlib, json, sys
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-from qvar import qsvt
-from reference import minimax_lp
-rng = np.random.default_rng(20240811)
-out = {}
-for degree in (51, 195, 483):
-    lp = qsvt.MinimaxLP(4.0021, degree)
-    a_ub, b_ub = minimax_lp(4.0021, degree)
-    xs = []
-    for _ in range(6):
-        x = rng.normal(size=a_ub.shape[1]) * 10.0 ** rng.integers(-3, 4, a_ub.shape[1])
-        x[-1] = abs(x[-1])
-        xs.append(x)
-    if degree < 483:
-        xs.append(qsvt.linprog(lp, True))  # a solution, as the rounds see them
-    digest, equal = hashlib.sha256(), True
-    for x in xs:
-        excess = lp.excess(x)
-        equal = equal and excess.tobytes() == (a_ub @ x - b_ub).tobytes()
-        digest.update(excess.tobytes())
-    out[degree] = [equal, digest.hexdigest()]
-print(json.dumps(out))
-"""
-
-
-def test_on_demand_excess_is_the_dense_products_bits():
-    # with one BLAS thread the dense product groups rows as the aligned
-    # chunks do; the chunks are too small for BLAS to split across threads,
-    # so the excess keeps its bits at any thread count
-    runs = {}
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        proc = subprocess.run(
-            [sys.executable, "-c", ON_DEMAND_EXCESS, str(Path(__file__).parent)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        runs[threads] = json.loads(proc.stdout)
-    assert all(equal for equal, _ in runs["1"].values()), runs["1"]
-    assert ({degree: digest for degree, (_, digest) in runs["2"].items()}
-            == {degree: digest for degree, (_, digest) in runs["1"].items()})
-
-
-def test_cold_full_rung_peaks_below_one_dense_lp():
+def test_dense_lp_at_the_largest_capped_rung_stays_small():
+    # the largest rung the default qubit cap reaches: the README market at
+    # n = 10 (m = 8) has norm about 6.97 and accepts degree 99, a 4,000 x 51
+    # LP.  The solve holds the rows, their scaled stack, LAPACK's copy of it
+    # and Q, a fixed number of row-sized arrays whatever the iteration count
+    a_ub, b_ub = qsvt._minimax_lp(6.9713, 99)
+    assert a_ub.shape == (4000, 51)
     tracemalloc.start()
     try:
-        lp = qsvt.MinimaxLP(16.0, 195)
-        screen = qsvt.linprog(lp, False)
-        full = qsvt.linprog(lp, True)
+        qsvt.linprog(a_ub, b_ub)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert screen is not None and full is not None
-    assert lp.screen.size < lp.held.sum() < lp.held.size
-    # the dense 4,000 x 99 a_ub the rung used to build
-    dense = (2 * 1200 + 2 * 800) * 99 * 8
-    assert peak < dense, (peak, dense)
+    assert peak < 5 * a_ub.nbytes, (peak, a_ub.nbytes)
 
 
 def _wx_eval_full_product(x, phases):
@@ -659,18 +476,29 @@ def test_horizons_share_one_accepted_rung(unit_grid, call_spec):
     rungs = [max(1, int(0.25 * norm) | 1)]
     while rungs[-1] < degree:
         rungs.append(max(rungs[-1] + 2, int(rungs[-1] * 1.4) | 1))
-    info = qsvt._ladder_fits.cache_info()
+    info = qsvt._ladder_fit.cache_info()
     assert info.misses == info.currsize == len(rungs)
-    full = {rung: qsvt._ladder_fits(norm, rung).get("full") for rung in rungs}
-    assert qsvt._ladder_fits.cache_info().misses == info.misses
+    fits = {rung: qsvt._ladder_fit(norm, rung) for rung in rungs}
+    assert qsvt._ladder_fit.cache_info().misses == info.misses
     for res in results:
-        assert [rung for rung, fit in full.items() if fit is not None
-                and fit[1] <= res.target.eps * qsvt.FIT_ACCEPT] == [degree]
+        assert [rung for rung, fit in fits.items()
+                if fit[1] <= res.target.eps * qsvt.FIT_ACCEPT] == [degree]
     # one certificate, one phase solve and one block serve every horizon
     for memo in (qsvt._fit_certificate, qsvt._phase_factors, qsvt._value_block):
         assert memo.cache_info().currsize == 1
     assert [res.queries for res in results] == [3 * steps * degree
                                                 for steps in (4, 8, 16, 32)]
+
+
+@pytest.mark.parametrize("n, most", [(4, 7), (5, 7), (6, 7), (8, 13)])
+def test_readme_market_accepts_a_low_degree(n, most):
+    # the encoding's gamma is within 2% of sigma_min at n <= 6 and 33% at
+    # n = 8, so the fit's window [sigma_min / gamma, 1] is narrow
+    grid = build_grid(0.0, 4.0, n, "uniform")
+    res = _call_state(_readme_horizon(8), grid, 1.0)
+    assert res.target.norm < 1.35
+    assert res.target.degree <= most
+    assert res.queries == 3 * 8 * res.target.degree
 
 
 def _call_state(params, grid, strike, eps1=1e-3):
@@ -722,7 +550,7 @@ def test_warm_stage1_equals_cold_bit_for_bit():
     grid = build_grid(0.0, 4.0, 4, "uniform")
     # two strikes at two horizons of one market share one fit; the tighter
     # eps1 needs a higher degree, so one operator carries two compiled blocks
-    cases = [(0.95, 1e-3, 4), (1.05, 1e-3, 8), (1.0, 1e-5, 4)]
+    cases = [(0.95, 1e-3, 4), (1.05, 1e-3, 8), (1.0, 1e-6, 4)]
 
     def state(case):
         strike, eps1, steps = case
@@ -809,7 +637,7 @@ def test_compiled_stage1_arrays_are_read_only(unit_grid):
 
 
 def test_stage1_caches_stay_within_maxsize(rng):
-    assert qsvt._ladder_fits.cache_info().maxsize == qsvt.LADDER_CACHE
+    assert qsvt._ladder_fit.cache_info().maxsize == qsvt.LADDER_CACHE
     extra = qsvt.PROGRAM_CACHE + 3
     for k in range(extra):
         # a distinct operator and a distinct degree-1 fit each time

@@ -345,6 +345,24 @@ def test_swap_test_sampled(rng):
         assert abs(sampled - exact) <= 0.05
 
 
+def test_sampled_overlap_error_is_linear_in_eps(rng):
+    # the estimate is of the squared overlap, whose angle amplitude
+    # estimation resolves to about eps, so an empty tail reads exactly 0
+    # and no overlap is off by more than a small multiple of eps
+    codes = rng.integers(1, 2**M_BITS, size=8)
+    state, ref, ref_norm, table = cvar_setup(codes, 0.5)
+    tail = TailTable(state, (ref, ref_norm), table.take)
+    eps = 0.02
+    for threshold in [0] + sorted(set(codes.tolist())):
+        exact, _ = swap_test_overlap(tail, threshold)
+        for seed in range(20):
+            sampled, _ = swap_test_overlap(tail, threshold, mode="sampled",
+                                           eps=eps, rng=random.Random(seed))
+            assert abs(sampled - exact) <= 2 * eps, (threshold, seed)
+            if exact == 0.0:
+                assert sampled == 0.0
+
+
 def test_classical_var_cvar_examples():
     out = classical_var_cvar([1.0, 2.0, 3.0, 4.0], 0.25)
     assert out.var == 1.0 and out.cvar == 1.0
@@ -816,20 +834,44 @@ def test_block_memo_past_its_cap_stays_under_two_mb(eps):
 
 
 # the bytes of every array held by qvar.risk's functools caches, after
-# estimate_amplitude has run at each eps, in a fresh interpreter
+# estimate_amplitude has run at each eps and the classical oracle once, in a
+# fresh interpreter.  An unbounded cache's referents include its dict; a
+# bounded one's include its entries' keys and values, or on some Python
+# versions their list nodes, so dicts, tuples and list nodes are walked two
+# levels down and each array is counted once
 CACHED_BYTES = """
 import gc, json
 import numpy as np
 from qvar import risk
 for eps in (0.1, 0.02, 0.01):
     risk.estimate_amplitude(0.3, eps, np.random.default_rng(0))
+risk.classical_var_cvar(np.arange(1024.0), 0.05)
+
+def arrays(obj, depth=2):
+    if isinstance(obj, np.ndarray):
+        return {id(obj): obj}
+    if isinstance(obj, dict):
+        inner = obj.values()
+    elif isinstance(obj, tuple):
+        inner = obj
+    elif type(obj).__name__ == "_lru_list_elem":
+        inner = gc.get_referents(obj)
+    else:
+        return {}
+    found = {}
+    for item in inner if depth else ():
+        found.update(arrays(item, depth - 1))
+    return found
+
 caches = [f for f in vars(risk).values() if hasattr(f, "cache_info")]
-arrays = [a for f in caches for ref in gc.get_referents(f) if isinstance(ref, dict)
-          for value in ref.values()
-          for a in (value if isinstance(value, tuple) else (value,))
-          if isinstance(a, np.ndarray)]
+held = {}
+for f in caches:
+    for ref in gc.get_referents(f):
+        held.update(arrays(ref))
 print(json.dumps({"entries": sum(f.cache_info().currsize for f in caches),
-                  "arrays": len(arrays), "bytes": sum(a.nbytes for a in arrays)}))
+                  "cdf_entries": risk._empirical_cdf.cache_info().currsize,
+                  "arrays": len(held),
+                  "bytes": sum(a.nbytes for a in held.values())}))
 """
 
 
@@ -840,6 +882,7 @@ def test_amplitude_estimation_caches_stay_small():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     held = json.loads(proc.stdout)
-    # each cache entry holds at least one array, so none was missed
-    assert held["arrays"] >= held["entries"] > 0
+    # each cache entry holds at least one array, so none was missed, and
+    # the bounded classical CDF memo is among them
+    assert held["arrays"] >= held["entries"] > held["cdf_entries"] > 0
     assert held["bytes"] <= 2 * 2**20, held

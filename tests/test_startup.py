@@ -107,7 +107,7 @@ with open(sys.argv[1]) as fh:
 caches = {"risk._block_maxima": risk._block_maxima,
           "risk._block_tables": risk._block_tables,
           "risk._empirical_cdf": risk._empirical_cdf,
-          "qsvt._ladder_fits": qsvt._ladder_fits,
+          "qsvt._ladder_fit": qsvt._ladder_fit,
           "qsvt._fit_certificate": qsvt._fit_certificate,
           "qsvt._phase_factors": qsvt._phase_factors,
           "qsvt._encoding": qsvt._encoding,
