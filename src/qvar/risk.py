@@ -20,20 +20,26 @@ and the monetary figures via ``scale``.
 Amplitude estimation (sampled mode) returns the first argmax of a float
 log-likelihood over a fixed 200,001-point theta grid, the index
 ``np.argmax`` gives on the full grid, without evaluating the full grid or
-holding any full-grid table.  The search has two levels.  Per power
-schedule, the maxima of the log p and log(1 - p) tables over 256-point
-blocks, 12.5 KB per power, bound every block by the log-likelihood sum of
-its maxima.  The multipliers (hit and miss counts) are non-negative and
-IEEE rounding is monotone, so the bound is at least the float
-log-likelihood of every point in the block, with no slack constant, and a
-block whose bound falls below an attained value cannot hold the argmax.
-The few blocks left are evaluated exactly from their log tables, which a
-bounded memo keyed on (power schedule, block) computes on first use with
-the full grid's ufuncs, so they carry its bits (``_likelihood_argmax``).
-The probes estimate tail masses that are multiples of 1/L, so searches
-come back to the same blocks and the memo's tables are reused.
-The shot counts are drawn from the request's seeded ``random.Random``
-(``_binomial``), so sampled mode needs no ``numpy.random``.
+holding any full-grid table.  Per power schedule, the maxima and minima
+of the log p and log(1 - p) tables over 256-point blocks form one
+read-only (2P, 2 BLOCKS) matrix, 25 KB per power (``_block_bounds``).
+One matrix-vector product with the hit and miss counts bounds every
+block above and below; both bounds are widened by a relative slack that
+covers the rounding of that product in any order and of the exact sum,
+so they hold whatever the BLAS (``_bounds``).  A bisection probe compares
+its estimate with q - CDF_TOL, and the estimate rises with the grid
+index, so the probe is decided from the bounds alone when the best lower
+bound on one side of the crossing block beats every upper bound on the
+other side (``estimate_reaches``).  Otherwise, and for the estimates that
+reach a report, the search evaluates the blocks whose upper bound reaches
+an attained value exactly, at most CHUNK blocks at a time, from a bounded
+memo of exact log tables computed with the full grid's ufuncs, so they
+carry its bits (``_likelihood_argmax``).  The probes estimate tail masses
+that are multiples of 1/L, so searches come back to the same blocks and
+the memo's tables are reused.  The shot counts are drawn from the
+request's seeded ``random.Random`` (``_binomial``), so sampled mode needs
+no ``numpy.random``, by inverting one uniform against the binomial pmf
+in walk order, whose masses a bounded memo keeps per (n, p) (``_walk``).
 """
 
 from __future__ import annotations
@@ -54,15 +60,20 @@ CDF_TOL = 1e-9
 VALUE_REG = "value"
 FLAG = "flag"
 # the amplitude-estimation theta grid: POINTS angles STEP apart on
-# [0, pi/2], searched through maxima over BLOCKS blocks of BLOCK points,
-# built CHUNK blocks at a time; the exact tables of at most MEMO_BLOCKS
-# blocks are kept
+# [0, pi/2], searched through bounds over BLOCKS blocks of BLOCK points,
+# built, and evaluated exactly, CHUNK blocks at a time; the exact tables
+# of at most MEMO_BLOCKS blocks are kept
 POINTS = 200_001
 STEP = (np.pi / 2) / (POINTS - 1)
 BLOCK = 256
 BLOCKS = -(-POINTS // BLOCK)
 CHUNK = 32
 MEMO_BLOCKS = 64
+# the block bounds' relative widening (see _bounds), the shots per power
+# and the binomial walks kept by _walk
+SLACK = 2.0**-44
+SHOTS = 96
+WALKS = 256
 
 RiskMethod = Literal["classical", "quantum_exact", "quantum_sampled"]
 
@@ -151,21 +162,55 @@ def _log_tables(mults, theta):
 
 
 @functools.cache
-def _block_maxima(powers: tuple) -> np.ndarray:
-    """Maxima of the power schedule's log p and log(1 - p) tables over each
-    BLOCK grid points, as a (2, P, BLOCKS) array.  Indices past the grid
-    repeat its last point, so every maximum is over real grid points.
-    Built one power and CHUNK blocks at a time, so no full-grid table
-    lives; the pipeline's schedule, 7 powers, holds 88 KB."""
-    maxima = np.empty((2, len(powers), BLOCKS))
+def _block_bounds(powers: tuple) -> np.ndarray:
+    """Maxima and minima of the power schedule's log p and log(1 - p)
+    tables over each BLOCK grid points, as one read-only (2P, 2 BLOCKS)
+    matrix: row k holds power k's log p and row P + k its log(1 - p);
+    column b holds block b's maximum and column BLOCKS + b its minimum.
+    Indices past the grid repeat its last point, so every entry is over
+    real grid points.  Built in one pass, one power and CHUNK blocks at a
+    time, so no full-grid table lives; the pipeline's schedule, 7 powers,
+    holds 175 KB."""
+    size = len(powers)
+    bounds = np.empty((2, size, 2, BLOCKS))
     for row, k in enumerate(powers):
         for lo in range(0, BLOCKS, CHUNK):
-            index = np.arange(lo * BLOCK, min(lo + CHUNK, BLOCKS) * BLOCK)
+            hi = min(lo + CHUNK, BLOCKS)
+            index = np.arange(lo * BLOCK, hi * BLOCK)
             tables = np.array(_log_tables(2 * k + 1, _theta(index)))
-            maxima[:, row, lo:lo + CHUNK] = \
-                tables.reshape(2, -1, BLOCK).max(axis=2)
-    maxima.setflags(write=False)
-    return maxima
+            tables = tables.reshape(2, -1, BLOCK)
+            tables.max(axis=2, out=bounds[:, row, 0, lo:hi])
+            tables.min(axis=2, out=bounds[:, row, 1, lo:hi])
+    bounds = bounds.reshape(2 * size, 2 * BLOCKS)
+    bounds.setflags(write=False)
+    return bounds
+
+
+def _bounds(powers, hits, shots: int):
+    """Upper and lower bounds, two (BLOCKS,) arrays, on the float
+    log-likelihood sum_k h_k log p_k + (shots - h_k) log(1 - p_k) at every
+    point of each block, however that sum is rounded: one matrix-vector
+    product of the counts with ``_block_bounds``, widened by a relative
+    slack s.
+
+    Every table entry is at most log(1 - 1e-12) < 0 and every count is
+    non-negative, so each sum has terms of one sign, and a float sum of n
+    products, in any order and with or without FMA, lies within a factor
+    1 +- gamma_n of the real one, gamma_n = n u / (1 - n u), u = 2^-53.
+    Let v be a point's real log-likelihood over the float tables and v'
+    the float value the search computes, B a block's real upper bound and
+    B' the product's.  Each term of the search's sum is rounded at most
+    P + 1 times (the product, the pairing of hit and miss, P - 1
+    additions), so v' <= v (1 - gamma_(P+1)) <= B (1 - gamma_(P+1)); the
+    product has 2P terms, so B <= B' / (1 + gamma_2P).  With the rounding
+    of the widening itself, any s >= gamma_2P + gamma_(P+1) + u keeps the
+    widened bound B' (1 - s) at or above v', and likewise B' (1 + s) from
+    the minima at or below it.  s = SLACK, 2^-44, covers that up to 167
+    powers, and (3P + 2) 2u, twice the sum, beyond."""
+    weights = np.array([*hits, *(shots - h for h in hits)], dtype=float)
+    product = weights @ _block_bounds(tuple(powers))
+    slack = max(SLACK, (3 * len(powers) + 2) * 2.0**-52)
+    return product[:BLOCKS] * (1.0 - slack), product[BLOCKS:] * (1.0 + slack)
 
 
 @functools.lru_cache(maxsize=MEMO_BLOCKS)
@@ -199,40 +244,46 @@ def _loglik(term):
     return np.add.reduce(hit, axis=-2)
 
 
+def _foregone(powers, hits, shots: int):
+    """The estimate's grid index when it needs no search, else None.
+
+    When every power missed every shot, every term is largest where p is
+    at its floor 1e-12, which grid index 0, the first index, reaches for
+    every power.  When every power hit every shot, the last index reaches
+    the ceiling 1 - 1e-12 for every power, and at every other index the
+    k = 0 term, with p_0 <= sin^2(pi/2 - STEP) = 1 - 6.2e-11, is lower by
+    about 6e-9, far more than the sum's rounding."""
+    if all(h == 0 for h in hits):
+        return 0
+    if powers[0] == 0 and all(h == shots for h in hits):
+        return POINTS - 1
+    return None
+
+
 def _likelihood_argmax(powers, hits, shots: int) -> int:
     """First argmax over the theta grid of the float log-likelihood
     sum_k h_k log p_k + (shots - h_k) log(1 - p_k), equal to ``np.argmax``
     of the full-grid sum.
 
-    The bound of a block is the same sum with each table replaced by its
-    maximum there.  The multipliers h and shots - h are non-negative and
-    IEEE rounding is monotone, so the bound is at least the float
-    log-likelihood of every point of the block, with no slack.  The block
-    of largest bound is evaluated exactly; its maximum ``best`` is attained
-    on the grid.  A block with bound < best holds only points strictly
-    below best, so that block and the other blocks with bound >= best hold
-    every point of the global maximum.  The others are evaluated exactly
-    in index order, and the first argmax of the two sets, the earlier one
-    on a tie, is the full grid's.  Exact values come from
-    ``_block_tables``, which carry the full grid's bits; padded indices
-    repeat the last grid point, which comes first, so none is returned.
-
-    A foregone estimate needs no search.  When every power missed every
-    shot, every term is largest where p is at its floor 1e-12, which grid
-    index 0, the first index, reaches for every power.  When every power
-    hit every shot, the last index reaches the ceiling 1 - 1e-12 for every
-    power, and at every other index the k = 0 term, with
-    p_0 <= sin^2(pi/2 - STEP) = 1 - 6.2e-11, is lower by about 6e-9,
-    far more than the sum's rounding.
+    The block of largest upper bound (``_bounds``) is evaluated exactly;
+    its maximum ``best`` is attained on the grid.  A block whose upper
+    bound falls below best holds only points strictly below best, so the
+    blocks left hold every point of the global maximum.  They are
+    evaluated exactly in index order, at most CHUNK at a time, and a
+    block whose bound falls below the best value found so far is dropped;
+    the running first argmax keeps the earlier index on a tie, so it ends
+    as the full grid's.  Exact values come from ``_block_tables``, which
+    carry the full grid's bits; padded indices repeat the last grid point,
+    which comes first, so none is returned.  A foregone estimate
+    (``_foregone``) needs no search.
     """
-    if all(h == 0 for h in hits):
-        return 0
-    if powers[0] == 0 and all(h == shots for h in hits):
-        return POINTS - 1
+    index = _foregone(powers, hits, shots)
+    if index is not None:
+        return index
     powers = tuple(powers)
+    upper, _ = _bounds(powers, hits, shots)
     weights = np.array([hits, [shots - h for h in hits]], dtype=float)
     weights = weights[:, :, None]
-    bound = _loglik(weights * _block_maxima(powers))
 
     def first_argmax(blocks):
         # the first argmax over the blocks' points, in their order, and
@@ -245,52 +296,86 @@ def _likelihood_argmax(powers, hits, shots: int) -> int:
         at = int(values.argmax())
         return blocks[at // BLOCK] * BLOCK + at % BLOCK, values.flat[at]
 
-    top = int(bound.argmax())
+    top = int(upper.argmax())
     index, best = first_argmax([top])
-    rest = [block for block in (bound >= best).nonzero()[0].tolist()
+    rest = [block for block in (upper >= best).nonzero()[0].tolist()
             if block != top]
-    if rest:
-        other, value = first_argmax(rest)
-        if value > best or (value == best and other < index):
-            index = other
+    for lo in range(0, len(rest), CHUNK):
+        batch = [block for block in rest[lo:lo + CHUNK] if upper[block] >= best]
+        if batch:
+            other, value = first_argmax(batch)
+            if value > best or (value == best and other < index):
+                index, best = other, value
     return index
+
+
+@functools.lru_cache(maxsize=WALKS)
+def _walk(n: int, p: float) -> tuple:
+    """The Binomial(n, p) pmf in walk order, as (counts, masses): the mode
+    floor((n + 1) p), whose mass comes from ``math.comb``, then one count
+    below and one above in turn, each mass from its neighbour's by the pmf
+    ratio, until both ends are reached.  0 < p < 1.  At most WALKS walks
+    are kept, about 4 KB each at n = 96."""
+    q = 1.0 - p
+    ratio = p / q
+    mode = lo = hi = min(n, int((n + 1) * p))
+    lo_mass = hi_mass = math.comb(n, mode) * p**mode * q**(n - mode)
+    counts, masses = [mode], [lo_mass]
+    while lo > 0 or hi < n:
+        if lo > 0:
+            lo_mass *= lo / ((n - lo + 1) * ratio)
+            lo -= 1
+            counts.append(lo)
+            masses.append(lo_mass)
+        if hi < n:
+            hi_mass *= (n - hi) * ratio / (hi + 1)
+            hi += 1
+            counts.append(hi)
+            masses.append(hi_mass)
+    return tuple(counts), tuple(masses)
 
 
 def _binomial(rng, n: int, p: float) -> int:
     """One Binomial(n, p) draw by inversion of one ``rng.random()``
     uniform, which ``rng``, a ``random.Random`` or a NumPy ``Generator``,
-    supplies.  The pmf's segments of [0, 1) are laid out in walk order:
-    the mode floor((n + 1) p), whose mass comes from ``math.comb``, then
-    one count below and one above in turn, each mass from its neighbour's
-    by the pmf ratio, until both ends are reached.  The walk stops in the
-    segment holding the uniform; the few ulps of mass that rounding leaves
-    past the last segment go to the count visited last.  p <= 0 and p >= 1
-    return 0 and n without a draw."""
+    supplies.  The pmf's segments of [0, 1) are laid out in walk order
+    (``_walk``), and the uniform is reduced by one mass after another
+    until it falls below 0, in the segment of the count returned; the few
+    ulps of mass that rounding leaves past the last segment go to the
+    count visited last.  p <= 0 and p >= 1 return 0 and n without a
+    draw."""
     if p <= 0.0:
         return 0
     if p >= 1.0:
         return n
-    q = 1.0 - p
-    ratio = p / q
-    mode = lo = hi = min(n, int((n + 1) * p))
-    lo_mass = hi_mass = math.comb(n, mode) * p**mode * q**(n - mode)
-    u = rng.random() - lo_mass
-    if u < 0.0:
-        return mode
-    while lo > 0 or hi < n:
-        if lo > 0:
-            lo_mass *= lo / ((n - lo + 1) * ratio)
-            lo -= 1
-            u -= lo_mass
-            if u < 0.0:
-                return lo
-        if hi < n:
-            hi_mass *= (n - hi) * ratio / (hi + 1)
-            hi += 1
-            u -= hi_mass
-            if u < 0.0:
-                return hi
-    return n if 2 * mode <= n else 0
+    counts, masses = _walk(n, p)
+    u = rng.random()
+    for count, mass in zip(counts, masses):
+        u -= mass
+        if u < 0.0:
+            return count
+    return counts[-1]
+
+
+def _draw_hits(prob: float, eps: float, rng):
+    """The doubling power schedule for additive error eps, each power's
+    hits out of SHOTS, drawn in power order from ``rng``, and the query
+    count sum_k SHOTS (2k + 1): the measurements of amplitude estimation
+    of ``prob``."""
+    if not 0 < eps < 1:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
+    prob = min(1.0, max(0.0, prob))
+    theta = math.asin(math.sqrt(prob))
+    levels = max(1, math.ceil(math.log2(1.0 / eps)))
+    powers = (0,) + tuple(2**j for j in range(levels))
+    hits = [_binomial(rng, SHOTS, math.sin((2 * k + 1) * theta) ** 2)
+            for k in powers]
+    return powers, hits, SHOTS * sum(2 * k + 1 for k in powers)
+
+
+def _estimate(index: int) -> float:
+    """The amplitude estimate at a theta grid index, sin^2 theta."""
+    return float(np.sin(_theta(index)) ** 2)
 
 
 def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
@@ -305,30 +390,46 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     ``_binomial`` draw from it.
 
     The estimate is the theta grid's first log-likelihood argmax, found by
-    ``_likelihood_argmax``: the bound of a block folds its per-table maxima
-    with the non-negative hit and miss counts, so monotone IEEE rounding
-    keeps it above every float log-likelihood it covers.  Only the blocks
-    whose bound reaches an attained value are evaluated, from memoised
-    exact tables, and the index is the full grid's ``np.argmax``, bit for
-    bit.
+    ``_likelihood_argmax``: only the blocks whose certified upper bound
+    reaches an attained value are evaluated, from memoised exact tables,
+    and the index is the full grid's ``np.argmax``, bit for bit.
     """
-    if not 0 < eps < 1:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    prob = min(1.0, max(0.0, prob))
-    theta = math.asin(math.sqrt(prob))
-    levels = max(1, math.ceil(math.log2(1.0 / eps)))
-    powers = [0] + [2**j for j in range(levels)]
-    shots = 96
-    hits = []
-    queries = 0
-    for k in powers:
-        p_k = math.sin((2 * k + 1) * theta) ** 2
-        hits.append(_binomial(rng, shots, p_k))
-        queries += shots * (2 * k + 1)
-    index = _likelihood_argmax(powers, hits, shots)
-    best = _theta(index)
-    return AmplitudeEstimate(value=float(np.sin(best) ** 2), queries=queries,
-                             shots=shots * len(powers))
+    powers, hits, queries = _draw_hits(prob, eps, rng)
+    index = _likelihood_argmax(powers, hits, SHOTS)
+    return AmplitudeEstimate(value=_estimate(index), queries=queries,
+                             shots=SHOTS * len(powers))
+
+
+def estimate_reaches(prob: float, q: float, eps: float, rng) -> tuple[bool, int]:
+    """Whether the amplitude estimate of ``prob`` holds mass and reaches q
+    to CDF_TOL, and its query count: the comparison of a bisection probe,
+    with the draws, the answer and the generator state of
+    ``estimate_amplitude(prob, eps, rng)``.
+
+    The estimate sin^2 theta rises with the grid index, and the crossing
+    index ceil(asin(sqrt(q - CDF_TOL)) / STEP) splits the grid.  Outside
+    the crossing's block and its two neighbours, every point lies at least
+    256 steps from the crossing, where sin^2 moves by at least
+    sin^2(256 STEP) = 4e-6, far beyond the rounding of the crossing or of
+    an estimate, so every point below reads under q - CDF_TOL and every
+    point above reads at or over it, and over 0.  When the best lower
+    bound (``_bounds``) of the blocks on one side beats every upper bound
+    of the rest, the argmax lies on that side, and the probe is decided.
+    Otherwise the argmax is searched (``_likelihood_argmax``)."""
+    powers, hits, queries = _draw_hits(prob, eps, rng)
+    index = _foregone(powers, hits, SHOTS)
+    if index is None:
+        upper, lower = _bounds(powers, hits, SHOTS)
+        crossing = math.ceil(math.asin(math.sqrt(max(0.0, q - CDF_TOL)))
+                             / STEP)
+        below, above = crossing // BLOCK - 1, crossing // BLOCK + 2
+        if below > 0 and lower[:below].max() > upper[below:].max():
+            return False, queries
+        if above < BLOCKS and lower[above:].max() > upper[:above].max():
+            return True, queries
+        index = _likelihood_argmax(powers, hits, SHOTS)
+    value = _estimate(index)
+    return value > 0 and value >= q - CDF_TOL, queries
 
 
 def overlap_terms(state_a: StateVector, state_b: StateVector):
@@ -405,13 +506,17 @@ def bisection_var(table: TailTable, q: float, mode: str = "exact",
 
     Binary search over the code range; each probe, one preparation of the
     state on the device, reads the flag-0 mass of the comparator at the
-    candidate threshold (``tail_probability``).  A probe is accepted when
-    its tail holds mass and reaches q to CDF_TOL; an empty tail never is,
-    so a level at or below CDF_TOL picks the least code with mass, as the
-    classical quantile does.  At most m iterations.
+    candidate threshold (``tail_probability``), in sampled mode through
+    amplitude estimation at error eps (``estimate_reaches``, which decides
+    most probes from block bounds without searching for the estimate).  A
+    probe is accepted when its tail holds mass and reaches q to CDF_TOL;
+    an empty tail never is, so a level at or below CDF_TOL picks the least
+    code with mass, as the classical quantile does.  At most m iterations.
     """
     if not 0 < q < 1:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
+    if mode != "exact" and rng is None:
+        raise ConfigError("sampled mode needs a seeded generator")
     m = table.width
     lo, hi = 0, 2**m - 1
     iterations = 0
@@ -421,9 +526,13 @@ def bisection_var(table: TailTable, q: float, mode: str = "exact",
         if iterations > m:
             raise NumericalError("bisection exceeded the m-iteration budget")
         mid = (lo + hi) // 2
-        p0, used = tail_probability(table, mid, mode, eps, rng)
+        p0, used = tail_probability(table, mid)
+        if mode == "exact":
+            reached = p0 > 0 and p0 >= q - CDF_TOL
+        else:
+            reached, used = estimate_reaches(p0, q, eps, rng)
         queries += used
-        if p0 > 0 and p0 >= q - CDF_TOL:
+        if reached:
             hi = mid
         else:
             lo = mid + 1

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tracemalloc
 
@@ -7,8 +8,9 @@ import pytest
 
 from qvar.market import (MarketParams, PayoffSpec, build_grid, payoff_vector,
                          price_code)
-from qvar.pipeline import (RunConfig, emit_report, load_run_config,
+from qvar.pipeline import (RunConfig, _book, emit_report, load_run_config,
                            run_pipeline)
+from qvar.risk import cvar
 from qvar.errors import ConfigError
 from qvar.qpca import snap_paths
 from reference import nearest_index
@@ -116,6 +118,53 @@ def test_sampled_var_codes_agree_with_the_classical_oracle():
             if not res.deviations["var_code_matches_classical"]:
                 missed.append((q, seed))
     assert len(missed) <= 6, missed
+
+
+# the additive error of every sampled estimate, run_pipeline's eps_est
+SAMPLED_EPS = 0.02
+
+
+def test_sampled_cvar_gap_within_the_estimators_budget():
+    """README market, n = 4, T~ = 8, L = 64: strikes {0.9, 1.0, 1.1} x
+    q in {0.0475, 0.01, 0.1, 0.25} x seeds 0-99, 1,200 sampled requests.
+
+    The budget: each amplitude estimate resolves its angle theta, with
+    sin^2 theta the estimated probability, to within eps, since its top
+    power's multiplier 2K + 1 exceeds 1/eps; so the amplitude sin theta
+    is off by at most eps.  At the sampled VaR code, with tail mass p0,
+    overlap o, reference RMS A = W / sqrt(L) and exact-mode CVaR
+    c_e = A o / p0, the sampled CVaR A o' / p0' has |o' - o| <= eps and
+    |sqrt(p0') - sqrt(p0)| <= eps, so p0' >= (sqrt(p0) - eps)^2 and
+    |p0' - p0| <= eps (2 sqrt(p0) + eps), and
+
+        |A o' / p0' - c_e| <= A |o' - o| / p0' + c_e |p0' - p0| / p0'
+                           <= eps [A + c_e (2 sqrt(p0) + eps)]
+                                  / (sqrt(p0) - eps)^2.
+
+    The normalised gap to the classical CVaR is then at most that
+    multiple of eps plus the exact-mode gap at the sampled code, which is
+    the rounding of exact mode when the code matches the oracle's and the
+    step between neighbouring tails when it does not."""
+    eps = SAMPLED_EPS
+    for strike in (0.9, 1.0, 1.1):
+        for q in (0.0475, 0.01, 0.1, 0.25):
+            for seed in range(100):
+                config = make_config(payoff=PayoffSpec("call", strike), L=64,
+                                     q=q, seed=seed, mode="quantum_sampled")
+                res = run_pipeline(config)
+                book = _book(config.market, config.payoff, config.grid.n,
+                             config.grid.nodes.tobytes(), config.s0, config.L,
+                             config.m, config.eps1)
+                tail = book.quantum(config.price_codes).tail
+                exact = cvar(tail, res.report.var_code, config.L, book.scale)
+                rms = (tail.ref_norm or 0.0) / math.sqrt(config.L)
+                root = math.sqrt(exact.p0)
+                assert root > eps
+                multiple = ((rms + exact.cvar_normalized * (2 * root + eps))
+                            / (root - eps) ** 2)
+                floor = abs(exact.cvar_normalized - res.classical.cvar)
+                gap = res.deviations["cvar_gap_normalized"]
+                assert gap <= floor + multiple * eps, (strike, q, seed)
 
 
 def test_scenario_stages_scale_with_branches_not_qubits(monkeypatch):

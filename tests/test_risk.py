@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,13 +15,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import qvar
+from qvar import risk
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, BLOCKS, MEMO_BLOCKS, TailTable, _binomial,
-                       _block_maxima, _block_tables, _likelihood_argmax,
-                       _loglik, bisection_var, classical_var_cvar,
-                       comparator_ucc, cvar, estimate_amplitude,
+from qvar.risk import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS, TailTable,
+                       _binomial, _block_bounds, _block_tables, _bounds,
+                       _likelihood_argmax, _loglik, bisection_var,
+                       classical_var_cvar, comparator_ucc, cvar,
+                       estimate_amplitude, estimate_reaches,
                        make_reference_state, overlap_terms, swap_test_overlap,
                        tail_probability)
 from reference import (comparator_bisection_var, comparator_cvar,
@@ -583,13 +586,18 @@ def powers_for(eps):
     return [0] + [2**j for j in range(max(1, math.ceil(math.log2(1.0 / eps))))]
 
 
-def full_grid_argmax(powers, hits):
-    """The log-likelihood summed over all 200,001 grid points, then argmax."""
+def full_grid_loglik(powers, hits):
+    """The log-likelihood summed over all 200,001 grid points."""
     loglik = np.zeros_like(THETA)
     for k, h in zip(powers, hits):
         log_hit, log_miss = full_tables(k)
         loglik += h * log_hit + (SHOTS - h) * log_miss
-    return int(np.argmax(loglik))
+    return loglik
+
+
+def full_grid_argmax(powers, hits):
+    """The log-likelihood summed over all 200,001 grid points, then argmax."""
+    return int(np.argmax(full_grid_loglik(powers, hits)))
 
 
 @st.composite
@@ -624,16 +632,16 @@ EPS_SCHEDULES = [0.02, 0.1, 0.01, 0.005]
 @pytest.mark.parametrize("h,index", [(0, 0), (SHOTS, THETA.size - 1)])
 def test_pruned_search_reaches_grid_ends(h, index):
     # all misses and all hits end on the first and the last grid point,
-    # and the search returns them without building block maxima or tables
+    # and the search returns them without building block bounds or tables
     for eps in EPS_SCHEDULES:
         powers = powers_for(eps)
         hits = [np.int64(h)] * len(powers)
         assert full_grid_argmax(powers, hits) == index
         _block_tables.cache_clear()
-        _block_maxima.cache_clear()
+        _block_bounds.cache_clear()
         assert _likelihood_argmax(powers, hits, SHOTS) == index
         assert _block_tables.cache_info().currsize == 0
-        assert _block_maxima.cache_info().currsize == 0
+        assert _block_bounds.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("eps", EPS_SCHEDULES)
@@ -751,16 +759,116 @@ def padded(real, size):
 
 @pytest.mark.parametrize("h", [0, SHOTS])
 def test_block_bounds_finite_and_tight(h):
+    # rows: each power's log p, then each power's log(1 - p); columns: the
+    # block maxima, then the block minima, each the padded table's own
     powers = powers_for(0.01)
-    maxima = _block_maxima(tuple(powers))
-    assert maxima.shape == (2, len(powers), BLOCKS)
+    size = len(powers)
+    bounds = _block_bounds(tuple(powers))
+    assert bounds.shape == (2 * size, 2 * BLOCKS)
+    assert not bounds.flags.writeable
     for row, k in enumerate(powers):
-        for block, real in zip(maxima[:, row], full_tables(k)):
-            assert np.array_equal(block, padded(real, BLOCK).max(axis=1))
+        for side, real in enumerate(full_tables(k)):
+            blocks = padded(real, BLOCK)
+            assert np.array_equal(bounds[side * size + row, :BLOCKS],
+                                  blocks.max(axis=1))
+            assert np.array_equal(bounds[side * size + row, BLOCKS:],
+                                  blocks.min(axis=1))
     hits = [np.int64(h)] * len(powers)
-    bound = sum(hit * maxima[0, row] + (SHOTS - hit) * maxima[1, row]
-                for row, hit in enumerate(hits))
-    assert bound.shape == (BLOCKS,) and np.all(np.isfinite(bound))
+    upper, lower = _bounds(powers, hits, SHOTS)
+    assert upper.shape == lower.shape == (BLOCKS,)
+    assert np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))
+    assert np.all(lower <= upper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=hit_vectors())
+@example(case=(0.005, [0] * 9)).via("all misses")
+@example(case=(0.005, [SHOTS] * 9)).via("all hits")
+@example(case=(0.02, [0, SHOTS, 0, SHOTS, 0, SHOTS, 0])).via("alternating")
+def test_block_bounds_are_certified(case):
+    # at every eps of EPS_SCHEDULES, each block's widened lower bound is at
+    # most, and its widened upper bound at least, every float log-likelihood
+    # of the full-grid sum in that block, the padded last block included
+    eps, hits = case
+    powers = powers_for(eps)
+    upper, lower = _bounds(powers, hits, SHOTS)
+    blocks = padded(full_grid_loglik(powers, hits), BLOCK)
+    assert np.all(lower <= blocks.min(axis=1))
+    assert np.all(blocks.max(axis=1) <= upper)
+
+
+@st.composite
+def probes(draw):
+    """A probe's tail mass, its level and the estimate's eps and seed: the
+    mass 0, 1, a multiple of 1/L or any; the level CDF_TOL, 2 CDF_TOL,
+    1/L, 1 - 1e-9, the mass itself, where the probe is close, or any."""
+    L = draw(st.sampled_from([8, 64, 1024]))
+    prob = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                          st.integers(1, L - 1).map(lambda k: k / L),
+                          st.floats(0.0, 1.0)))
+    levels = [CDF_TOL, 2 * CDF_TOL, 1 / L, 1 - 1e-9]
+    if 0 < prob < 1:
+        levels.append(prob)
+    q = draw(st.one_of(st.sampled_from(levels),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    return prob, q, draw(st.sampled_from(EPS_SCHEDULES)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=probes())
+@example(case=(0.3, 0.3, 0.02, 1)).via("at the crossing: searched")
+@example(case=(0.0, CDF_TOL, 0.02, 1)).via("all misses")
+@example(case=(1.0, 1 - 1e-9, 0.02, 1)).via("all hits")
+def test_probe_decision_equals_the_estimate(case):
+    # the probe's answer, query count and generator state are those of
+    # estimate_amplitude compared with q - CDF_TOL, decided from the block
+    # bounds or searched
+    prob, q, eps, seed = case
+    rng, twin = random.Random(seed), random.Random(seed)
+    reached, queries = estimate_reaches(prob, q, eps, rng)
+    est = estimate_amplitude(prob, eps, twin)
+    assert reached == (est.value > 0 and est.value >= q - CDF_TOL)
+    assert queries == est.queries
+    assert rng.getstate() == twin.getstate()
+
+
+def test_probe_decision_searches_only_near_the_crossing(monkeypatch):
+    # far from the level the bounds decide, with no search; at the level
+    # the argmax may sit in the crossing's blocks, and the probe searches
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return _likelihood_argmax(*args)
+
+    monkeypatch.setattr(risk, "_likelihood_argmax", counted)
+    for q, prob in ((0.05, 0.3), (0.5, 0.3), (0.3, 0.3)):
+        searches.clear()
+        reached, _ = estimate_reaches(prob, q, 0.02, random.Random(4))
+        assert len(searches) == (q == prob)
+        if q != prob:
+            assert reached == (prob > q)
+
+
+def test_search_peak_holds_the_memo_and_two_batches():
+    # eps 0.001, 11 powers: hits whose search keeps over 100 of the 782
+    # blocks evaluate them CHUNK at a time, so the search holds at most the
+    # memo's MEMO_BLOCKS blocks, one batch's tables on their way into the
+    # memo and their stacked copy, and returns the full grid's argmax
+    powers = powers_for(0.001)
+    hits = [1, 86, 47, 66, 0, 49, 54, 47, 36, 11, 62]
+    _block_bounds(tuple(powers))
+    misses = _block_tables.cache_info().misses
+    tracemalloc.start()
+    try:
+        index = _likelihood_argmax(powers, hits, SHOTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _block_tables.cache_info().misses - misses > 3 * CHUNK
+    block_bytes = 2 * len(powers) * BLOCK * 8
+    assert peak <= (MEMO_BLOCKS + 2 * CHUNK) * block_bytes
+    assert index == full_grid_argmax(powers, hits)
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.01])
@@ -833,45 +941,55 @@ def test_block_memo_past_its_cap_stays_under_two_mb(eps):
     assert sum(a.nbytes for a in arrays) <= 2 * 2**20
 
 
-# the bytes of every array held by qvar.risk's functools caches, after
-# estimate_amplitude has run at each eps and the classical oracle once, in a
-# fresh interpreter.  An unbounded cache's referents include its dict; a
-# bounded one's include its entries' keys and values, or on some Python
-# versions their list nodes, so dicts, tuples and list nodes are walked two
-# levels down and each array is counted once
+# the bytes of every array, tuple and float held by qvar.risk's functools
+# caches, after estimate_amplitude has run at each eps and the classical
+# oracle once, in a fresh interpreter.  An unbounded cache's referents
+# include its dict; a bounded one's include its entries' keys and values,
+# or on some Python versions their list nodes, so dicts, tuples and list
+# nodes are walked four levels down, to the floats of a binomial walk's
+# masses, and each object is counted once
 CACHED_BYTES = """
-import gc, json
+import gc, json, sys
 import numpy as np
 from qvar import risk
 for eps in (0.1, 0.02, 0.01):
     risk.estimate_amplitude(0.3, eps, np.random.default_rng(0))
 risk.classical_var_cvar(np.arange(1024.0), 0.05)
 
-def arrays(obj, depth=2):
+def held(obj, found, depth=4):
     if isinstance(obj, np.ndarray):
-        return {id(obj): obj}
+        found[id(obj)] = ("array", obj.nbytes)
+        return
+    if isinstance(obj, float):
+        found[id(obj)] = ("float", sys.getsizeof(obj))
+        return
     if isinstance(obj, dict):
         inner = obj.values()
     elif isinstance(obj, tuple):
+        found[id(obj)] = ("tuple", sys.getsizeof(obj))
         inner = obj
     elif type(obj).__name__ == "_lru_list_elem":
         inner = gc.get_referents(obj)
     else:
-        return {}
-    found = {}
+        return
     for item in inner if depth else ():
-        found.update(arrays(item, depth - 1))
-    return found
+        held(item, found, depth - 1)
 
 caches = [f for f in vars(risk).values() if hasattr(f, "cache_info")]
-held = {}
+found = {}
 for f in caches:
     for ref in gc.get_referents(f):
-        held.update(arrays(ref))
-print(json.dumps({"entries": sum(f.cache_info().currsize for f in caches),
-                  "cdf_entries": risk._empirical_cdf.cache_info().currsize,
-                  "arrays": len(held),
-                  "bytes": sum(a.nbytes for a in held.values())}))
+        held(ref, found)
+walks = {}
+for ref in gc.get_referents(risk._walk):
+    held(ref, walks)
+print(json.dumps({
+    "entries": sum(f.cache_info().currsize for f in caches),
+    "cdf_entries": risk._empirical_cdf.cache_info().currsize,
+    "walk_entries": risk._walk.cache_info().currsize,
+    "walk_floats": sum(kind == "float" for kind, _ in walks.values()),
+    "arrays": sum(kind == "array" for kind, _ in found.values()),
+    "bytes": sum(size for _, size in found.values())}))
 """
 
 
@@ -882,7 +1000,10 @@ def test_amplitude_estimation_caches_stay_small():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     held = json.loads(proc.stdout)
-    # each cache entry holds at least one array, so none was missed, and
-    # the bounded classical CDF memo is among them
-    assert held["arrays"] >= held["entries"] > held["cdf_entries"] > 0
+    # each array cache entry holds at least one array, and each walk its
+    # masses, so none was missed, and the bounded classical CDF memo and
+    # walk memo are among them
+    assert held["arrays"] >= held["entries"] - held["walk_entries"]
+    assert held["entries"] - held["walk_entries"] > held["cdf_entries"] > 0
+    assert held["walk_floats"] > held["walk_entries"] > 0
     assert held["bytes"] <= 2 * 2**20, held

@@ -11,9 +11,9 @@ counts from ``random.Random``.  No step imports ``numpy.polynomial``:
 Stage 1 evaluates its Chebyshev series with its own Clenshaw recurrence.
 Only ``assemble --mode trotter``, whose QPE kernels are FFTs, imports
 ``numpy.fft``.  Importing qvar and budget-checking a config must also
-leave the amplitude-estimation block maxima and block tables, the Stage-1
-memos (fits, programs and operator SVDs) and the book memo empty, so that
-start-up does none of a request's work.
+leave the amplitude-estimation block bounds, block tables and binomial
+walks, the Stage-1 memos (fits, programs and operator SVDs) and the book
+memo empty, so that start-up does none of a request's work.
 Each check runs in a fresh interpreter, because the test process itself
 has loaded SciPy and filled the tables.
 """
@@ -104,8 +104,9 @@ import json, sys
 from qvar import load_run_config, pipeline, qsvt, risk
 with open(sys.argv[1]) as fh:
     load_run_config(json.load(fh)).check_budget()
-caches = {"risk._block_maxima": risk._block_maxima,
+caches = {"risk._block_bounds": risk._block_bounds,
           "risk._block_tables": risk._block_tables,
+          "risk._walk": risk._walk,
           "risk._empirical_cdf": risk._empirical_cdf,
           "qsvt._ladder_fit": qsvt._ladder_fit,
           "qsvt._fit_certificate": qsvt._fit_certificate,
@@ -129,5 +130,5 @@ def test_import_and_budget_check_build_no_tables(tmp_path):
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert len(sizes) == 10
+    assert len(sizes) == 11
     assert all(size == 0 for size in sizes.values()), sizes
