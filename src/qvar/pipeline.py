@@ -10,7 +10,8 @@ grid's node bytes, as a ``PriceGrid`` hashes by identity:
 
 - the classical half, built with the book: the value surface's norm
   ``scale``, the paths and their snapped grid nodes, the classical value
-  state and the twin and raw per-path values, in stored order and sorted;
+  state and the ``QuantileTable`` of the twin and of the raw per-path
+  values, in stored order and sorted, with their quantile readouts;
 - the quantum half, built on the book's first quantum request, so a
   classical request never builds it: the prepared value state with its
   step-1 fidelity and l2 distance, and the ``TailTable`` of the flagged
@@ -19,13 +20,19 @@ grid's node bytes, as a ``PriceGrid`` hashes by identity:
   reference state, from the book's one comparator write.
 
 Every array a book holds is read-only.  A step that raises caches nothing,
-so a failing book raises the same error on every request.  Each request
-still runs the budget check first, then both classical quantile readouts
-at its level and Step 4's table reads: bisection VaR, the CVaR overlap
-and, in sampled mode, its own ``random.Random`` seeded with the
-request's seed.  The ``ResourceTally`` charges the simulated device
-Steps 1-3 and one state preparation per probe on every request, memo or
-not, so a hit and a miss give the same tally and the same report bytes."""
+so a failing book raises the same error on every request.  What a level
+reads of a book is a step function: the classical quantile of the
+empirical CDF's step q falls in, the tail mass of the threshold's rank
+among the book's value codes, the CVaR overlap of the terms at or below
+it.  So the level tables keep each read on its step, filled on first read
+and bounded by the book's L and codes.  Each request still runs the
+budget check first, then both classical readouts at its level and Step
+4's reads: bisection VaR with all its probes, the CVaR overlap and, in
+sampled mode, its own ``random.Random`` seeded with the request's seed,
+which draws for every probe.  The ``ResourceTally`` charges the simulated
+device Steps 1-3 and one state preparation per probe on every request,
+memo or not, so a hit and a miss give the same tally and the same report
+bytes."""
 
 from __future__ import annotations
 
@@ -47,8 +54,8 @@ from .qpca import (assemble_portfolio_state, decode_value,
                    grid_codes, price_register_width, snap_paths,
                    value_code_table, reduced_rho)
 from .qsvt import PROGRAM_CACHE, PreparedValueState, prepare_value_state
-from .risk import (FLAG, ClassicalRisk, RiskReport, TailTable, bisection_var,
-                   classical_var_cvar, cvar, make_reference_state)
+from .risk import (FLAG, ClassicalRisk, QuantileTable, RiskReport, TailTable,
+                   bisection_var, cvar, make_reference_state)
 
 
 @dataclass
@@ -165,7 +172,10 @@ class Book:
     """Everything a request computes before it reads its level q: the
     classical oracle's half of one book, built with it, and the quantum
     half, built on the first quantum request (``quantum``).  Every array
-    it holds is read-only."""
+    it holds is read-only.  The levels read of it fill its level tables:
+    ``twin_reads`` and ``raw_reads``, the quantile readouts of the twin
+    and raw values by CDF step, and the tail table's masses and overlaps
+    by step of the threshold."""
 
     def __init__(self, market: MarketParams, payoff: PayoffSpec,
                  grid: PriceGrid, s0: float, L: int, m: int, eps1: float):
@@ -181,13 +191,10 @@ class Book:
         normalized = surface.values / self.scale
         self.classical_state = normalized.astype(complex)
         rho_classical = reduced_rho(self.classical_state, grid)
-        self.twin_values = decode_value(
-            value_code_table(rho_classical, m)[self.node_idx], m)
-        self.raw_values = normalized[self.node_idx]
-        self.twin_sorted = np.sort(self.twin_values)
-        self.raw_sorted = np.sort(self.raw_values)
-        _read_only(self.node_idx, self.classical_state, self.twin_values,
-                   self.raw_values, self.twin_sorted, self.raw_sorted)
+        self.twin_reads = QuantileTable(decode_value(
+            value_code_table(rho_classical, m)[self.node_idx], m))
+        self.raw_reads = QuantileTable(normalized[self.node_idx])
+        _read_only(self.node_idx, self.classical_state)
         self._quantum = None
 
     def quantum(self, codes: np.ndarray) -> QuantumBook:
@@ -235,17 +242,15 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     Steps 1-3 and the classical oracle's values come from the request's
     memoised ``Book``; the budget check, both quantile readouts and Step 4
-    run on every request."""
+    run on every request, reading the book's level tables."""
     config.check_budget()
     tally = ResourceTally()
     book = _book(config.market, config.payoff, config.grid.n,
                  config.grid.nodes.tobytes(), config.s0, config.L, config.m,
                  config.eps1)
     scale = book.scale
-    classical = classical_var_cvar(book.twin_values, config.q,
-                                   book.twin_sorted)
-    classical_raw = classical_var_cvar(book.raw_values, config.q,
-                                       book.raw_sorted)
+    classical = book.twin_reads(config.q)
+    classical_raw = book.raw_reads(config.q)
 
     if config.mode == "classical":
         report = RiskReport(level=config.q, var=classical.var * scale,

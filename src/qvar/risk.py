@@ -3,7 +3,10 @@ overlap and its reconstruction, plus the classical quantile oracle.
 Step 4 reads a ``TailTable`` built once per flagged state: the bisection
 probes sum its squared magnitudes (``tail_probability``) and the CVaR
 overlap its contraction terms (``swap_test_overlap``); no request writes
-the flag.
+the flag.  Both reads, and the classical quantile readout
+(``QuantileTable``), change only at a few steps of the threshold or the
+level, so each is memoised on its step and a level read again is a
+lookup.
 
 All quantum-path quantities operate on the m-bit half-scale value codes,
 so the quantum-exact VaR code coincides with the classical empirical
@@ -112,6 +115,11 @@ class RiskReport:
             "cvar_normalized": self.cvar_normalized,
             "var_code": self.var_code,
         }
+
+
+def _check_level(q: float) -> None:
+    if not 0 < q < 1:
+        raise ConfigError(f"q must lie in (0, 1), got {q}")
 
 
 def _check_threshold(width: int, threshold_code: int) -> None:
@@ -457,7 +465,14 @@ class TailTable:
     reference's support, whose branches read value 0 once uncomputed, so
     their code is their price's lookup: its terms are a prefix of the terms
     sorted by code, and ``math.fsum``, exact whatever the order, gives the
-    contraction's bits.  No reference: no terms, ``ref_norm`` None."""
+    contraction's bits.  No reference: no terms, ``ref_norm`` None.
+
+    Both reads are step functions of the threshold, so each is memoised on
+    its step, filled on first read: ``masses`` keys the tail mass on the
+    threshold's rank among ``levels``, the distinct codes ascending (at
+    most len(levels) + 1 entries), and ``overlaps`` the exact overlap on
+    its prefix length (at most L + 1).  Every threshold of one step sums
+    the same entries in the same order, so a hit has a miss's bits."""
 
     def __init__(self, state: StateVector, reference=None, value_lookup=None):
         layout = state.layout
@@ -466,6 +481,9 @@ class TailTable:
         self.probs = np.abs(state.amplitudes) ** 2
         self.codes.setflags(write=False)
         self.probs.setflags(write=False)
+        # not np.unique, which imports numpy.ma
+        self.levels = tuple(sorted(set(self.codes.tolist())))
+        self.masses, self.overlaps = {}, {}
         self.ref_norm = self.term_codes = self.term_real = self.term_imag = None
         if reference is None:
             return
@@ -487,10 +505,14 @@ def tail_probability(table: TailTable, threshold_code: int,
     ``threshold_code`` would give on the table's state, without writing the
     flag; returns (p0, query count).  Exact mode sums the squared
     amplitudes at value codes <= the threshold in stored order (one
-    query); sampled mode runs amplitude estimation at additive error eps."""
+    query), once per step of the table (``TailTable.masses``); sampled
+    mode runs amplitude estimation at additive error eps."""
     _check_threshold(table.width, threshold_code)
-    p0 = float(np.bincount(table.codes > threshold_code, weights=table.probs,
-                           minlength=2)[0])
+    rank = bisect.bisect_right(table.levels, threshold_code)
+    p0 = table.masses.get(rank)
+    if p0 is None:
+        p0 = table.masses[rank] = float(np.bincount(
+            table.codes > threshold_code, weights=table.probs, minlength=2)[0])
     if mode == "exact":
         return p0, 1
     if rng is None:
@@ -513,8 +535,7 @@ def bisection_var(table: TailTable, q: float, mode: str = "exact",
     an empty tail never is, so a level at or below CDF_TOL picks the least
     code with mass, as the classical quantile does.  At most m iterations.
     """
-    if not 0 < q < 1:
-        raise ConfigError(f"q must lie in (0, 1), got {q}")
+    _check_level(q)
     if mode != "exact" and rng is None:
         raise ConfigError("sampled mode needs a seeded generator")
     m = table.width
@@ -544,15 +565,17 @@ def swap_test_overlap(table: TailTable, threshold_code: int,
                       rng=None) -> tuple[float, int]:
     """|<psi_ref x 0|Phi3>| for the table's reference and its state flagged
     at ``threshold_code`` with the value uncomputed: the exactly rounded
-    sum of the table's terms at codes <= the threshold (exact), or
-    (sampled) the square root of an amplitude estimate, budget O(1/eps),
+    sum of the table's terms at codes <= the threshold, kept per prefix
+    in ``TailTable.overlaps`` (exact), or (sampled) the square root of an amplitude estimate, budget O(1/eps),
     of the squared overlap, the probability that compute-uncompute (Phi3's
     preparation, then the inverse reference preparation) returns all
     zeros.  Amplitude estimation resolves the angle whose sine is the
     overlap, so the overlap's error stays linear in eps near 0."""
     k = bisect.bisect_right(table.term_codes, threshold_code)
-    overlap = abs(complex(math.fsum(table.term_real[:k]),
-                          math.fsum(table.term_imag[:k])))
+    overlap = table.overlaps.get(k)
+    if overlap is None:
+        overlap = table.overlaps[k] = abs(complex(
+            math.fsum(table.term_real[:k]), math.fsum(table.term_imag[:k])))
     if mode == "exact":
         return overlap, 1
     if rng is None:
@@ -585,8 +608,7 @@ def classical_var_cvar(values, q: float, ordered=None) -> ClassicalRisk:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ConfigError("values must be nonempty")
-    if not 0 < q < 1:
-        raise ConfigError(f"q must lie in (0, 1), got {q}")
+    _check_level(q)
     ordered = np.sort(values) if ordered is None else ordered
     count = values.size
     idx = int(np.argmax(_empirical_cdf(count) >= q - CDF_TOL))
@@ -594,6 +616,31 @@ def classical_var_cvar(values, q: float, ordered=None) -> ClassicalRisk:
     tail = values[values <= var]
     return ClassicalRisk(var=var, cvar=float(np.add.reduce(tail) / tail.size),
                          p0=float(tail.size / count))
+
+
+class QuantileTable:
+    """``classical_var_cvar`` of fixed values at any level q, memoised on
+    the empirical CDF step q reads, ``bisect_left(cdf, q - CDF_TOL)``: the
+    CDF rises strictly to 1.0, so that is the index ``np.argmax`` finds,
+    and every q of one step reads the same quantile and the same tail.
+    Holds ``values`` in stored order and ``ordered``, both read-only;
+    ``reads`` fills on first read, at most one entry per value."""
+
+    def __init__(self, values: np.ndarray):
+        self.values, self.ordered = values, np.sort(values)
+        values.setflags(write=False)
+        self.ordered.setflags(write=False)
+        self.reads = {}
+
+    def __call__(self, q: float) -> ClassicalRisk:
+        _check_level(q)
+        step = bisect.bisect_left(_empirical_cdf(self.values.size),
+                                  q - CDF_TOL)
+        read = self.reads.get(step)
+        if read is None:
+            read = self.reads[step] = classical_var_cvar(self.values, q,
+                                                         self.ordered)
+        return read
 
 
 @dataclass(frozen=True)

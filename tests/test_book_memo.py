@@ -3,7 +3,8 @@ once per book (``pipeline._book``), and Step 4 runs per request.
 
 A book is what the market, payoff, grid, s0, L, m and eps1 fix; q, mode and
 seed only choose what Step 4 reads from it.  A hit must give the bytes a
-miss gives, charge the same tally and leave the cached arrays as they were.
+miss gives, charge the same tally and leave the cached arrays as they were,
+also where the book's level tables already hold what the level reads.
 """
 
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import qvar
-from qvar import cli, market, pipeline, qcore, qpca, qsvt
+from qvar import cli, market, pipeline, qcore, qpca, qsvt, risk
 from qvar.errors import ConfigError, QubitBudgetError
 from qvar.market import build_grid
 from qvar.pipeline import emit_report, load_run_config, run_pipeline
@@ -51,8 +52,10 @@ def book_of(**overrides) -> pipeline.Book:
 def cached_arrays(book: pipeline.Book) -> dict:
     arrays = {"node_idx": book.node_idx,
               "classical_state": book.classical_state,
-              "twin_values": book.twin_values, "raw_values": book.raw_values,
-              "twin_sorted": book.twin_sorted, "raw_sorted": book.raw_sorted}
+              "twin_values": book.twin_reads.values,
+              "raw_values": book.raw_reads.values,
+              "twin_sorted": book.twin_reads.ordered,
+              "raw_sorted": book.raw_reads.ordered}
     quantum = book._quantum
     if quantum is not None:
         arrays.update({
@@ -110,7 +113,10 @@ print(json.dumps([emit_report(run_pipeline(load_run_config({**base, **r})))
                   for r in requests]))
 """
 
-REQUESTS = [{"mode": mode, "q": q} for mode in MODES for q in (0.05, 0.25)]
+# at L = 8, 0.1 reads the empirical CDF step of 0.05 and 0.4 one of its
+# own, so a warm request hits the book's level tables or fills them
+LEVELS = (0.05, 0.25, 0.1, 0.4)
+REQUESTS = [{"mode": mode, "q": q} for mode in MODES for q in LEVELS]
 
 
 def test_reports_are_byte_equal_on_a_hit_a_miss_and_in_a_fresh_interpreter():
@@ -151,13 +157,38 @@ def test_cached_arrays_are_read_only_and_unchanged_by_step_4():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_tally_is_equal_on_a_hit_and_a_miss(mode):
-    miss = run(mode=mode).tally.to_dict()
-    misses = pipeline._book.cache_info().misses
-    hit = run(mode=mode).tally.to_dict()
-    assert pipeline._book.cache_info().misses == misses
-    assert hit == miss
-    if mode != "classical":
-        assert hit["qsvt_degree"] >= 1 and hit["rho_copies"] == 1
+    miss = {}
+    for q in LEVELS:
+        pipeline._book.cache_clear()
+        miss[q] = run(mode=mode, q=q).tally.to_dict()
+    for q in LEVELS:
+        hit = run(mode=mode, q=q).tally.to_dict()
+        assert hit == miss[q], q
+        if mode != "classical":
+            assert hit["qsvt_degree"] >= 1 and hit["rho_copies"] == 1
+    assert pipeline._book.cache_info().misses == 1
+
+
+def test_a_warm_request_at_a_read_level_sums_no_tail_mass(monkeypatch):
+    # each tail mass is summed once per step of the book's tail table, so a
+    # warm exact request at a level already read finds every probe's mass
+    # and the CVaR's there.  The README book's tail masses are multiples of
+    # 1/8, so 0.1 probes the thresholds 0.05 probes
+    sums, bincount = [], np.bincount
+
+    def counted(*args, **kwargs):
+        sums.append(args)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(risk.np, "bincount", counted)
+    cold = emit_report(run())
+    assert 0 < len(sums) <= README_CONFIG["m"] + 1
+    tail = book_of()._quantum.tail
+    assert len(tail.masses) == len(sums) <= len(tail.levels) + 1
+    sums.clear()
+    assert emit_report(run()) == cold
+    assert run(q=0.1).tally.bisection_iterations == README_CONFIG["m"]
+    assert sums == []
 
 
 @pytest.mark.parametrize("mode", ["quantum_exact", "quantum_sampled"])

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import gc
 import json
@@ -19,8 +20,8 @@ from qvar import risk
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS, TailTable,
-                       _binomial, _block_bounds, _block_tables, _bounds,
+from qvar.risk import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS,
+                       QuantileTable, TailTable, _binomial, _block_bounds, _block_tables, _bounds,
                        _likelihood_argmax, _loglik, bisection_var,
                        classical_var_cvar, comparator_ucc, cvar,
                        estimate_amplitude, estimate_reaches,
@@ -208,6 +209,63 @@ def test_table_tail_mass_equals_the_comparator_at_every_code(case, seed):
             oracle, oracle_queries = comparator_tail_probability(
                 state, code, mode, 0.1, rng_b)
             assert (p0.hex(), queries) == (oracle.hex(), oracle_queries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tail_instances(), data=st.data())
+def test_memoised_tail_reads_equal_the_unmemoised_sums(case, data):
+    # each read is memoised on its step; the first read of a step may come
+    # from any threshold in it, so the codes are visited in a drawn order,
+    # and then again in another, where every read hits
+    state, reference, lookup, m = case
+    table = TailTable(state, reference, lookup)
+    for _ in range(2):
+        for code in data.draw(st.permutations(range(2**m))):
+            p0, queries = tail_probability(table, code)
+            mass = np.bincount(table.codes > code, weights=table.probs,
+                               minlength=2)[0]
+            assert (p0.hex(), queries) == (float(mass).hex(), 1)
+            if reference is None:
+                continue
+            overlap, queries = swap_test_overlap(table, code)
+            k = bisect.bisect_right(table.term_codes, code)
+            exact = abs(complex(math.fsum(table.term_real[:k]),
+                                math.fsum(table.term_imag[:k])))
+            assert (overlap.hex(), queries) == (exact.hex(), 1)
+    assert len(table.masses) <= len(table.levels) + 1
+    assert list(table.levels) == np.unique(table.codes).tolist()
+    assert len(table.overlaps) <= (0 if reference is None
+                                   else len(table.term_codes) + 1)
+
+
+def risk_bits(risk_read) -> tuple:
+    return (risk_read.var.hex(), risk_read.cvar.hex(), risk_read.p0.hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5]),
+                                 st.floats(-1e3, 1e3)),
+                       min_size=1, max_size=64),
+       data=st.data())
+def test_memoised_quantile_reads_equal_the_classical_oracle(values, data):
+    # q on both sides of every CDF step k / L, where the readout changes;
+    # the step a read is memoised on is np.argmax's index, and each level
+    # is read twice, in a drawn order
+    values = np.array(values)
+    count = values.size
+    table = QuantileTable(values)
+    cdf = np.arange(1, count + 1) / count
+    levels = [q for k in range(count + 1)
+              for q in (k / count - CDF_TOL, k / count, k / count + CDF_TOL)
+              if 0 < q < 1]
+    for q in data.draw(st.permutations(levels * 2)):
+        step = bisect.bisect_left(cdf, q - CDF_TOL)
+        assert step == int(np.argmax(cdf >= q - CDF_TOL))
+        assert risk_bits(table(q)) == risk_bits(classical_var_cvar(values, q))
+    assert len(table.reads) <= count
+    for q in (0.0, 1.0, float("nan")):
+        with pytest.raises(ConfigError, match="q must lie"):
+            table(q)
 
 
 def breakdown_bits(out) -> tuple:
