@@ -39,10 +39,15 @@ an attained value exactly, at most CHUNK blocks at a time, from a bounded
 memo of exact log tables computed with the full grid's ufuncs, so they
 carry its bits (``_likelihood_argmax``).  The probes estimate tail masses
 that are multiples of 1/L, so searches come back to the same blocks and
-the memo's tables are reused.  The shot counts are drawn from the
-request's seeded ``random.Random`` (``_binomial``), so sampled mode needs
-no ``numpy.random``, by inverting one uniform against the binomial pmf
-in walk order, whose masses a bounded memo keeps per (n, p) (``_walk``).
+the memo's tables are reused.  Each power's shot count is one binomial
+draw from the request's seeded ``random.Random``, so sampled mode needs
+no ``numpy.random``: one uniform inverted against the binomial pmf in
+walk order (``_draws``), whose masses a bounded memo keeps per (n, p)
+(``_walk``).  The tail masses repeat, so a bounded memo keeps each
+(prob, eps) draw plan (``_plan``), and an estimate pays only for what its
+draws change: one uniform per uncertain power, one bound product, which a
+probe's decision and its search share, and one reduction of it per
+decision.
 """
 
 from __future__ import annotations
@@ -72,11 +77,12 @@ BLOCK = 256
 BLOCKS = -(-POINTS // BLOCK)
 CHUNK = 32
 MEMO_BLOCKS = 64
-# the block bounds' relative widening (see _bounds), the shots per power
-# and the binomial walks kept by _walk
+# the block bounds' relative widening (see _bounds), the shots per power,
+# the binomial walks kept by _walk and the draw plans kept by _plan
 SLACK = 2.0**-44
 SHOTS = 96
 WALKS = 256
+PLANS = 32
 
 RiskMethod = Literal["classical", "quantum_exact", "quantum_sampled"]
 
@@ -195,11 +201,12 @@ def _block_bounds(powers: tuple) -> np.ndarray:
 
 
 def _bounds(powers, hits, shots: int):
-    """Upper and lower bounds, two (BLOCKS,) arrays, on the float
-    log-likelihood sum_k h_k log p_k + (shots - h_k) log(1 - p_k) at every
-    point of each block, however that sum is rounded: one matrix-vector
-    product of the counts with ``_block_bounds``, widened by a relative
-    slack s.
+    """The block bounds on the float log-likelihood sum_k h_k log p_k +
+    (shots - h_k) log(1 - p_k), however that sum is rounded, as (product,
+    s): the (2 BLOCKS,) matrix-vector product of the counts with
+    ``_block_bounds`` and the relative slack s that widens it.
+    product[b] (1 - s) bounds every point of block b above and
+    product[BLOCKS + b] (1 + s) below.
 
     Every table entry is at most log(1 - 1e-12) < 0 and every count is
     non-negative, so each sum has terms of one sign, and a float sum of n
@@ -216,9 +223,8 @@ def _bounds(powers, hits, shots: int):
     the minima at or below it.  s = SLACK, 2^-44, covers that up to 167
     powers, and (3P + 2) 2u, twice the sum, beyond."""
     weights = np.array([*hits, *(shots - h for h in hits)], dtype=float)
-    product = weights @ _block_bounds(tuple(powers))
-    slack = max(SLACK, (3 * len(powers) + 2) * 2.0**-52)
-    return product[:BLOCKS] * (1.0 - slack), product[BLOCKS:] * (1.0 + slack)
+    return (weights @ _block_bounds(tuple(powers)),
+            max(SLACK, (3 * len(powers) + 2) * 2.0**-52))
 
 
 @functools.lru_cache(maxsize=MEMO_BLOCKS)
@@ -261,17 +267,18 @@ def _foregone(powers, hits, shots: int):
     the ceiling 1 - 1e-12 for every power, and at every other index the
     k = 0 term, with p_0 <= sin^2(pi/2 - STEP) = 1 - 6.2e-11, is lower by
     about 6e-9, far more than the sum's rounding."""
-    if all(h == 0 for h in hits):
+    if not any(hits):
         return 0
     if powers[0] == 0 and all(h == shots for h in hits):
         return POINTS - 1
     return None
 
 
-def _likelihood_argmax(powers, hits, shots: int) -> int:
+def _likelihood_argmax(powers, hits, shots: int, bounds=None) -> int:
     """First argmax over the theta grid of the float log-likelihood
     sum_k h_k log p_k + (shots - h_k) log(1 - p_k), equal to ``np.argmax``
-    of the full-grid sum.
+    of the full-grid sum.  ``bounds`` is the counts' ``_bounds``, when the
+    caller holds them.
 
     The block of largest upper bound (``_bounds``) is evaluated exactly;
     its maximum ``best`` is attained on the grid.  A block whose upper
@@ -282,23 +289,31 @@ def _likelihood_argmax(powers, hits, shots: int) -> int:
     the running first argmax keeps the earlier index on a tie, so it ends
     as the full grid's.  Exact values come from ``_block_tables``, which
     carry the full grid's bits; padded indices repeat the last grid point,
-    which comes first, so none is returned.  A foregone estimate
-    (``_foregone``) needs no search.
+    which comes first, so none is returned.  The search's first
+    MEMO_BLOCKS blocks are read through the memo and later ones computed
+    outside it, so a search that keeps more blocks than the memo holds
+    leaves its first ones there for a repeat instead of evicting each
+    before the repeat reaches it.  A foregone estimate (``_foregone``)
+    needs no search.
     """
     index = _foregone(powers, hits, shots)
     if index is not None:
         return index
     powers = tuple(powers)
-    upper, _ = _bounds(powers, hits, shots)
+    product, slack = _bounds(powers, hits, shots) if bounds is None else bounds
+    upper = product[:BLOCKS] * (1.0 - slack)
     weights = np.array([hits, [shots - h for h in hits]], dtype=float)
     weights = weights[:, :, None]
+    room = MEMO_BLOCKS
 
     def first_argmax(blocks):
         # the first argmax over the blocks' points, in their order, and
         # its value; the tables are weighted in a fresh copy
-        term = np.array([(t["log_hit"], t["log_miss"])
-                         for t in (_block_tables(powers, block)
-                                   for block in blocks)])
+        nonlocal room
+        tables = [(_block_tables if at < room else _block_tables.__wrapped__)(
+            powers, block) for at, block in enumerate(blocks)]
+        room -= len(blocks)
+        term = np.array([(t["log_hit"], t["log_miss"]) for t in tables])
         term *= weights
         values = _loglik(term)
         at = int(values.argmax())
@@ -343,42 +358,63 @@ def _walk(n: int, p: float) -> tuple:
     return tuple(counts), tuple(masses)
 
 
-def _binomial(rng, n: int, p: float) -> int:
-    """One Binomial(n, p) draw by inversion of one ``rng.random()``
-    uniform, which ``rng``, a ``random.Random`` or a NumPy ``Generator``,
-    supplies.  The pmf's segments of [0, 1) are laid out in walk order
-    (``_walk``), and the uniform is reduced by one mass after another
-    until it falls below 0, in the segment of the count returned; the few
-    ulps of mass that rounding leaves past the last segment go to the
-    count visited last.  p <= 0 and p >= 1 return 0 and n without a
-    draw."""
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    counts, masses = _walk(n, p)
-    u = rng.random()
-    for count, mass in zip(counts, masses):
-        u -= mass
-        if u < 0.0:
-            return count
-    return counts[-1]
+def _draws(rng, outcomes) -> list:
+    """One Binomial draw per outcome, in turn: a certain count, an int,
+    is drawn as it is, without a uniform, and a pmf in walk order
+    (``_walk``) by the inversion of one ``rng.random()`` uniform, which
+    ``rng``, a ``random.Random`` or a NumPy ``Generator``, supplies.  The
+    pmf's segments of [0, 1) are laid out in walk order, and the uniform
+    is reduced by one mass after another until it falls below 0, in the
+    segment of the count drawn; the few ulps of mass that rounding leaves
+    past the last segment go to the count visited last."""
+    drawn = []
+    for count in outcomes:
+        if isinstance(count, tuple):
+            counts, masses = count
+            u = rng.random()
+            for count, mass in zip(counts, masses):
+                u -= mass
+                if u < 0.0:
+                    break
+        drawn.append(count)
+    return drawn
+
+
+@functools.lru_cache(maxsize=PLANS)
+def _plan(prob: float, eps: float) -> tuple:
+    """The draw plan of amplitude estimation of ``prob`` in [0, 1] at
+    additive error eps: the doubling power schedule, the outcome of each
+    power's SHOTS shots at hit probability p = sin^2((2k + 1) theta),
+    theta = arcsin(sqrt(prob)), and the query count sum_k SHOTS (2k + 1).
+    The outcome is the certain count 0 for p <= 0 and SHOTS for p >= 1,
+    which draws nothing, else the pmf in walk order, ``_walk``'s own tuple,
+    not a copy (``_draws``).  The tail masses a book's probes read are
+    multiples of 1/L, so plans repeat across probes, requests and books.
+    At most PLANS plans are kept, at eight powers no more walks than the
+    walk memo."""
+    if not 0 < eps < 1:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
+    theta = math.asin(math.sqrt(prob))
+    levels = max(1, math.ceil(math.log2(1.0 / eps)))
+    powers = (0,) + tuple(2**j for j in range(levels))
+    outcomes = []
+    for k in powers:
+        p = math.sin((2 * k + 1) * theta) ** 2
+        outcomes.append(0 if p <= 0.0 else SHOTS if p >= 1.0
+                        else _walk(SHOTS, p))
+    return powers, tuple(outcomes), SHOTS * sum(2 * k + 1 for k in powers)
 
 
 def _draw_hits(prob: float, eps: float, rng):
     """The doubling power schedule for additive error eps, each power's
     hits out of SHOTS, drawn in power order from ``rng``, and the query
     count sum_k SHOTS (2k + 1): the measurements of amplitude estimation
-    of ``prob``."""
-    if not 0 < eps < 1:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    prob = min(1.0, max(0.0, prob))
-    theta = math.asin(math.sqrt(prob))
-    levels = max(1, math.ceil(math.log2(1.0 / eps)))
-    powers = (0,) + tuple(2**j for j in range(levels))
-    hits = [_binomial(rng, SHOTS, math.sin((2 * k + 1) * theta) ** 2)
-            for k in powers]
-    return powers, hits, SHOTS * sum(2 * k + 1 for k in powers)
+    of ``prob``, clipped to [0, 1].  Each power's hits are one
+    Binomial(SHOTS, sin^2((2k + 1) theta)) draw, read from the memoised
+    ``_plan``, so a draw pays only for its uniforms: one per power whose
+    hit probability is neither 0 nor 1 (``_draws``)."""
+    powers, outcomes, queries = _plan(min(1.0, max(0.0, prob)), eps)
+    return powers, _draws(rng, outcomes), queries
 
 
 def _estimate(index: int) -> float:
@@ -395,7 +431,8 @@ def estimate_amplitude(prob: float, eps: float, rng) -> AmplitudeEstimate:
     doubling power schedule reaches additive error eps at a total query
     count sum_k shots (2k+1) = O(1/eps), which is the documented budget.
     ``rng`` is a seeded ``random.Random``; each power's hits are one
-    ``_binomial`` draw from it.
+    binomial draw from it, read from the memoised draw plan of (prob, eps)
+    (``_draw_hits``), so only the uniforms are drawn anew.
 
     The estimate is the theta grid's first log-likelihood argmax, found by
     ``_likelihood_argmax``: only the blocks whose certified upper bound
@@ -423,19 +460,30 @@ def estimate_reaches(prob: float, q: float, eps: float, rng) -> tuple[bool, int]
     point above reads at or over it, and over 0.  When the best lower
     bound (``_bounds``) of the blocks on one side beats every upper bound
     of the rest, the argmax lies on that side, and the probe is decided.
-    Otherwise the argmax is searched (``_likelihood_argmax``)."""
+    One ``np.maximum.reduceat`` of the unwidened product gives the maxima
+    of its upper and lower halves below, across and above the crossing,
+    and only the maxima compared are widened: fl(x c) rises with x, so the
+    widened maximum is the maximum of the widened bounds.  A side with no block,
+    at either end of the grid, is cut to one block of the crossing and
+    decides nothing.  Otherwise the argmax is searched
+    (``_likelihood_argmax``) from the same product."""
     powers, hits, queries = _draw_hits(prob, eps, rng)
     index = _foregone(powers, hits, SHOTS)
     if index is None:
-        upper, lower = _bounds(powers, hits, SHOTS)
+        bounds = product, slack = _bounds(powers, hits, SHOTS)
         crossing = math.ceil(math.asin(math.sqrt(max(0.0, q - CDF_TOL)))
                              / STEP)
         below, above = crossing // BLOCK - 1, crossing // BLOCK + 2
-        if below > 0 and lower[:below].max() > upper[below:].max():
+        lo, hi = max(below, 0), min(above, BLOCKS - 1)
+        up_below, up_across, up_above, low_below, _, low_above = \
+            np.maximum.reduceat(product, [0, lo, hi, BLOCKS, BLOCKS + lo,
+                                          BLOCKS + hi]).tolist()
+        up, low = 1.0 - slack, 1.0 + slack
+        if below > 0 and low_below * low > max(up_across, up_above) * up:
             return False, queries
-        if above < BLOCKS and lower[above:].max() > upper[:above].max():
+        if above < BLOCKS and low_above * low > max(up_below, up_across) * up:
             return True, queries
-        index = _likelihood_argmax(powers, hits, SHOTS)
+        index = _likelihood_argmax(powers, hits, SHOTS, bounds)
     value = _estimate(index)
     return value > 0 and value >= q - CDF_TOL, queries
 

@@ -6,12 +6,12 @@ from qvar.market import MarketParams, PayoffSpec, build_grid
 
 # every in-process memo, emptied before every test: the grids and their
 # price codes, the books, Stage 1's fits, programs and least singular
-# values, amplitude estimation's block bounds, block tables and binomial
-# walks and the classical CDFs
+# values, amplitude estimation's block bounds, block tables, binomial
+# walks and draw plans and the classical CDFs
 MEMOS = (market._grid, qpca._grid_codes, pipeline._book, qsvt._ladder_fit,
          qsvt._fit_certificate, qsvt._phase_factors, qsvt._encoding,
          qsvt._value_block, qsvt._sigma_min, risk._block_bounds,
-         risk._block_tables, risk._walk, risk._empirical_cdf)
+         risk._block_tables, risk._walk, risk._plan, risk._empirical_cdf)
 
 
 @pytest.fixture(autouse=True)

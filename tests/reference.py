@@ -37,6 +37,8 @@ densely so that small instances can be compared entry by entry:
   (``comparator_cvar``, on the two-state overlap ``state_swap_test``),
   which ``risk.tail_probability``, ``risk.bisection_var`` and
   ``risk.cvar`` reproduce bit for bit from a ``risk.TailTable``;
+* one Binomial(n, p) draw by its own walk and uniform (``binomial``),
+  which ``risk._draw_hits`` reproduces per power from a memoised draw plan;
 * the explicit 1-norm of the no-go pair's m-copy projectors
   (``explicit_trace_norm_gap``), twice ``nogo.trace_norm_gap``;
 * small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
@@ -609,6 +611,26 @@ def comparator_cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
         cvar=cvar_norm * scale, cvar_normalized=cvar_norm,
         overlap=raw * ref_norm * math.sqrt(p0), overlap_raw=raw, p0=p0,
         queries=q_used + q_overlap)
+
+
+# --- one binomial draw ----------------------------------------------------
+
+def binomial(rng, n: int, p: float) -> int:
+    """One Binomial(n, p) draw: p <= 0 and p >= 1 give 0 and n without a
+    draw, else one ``rng.random()`` uniform is reduced by the masses of
+    ``risk._walk(n, p)`` in walk order until it falls below 0, and the
+    count reached is drawn, the count visited last if none is."""
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    counts, masses = risk._walk(n, p)
+    u = rng.random()
+    for count, mass in zip(counts, masses):
+        u -= mass
+        if u < 0.0:
+            return count
+    return counts[-1]
 
 
 # --- the no-go pair's explicit trace norm --------------------------------

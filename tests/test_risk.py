@@ -20,14 +20,16 @@ from qvar import risk
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS,
-                       QuantileTable, TailTable, _binomial, _block_bounds, _block_tables, _bounds,
-                       _likelihood_argmax, _loglik, bisection_var,
+from qvar.risk import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS, PLANS, STEP,
+                       QuantileTable, TailTable, _block_bounds, _block_tables, _bounds,
+                       _draw_hits, _draws, _likelihood_argmax, _loglik,
+                       _plan, _walk,
+                       bisection_var,
                        classical_var_cvar, comparator_ucc, cvar,
                        estimate_amplitude, estimate_reaches,
                        make_reference_state, overlap_terms, swap_test_overlap,
                        tail_probability)
-from reference import (comparator_bisection_var, comparator_cvar,
+from reference import (binomial, comparator_bisection_var, comparator_cvar,
                        comparator_tail_probability, dense_state,
                        exact_distribution)
 
@@ -608,7 +610,7 @@ def uncached_estimate_amplitude(prob, eps, rng):
     queries = 0
     for k in powers:
         p_k = math.sin((2 * k + 1) * theta) ** 2
-        hits.append(_binomial(rng, shots, p_k))
+        hits.append(binomial(rng, shots, p_k))
         queries += shots * (2 * k + 1)
     grid = np.linspace(0.0, np.pi / 2, 200_001)
     loglik = np.zeros_like(grid)
@@ -716,6 +718,13 @@ def test_foregone_estimate_draws_as_the_reference(prob, eps):
     assert rng.getstate() == reference_rng.getstate()
 
 
+def draw_one(rng, n, p):
+    """One Binomial(n, p) draw by the sampler's inversion, of the outcome
+    a draw plan holds: the certain count for p <= 0 and p >= 1, else the
+    walk."""
+    return _draws(rng, [0 if p <= 0 else n if p >= 1 else _walk(n, p)])[0]
+
+
 class UniformStub:
     """A generator whose every uniform is ``u``, counting the draws."""
 
@@ -764,7 +773,7 @@ def test_binomial_inverts_the_pmf_from_the_mode(n, p):
             if not 0.0 <= u < 1.0:
                 continue
             stub = UniformStub(u)
-            got = _binomial(stub, n, p)
+            got = draw_one(stub, n, p)
             assert stub.draws == 1
             got_lo, got_hi = segments[got]
             assert got_lo - SEGMENT_TOL <= Fraction(u) < got_hi + SEGMENT_TOL, \
@@ -779,8 +788,8 @@ def test_binomial_inverts_the_pmf_from_the_mode(n, p):
 def test_binomial_certain_outcomes_draw_nothing(p, count):
     stub, rng = UniformStub(0.5), random.Random(9)
     state = rng.getstate()
-    assert _binomial(stub, 7, p) == count and stub.draws == 0
-    assert _binomial(rng, 7, p) == count and rng.getstate() == state
+    assert draw_one(stub, 7, p) == count and stub.draws == 0
+    assert draw_one(rng, 7, p) == count and rng.getstate() == state
 
 
 @pytest.mark.parametrize("p", [0.02, 0.2, 0.5, 0.8, 0.97])
@@ -790,7 +799,7 @@ def test_binomial_moments(p):
     # binomial's fourth central moment n p q (1 + 3 (n - 2) p q)
     n, draws = 96, 20_000
     rng = random.Random(20240811)
-    counts = np.array([_binomial(rng, n, p) for _ in range(draws)])
+    counts = np.array([draw_one(rng, n, p) for _ in range(draws)])
     npq = n * p * (1 - p)
     fourth = npq * (1 + 3 * (n - 2) * p * (1 - p))
     assert abs(counts.mean() - n * p) <= 4 * math.sqrt(npq / draws)
@@ -803,9 +812,66 @@ def test_binomial_takes_one_uniform_from_either_generator(make):
     # tests pass: one draw is the inversion of the generator's next uniform
     rng, twin = make(5), make(5)
     for p in (0.01, 0.3, 0.5, 0.77):
-        got = _binomial(rng, 96, p)
+        got = draw_one(rng, 96, p)
         assert type(got) is int
-        assert got == _binomial(UniformStub(twin.random()), 96, p)
+        assert got == draw_one(UniformStub(twin.random()), 96, p)
+
+
+def generator_state(rng):
+    return rng.getstate() if isinstance(rng, random.Random) \
+        else rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(prob=st.one_of(st.sampled_from([0.0, 1.0]),
+                      st.integers(1, 7).map(lambda k: k / 8),
+                      st.floats(0.0, 1.0)),
+       eps=st.one_of(st.sampled_from(EPS_SCHEDULES),
+                     st.floats(1e-3, 1.0, exclude_max=True)),
+       seed=st.integers(0, 2**32 - 1),
+       make=st.sampled_from([random.Random, np.random.default_rng]))
+@example(prob=0.25, eps=0.001, seed=1, make=random.Random).via(
+    "sin^2(3 theta) rounds to 1: powers 1, 4, 16, 64 draw nothing")
+def test_planned_draws_equal_one_binomial_per_power(prob, eps, seed, make):
+    # the memoised plan draws the hits, and leaves the generator, as one
+    # reference binomial draw per power in power order does, cold and warm
+    theta = math.asin(math.sqrt(prob))
+    powers = powers_for(eps)
+    twin = make(seed)
+    want = [binomial(twin, SHOTS, math.sin((2 * k + 1) * theta) ** 2)
+            for k in powers]
+    queries = SHOTS * sum(2 * k + 1 for k in powers)
+    for _ in range(2):
+        rng = make(seed)
+        assert _draw_hits(prob, eps, rng) == (tuple(powers), want, queries)
+        assert generator_state(rng) == generator_state(twin)
+    if prob == 0.25:
+        assert [math.sin((2 * k + 1) * theta) ** 2 for k in (1, 4, 16, 64)] \
+            == [1.0] * 4
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, float("nan")])
+def test_draw_plan_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ConfigError, match="eps must lie"):
+        _draw_hits(0.3, eps, random.Random(1))
+    assert _plan.cache_info().currsize == 0
+
+
+def test_draw_plan_memo_is_bounded_and_holds_the_walks():
+    # more masses than the memo keeps: it stays at PLANS plans, and each
+    # plan holds a certain count for a power at 0 or 1 and the walk memo's
+    # own tuple for any other, not a copy
+    for j in range(PLANS + 8):
+        prob = j / (PLANS + 7)
+        powers, outcomes, _ = _plan(prob, 0.02)
+        theta = math.asin(math.sqrt(prob))
+        for k, outcome in zip(powers, outcomes):
+            p = math.sin((2 * k + 1) * theta) ** 2
+            if p <= 0.0 or p >= 1.0:
+                assert outcome == (0 if p <= 0.0 else SHOTS)
+            else:
+                assert outcome is _walk(SHOTS, p)
+    assert _plan.cache_info().currsize == PLANS
 
 
 def padded(real, size):
@@ -813,6 +879,15 @@ def padded(real, size):
     slices: indices past the grid repeat its last point."""
     pad = np.full(BLOCKS * BLOCK - real.size, real[-1])
     return np.concatenate([real, pad]).reshape(-1, size)
+
+
+def widened(powers, hits):
+    """The upper and lower block bounds ``_bounds`` certifies: its
+    product's maxima half widened up and its minima half widened down by
+    its slack."""
+    product, slack = _bounds(powers, hits, SHOTS)
+    assert product.shape == (2 * BLOCKS,)
+    return product[:BLOCKS] * (1.0 - slack), product[BLOCKS:] * (1.0 + slack)
 
 
 @pytest.mark.parametrize("h", [0, SHOTS])
@@ -832,7 +907,7 @@ def test_block_bounds_finite_and_tight(h):
             assert np.array_equal(bounds[side * size + row, BLOCKS:],
                                   blocks.min(axis=1))
     hits = [np.int64(h)] * len(powers)
-    upper, lower = _bounds(powers, hits, SHOTS)
+    upper, lower = widened(powers, hits)
     assert upper.shape == lower.shape == (BLOCKS,)
     assert np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))
     assert np.all(lower <= upper)
@@ -849,7 +924,7 @@ def test_block_bounds_are_certified(case):
     # of the full-grid sum in that block, the padded last block included
     eps, hits = case
     powers = powers_for(eps)
-    upper, lower = _bounds(powers, hits, SHOTS)
+    upper, lower = widened(powers, hits)
     blocks = padded(full_grid_loglik(powers, hits), BLOCK)
     assert np.all(lower <= blocks.min(axis=1))
     assert np.all(blocks.max(axis=1) <= upper)
@@ -890,16 +965,23 @@ def test_probe_decision_equals_the_estimate(case):
     assert rng.getstate() == twin.getstate()
 
 
+def counting(monkeypatch, name):
+    """A list that receives the arguments of every call of risk.<name>."""
+    calls = []
+    function = getattr(risk, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(risk, name, counted)
+    return calls
+
+
 def test_probe_decision_searches_only_near_the_crossing(monkeypatch):
     # far from the level the bounds decide, with no search; at the level
     # the argmax may sit in the crossing's blocks, and the probe searches
-    searches = []
-
-    def counted(*args):
-        searches.append(args)
-        return _likelihood_argmax(*args)
-
-    monkeypatch.setattr(risk, "_likelihood_argmax", counted)
+    searches = counting(monkeypatch, "_likelihood_argmax")
     for q, prob in ((0.05, 0.3), (0.5, 0.3), (0.3, 0.3)):
         searches.clear()
         reached, _ = estimate_reaches(prob, q, 0.02, random.Random(4))
@@ -908,25 +990,104 @@ def test_probe_decision_searches_only_near_the_crossing(monkeypatch):
             assert reached == (prob > q)
 
 
-def test_search_peak_holds_the_memo_and_two_batches():
-    # eps 0.001, 11 powers: hits whose search keeps over 100 of the 782
-    # blocks evaluate them CHUNK at a time, so the search holds at most the
-    # memo's MEMO_BLOCKS blocks, one batch's tables on their way into the
-    # memo and their stacked copy, and returns the full grid's argmax
+# levels just above CDF_TOL, at 2 CDF_TOL and 1 - 1e-9, and levels whose
+# crossing index falls mid-block in each of the first and the last three
+# blocks: at the grid's ends the probe has no block, or one, on a side
+END_LEVELS = [CDF_TOL * (1 + 2**-20), 2 * CDF_TOL, 1 - 1e-9] + [
+    math.sin((block * BLOCK + BLOCK // 2) * STEP) ** 2 + CDF_TOL
+    for block in (0, 1, 2, BLOCKS - 3, BLOCKS - 2, BLOCKS - 1)]
+
+
+@pytest.mark.parametrize("q", END_LEVELS)
+def test_probe_decision_at_the_grid_ends(q, monkeypatch):
+    # masses at the level, around it, mid-grid and at both ends, 30 seeds
+    # each: the answer, the query count and the generator state are the
+    # estimate's, and a mass mid-grid, far from the level, is decided from
+    # the bounds with no search
+    searches = counting(monkeypatch, "_likelihood_argmax")
+    for prob in (0.0, 1e-12, q / 2, q, min(1.0, 2 * q), 0.5, 1 - (1 - q) / 2,
+                 1 - 1e-12, 1.0):
+        for seed in range(30):
+            searches.clear()
+            rng, twin = random.Random(seed), random.Random(seed)
+            reached, queries = estimate_reaches(prob, q, 0.02, rng)
+            searched = len(searches)
+            est = estimate_amplitude(prob, 0.02, twin)
+            assert reached == (est.value > 0 and est.value >= q - CDF_TOL)
+            assert queries == est.queries
+            assert rng.getstate() == twin.getstate()
+            if prob == 0.5:
+                assert not searched and reached == (q < 0.5)
+
+
+def test_probe_decision_computes_one_bound_product(monkeypatch):
+    # a probe at its own level is often searched, and the search reads the
+    # decision's product: every probe, decided or searched, computes one
+    products = counting(monkeypatch, "_bounds")
+    searches = counting(monkeypatch, "_likelihood_argmax")
+    for seed in range(20):
+        products.clear()
+        estimate_reaches(0.3, 0.3, 0.02, random.Random(seed))
+        assert len(products) == 1
+    assert searches
+
+
+# eps 0.001, 11 powers: hits whose search keeps over 100 of the 782 blocks
+PAST_THE_MEMO = [1, 86, 47, 66, 0, 49, 54, 47, 36, 11, 62]
+
+
+def counted_blocks(monkeypatch):
+    """A list that receives the block count of every exact table computed
+    from now on, through the block memo or outside it."""
+    counts = []
+    log_tables = risk._log_tables
+
+    def counted(mults, theta):
+        counts.append(theta.size // BLOCK)
+        return log_tables(mults, theta)
+
+    monkeypatch.setattr(risk, "_log_tables", counted)
+    return counts
+
+
+def test_search_peak_holds_the_memo_and_two_batches(monkeypatch):
+    # a search that keeps over 100 blocks evaluates them CHUNK at a time,
+    # so it holds at most the memo's MEMO_BLOCKS blocks, one batch's tables
+    # and their stacked copy, and returns the full grid's argmax
     powers = powers_for(0.001)
-    hits = [1, 86, 47, 66, 0, 49, 54, 47, 36, 11, 62]
+    hits = PAST_THE_MEMO
     _block_bounds(tuple(powers))
-    misses = _block_tables.cache_info().misses
+    evaluated = counted_blocks(monkeypatch)
     tracemalloc.start()
     try:
         index = _likelihood_argmax(powers, hits, SHOTS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _block_tables.cache_info().misses - misses > 3 * CHUNK
+    assert sum(evaluated) > 3 * CHUNK
     block_bytes = 2 * len(powers) * BLOCK * 8
     assert peak <= (MEMO_BLOCKS + 2 * CHUNK) * block_bytes
     assert index == full_grid_argmax(powers, hits)
+
+
+def test_search_past_the_memo_keeps_its_first_blocks(monkeypatch):
+    # a search that keeps more blocks than the memo holds puts only its
+    # first MEMO_BLOCKS there and computes the rest outside it, so a repeat
+    # finds those instead of each evicted before it comes back to it, and
+    # returns the same index
+    powers = powers_for(0.001)
+    _block_bounds(tuple(powers))
+    evaluated = counted_blocks(monkeypatch)
+    first = _likelihood_argmax(powers, PAST_THE_MEMO, SHOTS)
+    cold, searched = _block_tables.cache_info(), sum(evaluated)
+    assert searched > 3 * CHUNK
+    assert cold.misses == cold.currsize == MEMO_BLOCKS
+    evaluated.clear()
+    assert _likelihood_argmax(powers, PAST_THE_MEMO, SHOTS) == first
+    warm = _block_tables.cache_info()
+    assert warm.hits - cold.hits >= MEMO_BLOCKS - 1
+    assert warm.misses == cold.misses and warm.currsize == MEMO_BLOCKS
+    assert sum(evaluated) == searched - (warm.hits - cold.hits)
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.01])

@@ -112,6 +112,7 @@ with open(sys.argv[1]) as fh:
 caches = {"risk._block_bounds": risk._block_bounds,
           "risk._block_tables": risk._block_tables,
           "risk._walk": risk._walk,
+          "risk._plan": risk._plan,
           "risk._empirical_cdf": risk._empirical_cdf,
           "qsvt._ladder_fit": qsvt._ladder_fit,
           "qsvt._fit_certificate": qsvt._fit_certificate,
@@ -135,5 +136,5 @@ def test_import_and_budget_check_build_no_tables(tmp_path):
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert len(sizes) == 11
+    assert len(sizes) == 12
     assert all(size == 0 for size in sizes.values()), sizes
