@@ -19,6 +19,12 @@ DEFAULT_QUBIT_CAP = 24
 # basis indices are int64, so no layout may span more qubits
 MAX_QUBIT_CAP = 63
 GRID_CACHE = 16  # grids and their price codes
+PARSE_CACHE = 64  # parsed markets and payoffs, a few hundred bytes each
+# the most pricing or scenario steps a config may take: both loops run one
+# Python-level step per dtau, and at 2^16 of each a request on the README
+# grid (n = 4) runs in about two seconds; every tested and benchmarked
+# config takes at most 64
+MAX_STEPS = 2**16
 
 PayoffKind = Literal["call", "put"]
 
@@ -70,6 +76,9 @@ def _check_integer_multiple(num: float, den: float, what: str) -> int:
     k_round = round(k)
     if abs(k - k_round) > 1e-9 * max(1.0, abs(k)):
         raise ConfigError(f"{what} = {num}/{den} is not an integer number of steps")
+    if k_round > MAX_STEPS:
+        raise ConfigError(f"{what} = {num}/{den} is {k_round} steps, past the "
+                          f"limit of {MAX_STEPS}")
     return int(k_round)
 
 
@@ -82,7 +91,8 @@ class MarketParams:
     alpha  square-root local volatility coefficient (sigma(S) = alpha / sqrt(S))
     T      option expiry
     t_bar  risk horizon, 0 <= t_bar <= T
-    dtau   timestep; both (T - t_bar)/dtau and t_bar/dtau must be integers
+    dtau   timestep; both (T - t_bar)/dtau and t_bar/dtau must be integers,
+           at most MAX_STEPS
     """
 
     r: float
@@ -115,14 +125,18 @@ class MarketParams:
         return _check_integer_multiple(self.t_bar, self.dtau, "t_bar/dtau")
 
 
+def _check_kind(kind) -> None:
+    if kind not in ("call", "put"):
+        raise ConfigError(f"kind must be 'call' or 'put', got {kind!r}")
+
+
 @dataclass(frozen=True)
 class PayoffSpec:
     kind: PayoffKind
     strike: float
 
     def __post_init__(self):
-        if self.kind not in ("call", "put"):
-            raise ConfigError(f"kind must be 'call' or 'put', got {self.kind!r}")
+        _check_kind(self.kind)
         if self.strike < 0:
             raise ConfigError(f"strike must be non-negative, got {self.strike}")
 
@@ -178,6 +192,8 @@ def _grid(bounds: bytes, n: int, spacing: str) -> PriceGrid:
     return PriceGrid(nodes, n)
 
 
+# in the order load_market_config packs them: the market's six, the
+# strike, the grid's two
 _NUMBER_KEYS = ("r", "mu", "alpha", "T", "t_bar", "dtau", "strike", "s_min",
                 "s_max")
 _CONFIG_KEYS = {*_NUMBER_KEYS, "kind", "n", "spacing"}
@@ -203,6 +219,8 @@ def config_int(doc: dict, key: str, default=None) -> int:
     8.0 or a decimal string such as "8".  A fraction, which ``int`` would
     truncate, a boolean or a value of any other type is a ConfigError."""
     value = doc.get(key, default)
+    if type(value) is int:
+        return value
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
@@ -220,22 +238,40 @@ def config_int(doc: dict, key: str, default=None) -> int:
 
 def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGrid]:
     """Read the JSON config (keys r, mu, alpha, T, t_bar, dtau, kind, strike,
-    s_min, s_max, n, spacing) into validated domain objects."""
-    doc = read_config_doc(path_or_dict)
+    s_min, s_max, n, spacing) into validated domain objects; a dict is read
+    in place, not copied.  The market and the payoff come from bounded
+    memos keyed on the bit patterns of their floats, so -0.0 and 0.0 stay
+    apart; every check runs before a memo is read or on its miss, so a bad
+    document raises the same error on every call."""
+    doc = (path_or_dict if isinstance(path_or_dict, dict)
+           else read_config_doc(path_or_dict))
     missing = _CONFIG_KEYS - doc.keys()
     if missing:
         raise ConfigError(f"config missing keys: {sorted(missing)}")
     try:
-        num = {key: float(doc[key]) for key in _NUMBER_KEYS}
-        bad = [f"{key}={value}" for key, value in num.items()
-               if not math.isfinite(value)]
-        if bad:
+        num = [float(doc[key]) for key in _NUMBER_KEYS]
+        if not all(map(math.isfinite, num)):
+            bad = [f"{key}={value}" for key, value in zip(_NUMBER_KEYS, num)
+                   if not math.isfinite(value)]
             raise ConfigError(f"config values must be finite: {', '.join(bad)}")
-        params = MarketParams(r=num["r"], mu=num["mu"], alpha=num["alpha"],
-                              T=num["T"], t_bar=num["t_bar"], dtau=num["dtau"])
-        spec = PayoffSpec(kind=doc["kind"], strike=num["strike"])
-        grid = build_grid(num["s_min"], num["s_max"], config_int(doc, "n"),
-                          doc["spacing"])
+        bits = struct.pack("<9d", *num)
+        params = _market(bits[:48])
+        kind = doc["kind"]
+        _check_kind(kind)
+        spec = _payoff(kind, bits[48:56])
+        grid = build_grid(*num[7:], config_int(doc, "n"), doc["spacing"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return params, spec, grid
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE)
+def _market(bits: bytes) -> MarketParams:
+    """The market of the packed r, mu, alpha, T, t_bar and dtau."""
+    return MarketParams(*struct.unpack("<6d", bits))
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE)
+def _payoff(kind: str, strike: bytes) -> PayoffSpec:
+    """The payoff of a checked kind and the packed strike."""
+    return PayoffSpec(kind, *struct.unpack("<d", strike))

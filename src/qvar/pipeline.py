@@ -25,11 +25,15 @@ reads of a book is a step function: the classical quantile of the
 empirical CDF's step q falls in, the tail mass of the threshold's rank
 among the book's value codes, the CVaR overlap of the terms at or below
 it.  So the level tables keep each read on its step, filled on first read
-and bounded by the book's L and codes.  Each request still runs the
-budget check first, then both classical readouts at its level and Step
-4's reads: bisection VaR with all its probes, the CVaR overlap and, in
-sampled mode, its own ``random.Random`` seeded with the request's seed,
-which draws for every probe.  The ``ResourceTally`` charges the simulated
+and bounded by the book's L and codes.  The exact VaR is one too: every
+bisection probe compares one of the book's tail masses with q, so its
+code, iterations and queries are kept on the step q falls in among them
+(``risk.exact_var``).  Each request still runs the budget check first,
+then both classical readouts at its level and Step 4's reads: the VaR,
+the CVaR overlap and, in sampled mode, its own ``random.Random`` seeded
+with the request's seed, which draws for every bisection probe.  The
+config's market and payoff come from the parse memos of
+``market.load_market_config``.  The ``ResourceTally`` charges the simulated
 device Steps 1-3 and one state preparation per probe on every request,
 memo or not, so a hit and a miss give the same tally and the same report
 bytes."""
@@ -55,7 +59,7 @@ from .qpca import (assemble_portfolio_state, decode_value,
                    value_code_table, reduced_rho)
 from .qsvt import PROGRAM_CACHE, PreparedValueState, prepare_value_state
 from .risk import (FLAG, ClassicalRisk, QuantileTable, RiskReport, TailTable,
-                   bisection_var, cvar, make_reference_state)
+                   bisection_var, cvar, exact_var, make_reference_state)
 
 
 @dataclass
@@ -283,9 +287,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     eps_est = 0.02
 
     # Step 4: bisection VaR and the CVaR overlap, read from the book's tail
-    # table; the device prepares the state once per probe
-    var_code, iterations, queries = bisection_var(
-        quantum.tail, config.q, mode=measure_mode, eps=eps_est, rng=rng)
+    # table; the device prepares the state once per probe.  Exact mode's
+    # search is read from its level step
+    if sampled:
+        var_code, iterations, queries = bisection_var(
+            quantum.tail, config.q, mode=measure_mode, eps=eps_est, rng=rng)
+    else:
+        var_code, iterations, queries = exact_var(quantum.tail, config.q)
     tally.bisection_iterations = iterations
     tally.state_preparation_repetitions += iterations
     breakdown = cvar(quantum.tail, var_code, config.L, scale,
@@ -293,7 +301,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if sampled:
         tally.amplitude_estimation_queries += queries + breakdown.queries
 
-    var_norm = float(decode_value(var_code, config.m))
+    # decode_value's bits: an exact division by a power of two
+    var_norm = var_code / 2 ** (config.m - 1)
     method = "quantum_sampled" if sampled else "quantum_exact"
     report = RiskReport(level=config.q, var=var_norm * scale,
                         cvar=breakdown.cvar, p0=breakdown.p0, method=method,

@@ -3,10 +3,10 @@ overlap and its reconstruction, plus the classical quantile oracle.
 Step 4 reads a ``TailTable`` built once per flagged state: the bisection
 probes sum its squared magnitudes (``tail_probability``) and the CVaR
 overlap its contraction terms (``swap_test_overlap``); no request writes
-the flag.  Both reads, and the classical quantile readout
-(``QuantileTable``), change only at a few steps of the threshold or the
-level, so each is memoised on its step and a level read again is a
-lookup.
+the flag.  Both reads, the exact bisection's result (``exact_var``) and
+the classical quantile readout (``QuantileTable``) change only at a few
+steps of the threshold or the level, so each is memoised on its step and
+a level read again is a lookup.
 
 All quantum-path quantities operate on the m-bit half-scale value codes,
 so the quantum-exact VaR code coincides with the classical empirical
@@ -520,7 +520,10 @@ class TailTable:
     threshold's rank among ``levels``, the distinct codes ascending (at
     most len(levels) + 1 entries), and ``overlaps`` the exact overlap on
     its prefix length (at most L + 1).  Every threshold of one step sums
-    the same entries in the same order, so a hit has a miss's bits."""
+    the same entries in the same order, so a hit has a miss's bits.  The
+    exact VaR is a step function of the level, so ``var_reads`` keeps
+    ``bisection_var``'s result on the level's step (``exact_var``, at most
+    len(levels) + 1 entries)."""
 
     def __init__(self, state: StateVector, reference=None, value_lookup=None):
         layout = state.layout
@@ -531,7 +534,7 @@ class TailTable:
         self.probs.setflags(write=False)
         # not np.unique, which imports numpy.ma
         self.levels = tuple(sorted(set(self.codes.tolist())))
-        self.masses, self.overlaps = {}, {}
+        self.masses, self.overlaps, self.var_reads = {}, {}, {}
         self.ref_norm = self.term_codes = self.term_real = self.term_imag = None
         if reference is None:
             return
@@ -544,6 +547,12 @@ class TailTable:
         self.term_codes = tuple(codes[order].tolist())
         self.term_real = tuple(terms.real[order].tolist())
         self.term_imag = tuple(terms.imag[order].tolist())
+
+    @functools.cached_property
+    def level_masses(self) -> tuple:
+        """The tail mass at each of ``levels``, nondecreasing: summing more
+        nonnegative terms in the same order never rounds lower."""
+        return tuple(tail_probability(self, code)[0] for code in self.levels)
 
 
 def tail_probability(table: TailTable, threshold_code: int,
@@ -606,6 +615,24 @@ def bisection_var(table: TailTable, q: float, mode: str = "exact",
         else:
             lo = mid + 1
     return lo, iterations, queries
+
+
+def exact_var(table: TailTable, q: float) -> tuple[int, int, int]:
+    """``bisection_var`` in exact mode, memoised on the step of q.  A probe
+    at a threshold of rank r among the table's levels is accepted when
+    that rank's tail mass is positive and reaches q - CDF_TOL.  The masses
+    rise with r, so the probes' outcomes, and the search's result, are
+    fixed by the step ``bisect_left(masses, q - CDF_TOL)``, one of
+    len(levels) + 1 (``TailTable.var_reads``).  Every level at or below
+    CDF_TOL reads step 0 and picks the least code with mass; a higher
+    level reads step 0 only when the first level has mass, and picks it
+    too."""
+    _check_level(q)
+    step = bisect.bisect_left(table.level_masses, q - CDF_TOL)
+    read = table.var_reads.get(step)
+    if read is None:
+        read = table.var_reads[step] = bisection_var(table, q)
+    return read
 
 
 def swap_test_overlap(table: TailTable, threshold_code: int,

@@ -4,11 +4,12 @@ import pytest
 from qvar import market, pipeline, qpca, qsvt, risk
 from qvar.market import MarketParams, PayoffSpec, build_grid
 
-# every in-process memo, emptied before every test: the grids and their
-# price codes, the books, Stage 1's fits, programs and least singular
-# values, amplitude estimation's block bounds, block tables, binomial
-# walks and draw plans and the classical CDFs
-MEMOS = (market._grid, qpca._grid_codes, pipeline._book, qsvt._ladder_fit,
+# every in-process memo, emptied before every test: the parsed markets and
+# payoffs, the grids and their price codes, the books, Stage 1's fits,
+# programs and least singular values, amplitude estimation's block bounds,
+# block tables, binomial walks and draw plans and the classical CDFs
+MEMOS = (market._market, market._payoff, market._grid, qpca._grid_codes,
+         pipeline._book, qsvt._ladder_fit,
          qsvt._fit_certificate, qsvt._phase_factors, qsvt._encoding,
          qsvt._value_block, qsvt._sigma_min, risk._block_bounds,
          risk._block_tables, risk._walk, risk._plan, risk._empirical_cdf)

@@ -4,9 +4,13 @@ Each test prints a single PASS line when its assertions hold, so the
 suite doubles as a checklist: pytest -s tests/test_acceptance.py
 """
 
+import hashlib
+import importlib.util
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from qvar.market import (MarketParams, PayoffSpec, build_grid, payoff_vector,
                          price_code)
 from qvar.mc import PathSet
 from qvar.nogo import copy_curve, trace_norm_gap
+from qvar.pipeline import emit_report, load_run_config, run_pipeline
 from qvar.pde import (TridiagonalOperator, assemble_operator, price_american,
                       price_european)
 from qvar.qcore import RegisterLayout
@@ -290,3 +295,51 @@ def test_criterion_10_deterministic_runs(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
     _report("criterion 10", "three runs produced bit-identical reports "
                             f"({len(blobs[0])} bytes)")
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# sha256 of the benchmark's checked reports, the 16 requests of each of
+# seeds 1-3 run in order in one process, and of the same requests in
+# quantum_sampled mode; fine_grid is sampled already
+WORKLOAD_REPORT_SHA256 = {
+    ("deep_horizon", "quantum_exact"):
+        "f107c02eb6d6086e0594551ea993e803e2e21a68189a546676633949467b419f",
+    ("deep_horizon", "quantum_sampled"):
+        "9652d5f203881388c3f77b3867282bd0d90314f8ec73f71adc5473b724b3857e",
+    ("fine_grid", "quantum_sampled"):
+        "8cf92f30ed28ea936f77f22fb52e03f5f9523b6413f4aec004e940fae44cfb98",
+    ("readme_default", "quantum_exact"):
+        "c21a4eb6d43b8a488d4c90a203e759ee6cf930a948467c5872a70d22c61ad2df",
+    ("readme_default", "quantum_sampled"):
+        "38e3620b1f5427f8faa78f2eee13757ebfbdbc8847429752898cb4d46bbc3700",
+    ("wide_book", "quantum_exact"):
+        "1a64850934c9e38a2f0d2ca45d05ac766c85cdd3340536fe21d8d742671a177d",
+    ("wide_book", "quantum_sampled"):
+        "c98deea71d67d851a9224673de7108de62e1455a8cb51def999b2d6accf2de83",
+}
+
+
+def benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload,mode", sorted(WORKLOAD_REPORT_SHA256))
+def test_criterion_10_workload_reports_pinned(workload, mode):
+    docs = [doc for seed in (1, 2, 3)
+            for doc in benchmark_workloads()[workload].requests(seed)]
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(emit_report(run_pipeline(load_run_config(
+            {**doc, "mode": mode}))).encode())
+    assert len(docs) == 48
+    assert digest.hexdigest() == WORKLOAD_REPORT_SHA256[workload, mode]

@@ -169,6 +169,29 @@ def test_tally_is_equal_on_a_hit_and_a_miss(mode):
     assert pipeline._book.cache_info().misses == 1
 
 
+def test_an_exact_var_hit_charges_a_miss_tally(monkeypatch):
+    # the README book's tail masses are multiples of 1/8, so 0.1 reads the
+    # VaR 0.05 searched: no bisection runs, and the tally and report are a
+    # cold request's at 0.1
+    pipeline._book.cache_clear()
+    cold = run(q=0.1)
+    pipeline._book.cache_clear()
+    searches, bisection_var = [], risk.bisection_var
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return bisection_var(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "bisection_var", counted)
+    run(q=0.05)
+    assert len(searches) == 1
+    warm = run(q=0.1)
+    assert len(searches) == 1
+    assert warm.tally == cold.tally
+    assert emit_report(warm) == emit_report(cold)
+    assert len(book_of()._quantum.tail.var_reads) == 1
+
+
 def test_a_warm_request_at_a_read_level_sums_no_tail_mass(monkeypatch):
     # each tail mass is summed once per step of the book's tail table, so a
     # warm exact request at a level already read finds every probe's mass

@@ -288,14 +288,17 @@ def test_bad_run_value_exit_code(tmp_path, capsys, override):
 
 
 # one README-config field made non-finite, or so small that a step count
-# overflows; each used to exit 1 with a traceback, 3, or 2 with a
-# meaningless code collision
+# overflows or passes market.MAX_STEPS; each used to exit 1 with a
+# traceback, 3, or 2 with a meaningless code collision, and a dtau of 1e-12
+# marched its 2e9 pricing steps for minutes
 @pytest.mark.parametrize("field,value", [
-    ("T", 1e400), ("dtau", 1e-320), ("L", 1e400), ("m", 1e400), ("seed", 1e400),
+    ("T", 1e400), ("dtau", 1e-320), ("dtau", 1e-12), ("L", 1e400),
+    ("m", 1e400), ("seed", 1e400),
     ("n", 1e400), ("strike", float("nan")), ("r", float("nan")),
     ("alpha", float("nan")), ("mu", float("nan")), ("s_max", 1e400)],
-    ids=["T_inf", "dtau_tiny", "L_inf", "m_inf", "seed_inf", "n_inf",
-         "strike_nan", "r_nan", "alpha_nan", "mu_nan", "s_max_inf"])
+    ids=["T_inf", "dtau_tiny", "dtau_steps_past_cap", "L_inf", "m_inf",
+         "seed_inf", "n_inf", "strike_nan", "r_nan", "alpha_nan", "mu_nan",
+         "s_max_inf"])
 def test_non_finite_config_value_exit_code(tmp_path, capsys, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**BASE_CONFIG, field: value}))

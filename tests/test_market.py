@@ -1,12 +1,19 @@
 import json
+import math
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import MEMOS
+from qvar import market
 from qvar.errors import ConfigError, QubitBudgetError
 from qvar.market import (MarketParams, PayoffSpec, build_grid,
                          load_market_config, payoff_vector, price_code)
 from qvar.mc import PathSet
+from qvar.pipeline import load_run_config
 from qvar.qpca import snap_paths
 
 
@@ -120,3 +127,117 @@ def test_config_missing_key(tmp_path):
     path.write_text(json.dumps({"r": 0.1}))
     with pytest.raises(ConfigError):
         load_market_config(str(path))
+
+
+README_DOC = {
+    "r": 0.02, "mu": 0.05, "alpha": 0.2, "T": 16 / 4096, "t_bar": 8 / 4096,
+    "dtau": 1 / 4096, "kind": "call", "strike": 1.0, "s_min": 0.0,
+    "s_max": 4.0, "n": 4, "spacing": "uniform", "s0": 1.0, "L": 8, "m": 6,
+    "q": 0.05, "mode": "quantum_exact", "seed": 11, "eps1": 1e-3,
+}
+NAN = float("nan")
+# each field's spellings: its value as int, float or string, a signed zero,
+# a boolean, NaN and a few that fail a check; MISSING drops the key
+MISSING = object()
+NUMBERS = [0.0, -0.0, 1, 1.0, "1.0", "1", True, NAN, "nan", -1.0, "x", None]
+SPELLINGS = {
+    **{key: [value, str(value), *NUMBERS] for key, value in README_DOC.items()
+       if isinstance(value, float)},
+    **{key: [value, float(value), str(value), 8.5, *NUMBERS]
+       for key, value in README_DOC.items() if type(value) is int},
+    "kind": ["call", "put", ["call"], {"call": 1}, "swap", 1, True, NAN],
+    "spacing": ["uniform", "geometric", ["uniform"], "log", 0],
+    "mode": ["quantum_exact", "classical", "quantum_sampled", "exact", 1],
+}
+
+
+@st.composite
+def documents(draw):
+    """The README document with up to four fields respelled or dropped."""
+    doc = dict(README_DOC)
+    for key in draw(st.lists(st.sampled_from(sorted(README_DOC)), max_size=4,
+                             unique=True)):
+        spelled = draw(st.sampled_from(SPELLINGS[key] + [MISSING]))
+        if spelled is MISSING:
+            del doc[key]
+        else:
+            doc[key] = spelled
+    return doc
+
+
+def bits(value):
+    """A parsed field as comparable bits: a float's bit pattern, and the
+    type of anything else with its value."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return type(value), value
+
+
+def parsed(doc):
+    """Every field of the run config parsed from ``doc``, bit for bit, or
+    the type and message of the error it raises."""
+    try:
+        config = load_run_config(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = [getattr(config.market, name) for name in
+              ("r", "mu", "alpha", "T", "t_bar", "dtau")]
+    fields += [config.payoff.kind, config.payoff.strike, config.grid.n,
+               config.grid.nodes.tobytes(), config.s0, config.L, config.m,
+               config.q, config.mode, config.seed, config.eps1]
+    return [bits(field) for field in fields]
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=documents())
+def test_a_warm_parse_equals_a_cold_one(doc):
+    # cold, then warm through every parse memo, then cold again: the same
+    # fields bit for bit, or the same error
+    clear_memos()
+    cold = parsed(doc)
+    assert parsed(doc) == cold
+    clear_memos()
+    assert parsed(doc) == cold
+
+
+@pytest.mark.parametrize("kind", ["swap", ["call"], {"call": 1}, None])
+def test_a_bad_kind_fails_its_check_before_the_memo(kind):
+    # an unhashable kind too: the check runs before the memo hashes it
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=r"kind must be 'call' or 'put', "
+                                              r"got " + re.escape(repr(kind))):
+            load_run_config({**README_DOC, "kind": kind})
+
+
+def test_a_signed_zero_keeps_its_own_market_and_payoff():
+    # the memos key floats on their bits: -0.0 after 0.0 is not a hit
+    for sign in (1.0, -1.0, 1.0):
+        config = load_run_config({**README_DOC, "r": sign * 0.0,
+                                  "strike": sign * 0.0})
+        assert math.copysign(1.0, config.market.r) == sign
+        assert math.copysign(1.0, config.payoff.strike) == sign
+    assert market._market.cache_info().currsize == 2
+    assert market._payoff.cache_info().currsize == 2
+
+
+def test_a_warm_load_reads_the_qubit_cap(monkeypatch):
+    # QVAR_QUBIT_CAP is read on every load, memo or not: n = 4 fits a cap
+    # of 12 but the pipeline's 14 qubits do not; a cap of 3 refuses the grid
+    load_run_config(README_DOC).check_budget()
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "12")
+    with pytest.raises(QubitBudgetError, match="budget is 12"):
+        load_run_config(README_DOC).check_budget()
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "3")
+    with pytest.raises(QubitBudgetError, match="budget of 3"):
+        load_run_config(README_DOC)
+    monkeypatch.setenv("QVAR_QUBIT_CAP", "x")
+    with pytest.raises(ConfigError, match="must be an integer"):
+        load_run_config(README_DOC)
+    monkeypatch.delenv("QVAR_QUBIT_CAP")
+    load_run_config(README_DOC).check_budget()
+    assert market._market.cache_info().misses == 1

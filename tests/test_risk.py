@@ -25,7 +25,7 @@ from qvar.risk import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS, PLANS, STEP,
                        _draw_hits, _draws, _likelihood_argmax, _loglik,
                        _plan, _walk,
                        bisection_var,
-                       classical_var_cvar, comparator_ucc, cvar,
+                       classical_var_cvar, comparator_ucc, cvar, exact_var,
                        estimate_amplitude, estimate_reaches,
                        make_reference_state, overlap_terms, swap_test_overlap,
                        tail_probability)
@@ -238,6 +238,35 @@ def test_memoised_tail_reads_equal_the_unmemoised_sums(case, data):
     assert list(table.levels) == np.unique(table.codes).tolist()
     assert len(table.overlaps) <= (0 if reference is None
                                    else len(table.term_codes) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tail_instances(), data=st.data())
+def test_memoised_exact_var_equals_the_bisection(case, data):
+    # the exact VaR is memoised on the step q - CDF_TOL falls in among the
+    # tail masses, so q is read on both sides of every mass and of every
+    # k / L, in a drawn order and twice, against the unmemoised bisection
+    # on a fresh table
+    state, reference, lookup, m = case
+    codes = TailTable(state).codes
+    cut = data.draw(st.sampled_from([0, *sorted(set(codes.tolist()))[1:]]))
+    if cut:
+        # the branches below the cut hold no mass, so the lowest levels'
+        # tail masses are 0 and no q reaches them
+        amps = np.where(codes < cut, 0.0, state.amplitudes)
+        state = StateVector(amps / np.linalg.norm(amps), state.layout,
+                            state.index)
+    table = TailTable(state, reference, lookup)
+    oracle = TailTable(state, reference, lookup)
+    count = state.amplitudes.size
+    masses = [tail_probability(oracle, code)[0] for code in oracle.levels]
+    levels = [q for mid in [k / count for k in range(count + 1)] + masses
+              for q in (mid - CDF_TOL, mid, mid + CDF_TOL) if 0 < q < 1]
+    for q in data.draw(st.permutations(levels * 2)):
+        assert exact_var(table, q) == bisection_var(oracle, q), q
+    assert len(table.var_reads) <= len(table.levels) + 1
+    with pytest.raises(ConfigError, match="q must lie in"):
+        exact_var(table, 1.0)
 
 
 def risk_bits(risk_read) -> tuple:
