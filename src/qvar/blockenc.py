@@ -25,7 +25,15 @@ meet and add nothing to the block.  R and L are one 8 x 8 reflection on
 (flag, branch) per index, signed so that it maps |0> to the prepared
 amplitudes.  The clamped positions at the edges carry zero amplitude, so
 completing the shift to a permutation by wrapping leaves the block as it
-is.  Every encoding is certified against the dense matrix before use.
+is.
+
+U is kept as its factors, the two (2^n, 8, 8) stacks of reflections, and
+never multiplied out: ``BlockEncoding.multiply_rows`` applies it to a
+batch of row vectors in O(64 2^n) per row.  The encoding is certified
+from the factors before use: every reflection is orthogonal, U_c is a
+permutation by construction, so U is orthogonal; and the top-left block,
+the only 2^n-square part of U ever formed, matches the dense matrix in
+the spectral norm.
 
 Register order inside the encoding unitary (most significant first):
 flag (1 qubit), branch (2 qubits), index (n qubits).  The encoded block
@@ -50,13 +58,40 @@ REST_OF_ROW = BRANCHES + 1  # flag 1, branch 1: a row's leftover amplitude
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """A unitary U on n + a qubits with ||M - gamma * block(U)|| <= eps."""
+    """A unitary U = L^T U_c R on n + a qubits with ||M - gamma * block(U)||
+    <= eps, held as its read-only factors: ``left[i]`` and ``right[j]`` are
+    the 8 x 8 reflections on (flag, branch) of row i and column j."""
 
-    U: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     gamma: float
     a: int
     eps: float
     n: int
+
+    def __post_init__(self):
+        for arr in (self.left, self.right):
+            arr.setflags(write=False)
+
+    def multiply_rows(self, rows: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Overwrite ``rows`` with rows @ U, or rows @ U^T, and return it.
+
+        ``rows`` holds R row vectors of the encoding space index-major,
+        shape (2^n, R, 8): entry (a, i) of row r, with a the (flag, branch)
+        value, at [i, r, a].  rows @ U applies L^T per index, moves branch
+        k from index i to i - SHIFTS[k % 4] and applies R per index;
+        rows @ U^T applies R^T, moves branch k from index j to
+        j + SHIFTS[k % 4], as U_c does, and applies L.  Each row is carried
+        on its own, so its bits do not depend on the other rows.
+        """
+        first, last, sign = ((self.right, self.left, 1) if transpose
+                             else (self.left, self.right, -1))
+        out = np.matmul(rows, np.swapaxes(first, 1, 2))
+        for k in range(2 * BRANCHES):
+            shift = SHIFTS[k % BRANCHES]
+            if shift:
+                out[:, :, k] = np.roll(out[:, :, k], sign * shift, axis=0)
+        return np.matmul(out, last, out=rows)
 
 
 def _preparations(branch: np.ndarray, norms: np.ndarray, top: float,
@@ -99,20 +134,20 @@ def assemble_block_encoding(mtilde: TridiagonalOperator) -> BlockEncoding:
 
     right = _preparations(np.abs(cols), col_norms, c_max, REST_OF_COLUMN)
     left = _preparations(rows, row_norms, r_max, REST_OF_ROW)
-    # U[(a, i), (b, j)] = sum_k L_i[k, a] R_j[k, b] over the branches k
-    # whose shift takes column j to row i
-    u = np.zeros((2 * BRANCHES, size, 2 * BRANCHES, size))
+    # U_c is a permutation, so U is orthogonal when every reflection is
+    eye = np.eye(2 * BRANCHES)
+    unit_err = max(np.abs(f @ np.swapaxes(f, 1, 2) - eye).max() for f in (left, right))
+    if unit_err > CERTIFY_TOL:
+        raise NumericalError(f"encoding unitary deviates from unitarity by {unit_err:.3e}")
+    # block[i, j] = sum_k L_i[k, 0] R_j[k, 0] over the branches k whose
+    # shift takes column j to row i
+    block = np.zeros((size, size))
     j = np.arange(size)
     for k in range(2 * BRANCHES):
         i = (j + SHIFTS[k % BRANCHES]) % size
-        u[:, i, :, j] += left[i, k, :, None] * right[j, k, None, :]
-    dim = 2 * BRANCHES * size
-    u = u.reshape(dim, dim)
-
-    unit_err = np.abs(u @ u.T - np.eye(dim)).max()
-    if unit_err > CERTIFY_TOL:
-        raise NumericalError(f"encoding unitary deviates from unitarity by {unit_err:.3e}")
-    cert = np.linalg.norm(mtilde.to_dense() - gamma * u[:size, :size], 2)
+        block[i, j] += left[i, k, 0] * right[j, k, 0]
+    cert = np.linalg.norm(mtilde.to_dense() - gamma * block, 2)
     if cert > CERTIFY_TOL:
         raise NumericalError(f"block-encoding certification failed: error {cert:.3e}")
-    return BlockEncoding(U=u, gamma=gamma, a=3, eps=cert, n=mtilde.n)
+    return BlockEncoding(left=left, right=right, gamma=gamma, a=3, eps=cert,
+                         n=mtilde.n)

@@ -129,36 +129,50 @@ def assemble_operator(params: MarketParams, grid: PriceGrid) -> TridiagonalOpera
     return TridiagonalOperator(sub, diag, sup, grid.n)
 
 
-def _thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
-    """Tridiagonal solve without pivoting; rejects tiny pivots.
+def _thomas_factor(sub, diag, sup) -> tuple[list, list, list]:
+    """The elimination of a tridiagonal matrix without pivoting: its
+    sub-diagonal, pivots and upper multipliers, as Python floats.  Rejects
+    tiny pivots.
 
     Safe here because (I + M) is diagonally dominant for small dtau.
-    Both sweeps run over Python floats: the same IEEE-754 operations in the
-    same order as on NumPy scalars, so the same bits, without a NumPy
-    scalar per operation.
+    The elimination and ``_thomas_sweep`` run over Python floats: the same
+    IEEE-754 operations in the same order as on NumPy scalars, so the same
+    bits, without a NumPy scalar per operation.
     """
-    sub, diag, sup, rhs = (np.asarray(a, dtype=float).tolist()
-                           for a in (sub, diag, sup, rhs))
+    sub, diag, sup = (np.asarray(a, dtype=float).tolist() for a in (sub, diag, sup))
     size = len(diag)
+    pivots = [0.0] * size
     c = [0.0] * size
-    d = [0.0] * size
-    pivot = diag[0]
-    if abs(pivot) < PIVOT_FLOOR:
-        raise NumericalError(f"singular system: |pivot| = {abs(pivot):.3e} at row 0")
-    c[0] = sup[0] / pivot
-    d[0] = rhs[0] / pivot
-    for i in range(1, size):
-        pivot = diag[i] - sub[i] * c[i - 1]
-        if abs(pivot) < PIVOT_FLOOR:
-            raise NumericalError(f"singular system: |pivot| = {abs(pivot):.3e} at row {i}")
+    for i in range(size):
+        pivots[i] = diag[i] - sub[i] * c[i - 1] if i > 0 else diag[i]
+        if abs(pivots[i]) < PIVOT_FLOOR:
+            raise NumericalError(
+                f"singular system: |pivot| = {abs(pivots[i]):.3e} at row {i}")
         if i < size - 1:
-            c[i] = sup[i] / pivot
-        d[i] = (rhs[i] - sub[i] * d[i - 1]) / pivot
+            c[i] = sup[i] / pivots[i]
+    return sub, pivots, c
+
+
+def _thomas_sweep(factor: tuple[list, list, list], rhs: list) -> list:
+    """The solution, as a list of Python floats, of the factored system for
+    one right-hand side: the forward sweep and the back substitution."""
+    sub, pivots, c = factor
+    size = len(pivots)
+    d = [0.0] * size
+    d[0] = rhs[0] / pivots[0]
+    for i in range(1, size):
+        d[i] = (rhs[i] - sub[i] * d[i - 1]) / pivots[i]
     x = [0.0] * size
     x[-1] = d[-1]
     for i in range(size - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
-    return np.array(x)
+    return x
+
+
+def _thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
+    """Tridiagonal solve without pivoting; rejects tiny pivots."""
+    return np.array(_thomas_sweep(_thomas_factor(sub, diag, sup),
+                                  np.asarray(rhs, dtype=float).tolist()))
 
 
 def implicit_step(op: TridiagonalOperator, surface: ValueSurface, dtau: float) -> ValueSurface:
@@ -170,12 +184,22 @@ def implicit_step(op: TridiagonalOperator, surface: ValueSurface, dtau: float) -
 
 
 def price_european(params: MarketParams, grid: PriceGrid, spec: PayoffSpec) -> ValueSurface:
-    """Backward-iterate the implicit step from the payoff at T down to t_bar."""
-    op = assemble_operator(params, grid)
-    surface = ValueSurface(t=params.T, values=payoff_vector(spec, grid))
-    for _ in range(params.pricing_steps):
-        surface = implicit_step(op, surface, params.dtau)
-    return surface
+    """Backward-iterate the implicit step from the payoff at T down to t_bar.
+
+    Every step solves with the same matrix I + M, so it is factored once
+    and each step runs only the sweeps: the operations of ``implicit_step``
+    in the same order, so the same bits."""
+    values = payoff_vector(spec, grid)
+    t = params.T
+    if params.pricing_steps:
+        op = assemble_operator(params, grid)
+        factor = _thomas_factor(op.sub, op.diag + 1.0, op.super_)
+        rows = values.tolist()
+        for _ in range(params.pricing_steps):
+            rows = _thomas_sweep(factor, rows)
+            t -= params.dtau
+        values = np.array(rows)
+    return ValueSurface(t=t, values=values)
 
 
 def price_american(params: MarketParams, grid: PriceGrid, spec: PayoffSpec) -> ValueSurface:

@@ -34,7 +34,11 @@ polynomial, for a = 4 ancillas in total.  A step keeps only the branch
 where every ancilla reads zero: the top-left 2^n block of U_Phi, which
 equals the polynomial applied to the singular values,
 sum_k P(sigma_k / gamma) |w_k><v_k|.  ``apply_qsvt`` computes that block
-alone, carrying the first 2^n rows of the product through the d factors.
+alone, carrying the first 2^n rows of the product through the d queries.
+Each query applies the encoding as its factors (``BlockEncoding``): one
+8 x 8 reflection per index, a shift of each branch and another
+reflection, O(64 4^n) for the 2^n rows, so no 2^(n+3)-square encoding
+unitary is built or cast to complex.
 
 ``prepare_value_state`` marches: it applies the block to the normalized
 state T times, renormalizing after each step.  A step's post-selection
@@ -58,7 +62,8 @@ compiled once per operator and kept in bounded in-process memos
 - the phase factors, on the fit's degree and coefficient bytes;
 - the block encoding and the stepping matrix's least singular value, on
   the bytes of the encoded operator's bands, and the top-left 2^n block of
-  U_Phi, on those bytes and the fit.  No 2^(n+4)-square matrix is built.
+  U_Phi, on those bytes and the fit.  No 2^(n+3)- or 2^(n+4)-square
+  matrix is built.
 
 Every request still walks the ladder with its own tolerance, checks the
 accepted fit's certificate against its eps and |P| <= 1 on [-1, 1],
@@ -77,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, assemble_block_encoding
+from .blockenc import BRANCHES, BlockEncoding, assemble_block_encoding
 from .errors import ConfigError, NumericalError
 from .market import MarketParams, PriceGrid
 from .pde import TridiagonalOperator, _thomas_solve, assemble_operator
@@ -523,29 +528,41 @@ class QsvtUnitary:
     degree: int
 
 
+def _alternate_rows(be: BlockEncoding, phases: PhaseFactorSequence,
+                   rows: np.ndarray) -> np.ndarray:
+    """Overwrite ``rows``, held index-major as in
+    ``BlockEncoding.multiply_rows``, with rows times the alternating
+    product of the d phase reflections and encoding queries, and return it.
+
+    Query k multiplies by diag(e^{i phi_k (2 Pi - I)}), +phi_k where both
+    encoding ancillas read zero and -phi_k elsewhere, then by U, or by
+    U^T = U^dagger on odd k, through the factors: O(64 2^n) per row and
+    query.
+    """
+    if be.a != 3:
+        raise ConfigError("expected a 3-ancilla block encoding")
+    signs = np.full(2 * BRANCHES, -1.0)
+    signs[0] = 1.0
+    for k, phi in enumerate(phases.phases):
+        rows *= np.exp(1j * phi * signs)
+        be.multiply_rows(rows, transpose=k % 2 == 1)
+    return rows
+
+
 def apply_qsvt(be: BlockEncoding, phases: PhaseFactorSequence) -> QsvtUnitary:
     """The top-left 2^n block of U_Phi for the encoding and the phases.
 
     Right multiplication never mixes rows, so only the first 2^n rows of
-    the alternating product are carried through the d factors.  The
+    the alternating product are carried through the d queries.  The
     real-part signal qubit averages the circuit with its phase-negated
     twin, which is its complex conjugate because the encoding unitary is
     real.
     """
     size = 2**be.n
-    dim = be.U.shape[0]
-    if be.a != 3:
-        raise ConfigError("expected a 3-ancilla block encoding")
-
-    # diag(e^{i phi (2 Pi - I)}) on the encoding space: +phi where both
-    # encoding ancillas read zero (indices < 2^n), -phi elsewhere
-    signs = np.full(dim, -1.0)
-    signs[:size] = 1.0
-    m = np.eye(size, dim, dtype=complex)
-    for k, phi in enumerate(phases.phases):
-        m = m * np.exp(1j * phi * signs)[None, :]  # M @ diag
-        m = m @ (be.U if k % 2 == 0 else be.U.T.conj())
-    plus = m[:, :size]
+    rows = np.zeros((size, size, 2 * BRANCHES), dtype=complex)
+    rows[np.arange(size), np.arange(size), 0] = 1.0
+    # row r's entries on the branch where both encoding ancillas read zero
+    plus = np.ascontiguousarray(_alternate_rows(be, phases, rows)[:, :, 0].T)
     block = 0.5 * (plus + plus.conj())
     block.setflags(write=False)
     return QsvtUnitary(matrix=block, degree=phases.degree)
@@ -567,10 +584,8 @@ def _operator_key(op: TridiagonalOperator) -> tuple:
 def _encoding(op_key: tuple) -> BlockEncoding:
     """Certified block encoding of the operator with these bands."""
     n, *bands = op_key
-    be = assemble_block_encoding(
+    return assemble_block_encoding(
         TridiagonalOperator(*(np.frombuffer(b) for b in bands), n))
-    be.U.setflags(write=False)
-    return be
 
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE)

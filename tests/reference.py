@@ -22,10 +22,14 @@ densely so that small instances can be compared entry by entry:
   tridiagonal solve on NumPy scalars (``numpy_thomas_solve``), which
   ``pde._thomas_solve`` runs over Python floats, the column map of the
   block encoding
-  (``column_index``), its top-left block (``encoded_block``) and its
-  certificate (``verify_block_encoding``);
-* the full 2^(n+4)-square QSVT circuit U_Phi (``qsvt_circuit``), whose
-  top-left 2^n block ``qsvt.apply_qsvt`` computes alone;
+  (``column_index``), its 2^(n+3)-square unitary multiplied out from the
+  factors (``dense_unitary``), its top-left block (``encoded_block``) and
+  its certificate (``verify_block_encoding``);
+* the full 2^(n+4)-square QSVT circuit U_Phi, carried on every row
+  through the factored queries (``qsvt_circuit``), whose top-left 2^n
+  block ``qsvt.apply_qsvt`` computes alone, and through the dense U
+  (``dense_qsvt_circuit``), with the row layouts ``index_major`` and
+  ``dense_rows``;
 * the Stage-1 minimax LP written out densely (``minimax_lp``) and handed
   whole to the public ``scipy.optimize.linprog`` (``fit_minimax``), with
   the degree walk on it (``dense_walk``): ``qsvt._minimax_lp``'s rows and
@@ -58,7 +62,7 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from qvar import qsvt, risk
-from qvar.blockenc import BRANCHES, BlockEncoding
+from qvar.blockenc import BRANCHES, SHIFTS, BlockEncoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PriceGrid
 from qvar.pde import PIVOT_FLOOR, TridiagonalOperator
@@ -430,26 +434,69 @@ def column_index(j: int, l: int, n: int) -> int:
     return min(max(j - 1 + l, 0), size - 1)
 
 
-def encoded_block(be: BlockEncoding) -> np.ndarray:
-    """The top-left 2^n x 2^n block of the encoding unitary."""
+def dense_unitary(be: BlockEncoding) -> np.ndarray:
+    """The 2^(n+3)-square encoding unitary U = L^T U_c R, multiplied out
+    from the factors by the assembly loop the encoding once kept it by."""
     size = 2**be.n
-    return be.U[:size, :size]
+    u = np.zeros((2 * BRANCHES, size, 2 * BRANCHES, size))
+    j = np.arange(size)
+    for k in range(2 * BRANCHES):
+        i = (j + SHIFTS[k % BRANCHES]) % size
+        u[:, i, :, j] += be.left[i, k, :, None] * be.right[j, k, None, :]
+    dim = 2 * BRANCHES * size
+    return u.reshape(dim, dim)
 
 
-def verify_block_encoding(be: BlockEncoding, mtilde: TridiagonalOperator) -> float:
-    """Spectral-norm error ||M - gamma * block(U)|| of a claimed encoding."""
+def encoded_block(be: BlockEncoding, unitary: np.ndarray | None = None) -> np.ndarray:
+    """The top-left 2^n x 2^n block of the encoding unitary, or of
+    ``unitary`` when one is given in its place."""
+    size = 2**be.n
+    return (dense_unitary(be) if unitary is None else unitary)[:size, :size]
+
+
+def verify_block_encoding(be: BlockEncoding, mtilde: TridiagonalOperator,
+                          unitary: np.ndarray | None = None) -> float:
+    """Spectral-norm error ||M - gamma * block(U)|| of a claimed encoding,
+    with ``unitary`` standing in for U when one is given."""
     dense = mtilde.to_dense()
     if dense.shape[0] != 2**be.n:
         raise ConfigError("matrix dimension does not match the encoding")
-    return float(np.linalg.norm(dense - be.gamma * encoded_block(be), 2))
+    return float(np.linalg.norm(dense - be.gamma * encoded_block(be, unitary), 2))
+
+
+def index_major(rows: np.ndarray, size: int) -> np.ndarray:
+    """Dense rows (R, 8 * size), column a * size + i for (flag, branch) a
+    and index i, in the (size, R, 8) layout of
+    ``BlockEncoding.multiply_rows``."""
+    return np.ascontiguousarray(rows.reshape(len(rows), -1, size).transpose(2, 0, 1))
+
+
+def dense_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse of ``index_major``: (size, R, 8) back to (R, 8 * size)."""
+    size, count, width = rows.shape
+    return rows.transpose(1, 2, 0).reshape(count, width * size)
 
 
 def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
     """The dense U_Phi: the alternating circuit on the encoding space with
     a real-part signal qubit in front, the LCU of the circuit and its
-    phase-negated twin."""
+    phase-negated twin.  Every row of the alternating product is carried
+    through the factored queries ``apply_qsvt`` uses, so its top-left 2^n
+    block is ``apply_qsvt``'s bit for bit; ``dense_qsvt_circuit`` builds
+    the same product from the dense U."""
     size = 2**be.n
-    dim = be.U.shape[0]
+    dim = 2 * BRANCHES * size
+    plus = dense_rows(qsvt._alternate_rows(
+        be, phases, index_major(np.eye(dim, dtype=complex), size)))
+    return _signal_lcu(plus)
+
+
+def dense_qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
+    """``qsvt_circuit`` through the dense U of ``dense_unitary``: each
+    query multiplies every row by the 2^(n+3)-square matrix."""
+    size = 2**be.n
+    u = dense_unitary(be)
+    dim = u.shape[0]
     if be.a != 3:
         raise ConfigError("expected a 3-ancilla block encoding")
 
@@ -461,9 +508,15 @@ def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
     plus = np.eye(dim, dtype=complex)
     for k, phi in enumerate(phases.phases):
         plus = plus * np.exp(1j * phi * signs)[None, :]  # M @ diag
-        plus = plus @ (be.U if k % 2 == 0 else be.U.T.conj())
-    minus = plus.conj()  # the encoding unitary is real
+        plus = plus @ (u if k % 2 == 0 else u.T.conj())
+    return _signal_lcu(plus)
 
+
+def _signal_lcu(plus: np.ndarray) -> np.ndarray:
+    """The real-part signal qubit's LCU of the alternating product and its
+    complex conjugate, the phase-negated twin, as the encoding is real."""
+    dim = plus.shape[0]
+    minus = plus.conj()
     re_part = 0.5 * (plus + minus)
     im_part = 0.5 * (plus - minus)
     full = np.empty((2 * dim, 2 * dim), dtype=complex)

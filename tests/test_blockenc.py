@@ -8,7 +8,8 @@ from qvar import blockenc
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import NumericalError
 from qvar.pde import TridiagonalOperator
-from reference import column_index, encoded_block, verify_block_encoding
+from reference import (column_index, dense_rows, dense_unitary, encoded_block,
+                       index_major, verify_block_encoding)
 
 
 def make_op(sub, diag, sup, n):
@@ -54,8 +55,9 @@ def test_entrywise_inner_product_identity(rng):
     be = assemble_block_encoding(op)
     dense = op.to_dense()
     size = 2**op.n
+    u = dense_unitary(be)
     for j in range(size):
-        col = be.U[:, j]  # <...| U |0>|00>|j>
+        col = u[:, j]  # <...| U |0>|00>|j>
         for i in range(size):
             assert col[i] * be.gamma == pytest.approx(dense[i, j], abs=1e-12)
 
@@ -98,8 +100,8 @@ def test_unitarity(rng):
     for n in (2, 3, 4):
         sub, diag, sup = random_tridiagonal(rng, n)
         be = assemble_block_encoding(make_op(sub, diag, sup, n))
-        dim = be.U.shape[0]
-        assert np.abs(be.U @ be.U.T - np.eye(dim)).max() < 1e-10
+        u = dense_unitary(be)
+        assert np.abs(u @ u.T - np.eye(u.shape[0])).max() < 1e-10
 
 
 def test_halved_gamma_reports_half_norm(rng):
@@ -114,13 +116,14 @@ def test_perturbed_unitary_error_band_and_monotone(rng):
     sub, diag, sup = random_tridiagonal(rng, 3)
     op = make_op(sub, diag, sup, 3)
     be = assemble_block_encoding(op)
-    dim = be.U.shape[0]
+    u = dense_unitary(be)
+    dim = u.shape[0]
     errors = []
     for angle in (1e-6, 1e-5, 1e-4):
         rot = np.eye(dim)
         rot[:2, :2] = [[np.cos(angle), -np.sin(angle)],
                        [np.sin(angle), np.cos(angle)]]
-        errors.append(verify_block_encoding(replace(be, U=rot @ be.U), op))
+        errors.append(verify_block_encoding(be, op, unitary=rot @ u))
     assert 1e-8 <= errors[0] <= 1e-4
     assert errors[0] < errors[1] < errors[2]
 
@@ -129,3 +132,14 @@ def test_zero_matrix_rejected():
     op = make_op(np.zeros(4), np.zeros(4), np.zeros(4), 2)
     with pytest.raises(NumericalError):
         assemble_block_encoding(op)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_factored_multiply_matches_the_dense_unitary(rng, n):
+    be = assemble_block_encoding(make_op(*random_tridiagonal(rng, n), n))
+    u = dense_unitary(be)
+    size = 2**n
+    rows = rng.normal(size=(5, 8 * size)) + 1j * rng.normal(size=(5, 8 * size))
+    for transpose, dense in ((False, u), (True, u.T)):
+        factored = dense_rows(be.multiply_rows(index_major(rows, size), transpose))
+        assert np.abs(factored - rows @ dense).max() < 1e-14

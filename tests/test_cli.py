@@ -391,9 +391,9 @@ def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
 # qubits); the QPE columns were recorded from the dense-matrix kernels the
 # FFT forms replaced, the error column from the tight block encoding's fit
 TROTTER_CSV_SHA256 = {
-    6: "6897cc22f84f3cf04efbf318e7df99560436720bc2e06120f07eb93ee58c62a5",
-    8: "c91ada90261e27bac312586bb2015a52f665ecca6f1ab6c7589f8abf13844ca1",
-    10: "2cfa89fc23c213f05387b29a66890a5d3a3dda6da7a568112d6be33c8266a466",
+    6: "d201cd17e6e3c93bc02d6473acd54d7f818912adf9e359fc2a8a23aa8e966592",
+    8: "9a2052a38b6309b07d06fc6f7651575ceb0d81aaad6583b5d80366fa6ac3d999",
+    10: "8f9a57a9f71fa16cafb490ec170a4d1f4d56c56b37e9fa1b53523bd42853546f",
 }
 
 
@@ -414,9 +414,9 @@ REPORT_SHA256 = {
     "classical":
         "e24db15e0db078bb6bceeb75b9285f6654845910bb31ef5fb4dd64431b1750d2",
     "quantum-exact":
-        "8b764a3ba4f8ae44b715e14fcfd9900fa0cf6027e33fb07ab8555547d6f28330",
+        "8e99f5900608ba10b9f56cc501621c4abc821bb2c311b225b635e012d12ef125",
     "quantum-sampled":
-        "fea9b140d34db0f15edd7bb6e4c6ad561841fcdeec4a53e2e3b2b79e741f9a05",
+        "a741696d94e617a74eedaa6ceb6137edbcb505867a1b76b6c55d7cd3fcf6c913",
 }
 
 

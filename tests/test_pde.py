@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qvar import pde
 from qvar.errors import NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
 from qvar.pde import (PIVOT_FLOOR, TridiagonalOperator, ValueSurface,
@@ -129,6 +130,43 @@ def test_implicit_step_rejects_singular():
     op = TridiagonalOperator(np.zeros(4), diag, np.zeros(4), 2)
     with pytest.raises(NumericalError, match="pivot"):
         implicit_step(op, ValueSurface(t=1.0, values=np.ones(4)), 0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(0, 40), shift=st.floats(0.5, 3.0),
+       singular=st.none() | st.integers(0, 2**6 - 1))
+def test_price_european_factors_once_and_steps_bit_for_bit(
+        n, seed, steps, shift, singular):
+    # a random operator in place of the market's: the sweeps over the
+    # once-factored matrix give the per-step loop's bits and stamp, and the
+    # same error at the same pivot
+    rng = np.random.default_rng(seed)
+    sub, diag, sup = random_tridiagonal(rng, n, shift)
+    if singular is not None:
+        row = singular % 2**n
+        sub[row], diag[row] = 0.0, 0.0  # that row's pivot is exactly zero
+    op = TridiagonalOperator(sub, diag - 1.0, sup, n)
+    # dtau = 0.1 is inexact, so the stamp T - steps * dtau would differ
+    # from the per-step loop's repeated subtraction
+    params = MarketParams(r=0.02, mu=0.0, alpha=0.2, T=steps * 0.1, t_bar=0.0,
+                          dtau=0.1)
+    grid = build_grid(0.0, 4.0, n, "uniform")
+    spec = PayoffSpec("put", 1.0 + rng.random())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pde, "assemble_operator", lambda *args: op)
+        expected = ValueSurface(t=params.T, values=payoff_vector(spec, grid))
+        try:
+            for _ in range(steps):
+                expected = implicit_step(op, expected, params.dtau)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as raised:
+                price_european(params, grid, spec)
+            assert str(raised.value) == str(exc)
+            return
+        surface = price_european(params, grid, spec)
+    assert surface.t == expected.t
+    assert surface.values.tobytes() == expected.values.tobytes()
 
 
 def test_price_european_zero_steps_is_payoff(unit_grid, call_spec):

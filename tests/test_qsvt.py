@@ -17,8 +17,8 @@ from qvar.qsvt import (PolynomialTarget, _wx_eval, apply_qsvt,
                        approximate_target, prepare_value_state,
                        qsp_reflection_eval, solve_phase_factors,
                        svd_transform_oracle, target_g)
-from reference import (dense_walk, encoded_block, fit_minimax, minimax_lp,
-                       qsvt_circuit)
+from reference import (dense_qsvt_circuit, dense_walk, encoded_block,
+                       fit_minimax, minimax_lp, qsvt_circuit)
 
 # linprog's solution meets every row to its certified primal residual,
 # LP_TOL (1 + max |b_ub|), and |b_ub| <= GLOBAL_BOUND < 1
@@ -333,8 +333,15 @@ def test_apply_qsvt_matches_svd_oracle(rng):
         assert np.abs(circ.matrix - oracle).max() < 1e-8
 
 
+# the largest deviation of the block through the factored queries from the
+# block through the dense U, on this file's cases, was 2.8e-16
+DENSE_U_TOL = 1e-15
+
+
 def test_apply_qsvt_unitary_and_counts(rng):
-    # the block is the dense circuit's top-left corner, bit for bit
+    # the block is the top-left corner of the circuit carried on every row
+    # through the same factored queries, bit for bit, and within
+    # DENSE_U_TOL of the circuit through the dense U
     for n in APPLY_NS:
         op, be = _encoded_operator(rng, n)
         size = 2**n
@@ -347,6 +354,8 @@ def test_apply_qsvt_unitary_and_counts(rng):
             assert np.abs(full @ full.conj().T - np.eye(dim)).max() < 1e-10
             assert circ.matrix.shape == (size, size)
             assert circ.matrix.tobytes() == full[:size, :size].tobytes()
+            dense = dense_qsvt_circuit(be, phases)
+            assert np.abs(circ.matrix - dense[:size, :size]).max() < DENSE_U_TOL
             assert circ.degree == poly.degree == phases.degree
 
 
@@ -362,6 +371,27 @@ def test_apply_qsvt_peak_memory_below_one_circuit(rng):
         tracemalloc.stop()
     # one 2^(n+4)-square complex matrix: the dense circuit alone needs more
     assert peak < 16 * 4 ** (n + 4)
+
+
+def test_cold_stage1_builds_no_encoding_square_matrix():
+    # README market at n = 7: the dense 2^(n+3)-square real U alone would
+    # take 8 MiB; the factored queries carry 2^n rows of 2^(n+3) amplitudes
+    n = 7
+    dtau = 1 / 4096
+    params = MarketParams(r=0.02, mu=0.05, alpha=0.2, T=12 * dtau,
+                          t_bar=8 * dtau, dtau=dtau)
+    grid = build_grid(0.0, 4.0, n, "uniform")
+    payoff = payoff_vector(PayoffSpec("call", 1.0), grid)
+    for memo in MEMOS:
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        res = prepare_value_state(payoff, params, grid, eps1=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.block.shape == (2**n, 2**n)
+    assert peak < 8 * 4 ** (n + 3)
 
 
 PREP_CASES = {2: dict(r=0.02, alpha=0.2), 3: dict(r=0.02, alpha=0.2),
@@ -595,6 +625,9 @@ def test_value_block_applies_like_the_dense_circuit(n):
     matrix = _dense_circuit(params, grid, res.phases)
     size = 2**n
     assert block.tobytes() == matrix[:size, :size].tobytes()
+    mtilde_t = assemble_operator(params, grid).plus_identity().transpose()
+    dense = dense_qsvt_circuit(assemble_block_encoding(mtilde_t), res.phases)
+    assert np.abs(block - dense[:size, :size]).max() < DENSE_U_TOL
     rng = np.random.default_rng(n)
     for _ in range(200):
         payoff = rng.normal(size=2**n)
@@ -629,8 +662,8 @@ def test_compiled_stage1_arrays_are_read_only(unit_grid):
     # the memo keeps the 2^n block itself, and the prepared state carries it
     assert block.shape == (16, 16) and block.base is None
     assert res.block is block
-    arrays = [res.target.coeffs, res.phases.phases, qsvt._encoding(op_key).U,
-              block]
+    be = qsvt._encoding(op_key)
+    arrays = [res.target.coeffs, res.phases.phases, be.left, be.right, block]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
