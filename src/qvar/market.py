@@ -19,7 +19,7 @@ DEFAULT_QUBIT_CAP = 24
 # basis indices are int64, so no layout may span more qubits
 MAX_QUBIT_CAP = 63
 GRID_CACHE = 16  # grids and their price codes
-PARSE_CACHE = 64  # parsed markets and payoffs, a few hundred bytes each
+PARSE_CACHE = 64  # parsed (market, payoff) pairs, a few hundred bytes each
 # the most pricing or scenario steps a config may take: both loops run one
 # Python-level step per dtau, and at 2^16 of each a request on the README
 # grid (n = 4) runs in about two seconds; every tested and benchmarked
@@ -239,10 +239,11 @@ def config_int(doc: dict, key: str, default=None) -> int:
 def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGrid]:
     """Read the JSON config (keys r, mu, alpha, T, t_bar, dtau, kind, strike,
     s_min, s_max, n, spacing) into validated domain objects; a dict is read
-    in place, not copied.  The market and the payoff come from bounded
-    memos keyed on the bit patterns of their floats, so -0.0 and 0.0 stay
-    apart; every check runs before a memo is read or on its miss, so a bad
-    document raises the same error on every call."""
+    in place, not copied.  The market and the payoff come from one bounded
+    memo keyed on the bit patterns of their seven floats and on the kind,
+    so -0.0 and 0.0 stay apart; every check runs before the memo is read
+    or on its miss, market first, so a bad document raises the same error
+    on every call."""
     doc = (path_or_dict if isinstance(path_or_dict, dict)
            else read_config_doc(path_or_dict))
     missing = _CONFIG_KEYS - doc.keys()
@@ -255,10 +256,11 @@ def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGri
                    if not math.isfinite(value)]
             raise ConfigError(f"config values must be finite: {', '.join(bad)}")
         bits = struct.pack("<9d", *num)
-        params = _market(bits[:48])
         kind = doc["kind"]
-        _check_kind(kind)
-        spec = _payoff(kind, bits[48:56])
+        if kind not in ("call", "put"):
+            MarketParams(*num[:6])  # a bad market's error comes first
+            _check_kind(kind)
+        params, spec = _parse(bits[:56], kind)
         grid = build_grid(*num[7:], config_int(doc, "n"), doc["spacing"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -266,12 +268,8 @@ def load_market_config(path_or_dict) -> tuple[MarketParams, PayoffSpec, PriceGri
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE)
-def _market(bits: bytes) -> MarketParams:
-    """The market of the packed r, mu, alpha, T, t_bar and dtau."""
-    return MarketParams(*struct.unpack("<6d", bits))
-
-
-@functools.lru_cache(maxsize=PARSE_CACHE)
-def _payoff(kind: str, strike: bytes) -> PayoffSpec:
-    """The payoff of a checked kind and the packed strike."""
-    return PayoffSpec(kind, *struct.unpack("<d", strike))
+def _parse(bits: bytes, kind: str) -> tuple[MarketParams, PayoffSpec]:
+    """The market of the packed r, mu, alpha, T, t_bar and dtau, and the
+    payoff of a checked kind and the packed strike that follows them."""
+    *market, strike = struct.unpack("<7d", bits)
+    return MarketParams(*market), PayoffSpec(kind, strike)

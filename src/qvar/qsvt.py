@@ -16,14 +16,9 @@ amplitude cap, so the polynomial stays quiet in the spectral gap around
 zero without any explicit parity surgery.
 
 Each rung of the degree walk is one dense LP, solved whole by ``linprog``
-in NumPy alone: a primal-dual interior-point method (Mehrotra's
-predictor-corrector) over all its rows, with t >= 0 as one more row.  The
-LP always has a solution, since P = 0 with t = max |y_w| meets every row,
-and a solve returns only a certified optimum: its primal and dual
-residuals and its relative duality gap within LP_TOL, or else
-NumericalError with the three.  The tight block encoding keeps the norm
-near 1 on the README market, so production rungs are degree 3 to 13 at
-n <= 8 and 99 at n = 10, a few MB of rows at most.
+(``qvar.lp``).  The tight block encoding keeps the norm near 1 on the
+README market, so production rungs are degree 3 to 13 at n <= 8 and 99 at
+n = 10, a few MB of rows at most.
 
 Phase factors are solved in the symmetric Wx convention by the standard
 coefficient fixed-point iteration and converted to projector phases for
@@ -60,10 +55,10 @@ compiled once per operator and kept in bounded in-process memos
 - the accepted fit's certificate (sup error on the window, |P| peak on
   [-1, 1], effective degree), on (norm, degree);
 - the phase factors, on the fit's degree and coefficient bytes;
-- the block encoding and the stepping matrix's least singular value, on
-  the bytes of the encoded operator's bands, and the top-left 2^n block of
-  U_Phi, on those bytes and the fit.  No 2^(n+3)- or 2^(n+4)-square
-  matrix is built.
+- the block encoding with the stepping matrix's least singular value, one
+  entry on the bytes of the encoded operator's bands, and the top-left 2^n
+  block of U_Phi, on those bytes and the fit.  No 2^(n+3)- or
+  2^(n+4)-square matrix is built.
 
 Every request still walks the ladder with its own tolerance, checks the
 accepted fit's certificate against its eps and |P| <= 1 on [-1, 1],
@@ -84,6 +79,7 @@ import numpy as np
 
 from .blockenc import BRANCHES, BlockEncoding, assemble_block_encoding
 from .errors import ConfigError, NumericalError
+from .lp import linprog
 from .market import MarketParams, PriceGrid
 from .pde import TridiagonalOperator, _thomas_solve, assemble_operator
 
@@ -92,10 +88,6 @@ PHASE_ITER_CAP = 10_000
 PHASE_RESIDUAL_TOL = 1e-8
 GLOBAL_BOUND = 0.98  # amplitude cap used inside the fit; leaves QSP headroom
 FIT_ACCEPT = 0.85  # a fit is accepted when its LP error is <= FIT_ACCEPT * eps
-LP_TOL = 1e-9  # bound on an LP solve's primal and dual residuals and gap
-LP_ITER_CAP = 100  # interior-point iterations per LP solve
-LP_PROX = 1e-12  # proximal weight on an interior-point step
-STEP_FRACTION = 0.99  # of the step to the boundary of the positive orthant
 SUCCESS_PROB_FLOOR = 1e-6  # least amplified post-selection probability of a step
 # circuit runs per marching step: the step's circuit, then one round of
 # amplitude amplification, which runs its inverse and the circuit again
@@ -103,95 +95,6 @@ RUNS_PER_STEP = 3
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
 CERT_SLICE = 2048  # certificate points evaluated at a time
-
-
-# an LP with no solution drives its multipliers past the float range; the
-# solve checks its residuals and scaling for it instead of warning
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def linprog(a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
-    """x = (c, t) minimizing t subject to a_ub @ x <= b_ub and t >= 0, with
-    the coefficients c free, by Mehrotra's primal-dual predictor-corrector
-    method (SIAM J. Optim. 2(4), 1992).
-
-    Written g x <= h, the rows are a_ub's, then -t <= 0.  The slacks
-    s = h - g x and the multipliers z stay positive.  The start is strictly
-    feasible: no polynomial, and an error above every bound.  Each Newton
-    step comes from one QR factorisation of the scaled rows sqrt(z / s) g,
-    stacked on sqrt(LP_PROX) I; the normal matrix g^T D g, which loses
-    positive definiteness near the optimum, is never formed.  Q is kept
-    explicitly and the multipliers' step is taken through it, so it meets
-    the dual equations to rounding even where R is ill-conditioned.  The
-    LP_PROX rows are a proximal term on the step: they keep it bounded when
-    the rows leave a direction of the coefficients free, and they vanish as
-    the steps do.
-
-    Returns x once the primal residual |g x + s - h| / (1 + |h|), the dual
-    residual |g^T z + e_t| / 2 and the relative gap s.z / (1 + |t|) are all
-    at most LP_TOL (maximum norms); raises NumericalError with the three
-    when the iteration cap is reached or a residual or the scaling is no
-    longer finite.
-    """
-    n = a_ub.shape[1]
-    g = np.vstack([a_ub, -np.eye(1, n, n - 1)])
-    h = np.append(b_ub, 0.0)
-    m = h.size
-
-    def max_step(v, dv):
-        # the longest step that keeps v + step * dv >= 0
-        neg = dv < 0
-        return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
-
-    x = np.zeros(n)
-    x[-1] = 1.0 + np.abs(h).max()
-    s = h - g @ x
-    s[s <= 0] = 1.0  # only rows with no solution make a slack start at 1
-    z = np.ones(m)
-    # [sqrt(z / s) g; sqrt(LP_PROX) I], its scaled rows rewritten each step
-    stack = np.empty((m + n, n))
-    stack[m:] = math.sqrt(LP_PROX) * np.eye(n)
-    for _ in range(LP_ITER_CAP):
-        r_p = g @ x + s - h
-        r_d = g.T @ z
-        r_d[-1] += 1.0
-        gap = float(s @ z)
-        residuals = (float(np.abs(r_p).max()) / (1.0 + np.abs(h).max()),
-                     float(np.abs(r_d).max()) / 2.0, gap / (1.0 + abs(x[-1])))
-        if max(residuals) <= LP_TOL:
-            return x
-        if not np.isfinite(residuals).all():
-            break
-        root = np.sqrt(z / s)
-        if not np.isfinite(root).all():
-            break
-        np.multiply(root[:, None], g, out=stack[:m])
-        q = None  # the last step's Q goes before the new one is built
-        q, r = np.linalg.qr(stack)
-        q = q[:m]  # the proximal rows' part of y is never read
-        a = np.linalg.solve(r.T, -r_d)
-
-        def newton(r_c):
-            # z ds + s dz = -r_c, g dx + ds = -r_p, g^T dz + LP_PROX dx = -r_d:
-            # dz = root * y[:m] for y = [W; prox] dx + [w; 0], which has
-            # R^T Q^T y = -r_d, so Q^T y = a and y = Q (a - Q^T w) + w
-            w = (z * r_p - r_c) / np.sqrt(z * s)
-            b = a - q.T @ w
-            dx = np.linalg.solve(r, b)
-            return dx, -r_p - g @ dx, root * (q @ b + w)
-
-        dx, ds, dz = newton(s * z)
-        ap, ad = min(1.0, max_step(s, ds)), min(1.0, max_step(z, dz))
-        sigma = (float((s + ap * ds) @ (z + ad * dz)) / gap) ** 3
-        dx, ds, dz = newton(s * z + ds * dz - sigma * gap / m)
-        ap = min(1.0, STEP_FRACTION * max_step(s, ds))
-        ad = min(1.0, STEP_FRACTION * max_step(z, dz))
-        x = x + ap * dx
-        s = s + ap * ds
-        z = z + ad * dz
-    raise NumericalError(
-        f"minimax LP on {m} rows not solved in {LP_ITER_CAP} interior-point "
-        f"iterations: primal residual {residuals[0]:.2e}, dual residual "
-        f"{residuals[1]:.2e}, relative gap {residuals[2]:.2e} "
-        f"(tolerance {LP_TOL:.0e})")
 
 
 def least_squares(*args, **kwargs):
@@ -581,28 +484,22 @@ def _operator_key(op: TridiagonalOperator) -> tuple:
 
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
-def _encoding(op_key: tuple) -> BlockEncoding:
-    """Certified block encoding of the operator with these bands."""
+def _encoding(op_key: tuple) -> tuple[BlockEncoding, float]:
+    """Certified block encoding of the operator with these bands, and the
+    least singular value of the stepping matrix I + M, the operator's
+    transpose, from its values-only SVD."""
     n, *bands = op_key
-    return assemble_block_encoding(
-        TridiagonalOperator(*(np.frombuffer(b) for b in bands), n))
-
-
-@functools.lru_cache(maxsize=PROGRAM_CACHE)
-def _sigma_min(op_key: tuple) -> float:
-    """The least singular value of the stepping matrix I + M whose
-    transpose has these bands, from its values-only SVD."""
-    n, *bands = op_key
-    dense = TridiagonalOperator(*(np.frombuffer(b) for b in bands),
-                                n).transpose().to_dense()
-    return float(np.linalg.svd(dense, compute_uv=False).min())
+    op = TridiagonalOperator(*(np.frombuffer(b) for b in bands), n)
+    be = assemble_block_encoding(op)
+    dense = op.transpose().to_dense()
+    return be, float(np.linalg.svd(dense, compute_uv=False).min())
 
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
 def _value_block(op_key: tuple, degree: int, coeffs_key: bytes) -> np.ndarray:
     """Read-only top-left 2^n block of U_Phi for the encoded operator and
     the fit: the map from payoff amplitudes to the post-selected branch."""
-    return apply_qsvt(_encoding(op_key), _phase_factors(degree, coeffs_key)).matrix
+    return apply_qsvt(_encoding(op_key)[0], _phase_factors(degree, coeffs_key)).matrix
 
 
 @dataclass(frozen=True)
@@ -647,10 +544,8 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
 
     stepping = assemble_operator(params, grid).plus_identity()
     op_key = _operator_key(stepping.transpose())
-    be = _encoding(op_key)
+    be, sigma_min = _encoding(op_key)
     gamma = be.gamma
-
-    sigma_min = _sigma_min(op_key)
     if sigma_min <= 0:
         raise NumericalError("stepping matrix is singular")
     norm_param = max(1.0 + 1e-12, gamma / sigma_min)

@@ -1,25 +1,16 @@
 import numpy as np
 import pytest
 
-from qvar import market, pipeline, qpca, qsvt, risk
+from memos import process_memos
 from qvar.market import MarketParams, PayoffSpec, build_grid
-
-# every in-process memo, emptied before every test: the parsed markets and
-# payoffs, the grids and their price codes, the books, Stage 1's fits,
-# programs and least singular values, amplitude estimation's block bounds,
-# block tables, binomial walks and draw plans and the classical CDFs
-MEMOS = (market._market, market._payoff, market._grid, qpca._grid_codes,
-         pipeline._book, qsvt._ladder_fit,
-         qsvt._fit_certificate, qsvt._phase_factors, qsvt._encoding,
-         qsvt._value_block, qsvt._sigma_min, risk._block_bounds,
-         risk._block_tables, risk._walk, risk._plan, risk._empirical_cdf)
 
 
 @pytest.fixture(autouse=True)
 def clear_memos():
     """No test sees another test's books, compiled Stage 1 or tables, so a
-    test that counts work a memo hit skips does not depend on order."""
-    for memo in MEMOS:
+    test that counts work a memo hit skips does not depend on order.  The
+    memos are found, not listed (``memos.process_memos``)."""
+    for memo in process_memos().values():
         memo.cache_clear()
 
 

@@ -33,7 +33,7 @@ densely so that small instances can be compared entry by entry:
 * the Stage-1 minimax LP written out densely (``minimax_lp``) and handed
   whole to the public ``scipy.optimize.linprog`` (``fit_minimax``), with
   the degree walk on it (``dense_walk``): ``qsvt._minimax_lp``'s rows and
-  the fits ``qsvt.linprog`` finds are checked against these;
+  the fits ``lp.linprog`` finds are checked against these;
 * Step 4 through a flagged state per read: the comparator's flag readout
   (``comparator_tail_probability``), the bisection on it
   (``comparator_bisection_var``) and the CVaR that flags the state at the
@@ -42,7 +42,8 @@ densely so that small instances can be compared entry by entry:
   which ``risk.tail_probability``, ``risk.bisection_var`` and
   ``risk.cvar`` reproduce bit for bit from a ``risk.TailTable``;
 * one Binomial(n, p) draw by its own walk and uniform (``binomial``),
-  which ``risk._draw_hits`` reproduces per power from a memoised draw plan;
+  which ``amplitude._draw_hits`` reproduces per power from a memoised draw
+  plan;
 * the explicit 1-norm of the no-go pair's m-copy projectors
   (``explicit_trace_norm_gap``), twice ``nogo.trace_norm_gap``;
 * small helpers: ``grover_rudolph_prepare``, ``perturb_state`` and
@@ -61,7 +62,7 @@ from numpy.polynomial import chebyshev as np_cheb
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from qvar import qsvt, risk
+from qvar import amplitude, qsvt, risk
 from qvar.blockenc import BRANCHES, SHIFTS, BlockEncoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PriceGrid
@@ -602,7 +603,7 @@ def comparator_tail_probability(state: StateVector, threshold_code: int,
     p0 = float(exact_distribution(flagged, risk.FLAG)[0])
     if mode == "exact":
         return p0, 1
-    est = risk.estimate_amplitude(p0, eps, rng)
+    est = amplitude.estimate_amplitude(p0, eps, rng)
     return est.value, est.queries
 
 
@@ -641,7 +642,7 @@ def state_swap_test(state_a: StateVector, state_b: StateVector,
     overlap = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
     if mode == "exact":
         return overlap, 1
-    est = risk.estimate_amplitude(overlap**2, eps, rng)
+    est = amplitude.estimate_amplitude(overlap**2, eps, rng)
     return math.sqrt(est.value), est.queries
 
 
@@ -671,13 +672,13 @@ def comparator_cvar(state: StateVector, psi_ref: StateVector, ref_norm: float,
 def binomial(rng, n: int, p: float) -> int:
     """One Binomial(n, p) draw: p <= 0 and p >= 1 give 0 and n without a
     draw, else one ``rng.random()`` uniform is reduced by the masses of
-    ``risk._walk(n, p)`` in walk order until it falls below 0, and the
+    ``amplitude._walk(n, p)`` in walk order until it falls below 0, and the
     count reached is drawn, the count visited last if none is."""
     if p <= 0.0:
         return 0
     if p >= 1.0:
         return n
-    counts, masses = risk._walk(n, p)
+    counts, masses = amplitude._walk(n, p)
     u = rng.random()
     for count, mass in zip(counts, masses):
         u -= mass

@@ -241,7 +241,6 @@ def test_a_classical_request_builds_no_quantum_half():
     run(mode="classical")
     assert book_of()._quantum is None
     assert qsvt._encoding.cache_info().currsize == 0
-    assert qsvt._sigma_min.cache_info().currsize == 0
     run(mode="quantum_exact")
     assert book_of()._quantum is not None
 

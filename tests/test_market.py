@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MEMOS
+from memos import process_memos
 from qvar import market
 from qvar.errors import ConfigError, QubitBudgetError
 from qvar.market import (MarketParams, PayoffSpec, build_grid,
@@ -189,7 +189,7 @@ def parsed(doc):
 
 
 def clear_memos():
-    for memo in MEMOS:
+    for memo in process_memos().values():
         memo.cache_clear()
 
 
@@ -215,14 +215,13 @@ def test_a_bad_kind_fails_its_check_before_the_memo(kind):
 
 
 def test_a_signed_zero_keeps_its_own_market_and_payoff():
-    # the memos key floats on their bits: -0.0 after 0.0 is not a hit
+    # the parse memo keys floats on their bits: -0.0 after 0.0 is not a hit
     for sign in (1.0, -1.0, 1.0):
         config = load_run_config({**README_DOC, "r": sign * 0.0,
                                   "strike": sign * 0.0})
         assert math.copysign(1.0, config.market.r) == sign
         assert math.copysign(1.0, config.payoff.strike) == sign
-    assert market._market.cache_info().currsize == 2
-    assert market._payoff.cache_info().currsize == 2
+    assert market._parse.cache_info().currsize == 2
 
 
 def test_a_warm_load_reads_the_qubit_cap(monkeypatch):
@@ -240,4 +239,4 @@ def test_a_warm_load_reads_the_qubit_cap(monkeypatch):
         load_run_config(README_DOC)
     monkeypatch.delenv("QVAR_QUBIT_CAP")
     load_run_config(README_DOC).check_budget()
-    assert market._market.cache_info().misses == 1
+    assert market._parse.cache_info().misses == 1

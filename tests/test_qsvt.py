@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as np_cheb
 
-from conftest import MEMOS, random_tridiagonal
-from qvar import qsvt
+from conftest import random_tridiagonal
+from memos import process_memos
+from qvar import lp, qsvt
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
@@ -22,7 +23,7 @@ from reference import (dense_qsvt_circuit, dense_walk, encoded_block,
 
 # linprog's solution meets every row to its certified primal residual,
 # LP_TOL (1 + max |b_ub|), and |b_ub| <= GLOBAL_BOUND < 1
-ROWS_TOL = 2 * qsvt.LP_TOL
+ROWS_TOL = 2 * lp.LP_TOL
 # the oracle's optimum meets its rows to HiGHS's primal feasibility
 # tolerance of 1e-7, so either optimum may lie that far below the exact one
 ORACLE_TOL = 1e-7 + ROWS_TOL
@@ -61,7 +62,7 @@ def test_fit_certificate_is_per_rung():
     # request reads its own rung's certificate, cold or warm
     cold = {}
     for eps in (1e-2, 1e-4):
-        for memo in MEMOS:
+        for memo in process_memos().values():
             memo.cache_clear()
         poly = approximate_target(2.0, eps)
         cold[eps] = (poly.degree, poly.sup_error)
@@ -155,7 +156,7 @@ def test_infeasible_rungs_end_the_walk_in_numerical_error(monkeypatch):
 
 
 def test_solve_past_its_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(qsvt, "LP_ITER_CAP", 3)
+    monkeypatch.setattr(lp, "LP_ITER_CAP", 3)
     with pytest.raises(NumericalError, match="not solved in 3 interior-point "
                                              "iterations: " + LP_RESIDUALS):
         approximate_target(2.0, 1e-3)
@@ -382,7 +383,7 @@ def test_cold_stage1_builds_no_encoding_square_matrix():
                           t_bar=8 * dtau, dtau=dtau)
     grid = build_grid(0.0, 4.0, n, "uniform")
     payoff = payoff_vector(PayoffSpec("call", 1.0), grid)
-    for memo in MEMOS:
+    for memo in process_memos().values():
         memo.cache_clear()
     tracemalloc.start()
     try:
@@ -557,7 +558,7 @@ def _dense_post_selection(matrix, payoff):
 
 
 def _misses():
-    return [memo.cache_info().misses for memo in MEMOS]
+    return [memo.cache_info().misses for memo in process_memos().values()]
 
 
 def _dense_march(matrix, payoff, steps):
@@ -588,7 +589,7 @@ def test_warm_stage1_equals_cold_bit_for_bit():
 
     cold = {}
     for case in cases:
-        for memo in MEMOS:
+        for memo in process_memos().values():
             memo.cache_clear()
         cold[case] = _stage1_bits(state(case))
     assert len({bits[3] for bits in cold.values()}) == 2
@@ -662,7 +663,7 @@ def test_compiled_stage1_arrays_are_read_only(unit_grid):
     # the memo keeps the 2^n block itself, and the prepared state carries it
     assert block.shape == (16, 16) and block.base is None
     assert res.block is block
-    be = qsvt._encoding(op_key)
+    be = qsvt._encoding(op_key)[0]
     arrays = [res.target.coeffs, res.phases.phases, be.left, be.right, block]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):

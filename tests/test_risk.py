@@ -16,17 +16,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import qvar
-from qvar import risk
+from qvar import amplitude
+from qvar.amplitude import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS, PLANS,
+                            STEP, _block_bounds, _block_tables, _bounds,
+                            _draw_hits, _draws, _likelihood_argmax, _loglik,
+                            _plan, _walk, estimate_amplitude, estimate_reaches)
 from qvar.errors import ConfigError, NumericalError
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import decode_value, encode_value
-from qvar.risk import (BLOCK, BLOCKS, CDF_TOL, CHUNK, MEMO_BLOCKS, PLANS, STEP,
-                       QuantileTable, TailTable, _block_bounds, _block_tables, _bounds,
-                       _draw_hits, _draws, _likelihood_argmax, _loglik,
-                       _plan, _walk,
-                       bisection_var,
+from qvar.risk import (QuantileTable, TailTable, bisection_var,
                        classical_var_cvar, comparator_ucc, cvar, exact_var,
-                       estimate_amplitude, estimate_reaches,
                        make_reference_state, overlap_terms, swap_test_overlap,
                        tail_probability)
 from reference import (binomial, comparator_bisection_var, comparator_cvar,
@@ -888,8 +887,8 @@ def test_draw_plan_rejects_eps_outside_the_unit_interval(eps):
 
 def test_draw_plan_memo_is_bounded_and_holds_the_walks():
     # more masses than the memo keeps: it stays at PLANS plans, and each
-    # plan holds a certain count for a power at 0 or 1 and the walk memo's
-    # own tuple for any other, not a copy
+    # plan holds a certain count for a power at 0 or 1 and the pmf walk for
+    # any other
     for j in range(PLANS + 8):
         prob = j / (PLANS + 7)
         powers, outcomes, _ = _plan(prob, 0.02)
@@ -899,7 +898,7 @@ def test_draw_plan_memo_is_bounded_and_holds_the_walks():
             if p <= 0.0 or p >= 1.0:
                 assert outcome == (0 if p <= 0.0 else SHOTS)
             else:
-                assert outcome is _walk(SHOTS, p)
+                assert outcome == _walk(SHOTS, p)
     assert _plan.cache_info().currsize == PLANS
 
 
@@ -995,15 +994,16 @@ def test_probe_decision_equals_the_estimate(case):
 
 
 def counting(monkeypatch, name):
-    """A list that receives the arguments of every call of risk.<name>."""
+    """A list that receives the arguments of every call of
+    amplitude.<name>."""
     calls = []
-    function = getattr(risk, name)
+    function = getattr(amplitude, name)
 
     def counted(*args):
         calls.append(args)
         return function(*args)
 
-    monkeypatch.setattr(risk, name, counted)
+    monkeypatch.setattr(amplitude, name, counted)
     return calls
 
 
@@ -1069,13 +1069,13 @@ def counted_blocks(monkeypatch):
     """A list that receives the block count of every exact table computed
     from now on, through the block memo or outside it."""
     counts = []
-    log_tables = risk._log_tables
+    log_tables = amplitude._log_tables
 
     def counted(mults, theta):
         counts.append(theta.size // BLOCK)
         return log_tables(mults, theta)
 
-    monkeypatch.setattr(risk, "_log_tables", counted)
+    monkeypatch.setattr(amplitude, "_log_tables", counted)
     return counts
 
 
@@ -1189,22 +1189,20 @@ def test_block_memo_past_its_cap_stays_under_two_mb(eps):
     assert sum(a.nbytes for a in arrays) <= 2 * 2**20
 
 
-# the bytes of every array, tuple and float held by qvar.risk's functools
-# caches, after estimate_amplitude has run at each eps and the classical
-# oracle once, in a fresh interpreter.  An unbounded cache's referents
-# include its dict; a bounded one's include its entries' keys and values,
-# or on some Python versions their list nodes, so dicts, tuples and list
-# nodes are walked four levels down, to the floats of a binomial walk's
-# masses, and each object is counted once
+# the bytes of every array, tuple and float held by qvar.amplitude's
+# functools caches, after estimate_amplitude has run at each eps, in a
+# fresh interpreter.  A bounded cache's referents include its entries' keys
+# and values, or on some Python versions their list nodes, so dicts,
+# tuples and list nodes are walked six levels down, to the floats of the
+# binomial walks' masses in a draw plan, and each object is counted once
 CACHED_BYTES = """
 import gc, json, sys
 import numpy as np
-from qvar import risk
+from qvar import amplitude
 for eps in (0.1, 0.02, 0.01):
-    risk.estimate_amplitude(0.3, eps, np.random.default_rng(0))
-risk.classical_var_cvar(np.arange(1024.0), 0.05)
+    amplitude.estimate_amplitude(0.3, eps, np.random.default_rng(0))
 
-def held(obj, found, depth=4):
+def held(obj, found, depth=6):
     if isinstance(obj, np.ndarray):
         found[id(obj)] = ("array", obj.nbytes)
         return
@@ -1223,19 +1221,18 @@ def held(obj, found, depth=4):
     for item in inner if depth else ():
         held(item, found, depth - 1)
 
-caches = [f for f in vars(risk).values() if hasattr(f, "cache_info")]
+caches = [f for f in vars(amplitude).values() if hasattr(f, "cache_info")]
 found = {}
 for f in caches:
     for ref in gc.get_referents(f):
         held(ref, found)
-walks = {}
-for ref in gc.get_referents(risk._walk):
-    held(ref, walks)
+plans = {}
+for ref in gc.get_referents(amplitude._plan):
+    held(ref, plans)
 print(json.dumps({
     "entries": sum(f.cache_info().currsize for f in caches),
-    "cdf_entries": risk._empirical_cdf.cache_info().currsize,
-    "walk_entries": risk._walk.cache_info().currsize,
-    "walk_floats": sum(kind == "float" for kind, _ in walks.values()),
+    "plan_entries": amplitude._plan.cache_info().currsize,
+    "walk_floats": sum(kind == "float" for kind, _ in plans.values()),
     "arrays": sum(kind == "array" for kind, _ in found.values()),
     "bytes": sum(size for _, size in found.values())}))
 """
@@ -1248,10 +1245,8 @@ def test_amplitude_estimation_caches_stay_small():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     held = json.loads(proc.stdout)
-    # each array cache entry holds at least one array, and each walk its
-    # masses, so none was missed, and the bounded classical CDF memo and
-    # walk memo are among them
-    assert held["arrays"] >= held["entries"] - held["walk_entries"]
-    assert held["entries"] - held["walk_entries"] > held["cdf_entries"] > 0
-    assert held["walk_floats"] > held["walk_entries"] > 0
+    # each array cache entry holds at least one array, and each draw plan
+    # its walks' masses, so none was missed
+    assert held["arrays"] >= held["entries"] - held["plan_entries"]
+    assert held["walk_floats"] > held["plan_entries"] > 0
     assert held["bytes"] <= 2 * 2**20, held

@@ -14,9 +14,9 @@ a one-request VmHWM by 0.6 MB: a tail table's distinct codes come from a
 ``set``.  Only ``assemble --mode trotter``, whose QPE kernels are FFTs,
 imports ``numpy.fft``, and it may import ``numpy.ma`` through qpca's
 ``np.unique``.  Importing qvar and budget-checking a config must also
-leave the amplitude-estimation block bounds, block tables and binomial
-walks, the Stage-1 memos (fits, programs and operator SVDs) and the book
-memo empty, so that start-up does none of a request's work.
+leave every process-wide memo empty but the config's own parse, grid and
+price codes, so that start-up does none of a request's work; the memos
+are found, not listed (``memos.process_memos``).
 Each check runs in a fresh interpreter, because the test process itself
 has loaded SciPy and filled the tables.
 """
@@ -103,26 +103,16 @@ def test_scipy_loaded_by_no_step(tmp_path):
     assert steps[-1][1] in (["numpy.fft"], ["numpy.fft", "numpy.ma"])
 
 
-# prints the size of every process-wide table after import and budget check
-CACHES_AFTER_BUDGET = """
+# prints the size of every process-wide memo after import and budget check
+MEMOS_AFTER_BUDGET = """
 import json, sys
-from qvar import load_run_config, pipeline, qsvt, risk
+from memos import process_memos
+from qvar import load_run_config
+memos = process_memos()
 with open(sys.argv[1]) as fh:
     load_run_config(json.load(fh)).check_budget()
-caches = {"risk._block_bounds": risk._block_bounds,
-          "risk._block_tables": risk._block_tables,
-          "risk._walk": risk._walk,
-          "risk._plan": risk._plan,
-          "risk._empirical_cdf": risk._empirical_cdf,
-          "qsvt._ladder_fit": qsvt._ladder_fit,
-          "qsvt._fit_certificate": qsvt._fit_certificate,
-          "qsvt._phase_factors": qsvt._phase_factors,
-          "qsvt._encoding": qsvt._encoding,
-          "qsvt._value_block": qsvt._value_block,
-          "qsvt._sigma_min": qsvt._sigma_min,
-          "pipeline._book": pipeline._book}
-print(json.dumps({name: cache.cache_info().currsize
-                  for name, cache in caches.items()}))
+print(json.dumps({name: memo.cache_info().currsize
+                  for name, memo in memos.items()}))
 """
 
 
@@ -130,11 +120,12 @@ def test_import_and_budget_check_build_no_tables(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**README_CONFIG, "mode": "quantum_sampled"}))
     src = str(Path(qvar.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
     proc = subprocess.run(
-        [sys.executable, "-c", CACHES_AFTER_BUDGET, str(config)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        [sys.executable, "-c", MEMOS_AFTER_BUDGET, str(config)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert len(sizes) == 12
-    assert all(size == 0 for size in sizes.values()), sizes
+    assert {name: size for name, size in sizes.items() if size} == {
+        "market._parse": 1, "market._grid": 1, "qpca._grid_codes": 1}, sizes
