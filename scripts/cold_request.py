@@ -4,7 +4,8 @@ peak RSS and whether its VaR code equals the classical one.
     PYTHONPATH=src python3 scripts/cold_request.py --n 8 --t-tilde 4 --m 6
 
 "Cold" means the first request after ``import qvar`` and the config load,
-so it compiles Stage 1 (fit, phase solve, encoding and block).  The config
+so it compiles Stage 1 (encoding, fit and phase solve) and marches the
+payoff through its circuit.  The config
 is the README market with t_bar = 8 dtau, s_max = 4, strike and s0 = 1,
 L = 8 and exact mode.  Prints one JSON line; exits 1 unless the VaR code
 equals the classical one.

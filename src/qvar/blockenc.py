@@ -28,8 +28,8 @@ completing the shift to a permutation by wrapping leaves the block as it
 is.
 
 U is kept as its factors, the two (2^n, 8, 8) stacks of reflections, and
-never multiplied out: ``BlockEncoding.multiply_rows`` applies it to a
-batch of row vectors in O(64 2^n) per row.  The encoding is certified
+never multiplied out: ``BlockEncoding.multiply_columns`` applies it to a
+batch of column vectors in O(64 2^n) per column.  The encoding is certified
 from the factors before use: every reflection is orthogonal, U_c is a
 permutation by construction, so U is orthogonal; and the top-left block,
 the only 2^n-square part of U ever formed, matches the dense matrix in
@@ -52,6 +52,7 @@ from .pde import TridiagonalOperator
 CERTIFY_TOL = 1e-10
 BRANCHES = 4  # three tridiagonal branches plus one dead padding branch
 SHIFTS = (-1, 0, 1, 0)  # row offset of each branch's entry from its column
+FLAG_SHIFTS = np.array(2 * SHIFTS)  # SHIFTS[a % 4] of each (flag, branch) value a
 REST_OF_COLUMN = BRANCHES + 0  # flag 1, branch 0: a column's leftover amplitude
 REST_OF_ROW = BRANCHES + 1  # flag 1, branch 1: a row's leftover amplitude
 
@@ -73,25 +74,29 @@ class BlockEncoding:
         for arr in (self.left, self.right):
             arr.setflags(write=False)
 
-    def multiply_rows(self, rows: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Overwrite ``rows`` with rows @ U, or rows @ U^T, and return it.
+    def multiply_columns(self, cols: np.ndarray,
+                         transpose: bool = False) -> np.ndarray:
+        """Overwrite ``cols`` with U @ cols, or U^T @ cols, and return it.
 
-        ``rows`` holds R row vectors of the encoding space index-major,
-        shape (2^n, R, 8): entry (a, i) of row r, with a the (flag, branch)
-        value, at [i, r, a].  rows @ U applies L^T per index, moves branch
-        k from index i to i - SHIFTS[k % 4] and applies R per index;
-        rows @ U^T applies R^T, moves branch k from index j to
-        j + SHIFTS[k % 4], as U_c does, and applies L.  Each row is carried
-        on its own, so its bits do not depend on the other rows.
+        ``cols`` holds K complex column vectors of the encoding space
+        index-major, shape (2^n, 8, K): entry (a, i) of column c, with a
+        the (flag, branch) value, at [i, a, c].  U @ cols applies R per
+        index, moves branch k from index j to j + SHIFTS[k % 4], as U_c
+        does, and applies L^T per index; U^T @ cols applies L, moves branch
+        k back and applies R^T.  The real factors act on the real and
+        imaginary parts as one real product per index, (8, 8) by (8, 2K),
+        so each column is carried on its own: its bits do not depend on the
+        other columns.
         """
-        first, last, sign = ((self.right, self.left, 1) if transpose
-                             else (self.left, self.right, -1))
-        out = np.matmul(rows, np.swapaxes(first, 1, 2))
-        for k in range(2 * BRANCHES):
-            shift = SHIFTS[k % BRANCHES]
-            if shift:
-                out[:, :, k] = np.roll(out[:, :, k], sign * shift, axis=0)
-        return np.matmul(out, last, out=rows)
+        first, last, sign = ((self.left, self.right, -1) if transpose
+                             else (self.right, self.left, 1))
+        flat = cols.view(float)
+        # U_c moves value a from index j to j + FLAG_SHIFTS[a] and U_c^T
+        # moves it back: entry (a, i) is gathered from i - sign * shift
+        source = (np.arange(2**self.n)[:, None] - sign * FLAG_SHIFTS) % 2**self.n
+        shifted = np.matmul(first, flat)[source, np.arange(2 * BRANCHES)]
+        np.matmul(np.swapaxes(last, 1, 2), shifted, out=flat)
+        return cols
 
 
 def _preparations(branch: np.ndarray, norms: np.ndarray, top: float,

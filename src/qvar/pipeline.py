@@ -192,9 +192,8 @@ class Book:
             raise NumericalError("value surface is identically zero")
         self.paths = simulate_paths(market, s0, L, m)
         self.node_idx = snap_paths(self.paths, grid)
-        normalized = surface.values / self.scale
-        self.classical_state = normalized.astype(complex)
-        rho_classical = reduced_rho(self.classical_state, grid)
+        self.classical_state = normalized = surface.values / self.scale
+        rho_classical = reduced_rho(normalized, grid)
         self.twin_reads = QuantileTable(decode_value(
             value_code_table(rho_classical, m)[self.node_idx], m))
         self.raw_reads = QuantileTable(normalized[self.node_idx])

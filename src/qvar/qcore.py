@@ -15,7 +15,7 @@ their lookup or predicate as a function of the source register's values
 and call it on the stored amplitudes only, so no table over a source
 register is built.  The module has no gates or QFTs: no production stage
 mixes amplitudes across basis states on a ``StateVector``.  Stage 1's
-output is a plain complex vector over the 2^n grid nodes (``qsvt``), and
+output is a plain real vector over the 2^n grid nodes (``qsvt``), and
 Step 3's phase estimation is evaluated in closed form in ``qpca``, its
 inverse QFT one FFT over the phase register's 2^m outcomes per branch.
 

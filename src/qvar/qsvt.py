@@ -28,15 +28,16 @@ uses one extra signal qubit to take the real part of the realized
 polynomial, for a = 4 ancillas in total.  A step keeps only the branch
 where every ancilla reads zero: the top-left 2^n block of U_Phi, which
 equals the polynomial applied to the singular values,
-sum_k P(sigma_k / gamma) |w_k><v_k|.  ``apply_qsvt`` computes that block
-alone, carrying the first 2^n rows of the product through the d queries.
-Each query applies the encoding as its factors (``BlockEncoding``): one
-8 x 8 reflection per index, a shift of each branch and another
-reflection, O(64 4^n) for the 2^n rows, so no 2^(n+3)-square encoding
-unitary is built or cast to complex.
+sum_k P(sigma_k / gamma) |w_k><v_k|.  ``apply_qsvt`` applies that block to
+real columns, carrying each column alone through the d queries.  Each
+query applies the encoding as its factors (``BlockEncoding``): one 8 x 8
+reflection per index, a shift of each branch and another reflection,
+O(64 2^n) per column, so no 2^(n+3)-square encoding unitary is built and
+no 2^n-square block either, unless the columns are the identity, as
+``verify-qsvt`` passes to check the block against the dense SVD.
 
-``prepare_value_state`` marches: it applies the block to the normalized
-state T times, renormalizing after each step.  A step's post-selection
+``prepare_value_state`` marches: it carries the normalized state through
+the circuit T times, renormalizing after each step.  A step's post-selection
 succeeds with p = sin^2 theta, about 0.2 under the rescale's 0.45 cap, so
 each step takes one round of amplitude amplification, which lifts it to
 sin^2(3 theta), about 0.97, and leaves the post-selected state unchanged.
@@ -56,14 +57,12 @@ compiled once per operator and kept in bounded in-process memos
   [-1, 1], effective degree), on (norm, degree);
 - the phase factors, on the fit's degree and coefficient bytes;
 - the block encoding with the stepping matrix's least singular value, one
-  entry on the bytes of the encoded operator's bands, and the top-left 2^n
-  block of U_Phi, on those bytes and the fit.  No 2^(n+3)- or
-  2^(n+4)-square matrix is built.
+  entry on the bytes of the encoded operator's bands.
 
 Every request still walks the ladder with its own tolerance, checks the
 accepted fit's certificate against its eps and |P| <= 1 on [-1, 1],
-marches the block over its payoff and checks the floor; the results are
-the same bits cold or warm.
+marches its payoff through the circuit and checks the floor; the results
+are the same bits cold or warm.
 
 SciPy is bound lazily: only a phase-solve fallback imports
 ``scipy.optimize``, for ``least_squares``.
@@ -93,7 +92,7 @@ SUCCESS_PROB_FLOOR = 1e-6  # least amplified post-selection probability of a ste
 # amplitude amplification, which runs its inverse and the circuit again
 RUNS_PER_STEP = 3
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
-PROGRAM_CACHE = 16  # phase factors, encodings and realized blocks
+PROGRAM_CACHE = 16  # phase factors, encodings and the pipeline's books
 CERT_SLICE = 2048  # certificate points evaluated at a time
 
 
@@ -419,56 +418,58 @@ def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
 
 @dataclass(frozen=True)
 class QsvtUnitary:
-    """The post-selected block of the alternating circuit U_Phi.
+    """The post-selected block of the alternating circuit U_Phi, applied.
 
-    ``matrix`` is the read-only top-left 2^n block, the branch where all
-    a = 4 ancillas (real-part signal qubit, encoding flag, branch pair)
-    read zero: sum_k P(sigma_k / gamma) |w_k><v_k| of the encoded matrix.
-    ``degree`` counts the encoding queries.
+    ``matrix`` is the read-only real (2^n, k) product of the top-left 2^n
+    block, the branch where all a = 4 ancillas (real-part signal qubit,
+    encoding flag, branch pair) read zero, sum_k P(sigma_k / gamma)
+    |w_k><v_k| of the encoded matrix, with k real columns.  ``degree``
+    counts the encoding queries.
     """
 
     matrix: np.ndarray
     degree: int
 
 
-def _alternate_rows(be: BlockEncoding, phases: PhaseFactorSequence,
-                   rows: np.ndarray) -> np.ndarray:
-    """Overwrite ``rows``, held index-major as in
-    ``BlockEncoding.multiply_rows``, with rows times the alternating
-    product of the d phase reflections and encoding queries, and return it.
+def _alternate_columns(be: BlockEncoding, phases: PhaseFactorSequence,
+                       cols: np.ndarray) -> np.ndarray:
+    """Overwrite ``cols``, held index-major as in
+    ``BlockEncoding.multiply_columns``, with the alternating product of the
+    d phase reflections and encoding queries applied to them, and return it.
 
-    Query k multiplies by diag(e^{i phi_k (2 Pi - I)}), +phi_k where both
-    encoding ancillas read zero and -phi_k elsewhere, then by U, or by
-    U^T = U^dagger on odd k, through the factors: O(64 2^n) per row and
-    query.
+    The product is D_1 U_1 D_2 U_2 ... D_d U_d, with U_k the encoding U on
+    odd k and U^T = U^dagger on even k, and D_k = diag(e^{i phi_k (2 Pi -
+    I)}): +phi_k where both encoding ancillas read zero and -phi_k
+    elsewhere.  The columns meet its factors right to left, the last query
+    first, each through the factors of U at O(64 2^n) per column.
     """
     if be.a != 3:
         raise ConfigError("expected a 3-ancilla block encoding")
-    signs = np.full(2 * BRANCHES, -1.0)
+    signs = np.full((2 * BRANCHES, 1), -1.0)
     signs[0] = 1.0
-    for k, phi in enumerate(phases.phases):
-        rows *= np.exp(1j * phi * signs)
-        be.multiply_rows(rows, transpose=k % 2 == 1)
-    return rows
+    for k in reversed(range(phases.degree)):
+        be.multiply_columns(cols, transpose=k % 2 == 1)
+        cols *= np.exp(1j * phases.phases[k] * signs)
+    return cols
 
 
-def apply_qsvt(be: BlockEncoding, phases: PhaseFactorSequence) -> QsvtUnitary:
-    """The top-left 2^n block of U_Phi for the encoding and the phases.
+def apply_qsvt(be: BlockEncoding, phases: PhaseFactorSequence,
+               columns: np.ndarray) -> QsvtUnitary:
+    """The top-left 2^n block of U_Phi for the encoding and the phases,
+    applied to the real (2^n, k) ``columns``.
 
-    Right multiplication never mixes rows, so only the first 2^n rows of
-    the alternating product are carried through the d queries.  The
-    real-part signal qubit averages the circuit with its phase-negated
-    twin, which is its complex conjugate because the encoding unitary is
-    real.
+    Each column enters on the branch where every ancilla reads zero and is
+    carried alone through the d queries, so a batch gives each column's
+    bits and the identity gives the block itself.  The real-part signal
+    qubit averages the circuit with its phase-negated twin, which is its
+    complex conjugate because the encoding unitary is real, so on real
+    columns it keeps the real part.
     """
-    size = 2**be.n
-    rows = np.zeros((size, size, 2 * BRANCHES), dtype=complex)
-    rows[np.arange(size), np.arange(size), 0] = 1.0
-    # row r's entries on the branch where both encoding ancillas read zero
-    plus = np.ascontiguousarray(_alternate_rows(be, phases, rows)[:, :, 0].T)
-    block = 0.5 * (plus + plus.conj())
-    block.setflags(write=False)
-    return QsvtUnitary(matrix=block, degree=phases.degree)
+    cols = np.zeros((len(columns), 2 * BRANCHES, columns.shape[1]), complex)
+    cols[:, 0] = columns
+    out = np.ascontiguousarray(_alternate_columns(be, phases, cols)[:, 0].real)
+    out.setflags(write=False)
+    return QsvtUnitary(matrix=out, degree=phases.degree)
 
 
 def svd_transform_oracle(dense: np.ndarray, poly: PolynomialTarget,
@@ -495,27 +496,20 @@ def _encoding(op_key: tuple) -> tuple[BlockEncoding, float]:
     return be, float(np.linalg.svd(dense, compute_uv=False).min())
 
 
-@functools.lru_cache(maxsize=PROGRAM_CACHE)
-def _value_block(op_key: tuple, degree: int, coeffs_key: bytes) -> np.ndarray:
-    """Read-only top-left 2^n block of U_Phi for the encoded operator and
-    the fit: the map from payoff amplitudes to the post-selected branch."""
-    return apply_qsvt(_encoding(op_key)[0], _phase_factors(degree, coeffs_key)).matrix
-
-
 @dataclass(frozen=True)
 class PreparedValueState:
     """Output of the backward-stepping stage: ``state`` is the normalized
-    read-only complex vector of the 2^n grid amplitudes after ``steps``
-    marching steps of the memoised read-only one-step ``block``.
-    ``success_probability`` is the least amplified post-selection
-    probability of a step, 1.0 when no step runs."""
+    read-only real vector of the 2^n grid amplitudes after ``steps``
+    marching steps through the circuit of ``phases`` on the memoised
+    ``encoding``.  ``success_probability`` is the least amplified
+    post-selection probability of a step, 1.0 when no step runs."""
 
     state: np.ndarray
     success_probability: float
     target: PolynomialTarget
     phases: PhaseFactorSequence
     gamma: float
-    block: np.ndarray
+    encoding: BlockEncoding
     steps: int
 
     @property
@@ -528,7 +522,7 @@ class PreparedValueState:
 def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGrid,
                         eps1: float) -> PreparedValueState:
     """Prepare the normalized t_bar value state (I + M)^(-T) payoff by
-    marching the post-selected one-step block T times.
+    marching it through the post-selected one-step circuit T times.
 
     The encoding carries the transpose of the stepping matrix, so the
     x^(-1) singular-value transform lands on (I + M)^(-1) itself; the fit's
@@ -563,13 +557,11 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
     poly = approximate_target(norm_param, eps_fit)
 
     phases = solve_phase_factors(poly)
-    # the post-selected branch of U_Phi |0>|v>: its zero ancilla columns
-    # contribute nothing, so only the top-left block is applied
-    block = _value_block(op_key, poly.degree, poly.coeffs.tobytes())
-    vec = unit.astype(complex)
+    vec = unit
     least = 1.0
     for step in range(steps):
-        sub = block @ vec
+        # the post-selected branch of U_Phi |0>|v>
+        sub = apply_qsvt(be, phases, vec[:, None]).matrix[:, 0]
         prob = float(np.linalg.norm(sub) ** 2)
         # one amplification round: sin^2(theta) -> sin^2(3 theta)
         amplified = math.sin(3.0 * math.asin(math.sqrt(min(prob, 1.0)))) ** 2
@@ -581,9 +573,9 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
                 f"degree={poly.degree}, scale={poly.scale:.3e}")
         least = min(least, amplified)
         vec = sub / np.linalg.norm(sub)
-    if vec.real.sum() < 0:
+    if vec.sum() < 0:
         vec = -vec
     vec.setflags(write=False)
     return PreparedValueState(state=vec, success_probability=least,
                               target=poly, phases=phases, gamma=gamma,
-                              block=block, steps=steps)
+                              encoding=be, steps=steps)

@@ -25,11 +25,11 @@ densely so that small instances can be compared entry by entry:
   (``column_index``), its 2^(n+3)-square unitary multiplied out from the
   factors (``dense_unitary``), its top-left block (``encoded_block``) and
   its certificate (``verify_block_encoding``);
-* the full 2^(n+4)-square QSVT circuit U_Phi, carried on every row
+* the full 2^(n+4)-square QSVT circuit U_Phi, carried on every column
   through the factored queries (``qsvt_circuit``), whose top-left 2^n
-  block ``qsvt.apply_qsvt`` computes alone, and through the dense U
-  (``dense_qsvt_circuit``), with the row layouts ``index_major`` and
-  ``dense_rows``;
+  block ``qsvt.apply_qsvt`` applies to the columns it is given, and
+  through the dense U (``dense_qsvt_circuit``), with the column layouts
+  ``index_major`` and ``dense_columns``;
 * the Stage-1 minimax LP written out densely (``minimax_lp``) and handed
   whole to the public ``scipy.optimize.linprog`` (``fit_minimax``), with
   the degree walk on it (``dense_walk``): ``qsvt._minimax_lp``'s rows and
@@ -465,29 +465,30 @@ def verify_block_encoding(be: BlockEncoding, mtilde: TridiagonalOperator,
     return float(np.linalg.norm(dense - be.gamma * encoded_block(be, unitary), 2))
 
 
-def index_major(rows: np.ndarray, size: int) -> np.ndarray:
-    """Dense rows (R, 8 * size), column a * size + i for (flag, branch) a
-    and index i, in the (size, R, 8) layout of
-    ``BlockEncoding.multiply_rows``."""
-    return np.ascontiguousarray(rows.reshape(len(rows), -1, size).transpose(2, 0, 1))
+def index_major(cols: np.ndarray, size: int) -> np.ndarray:
+    """Dense columns (8 * size, R), row a * size + i for (flag, branch) a
+    and index i, in the (size, 8, R) layout of
+    ``BlockEncoding.multiply_columns``."""
+    return np.ascontiguousarray(cols.reshape(-1, size, cols.shape[1])
+                                .transpose(1, 0, 2))
 
 
-def dense_rows(rows: np.ndarray) -> np.ndarray:
-    """The inverse of ``index_major``: (size, R, 8) back to (R, 8 * size)."""
-    size, count, width = rows.shape
-    return rows.transpose(1, 2, 0).reshape(count, width * size)
+def dense_columns(cols: np.ndarray) -> np.ndarray:
+    """The inverse of ``index_major``: (size, 8, R) back to (8 * size, R)."""
+    size, width, count = cols.shape
+    return cols.transpose(1, 0, 2).reshape(width * size, count)
 
 
 def qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.ndarray:
     """The dense U_Phi: the alternating circuit on the encoding space with
     a real-part signal qubit in front, the LCU of the circuit and its
-    phase-negated twin.  Every row of the alternating product is carried
+    phase-negated twin.  Every column of the alternating product is carried
     through the factored queries ``apply_qsvt`` uses, so its top-left 2^n
-    block is ``apply_qsvt``'s bit for bit; ``dense_qsvt_circuit`` builds
-    the same product from the dense U."""
+    block is ``apply_qsvt``'s on the identity, bit for bit;
+    ``dense_qsvt_circuit`` builds the same product from the dense U."""
     size = 2**be.n
     dim = 2 * BRANCHES * size
-    plus = dense_rows(qsvt._alternate_rows(
+    plus = dense_columns(qsvt._alternate_columns(
         be, phases, index_major(np.eye(dim, dtype=complex), size)))
     return _signal_lcu(plus)
 

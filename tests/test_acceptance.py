@@ -304,19 +304,19 @@ WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.
 # quantum_sampled mode; fine_grid is sampled already
 WORKLOAD_REPORT_SHA256 = {
     ("deep_horizon", "quantum_exact"):
-        "7640391082af3e89af60ac1b587a3c8398720b1cbe7092a0ef414c0b08725aa1",
+        "fb46f8769a90f4d057efa5ec8a1bdfbe6f16cbb2885deda8236521d06463f95c",
     ("deep_horizon", "quantum_sampled"):
-        "77a0982d6c88c1c5faad99d66369e520c9aaef86eb94b10440b5083cbc180d70",
+        "c60873912a93b71b03a794f9ce24a9d77d56efe9bdf84a21c324f3f909c78042",
     ("fine_grid", "quantum_sampled"):
-        "4f5fd530d427682022cb1688f5bb28f43cc3d812dbef639ecd92fc2060ff35a4",
+        "8e18b8e6e74d5fb8622e5c1c84f5a2d7e6b9b052e6ba97203f494695b01ba1a9",
     ("readme_default", "quantum_exact"):
-        "2bd02a13b06f152c1889f3c59ac88f58fc7a4b3efeaae810ba3a4e6ac37ae587",
+        "77fc4e24213d6fa47e447ddfa42235644053fe7cc654ade8c91dc6d5c0b6facb",
     ("readme_default", "quantum_sampled"):
-        "9cad76d0f003afd5ef3e06a2c6ec088a7f0f2eb4003dd7fd804f7ed474c60c80",
+        "eee3985a651354871c0b5e438c9d41a28d273b623422283f43248607afbb63b6",
     ("wide_book", "quantum_exact"):
-        "9d47810a554c7a1d999dc4484ba29fc1117b36c0b171c3a9dbf7ab7769c995f0",
+        "afaf8cfc2a345c5d7c7d9aa96c87e26679a0ee9a5ad092e0716c464d7ef34eef",
     ("wide_book", "quantum_sampled"):
-        "8f4ff159605579956df0c564c7846194fcef1096156bc1b99d8d3f79f3c0de06",
+        "c0ab0b0b2a227aa2c6f5b86f58316ba5ab1b2d9ce0191da92dceb9552432dc97",
 }
 
 

@@ -8,8 +8,8 @@ from qvar import blockenc
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import NumericalError
 from qvar.pde import TridiagonalOperator
-from reference import (column_index, dense_rows, dense_unitary, encoded_block,
-                       index_major, verify_block_encoding)
+from reference import (column_index, dense_columns, dense_unitary,
+                       encoded_block, index_major, verify_block_encoding)
 
 
 def make_op(sub, diag, sup, n):
@@ -139,7 +139,8 @@ def test_factored_multiply_matches_the_dense_unitary(rng, n):
     be = assemble_block_encoding(make_op(*random_tridiagonal(rng, n), n))
     u = dense_unitary(be)
     size = 2**n
-    rows = rng.normal(size=(5, 8 * size)) + 1j * rng.normal(size=(5, 8 * size))
+    cols = rng.normal(size=(8 * size, 5)) + 1j * rng.normal(size=(8 * size, 5))
     for transpose, dense in ((False, u), (True, u.T)):
-        factored = dense_rows(be.multiply_rows(index_major(rows, size), transpose))
-        assert np.abs(factored - rows @ dense).max() < 1e-14
+        factored = dense_columns(be.multiply_columns(index_major(cols, size),
+                                                     transpose))
+        assert np.abs(factored - dense @ cols).max() < 1e-14

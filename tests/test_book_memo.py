@@ -60,7 +60,8 @@ def cached_arrays(book: pipeline.Book) -> dict:
     if quantum is not None:
         arrays.update({
             "prepared": quantum.prepared.state,
-            "block": quantum.prepared.block,
+            "encoding_left": quantum.prepared.encoding.left,
+            "encoding_right": quantum.prepared.encoding.right,
             "tail_codes": quantum.tail.codes,
             "tail_probs": quantum.tail.probs})
     return arrays
@@ -141,7 +142,7 @@ def test_cached_arrays_are_read_only_and_unchanged_by_step_4():
     run()
     book = book_of()
     before = {name: array.tobytes() for name, array in cached_arrays(book).items()}
-    assert len(before) == 10
+    assert len(before) == 11
     for name, array in cached_arrays(book).items():
         assert not array.flags.writeable, name
     tail = book._quantum.tail

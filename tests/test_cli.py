@@ -105,14 +105,18 @@ def count_calls(monkeypatch, fn):
 
 def test_cold_verify_qsvt_builds_one_encoding_and_one_block(config_path, capsys,
                                                             monkeypatch):
-    # the Stage-1 memos start empty: verify-qsvt checks the block that
-    # production computed instead of building a second one
+    # the Stage-1 memos start empty: the march applies the circuit to one
+    # column per step, and verify-qsvt builds the block once, on the
+    # identity columns, from the encoding production used
     encodings = count_calls(monkeypatch, qsvt.assemble_block_encoding)
-    blocks = count_calls(monkeypatch, qsvt.apply_qsvt)
+    applied = count_calls(monkeypatch, qsvt.apply_qsvt)
     assert run_cli(["verify-qsvt", "--config", config_path]) == 0
     assert json.loads(capsys.readouterr().out)["block_error"] <= 1e-8
     assert len(encodings) == 1
-    assert len(blocks) == 1
+    steps = round((BASE_CONFIG["T"] - BASE_CONFIG["t_bar"]) / BASE_CONFIG["dtau"])
+    size = 2**BASE_CONFIG["n"]
+    assert [args[2].shape for args in applied] == [(size, 1)] * steps + [(size, size)]
+    assert len({id(args[0]) for args in applied}) == 1
 
 
 def test_assemble_branch_rows(config_path, capsys):
@@ -390,10 +394,11 @@ def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
 # 10 (the last under QVAR_QUBIT_CAP=30: 3 path + 13 price + 10 value
 # qubits); the QPE columns were recorded from the dense-matrix kernels the
 # FFT forms replaced, the error column from the tight block encoding's fit
+# and the march of one column per step
 TROTTER_CSV_SHA256 = {
-    6: "d201cd17e6e3c93bc02d6473acd54d7f818912adf9e359fc2a8a23aa8e966592",
-    8: "9a2052a38b6309b07d06fc6f7651575ceb0d81aaad6583b5d80366fa6ac3d999",
-    10: "8f9a57a9f71fa16cafb490ec170a4d1f4d56c56b37e9fa1b53523bd42853546f",
+    6: "ea54e1ec1416c0209db530dd8878e171c514b82c09388e39b32a587107208c94",
+    8: "63794f2faaf8ef286c3d706cb2e868cd7753262080a25c716d6853b4460d9aeb",
+    10: "d67e1e6d7bdd0956b1640f386b2fabb3687fc9ea9e1be90ee0fe5ae6c865c90b",
 }
 
 
@@ -414,9 +419,9 @@ REPORT_SHA256 = {
     "classical":
         "e24db15e0db078bb6bceeb75b9285f6654845910bb31ef5fb4dd64431b1750d2",
     "quantum-exact":
-        "8e99f5900608ba10b9f56cc501621c4abc821bb2c311b225b635e012d12ef125",
+        "7abc1d3431b1a17991a451e55d089c1edc4072e9c8800930a70573e5b9b91b9b",
     "quantum-sampled":
-        "a741696d94e617a74eedaa6ceb6137edbcb505867a1b76b6c55d7cd3fcf6c913",
+        "baccaeb404f10199f5b73a73605a52848d3ba95572f6fe1e5d7a92680b922e09",
 }
 
 

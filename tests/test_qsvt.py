@@ -294,6 +294,11 @@ def _encoded_operator(rng, n):
 APPLY_NS = (2, 3, 4, 5)
 
 
+def _block(be, phases):
+    """The post-selected block: ``apply_qsvt`` on the identity columns."""
+    return apply_qsvt(be, phases, np.eye(2**be.n))
+
+
 def _circuit_polynomials():
     """The identity, T2 and a fitted odd polynomial."""
     window = (0.5, 1.0)
@@ -308,7 +313,7 @@ def test_apply_qsvt_identity_polynomial_reproduces_encoding(rng):
                             (0.5, 1.0), 0.0)
     for n in APPLY_NS:
         op, be = _encoded_operator(rng, n)
-        circ = apply_qsvt(be, solve_phase_factors(poly))
+        circ = _block(be, solve_phase_factors(poly))
         assert np.abs(circ.matrix - encoded_block(be)).max() < 1e-10
         assert circ.degree == 1
 
@@ -320,7 +325,7 @@ def test_apply_qsvt_diagonal_t2(rng):
         diag = np.linspace(0.3, 0.9, 2**n)
         op = TridiagonalOperator(np.zeros(2**n), diag, np.zeros(2**n), n)
         be = assemble_block_encoding(op)
-        circ = apply_qsvt(be, solve_phase_factors(poly))
+        circ = _block(be, solve_phase_factors(poly))
         expected = np.diag(2 * (diag / be.gamma) ** 2 - 1)
         assert np.abs(circ.matrix - expected).max() < 1e-10
 
@@ -329,7 +334,7 @@ def test_apply_qsvt_matches_svd_oracle(rng):
     poly = approximate_target(4.0, 1e-4)
     for n in APPLY_NS:
         op, be = _encoded_operator(rng, n)
-        circ = apply_qsvt(be, solve_phase_factors(poly))
+        circ = _block(be, solve_phase_factors(poly))
         oracle = svd_transform_oracle(op.to_dense(), poly, be.gamma)
         assert np.abs(circ.matrix - oracle).max() < 1e-8
 
@@ -337,27 +342,53 @@ def test_apply_qsvt_matches_svd_oracle(rng):
 # the largest deviation of the block through the factored queries from the
 # block through the dense U, on this file's cases, was 2.8e-16
 DENSE_U_TOL = 1e-15
+# the largest deviation of a unit vector's march through the factored
+# queries from its march through a dense block or circuit, on this file's
+# cases, was 1.7e-15, after eight steps
+MARCH_TOL = 1e-14
 
 
 def test_apply_qsvt_unitary_and_counts(rng):
-    # the block is the top-left corner of the circuit carried on every row
-    # through the same factored queries, bit for bit, and within
-    # DENSE_U_TOL of the circuit through the dense U
+    # the block is the top-left corner of the circuit carried on every
+    # column through the same factored queries, bit for bit, and within
+    # DENSE_U_TOL of the circuit through the dense U; that corner is real
     for n in APPLY_NS:
         op, be = _encoded_operator(rng, n)
         size = 2**n
         for poly in _circuit_polynomials() + [approximate_target(3.0, 1e-3)]:
             phases = solve_phase_factors(poly)
-            circ = apply_qsvt(be, phases)
+            circ = _block(be, phases)
             full = qsvt_circuit(be, phases)
             dim = full.shape[0]
             assert dim == 16 * size
             assert np.abs(full @ full.conj().T - np.eye(dim)).max() < 1e-10
             assert circ.matrix.shape == (size, size)
-            assert circ.matrix.tobytes() == full[:size, :size].tobytes()
+            assert not full[:size, :size].imag.any()
+            assert circ.matrix.tobytes() == full[:size, :size].real.tobytes()
             dense = dense_qsvt_circuit(be, phases)
             assert np.abs(circ.matrix - dense[:size, :size]).max() < DENSE_U_TOL
             assert circ.degree == poly.degree == phases.degree
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       which=st.integers(0, 2), count=st.integers(1, 4))
+def test_apply_qsvt_carries_each_column_alone(n, seed, which, count):
+    # a batch of unit columns gives each column's bits alone, and the top-left
+    # block of the dense-U circuit times the columns within DENSE_U_TOL
+    rng = np.random.default_rng(seed)
+    op, be = _encoded_operator(rng, n)
+    phases = solve_phase_factors(_circuit_polynomials()[which])
+    size = 2**n
+    columns = rng.normal(size=(size, count))
+    columns /= np.linalg.norm(columns, axis=0)
+    applied = apply_qsvt(be, phases, columns).matrix
+    assert applied.shape == (size, count)
+    for j in range(count):
+        alone = apply_qsvt(be, phases, columns[:, j:j + 1]).matrix
+        assert alone.tobytes() == applied[:, j:j + 1].tobytes()
+    dense = dense_qsvt_circuit(be, phases)[:size, :size]
+    assert np.abs(applied - dense @ columns).max() < DENSE_U_TOL
 
 
 def test_apply_qsvt_peak_memory_below_one_circuit(rng):
@@ -366,7 +397,7 @@ def test_apply_qsvt_peak_memory_below_one_circuit(rng):
     phases = solve_phase_factors(approximate_target(4.0, 1e-4))
     tracemalloc.start()
     try:
-        apply_qsvt(be, phases)
+        _block(be, phases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,8 +422,27 @@ def test_cold_stage1_builds_no_encoding_square_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.block.shape == (2**n, 2**n)
+    assert res.state.shape == (2**n,)
     assert peak < 8 * 4 ** (n + 3)
+
+
+def test_stage1_march_builds_no_square_block():
+    # README market at n = 8, four steps, with only the encoding warm: the
+    # fit, the phase solve and the march of one column per step peak below
+    # two complex 2^n-square arrays, 2 MiB, so no 2^n-square block is built
+    n = 8
+    params = _readme_horizon(4)
+    grid = build_grid(0.0, 4.0, n, "uniform")
+    payoff = payoff_vector(PayoffSpec("call", 1.0), grid)
+    qsvt._encoding(_stage1_operator_key(params, grid))
+    tracemalloc.start()
+    try:
+        res = prepare_value_state(payoff, params, grid, eps1=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.steps == 4 and res.target.degree == 13
+    assert peak < 2 * 16 * 4**n, peak
 
 
 PREP_CASES = {2: dict(r=0.02, alpha=0.2), 3: dict(r=0.02, alpha=0.2),
@@ -453,15 +503,19 @@ def test_prepare_value_state_probability_floor(unit_grid, call_spec, monkeypatch
     payoff = payoff_vector(call_spec, unit_grid)
     res = prepare_value_state(payoff, params, unit_grid, eps1=1e-3)
     # each step's unamplified probability is about 0.2; one amplification
-    # round lifts it to about 0.97, and the least step is reported
+    # round lifts it to about 0.97, and the least step is reported.  The
+    # march through the block of the dense-U circuit agrees within
+    # MARCH_TOL
+    block = dense_qsvt_circuit(res.encoding, res.phases)[:16, :16].real
     vec, amplified = payoff / np.linalg.norm(payoff), []
     for _ in range(4):
-        sub = res.block @ vec
+        sub = block @ vec
         prob = float(np.linalg.norm(sub) ** 2)
         assert 0.15 < prob < 0.25
         amplified.append(_amplified(prob))
         vec = sub / np.linalg.norm(sub)
-    assert res.success_probability == pytest.approx(min(amplified), rel=1e-12)
+    assert np.abs(res.state - vec).max() <= MARCH_TOL
+    assert res.success_probability == pytest.approx(min(amplified), abs=MARCH_TOL)
     assert 0.95 < res.success_probability < 1.0
     # the floor applies to every step's amplified probability, not to the
     # product over the march (about 0.97^4 here)
@@ -514,8 +568,8 @@ def test_horizons_share_one_accepted_rung(unit_grid, call_spec):
     for res in results:
         assert [rung for rung, fit in fits.items()
                 if fit[1] <= res.target.eps * qsvt.FIT_ACCEPT] == [degree]
-    # one certificate, one phase solve and one block serve every horizon
-    for memo in (qsvt._fit_certificate, qsvt._phase_factors, qsvt._value_block):
+    # one certificate, one phase solve and one encoding serve every horizon
+    for memo in (qsvt._fit_certificate, qsvt._phase_factors, qsvt._encoding):
         assert memo.cache_info().currsize == 1
     assert [res.queries for res in results] == [3 * steps * degree
                                                 for steps in (4, 8, 16, 32)]
@@ -565,22 +619,19 @@ def _dense_march(matrix, payoff, steps):
     """Stage 1 through the full U_Phi matrix: the post-selected branch of
     the padded state, renormalized, ``steps`` times; returns the state and
     the least amplified step probability."""
-    size = payoff.size
-    vec = (payoff / np.linalg.norm(payoff)).astype(complex)
+    vec = payoff / np.linalg.norm(payoff)
     least = 1.0
     for _ in range(steps):
-        amps = np.zeros(16 * size, dtype=complex)
-        amps[:size] = vec
-        sub = (matrix @ amps)[:size]
+        sub = _dense_post_selection(matrix, vec).real
         least = min(least, _amplified(float(np.linalg.norm(sub) ** 2)))
         vec = sub / np.linalg.norm(sub)
-    return (-vec if vec.real.sum() < 0 else vec), least
+    return (-vec if vec.sum() < 0 else vec), least
 
 
 def test_warm_stage1_equals_cold_bit_for_bit():
     grid = build_grid(0.0, 4.0, 4, "uniform")
     # two strikes at two horizons of one market share one fit; the tighter
-    # eps1 needs a higher degree, so one operator carries two compiled blocks
+    # eps1 needs a higher degree, so one encoding serves two fits
     cases = [(0.95, 1e-3, 4), (1.05, 1e-3, 8), (1.0, 1e-6, 4)]
 
     def state(case):
@@ -596,13 +647,13 @@ def test_warm_stage1_equals_cold_bit_for_bit():
     assert cold[cases[0]][1] == cold[cases[1]][1]  # the same phases
     for case in cases:
         # the march through the dense circuit of these phases gives the
-        # memo's state and per-step probability
+        # state and per-step probability within MARCH_TOL
         res = state(case)
         payoff = payoff_vector(PayoffSpec("call", case[0]), grid)
         matrix = _dense_circuit(_market(4, case[2]), grid, res.phases)
         vec, least = _dense_march(matrix, payoff, case[2])
-        assert res.state.tobytes() == vec.tobytes()
-        assert res.success_probability == least
+        assert np.abs(res.state - vec).max() <= MARCH_TOL
+        assert res.success_probability == pytest.approx(least, abs=MARCH_TOL)
     for case in cases:
         assert _stage1_bits(state(case)) == cold[case]
     misses = _misses()
@@ -621,19 +672,23 @@ def test_value_block_applies_like_the_dense_circuit(n):
     grid = build_grid(0.0, 4.0, n, "uniform")
     params = _market(n, 4)
     res = _call_state(params, grid, 1.0)
-    op_key = _stage1_operator_key(params, grid)
-    block = qsvt._value_block(op_key, res.target.degree, res.target.coeffs.tobytes())
+    assert res.encoding is qsvt._encoding(_stage1_operator_key(params, grid))[0]
+    block = _block(res.encoding, res.phases).matrix
     matrix = _dense_circuit(params, grid, res.phases)
     size = 2**n
-    assert block.tobytes() == matrix[:size, :size].tobytes()
-    mtilde_t = assemble_operator(params, grid).plus_identity().transpose()
-    dense = dense_qsvt_circuit(assemble_block_encoding(mtilde_t), res.phases)
+    assert block.tobytes() == matrix[:size, :size].real.tobytes()
+    dense = dense_qsvt_circuit(res.encoding, res.phases)
     assert np.abs(block - dense[:size, :size]).max() < DENSE_U_TOL
-    rng = np.random.default_rng(n)
-    for _ in range(200):
-        payoff = rng.normal(size=2**n)
-        applied = block @ (payoff / np.linalg.norm(payoff)).astype(complex)
-        assert applied.tobytes() == _dense_post_selection(matrix, payoff).tobytes()
+    # 200 payoffs applied as one batch are each payoff's own bits, and
+    # within MARCH_TOL of the post-selected branch of the full circuit
+    payoffs = np.random.default_rng(n).normal(size=(size, 200))
+    payoffs /= np.linalg.norm(payoffs, axis=0)
+    applied = apply_qsvt(res.encoding, res.phases, payoffs).matrix
+    for j in range(200):
+        alone = apply_qsvt(res.encoding, res.phases, payoffs[:, j:j + 1]).matrix
+        assert alone.tobytes() == applied[:, j:j + 1].tobytes()
+        post = _dense_post_selection(matrix, payoffs[:, j])
+        assert np.abs(applied[:, j] - post).max() <= MARCH_TOL
 
 
 def test_per_request_checks_fire_on_warm_cache(unit_grid, monkeypatch):
@@ -658,13 +713,13 @@ def test_per_request_checks_fire_on_warm_cache(unit_grid, monkeypatch):
 def test_compiled_stage1_arrays_are_read_only(unit_grid):
     params = _market(4, 4)
     res = _call_state(params, unit_grid, 1.0)
-    op_key = _stage1_operator_key(params, unit_grid)
-    block = qsvt._value_block(op_key, res.target.degree, res.target.coeffs.tobytes())
-    # the memo keeps the 2^n block itself, and the prepared state carries it
-    assert block.shape == (16, 16) and block.base is None
-    assert res.block is block
-    be = qsvt._encoding(op_key)[0]
-    arrays = [res.target.coeffs, res.phases.phases, be.left, be.right, block]
+    be = qsvt._encoding(_stage1_operator_key(params, unit_grid))[0]
+    # the prepared state carries the memoised encoding itself
+    assert res.encoding is be
+    applied = apply_qsvt(be, res.phases, np.eye(16)).matrix
+    assert applied.shape == (16, 16) and applied.base is None
+    arrays = [res.target.coeffs, res.phases.phases, be.left, be.right,
+              res.state, applied]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -677,8 +732,9 @@ def test_stage1_caches_stay_within_maxsize(rng):
         # a distinct operator and a distinct degree-1 fit each time
         op = TridiagonalOperator(*random_tridiagonal(rng, 2), 2)
         coeffs = np.array([0.0, 0.5 + 0.01 * k])
-        qsvt._value_block(qsvt._operator_key(op), 1, coeffs.tobytes())
-    for cache in (qsvt._phase_factors, qsvt._encoding, qsvt._value_block):
+        qsvt._encoding(qsvt._operator_key(op))
+        qsvt._phase_factors(1, coeffs.tobytes())
+    for cache in (qsvt._phase_factors, qsvt._encoding):
         info = cache.cache_info()
         assert info.maxsize == qsvt.PROGRAM_CACHE
         assert info.misses == extra

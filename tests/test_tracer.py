@@ -104,9 +104,34 @@ def test_tracer_counts_lazy_solver_calls_on_a_cold_request(monkeypatch):
 
     names = [span.name for span in tracer.spans]
     assert names.count("qsvt.linprog") >= 1
-    # the traced circuit is the 2^n-square complex block, not the dense U_Phi
-    assert tracer.values[0]["qsvt.unitary_bytes"] == 16 * 4 ** README_CONFIG["n"]
     # the largest traced state holds one complex amplitude per scenario
     # branch, not 2^q of them
     assert tracer.values[0]["qcore.state_bytes_max"] == 16 * README_CONFIG["L"]
     assert all(getattr(qvar.qsvt, name) is fn for name, fn in lazy.items())
+
+
+def test_tracer_spans_every_step_of_a_cold_quantum_march(monkeypatch):
+    # the autouse fixture has emptied the Stage-1 caches, so the request
+    # compiles Stage 1 and marches its payoff through the circuit
+    tracer_mod = load_tracer(monkeypatch)
+    before = bindings(tracer_mod.TARGETS)
+    config = load_run_config(dict(README_CONFIG, mode="quantum_exact"))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert qvar.qsvt.apply_qsvt is not before[("qvar.qsvt", "apply_qsvt")]
+        tracer.begin_request(0)
+        qvar.pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+
+    steps = round((README_CONFIG["T"] - README_CONFIG["t_bar"]) / README_CONFIG["dtau"])
+    names = [span.name for span in tracer.spans]
+    assert names.count("qsvt.prepare_value_state") == 1
+    assert names.count("qsvt.apply_qsvt") == steps == 8
+    # each step applies the circuit to one real column of 2^n amplitudes,
+    # with no 2^n-square block and no dense U_Phi
+    assert tracer.values[0]["qsvt.unitary_bytes"] == 8 * 2 ** README_CONFIG["n"]
+    after = bindings(tracer_mod.TARGETS)
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
