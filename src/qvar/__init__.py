@@ -8,7 +8,7 @@ from .market import (MarketParams, PayoffSpec, PriceGrid, build_grid,
                      load_market_config, payoff_vector, price_code)
 from .mc import PathSet, simulate_paths
 from .pde import (TridiagonalOperator, ValueSurface, assemble_operator,
-                  implicit_step, price_american, price_european)
+                  price_american, price_european)
 from .pipeline import (PipelineResult, ResourceTally, RunConfig, emit_report,
                        load_run_config, run_pipeline)
 from .qcore import RegisterLayout, StateVector

@@ -30,10 +30,11 @@ is.
 U is kept as its factors, the two (2^n, 8, 8) stacks of reflections, and
 never multiplied out: ``BlockEncoding.multiply_columns`` applies it to a
 batch of column vectors in O(64 2^n) per column.  The encoding is certified
-from the factors before use: every reflection is orthogonal, U_c is a
-permutation by construction, so U is orthogonal; and the top-left block,
-the only 2^n-square part of U ever formed, matches the dense matrix in
-the spectral norm.
+from the factors before use, in O(2^n): every reflection is orthogonal,
+U_c is a permutation by construction, so U is orthogonal; and the top-left
+block is banded like the matrix, so the spectral norm of their difference
+is bounded by the root of its largest row and column 1-norms (the Schur
+test) without forming any 2^n-square array.
 
 Register order inside the encoding unitary (most significant first):
 flag (1 qubit), branch (2 qubits), index (n qubits).  The encoded block
@@ -51,6 +52,7 @@ from .pde import TridiagonalOperator
 
 CERTIFY_TOL = 1e-10
 BRANCHES = 4  # three tridiagonal branches plus one dead padding branch
+ANCILLAS = 3  # the flag and the two branch qubits
 SHIFTS = (-1, 0, 1, 0)  # row offset of each branch's entry from its column
 FLAG_SHIFTS = np.array(2 * SHIFTS)  # SHIFTS[a % 4] of each (flag, branch) value a
 REST_OF_COLUMN = BRANCHES + 0  # flag 1, branch 0: a column's leftover amplitude
@@ -59,14 +61,14 @@ REST_OF_ROW = BRANCHES + 1  # flag 1, branch 1: a row's leftover amplitude
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """A unitary U = L^T U_c R on n + a qubits with ||M - gamma * block(U)||
-    <= eps, held as its read-only factors: ``left[i]`` and ``right[j]`` are
-    the 8 x 8 reflections on (flag, branch) of row i and column j."""
+    """A unitary U = L^T U_c R on n + ANCILLAS qubits with
+    ||M - gamma * block(U)|| <= eps, held as its read-only factors:
+    ``left[i]`` and ``right[j]`` are the 8 x 8 reflections on (flag, branch)
+    of row i and column j."""
 
     left: np.ndarray
     right: np.ndarray
     gamma: float
-    a: int
     eps: float
     n: int
 
@@ -118,7 +120,8 @@ def _preparations(branch: np.ndarray, norms: np.ndarray, top: float,
 
 
 def assemble_block_encoding(mtilde: TridiagonalOperator) -> BlockEncoding:
-    """Build and certify the (gamma, 3, eps) encoding of a tridiagonal matrix."""
+    """Build and certify the (gamma, ANCILLAS, eps) encoding of a
+    tridiagonal matrix."""
     size = mtilde.size
     # column j's branches hold entries (j - 1, j), (j, j), (j + 1, j) and
     # row i's hold (i, i + 1), (i, i), (i, i - 1): the same entry sits on
@@ -145,14 +148,21 @@ def assemble_block_encoding(mtilde: TridiagonalOperator) -> BlockEncoding:
     if unit_err > CERTIFY_TOL:
         raise NumericalError(f"encoding unitary deviates from unitarity by {unit_err:.3e}")
     # block[i, j] = sum_k L_i[k, 0] R_j[k, 0] over the branches k whose
-    # shift takes column j to row i
-    block = np.zeros((size, size))
+    # shift takes column j to row i = j + SHIFTS[k % 4], mod 2^n, so
+    # M - gamma * block is banded like ``cols``: entry (l, j) at row
+    # j - 1 + l.  Its spectral norm is at most the root of its largest row
+    # and column 1-norms (the Schur test), widened by 16 units of rounding
+    # for the three-term sums, their product and the root.  Summing the
+    # bands apart only raises the 1-norms where two wrap onto one entry
     j = np.arange(size)
+    block = np.zeros((3, size))
     for k in range(2 * BRANCHES):
-        i = (j + SHIFTS[k % BRANCHES]) % size
-        block[i, j] += left[i, k, 0] * right[j, k, 0]
-    cert = np.linalg.norm(mtilde.to_dense() - gamma * block, 2)
+        shift = SHIFTS[k % BRANCHES]
+        block[shift + 1] += left[(j + shift) % size, k, 0] * right[:, k, 0]
+    diff = np.abs(cols - gamma * block)
+    row_sums = sum(np.roll(diff[l], l - 1) for l in range(3))
+    cert = float(np.sqrt(row_sums.max() * diff.sum(0).max())) * (1.0 + 2.0**-48)
     if cert > CERTIFY_TOL:
         raise NumericalError(f"block-encoding certification failed: error {cert:.3e}")
-    return BlockEncoding(left=left, right=right, gamma=gamma, a=3, eps=cert,
+    return BlockEncoding(left=left, right=right, gamma=gamma, eps=cert,
                          n=mtilde.n)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import nogo as nogo_mod
-from .blockenc import assemble_block_encoding
+from .blockenc import ANCILLAS, assemble_block_encoding
 from .errors import ConfigError, QubitBudgetError, QvarError
 from .market import payoff_vector, read_config_doc
 from .mc import simulate_paths
@@ -81,7 +81,7 @@ def cmd_verify_be(args) -> int:
     cfg = load_run_config(_overridden_config(args))
     mtilde = assemble_operator(cfg.market, cfg.grid).plus_identity()
     be = assemble_block_encoding(mtilde)
-    doc = {"gamma": be.gamma, "ancillas": be.a, "certified_error": be.eps}
+    doc = {"gamma": be.gamma, "ancillas": ANCILLAS, "certified_error": be.eps}
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
@@ -95,7 +95,7 @@ def cmd_verify_qsvt(args) -> int:
                        np.eye(2**cfg.grid.n)).matrix
     mtilde_t = assemble_operator(cfg.market, cfg.grid).plus_identity().transpose()
     oracle = svd_transform_oracle(mtilde_t.to_dense(), prepared.target,
-                                  prepared.gamma)
+                                  prepared.encoding.gamma)
     block_err = float(np.abs(block - oracle).max())
     doc = {
         "degree": prepared.target.degree,

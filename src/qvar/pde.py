@@ -16,8 +16,9 @@ vanish at S = 0); the last row assumes a linear far field (zero second
 derivative) with a one-sided first difference for the advection term.
 
 European pricing iterates the implicit step; American pricing projects
-each solve onto the payoff (solve, then take the pointwise maximum).
-This module is the exactness oracle for the quantum pipeline.
+each solve onto the payoff (solve, then take the pointwise maximum).  Both
+factor I + M once and run one forward sweep and one back substitution per
+step.  This module is the exactness oracle for the quantum pipeline.
 """
 
 from __future__ import annotations
@@ -175,20 +176,12 @@ def _thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
                                   np.asarray(rhs, dtype=float).tolist()))
 
 
-def implicit_step(op: TridiagonalOperator, surface: ValueSurface, dtau: float) -> ValueSurface:
-    """One fully implicit step: solve (I + M) x = V^t, stamp t - dtau."""
-    if surface.values.size != op.size:
-        raise ConfigError("surface length does not match operator dimension")
-    x = _thomas_solve(op.sub, op.diag + 1.0, op.super_, surface.values)
-    return ValueSurface(t=surface.t - dtau, values=x)
-
-
 def price_european(params: MarketParams, grid: PriceGrid, spec: PayoffSpec) -> ValueSurface:
     """Backward-iterate the implicit step from the payoff at T down to t_bar.
 
-    Every step solves with the same matrix I + M, so it is factored once
-    and each step runs only the sweeps: the operations of ``implicit_step``
-    in the same order, so the same bits."""
+    Every step solves (I + M) x = V^t with the same matrix, so it is
+    factored once and each step runs only the sweeps: the operations of
+    one solve on its own in the same order, so the same bits."""
     values = payoff_vector(spec, grid)
     t = params.T
     if params.pricing_steps:
@@ -203,11 +196,15 @@ def price_european(params: MarketParams, grid: PriceGrid, spec: PayoffSpec) -> V
 
 
 def price_american(params: MarketParams, grid: PriceGrid, spec: PayoffSpec) -> ValueSurface:
-    """Implicit step with projection: V_j <- max(payoff(S_j), Vhat_j)."""
+    """Implicit step with projection: V_j <- max(payoff(S_j), Vhat_j).
+    I + M is factored once, as in ``price_european``, and each step runs
+    the sweeps and then the projection."""
     op = assemble_operator(params, grid)
     payoff = payoff_vector(spec, grid)
-    surface = ValueSurface(t=params.T, values=payoff.copy())
-    for _ in range(params.pricing_steps):
-        solved = implicit_step(op, surface, params.dtau)
-        surface = ValueSurface(t=solved.t, values=np.maximum(payoff, solved.values))
-    return surface
+    values, t = payoff.copy(), params.T
+    if params.pricing_steps:
+        factor = _thomas_factor(op.sub, op.diag + 1.0, op.super_)
+        for _ in range(params.pricing_steps):
+            values = np.maximum(payoff, _thomas_sweep(factor, values.tolist()))
+            t -= params.dtau
+    return ValueSurface(t=t, values=values)

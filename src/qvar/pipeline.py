@@ -25,13 +25,12 @@ reads of a book is a step function: the classical quantile of the
 empirical CDF's step q falls in, the tail mass of the threshold's rank
 among the book's value codes, the CVaR overlap of the terms at or below
 it.  So the level tables keep each read on its step, filled on first read
-and bounded by the book's L and codes.  The exact VaR is one too: every
-bisection probe compares one of the book's tail masses with q, so its
-code, iterations and queries are kept on the step q falls in among them
-(``risk.exact_var``).  Each request still runs the budget check first,
-then both classical readouts at its level and Step 4's reads: the VaR,
-the CVaR overlap and, in sampled mode, its own ``random.Random`` seeded
-with the request's seed, which draws for every bisection probe.  The
+and bounded by the book's L and codes.  The exact VaR is read off the tail
+masses at the book's value codes (``risk.exact_var``).  Each request still
+runs the budget check first, then both classical readouts at its level
+and Step 4's reads: the VaR, the CVaR overlap and, in sampled mode, its
+own ``random.Random`` seeded with the request's seed, which draws for
+every bisection probe and both CVaR estimates.  The
 config's market and payoff come from the parse memos of
 ``market.load_market_config``.  The ``ResourceTally`` charges the simulated
 device Steps 1-3 and one state preparation per probe on every request,
@@ -274,38 +273,31 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     tally.state_preparation_repetitions += 1
     tally.rho_copies += 1
 
-    sampled = config.mode == "quantum_sampled"
-    measure_mode = "sampled" if sampled else "exact"
-    # only sampled mode draws, from here on, and from the standard
-    # library's generator: no mode imports numpy.random, and start-up does
-    # not import random
+    # Step 4: the VaR and the CVaR overlap, read from the book's tail table;
+    # the device prepares the state once per probe.  Exact mode reads the
+    # VaR off the table's level masses; sampled mode searches and estimates
+    # with its own generator, the standard library's: no mode imports
+    # numpy.random, and start-up does not import random
     rng = None
-    if sampled:
+    if config.mode == "quantum_sampled":
         import random
         rng = random.Random(config.seed)
-    eps_est = 0.02
-
-    # Step 4: bisection VaR and the CVaR overlap, read from the book's tail
-    # table; the device prepares the state once per probe.  Exact mode's
-    # search is read from its level step
-    if sampled:
-        var_code, iterations, queries = bisection_var(
-            quantum.tail, config.q, mode=measure_mode, eps=eps_est, rng=rng)
+        var_code, iterations, queries = bisection_var(quantum.tail, config.q,
+                                                      rng)
     else:
         var_code, iterations, queries = exact_var(quantum.tail, config.q)
     tally.bisection_iterations = iterations
     tally.state_preparation_repetitions += iterations
-    breakdown = cvar(quantum.tail, var_code, config.L, scale,
-                     mode=measure_mode, eps=eps_est, rng=rng)
-    if sampled:
+    breakdown = cvar(quantum.tail, var_code, config.L, scale, rng)
+    if rng is not None:
         tally.amplitude_estimation_queries += queries + breakdown.queries
 
     # decode_value's bits: an exact division by a power of two
     var_norm = var_code / 2 ** (config.m - 1)
-    method = "quantum_sampled" if sampled else "quantum_exact"
     report = RiskReport(level=config.q, var=var_norm * scale,
-                        cvar=breakdown.cvar, p0=breakdown.p0, method=method,
-                        scale=scale, var_normalized=var_norm,
+                        cvar=breakdown.cvar, p0=breakdown.p0,
+                        method=config.mode, scale=scale,
+                        var_normalized=var_norm,
                         cvar_normalized=breakdown.cvar_normalized,
                         var_code=var_code)
     deviations = {

@@ -423,12 +423,10 @@ class QsvtUnitary:
     ``matrix`` is the read-only real (2^n, k) product of the top-left 2^n
     block, the branch where all a = 4 ancillas (real-part signal qubit,
     encoding flag, branch pair) read zero, sum_k P(sigma_k / gamma)
-    |w_k><v_k| of the encoded matrix, with k real columns.  ``degree``
-    counts the encoding queries.
+    |w_k><v_k| of the encoded matrix, with k real columns.
     """
 
     matrix: np.ndarray
-    degree: int
 
 
 def _alternate_columns(be: BlockEncoding, phases: PhaseFactorSequence,
@@ -443,8 +441,6 @@ def _alternate_columns(be: BlockEncoding, phases: PhaseFactorSequence,
     elsewhere.  The columns meet its factors right to left, the last query
     first, each through the factors of U at O(64 2^n) per column.
     """
-    if be.a != 3:
-        raise ConfigError("expected a 3-ancilla block encoding")
     signs = np.full((2 * BRANCHES, 1), -1.0)
     signs[0] = 1.0
     for k in reversed(range(phases.degree)):
@@ -469,7 +465,7 @@ def apply_qsvt(be: BlockEncoding, phases: PhaseFactorSequence,
     cols[:, 0] = columns
     out = np.ascontiguousarray(_alternate_columns(be, phases, cols)[:, 0].real)
     out.setflags(write=False)
-    return QsvtUnitary(matrix=out, degree=phases.degree)
+    return QsvtUnitary(matrix=out)
 
 
 def svd_transform_oracle(dense: np.ndarray, poly: PolynomialTarget,
@@ -508,7 +504,6 @@ class PreparedValueState:
     success_probability: float
     target: PolynomialTarget
     phases: PhaseFactorSequence
-    gamma: float
     encoding: BlockEncoding
     steps: int
 
@@ -577,5 +572,5 @@ def prepare_value_state(payoff: np.ndarray, params: MarketParams, grid: PriceGri
         vec = -vec
     vec.setflags(write=False)
     return PreparedValueState(state=vec, success_probability=least,
-                              target=poly, phases=phases, gamma=gamma,
-                              encoding=be, steps=steps)
+                              target=poly, phases=phases, encoding=be,
+                              steps=steps)

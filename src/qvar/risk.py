@@ -1,12 +1,11 @@
 """Tail-risk stage: comparator, bisection VaR, tail probability, the CVaR
 overlap and its reconstruction, plus the classical quantile oracle.
-Step 4 reads a ``TailTable`` built once per flagged state: the bisection
-probes sum its squared magnitudes (``tail_probability``) and the CVaR
-overlap its contraction terms (``swap_test_overlap``); no request writes
-the flag.  Both reads, the exact bisection's result (``exact_var``) and
-the classical quantile readout (``QuantileTable``) change only at a few
-steps of the threshold or the level, so each is memoised on its step and
-a level read again is a lookup.
+Step 4 reads a ``TailTable`` built once per flagged state: a tail read sums
+its squared magnitudes (``tail_probability``) and the CVaR overlap its
+contraction terms (``swap_test_overlap``); no request writes the flag.
+Both reads change only at a few steps of the threshold, and the classical
+quantile readout (``QuantileTable``) only at a few steps of the level, so
+each is memoised on its step and a level read again is a lookup.
 
 All quantum-path quantities operate on the m-bit half-scale value codes,
 so the quantum-exact VaR code coincides with the classical empirical
@@ -20,8 +19,12 @@ lowest q-fraction, Pr(V <= VaR) >= q.  Registers carry values normalized
 by the grid norm sqrt(sum V(S_j)^2); reports carry both the normalized
 and the monetary figures via ``scale``.
 
-Sampled mode reads each tail mass and overlap through amplitude estimation
-(``qvar.amplitude``).
+Both table reads are exact.  Exact mode reads the VaR off the table's
+level masses (``exact_var``).  Sampled mode estimates on top of the exact
+reads through amplitude estimation (``qvar.amplitude``) at additive error
+SAMPLED_EPS, drawing from a seeded generator: ``bisection_var`` searches
+with estimated probes, and ``cvar``, given the generator, estimates the
+tail mass and the squared overlap.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ VALUE_REG = "value"
 FLAG = "flag"
 
 RiskMethod = Literal["classical", "quantum_exact", "quantum_sampled"]
+# the additive error of every sampled estimate
+SAMPLED_EPS = 0.02
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,7 @@ class TailTable:
     threshold's rank among ``levels``, the distinct codes ascending (at
     most len(levels) + 1 entries), and ``overlaps`` the exact overlap on
     its prefix length (at most L + 1).  Every threshold of one step sums
-    the same entries in the same order, so a hit has a miss's bits.  The
-    exact VaR is a step function of the level, so ``var_reads`` keeps
-    ``bisection_var``'s result on the level's step (``exact_var``, at most
-    len(levels) + 1 entries)."""
+    the same entries in the same order, so a hit has a miss's bits."""
 
     def __init__(self, state: StateVector, reference=None, value_lookup=None):
         layout = state.layout
@@ -136,7 +138,7 @@ class TailTable:
         self.probs.setflags(write=False)
         # not np.unique, which imports numpy.ma
         self.levels = tuple(sorted(set(self.codes.tolist())))
-        self.masses, self.overlaps, self.var_reads = {}, {}, {}
+        self.masses, self.overlaps = {}, {}
         self.ref_norm = self.term_codes = self.term_real = self.term_imag = None
         if reference is None:
             return
@@ -154,111 +156,83 @@ class TailTable:
     def level_masses(self) -> tuple:
         """The tail mass at each of ``levels``, nondecreasing: summing more
         nonnegative terms in the same order never rounds lower."""
-        return tuple(tail_probability(self, code)[0] for code in self.levels)
+        return tuple(tail_probability(self, code) for code in self.levels)
 
 
-def tail_probability(table: TailTable, threshold_code: int,
-                     mode: str = "exact", eps: float = 0.01,
-                     rng=None) -> tuple[float, int]:
+def tail_probability(table: TailTable, threshold_code: int) -> float:
     """Probability of flag = 0 (the tail mass) that ``comparator_ucc`` at
     ``threshold_code`` would give on the table's state, without writing the
-    flag; returns (p0, query count).  Exact mode sums the squared
-    amplitudes at value codes <= the threshold in stored order (one
-    query), once per step of the table (``TailTable.masses``); sampled
-    mode runs amplitude estimation at additive error eps."""
+    flag: the squared amplitudes at value codes <= the threshold, summed in
+    stored order once per step of the table (``TailTable.masses``)."""
     _check_threshold(table.width, threshold_code)
     rank = bisect.bisect_right(table.levels, threshold_code)
     p0 = table.masses.get(rank)
     if p0 is None:
         p0 = table.masses[rank] = float(np.bincount(
             table.codes > threshold_code, weights=table.probs, minlength=2)[0])
-    if mode == "exact":
-        return p0, 1
-    if rng is None:
-        raise ConfigError("sampled mode needs a seeded generator")
-    est = estimate_amplitude(p0, eps, rng)
-    return est.value, est.queries
+    return p0
 
 
-def bisection_var(table: TailTable, q: float, mode: str = "exact",
-                  eps: float = 0.01, rng=None):
-    """Smallest code of the table's m-bit value register whose tail
-    probability reaches q; returns (code, iterations, queries).
+def bisection_var(table: TailTable, q: float, rng,
+                  eps: float = SAMPLED_EPS) -> tuple[int, int, int]:
+    """Sampled mode's VaR: the smallest code of the table's m-bit value
+    register whose estimated tail probability reaches q; returns (code,
+    iterations, queries).
 
-    Binary search over the code range; each probe, one preparation of the
-    state on the device, reads the flag-0 mass of the comparator at the
-    candidate threshold (``tail_probability``), in sampled mode through
-    amplitude estimation at error eps (``estimate_reaches``, which decides
+    Binary search over the 2^m codes, which halves them exactly m times;
+    each probe, one preparation of the state on the device, estimates the
+    flag-0 mass of the comparator at the candidate threshold
+    (``tail_probability``) by amplitude estimation at error eps, drawing
+    from the seeded generator ``rng`` (``estimate_reaches``, which decides
     most probes from block bounds without searching for the estimate).  A
-    probe is accepted when its tail holds mass and reaches q to CDF_TOL;
-    an empty tail never is, so a level at or below CDF_TOL picks the least
-    code with mass, as the classical quantile does.  At most m iterations.
+    probe is accepted when its estimate holds mass and reaches q to
+    CDF_TOL.
     """
     _check_level(q)
-    if mode != "exact" and rng is None:
-        raise ConfigError("sampled mode needs a seeded generator")
     m = table.width
     lo, hi = 0, 2**m - 1
-    iterations = 0
     queries = 0
-    while lo < hi:
-        iterations += 1
-        if iterations > m:
-            raise NumericalError("bisection exceeded the m-iteration budget")
+    for _ in range(m):
         mid = (lo + hi) // 2
-        p0, used = tail_probability(table, mid)
-        if mode == "exact":
-            reached = p0 > 0 and p0 >= q - CDF_TOL
-        else:
-            reached, used = estimate_reaches(p0, q, eps, rng)
+        reached, used = estimate_reaches(tail_probability(table, mid), q, eps,
+                                         rng)
         queries += used
         if reached:
             hi = mid
         else:
             lo = mid + 1
-    return lo, iterations, queries
+    return lo, m, queries
 
 
 def exact_var(table: TailTable, q: float) -> tuple[int, int, int]:
-    """``bisection_var`` in exact mode, memoised on the step of q.  A probe
-    at a threshold of rank r among the table's levels is accepted when
-    that rank's tail mass is positive and reaches q - CDF_TOL.  The masses
-    rise with r, so the probes' outcomes, and the search's result, are
-    fixed by the step ``bisect_left(masses, q - CDF_TOL)``, one of
-    len(levels) + 1 (``TailTable.var_reads``).  Every level at or below
-    CDF_TOL reads step 0 and picks the least code with mass; a higher
-    level reads step 0 only when the first level has mass, and picks it
-    too."""
+    """Exact mode's VaR, read off the table's level masses: the least level
+    whose tail mass is positive and reaches q - CDF_TOL, or 2^m - 1 when
+    none is, with the m iterations and m queries of the bisection that
+    finds it.  That search over the 2^m codes halves them exactly m times,
+    and accepts a threshold when the tail mass of its rank among the
+    levels is positive and reaches q - CDF_TOL; the masses rise with the
+    rank, so it returns the least level accepted.  A level at or below
+    CDF_TOL picks the least level with mass, as the classical quantile
+    does."""
     _check_level(q)
-    step = bisect.bisect_left(table.level_masses, q - CDF_TOL)
-    read = table.var_reads.get(step)
-    if read is None:
-        read = table.var_reads[step] = bisection_var(table, q)
-    return read
+    masses, m = table.level_masses, table.width
+    first = max(bisect.bisect_left(masses, q - CDF_TOL),
+                bisect.bisect_right(masses, 0.0))
+    code = table.levels[first] if first < len(masses) else 2**m - 1
+    return code, m, m
 
 
-def swap_test_overlap(table: TailTable, threshold_code: int,
-                      mode: str = "exact", eps: float = 0.01,
-                      rng=None) -> tuple[float, int]:
+def swap_test_overlap(table: TailTable, threshold_code: int) -> float:
     """|<psi_ref x 0|Phi3>| for the table's reference and its state flagged
     at ``threshold_code`` with the value uncomputed: the exactly rounded
-    sum of the table's terms at codes <= the threshold, kept per prefix
-    in ``TailTable.overlaps`` (exact), or (sampled) the square root of an amplitude estimate, budget O(1/eps),
-    of the squared overlap, the probability that compute-uncompute (Phi3's
-    preparation, then the inverse reference preparation) returns all
-    zeros.  Amplitude estimation resolves the angle whose sine is the
-    overlap, so the overlap's error stays linear in eps near 0."""
+    sum of the table's terms at codes <= the threshold, kept per prefix in
+    ``TailTable.overlaps``."""
     k = bisect.bisect_right(table.term_codes, threshold_code)
     overlap = table.overlaps.get(k)
     if overlap is None:
         overlap = table.overlaps[k] = abs(complex(
             math.fsum(table.term_real[:k]), math.fsum(table.term_imag[:k])))
-    if mode == "exact":
-        return overlap, 1
-    if rng is None:
-        raise ConfigError("sampled mode needs a seeded generator")
-    est = estimate_amplitude(overlap**2, eps, rng)
-    return math.sqrt(est.value), est.queries
+    return overlap
 
 
 @dataclass(frozen=True)
@@ -333,22 +307,35 @@ class CvarBreakdown:
 
 
 def cvar(table: TailTable, threshold_code: int, L: int, scale: float,
-         mode: str = "exact", eps: float = 0.01, rng=None) -> CvarBreakdown:
+         rng=None, eps: float = SAMPLED_EPS) -> CvarBreakdown:
     """Tail mean from the flagged-and-uncomputed portfolio state.
 
     Reads the tail fraction at the VaR code and the reference's overlap
-    with the state flagged there, value uncomputed (``swap_test_overlap``);
-    the reconstruction divides by the achieved tail fraction.  Without a
-    reference every branch value is zero, and so is the tail mean.
+    with the state flagged there, value uncomputed (``swap_test_overlap``),
+    one query each.  Given a seeded generator ``rng`` (sampled mode), it
+    estimates both by amplitude estimation at error eps, budget O(1/eps):
+    the tail fraction, then the squared overlap, the probability that
+    compute-uncompute (Phi3's preparation, then the inverse reference
+    preparation) returns all zeros.  Amplitude estimation resolves the
+    angle whose sine is the overlap, so the overlap's error stays linear in
+    eps near 0.  The reconstruction divides by the achieved tail fraction.
+    Without a reference every branch value is zero, and so is the tail
+    mean, with the exact tail fraction, no query and no draw.
     """
+    p0 = tail_probability(table, threshold_code)
     if table.ref_norm is None:
-        p0, _ = tail_probability(table, threshold_code)
         return CvarBreakdown(cvar=0.0, cvar_normalized=0.0, overlap=0.0,
                              overlap_raw=0.0, p0=p0, queries=0)
-    p0, q_used = tail_probability(table, threshold_code, mode, eps, rng)
+    q_used = q_overlap = 1
+    if rng is not None:
+        est = estimate_amplitude(p0, eps, rng)
+        p0, q_used = est.value, est.queries
     if p0 <= 0.0:
         raise NumericalError("empty tail set: no branch at or below the VaR code")
-    raw, q_overlap = swap_test_overlap(table, threshold_code, mode, eps, rng)
+    raw = swap_test_overlap(table, threshold_code)
+    if rng is not None:
+        est = estimate_amplitude(raw**2, eps, rng)
+        raw, q_overlap = math.sqrt(est.value), est.queries
     cvar_norm = raw * table.ref_norm / (p0 * math.sqrt(L))
     overlap_folded = raw * table.ref_norm * math.sqrt(p0)
     return CvarBreakdown(cvar=cvar_norm * scale, cvar_normalized=cvar_norm,

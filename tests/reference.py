@@ -20,7 +20,9 @@ densely so that small instances can be compared entry by entry:
 * the scalar forms of the scenario map (``logistic_increment``,
   ``euler_forward``) and of the path snap (``nearest_index``), the
   tridiagonal solve on NumPy scalars (``numpy_thomas_solve``), which
-  ``pde._thomas_solve`` runs over Python floats, the column map of the
+  ``pde._thomas_solve`` runs over Python floats, one implicit step solved
+  on its own (``implicit_step``), which ``pde.price_european`` and
+  ``pde.price_american`` run from one factorization, the column map of the
   block encoding
   (``column_index``), its 2^(n+3)-square unitary multiplied out from the
   factors (``dense_unitary``), its top-left block (``encoded_block``) and
@@ -39,8 +41,11 @@ densely so that small instances can be compared entry by entry:
   (``comparator_bisection_var``) and the CVaR that flags the state at the
   VaR code, uncomputes its value and contracts it with the reference
   (``comparator_cvar``, on the two-state overlap ``state_swap_test``),
-  which ``risk.tail_probability``, ``risk.bisection_var`` and
-  ``risk.cvar`` reproduce bit for bit from a ``risk.TailTable``;
+  which ``risk.tail_probability``, ``risk.exact_var``,
+  ``risk.bisection_var`` and ``risk.cvar`` reproduce bit for bit from a
+  ``risk.TailTable``; and the exact bisection over a table's tail reads
+  (``exact_bisection_var``), which ``risk.exact_var`` reads off the
+  table's level masses;
 * one Binomial(n, p) draw by its own walk and uniform (``binomial``),
   which ``amplitude._draw_hits`` reproduces per power from a memoised draw
   plan;
@@ -66,7 +71,8 @@ from qvar import amplitude, qsvt, risk
 from qvar.blockenc import BRANCHES, SHIFTS, BlockEncoding
 from qvar.errors import ConfigError, NumericalError
 from qvar.market import MarketParams, PriceGrid
-from qvar.pde import PIVOT_FLOOR, TridiagonalOperator
+from qvar.pde import (PIVOT_FLOOR, TridiagonalOperator, ValueSurface,
+                      _thomas_solve)
 from qvar.qcore import RegisterLayout, StateVector, xor_write
 from qvar.qpca import QPE_DT, decode_value, sqrt_code_table
 from qvar.qsvt import PhaseFactorSequence
@@ -409,6 +415,16 @@ def numpy_thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
     return x
 
 
+def implicit_step(op: TridiagonalOperator, surface: ValueSurface,
+                  dtau: float) -> ValueSurface:
+    """One fully implicit step on its own: solve (I + M) x = V^t, stamp
+    t - dtau."""
+    if surface.values.size != op.size:
+        raise ConfigError("surface length does not match operator dimension")
+    x = _thomas_solve(op.sub, op.diag + 1.0, op.super_, surface.values)
+    return ValueSurface(t=surface.t - dtau, values=x)
+
+
 def euler_forward(j: int, x: float, params: MarketParams, L: int) -> float:
     """F(j, x) = (1 + mu dtau) x + alpha dZ_j sqrt(x)."""
     if x < 0:
@@ -499,8 +515,6 @@ def dense_qsvt_circuit(be: BlockEncoding, phases: PhaseFactorSequence) -> np.nda
     size = 2**be.n
     u = dense_unitary(be)
     dim = u.shape[0]
-    if be.a != 3:
-        raise ConfigError("expected a 3-ancilla block encoding")
 
     # diag(e^{i phi (2 Pi - I)}) on the encoding space: +phi where both
     # encoding ancillas read zero (indices < 2^n), -phi elsewhere
@@ -606,6 +620,30 @@ def comparator_tail_probability(state: StateVector, threshold_code: int,
         return p0, 1
     est = amplitude.estimate_amplitude(p0, eps, rng)
     return est.value, est.queries
+
+
+def exact_bisection_var(table: risk.TailTable,
+                        q: float) -> tuple[int, int, int]:
+    """The exact bisection over the table's 2^m value codes: each probe
+    reads the tail mass at its threshold (``risk.tail_probability``, one
+    query) and is accepted when that mass is positive and reaches q to
+    CDF_TOL; returns (code, iterations, queries), at most m iterations."""
+    risk._check_level(q)
+    m = table.width
+    lo, hi = 0, 2**m - 1
+    iterations = queries = 0
+    while lo < hi:
+        iterations += 1
+        if iterations > m:
+            raise NumericalError("bisection exceeded the m-iteration budget")
+        mid = (lo + hi) // 2
+        p0 = risk.tail_probability(table, mid)
+        queries += 1
+        if p0 > 0 and p0 >= q - risk.CDF_TOL:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, iterations, queries
 
 
 def comparator_bisection_var(state_preparer, q: float, m: int,

@@ -29,7 +29,7 @@ from qvar.qcore import RegisterLayout
 from qvar.qpca import (assemble_portfolio_state, decode_value, grid_codes,
                        reduced_rho, snap_paths)
 from qvar.qsvt import prepare_value_state
-from qvar.risk import (TailTable, bisection_var, classical_var_cvar, cvar,
+from qvar.risk import (TailTable, classical_var_cvar, cvar, exact_var,
                        make_reference_state)
 from reference import (DensityMatrix, dense_unitary, evolve_exp_rho,
                        explicit_trace_norm_gap, fit_linear_slope, grover_rudolph_prepare, nearest_index,
@@ -213,7 +213,7 @@ def test_criterion_6_and_7_var_equality_cvar_identity(rng):
         reference = make_reference_state(
             layout, assembled.path_support << 1, assembled.value)
         tail = TailTable(state, reference, assembled.lookup)
-        var_code, iters, _ = bisection_var(tail, q)
+        var_code, iters, _ = exact_var(tail, q)
         classical = classical_var_cvar(twin, q)
         assert decode_value(var_code, m) == classical.var, \
             f"trial {trial}: code {var_code} vs classical {classical.var}"

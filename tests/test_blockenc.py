@@ -1,13 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_tridiagonal
 from qvar import blockenc
 from qvar.blockenc import assemble_block_encoding
 from qvar.errors import NumericalError
-from qvar.pde import TridiagonalOperator
+from qvar.market import MarketParams, build_grid
+from qvar.pde import TridiagonalOperator, assemble_operator
 from reference import (column_index, dense_columns, dense_unitary,
                        encoded_block, index_major, verify_block_encoding)
 
@@ -29,7 +32,6 @@ def test_column_index_examples():
 def test_identity_encoding():
     op = make_op(np.zeros(4), np.ones(4), np.zeros(4), 2)
     be = assemble_block_encoding(op)
-    assert be.a == 3
     assert be.gamma == 1.0
     assert np.abs(encoded_block(be) - np.eye(4)).max() < 1e-14
 
@@ -126,6 +128,34 @@ def test_perturbed_unitary_error_band_and_monotone(rng):
         errors.append(verify_block_encoding(be, op, unitary=rot @ u))
     assert 1e-8 <= errors[0] <= 1e-4
     assert errors[0] < errors[1] < errors[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(0.5, 3.0))
+def test_banded_certificate_bounds_the_dense_error(n, seed, shift):
+    # the certificate, from the bands of M - gamma * block, is at least the
+    # spectral norm of the dense difference
+    op = make_op(*random_tridiagonal(np.random.default_rng(seed), n, shift), n)
+    be = assemble_block_encoding(op)
+    assert be.eps >= verify_block_encoding(be, op)
+
+
+def test_certificate_forms_no_square_array():
+    # at n = 10 one 2^n-square float array takes 8 MiB; the assembly's
+    # traced peak stays below that
+    params = MarketParams(r=0.02, mu=0.05, alpha=0.2, T=12 / 4096,
+                          t_bar=8 / 4096, dtau=1 / 4096)
+    op = assemble_operator(params, build_grid(0.0, 4.0, 10, "uniform"))
+    stepping = op.plus_identity().transpose()
+    tracemalloc.start()
+    try:
+        be = assemble_block_encoding(stepping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert be.eps <= blockenc.CERTIFY_TOL
+    assert peak < 8 * 2**20
 
 
 def test_zero_matrix_rejected():

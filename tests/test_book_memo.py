@@ -172,8 +172,8 @@ def test_tally_is_equal_on_a_hit_and_a_miss(mode):
 
 def test_an_exact_var_hit_charges_a_miss_tally(monkeypatch):
     # the README book's tail masses are multiples of 1/8, so 0.1 reads the
-    # VaR 0.05 searched: no bisection runs, and the tally and report are a
-    # cold request's at 0.1
+    # VaR 0.05 reads off the level masses: no bisection runs, and the tally
+    # and report are a cold request's at 0.1
     pipeline._book.cache_clear()
     cold = run(q=0.1)
     pipeline._book.cache_clear()
@@ -183,14 +183,14 @@ def test_an_exact_var_hit_charges_a_miss_tally(monkeypatch):
         searches.append(args)
         return bisection_var(*args, **kwargs)
 
-    monkeypatch.setattr(risk, "bisection_var", counted)
-    run(q=0.05)
-    assert len(searches) == 1
+    monkeypatch.setattr(pipeline, "bisection_var", counted)
+    first = run(q=0.05)
     warm = run(q=0.1)
-    assert len(searches) == 1
+    assert searches == []
     assert warm.tally == cold.tally
     assert emit_report(warm) == emit_report(cold)
-    assert len(book_of()._quantum.tail.var_reads) == 1
+    assert warm.report.var_code == first.report.var_code
+    assert warm.tally.bisection_iterations == README_CONFIG["m"]
 
 
 def test_a_warm_request_at_a_read_level_sums_no_tail_mass(monkeypatch):

@@ -6,10 +6,10 @@ from qvar import pde
 from qvar.errors import NumericalError
 from qvar.market import MarketParams, PayoffSpec, build_grid, payoff_vector
 from qvar.pde import (PIVOT_FLOOR, TridiagonalOperator, ValueSurface,
-                      _thomas_solve, assemble_operator, implicit_step,
-                      price_american, price_european)
+                      _thomas_solve, assemble_operator, price_american,
+                      price_european)
 from conftest import random_tridiagonal
-from reference import nearest_index, numpy_thomas_solve
+from reference import implicit_step, nearest_index, numpy_thomas_solve
 
 
 def coefficient_oracle(params, grid):
@@ -165,6 +165,44 @@ def test_price_european_factors_once_and_steps_bit_for_bit(
             assert str(raised.value) == str(exc)
             return
         surface = price_european(params, grid, spec)
+    assert surface.t == expected.t
+    assert surface.values.tobytes() == expected.values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(0, 40), shift=st.floats(0.5, 3.0),
+       kind=st.sampled_from(["call", "put"]),
+       singular=st.none() | st.integers(0, 2**6 - 1))
+def test_price_american_factors_once_and_steps_bit_for_bit(
+        n, seed, steps, shift, kind, singular):
+    # as for the European price, with the projection onto the payoff after
+    # each solve: the per-step loop solves on its own and projects
+    rng = np.random.default_rng(seed)
+    sub, diag, sup = random_tridiagonal(rng, n, shift)
+    if singular is not None:
+        row = singular % 2**n
+        sub[row], diag[row] = 0.0, 0.0  # that row's pivot is exactly zero
+    op = TridiagonalOperator(sub, diag - 1.0, sup, n)
+    params = MarketParams(r=0.02, mu=0.0, alpha=0.2, T=steps * 0.1, t_bar=0.0,
+                          dtau=0.1)
+    grid = build_grid(0.0, 4.0, n, "uniform")
+    spec = PayoffSpec(kind, 1.0 + rng.random())
+    payoff = payoff_vector(spec, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pde, "assemble_operator", lambda *args: op)
+        expected = ValueSurface(t=params.T, values=payoff.copy())
+        try:
+            for _ in range(steps):
+                solved = implicit_step(op, expected, params.dtau)
+                expected = ValueSurface(t=solved.t, values=np.maximum(
+                    payoff, solved.values))
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as raised:
+                price_american(params, grid, spec)
+            assert str(raised.value) == str(exc)
+            return
+        surface = price_american(params, grid, spec)
     assert surface.t == expected.t
     assert surface.values.tobytes() == expected.values.tobytes()
 

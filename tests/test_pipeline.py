@@ -10,7 +10,7 @@ from qvar.market import (MarketParams, PayoffSpec, build_grid, payoff_vector,
                          price_code)
 from qvar.pipeline import (RunConfig, _book, emit_report, load_run_config,
                            run_pipeline)
-from qvar.risk import cvar
+from qvar.risk import SAMPLED_EPS, cvar
 from qvar.errors import ConfigError
 from qvar.qpca import snap_paths
 from reference import nearest_index
@@ -118,10 +118,6 @@ def test_sampled_var_codes_agree_with_the_classical_oracle():
             if not res.deviations["var_code_matches_classical"]:
                 missed.append((q, seed))
     assert len(missed) <= 6, missed
-
-
-# the additive error of every sampled estimate, run_pipeline's eps_est
-SAMPLED_EPS = 0.02
 
 
 def test_sampled_cvar_gap_within_the_estimators_budget():

@@ -30,7 +30,7 @@ from qvar.risk import (QuantileTable, TailTable, bisection_var,
                        tail_probability)
 from reference import (binomial, comparator_bisection_var, comparator_cvar,
                        comparator_tail_probability, dense_state,
-                       exact_distribution)
+                       exact_bisection_var, exact_distribution)
 
 M_BITS = 5
 
@@ -68,16 +68,18 @@ def test_comparator_matches_classical_pattern(rng):
     codes = rng.integers(0, 2**M_BITS, size=8)
     thr = 11
     state = branch_state(codes)
-    p0, _ = tail_probability(TailTable(state), thr)
+    p0 = tail_probability(TailTable(state), thr)
     assert p0 == pytest.approx(np.mean(codes <= thr), abs=1e-12)
     assert exact_distribution(comparator_ucc(state, thr), "flag")[0] == p0
 
 
 def test_tail_probability_counting():
+    # one sum, kept on the threshold's rank among the table's levels
     state = branch_state([1, 2, 10, 11, 12, 13, 14, 15])
-    p0, queries = tail_probability(TailTable(state), 2)
+    table = TailTable(state)
+    p0 = tail_probability(table, 2)
     assert p0 == pytest.approx(0.25, abs=1e-12)
-    assert queries == 1
+    assert list(table.masses.values()) == [p0]
 
 
 def test_tail_probability_sampled_within_eps(rng):
@@ -87,9 +89,9 @@ def test_tail_probability_sampled_within_eps(rng):
         codes = gen.integers(0, 2**M_BITS, size=16)
         thr = int(gen.integers(0, 2**M_BITS))
         table = TailTable(branch_state(codes))
-        exact, _ = tail_probability(table, thr)
-        sampled, queries = tail_probability(table, thr, mode="sampled", eps=eps,
-                                            rng=np.random.default_rng(1000 + seed))
+        exact = tail_probability(table, thr)
+        est = estimate_amplitude(exact, eps, np.random.default_rng(1000 + seed))
+        sampled, queries = est.value, est.queries
         assert abs(sampled - exact) <= eps
         assert queries <= 64 * 96 * 4 / eps  # documented O(1/eps) budget
 
@@ -134,14 +136,14 @@ def test_tail_read_equals_comparator_readout_bitwise(case, data, seed, eps):
     state, m = case
     threshold = data.draw(st.integers(0, 2**m - 1))
     table = TailTable(state)
-    p0, queries = tail_probability(table, threshold)
+    p0 = tail_probability(table, threshold)
     oracle, oracle_queries = comparator_tail_probability(state, threshold)
-    assert (p0.hex(), queries) == (oracle.hex(), oracle_queries)
-    sampled = [read(source, threshold, "sampled", eps, np.random.default_rng(seed))
-               for read, source in ((tail_probability, table),
-                                    (comparator_tail_probability, state))]
-    assert sampled[0][0].hex() == sampled[1][0].hex()
-    assert sampled[0][1] == sampled[1][1]
+    assert (p0.hex(), 1) == (oracle.hex(), oracle_queries)
+    est = estimate_amplitude(p0, eps, np.random.default_rng(seed))
+    sampled = comparator_tail_probability(state, threshold, "sampled", eps,
+                                          np.random.default_rng(seed))
+    assert est.value.hex() == sampled[0].hex()
+    assert est.queries == sampled[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,8 +156,10 @@ def test_bisection_equals_comparator_bisection(case, q, mode, seed):
     def rng():
         return np.random.default_rng(seed) if mode == "sampled" else None
 
-    assert bisection_var(TailTable(state), q, mode, 0.02, rng()) == \
-        comparator_bisection_var(state.copy, q, m, mode, 0.02, rng())
+    table = TailTable(state)
+    got = (exact_var(table, q) if mode == "exact"
+           else bisection_var(table, q, rng(), 0.02))
+    assert got == comparator_bisection_var(state.copy, q, m, mode, 0.02, rng())
 
 
 @st.composite
@@ -206,7 +210,10 @@ def test_table_tail_mass_equals_the_comparator_at_every_code(case, seed):
     table = TailTable(state, reference, lookup)
     for code in range(2**m):
         for mode, rng_a, rng_b in modes_with_generators(seed):
-            p0, queries = tail_probability(table, code, mode, 0.1, rng_a)
+            p0, queries = tail_probability(table, code), 1
+            if rng_a is not None:
+                est = estimate_amplitude(p0, 0.1, rng_a)
+                p0, queries = est.value, est.queries
             oracle, oracle_queries = comparator_tail_probability(
                 state, code, mode, 0.1, rng_b)
             assert (p0.hex(), queries) == (oracle.hex(), oracle_queries)
@@ -222,17 +229,17 @@ def test_memoised_tail_reads_equal_the_unmemoised_sums(case, data):
     table = TailTable(state, reference, lookup)
     for _ in range(2):
         for code in data.draw(st.permutations(range(2**m))):
-            p0, queries = tail_probability(table, code)
+            p0 = tail_probability(table, code)
             mass = np.bincount(table.codes > code, weights=table.probs,
                                minlength=2)[0]
-            assert (p0.hex(), queries) == (float(mass).hex(), 1)
+            assert p0.hex() == float(mass).hex()
             if reference is None:
                 continue
-            overlap, queries = swap_test_overlap(table, code)
+            overlap = swap_test_overlap(table, code)
             k = bisect.bisect_right(table.term_codes, code)
             exact = abs(complex(math.fsum(table.term_real[:k]),
                                 math.fsum(table.term_imag[:k])))
-            assert (overlap.hex(), queries) == (exact.hex(), 1)
+            assert overlap.hex() == exact.hex()
     assert len(table.masses) <= len(table.levels) + 1
     assert list(table.levels) == np.unique(table.codes).tolist()
     assert len(table.overlaps) <= (0 if reference is None
@@ -242,10 +249,10 @@ def test_memoised_tail_reads_equal_the_unmemoised_sums(case, data):
 @settings(max_examples=60, deadline=None)
 @given(case=tail_instances(), data=st.data())
 def test_memoised_exact_var_equals_the_bisection(case, data):
-    # the exact VaR is memoised on the step q - CDF_TOL falls in among the
+    # the exact VaR is read off the step q - CDF_TOL falls in among the
     # tail masses, so q is read on both sides of every mass and of every
-    # k / L, in a drawn order and twice, against the unmemoised bisection
-    # on a fresh table
+    # k / L, and at or below CDF_TOL, in a drawn order and twice, against
+    # the bisection on a fresh table
     state, reference, lookup, m = case
     codes = TailTable(state).codes
     cut = data.draw(st.sampled_from([0, *sorted(set(codes.tolist()))[1:]]))
@@ -258,12 +265,12 @@ def test_memoised_exact_var_equals_the_bisection(case, data):
     table = TailTable(state, reference, lookup)
     oracle = TailTable(state, reference, lookup)
     count = state.amplitudes.size
-    masses = [tail_probability(oracle, code)[0] for code in oracle.levels]
+    masses = [tail_probability(oracle, code) for code in oracle.levels]
     levels = [q for mid in [k / count for k in range(count + 1)] + masses
               for q in (mid - CDF_TOL, mid, mid + CDF_TOL) if 0 < q < 1]
+    levels.append(CDF_TOL / 2)
     for q in data.draw(st.permutations(levels * 2)):
-        assert exact_var(table, q) == bisection_var(oracle, q), q
-    assert len(table.var_reads) <= len(table.levels) + 1
+        assert exact_var(table, q) == exact_bisection_var(oracle, q), q
     with pytest.raises(ConfigError, match="q must lie in"):
         exact_var(table, 1.0)
 
@@ -319,14 +326,13 @@ def test_table_cvar_equals_the_comparator_circuit_at_every_code(case, seed,
             if reference is None:
                 # a zero tail mean with the exact p0, and no draw
                 before = None if rng_a is None else rng_a.bit_generator.state
-                out = cvar(table, code, L, scale, mode, 0.1, rng_a)
+                out = cvar(table, code, L, scale, rng_a, 0.1)
                 assert breakdown_bits(out) == ((0.0).hex(), p0.hex(),
                                                *[(0.0).hex()] * 3, 0)
                 assert before is None or rng_a.bit_generator.state == before
                 continue
             try:
-                got = breakdown_bits(cvar(table, code, L, scale, mode, 0.1,
-                                          rng_a))
+                got = breakdown_bits(cvar(table, code, L, scale, rng_a, 0.1))
             except NumericalError as exc:  # a sampled p0 of zero
                 got = str(exc)
             try:
@@ -356,14 +362,14 @@ def sorting_oracle(codes, q):
 
 
 def test_bisection_all_equal_values():
-    var, iters, _ = bisection_var(TailTable(branch_state([9] * 8)), 0.37)
+    var, iters, _ = exact_var(TailTable(branch_state([9] * 8)), 0.37)
     assert var == 9
     assert iters <= M_BITS
 
 
 def test_bisection_uniform_distinct_codes():
     codes = [2, 5, 7, 11, 13, 17, 23, 29]
-    var, iters, _ = bisection_var(TailTable(branch_state(codes)), 0.25)
+    var, iters, _ = exact_var(TailTable(branch_state(codes)), 0.25)
     assert var == sorting_oracle(codes, 0.25) == 5
     assert iters <= M_BITS
 
@@ -372,7 +378,7 @@ def test_bisection_uniform_distinct_codes():
 def test_bisection_matches_sorting_oracle(rng, q):
     for _ in range(10):
         codes = rng.integers(0, 2**M_BITS, size=16)
-        var, iters, _ = bisection_var(TailTable(branch_state(codes)), q)
+        var, iters, _ = exact_var(TailTable(branch_state(codes)), q)
         assert var == sorting_oracle(codes, q)
         assert iters <= M_BITS
 
@@ -425,14 +431,19 @@ def test_swap_test_shape_mismatch():
         overlap_terms(a, b)
 
 
+def sampled_overlap(exact: float, eps: float, rng) -> float:
+    """The overlap as ``cvar`` estimates it, given a generator: the square
+    root of an amplitude estimate of its square."""
+    return math.sqrt(estimate_amplitude(exact**2, eps, rng).value)
+
+
 def test_swap_test_sampled(rng):
     codes = rng.integers(1, 2**M_BITS, size=8)
     state, ref, ref_norm, table = cvar_setup(codes, 0.5)
     tail = TailTable(state, (ref, ref_norm), table.take)
     for threshold in (int(np.median(codes)), 2**M_BITS - 1):
-        exact, _ = swap_test_overlap(tail, threshold)
-        sampled, _ = swap_test_overlap(tail, threshold, mode="sampled",
-                                       eps=0.01, rng=np.random.default_rng(17))
+        exact = swap_test_overlap(tail, threshold)
+        sampled = sampled_overlap(exact, 0.01, np.random.default_rng(17))
         assert abs(sampled - exact) <= 0.05
 
 
@@ -445,10 +456,9 @@ def test_sampled_overlap_error_is_linear_in_eps(rng):
     tail = TailTable(state, (ref, ref_norm), table.take)
     eps = 0.02
     for threshold in [0] + sorted(set(codes.tolist())):
-        exact, _ = swap_test_overlap(tail, threshold)
+        exact = swap_test_overlap(tail, threshold)
         for seed in range(20):
-            sampled, _ = swap_test_overlap(tail, threshold, mode="sampled",
-                                           eps=eps, rng=random.Random(seed))
+            sampled = sampled_overlap(exact, eps, random.Random(seed))
             assert abs(sampled - exact) <= 2 * eps, (threshold, seed)
             if exact == 0.0:
                 assert sampled == 0.0
@@ -510,7 +520,7 @@ def test_cvar_identity_matches_tail_mean(rng):
         q = 0.25
         state, ref, ref_norm, table = cvar_setup(value_codes, q)
         tail = TailTable(state, (ref, ref_norm), table.take)
-        var, _, _ = bisection_var(tail, q)
+        var, _, _ = exact_var(tail, q)
         out = cvar(tail, var, 8, 1.0)
         values = decode_value(value_codes, M_BITS)
         tail = values[values <= decode_value(var, M_BITS)]
@@ -551,7 +561,7 @@ def value_code_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(codes=value_code_lists(), q=st.floats(0.01, 0.99))
 def test_sparse_bisection_matches_classical_quantile(codes, q):
-    var, iters, _ = bisection_var(TailTable(sparse_branch_state(codes)), q)
+    var, iters, _ = exact_var(TailTable(sparse_branch_state(codes)), q)
     classical = classical_var_cvar(decode_value(codes, M_BITS), q)
     assert decode_value(var, M_BITS) == classical.var
     assert iters <= M_BITS
@@ -600,7 +610,7 @@ for _ in range(2):
     norm = math.sqrt(math.fsum(np.abs(amps) ** 2))
     states.append(StateVector(amps / norm, layout, index))
 table = TailTable(states[1], (states[0], 1.0), np.zeros_like)
-print(repr(swap_test_overlap(table, 1)[0]))
+print(repr(swap_test_overlap(table, 1)))
 """
 
 
