@@ -17,12 +17,12 @@ zero without any explicit parity surgery.
 
 Each rung of the degree walk is one dense LP, solved whole by ``linprog``
 (``qvar.lp``).  The tight block encoding keeps the norm near 1 on the
-README market, so production rungs are degree 3 to 13 at n <= 8 and 99 at
+README market, so production rungs are degree 3 to 13 at n <= 8 and 71 at
 n = 10, a few MB of rows at most.
 
-Phase factors are solved in the symmetric Wx convention by the standard
-coefficient fixed-point iteration and converted to projector phases for
-the alternating circuit.  The circuit applies the encoding unitary and its
+Phase factors are solved in the symmetric Wx convention by Gauss-Newton
+(``least_squares``) and converted to projector phases for the
+alternating circuit.  The circuit applies the encoding unitary and its
 adjoint d times, interleaved with e^{i phi (2 Pi - I)} reflections, and
 uses one extra signal qubit to take the real part of the realized
 polynomial, for a = 4 ancillas in total.  A step keeps only the branch
@@ -63,9 +63,6 @@ Every request still walks the ladder with its own tolerance, checks the
 accepted fit's certificate against its eps and |P| <= 1 on [-1, 1],
 marches its payoff through the circuit and checks the floor; the results
 are the same bits cold or warm.
-
-SciPy is bound lazily: only a phase-solve fallback imports
-``scipy.optimize``, for ``least_squares``.
 """
 
 from __future__ import annotations
@@ -83,7 +80,7 @@ from .market import MarketParams, PriceGrid
 from .pde import TridiagonalOperator, _thomas_solve, assemble_operator
 
 DEGREE_CAP = 512
-PHASE_ITER_CAP = 10_000
+PHASE_ITER_CAP = 64
 PHASE_RESIDUAL_TOL = 1e-8
 GLOBAL_BOUND = 0.98  # amplitude cap used inside the fit; leaves QSP headroom
 FIT_ACCEPT = 0.85  # a fit is accepted when its LP error is <= FIT_ACCEPT * eps
@@ -94,12 +91,6 @@ RUNS_PER_STEP = 3
 LADDER_CACHE = 512  # LP results; one walk up to DEGREE_CAP stores fewer than 40
 PROGRAM_CACHE = 16  # phase factors, encodings and the pipeline's books
 CERT_SLICE = 2048  # certificate points evaluated at a time
-
-
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first call."""
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
 
 
 def target_g(x, norm: float):
@@ -294,18 +285,30 @@ class PhaseFactorSequence:
         return len(self.phases)
 
 
-def _wx_eval(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Re <0| e^{i phi_0 Z} prod_k W(x) e^{i phi_k Z} |0> vectorized over x."""
-    # right multiplication never mixes rows, so only the top row is carried
+def _wx_eval(x: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re <0| e^{i phi_0 Z} prod_k W(x) e^{i phi_k Z} |0> vectorized over x,
+    and its derivative in every phase, shape (x.size, len(phases))."""
+    # right multiplication never mixes rows, so only the top row (a_k, b_k)
+    # of each prefix P_k, up to and including e^{i phi_k Z}, is carried
     i_s = 1j * np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    a = np.empty((len(phases), x.size), complex)
+    b = np.empty_like(a)
     m00 = np.full_like(x, np.exp(1j * phases[0]), dtype=complex)
     m01 = np.zeros_like(x, dtype=complex)
-    for phi in phases[1:]:
+    a[0], b[0] = m00, m01
+    for k, phi in enumerate(phases[1:], 1):
         # right-multiply by W(x), then by e^{i phi Z}
         n00 = m00 * x + m01 * i_s
         n01 = m00 * i_s + m01 * x
         m00, m01 = n00 * np.exp(1j * phi), n01 * np.exp(-1j * phi)
-    return m00.real
+        a[k], b[k] = m00, m01
+    # d/dphi_k inserts iZ after e^{i phi_k Z}: i <0| P_k Z S_k |0> with S_k
+    # the suffix.  Every factor is in SU(2), so P_k has rows (a, b) and
+    # (-conj b, conj a), S_k |0> = P_k^dagger U |0>, and U |0> is
+    # (m00, -conj m01): the term is i ((2 |a|^2 - 1) m00 + 2 a b conj m01)
+    grad = ((1.0 - 2.0 * (a.real ** 2 + a.imag ** 2)) * m00.imag
+            - 2.0 * (a * b * m01.conj()).imag)
+    return m00.real, grad.T
 
 
 def qsp_reflection_eval(x, phases: np.ndarray) -> np.ndarray:
@@ -324,22 +327,63 @@ def qsp_reflection_eval(x, phases: np.ndarray) -> np.ndarray:
     return m00.real
 
 
-def _cheb_coeffs_from_values(values: np.ndarray, count: int,
-                             cos_table: np.ndarray) -> np.ndarray:
-    coeffs = (2.0 / count) * (cos_table @ values)
-    coeffs[0] *= 0.5
-    return coeffs
+def least_squares(degree: int, coeffs: np.ndarray) -> np.ndarray:
+    """Symmetric Wx phases phi_0..phi_d whose realized polynomial is the
+    parity-pure degree-d Chebyshev series ``coeffs``.
+
+    Gauss-Newton on the reduced coefficients, Newton's method for symmetric
+    QSP (Dong, Lin, Ni and Wang, arXiv 2307.12468): the residual is the
+    reduced Chebyshev coefficients of the realized polynomial at the d + 1
+    Chebyshev nodes minus the target's, and each step is one least-squares
+    solve on its square Jacobian.  The solve stops when a step no longer
+    halves the sup residual at the nodes, or after PHASE_ITER_CAP steps,
+    keeps the best iterate and raises with its residual unless that meets
+    PHASE_RESIDUAL_TOL.
+    """
+    count = degree + 1
+    theta = (np.arange(count) + 0.5) * np.pi / count
+    nodes = np.cos(theta)
+    target = _chebval(nodes, coeffs)
+    # descending order pairs the outermost phases with the leading
+    # coefficients; the rows map node values to those coefficients
+    ridx = np.arange(degree % 2, count, 2)[::-1]
+    reduce = (2.0 / count) * np.cos(np.outer(ridx, theta))
+    reduce[ridx == 0] *= 0.5
+    half = ridx.size
+
+    z = np.zeros(half)
+    z[0] = np.pi / 4
+    best, best_res = z, np.inf
+    for step in range(PHASE_ITER_CAP + 1):
+        # symmetric phases: the trailing half mirrors the leading half, and
+        # an even degree's centre phase appears once
+        vals, grad = _wx_eval(nodes, np.concatenate([z, z[::-1][count % 2:]]))
+        res = np.abs(vals - target).max()
+        falling = res < 0.5 * best_res
+        if res < best_res:
+            best, best_res = z, res
+        if not falling or step == PHASE_ITER_CAP:
+            break
+        jac = grad[:, :half] + grad[:, ::-1][:, :half]
+        if count % 2:
+            jac[:, -1] *= 0.5
+        z = z + np.linalg.lstsq(reduce @ jac, reduce @ (target - vals),
+                                rcond=None)[0]
+    if best_res > PHASE_RESIDUAL_TOL:
+        raise NumericalError(
+            f"phase-factor solve did not converge: residual {best_res:.3e} "
+            f"after {step} Gauss-Newton steps (cap {PHASE_ITER_CAP})")
+    return np.concatenate([best, best[::-1][count % 2:]])
 
 
 def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
     """Phase factors reproducing the polynomial on scalar inputs.
 
-    Runs the symmetric-phase coefficient fixed-point iteration, one pass of
-    at most PHASE_ITER_CAP steps, with a least-squares fallback from its
-    best iterate, then converts to projector phases.  Fails with
-    the residual report if neither reaches the tolerance within the caps.
-    The solve is memoised on the polynomial's degree and coefficient bytes,
-    the only parts of it the solve reads.
+    Solves the symmetric Wx phases by Gauss-Newton (``least_squares``),
+    converts them to projector phases and checks the projector circuit's
+    polynomial against the target on 64 Chebyshev nodes.  The solve is
+    memoised on the polynomial's degree and coefficient bytes, the only
+    parts of it the solve reads.
     """
     if poly.degree < 1:
         raise ConfigError("the alternating circuit needs degree >= 1")
@@ -349,58 +393,7 @@ def solve_phase_factors(poly: PolynomialTarget) -> PhaseFactorSequence:
 @functools.lru_cache(maxsize=PROGRAM_CACHE)
 def _phase_factors(degree: int, coeffs_key: bytes) -> PhaseFactorSequence:
     coeffs = np.frombuffer(coeffs_key)
-    count = degree + 1
-    theta = (np.arange(count) + 0.5) * np.pi / count
-    nodes = np.cos(theta)
-    target_vals = _chebval(nodes, coeffs)
-    # descending order pairs the outermost phases with the leading
-    # coefficients, making the coefficient-map Jacobian -2 I at the init
-    ridx = np.arange(degree % 2, degree + 1, 2)[::-1]
-    cos_table = np.cos(np.outer(np.arange(count), theta))
-    target_red = _cheb_coeffs_from_values(target_vals, count, cos_table)[ridx]
-
-    half = len(ridx)
-
-    def full_from_reduced(z):
-        # symmetric phases: mirror the leading half onto the trailing half
-        full = np.zeros(degree + 1)
-        full[:half] = z
-        full[degree + 1 - half:] = z[::-1]
-        return full
-
-    def value_residual(z):
-        return _wx_eval(nodes, full_from_reduced(z)) - target_vals
-
-    # coefficient fixed point; one evaluation per iterate feeds both its
-    # residual and the next step
-    z = np.zeros(half)
-    z[0] = np.pi / 4
-    vals = _wx_eval(nodes, full_from_reduced(z))
-    best, best_res = z.copy(), np.abs(vals - target_vals).max()
-    for it in range(PHASE_ITER_CAP):
-        realized_red = _cheb_coeffs_from_values(vals, count, cos_table)[ridx]
-        z = z + 0.5 * (realized_red - target_red)
-        vals = _wx_eval(nodes, full_from_reduced(z))
-        res = np.abs(vals - target_vals).max()
-        if not np.isfinite(res):
-            break
-        if res < best_res:
-            best, best_res = z.copy(), res
-        if res <= PHASE_RESIDUAL_TOL * 0.1:
-            break
-        if it > 60 and res > 10 * best_res:
-            break  # diverging, stop wasting iterations
-    z, res = best, best_res
-    if res > PHASE_RESIDUAL_TOL * 0.1:
-        sol = least_squares(value_residual, z, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        res_ls = np.abs(value_residual(sol.x)).max()
-        if res_ls < res:
-            z, res = sol.x, res_ls
-        if res > PHASE_RESIDUAL_TOL:
-            raise NumericalError(
-                f"phase-factor solver did not converge: residual {res:.3e} "
-                f"after fixed-point and least-squares fallback")
-    wx = full_from_reduced(z)
+    wx = least_squares(degree, coeffs)
 
     # Wx -> projector-phase conversion (derived once, verified numerically):
     # phi'_1 = phi_0 + phi_d - pi/2 + d pi/2, phi'_k = phi_{k-1} - pi/2.

@@ -304,19 +304,19 @@ WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.
 # quantum_sampled mode; fine_grid is sampled already
 WORKLOAD_REPORT_SHA256 = {
     ("deep_horizon", "quantum_exact"):
-        "fb46f8769a90f4d057efa5ec8a1bdfbe6f16cbb2885deda8236521d06463f95c",
+        "a2c0462bbebc6c0e44847b19522879586e85c03fab77cb4cb44ff02aff030a45",
     ("deep_horizon", "quantum_sampled"):
-        "c60873912a93b71b03a794f9ce24a9d77d56efe9bdf84a21c324f3f909c78042",
+        "340cc5b474e700365d9d93419e5e08f309d981c7a241b4666387ba14dcab9a09",
     ("fine_grid", "quantum_sampled"):
-        "8e18b8e6e74d5fb8622e5c1c84f5a2d7e6b9b052e6ba97203f494695b01ba1a9",
+        "c3ca82ef12b05ba871e6f39e5939feb1dd68ae5146730b3cd38a42feb309f3d2",
     ("readme_default", "quantum_exact"):
-        "77fc4e24213d6fa47e447ddfa42235644053fe7cc654ade8c91dc6d5c0b6facb",
+        "33bdef234ff428ce5824024d655b68dd73970b32fb91bac3351bd2829c4f9d5a",
     ("readme_default", "quantum_sampled"):
-        "eee3985a651354871c0b5e438c9d41a28d273b623422283f43248607afbb63b6",
+        "56e875e067ad320a6c5938aaea55439b90b1a566fc01f336d3b2110d77b795ea",
     ("wide_book", "quantum_exact"):
-        "afaf8cfc2a345c5d7c7d9aa96c87e26679a0ee9a5ad092e0716c464d7ef34eef",
+        "6a9efe173a267859c1019aa1ca9f6006c2e7de66f851bbb136b52c879b99c025",
     ("wide_book", "quantum_sampled"):
-        "c0ab0b0b2a227aa2c6f5b86f58316ba5ab1b2d9ce0191da92dceb9552432dc97",
+        "0839a21b7d4f06a28d46bc56c5ce77a103ddbfe218a0fbb59575419b12072336",
 }
 
 

@@ -393,12 +393,12 @@ def test_assemble_trotter_refused_allocation_exit_code(tmp_path):
 # sha256 of `assemble --mode trotter` on the README config at m = 6, 8 and
 # 10 (the last under QVAR_QUBIT_CAP=30: 3 path + 13 price + 10 value
 # qubits); the QPE columns were recorded from the dense-matrix kernels the
-# FFT forms replaced, the error column from the tight block encoding's fit
-# and the march of one column per step
+# FFT forms replaced, the error column from the tight block encoding's fit,
+# the Gauss-Newton phases and the march of one column per step
 TROTTER_CSV_SHA256 = {
-    6: "ea54e1ec1416c0209db530dd8878e171c514b82c09388e39b32a587107208c94",
-    8: "63794f2faaf8ef286c3d706cb2e868cd7753262080a25c716d6853b4460d9aeb",
-    10: "d67e1e6d7bdd0956b1640f386b2fabb3687fc9ea9e1be90ee0fe5ae6c865c90b",
+    6: "907bea31aac55de4ade78d728495fae8ec9f7ee33281b598fdb61e80192cfa33",
+    8: "0c4bfd415068ccdeacad2adc0f8447f32e2b8441441d9625da31f6309ff5d2ca",
+    10: "c045df75dc67e9937c24fc187fd69e802133f2a335c37af6668b22f903be0584",
 }
 
 
@@ -419,9 +419,9 @@ REPORT_SHA256 = {
     "classical":
         "e24db15e0db078bb6bceeb75b9285f6654845910bb31ef5fb4dd64431b1750d2",
     "quantum-exact":
-        "7abc1d3431b1a17991a451e55d089c1edc4072e9c8800930a70573e5b9b91b9b",
+        "e77b8c5167ddb2d5f51f0ef1eb9e5e24b13b65ba1f46a47cde22c7e4adee921b",
     "quantum-sampled":
-        "baccaeb404f10199f5b73a73605a52848d3ba95572f6fe1e5d7a92680b922e09",
+        "c730748dfd7d57747017abf4a86b11f00e8226bbd61bfbea3ba942570c2b880e",
 }
 
 

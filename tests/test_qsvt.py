@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -208,21 +209,26 @@ def test_dense_lp_at_the_largest_capped_rung_stays_small():
     assert peak < 5 * a_ub.nbytes, (peak, a_ub.nbytes)
 
 
-def _wx_eval_full_product(x, phases):
-    """Reference: the full 2x2 product e^{i phi_0 Z} prod_k W(x) e^{i phi_k Z}."""
+def _wx_eval_full_product(x, phases, insert=None):
+    """Reference: the full 2x2 product e^{i phi_0 Z} prod_k W(x) e^{i phi_k Z},
+    with iZ inserted after the phase of index ``insert`` when one is given:
+    the derivative of the product in that phase."""
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     m00 = np.full_like(x, np.exp(1j * phases[0]), dtype=complex)
     m01 = np.zeros_like(x, dtype=complex)
     m10 = np.zeros_like(x, dtype=complex)
     m11 = np.full_like(x, np.exp(-1j * phases[0]), dtype=complex)
-    for phi in phases[1:]:
-        n00 = m00 * x + m01 * (1j * s)
-        n01 = m00 * (1j * s) + m01 * x
-        n10 = m10 * x + m11 * (1j * s)
-        n11 = m10 * (1j * s) + m11 * x
-        ep, em = np.exp(1j * phi), np.exp(-1j * phi)
-        m00, m01 = n00 * ep, n01 * em
-        m10, m11 = n10 * ep, n11 * em
+    for k, phi in enumerate(phases):
+        if k:
+            n00 = m00 * x + m01 * (1j * s)
+            n01 = m00 * (1j * s) + m01 * x
+            n10 = m10 * x + m11 * (1j * s)
+            n11 = m10 * (1j * s) + m11 * x
+            ep, em = np.exp(1j * phi), np.exp(-1j * phi)
+            m00, m01 = n00 * ep, n01 * em
+            m10, m11 = n10 * ep, n11 * em
+        if k == insert:
+            m00, m01, m10, m11 = 1j * m00, -1j * m01, 1j * m10, -1j * m11
     return m00.real
 
 
@@ -247,9 +253,21 @@ def _reflection_full_product(x, phases):
 def test_row_only_evaluation_matches_full_product(rng, length):
     x = np.concatenate([rng.uniform(-1.0, 1.0, 64), [-1.0, 0.0, 1.0]])
     phases = rng.uniform(-np.pi, np.pi, length)
-    assert np.array_equal(_wx_eval(x, phases), _wx_eval_full_product(x, phases))
+    assert np.array_equal(_wx_eval(x, phases)[0],
+                          _wx_eval_full_product(x, phases))
     assert np.array_equal(qsp_reflection_eval(x, phases),
                           _reflection_full_product(x, phases))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 18, 196])
+def test_wx_derivative_matches_full_product_with_iz_inserted(rng, length):
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 64), [-1.0, 0.0, 1.0]])
+    phases = rng.uniform(-np.pi, np.pi, length)
+    grad = _wx_eval(x, phases)[1]
+    assert grad.shape == (x.size, length)
+    for k in range(length):
+        assert np.abs(grad[:, k]
+                      - _wx_eval_full_product(x, phases, insert=k)).max() <= 1e-12
 
 
 def test_phase_factors_identity_polynomial():
@@ -283,6 +301,76 @@ def test_phase_factors_production_target():
     err = np.abs(qsp_reflection_eval(x, seq.phases)
                  - np_cheb.chebval(x, poly.coeffs)).max()
     assert err <= 1e-8
+
+
+def _counted_least_squares(monkeypatch):
+    """Count the phase solve's calls of its one solver, ``least_squares``,
+    which it looks up as a module global, so a wrapper bound there sees
+    every solve."""
+    calls = []
+    solve = qsvt.least_squares
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(qsvt, "least_squares", counted)
+    return calls
+
+
+def _phase_target(coeffs):
+    coeffs = np.asarray(coeffs, dtype=float)
+    return PolynomialTarget(2.0, 0.5, coeffs, len(coeffs) - 1, 1.0,
+                            (0.5, 1.0), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       peak=st.floats(0.05, 0.99))
+def test_phase_solve_meets_its_tolerance_on_parity_pure_targets(degree, seed,
+                                                                peak):
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(degree + 1)
+    coeffs[degree % 2::2] = rng.normal(size=degree // 2 + 1)
+    # the sup on 20,001 points is within 1e-5 of the sup on [-1, 1] at
+    # degree <= 40, so |P| stays below 1
+    x = np.linspace(-1.0, 1.0, 20_001)
+    coeffs *= peak / np.abs(np_cheb.chebval(x, coeffs)).max()
+    qsvt._phase_factors.cache_clear()  # hypothesis may replay an example
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counted_least_squares(monkeypatch)
+        seq = solve_phase_factors(_phase_target(coeffs))
+    assert len(calls) == 1
+    assert seq.residual <= qsvt.PHASE_RESIDUAL_TOL
+    assert seq.degree == degree
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_phase_solve_meets_its_tolerance_on_chebyshev_t(monkeypatch, degree):
+    # |T_d| reaches 1 on [-1, 1], where the Jacobian of the solve is singular
+    calls = _counted_least_squares(monkeypatch)
+    seq = solve_phase_factors(_phase_target(np.eye(degree + 1)[degree]))
+    assert len(calls) == 1
+    assert seq.residual <= qsvt.PHASE_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.0, 1.2], [0.0, 1.5],
+                                    [0.0, 0.0, 1.01]])
+def test_phase_solve_of_an_unrealizable_target_raises_fast(coeffs):
+    # |P| > 1 somewhere on [-1, 1]: no phases realize it
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"residual \S+ after \d+ "
+                       r"Gauss-Newton steps \(cap 64\)"):
+        solve_phase_factors(_phase_target(coeffs))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_phase_solve_past_its_step_cap_raises(monkeypatch):
+    # T1 converges linearly, in about 28 steps
+    monkeypatch.setattr(qsvt, "PHASE_ITER_CAP", 4)
+    with pytest.raises(NumericalError, match=r"residual \S+ after 4 "
+                       r"Gauss-Newton steps \(cap 4\)"):
+        solve_phase_factors(_phase_target([0.0, 1.0]))
 
 
 def _encoded_operator(rng, n):

@@ -29,12 +29,7 @@ README_CONFIG = {
 }
 
 # unreached on purpose: qualified name -> reason
-ALLOWED = {
-    "qsvt.least_squares":
-        "phase-solve fallback; only the |P| = 1 targets of test_qsvt need it",
-    "qsvt._phase_factors.<locals>.value_residual":
-        "the fallback's residual, called by least_squares",
-}
+ALLOWED = {}
 
 SURVEY = """
 import inspect, json, sys, types

@@ -1,7 +1,9 @@
 """Checks on the package's sources: its process-wide memos are all found
-by the discovery the memo fixture uses, and all bounded, and no module is
-long enough to cross the CPython parser's token step."""
+by the discovery the memo fixture uses, and all bounded, no module is
+long enough to cross the CPython parser's token step, and none imports
+SciPy, which only the tests depend on."""
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -40,3 +42,23 @@ def test_no_module_passes_the_parser_token_step():
               for path in Path(qvar.__file__).parent.glob("*.py")}
     assert {name: count for name, count in counts.items()
             if count > PARSER_TOKEN_STEP} == {}, counts
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module an ``import`` statement of the file names, at any depth,
+    a function's lazy import included; relative imports, the package's own,
+    are skipped."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_no_module_imports_scipy():
+    found = {path.name: sorted(name for name in imported_modules(path)
+                               if name.split(".")[0] == "scipy")
+             for path in Path(qvar.__file__).parent.glob("*.py")}
+    assert {name: mods for name, mods in found.items() if mods} == {}
